@@ -375,46 +375,43 @@ def _check_integrity(outdir: str, manifest: dict) -> list[str]:
 
 
 def _identity_suite(problem: Problem, states) -> list[str]:
+    """Machine-precision identities on every checkpoint; a NaN residual
+    fails (every test reads `not (residual <= tol)`)."""
     failures = []
-    partition = lp.build_partition(problem.grid)
+    grid = problem.grid
+    partition = lp.build_partition(grid)
     for n, state in enumerate(states):
-        scale = 1.0 + sp.lebesgue_norm(state.u, math.inf) \
-            + sp.lebesgue_norm(state.rho, math.inf)
-        res = diag.v1_identities(state, problem.params)
-        for name, val in res.items():
-            if val > IDENTITY_TOL * scale:
-                failures.append(f"state {n}: {name} residual {val:.3e}")
+        tol = IDENTITY_TOL * (1.0 + sp.lebesgue_norm(state.u, math.inf)
+                              + sp.lebesgue_norm(state.rho, math.inf))
+        residuals = diag.v1_identities(state, problem.params)
         h = diag.pressure_field(state, problem.params)
-        bog = sp.divergence(diag.bogovskii(h)) - (
-            h - sp.ScalarField.constant(problem.grid, h.mean))
-        if sp.lebesgue_norm(bog, math.inf) > IDENTITY_TOL * scale:
-            failures.append(f"state {n}: bogovskii residual")
-        zero_mean = state.rho - sp.ScalarField.constant(problem.grid,
-                                                        state.rho.mean)
-        trace = sp.ScalarField.zero(problem.grid)
-        for i in range(problem.grid.dim):
+        h0 = h - sp.ScalarField.constant(grid, h.mean)
+        residuals["bogovskii"] = sp.lebesgue_norm(
+            sp.divergence(diag.bogovskii(h)) - h0, math.inf)
+        zero_mean = state.rho - sp.ScalarField.constant(grid, state.rho.mean)
+        trace = sp.ScalarField.zero(grid)
+        for i in range(grid.dim):
             trace = trace + sp.riesz_composite(i, i, zero_mean)
-        if sp.lebesgue_norm(trace - zero_mean, math.inf) > IDENTITY_TOL * scale:
-            failures.append(f"state {n}: riesz trace identity")
+        residuals["riesz_trace"] = sp.lebesgue_norm(trace - zero_mean, math.inf)
         p_part, q_part = sp.leray_project(state.u)
-        if sp.lebesgue_norm(sp.divergence(p_part), math.inf) > IDENTITY_TOL * scale:
-            failures.append(f"state {n}: leray divergence residual")
-        if sp.lebesgue_norm((p_part + q_part) - state.u, math.inf) \
-                > IDENTITY_TOL * scale:
-            failures.append(f"state {n}: leray completeness residual")
-        gap = abs(sp.lebesgue_norm(state.rho, 2) - sp.coefficient_l2_norm(state.rho))
-        if gap > IDENTITY_TOL * scale:
-            failures.append(f"state {n}: parseval gap {gap:.3e}")
-        total = sp.ScalarField.zero(problem.grid)
+        residuals["leray_divergence"] = sp.lebesgue_norm(sp.divergence(p_part), math.inf)
+        residuals["leray_completeness"] = sp.lebesgue_norm(
+            (p_part + q_part) - state.u, math.inf)
+        residuals["parseval_gap"] = abs(sp.lebesgue_norm(state.rho, 2)
+                                        - sp.coefficient_l2_norm(state.rho))
+        total = sp.ScalarField.zero(grid)
         for q in partition.active_blocks:
             total = total + lp.dyadic_block(partition, q, state.rho)
-        if sp.lebesgue_norm(total - state.rho, math.inf) > IDENTITY_TOL * scale:
-            failures.append(f"state {n}: dyadic reconstruction residual")
+        residuals["dyadic_reconstruction"] = sp.lebesgue_norm(total - state.rho, math.inf)
+        for name, val in residuals.items():
+            if not (val <= tol):
+                failures.append(f"state {n}: {name} residual {val:.3e}")
     return failures
 
 
 def _series_crosscheck(outdir: str, problem: Problem, states) -> list[str]:
-    """Recompute a few series columns from the checkpoints and compare."""
+    """Recompute a few series columns from the checkpoints and compare;
+    a NaN on either side fails."""
     path = os.path.join(outdir, SERIES_FILE)
     if not os.path.exists(path):
         return [f"missing {SERIES_FILE}"]
@@ -429,7 +426,7 @@ def _series_crosscheck(outdir: str, problem: Problem, states) -> list[str]:
                                                   "min_rho")}
     for n, (state, row) in enumerate(zip(states, rows)):
         stored = {k: float(row[i]) for k, i in cols.items()}
-        if abs(stored["time"] - state.t) > 1e-12 * (1 + abs(state.t)):
+        if not (abs(stored["time"] - state.t) <= 1e-12 * (1 + abs(state.t))):
             failures.append(f"snapshot {n}: time mismatch")
             continue
         recomputed = {
@@ -438,7 +435,7 @@ def _series_crosscheck(outdir: str, problem: Problem, states) -> list[str]:
             "min_rho": state.min_density,
         }
         for key, val in recomputed.items():
-            if abs(stored[key] - val) > 1e-9 * (1.0 + abs(val)):
+            if not (abs(stored[key] - val) <= 1e-9 * (1.0 + abs(val))):
                 failures.append(
                     f"snapshot {n}: stored {key}={stored[key]:.12g} "
                     f"!= recomputed {val:.12g}")
@@ -474,7 +471,8 @@ def _inequality_suite(outdir: str, problem: Problem, trajectory
 
 
 def _monitor_suite(problem: Problem, trajectory, manifest) -> list[str]:
-    failures = []
+    failures = [f"snapshot {n}: non-finite samples"
+                for n, state in enumerate(trajectory.states) if not state.is_finite()]
     flags = diag.blowup_monitor(trajectory, problem.params, problem.monitor)
     abnormal = manifest["stop_reason"] in ("vacuum", "nonfinite", "cfl")
     if abnormal and flags.extendable:

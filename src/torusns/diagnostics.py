@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .spectral import (
     ScalarField,
@@ -406,14 +407,6 @@ def energy_ledger(trajectory: Trajectory, params: FluidParams) -> LedgerReport:
         notes="slack = E(0) + work - E(t) - dissipation; stays >= -tolerance")
 
 
-def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values, dtype=float)
-    if len(times) > 1:
-        increments = 0.5 * np.diff(times) * (values[1:] + values[:-1])
-        out[1:] = np.cumsum(increments)
-    return out
-
-
 def a_functional(trajectory: Trajectory, params: FluidParams
                  ) -> dict[str, np.ndarray]:
     """The weighted energy functional
@@ -447,8 +440,8 @@ def a_functional(trajectory: Trajectory, params: FluidParams
                                                     state.rho.samples))) * vol
     # the grad term uses the same quadratic form as the dissipation rate but
     # weights (mu, lam+mu); dissipation_rate already carries exactly those
-    accel = _cumtrapz(times, kin_rate)
-    press = _cumtrapz(times, press_rate) / params.nu ** 2
+    accel = cumulative_trapezoid(kin_rate, times, initial=0)
+    press = cumulative_trapezoid(press_rate, times, initial=0) / params.nu ** 2
     total = accel + grad_term + press + k_term / params.nu
     return {"time": times, "A": total, "acceleration": accel,
             "gradient": grad_term, "pressure_interaction": press,
@@ -503,7 +496,7 @@ def quartic_gradient_budget(trajectory: Trajectory, params: FluidParams
         mag2 = np.sum(gu ** 2, axis=(0, 1))
         rate[n] = fw[n] * float(np.sum(mag2 ** 2)) * grid.cell_volume
         rho_sup = max(rho_sup, lebesgue_norm(state.rho, math.inf))
-    lhs = _cumtrapz(times, rate)
+    lhs = cumulative_trapezoid(rate, times, initial=0)
     a_series = a_functional(trajectory, params)["A"]
     rows, worst = [], 0.0
     for n in range(len(states)):
@@ -543,7 +536,7 @@ def udot_budget(trajectory: Trajectory, params: FluidParams
         rate[n] = fw[n] ** 2 * (params.mu * float(np.sum(g_dot ** 2))
                                 + (params.mu + params.lam)
                                 * float(np.sum(ddot_series[n].samples ** 2))) * vol
-    integral_part = _cumtrapz(times, rate)
+    integral_part = cumulative_trapezoid(rate, times, initial=0)
     return {"time": times, "B": point + integral_part,
             "pointwise": point, "integral": integral_part}
 
@@ -557,17 +550,10 @@ def grad_omega_budget(trajectory: Trajectory, params: FluidParams
     rate = np.empty(len(states))
     rho_sup = 0.0
     for n, state in enumerate(states):
-        w = curl(state.u)
-        gw = gradient(w) if isinstance(w, ScalarField) else \
-            VectorField.from_components([divergence(w) * 0.0] * state.grid.dim)
-        if isinstance(w, ScalarField):
-            val = float(np.sum(gw.samples ** 2)) * state.grid.cell_volume
-        else:
-            val = sum(float(np.sum(gradient(w.component(i)).samples ** 2))
-                      for i in range(state.grid.dim)) * state.grid.cell_volume
+        val = float(np.sum(velocity_gradient(curl(state.u)) ** 2)) * state.grid.cell_volume
         rate[n] = fw[n] * val
         rho_sup = max(rho_sup, lebesgue_norm(state.rho, math.inf))
-    lhs = _cumtrapz(times, rate)
+    lhs = cumulative_trapezoid(rate, times, initial=0)
     a_series = a_functional(trajectory, params)["A"]
     rows, worst = [], 0.0
     for n in range(len(states)):
@@ -631,9 +617,9 @@ def integrability_gain(trajectory: Trajectory, params: FluidParams,
             q = time_lebesgue_q
             space_p = 2.0 * q * p1 / ((q - 2.0) * p1 + 4.0)
         p_norm[n] = lebesgue_norm(pressure_field(state, params), space_p)
-    d1 = _cumtrapz(times, d1_rate)
-    d2 = _cumtrapz(times, d2_rate)
-    p_time = _cumtrapz(times, p_norm ** p1) ** (1.0 / p1)
+    d1 = cumulative_trapezoid(d1_rate, times, initial=0)
+    d2 = cumulative_trapezoid(d2_rate, times, initial=0)
+    p_time = cumulative_trapezoid(p_norm ** p1, times, initial=0) ** (1.0 / p1)
     rows, worst = [], 0.0
     for n in range(len(states)):
         lhs = moment[n] + a_coeff * d1[n] + max(b_coeff, 0.0) * d2[n]
@@ -683,9 +669,9 @@ def density_bound_ledger(trajectory: Trajectory, params: FluidParams
         comm_sup[n] = lebesgue_norm(comm, math.inf)
         m = scale_vector(state.rho, state.u)
         pot_term[n] = lebesgue_norm(inv_laplacian_zero_mean(divergence(m)), math.inf)
-    int_mean_p = _cumtrapz(times, mean_p)
-    int_sup_p = _cumtrapz(times, sup_p)
-    int_comm = _cumtrapz(times, comm_sup)
+    int_mean_p = cumulative_trapezoid(mean_p, times, initial=0)
+    int_sup_p = cumulative_trapezoid(sup_p, times, initial=0)
+    int_comm = cumulative_trapezoid(comm_sup, times, initial=0)
     running_pot = np.maximum.accumulate(pot_term)
     rho0 = states[0].rho.samples
     upper_base = nu * math.log(float(np.max(rho0))) + init_term
@@ -872,8 +858,8 @@ def transport_estimate_report(trajectory: Trajectory, partition: DyadicPartition
                            lebesgue_norm(div_v1, math.inf))
                      + rho_inf ** (alpha + 1) + 1.0)
         src_rate[n] = rho_inf * besov_norm(partition, div_v1, spec)
-    v_int = _cumtrapz(times, v_rate)
-    src_int = _cumtrapz(times, src_rate)
+    v_int = cumulative_trapezoid(v_rate, times, initial=0)
+    src_int = cumulative_trapezoid(src_rate, times, initial=0)
     base = lhs[0]
     rows, c_min = [], 0.0
     for n in range(len(states)):
@@ -922,8 +908,8 @@ def besov_regularity_monitor(trajectory: Trajectory, partition: DyadicPartition,
             "rho_besov_eps": b_eps,
             "rho_besov_zero_one": b01,
             "log_interpolation_ratio": ratio,
-            "grad_u_besov_integral": _cumtrapz(times, gu_rate),
-            "grad_v1_besov_integral": _cumtrapz(times, gv_rate)}
+            "grad_u_besov_integral": cumulative_trapezoid(gu_rate, times, initial=0),
+            "grad_v1_besov_integral": cumulative_trapezoid(gv_rate, times, initial=0)}
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +975,7 @@ def v1_energy_ledger(trajectory: Trajectory, params: FluidParams
             formula = dtv_formula(state, params)
             dtv_resid[n] = lebesgue_norm(
                 formula - VectorField(grid, dt_v[n]), math.inf)
-    k1 = _cumtrapz(times, k1_rate)
+    k1 = cumulative_trapezoid(k1_rate, times, initial=0)
     rows = [(times[n], k1[n], k2[n], dtv_resid[n]) for n in range(len(states))]
     finite = [r for r in dtv_resid if math.isfinite(r)]
     return LedgerReport(

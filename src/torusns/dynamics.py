@@ -22,12 +22,14 @@ import numpy as np
 from scipy import integrate as _sci_integrate
 
 from .spectral import (
+    Field,
     ScalarField,
     TorusGrid,
     VectorField,
     fourier_eval,
-    hermitianize,
-    lebesgue_norm,
+    parseval_sum,
+    to_coeffs,
+    to_samples,
     _check_same_grid,
 )
 
@@ -126,6 +128,7 @@ class TabulatedLaw:
         if np.any(np.diff(p) < 0):
             raise ValueError("pressure law must be non-decreasing")
         from scipy.interpolate import PchipInterpolator
+        self._knots = (d, p)
         self._interp = PchipInterpolator(d, p, extrapolate=True)
         self._deriv = self._interp.derivative()
         self._d0 = float(d[0])
@@ -154,13 +157,9 @@ class TabulatedLaw:
             return val * out
         return np.vectorize(one)(np.asarray(s, dtype=float))
 
-    def rescaled(self, factor: float):
-        base = self
-        law = TabulatedLaw.__new__(TabulatedLaw)
-        law._interp = lambda s: factor * base._interp(s)
-        law._deriv = lambda s: factor * base._deriv(s)
-        law.gamma = None
-        return law
+    def rescaled(self, factor: float) -> "TabulatedLaw":
+        densities, pressures = self._knots
+        return TabulatedLaw(densities, factor * pressures)
 
 
 # ---------------------------------------------------------------------------
@@ -309,28 +308,37 @@ def cfl_limit(state: FluidState, params: FluidParams) -> float:
 # right-hand side and stepping
 # ---------------------------------------------------------------------------
 
+def _rk4(rhs, t: float, ys: tuple, dt: float):
+    """One classical RK4 step over a tuple of arrays.  rhs(t, ys) returns
+    (slopes, aux); the result is (new ys, the auxes of the four stages)."""
+    k1, a1 = rhs(t, ys)
+    k2, a2 = rhs(t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k1)))
+    k3, a3 = rhs(t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k2)))
+    k4, a4 = rhs(t + dt, tuple(y + dt * k for y, k in zip(ys, k3)))
+    new = tuple(y + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+                for y, s1, s2, s3, s4 in zip(ys, k1, k2, k3, k4))
+    return new, (a1, a2, a3, a4)
+
+
 class _Stepper:
-    """Conservative-variable RK4 kernel working on raw coefficient arrays."""
+    """Conservative-variable RK4 kernel on the stacked coefficient array
+    y = (rho, m_1, ..., m_dim); each stage does one batched inverse and one
+    batched forward transform."""
 
     def __init__(self, grid: TorusGrid, params: FluidParams, config: SolverConfig):
         self.grid = grid
         self.params = params
         self.config = config
         self.keep = grid.dealias_mask(config.dealias_fraction)
-        self.dk = [np.where(grid.nyquist_mask, 0.0, 1j * k)
-                   for k in grid.frequency_mesh]
+        self.dk = np.stack([np.where(grid.nyquist_mask, 0.0, 1j * k)
+                            for k in grid.frequency_mesh])
         self.lap = np.where(grid.nyquist_mask, 0.0, -grid.k_squared)
+        # m_i u_j is symmetric in (i, j): only the dim(dim+1)/2 pairs i <= j are formed
+        dim = grid.dim
+        self.pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+        self.pair_index = np.array([[self.pairs.index((min(i, j), max(i, j)))
+                                     for j in range(dim)] for i in range(dim)])
         self._forcing_cache: tuple[float, np.ndarray] | None = None
-
-    # -- transforms on raw arrays (normalized coefficients) ----------------
-    def to_samples(self, c: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifftn(c) * self.grid.size)
-
-    def to_coeffs(self, s: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(s) / self.grid.size
-
-    def product_coeffs(self, a_s: np.ndarray, b_s: np.ndarray) -> np.ndarray:
-        return self.to_coeffs(a_s * b_s) * self.keep
 
     def forcing_samples(self, t: float) -> np.ndarray | None:
         if self.params.forcing is None:
@@ -341,50 +349,64 @@ class _Stepper:
         self._forcing_cache = (t, g)
         return g
 
+    def momentum(self, v_c: np.ndarray, flux_c: np.ndarray) -> np.ndarray:
+        """mu lap v + (mu+lam) grad div v - div(flux), flux_c[i, j] = F_ij."""
+        mu, lam = self.params.mu, self.params.lam
+        div_v = np.sum(self.dk * v_c, axis=0)
+        acc = mu * self.lap * v_c + (mu + lam) * self.dk * div_v
+        for i in range(self.grid.dim):
+            acc -= self.dk[i] * flux_c[i]
+        return acc
+
     # -----------------------------------------------------------------------
-    def rhs(self, t: float, rho_c: np.ndarray, m_c: np.ndarray):
-        """Returns (drho_c, dm_c, aux) where aux carries the stage fields."""
-        dim = self.grid.dim
-        rho_s = self.to_samples(rho_c)
+    def rhs(self, t: float, y: np.ndarray):
+        """Returns (dy, aux) where aux carries the stage fields."""
+        grid, dim = self.grid, self.grid.dim
+        s = to_samples(grid, y)
+        rho_s, m_s = s[0], s[1:]
         min_rho = float(np.min(rho_s))
         if min_rho <= self.config.vacuum_floor:
             raise VacuumError(t, min_rho)
-        m_s = np.stack([self.to_samples(m_c[i]) for i in range(dim)])
-        u_s = m_s / rho_s[None, ...]
-        u_c = np.stack([self.to_coeffs(u_s[i]) for i in range(dim)])
-
-        drho_c = np.zeros_like(rho_c)
-        for i in range(dim):
-            drho_c -= self.dk[i] * m_c[i]
-
-        div_u_c = sum(self.dk[i] * u_c[i] for i in range(dim))
-        p_c = self.product_coeffs(self.params.pressure(rho_s), np.ones(1))
+        u_s = m_s / rho_s
         g_s = self.forcing_samples(t)
+        products = [u_s, self.params.pressure(rho_s)[None],
+                    np.stack([m_s[i] * u_s[j] for i, j in self.pairs])]
+        if g_s is not None:
+            products.append(rho_s * g_s)
+        c = to_coeffs(grid, np.concatenate(products))
+        c[dim:] *= self.keep
+        u_c, p_c = c[:dim], c[dim]
+        n_flux = dim + 1 + len(self.pairs)
+        sources = -self.dk * p_c
+        if g_s is not None:
+            sources += c[n_flux:]
+        dy = np.empty_like(y)
+        dy[0] = -np.sum(self.dk * y[1:], axis=0)
+        dy[1:] = self.momentum(u_c, c[dim + 1:n_flux][self.pair_index]) + sources
+        aux = {"rho_s": rho_s, "m_s": m_s, "u_s": u_s, "u_c": u_c, "g_s": g_s,
+               "sources": sources}
+        return dy, aux
 
-        dm_c = np.empty_like(m_c)
-        mu, lam = self.params.mu, self.params.lam
-        for j in range(dim):
-            acc = mu * self.lap * u_c[j] + (mu + lam) * self.dk[j] * div_u_c
-            acc = acc - self.dk[j] * p_c
-            for i in range(dim):
-                acc = acc - self.dk[i] * self.product_coeffs(m_s[i], u_s[j])
-            if g_s is not None:
-                acc = acc + self.product_coeffs(rho_s, g_s[j])
-            dm_c[j] = acc
-        aux = {"rho_s": rho_s, "u_s": u_s, "u_c": u_c, "div_u_c": div_u_c, "g_s": g_s}
-        return drho_c, dm_c, aux
+    def passenger_rhs(self, aux, w_c: np.ndarray, with_sources: bool) -> np.ndarray:
+        """Slope of rho w for L w = 0, or L w = -grad P + rho g with sources,
+        along the stage state in aux (the momentum operator with w in place
+        of u)."""
+        grid, dim = self.grid, self.grid.dim
+        w_s = to_samples(grid, w_c) / aux["rho_s"]
+        flux = (aux["m_s"][:, None] * w_s[None]).reshape((dim * dim,) + grid.shape)
+        c = to_coeffs(grid, np.concatenate([w_s, flux]))
+        c[dim:] *= self.keep
+        out = self.momentum(c[:dim], c[dim:].reshape((dim, dim) + grid.spectral_shape))
+        return out + aux["sources"] if with_sources else out
 
     def quadrature_values(self, aux) -> dict[str, float]:
         """Instantaneous integrands accumulated at RK4 accuracy:
         viscous dissipation int mu |grad u|^2 + (mu+lam)(div u)^2 and the
         forcing power int rho g . u."""
         grid, mu, lam = self.grid, self.params.mu, self.params.lam
-        u_c, div_u_c = aux["u_c"], aux["div_u_c"]
-        grad_sq = 0.0
-        for j in range(grid.dim):
-            for i in range(grid.dim):
-                grad_sq += float(np.sum(np.abs(self.dk[i] * u_c[j]) ** 2))
-        div_sq = float(np.sum(np.abs(div_u_c) ** 2))
+        u_c = aux["u_c"]
+        grad_sq = parseval_sum(grid, self.dk[:, None] * u_c[None])
+        div_sq = parseval_sum(grid, np.sum(self.dk * u_c, axis=0))
         dissipation = grid.volume * (mu * grad_sq + (mu + lam) * div_sq)
         if aux["g_s"] is None:
             work = 0.0
@@ -393,41 +415,30 @@ class _Stepper:
                          ) * grid.cell_volume
         return {"dissipation": dissipation, "forcing_work": work}
 
-    def step(self, t: float, rho_c, m_c, dt: float):
-        """One RK4 step; returns (rho_c, m_c, quadrature increments)."""
-        k1r, k1m, a1 = self.rhs(t, rho_c, m_c)
-        k2r, k2m, a2 = self.rhs(t + dt / 2, rho_c + dt / 2 * k1r, m_c + dt / 2 * k1m)
-        k3r, k3m, a3 = self.rhs(t + dt / 2, rho_c + dt / 2 * k2r, m_c + dt / 2 * k2m)
-        k4r, k4m, a4 = self.rhs(t + dt, rho_c + dt * k3r, m_c + dt * k3m)
-        new_rho = rho_c + dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        new_m = m_c + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        new_rho = hermitianize(new_rho, self.grid.dim)
-        new_m = np.stack([hermitianize(new_m[i], self.grid.dim)
-                          for i in range(self.grid.dim)])
+    def step(self, t: float, y: np.ndarray, dt: float):
+        """One RK4 step; returns (y, quadrature increments)."""
+        def rhs(s, ys):
+            dy, aux = self.rhs(s, ys[0])
+            return (dy,), aux
+
+        (y,), stages = _rk4(rhs, t, (y,), dt)
         quads = {}
-        for stage, w in ((a1, 1.0), (a2, 2.0), (a3, 2.0), (a4, 1.0)):
+        for stage, w in zip(stages, (1.0, 2.0, 2.0, 1.0)):
             for name, val in self.quadrature_values(stage).items():
                 quads[name] = quads.get(name, 0.0) + dt / 6 * w * val
-        return new_rho, new_m, quads
+        return y, quads
 
 
-def _conservative(state: FluidState, keep: np.ndarray | None = None):
-    grid = state.grid
-    rho_c = np.array(state.rho.coeffs)
-    rho_s = state.rho.samples
-    m_c = np.empty((grid.dim,) + grid.shape, dtype=complex)
-    for i in range(grid.dim):
-        prod = np.fft.fftn(rho_s * state.u.samples[i]) / grid.size
-        m_c[i] = prod * keep if keep is not None else prod
-    return rho_c, m_c
+def _conservative(state: FluidState, keep: np.ndarray) -> np.ndarray:
+    """Stacked coefficients (rho, m) of a state, the momentum dealiased."""
+    m_c = to_coeffs(state.grid, state.rho.samples * state.u.samples) * keep
+    return np.concatenate([state.rho.coeffs[None], m_c])
 
 
-def _state_from_conservative(grid, rho_c, m_c, t) -> FluidState:
-    rho = ScalarField(grid, rho_c)
-    rho_s = rho.samples
-    u_s = np.stack([np.real(np.fft.ifftn(m_c[i]) * grid.size) / rho_s
-                    for i in range(grid.dim)])
-    return FluidState(rho, VectorField.from_samples(grid, u_s), t)
+def _state_from_conservative(grid: TorusGrid, y: np.ndarray, t: float) -> FluidState:
+    s = to_samples(grid, y)
+    rho = ScalarField(grid, y[0], copy=False, samples=s[0])
+    return FluidState(rho, VectorField.from_samples(grid, s[1:] / s[0]), t)
 
 
 def rhs_eval(state: FluidState, params: FluidParams,
@@ -437,9 +448,8 @@ def rhs_eval(state: FluidState, params: FluidParams,
         raise VacuumError(state.t, state.min_density)
     config = config or SolverConfig(t_end=1.0, dt=1.0)
     stepper = _Stepper(state.grid, params, config)
-    rho_c, m_c = _conservative(state, stepper.keep)
-    drho_c, dm_c, _ = stepper.rhs(state.t, rho_c, m_c)
-    return ScalarField(state.grid, drho_c), VectorField(state.grid, dm_c)
+    dy, _ = stepper.rhs(state.t, _conservative(state, stepper.keep))
+    return ScalarField(state.grid, dy[0]), VectorField(state.grid, dy[1:])
 
 
 def step(state: FluidState, params: FluidParams, config: SolverConfig) -> FluidState:
@@ -452,9 +462,8 @@ def step(state: FluidState, params: FluidParams, config: SolverConfig) -> FluidS
     if config.dt > limit * (1.0 + 1e-12):
         raise CflError(state.t, config.dt, limit)
     stepper = _Stepper(state.grid, params, config)
-    rho_c, m_c = _conservative(state, stepper.keep)
-    rho_c, m_c, _ = stepper.step(state.t, rho_c, m_c, config.dt)
-    new = _state_from_conservative(state.grid, rho_c, m_c, state.t + config.dt)
+    y, _ = stepper.step(state.t, _conservative(state, stepper.keep), config.dt)
+    new = _state_from_conservative(state.grid, y, state.t + config.dt)
     if new.min_density <= config.vacuum_floor:
         raise VacuumError(new.t, new.min_density)
     if not new.is_finite():
@@ -473,9 +482,10 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
         raise ValueError("initial state already violates the vacuum floor")
     grid = initial.grid
     stepper = _Stepper(grid, params, config)
-    rho_c, m_c = _conservative(initial, stepper.keep)
+    y = _conservative(initial, stepper.keep)
 
-    states = [_state_from_conservative(grid, rho_c, m_c, initial.t)]
+    state = _state_from_conservative(grid, y, initial.t)
+    states = [state]
     quads = {"dissipation": [0.0], "forcing_work": [0.0]}
     totals = {"dissipation": 0.0, "forcing_work": 0.0}
     stop_reason, t = "completed", initial.t
@@ -490,8 +500,7 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
             hook(state)
 
     while t < t_final - 1e-13:
-        state_now = _state_from_conservative(grid, rho_c, m_c, t)
-        limit = cfl_limit(state_now, params)
+        limit = cfl_limit(state, params)
         if config.dt is not None:
             dt = config.dt
             scale = config.cfl if config.cfl is not None else 1.0
@@ -505,28 +514,28 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
                 break
         dt = min(dt, t_final - t)
         try:
-            rho_c, m_c, inc = stepper.step(t, rho_c, m_c, dt)
+            y, inc = stepper.step(t, y, dt)
         except SolverStop as stop:
             stop_reason = stop.reason
             break
-        if not (np.all(np.isfinite(rho_c)) and np.all(np.isfinite(m_c))):
+        if not np.all(np.isfinite(y)):
             stop_reason = "nonfinite"
             break
         t += dt
         steps += 1
         for k, v in inc.items():
             totals[k] += v
-        new_state = _state_from_conservative(grid, rho_c, m_c, t)
-        if new_state.min_density <= config.vacuum_floor:
+        state = _state_from_conservative(grid, y, t)
+        if state.min_density <= config.vacuum_floor:
             stop_reason = "vacuum"
             break
         triggered = None
         for monitor in monitors:
-            triggered = monitor(new_state)
+            triggered = monitor(state)
             if triggered:
                 break
         if steps % config.snapshot_every == 0 or t >= t_final - 1e-13 or triggered:
-            snapshot(new_state)
+            snapshot(state)
         if triggered:
             stop_reason = f"monitor:{triggered}"
             break
@@ -540,7 +549,7 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
 # scaling transform
 # ---------------------------------------------------------------------------
 
-def rescale_field(f: ScalarField | VectorField, l: int):
+def rescale_field(f: Field, l: int) -> Field:
     """Exact grid reindexing x -> l x (mod 2 pi); requires the spectrum to fit
     inside the band |k| < M/(2l) so no mode aliases."""
     grid = f.grid
@@ -551,11 +560,7 @@ def rescale_field(f: ScalarField | VectorField, l: int):
         raise ValueError(
             f"field with modes up to {kmax} is not representable after scaling by {l}")
     idx = (l * np.arange(grid.n)) % grid.n
-    take = np.ix_(*([idx] * grid.dim))
-    if isinstance(f, ScalarField):
-        return ScalarField.from_samples(grid, f.samples[take])
-    return VectorField.from_samples(grid, np.stack([f.samples[i][take]
-                                                    for i in range(grid.dim)]))
+    return f.from_samples(grid, f.samples[(Ellipsis,) + np.ix_(*([idx] * grid.dim))])
 
 
 def scaling_transform(state: FluidState, params: FluidParams, l: int
@@ -667,77 +672,36 @@ def linear_split(trajectory: Trajectory, params: FluidParams) -> SplitResult:
         raise VacuumError(trajectory.stop_time, min(s.min_density
                                                     for s in trajectory.states))
     grid = trajectory.initial.grid
-    config = trajectory.config
-    stepper = _Stepper(grid, params, config)
-    rho_c, m_c = _conservative(trajectory.initial, stepper.keep)
-    w1_c = m_c.copy()                      # rho0 w1(0) = rho0 u0 = m0
-    w2_c = np.zeros_like(m_c)
-    dim, mu, lam = grid.dim, params.mu, params.lam
+    dim = grid.dim
+    stepper = _Stepper(grid, params, trajectory.config)
+    y = _conservative(trajectory.initial, stepper.keep)
+    w1 = y[1:].copy()                      # rho0 w1(0) = rho0 u0 = m0
+    w2 = np.zeros_like(w1)
 
-    def passenger_rhs(t, aux, w_c, with_sources: bool):
-        rho_s, m_s = aux["rho_s"], aux["rho_s"][None, ...] * aux["u_s"]
-        w_s = np.stack([stepper.to_samples(w_c[i]) for i in range(dim)]) / rho_s
-        w_sp = np.stack([stepper.to_coeffs(w_s[i]) for i in range(dim)])
-        div_w = sum(stepper.dk[i] * w_sp[i] for i in range(dim))
-        out = np.empty_like(w_c)
-        p_c = stepper.product_coeffs(params.pressure(rho_s), np.ones(1)) \
-            if with_sources else None
-        for j in range(dim):
-            acc = mu * stepper.lap * w_sp[j] + (mu + lam) * stepper.dk[j] * div_w
-            for i in range(dim):
-                acc = acc - stepper.dk[i] * stepper.product_coeffs(m_s[i], w_s[j])
-            if with_sources:
-                acc = acc - stepper.dk[j] * p_c
-                if aux["g_s"] is not None:
-                    acc = acc + stepper.product_coeffs(rho_s, aux["g_s"][j])
-            out[j] = acc
-        return out
+    def rhs(t, ys):
+        dy, aux = stepper.rhs(t, ys[0])
+        return (dy, stepper.passenger_rhs(aux, ys[1], False),
+                stepper.passenger_rhs(aux, ys[2], True)), aux
 
     times = trajectory.times
-    dts = np.diff(times)
     w1_series, w2_series = [], []
     residual = 0.0
 
-    def record(rc, mc, w1c, w2c):
+    def record(y, w1, w2):
         nonlocal residual
-        rho_s = stepper.to_samples(rc)
-        u_s = np.stack([stepper.to_samples(mc[i]) for i in range(dim)]) / rho_s
-        w1_s = np.stack([stepper.to_samples(w1c[i]) for i in range(dim)]) / rho_s
-        w2_s = np.stack([stepper.to_samples(w2c[i]) for i in range(dim)]) / rho_s
+        s = to_samples(grid, np.concatenate([y, w1, w2]))
+        u_s, w1_s, w2_s = (s[1 + n * dim:1 + (n + 1) * dim] / s[0] for n in range(3))
         w1_series.append(VectorField.from_samples(grid, w1_s))
         w2_series.append(VectorField.from_samples(grid, w2_s))
         residual = max(residual, float(np.max(np.abs(w1_s + w2_s - u_s))))
 
-    record(rho_c, m_c, w1_c, w2_c)
-    n_sub = config.snapshot_every
-    for i, big_dt in enumerate(dts):
+    record(y, w1, w2)
+    n_sub = trajectory.config.snapshot_every
+    for i, big_dt in enumerate(np.diff(times)):
         dt = big_dt / n_sub
-        for _ in range(n_sub):
-            t = None  # set below per sub-step
-            t = times[i] + dt * _
-            # stage 1
-            k1r, k1m, a1 = stepper.rhs(t, rho_c, m_c)
-            k1w1 = passenger_rhs(t, a1, w1_c, False)
-            k1w2 = passenger_rhs(t, a1, w2_c, True)
-            # stage 2
-            k2r, k2m, a2 = stepper.rhs(t + dt / 2, rho_c + dt / 2 * k1r,
-                                       m_c + dt / 2 * k1m)
-            k2w1 = passenger_rhs(t + dt / 2, a2, w1_c + dt / 2 * k1w1, False)
-            k2w2 = passenger_rhs(t + dt / 2, a2, w2_c + dt / 2 * k1w2, True)
-            # stage 3
-            k3r, k3m, a3 = stepper.rhs(t + dt / 2, rho_c + dt / 2 * k2r,
-                                       m_c + dt / 2 * k2m)
-            k3w1 = passenger_rhs(t + dt / 2, a3, w1_c + dt / 2 * k2w1, False)
-            k3w2 = passenger_rhs(t + dt / 2, a3, w2_c + dt / 2 * k2w2, True)
-            # stage 4
-            k4r, k4m, a4 = stepper.rhs(t + dt, rho_c + dt * k3r, m_c + dt * k3m)
-            k4w1 = passenger_rhs(t + dt, a4, w1_c + dt * k3w1, False)
-            k4w2 = passenger_rhs(t + dt, a4, w2_c + dt * k3w2, True)
-            rho_c = hermitianize(rho_c + dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r), dim)
-            m_c = m_c + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-            w1_c = w1_c + dt / 6 * (k1w1 + 2 * k2w1 + 2 * k3w1 + k4w1)
-            w2_c = w2_c + dt / 6 * (k1w2 + 2 * k2w2 + 2 * k3w2 + k4w2)
-        record(rho_c, m_c, w1_c, w2_c)
+        for sub in range(n_sub):
+            (y, w1, w2), _ = _rk4(rhs, times[i] + dt * sub, (y, w1, w2), dt)
+        record(y, w1, w2)
     return SplitResult(times, w1_series, w2_series, residual)
 
 

@@ -94,7 +94,7 @@ class DyadicPartition:
     def low_pass_filter(self, q: int) -> np.ndarray:
         """Filter for S_q = chi(2^{-q} D) for q >= 0; S_q = 0 for q < 0."""
         if q < 0:
-            return np.zeros(self.grid.shape)
+            return np.zeros(self.grid.spectral_shape)
         f = self._low_pass.get(q)
         if f is None:
             f = chi_profile(self.grid.k_radius / 2.0 ** q)
@@ -110,24 +110,18 @@ def build_partition(grid: TorusGrid) -> DyadicPartition:
     return DyadicPartition(grid)
 
 
-def _apply_filter(filt: np.ndarray, f: Field) -> Field:
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, f.coeffs * filt, copy=False)
-    return VectorField(f.grid, f.coeffs * filt[None, ...], copy=False)
-
-
 def dyadic_block(partition: DyadicPartition, q: int, f: Field) -> Field:
     """Delta_q f.  Blocks with q <= -2 (or above q_max) vanish on the grid."""
     _check_same_grid(partition.grid, f)
     if q < -1:
         return f * 0.0
-    return _apply_filter(partition.block_filter(q), f)
+    return f.with_coeffs(f.coeffs * partition.block_filter(q))
 
 
 def low_pass(partition: DyadicPartition, q: int, f: Field) -> Field:
     """S_q f = sum_{p <= q-1} Delta_p f."""
     _check_same_grid(partition.grid, f)
-    return _apply_filter(partition.low_pass_filter(q), f)
+    return f.with_coeffs(f.coeffs * partition.low_pass_filter(q))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +207,8 @@ class _BlockCache:
         self.partition = partition
         self.blocks = [np.asarray(dyadic_block(partition, q, f).samples)
                        for q in partition.active_blocks]
+        # sums[i] = blocks[0] + ... + blocks[i], accumulated left to right
+        self.sums = np.cumsum(self.blocks, axis=0)
 
     def block(self, q: int) -> np.ndarray:
         if q < -1 or q > self.partition.q_max:
@@ -223,10 +219,7 @@ class _BlockCache:
         # S_q = sum_{p <= q-1} Delta_p, empty sum for q <= 0 ... S_0 = Delta_{-1}
         if q <= -1:
             return np.zeros(self.partition.grid.shape)
-        out = np.zeros(self.partition.grid.shape)
-        for p in range(-1, min(q - 1, self.partition.q_max) + 1):
-            out = out + self.blocks[p + 1]
-        return out
+        return self.sums[min(q, self.partition.q_max + 1)]
 
 
 def _prod(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> ScalarField:

@@ -2,15 +2,28 @@
 elementary spectral operators built on it: derivatives, inverse Laplacian,
 Riesz transforms, Leray projection, general multipliers, and grid norms.
 
-Fields are stored as full complex coefficient arrays u(x) = sum_k c_k e^{i k.x}
-over the integer lattice, with Hermitian symmetry so samples are real.  All
-operations are pure; field objects are immutable after construction.
+Fields are stored as the half spectrum that ``np.fft.rfftn`` returns:
+u(x) = sum_k c_k e^{i k.x} over the integer lattice, of which only the modes
+with 0 <= k_N <= M/2 on the last axis are kept; the leading axes run over
+{-M/2+1, ..., M/2}.  The omitted modes are the conjugates of stored ones, so
+samples are real by construction.  A vector field stacks its components on
+a leading axis, and every operator is written once for both kinds.
+
+The Nyquist class of an axis is represented as +M/2, so the lattice partner
+k* of k (the mode carrying conj(c_k)) keeps the Nyquist components of k and
+negates the others.  Fourier symbols s are applied through their Hermitian
+part (s(k) + conj(s(k*)))/2, which is what taking the real part of a
+full-lattice inverse transform does implicitly on the Nyquist planes.
+
+This module holds the package's only calls into ``np.fft``.  All operations
+are pure; field objects are immutable after construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,8 +37,13 @@ class GridMismatchError(ValueError):
     """Two fields (or a field and an operator) live on different grids."""
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 # ---------------------------------------------------------------------------
-# grid
+# grid and transforms
 # ---------------------------------------------------------------------------
 
 class TorusGrid:
@@ -33,7 +51,8 @@ class TorusGrid:
 
     M must be a power of two >= 8 so every dyadic shell fits.  Integer
     frequencies per axis are {-M/2+1, ..., M/2}; the Nyquist residue class
-    is represented as +M/2.
+    is represented as +M/2.  The frequency arrays live on the half-spectrum
+    layout ``spectral_shape``, whose last axis runs over 0..M/2.
     """
 
     def __init__(self, dim: int, points_per_axis: int):
@@ -46,6 +65,8 @@ class TorusGrid:
         self.dim = dim
         self.n = m
         self.shape = (m,) * dim
+        self.spectral_shape = (m,) * (dim - 1) + (m // 2 + 1,)
+        self.axes = tuple(range(-dim, 0))
         self.size = m ** dim
         self.spacing = TAU / m
         self.cell_volume = self.spacing ** dim
@@ -53,25 +74,23 @@ class TorusGrid:
 
         freqs = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
         freqs[m // 2] = m // 2  # report the Nyquist class as +M/2
-        self.axis_frequencies = freqs
-        self.axis_frequencies.setflags(write=False)
+        self.axis_frequencies = _frozen(freqs)
 
-        mesh = np.meshgrid(*([freqs] * dim), indexing="ij")
-        self.frequency_mesh = tuple(k.astype(np.float64) for k in mesh)
-        for k in self.frequency_mesh:
-            k.setflags(write=False)
-        self.k_squared = sum(k * k for k in self.frequency_mesh)
-        self.k_squared.setflags(write=False)
-        self.k_radius = np.sqrt(self.k_squared)
-        self.k_radius.setflags(write=False)
+        mesh = np.meshgrid(*([freqs] * (dim - 1) + [freqs[:m // 2 + 1]]), indexing="ij")
+        self.frequency_mesh = tuple(_frozen(k.astype(np.float64)) for k in mesh)
+        # the lattice partner k*: Nyquist components stay, the others flip sign
+        self.partner_mesh = tuple(_frozen(np.where(k == m // 2, k, -k))
+                                  for k in self.frequency_mesh)
+        self.k_squared = _frozen(sum(k * k for k in self.frequency_mesh))
+        self.k_radius = _frozen(np.sqrt(self.k_squared))
         # True on every plane that touches the Nyquist frequency of some axis
-        nyq = np.zeros(self.shape, dtype=bool)
-        for axis in range(dim):
-            index = [slice(None)] * dim
-            index[axis] = m // 2
-            nyq[tuple(index)] = True
-        self.nyquist_mask = nyq
-        self.nyquist_mask.setflags(write=False)
+        self.nyquist_mask = _frozen(np.logical_or.reduce(
+            [k == m // 2 for k in self.frequency_mesh]))
+        # full-lattice modes each stored coefficient stands for (along the
+        # last axis): its partner is stored too on the k_N = 0 and M/2 planes
+        weight = np.full(m // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
+        self.mode_weight = _frozen(weight)
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Meshgrid of sample coordinates x_i = 2*pi*j/M."""
@@ -80,7 +99,7 @@ class TorusGrid:
 
     def dealias_mask(self, fraction: float = DEALIAS_FRACTION) -> np.ndarray:
         cutoff = math.floor(self.n * fraction / 2.0)
-        keep = np.ones(self.shape, dtype=bool)
+        keep = np.ones(self.spectral_shape, dtype=bool)
         for k in self.frequency_mesh:
             keep &= np.abs(k) <= cutoff
         return keep
@@ -95,6 +114,17 @@ class TorusGrid:
         return f"TorusGrid(dim={self.dim}, points_per_axis={self.n})"
 
 
+def to_coeffs(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
+    """Normalized half-spectrum coefficients of real samples; leading axes
+    beyond the grid's are a batch transformed in one call."""
+    return np.fft.rfftn(samples, axes=grid.axes, norm="forward")
+
+
+def to_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of half-spectrum coefficients (inverse of to_coeffs)."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
+
+
 def _check_same_grid(*objs) -> TorusGrid:
     grid = objs[0].grid if hasattr(objs[0], "grid") else objs[0]
     for o in objs[1:]:
@@ -104,55 +134,100 @@ def _check_same_grid(*objs) -> TorusGrid:
     return grid
 
 
-def _conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """conj(c(-k)) laid out on the same index grid as c(k)."""
-    out = coeffs
-    for axis in range(coeffs.ndim - dim, coeffs.ndim):
-        out = np.flip(out, axis=axis)
-        out = np.roll(out, 1, axis=axis)
-    return np.conj(out)
-
-
-def hermitianize(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Project coefficients onto the Hermitian (real-field) subspace."""
-    return 0.5 * (coeffs + _conj_flip(coeffs, dim))
-
-
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
-class ScalarField:
-    """Real scalar field stored as normalized Fourier coefficients.
+class Field:
+    """Real field stored as normalized half-spectrum Fourier coefficients,
+    with ``rank`` leading component axes of length dim (0: scalar, 1: vector).
 
-    ``coeffs[k]`` is the coefficient of e^{i k.x}, so ``coeffs[0,...,0]``
-    is the mean value.
+    ``coeffs[..., k]`` is the coefficient of e^{i k.x}, so the mode
+    ``(0,...,0)`` carries the mean value.
     """
 
     __slots__ = ("grid", "coeffs", "_samples")
+    rank = 0
 
-    def __init__(self, grid: TorusGrid, coeffs: np.ndarray, *, copy: bool = True):
-        if coeffs.shape != grid.shape:
+    def __init__(self, grid: TorusGrid, coeffs: np.ndarray, *, copy: bool = True,
+                 samples: np.ndarray | None = None):
+        """``samples``, when given, must be the inverse transform of coeffs
+        (it saves recomputing them)."""
+        if coeffs.shape != self._lead(grid) + grid.spectral_shape:
             raise GridMismatchError(
                 f"coefficient shape {coeffs.shape} does not match grid {grid.shape}")
-        c = np.array(coeffs, dtype=np.complex128, copy=copy)
-        c.setflags(write=False)
+        c = np.array(coeffs, dtype=np.complex128) if copy \
+            else np.asarray(coeffs, dtype=np.complex128)
         self.grid = grid
-        self.coeffs = c
-        self._samples = None
+        self.coeffs = _frozen(c)
+        self._samples = None if samples is None else _frozen(samples)
 
     @classmethod
-    def from_samples(cls, grid: TorusGrid, values: np.ndarray) -> "ScalarField":
+    def _lead(cls, grid: TorusGrid) -> tuple[int, ...]:
+        return (grid.dim,) * cls.rank
+
+    @classmethod
+    def from_samples(cls, grid: TorusGrid, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
+        if values.shape != cls._lead(grid) + grid.shape:
             raise GridMismatchError(
                 f"sample shape {values.shape} does not match grid {grid.shape}")
-        c = np.fft.fftn(values) / grid.size
-        f = cls(grid, c, copy=False)
-        samples = values.copy()
-        samples.setflags(write=False)
-        f._samples = samples
-        return f
+        return cls(grid, to_coeffs(grid, values), copy=False, samples=values.copy())
+
+    @classmethod
+    def zero(cls, grid: TorusGrid):
+        return cls(grid, np.zeros(cls._lead(grid) + grid.spectral_shape,
+                                  dtype=np.complex128), copy=False)
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            self._samples = _frozen(to_samples(self.grid, self.coeffs))
+        return self._samples
+
+    def with_coeffs(self, coeffs: np.ndarray):
+        """A field of the same kind and grid with the given coefficients."""
+        return type(self)(self.grid, coeffs, copy=False)
+
+    def magnitude(self) -> np.ndarray:
+        """Pointwise Euclidean norm over the component axes."""
+        return np.sqrt(np.sum(self.samples ** 2, axis=tuple(range(self.rank))))
+
+    def max_frequency(self, tol: float = 1e-13) -> int:
+        """Largest per-axis |k| carrying a coefficient above tol * max|c|
+        (the maximum taken per component)."""
+        c = np.abs(self.coeffs)
+        thresh = tol * np.maximum(c.max(axis=self.grid.axes, keepdims=True), 1e-300)
+        active = np.any(c > thresh, axis=tuple(range(self.rank)))
+        if not active.any():
+            return 0
+        return max(int(np.max(np.abs(k)[active])) for k in self.grid.frequency_mesh)
+
+    def shifted(self, cells: Sequence[int]):
+        """Translate by an integer number of grid cells (for symmetry tests)."""
+        return self.from_samples(self.grid, np.roll(self.samples, cells, axis=self.grid.axes))
+
+    def __add__(self, other):
+        _check_same_grid(self, other)
+        return self.with_coeffs(self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        _check_same_grid(self, other)
+        return self.with_coeffs(self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar: float):
+        return self.with_coeffs(self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self.with_coeffs(-self.coeffs)
+
+
+class ScalarField(Field):
+    """Real scalar field."""
+
+    __slots__ = ()
 
     @classmethod
     def from_function(cls, grid: TorusGrid, fn: Callable[..., np.ndarray]) -> "ScalarField":
@@ -161,151 +236,52 @@ class ScalarField:
 
     @classmethod
     def constant(cls, grid: TorusGrid, value: float) -> "ScalarField":
-        c = np.zeros(grid.shape, dtype=np.complex128)
+        c = np.zeros(grid.spectral_shape, dtype=np.complex128)
         c[(0,) * grid.dim] = value
         return cls(grid, c, copy=False)
-
-    @classmethod
-    def zero(cls, grid: TorusGrid) -> "ScalarField":
-        return cls.constant(grid, 0.0)
-
-    @property
-    def samples(self) -> np.ndarray:
-        if self._samples is None:
-            s = np.real(np.fft.ifftn(self.coeffs) * self.grid.size)
-            s.setflags(write=False)
-            self._samples = s
-        return self._samples
 
     @property
     def mean(self) -> float:
         return float(np.real(self.coeffs[(0,) * self.grid.dim]))
 
-    def max_frequency(self, tol: float = 1e-13) -> int:
-        """Largest per-axis |k| carrying a coefficient above tol * max|c|."""
-        c = np.abs(self.coeffs)
-        thresh = tol * max(c.max(), 1e-300)
-        active = c > thresh
-        if not active.any():
-            return 0
-        kmax = 0
-        for k in self.grid.frequency_mesh:
-            kmax = max(kmax, int(np.max(np.abs(k)[active])))
-        return kmax
-
-    def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.coeffs - _conj_flip(self.coeffs, self.grid.dim))))
-
-    def shifted(self, cells: Sequence[int]) -> "ScalarField":
-        """Translate by an integer number of grid cells (for symmetry tests)."""
-        return ScalarField.from_samples(self.grid, np.roll(self.samples, cells,
-                                                           axis=tuple(range(self.grid.dim))))
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.coeffs + other.coeffs, copy=False)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.coeffs - other.coeffs, copy=False)
-
-    def __mul__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.grid, self.coeffs * scalar, copy=False)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.coeffs, copy=False)
-
     def __repr__(self) -> str:
         return f"ScalarField(grid={self.grid!r}, mean={self.mean:.6g})"
 
 
-class VectorField:
-    """Real vector field; one coefficient array per component."""
+class VectorField(Field):
+    """Real vector field; the leading coefficient axis is the component."""
 
-    __slots__ = ("grid", "coeffs", "_samples")
-
-    def __init__(self, grid: TorusGrid, coeffs: np.ndarray, *, copy: bool = True):
-        if coeffs.shape != (grid.dim,) + grid.shape:
-            raise GridMismatchError(
-                f"coefficient shape {coeffs.shape} does not match grid {grid.shape}")
-        c = np.array(coeffs, dtype=np.complex128, copy=copy)
-        c.setflags(write=False)
-        self.grid = grid
-        self.coeffs = c
-        self._samples = None
-
-    @classmethod
-    def from_samples(cls, grid: TorusGrid, values: np.ndarray) -> "VectorField":
-        values = np.asarray(values, dtype=np.float64)
-        c = np.stack([np.fft.fftn(values[i]) / grid.size for i in range(grid.dim)])
-        f = cls(grid, c, copy=False)
-        samples = values.copy()
-        samples.setflags(write=False)
-        f._samples = samples
-        return f
+    __slots__ = ()
+    rank = 1
 
     @classmethod
     def from_components(cls, components: Sequence[ScalarField]) -> "VectorField":
         grid = _check_same_grid(*components)
         if len(components) != grid.dim:
             raise ValueError(f"need {grid.dim} components, got {len(components)}")
-        return cls(grid, np.stack([c.coeffs for c in components]))
-
-    @classmethod
-    def zero(cls, grid: TorusGrid) -> "VectorField":
-        return cls(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128), copy=False)
+        return cls(grid, np.stack([c.coeffs for c in components]), copy=False)
 
     def component(self, i: int) -> ScalarField:
-        f = ScalarField(self.grid, self.coeffs[i], copy=False)
-        if self._samples is not None:
-            s = self._samples[i]
-            f._samples = s
-        return f
+        return ScalarField(self.grid, self.coeffs[i], copy=False,
+                           samples=None if self._samples is None else self._samples[i])
 
     @property
     def components(self) -> list[ScalarField]:
         return [self.component(i) for i in range(self.grid.dim)]
 
-    @property
-    def samples(self) -> np.ndarray:
-        if self._samples is None:
-            s = np.stack([np.real(np.fft.ifftn(self.coeffs[i]) * self.grid.size)
-                          for i in range(self.grid.dim)])
-            s.setflags(write=False)
-            self._samples = s
-        return self._samples
-
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.samples ** 2, axis=0))
-
-    def max_frequency(self, tol: float = 1e-13) -> int:
-        return max(c.max_frequency(tol) for c in self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.coeffs + other.coeffs, copy=False)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.coeffs - other.coeffs, copy=False)
-
-    def __mul__(self, scalar: float) -> "VectorField":
-        return VectorField(self.grid, self.coeffs * scalar, copy=False)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, -self.coeffs, copy=False)
-
-
-Field = ScalarField | VectorField
-
 
 # ---------------------------------------------------------------------------
 # multiplier symbols
 # ---------------------------------------------------------------------------
+
+def hermitian_part(grid: TorusGrid, rule: Callable[..., np.ndarray]) -> np.ndarray:
+    """The symbol k -> rule(*k) on the stored modes, taken as its Hermitian
+    part (rule(k) + conj(rule(k*)))/2 so that it maps real fields to real
+    fields; symbols that are already Hermitian come back unchanged."""
+    values = np.broadcast_to(rule(*grid.frequency_mesh), grid.spectral_shape)
+    partner = np.broadcast_to(rule(*grid.partner_mesh), grid.spectral_shape)
+    return _frozen(0.5 * (values + np.conj(partner)))
+
 
 class MultiplierSymbol:
     """Fourier multiplier xi -> f(xi) of declared order m.
@@ -324,15 +300,14 @@ class MultiplierSymbol:
     def evaluate(self, grid: TorusGrid) -> np.ndarray:
         values = self._cache.get(grid)
         if values is None:
-            values = np.asarray(self.rule(*grid.frequency_mesh), dtype=np.complex128)
-            values = np.broadcast_to(values, grid.shape)
+            with np.errstate(invalid="ignore"):  # reported just below
+                values = hermitian_part(
+                    grid, lambda *k: np.asarray(self.rule(*k), dtype=np.complex128))
             if not np.all(np.isfinite(values)):
                 bad = np.argwhere(~np.isfinite(values))[0]
                 freq = tuple(int(grid.frequency_mesh[a][tuple(bad)]) for a in range(grid.dim))
                 raise ValueError(
                     f"symbol {self.name!r} is non-finite at grid frequency {freq}")
-            values = np.array(values)
-            values.setflags(write=False)
             self._cache[grid] = values
         return values
 
@@ -346,10 +321,7 @@ class MultiplierSymbol:
 
 
 def apply_multiplier(symbol: MultiplierSymbol, field: Field) -> Field:
-    values = symbol.evaluate(field.grid)
-    if isinstance(field, ScalarField):
-        return ScalarField(field.grid, field.coeffs * values, copy=False)
-    return VectorField(field.grid, field.coeffs * values[None, ...], copy=False)
+    return field.with_coeffs(field.coeffs * symbol.evaluate(field.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +329,7 @@ def apply_multiplier(symbol: MultiplierSymbol, field: Field) -> Field:
 # ---------------------------------------------------------------------------
 
 def _derivative_factor(grid: TorusGrid, multi_index: Sequence[int]) -> np.ndarray:
-    factor = np.ones(grid.shape, dtype=np.complex128)
+    factor = np.ones(grid.spectral_shape, dtype=np.complex128)
     for axis, power in enumerate(multi_index):
         if power:
             factor = factor * (1j * grid.frequency_mesh[axis]) ** power
@@ -373,10 +345,7 @@ def differentiate(field: Field, multi_index: Sequence[int]) -> Field:
     grid = field.grid
     if len(multi_index) != grid.dim:
         raise ValueError(f"multi-index length {len(multi_index)} != dim {grid.dim}")
-    factor = _derivative_factor(grid, multi_index)
-    if isinstance(field, ScalarField):
-        return ScalarField(grid, field.coeffs * factor, copy=False)
-    return VectorField(grid, field.coeffs * factor[None, ...], copy=False)
+    return field.with_coeffs(field.coeffs * _derivative_factor(grid, multi_index))
 
 
 def partial(field: Field, axis: int) -> Field:
@@ -393,7 +362,7 @@ def gradient(field: ScalarField) -> VectorField:
 
 def divergence(field: VectorField) -> ScalarField:
     grid = field.grid
-    out = np.zeros(grid.shape, dtype=np.complex128)
+    out = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for a in range(grid.dim):
         out += partial(field.component(a), a).coeffs
     return ScalarField(grid, out, copy=False)
@@ -413,21 +382,13 @@ def curl(field: VectorField) -> Field:
 
 def laplacian(field: Field) -> Field:
     grid = field.grid
-    factor = np.where(grid.nyquist_mask, 0.0, -grid.k_squared)
-    if isinstance(field, ScalarField):
-        return ScalarField(grid, field.coeffs * factor, copy=False)
-    return VectorField(grid, field.coeffs * factor[None, ...], copy=False)
+    return field.with_coeffs(field.coeffs * np.where(grid.nyquist_mask, 0.0, -grid.k_squared))
 
 
-def velocity_gradient(field: VectorField) -> np.ndarray:
-    """Sample array G[i, j] = d_i u_j, shape (dim, dim, *grid.shape)."""
-    grid = field.grid
-    out = np.empty((grid.dim, grid.dim) + grid.shape)
-    for j in range(grid.dim):
-        comp = field.component(j)
-        for i in range(grid.dim):
-            out[i, j] = partial(comp, i).samples
-    return out
+def velocity_gradient(field: Field) -> np.ndarray:
+    """Sample array G[i, ...] = d_i f; for a vector field G[i, j] = d_i u_j,
+    shape (dim, dim, *grid.shape)."""
+    return np.stack([partial(field, i).samples for i in range(field.grid.dim)])
 
 
 def strain(field: VectorField) -> np.ndarray:
@@ -436,39 +397,36 @@ def strain(field: VectorField) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g, 0, 1))
 
 
-def inv_laplacian_zero_mean(field: ScalarField) -> ScalarField:
+def inv_laplacian_zero_mean(field: Field) -> Field:
     """Solve laplacian(g) = f - mean(f) with mean(g) = 0."""
     grid = field.grid
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(grid.k_squared > 0, -1.0 / grid.k_squared, 0.0)
-    return ScalarField(grid, field.coeffs * inv, copy=False)
+    return field.with_coeffs(field.coeffs * inv)
 
 
-def riesz_composite(i: int, j: int, field: ScalarField) -> ScalarField:
+@functools.lru_cache(maxsize=32)  # a few grids: a 3-D grid needs 9 entries
+def _riesz_symbol(grid: TorusGrid, i: int, j: int) -> np.ndarray:
+    def rule(*k):
+        k_squared = sum(x * x for x in k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(k_squared > 0, k[i] * k[j] / k_squared, 0.0)
+    return hermitian_part(grid, rule)
+
+
+def riesz_composite(i: int, j: int, field: Field) -> Field:
     """R_i R_j with the fixed sign convention: multiplier xi_i xi_j / |xi|^2
     on the zero-mean part (so sum_i R_i R_i = identity on zero-mean fields)."""
-    grid = field.grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        symbol = np.where(grid.k_squared > 0,
-                          grid.frequency_mesh[i] * grid.frequency_mesh[j] / grid.k_squared,
-                          0.0)
-    return ScalarField(grid, field.coeffs * symbol, copy=False)
+    return field.with_coeffs(field.coeffs * _riesz_symbol(field.grid, i, j))
 
 
 def leray_project(field: VectorField) -> tuple[VectorField, VectorField]:
     """Split u = Pu + Qu with Q = grad inv_laplacian div (curl-free part,
     zero-mean convention) and P = I - Q (divergence-free part)."""
     grid = field.grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_ksq = np.where(grid.k_squared > 0, 1.0 / grid.k_squared, 0.0)
-    div_coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(grid.dim):
-        div_coeffs += grid.frequency_mesh[a] * field.coeffs[a]
-    base = div_coeffs * inv_ksq
-    q = np.stack([grid.frequency_mesh[a] * base for a in range(grid.dim)])
-    grad_part = VectorField(grid, q, copy=False)
-    div_free = VectorField(grid, field.coeffs - q, copy=False)
-    return div_free, grad_part
+    q = np.stack([sum(_riesz_symbol(grid, a, b) * field.coeffs[b] for b in range(grid.dim))
+                  for a in range(grid.dim)])
+    return field.with_coeffs(field.coeffs - q), field.with_coeffs(q)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +434,7 @@ def leray_project(field: VectorField) -> tuple[VectorField, VectorField]:
 # ---------------------------------------------------------------------------
 
 def dealias(field: Field, fraction: float = DEALIAS_FRACTION) -> Field:
-    keep = field.grid.dealias_mask(fraction)
-    if isinstance(field, ScalarField):
-        return ScalarField(field.grid, np.where(keep, field.coeffs, 0.0), copy=False)
-    return VectorField(field.grid, np.where(keep[None, ...], field.coeffs, 0.0), copy=False)
+    return field.with_coeffs(np.where(field.grid.dealias_mask(fraction), field.coeffs, 0.0))
 
 
 def multiply(a: ScalarField, b: ScalarField, *, dealiased: bool = True) -> ScalarField:
@@ -505,12 +460,6 @@ def pointwise(grid: TorusGrid, values: np.ndarray, *, dealiased: bool = True) ->
 # norms and integrals
 # ---------------------------------------------------------------------------
 
-def _magnitude_samples(field: Field) -> np.ndarray:
-    if isinstance(field, ScalarField):
-        return np.abs(field.samples)
-    return field.magnitude()
-
-
 def integral(field: ScalarField) -> float:
     """Integral over the torus (exact for the resolved trigonometric sum)."""
     return field.mean * field.grid.volume
@@ -520,7 +469,7 @@ def lebesgue_norm(field: Field, p: float) -> float:
     """L^p norm by uniform grid quadrature; p = inf is the sample max."""
     if not (p >= 1):
         raise ValueError(f"p must be >= 1, got {p}")
-    mag = _magnitude_samples(field)
+    mag = field.magnitude()
     if math.isinf(p):
         return float(np.max(mag))
     return float((np.sum(mag ** p) * field.grid.cell_volume) ** (1.0 / p))
@@ -552,9 +501,15 @@ def l2_inner(a: Field, b: Field) -> float:
     return float(np.sum(a.samples * b.samples) * grid.cell_volume)
 
 
+def parseval_sum(grid: TorusGrid, coeffs: np.ndarray) -> float:
+    """sum |c_k|^2 over the full lattice for (a stack of) half-spectrum
+    coefficient arrays; times the torus volume it is the squared L^2 norm."""
+    return float(np.sum(grid.mode_weight * np.abs(coeffs) ** 2))
+
+
 def coefficient_l2_norm(field: Field) -> float:
     """L^2 norm computed from coefficients (Parseval partner of the grid sum)."""
-    return float(math.sqrt(np.sum(np.abs(field.coeffs) ** 2) * field.grid.volume))
+    return math.sqrt(parseval_sum(field.grid, field.coeffs) * field.grid.volume)
 
 
 # ---------------------------------------------------------------------------
@@ -570,19 +525,23 @@ def fourier_eval(field: Field, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant at off-grid points by direct
     summation of the Fourier series.
 
+    Each stored mode and its partner contribute together
+    w cos(M/2 sum_{Nyquist a} x_a) Re(c e^{i sum_{other a} k_a x_a}), with w
+    the mode weight, which is the real part of the full-lattice sum.
+
     points: (n, dim).  Returns (n,) for scalars, (n, dim) for vectors.
     """
     grid = field.grid
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    coeffs = field.coeffs if isinstance(field, VectorField) else field.coeffs[None, ...]
-    flat = coeffs.reshape(coeffs.shape[0], -1)
+    lead = field.coeffs.shape[:field.rank]
+    flat = (field.coeffs * grid.mode_weight).reshape(-1, math.prod(grid.spectral_shape))
     active = np.any(np.abs(flat) > 1e-15, axis=0)
     kvecs = np.stack([k.ravel()[active] for k in grid.frequency_mesh], axis=1)
-    phases = np.exp(1j * points @ kvecs.T)  # (n, modes)
+    nyquist = kvecs == grid.n // 2
+    phases = (np.cos(points @ np.where(nyquist, kvecs, 0.0).T)
+              * np.exp(1j * points @ np.where(nyquist, 0.0, kvecs).T))  # (n, modes)
     out = np.real(phases @ flat[:, active].T)  # (n, comps)
-    if isinstance(field, ScalarField):
-        return out[:, 0]
-    return out
+    return out.reshape((points.shape[0],) + lead)
 
 
 def random_field(grid: TorusGrid, rng: np.random.Generator, *,
@@ -592,10 +551,12 @@ def random_field(grid: TorusGrid, rng: np.random.Generator, *,
 
     slope is the decay exponent of |c_k| ~ (1+|k|)^-slope.  With
     flat_dyadic=True the spectrum is rescaled so every dyadic octave
-    carries comparable L^2 mass (slope ignored).
+    carries comparable L^2 mass (slope ignored).  The draws cover the full
+    lattice; the stored coefficient of k is (c_k + conj(c_{k*}))/2.
     """
     if max_wavenumber is None:
         max_wavenumber = grid.n // 3
+    m = grid.n
     c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     radius = grid.k_radius
     if flat_dyadic:
@@ -603,13 +564,15 @@ def random_field(grid: TorusGrid, rng: np.random.Generator, *,
         envelope = np.where(radius > 0, radius, 1.0) ** (-0.5 * grid.dim)
     else:
         envelope = (1.0 + radius) ** (-slope)
-    band = np.ones(grid.shape, dtype=bool)
+    band = np.ones(grid.spectral_shape, dtype=bool)
     for k in grid.frequency_mesh:
         band &= np.abs(k) <= max_wavenumber
-    c *= envelope * band
-    c[(0,) * grid.dim] = 0.0
-    c = hermitianize(c, grid.dim)
-    f = ScalarField(grid, c, copy=False)
+    scale = envelope * band
+    neg = (-np.arange(m)) % m
+    partner = c[np.ix_(*([neg] * (grid.dim - 1) + [neg[:m // 2 + 1]]))]
+    half = 0.5 * (c[..., :m // 2 + 1] * scale + np.conj(partner * scale))
+    half[(0,) * grid.dim] = 0.0
+    f = ScalarField(grid, half, copy=False)
     norm = lebesgue_norm(f, 2)
     if norm > 0:
         f = f * (rms * math.sqrt(grid.volume) / norm)

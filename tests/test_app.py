@@ -1,8 +1,10 @@
 """Configuration, CLI entry points, persistence, and verification suites."""
 
+import hashlib
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -155,6 +157,42 @@ class TestVerify:
         result = app.verify(outdir, "identities")
         assert not result.ok
         assert any("state_000001" in f for f in result.failures)
+
+    @staticmethod
+    def _with_nan(run_dir, tmp_path, sample_index):
+        """Copy of the run with one NaN sample in state_000001 (rho comes
+        first in the payload) and a manifest checksum that still matches."""
+        outdir = str(tmp_path / "nan")
+        shutil.copytree(run_dir, outdir)
+        name = "state_000001.nsb"
+        path = os.path.join(outdir, name)
+        data = bytearray(open(path, "rb").read())
+        offset = data.index(b"\n") + 1 + 8 * sample_index
+        data[offset:offset + 8] = np.array(np.nan, dtype="<f8").tobytes()
+        open(path, "wb").write(bytes(data))
+        manifest_path = os.path.join(outdir, app.MANIFEST_FILE)
+        manifest = json.load(open(manifest_path))
+        for entry in manifest["files"]:
+            if entry["name"] == name:
+                entry["sha256"] = hashlib.sha256(bytes(data)).hexdigest()
+        json.dump(manifest, open(manifest_path, "w"))
+        return outdir
+
+    def test_nan_velocity_fails_identities(self, run_dir, tmp_path):
+        outdir = self._with_nan(run_dir, tmp_path, 32 * 32 + 5)
+        result = app.verify(outdir, "identities")
+        assert not result.ok
+        assert any(f.startswith("state 1:") and "nan" in f for f in result.failures)
+
+    def test_nan_density_fails_series_crosscheck(self, run_dir, tmp_path):
+        outdir = self._with_nan(run_dir, tmp_path, 5)
+        result = app.verify(outdir, "identities")
+        assert any(f.startswith("snapshot 1: stored mass") for f in result.failures)
+
+    def test_nan_fails_monitors(self, run_dir, tmp_path):
+        outdir = self._with_nan(run_dir, tmp_path, 32 * 32 + 5)
+        result = app.verify(outdir, "monitors")
+        assert "snapshot 1: non-finite samples" in result.failures
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

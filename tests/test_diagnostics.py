@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from torusns import spectral as sp
 from torusns import dynamics as dyn
@@ -277,6 +278,13 @@ class TestAFunctional:
         out = diag.a_functional(traj, params)
         assert np.max(np.abs(out["acceleration"])) < 1e-12
         assert np.max(np.abs(out["gradient"])) < 1e-12
+
+    def test_time_integrals_are_plain_trapezoid_sums(self):
+        rng = np.random.default_rng(4)
+        t = np.cumsum(rng.uniform(0.01, 0.1, 9))
+        v = rng.standard_normal(9)
+        ref = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (v[1:] + v[:-1]))])
+        assert np.array_equal(cumulative_trapezoid(v, t, initial=0), ref)
 
     def test_integral_components_nondecreasing(self, vortex_run):
         traj, params = vortex_run

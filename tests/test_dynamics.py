@@ -11,6 +11,10 @@ from torusns import dynamics as dyn
 
 INF = math.inf
 LAW = dyn.PowerLaw(1.0, 2.0)
+_KNOTS = np.geomspace(1e-3, 8.0, 40)
+# a tabulated law through linear samples interpolates exactly, so P(rho)
+# stays band-limited and the scaled state remains representable
+EVERY_LAW = (LAW, dyn.IsothermalLaw(1.0), dyn.TabulatedLaw(_KNOTS, 0.5 * _KNOTS))
 
 
 @pytest.fixture(scope="module")
@@ -241,17 +245,30 @@ class TestScaling:
     def test_rhs_equivariance(self):
         grid = sp.TorusGrid(2, 64)
         state = self._bandlimited_state(grid)
-        params = dyn.FluidParams(0.05, 0.08, LAW)
-        drho, dmom = dyn.rhs_eval(state, params)
-        scaled_state, scaled_params = dyn.scaling_transform(state, params, 2)
-        drho_s, dmom_s = dyn.rhs_eval(scaled_state, scaled_params)
-        ref_mass = dyn.rescale_field(drho, 2) * 4.0
-        ref_mom = dyn.rescale_field(dmom, 2) * 8.0
-        rel_mass = (sp.lebesgue_norm(drho_s - ref_mass, INF)
-                    / sp.lebesgue_norm(ref_mass, INF))
-        rel_mom = (sp.lebesgue_norm(dmom_s - ref_mom, INF)
-                   / sp.lebesgue_norm(ref_mom, INF))
-        assert rel_mass < 1e-10 and rel_mom < 1e-10
+        for law in EVERY_LAW:
+            params = dyn.FluidParams(0.05, 0.08, law)
+            drho, dmom = dyn.rhs_eval(state, params)
+            scaled_state, scaled_params = dyn.scaling_transform(state, params, 2)
+            drho_s, dmom_s = dyn.rhs_eval(scaled_state, scaled_params)
+            ref_mass = dyn.rescale_field(drho, 2) * 4.0
+            ref_mom = dyn.rescale_field(dmom, 2) * 8.0
+            rel_mass = (sp.lebesgue_norm(drho_s - ref_mass, INF)
+                        / sp.lebesgue_norm(ref_mass, INF))
+            rel_mom = (sp.lebesgue_norm(dmom_s - ref_mom, INF)
+                       / sp.lebesgue_norm(ref_mom, INF))
+            assert rel_mass < 1e-10 and rel_mom < 1e-10, law
+
+    @pytest.mark.parametrize("law", EVERY_LAW, ids=lambda law: type(law).__name__)
+    def test_rescaled_law_is_scaled(self, law):
+        s = np.array([0.5, 1.0, 2.5])
+        scaled = law.rescaled(4.0)
+        assert np.allclose(scaled(s), 4.0 * law(s), rtol=1e-12, atol=0)
+        assert np.allclose(scaled.derivative(s), 4.0 * law.derivative(s), rtol=1e-12, atol=0)
+        assert np.allclose(scaled.potential(s), 4.0 * law.potential(s), rtol=1e-8, atol=0)
+
+    def test_rescaled_tabulated_law_keeps_its_knots(self):
+        law = dyn.TabulatedLaw([0.1, 1, 2, 4], [0.01, 1, 4, 16]).rescaled(4.0)
+        assert np.isfinite(law.potential(np.array([0.05, 1.5, 3.0]))).all()
 
     def test_equilibrium_maps_to_equilibrium(self, grid, params):
         state = dyn.equilibrium_state(grid, 2.0)

@@ -187,6 +187,13 @@ class TestBony:
             ref = sp.multiply(u, v)
             assert sp.lebesgue_norm(tuv + tvu + rem - ref, INF) < 1e-10
 
+    def test_low_pass_equals_running_block_sum(self, part, grid, rng):
+        cache = lp._BlockCache(part, sp.random_field(grid, rng))
+        running = np.zeros(grid.shape)
+        for q in range(part.q_max + 3):
+            running = running + cache.block(q - 1)
+            assert np.array_equal(cache.low_pass(q), running)
+
     def test_high_low_product_lands_in_paraproduct(self):
         grid = sp.TorusGrid(2, 128)
         part = lp.build_partition(grid)
