@@ -26,6 +26,7 @@ from .spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
+    check_grid_parameters,
     fourier_eval,
     parseval_sum,
     to_coeffs,
@@ -862,13 +863,19 @@ def read_checkpoint(path: str) -> FluidState:
     if n_fields != 1 + dim:
         raise CheckpointError(
             f"{path}: field count {n_fields} != 1 + dim at byte offset {offsets[3]}")
-    grid = TorusGrid(dim, m)
+    # validate the header against the payload before the grid allocates
+    # M^dim-sized arrays, so a corrupt header cannot exhaust memory
+    try:
+        check_grid_parameters(dim, m)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc} (header at byte offset 0)") from None
     body = raw[nl + 1:]
-    expected = n_fields * grid.size * 8
+    expected = n_fields * m ** dim * 8
     if len(body) != expected:
         raise CheckpointError(
             f"{path}: payload of {len(body)} bytes at byte offset {nl + 1}, "
             f"expected {expected}")
+    grid = TorusGrid(dim, m)
     data = np.frombuffer(body, dtype="<f8").reshape((n_fields,) + grid.shape)
     rho = ScalarField.from_samples(grid, data[0])
     u = VectorField.from_samples(grid, np.array(data[1:]))

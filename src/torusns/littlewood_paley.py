@@ -8,6 +8,18 @@ Delta_q for q >= 0 is the shell filter phi(2^{-q} D) with
 phi(xi) = chi(xi/2) - chi(xi).  Then u = sum_{q >= -1} Delta_q u exactly,
 S_q = chi(2^{-q} D) for q >= 0 and S_q = 0 for q < 0, and the Bony
 decomposition reconstructs the (dealiased) grid product exactly.
+
+Kernels work on block stacks: the samples of Delta_{-1} f .. Delta_{q_max} f
+of one field, stacked on a leading axis (one inverse transform per block,
+filters from the partition's single filter stack).  Dealiasing and the
+forward transform are linear, so a Bony piece sums its block products in
+physical space and pays one forward transform: T_l h keeps S_{q-1} l as a
+running sum of l's blocks, and R(u, v) is three shifted contractions of the
+two stacks.  A stack lives as long as the call that builds it;
+eight_way_split builds the stacks of a, Delta_q a and div u1 once and those
+of u1^k, d_k a and d_k Delta_q a per component, freeing them before the
+next one.  Operators after Bahouri, Chemin & Danchin, *Fourier Analysis
+and Nonlinear PDEs* (2011), ch. 2.
 """
 
 from __future__ import annotations
@@ -33,7 +45,10 @@ from .spectral import (
     random_field,
     random_vector_field,
     sobolev_norm,
+    to_coeffs,
+    to_samples,
     _check_same_grid,
+    _frozen,
 )
 
 # smooth step built from exp(-1/t); the chi ramp starts at (3/4)(1 + RAMP_DELTA)
@@ -73,11 +88,11 @@ class DyadicPartition:
         radius = grid.k_radius
         kmax = float(np.max(radius))
         self.q_max = int(math.floor(math.log2(kmax / 0.75)))
-        filters = {-1: chi_profile(radius)}
-        for q in range(0, self.q_max + 1):
-            filters[q] = phi_profile(radius / 2.0 ** q)
-        self._filters = filters
-        self._low_pass = {0: filters[-1]}
+        # row q + 1 holds the filter of Delta_q
+        self._filters = _frozen(np.stack(
+            [chi_profile(radius)]
+            + [phi_profile(radius / 2.0 ** q) for q in range(self.q_max + 1)]))
+        self._low_pass = {0: self._filters[0]}
 
     @property
     def active_blocks(self) -> range:
@@ -85,10 +100,8 @@ class DyadicPartition:
 
     def block_filter(self, q: int) -> np.ndarray:
         """Filter array for Delta_q; identically zero off the active range."""
-        if q in self._filters:
-            return self._filters[q]
-        if q == -1:
-            return self._filters[-1]
+        if -1 <= q <= self.q_max:
+            return self._filters[q + 1]
         return phi_profile(self.grid.k_radius / 2.0 ** q)
 
     def low_pass_filter(self, q: int) -> np.ndarray:
@@ -102,8 +115,7 @@ class DyadicPartition:
         return f
 
     def partition_residual(self) -> float:
-        total = self._filters[-1] + sum(self._filters[q] for q in range(self.q_max + 1))
-        return float(np.max(np.abs(total - 1.0)))
+        return float(np.max(np.abs(np.sum(self._filters, axis=0) - 1.0)))
 
 
 def build_partition(grid: TorusGrid) -> DyadicPartition:
@@ -122,6 +134,18 @@ def low_pass(partition: DyadicPartition, q: int, f: Field) -> Field:
     """S_q f = sum_{p <= q-1} Delta_p f."""
     _check_same_grid(partition.grid, f)
     return f.with_coeffs(f.coeffs * partition.low_pass_filter(q))
+
+
+def _block_stack(partition: DyadicPartition, f: Field) -> np.ndarray:
+    """Samples of Delta_q f for q = -1 .. q_max, stacked on a leading axis."""
+    grid = _check_same_grid(partition.grid, f)
+    stack = np.empty((len(partition._filters),) + f.coeffs.shape[:f.rank] + grid.shape)
+    # one inverse transform per block: numpy 2.4's batched irfftn over an
+    # (8, 128, 65) stack took 1.3-1.9 ms against 0.7-1.1 ms for eight
+    # separate calls (one thread of a 2-vCPU x86 host)
+    for block, filt in zip(stack, partition._filters):
+        block[...] = to_samples(grid, f.coeffs * filt)
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +175,10 @@ class CheminLernerSpec:
 
 def block_norms(partition: DyadicPartition, f: Field, p: float) -> np.ndarray:
     """(||Delta_l f||_{L^p})_{l=-1..q_max}; the mean sits in the l = -1 block."""
-    return np.array([lebesgue_norm(dyadic_block(partition, q, f), p)
-                     for q in partition.active_blocks])
+    stack = _block_stack(partition, f)
+    return np.array([lebesgue_norm(type(f)(f.grid, f.coeffs * filt, copy=False,
+                                           samples=block), p)
+                     for filt, block in zip(partition._filters, stack)])
 
 
 def _lr_combine(weighted: np.ndarray, r: float) -> float:
@@ -200,30 +226,30 @@ def besov_norm_timespace(partition: DyadicPartition, times, snapshots,
 # Bony decomposition
 # ---------------------------------------------------------------------------
 
-class _BlockCache:
-    """Physical-space samples of all blocks and low-pass sums of one field."""
-
-    def __init__(self, partition: DyadicPartition, f: ScalarField):
-        self.partition = partition
-        self.blocks = [np.asarray(dyadic_block(partition, q, f).samples)
-                       for q in partition.active_blocks]
-        # sums[i] = blocks[0] + ... + blocks[i], accumulated left to right
-        self.sums = np.cumsum(self.blocks, axis=0)
-
-    def block(self, q: int) -> np.ndarray:
-        if q < -1 or q > self.partition.q_max:
-            return np.zeros(self.partition.grid.shape)
-        return self.blocks[q + 1]
-
-    def low_pass(self, q: int) -> np.ndarray:
-        # S_q = sum_{p <= q-1} Delta_p, empty sum for q <= 0 ... S_0 = Delta_{-1}
-        if q <= -1:
-            return np.zeros(self.partition.grid.shape)
-        return self.sums[min(q, self.partition.q_max + 1)]
+def _dealiased(grid: TorusGrid, samples: np.ndarray) -> ScalarField:
+    return dealias(ScalarField(grid, to_coeffs(grid, samples), copy=False))
 
 
-def _prod(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> ScalarField:
-    return dealias(ScalarField.from_samples(grid, a * b))
+def _paraproduct(grid: TorusGrid, low: np.ndarray, high: np.ndarray) -> ScalarField:
+    """T_low high from the block stacks of both factors."""
+    running = np.zeros(grid.shape)  # S_{q-1} low = Delta_{-1} + ... + Delta_{q-2} low
+    total = np.zeros(grid.shape)
+    for q in range(1, len(low) - 1):  # S_{q-1} vanishes for q <= 0
+        running += low[q - 1]
+        total += running * high[q + 1]
+    return _dealiased(grid, total)
+
+
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i] * b[i] over the leading (block) axis."""
+    return np.einsum("i...,i...->...", a, b)
+
+
+def _remainder(grid: TorusGrid, u: np.ndarray, v: np.ndarray) -> ScalarField:
+    """R(u, v) from the block stacks of both factors: each block of u meets
+    the same, the lower and the upper neighbouring block of v."""
+    total = _contract(u, v) + _contract(u[1:], v[:-1]) + _contract(u[:-1], v[1:])
+    return _dealiased(grid, total)
 
 
 def bony_decompose(partition: DyadicPartition, u: ScalarField, v: ScalarField
@@ -234,44 +260,20 @@ def bony_decompose(partition: DyadicPartition, u: ScalarField, v: ScalarField
     (Delta_{q-1} + Delta_q + Delta_{q+1}) v; the three pieces reconstruct
     multiply(u, v) exactly.
     """
-    grid = _check_same_grid(partition.grid, u, v)
-    cu = _BlockCache(partition, u)
-    cv = _BlockCache(partition, v)
-    t_uv = ScalarField.zero(grid)
-    t_vu = ScalarField.zero(grid)
-    remainder = ScalarField.zero(grid)
-    for q in partition.active_blocks:
-        su = cu.low_pass(q - 1)
-        sv = cv.low_pass(q - 1)
-        if q >= 1:  # S_{q-1} vanishes for q <= 0
-            t_uv = t_uv + _prod(grid, su, cv.block(q))
-            t_vu = t_vu + _prod(grid, sv, cu.block(q))
-        near = cv.block(q - 1) + cv.block(q) + cv.block(q + 1)
-        remainder = remainder + _prod(grid, cu.block(q), near)
-    return t_uv, t_vu, remainder
+    return paraproduct(partition, u, v), paraproduct(partition, v, u), \
+        remainder(partition, u, v)
 
 
 def paraproduct(partition: DyadicPartition, low: ScalarField, high: ScalarField) -> ScalarField:
     """T_low high = sum_q S_{q-1} low * Delta_q high."""
-    grid = _check_same_grid(partition.grid, low, high)
-    cl = _BlockCache(partition, low)
-    ch = _BlockCache(partition, high)
-    out = ScalarField.zero(grid)
-    for q in range(1, partition.q_max + 1):
-        out = out + _prod(grid, cl.low_pass(q - 1), ch.block(q))
-    return out
+    return _paraproduct(partition.grid, _block_stack(partition, low),
+                        _block_stack(partition, high))
 
 
 def remainder(partition: DyadicPartition, u: ScalarField, v: ScalarField) -> ScalarField:
     """R(u, v) = sum_q Delta_q u (Delta_{q-1} + Delta_q + Delta_{q+1}) v."""
-    grid = _check_same_grid(partition.grid, u, v)
-    cu = _BlockCache(partition, u)
-    cv = _BlockCache(partition, v)
-    out = ScalarField.zero(grid)
-    for q in partition.active_blocks:
-        near = cv.block(q - 1) + cv.block(q) + cv.block(q + 1)
-        out = out + _prod(grid, cu.block(q), near)
-    return out
+    return _remainder(partition.grid, _block_stack(partition, u),
+                      _block_stack(partition, v))
 
 
 # ---------------------------------------------------------------------------
@@ -330,33 +332,39 @@ def eight_way_split(partition: DyadicPartition, u: VectorField,
     a = dealias(a)
     low_u = low_pass(partition, 0, u)     # S_0 u, carries the mean
     high_u = u - low_u                    # u1
-    div_high = divergence(high_u)
     block_a = dyadic_block(partition, q, a)
+    a_blocks = _block_stack(partition, a)
+    qa_blocks = _block_stack(partition, block_a)
 
     pieces = [ScalarField.zero(grid) for _ in range(8)]
     for k in range(grid.dim):
-        u1k = high_u.component(k)
         da_k = partial(a, k)
         dblock_k = partial(block_a, k)
+        u1k = _block_stack(partition, high_u.component(k))
+        dak = _block_stack(partition, da_k)
+        dqk = _block_stack(partition, dblock_k)
         # 1: T_{u1k}(d_k Delta_q a) - Delta_q T_{u1k}(d_k a)
-        pieces[0] = pieces[0] + paraproduct(partition, u1k, dblock_k) \
-            - dyadic_block(partition, q, paraproduct(partition, u1k, da_k))
+        pieces[0] = pieces[0] + _paraproduct(grid, u1k, dqk) \
+            - dyadic_block(partition, q, _paraproduct(grid, u1k, dak))
         # 2: paraproduct with low factor d_k Delta_q a
-        pieces[1] = pieces[1] + paraproduct(partition, dblock_k, u1k)
+        pieces[1] = pieces[1] + _paraproduct(grid, dqk, u1k)
         # 3
-        pieces[2] = pieces[2] - dyadic_block(partition, q, paraproduct(partition, da_k, u1k))
+        pieces[2] = pieces[2] - dyadic_block(partition, q, _paraproduct(grid, dak, u1k))
         # 4
-        pieces[3] = pieces[3] + partial(remainder(partition, u1k, block_a), k)
+        pieces[3] = pieces[3] + partial(_remainder(grid, u1k, qa_blocks), k)
         # 6
         pieces[5] = pieces[5] - partial(dyadic_block(partition, q,
-                                                     remainder(partition, u1k, a)), k)
+                                                     _remainder(grid, u1k, a_blocks)), k)
         # 8: S_0 u^k Delta_q d_k a - Delta_q (S_0 u^k d_k a)
         s0k = low_u.component(k)
         pieces[7] = pieces[7] + multiply(s0k, dblock_k) \
             - dyadic_block(partition, q, multiply(s0k, da_k))
+        # free this component's stacks before the next one builds its own
+        del u1k, dak, dqk
     # 5 and 7 use div u1 once
-    pieces[4] = -remainder(partition, div_high, block_a)
-    pieces[6] = dyadic_block(partition, q, remainder(partition, div_high, a))
+    div_blocks = _block_stack(partition, divergence(high_u))
+    pieces[4] = -_remainder(grid, div_blocks, qa_blocks)
+    pieces[6] = dyadic_block(partition, q, _remainder(grid, div_blocks, a_blocks))
     return pieces
 
 

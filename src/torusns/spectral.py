@@ -46,6 +46,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # grid and transforms
 # ---------------------------------------------------------------------------
 
+def check_grid_parameters(dim: int, points_per_axis: int) -> None:
+    """Raise ValueError unless dim is 2 or 3 and M is a power of two >= 8."""
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    m = int(points_per_axis)
+    if m < 8 or (m & (m - 1)) != 0:
+        raise ValueError(
+            f"points_per_axis must be a power of two >= 8, got {points_per_axis}")
+
+
 class TorusGrid:
     """Uniform grid on the torus (0, 2*pi)^dim with M points per axis.
 
@@ -56,12 +66,8 @@ class TorusGrid:
     """
 
     def __init__(self, dim: int, points_per_axis: int):
-        if dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim}")
+        check_grid_parameters(dim, points_per_axis)
         m = int(points_per_axis)
-        if m < 8 or (m & (m - 1)) != 0:
-            raise ValueError(
-                f"points_per_axis must be a power of two >= 8, got {points_per_axis}")
         self.dim = dim
         self.n = m
         self.shape = (m,) * dim
@@ -98,11 +104,8 @@ class TorusGrid:
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     def dealias_mask(self, fraction: float = DEALIAS_FRACTION) -> np.ndarray:
-        cutoff = math.floor(self.n * fraction / 2.0)
-        keep = np.ones(self.spectral_shape, dtype=bool)
-        for k in self.frequency_mesh:
-            keep &= np.abs(k) <= cutoff
-        return keep
+        """Read-only mask of the modes kept by dealiasing at this fraction."""
+        return _dealias_mask(self, fraction)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusGrid) and (self.dim, self.n) == (other.dim, other.n)
@@ -112,6 +115,15 @@ class TorusGrid:
 
     def __repr__(self) -> str:
         return f"TorusGrid(dim={self.dim}, points_per_axis={self.n})"
+
+
+@functools.lru_cache(maxsize=32)  # a few grids, one or two fractions each
+def _dealias_mask(grid: TorusGrid, fraction: float) -> np.ndarray:
+    cutoff = math.floor(grid.n * fraction / 2.0)
+    keep = np.ones(grid.spectral_shape, dtype=bool)
+    for k in grid.frequency_mesh:
+        keep &= np.abs(k) <= cutoff
+    return _frozen(keep)
 
 
 def to_coeffs(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
@@ -328,7 +340,8 @@ def apply_multiplier(symbol: MultiplierSymbol, field: Field) -> Field:
 # derivatives
 # ---------------------------------------------------------------------------
 
-def _derivative_factor(grid: TorusGrid, multi_index: Sequence[int]) -> np.ndarray:
+@functools.lru_cache(maxsize=64)  # a few grids, one entry per multi-index in use
+def _derivative_factor(grid: TorusGrid, multi_index: tuple[int, ...]) -> np.ndarray:
     factor = np.ones(grid.spectral_shape, dtype=np.complex128)
     for axis, power in enumerate(multi_index):
         if power:
@@ -336,7 +349,7 @@ def _derivative_factor(grid: TorusGrid, multi_index: Sequence[int]) -> np.ndarra
     # the odd derivative of the Nyquist cosine is ill-defined; drop the class
     if any(multi_index):
         factor = np.where(grid.nyquist_mask, 0.0, factor)
-    return factor
+    return _frozen(factor)
 
 
 def differentiate(field: Field, multi_index: Sequence[int]) -> Field:
@@ -345,7 +358,7 @@ def differentiate(field: Field, multi_index: Sequence[int]) -> Field:
     grid = field.grid
     if len(multi_index) != grid.dim:
         raise ValueError(f"multi-index length {len(multi_index)} != dim {grid.dim}")
-    return field.with_coeffs(field.coeffs * _derivative_factor(grid, multi_index))
+    return field.with_coeffs(field.coeffs * _derivative_factor(grid, tuple(multi_index)))
 
 
 def partial(field: Field, axis: int) -> Field:

@@ -442,6 +442,26 @@ class TestCheckpoint:
         with pytest.raises(dyn.CheckpointError, match="offset 9"):
             dyn.read_checkpoint(path)
 
+    @pytest.mark.parametrize("header", [b"NSLAB1 4 32 5 0.0", b"NSLAB1 2 24 3 0.0",
+                                        b"NSLAB1 3 4 4 0.0", b"NSLAB1 1 32 2 0.0"])
+    def test_bad_grid_header_is_a_checkpoint_error(self, header, tmp_path):
+        path = os.path.join(tmp_path, "bad.nsb")
+        with open(path, "wb") as fh:
+            fh.write(header + b"\n" + bytes(64))
+        with pytest.raises(dyn.CheckpointError, match="header at byte offset 0"):
+            dyn.read_checkpoint(path)
+
+    def test_header_checked_before_grid_is_built(self, tmp_path, monkeypatch):
+        """A large M with a short payload fails before any M^dim allocation."""
+        def no_grid(*args):
+            raise AssertionError("grid built before the payload length was checked")
+        monkeypatch.setattr(dyn, "TorusGrid", no_grid)
+        path = os.path.join(tmp_path, "short.nsb")
+        with open(path, "wb") as fh:
+            fh.write(b"NSLAB1 3 65536 4 0.0\n" + bytes(8))
+        with pytest.raises(dyn.CheckpointError, match="expected 9007199254740992"):
+            dyn.read_checkpoint(path)
+
     def test_truncated_payload_names_offset(self, grid, tmp_path):
         state = dyn.equilibrium_state(grid)
         path = os.path.join(tmp_path, "trunc.nsb")

@@ -1,6 +1,7 @@
 """Dyadic decomposition, Besov norms, Bony calculus, and commutators."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -188,11 +189,19 @@ class TestBony:
             assert sp.lebesgue_norm(tuv + tvu + rem - ref, INF) < 1e-10
 
     def test_low_pass_equals_running_block_sum(self, part, grid, rng):
-        cache = lp._BlockCache(part, sp.random_field(grid, rng))
+        """The fused paraproduct takes S_{q-1} as a running sum over the block
+        stack; the stack rows are the blocks, and the sums are S_q."""
+        f = sp.random_field(grid, rng)
+        stack = lp._block_stack(part, f)
+        assert stack.shape == (part.q_max + 2,) + grid.shape
         running = np.zeros(grid.shape)
         for q in range(part.q_max + 3):
-            running = running + cache.block(q - 1)
-            assert np.array_equal(cache.low_pass(q), running)
+            block = lp.dyadic_block(part, q - 1, f).samples
+            if q < len(stack):
+                assert np.array_equal(stack[q], block)
+            running = running + block
+            low = lp.low_pass(part, q, f).samples
+            assert np.max(np.abs(low - running)) <= 1e-14 * np.max(np.abs(f.samples))
 
     def test_high_low_product_lands_in_paraproduct(self):
         grid = sp.TorusGrid(2, 128)
@@ -377,3 +386,127 @@ class TestProductLaws:
         assert out["composed_besov"] > 0
         # sin(0) = 0 so the normalization leaves a genuine field
         assert math.isfinite(out["composed_besov"] / out["input_besov"])
+
+
+# ---------------------------------------------------------------------------
+# fused Bony kernels against the per-block loop: one dealiased transform per
+# block product, S_{q-1} from its own filter
+# ---------------------------------------------------------------------------
+
+def _ref_blocks(part, f):
+    zero = np.zeros(part.grid.shape)
+    blocks = {q: lp.dyadic_block(part, q, f).samples for q in part.active_blocks}
+    return lambda q: blocks.get(q, zero)
+
+
+def _ref_product(grid, a, b):
+    return sp.dealias(sp.ScalarField.from_samples(grid, a * b))
+
+
+def ref_paraproduct(part, low, high):
+    grid = part.grid
+    hb = _ref_blocks(part, high)
+    out = sp.ScalarField.zero(grid)
+    for q in range(1, part.q_max + 1):
+        out = out + _ref_product(grid, lp.low_pass(part, q - 1, low).samples, hb(q))
+    return out
+
+
+def ref_remainder(part, u, v):
+    grid = part.grid
+    ub, vb = _ref_blocks(part, u), _ref_blocks(part, v)
+    out = sp.ScalarField.zero(grid)
+    for q in part.active_blocks:
+        out = out + _ref_product(grid, ub(q), vb(q - 1) + vb(q) + vb(q + 1))
+    return out
+
+
+def ref_eight_way_split(part, u, a, q):
+    grid = part.grid
+    u, a = sp.dealias(u), sp.dealias(a)
+    low_u = lp.low_pass(part, 0, u)
+    high_u = u - low_u
+    div_high = sp.divergence(high_u)
+    block_a = lp.dyadic_block(part, q, a)
+    dq = lambda f: lp.dyadic_block(part, q, f)  # noqa: E731
+    pieces = [sp.ScalarField.zero(grid) for _ in range(8)]
+    for k in range(grid.dim):
+        u1k, s0k = high_u.component(k), low_u.component(k)
+        da_k, dblock_k = sp.partial(a, k), sp.partial(block_a, k)
+        pieces[0] += ref_paraproduct(part, u1k, dblock_k) \
+            - dq(ref_paraproduct(part, u1k, da_k))
+        pieces[1] += ref_paraproduct(part, dblock_k, u1k)
+        pieces[2] -= dq(ref_paraproduct(part, da_k, u1k))
+        pieces[3] += sp.partial(ref_remainder(part, u1k, block_a), k)
+        pieces[5] -= sp.partial(dq(ref_remainder(part, u1k, a)), k)
+        pieces[7] += sp.multiply(s0k, dblock_k) - dq(sp.multiply(s0k, da_k))
+    pieces[4] = -ref_remainder(part, div_high, block_a)
+    pieces[6] = dq(ref_remainder(part, div_high, a))
+    return pieces
+
+
+def _assert_close(got, want, what):
+    scale = sp.lebesgue_norm(want, INF)
+    err = sp.lebesgue_norm(got - want, INF)
+    assert err <= 1e-13 * scale, f"{what}: {err:.3e} against sup {scale:.3e}"
+
+
+class TestFusedKernels:
+    @pytest.fixture(scope="class", params=[(2, 64), (3, 16)], ids=["2d64", "3d16"])
+    def case(self, request):
+        grid = sp.TorusGrid(*request.param)
+        r = np.random.default_rng(7)
+        return (lp.build_partition(grid), sp.random_field(grid, r, slope=1.2),
+                sp.random_field(grid, r, slope=1.2), sp.random_vector_field(grid, r))
+
+    def test_bony_pieces_match_block_loop(self, case):
+        part, u, v, _ = case
+        refs = (ref_paraproduct(part, u, v), ref_paraproduct(part, v, u),
+                ref_remainder(part, u, v))
+        public = (lp.paraproduct(part, u, v), lp.paraproduct(part, v, u),
+                  lp.remainder(part, u, v))
+        for name, got, via_bony, want in zip(("T_u v", "T_v u", "R(u, v)"), public,
+                                             lp.bony_decompose(part, u, v), refs):
+            _assert_close(got, want, name)
+            _assert_close(via_bony, want, f"bony {name}")
+
+    def test_eight_way_pieces_match_block_loop(self, case):
+        part, a, _, u = case
+        for q in (-1, 1, part.q_max - 1):
+            got = lp.eight_way_split(part, u, a, q)
+            want = ref_eight_way_split(part, u, a, q)
+            for n, (g, w) in enumerate(zip(got, want), start=1):
+                _assert_close(g, w, f"q={q} piece {n}")
+
+
+class TestTransformCount:
+    """Each Bony piece costs one forward transform; per-block transforms
+    must not come back."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("rfftn", "irfftn"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return counts
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        grid = sp.TorusGrid(2, 128)
+        r = np.random.default_rng(3)
+        return (lp.build_partition(grid), sp.random_field(grid, r),
+                sp.random_field(grid, r), sp.random_vector_field(grid, r))
+
+    def test_paraproduct(self, case, calls):
+        part, a, b, _ = case
+        lp.paraproduct(part, a, b)
+        assert calls["irfftn"] <= 2 * (part.q_max + 2)
+        assert calls["rfftn"] == 1
+
+    def test_eight_way_split(self, case, calls):
+        part, a, _, u = case
+        lp.eight_way_split(part, u, a, 2)
+        assert calls["rfftn"] + calls["irfftn"] <= 120

@@ -52,6 +52,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             sp.TorusGrid(dim, m)
 
+    def test_masks_and_factors_are_shared_read_only(self, grid):
+        """The dealias mask and derivative factors are built once per grid
+        and handed out frozen, so no caller can corrupt the shared copy."""
+        mask = grid.dealias_mask()
+        assert mask is sp.TorusGrid(2, 32).dealias_mask() and not mask.flags.writeable
+        assert mask.sum() == 21 * 11  # |k_i| <= floor(32/3) = 10 on the half spectrum
+        factor = sp._derivative_factor(grid, (1, 0))
+        assert factor is sp._derivative_factor(grid, (1, 0)) and not factor.flags.writeable
+
 
 class TestTransform:
     def test_single_mode_roundtrip(self, grid):
