@@ -50,31 +50,38 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _finite_float(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {s!r}")
+    return value
+
+
 #: key -> (converter, default); None default means the key may be absent
 CONFIG_SCHEMA = {
     "grid.dim": (int, 2),
     "grid.points_per_axis": (int, 32),
-    "fluid.mu": (float, 0.1),
-    "fluid.lambda": (float, 0.1),
-    "fluid.a": (float, 1.0),
-    "fluid.gamma": (float, 2.0),
+    "fluid.mu": (_finite_float, 0.1),
+    "fluid.lambda": (_finite_float, 0.1),
+    "fluid.a": (_finite_float, 1.0),
+    "fluid.gamma": (_finite_float, 2.0),
     "forcing.preset": (str, "none"),
-    "forcing.amplitude": (float, 0.0),
+    "forcing.amplitude": (_finite_float, 0.0),
     "init.preset": (str, "equilibrium"),
-    "init.density": (float, 1.0),
-    "init.amplitude": (float, 0.3),
-    "init.width": (float, 2.0),
-    "init.u_amplitude": (float, 0.0),
-    "init.flux_constant": (float, 0.3),
-    "init.transverse": (float, 0.3),
-    "time.dt": (float, None),
-    "time.cfl": (float, None),
-    "time.t_end": (float, 0.5),
+    "init.density": (_finite_float, 1.0),
+    "init.amplitude": (_finite_float, 0.3),
+    "init.width": (_finite_float, 2.0),
+    "init.u_amplitude": (_finite_float, 0.0),
+    "init.flux_constant": (_finite_float, 0.3),
+    "init.transverse": (_finite_float, 0.3),
+    "time.dt": (_finite_float, None),
+    "time.cfl": (_finite_float, None),
+    "time.t_end": (_finite_float, 0.5),
     "time.snapshot_every": (int, 1),
-    "time.vacuum_floor": (float, 0.0),
-    "monitor.epsilon": (float, 0.5),
+    "time.vacuum_floor": (_finite_float, 0.0),
+    "monitor.epsilon": (_finite_float, 0.5),
     "monitor.p_gain": (int, 4),
-    "monitor.q_density": (float, None),
+    "monitor.q_density": (_finite_float, None),
     "output.dir": (str, "out"),
     "seed": (int, 0),
 }
@@ -456,10 +463,10 @@ def _inequality_suite(outdir: str, problem: Problem, trajectory
     reports["density_bounds"] = diag.density_bound_ledger(trajectory, params)
     reports["integrability"] = diag.integrability_gain(
         trajectory, params, problem.monitor.p_gain)
-    reports["omega_budget"] = diag.grad_omega_budget(trajectory, params)
     reports["transport"] = diag.transport_estimate_report(
         trajectory, partition, problem.monitor.epsilon, math.inf, math.inf)
-    if len(trajectory) >= 3:
+    if len(trajectory) >= 3:  # both differentiate the snapshots in time
+        reports["omega_budget"] = diag.grad_omega_budget(trajectory, params)
         reports["v1_energy"] = diag.v1_energy_ledger(trajectory, params)
     ledger_dir = os.path.join(outdir, "ledgers")
     os.makedirs(ledger_dir, exist_ok=True)

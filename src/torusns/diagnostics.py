@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .spectral import (
+    Field,
     ScalarField,
     TorusGrid,
     VectorField,
@@ -36,12 +37,12 @@ from .spectral import (
     pointwise,
     random_field,
     random_vector_field,
-    riesz_composite,
     scale_vector,
     sobolev_norm,
     velocity_gradient,
 )
-from .littlewood_paley import BesovSpec, DyadicPartition, besov_norm
+from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
+                               besov_norm, block_norms)
 from .dynamics import FluidParams, FluidState, Trajectory, VacuumError
 
 
@@ -70,6 +71,18 @@ def criterion_exponent(dim: int, gamma: float, epsilon: float) -> float:
     return (dim + 1 + epsilon) * gamma
 
 
+def _criterion_exponents(params: FluidParams, monitor: MonitorConfig,
+                         dim: int) -> tuple[float, float]:
+    """(gamma, q) of the density criterion.  A tabulated law has no gamma,
+    so it needs an explicit q_density (and its time norm uses gamma = 1)."""
+    gamma = getattr(params.pressure, "gamma", None)
+    if gamma is None:
+        if monitor.q_density is None:
+            raise ValueError("tabulated law needs an explicit q_density")
+        gamma = 1.0
+    return gamma, monitor.q_density or criterion_exponent(dim, gamma, monitor.epsilon)
+
+
 @dataclass
 class LedgerReport:
     """Named LHS/RHS pairs of one tracked inequality with the ratio history."""
@@ -90,6 +103,87 @@ class LedgerReport:
         return np.array([row[idx] for row in self.rows])
 
 
+def _ratio_ledger(name: str, columns: dict[str, np.ndarray], lhs, rhs,
+                  notes: str = "") -> LedgerReport:
+    """The given columns followed by lhs, rhs and lhs/rhs (0 where rhs <= 0);
+    the constant is the largest ratio, NaN as soon as one ratio is."""
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=~(rhs <= 0))
+    columns = {**columns, "lhs": lhs, "rhs": rhs, "ratio": ratio}
+    return LedgerReport(name, list(columns), list(zip(*columns.values())),
+                        float(np.max(ratio, initial=0.0)), notes)
+
+
+# ---------------------------------------------------------------------------
+# shared integrands
+# ---------------------------------------------------------------------------
+
+def _rho_weighted_sq(rho: ScalarField, x: VectorField) -> float:
+    """int rho |X|^2 dx."""
+    return float(np.sum(rho.samples * np.sum(x.samples ** 2, axis=0))) \
+        * rho.grid.cell_volume
+
+
+def _viscous_form(params: FluidParams, x: VectorField,
+                  div: np.ndarray | None = None) -> float:
+    """int mu |grad X|^2 + (mu + lam) (div X)^2 dx; `div` stands in for the
+    samples of div X where a ledger squares another scalar there."""
+    gx = velocity_gradient(x)
+    if div is None:
+        div = np.trace(gx, axis1=0, axis2=1)
+    val = params.mu * np.sum(gx ** 2) + (params.mu + params.lam) * np.sum(div ** 2)
+    return float(val) * x.grid.cell_volume
+
+
+def _grad_sq(f: Field) -> np.ndarray:
+    """Pointwise |grad f|^2, summed over the derivative and component axes."""
+    g = velocity_gradient(f)
+    return np.sum(g ** 2, axis=tuple(range(1 + f.rank)))
+
+
+def _moment(state: FluidState, p1: float) -> float:
+    """(1/p1) int rho |u|^p1 dx."""
+    mag2 = np.sum(state.u.samples ** 2, axis=0)
+    return float(np.sum(state.rho.samples * mag2 ** (p1 / 2))) \
+        * state.grid.cell_volume / p1
+
+
+def _advect(u: VectorField, f: Field) -> Field:
+    """u . grad f for a scalar or vector f, dealiased like `multiply`."""
+    adv = sum(ui * gi for ui, gi in zip(u.samples, velocity_gradient(f)))
+    return dealias(f.from_samples(f.grid, adv))
+
+
+def _inv_lap_div(x: VectorField) -> ScalarField:
+    """inv_lap div X, the zero-mean potential of the gradient part of X."""
+    return inv_laplacian_zero_mean(divergence(x))
+
+
+def _forcing_density(state: FluidState, params: FluidParams) -> VectorField:
+    """rho g at the state's time (zero without forcing)."""
+    g = params.forcing_field(state.t, state.grid)
+    return VectorField.zero(state.grid) if g is None else scale_vector(state.rho, g)
+
+
+def _rho_sup(states: Sequence[FluidState]) -> float:
+    """sup over the snapshots of ||rho||_inf (NaN if any sample is)."""
+    return float(np.max([lebesgue_norm(s.rho, math.inf) for s in states]))
+
+
+def _potential_quadrature(weight: Callable[[np.ndarray], np.ndarray],
+                          s: np.ndarray, nodes: int = 128) -> np.ndarray:
+    """Pi_f(s) = s int_0^s f(z)/z^2 dz = int_0^1 f(s t)/t^2 dt (z = s t) by
+    Gauss-Legendre quadrature, exact for polynomial weights up to high
+    degree; 0 where s <= 0."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t, wt = 0.5 * (x + 1.0), 0.5 * w   # nodes on (0, 1)
+    s = np.maximum(s, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = weight(s[..., None] * t) / t ** 2
+    return np.where(s > 0, (vals * wt).sum(axis=-1), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # pressure potentials
 # ---------------------------------------------------------------------------
@@ -103,20 +197,9 @@ def pressure_potential(law, rho: ScalarField) -> ScalarField:
 
 def weighted_potential(weight: Callable[[np.ndarray], np.ndarray],
                        rho: ScalarField, nodes: int = 128) -> ScalarField:
-    """Pi_f(s) = s int_0^s f(z)/z^2 dz by Gauss-Legendre quadrature, exact
-    for polynomial weights up to high degree."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * (x + 1.0)         # nodes on (0, 1)
-    wt = 0.5 * w
-    s = np.maximum(rho.samples, 0.0)
-    flat = s.reshape(-1)
-    # substitution z = s t: Pi_f(s) = int_0^1 f(s t) / t^2 dt
-    z = flat[:, None] * t[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = weight(z) / t[None, :] ** 2
-    out = (vals * wt[None, :]).sum(axis=1)
-    out = np.where(flat > 0, out, 0.0)
-    return pointwise(rho.grid, out.reshape(s.shape), dealiased=False)
+    """Pi_f(s) = s int_0^s f(z)/z^2 dz by Gauss-Legendre quadrature."""
+    return pointwise(rho.grid, _potential_quadrature(weight, rho.samples, nodes),
+                     dealiased=False)
 
 
 def k_function(law, s):
@@ -127,12 +210,7 @@ def k_function(law, s):
     if gamma is not None:
         a = law.a
         return a * a * s ** (2 * gamma) * (2 * gamma - 1.5) / (2 * gamma - 1.0)
-    # quadrature fallback: Pi_{P^2}(s) = s int_0^s P(z)^2 / z^2 dz
-    x, w = np.polynomial.legendre.leggauss(128)
-    t, wt = 0.5 * (x + 1.0), 0.5 * w
-    z = s[..., None] * t
-    vals = (law(z) ** 2 / t ** 2 * wt).sum(axis=-1)
-    return law(s) ** 2 - 0.5 * np.where(s > 0, vals, 0.0)
+    return law(s) ** 2 - 0.5 * _potential_quadrature(lambda z: law(z) ** 2, s)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +228,12 @@ def effective_pressure(state: FluidState, params: FluidParams) -> ScalarField:
     return g + ScalarField.constant(state.grid, p.mean)
 
 
+def _log_parts(state: FluidState) -> tuple[ScalarField, ScalarField]:
+    """(log rho, inv_lap div(rho u)), the two terms of F."""
+    log_rho = pointwise(state.grid, np.log(state.rho.samples), dealiased=False)
+    return log_rho, _inv_lap_div(scale_vector(state.rho, state.u))
+
+
 def log_state(state: FluidState, params: FluidParams) -> ScalarField:
     """F = (2 mu + lam) log rho + inv_laplacian(div(rho u)).
 
@@ -159,17 +243,15 @@ def log_state(state: FluidState, params: FluidParams) -> ScalarField:
     """
     if state.min_density <= 0:
         raise VacuumError(state.t, state.min_density)
-    log_rho = pointwise(state.grid, np.log(state.rho.samples), dealiased=False)
-    m = scale_vector(state.rho, state.u)
-    return log_rho * params.nu + inv_laplacian_zero_mean(divergence(m))
+    log_rho, flux = _log_parts(state)
+    return log_rho * params.nu + flux
 
 
 def log_state_rejected_reading(state: FluidState, params: FluidParams) -> ScalarField:
     """The alternative reading with the factor on both terms; kept only so the
     residual test can demonstrate that it fails to converge."""
-    log_rho = pointwise(state.grid, np.log(state.rho.samples), dealiased=False)
-    m = scale_vector(state.rho, state.u)
-    return (log_rho + inv_laplacian_zero_mean(divergence(m))) * params.nu
+    log_rho, flux = _log_parts(state)
+    return (log_rho + flux) * params.nu
 
 
 def coifman_commutator(state: FluidState, r1: float = 2.0, r2: float = 2.0
@@ -182,14 +264,13 @@ def coifman_commutator(state: FluidState, r1: float = 2.0, r2: float = 2.0
         raise ValueError(f"exponent relation gives r3={r3:g} < 1")
     grid = state.grid
     b = scale_vector(state.rho, state.u)  # rho u
-    phi = inv_laplacian_zero_mean(divergence(b))
+    phi = _inv_lap_div(b)
     term1 = ScalarField.zero(grid)
     term2 = ScalarField.zero(grid)
     for j in range(grid.dim):
         uj = state.u.component(j)
         term1 = term1 + multiply(uj, partial(phi, j))
-        term2 = term2 + partial(inv_laplacian_zero_mean(divergence(
-            scale_vector(uj, b))), j)
+        term2 = term2 + partial(_inv_lap_div(scale_vector(uj, b)), j)
     comm = term1 - term2
     return comm, sobolev_norm(comm, 1, r3)
 
@@ -197,10 +278,8 @@ def coifman_commutator(state: FluidState, r1: float = 2.0, r2: float = 2.0
 def effective_velocity(state: FluidState, params: FluidParams
                        ) -> tuple[VectorField, VectorField]:
     """(v1, v) with v = grad inv_lap (P(rho) - mean P) and v1 = u - v/nu."""
-    p = pressure_field(state, params)
-    v = gradient(inv_laplacian_zero_mean(p))
-    v1 = state.u - v * (1.0 / params.nu)
-    return v1, v
+    v = bogovskii(pressure_field(state, params))
+    return state.u - v * (1.0 / params.nu), v
 
 
 def v1_identities(state: FluidState, params: FluidParams) -> dict[str, float]:
@@ -226,53 +305,30 @@ def bogovskii(h: ScalarField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# time differencing helpers
+# time differencing
 # ---------------------------------------------------------------------------
 
-def _time_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Second-order centred (one-sided at the ends) time derivative along
-    axis 0 of a stack of coefficient or sample arrays."""
-    return np.gradient(stack, times, axis=0, edge_order=2)
+def _time_derivative(times: np.ndarray, fields: Sequence[Field]) -> list[Field]:
+    """Second-order centred (one-sided at the ends) time derivative of a field
+    series sampled at `times`."""
+    if len(fields) < 3:
+        raise ValueError("need at least 3 snapshots for centred differencing")
+    d = np.gradient(np.stack([f.coeffs for f in fields]), times, axis=0, edge_order=2)
+    return [f.with_coeffs(c) for f, c in zip(fields, d)]
 
 
 def u_dot(trajectory: Trajectory) -> list[VectorField]:
     """Material derivative du/dt = d_t u + (u . grad) u per snapshot, the
     time part by centred differencing of the stored snapshots."""
-    if len(trajectory) < 3:
-        raise ValueError("need at least 3 snapshots for centred differencing")
-    times = trajectory.times
-    grid = trajectory.initial.grid
-    coeffs = np.stack([s.u.coeffs for s in trajectory.states])
-    dt_u = _time_derivative(times, coeffs)
-    out = []
-    for n, state in enumerate(trajectory.states):
-        adv = []
-        for j in range(grid.dim):
-            acc = ScalarField.zero(grid)
-            for i in range(grid.dim):
-                acc = acc + multiply(state.u.component(i),
-                                     partial(state.u.component(j), i))
-            adv.append(acc)
-        out.append(VectorField(grid, dt_u[n]) + VectorField.from_components(adv))
-    return out
+    return material_derivative(trajectory, [s.u for s in trajectory.states])
 
 
 def material_derivative(trajectory: Trajectory,
-                        fields: Sequence[ScalarField]) -> list[ScalarField]:
-    """d/dt = d_t + u . grad applied to a scalar series along the trajectory."""
-    if len(trajectory) < 3:
-        raise ValueError("need at least 3 snapshots for centred differencing")
-    times = trajectory.times
-    grid = trajectory.initial.grid
-    stack = np.stack([f.coeffs for f in fields])
-    dt_f = _time_derivative(times, stack)
-    out = []
-    for n, (state, f) in enumerate(zip(trajectory.states, fields)):
-        adv = ScalarField.zero(grid)
-        for i in range(grid.dim):
-            adv = adv + multiply(state.u.component(i), partial(f, i))
-        out.append(ScalarField(grid, dt_f[n]) + adv)
-    return out
+                        fields: Sequence[Field]) -> list[Field]:
+    """d/dt = d_t + u . grad applied to a scalar or vector series along the
+    trajectory."""
+    return [dt_f + _advect(state.u, f) for state, f, dt_f in
+            zip(trajectory.states, fields, _time_derivative(trajectory.times, fields))]
 
 
 # ---------------------------------------------------------------------------
@@ -293,28 +349,13 @@ def f_transport_residual(trajectory: Trajectory, params: FluidParams,
     """
     build = log_state if reading == "adopted" else log_state_rejected_reading
     states = trajectory.states
-    if len(states) < 3:
-        raise ValueError("need at least 3 snapshots")
-    grid = states[0].grid
-    times = trajectory.times
-    f_fields = [build(s, params) for s in states]
-    stack = np.stack([f.coeffs for f in f_fields])
-    dt_f = _time_derivative(times, stack)
+    dots = material_derivative(trajectory, [build(s, params) for s in states])
     out = []
-    for n in range(1, len(states) - 1):
-        state, f = states[n], f_fields[n]
-        resid = ScalarField(grid, dt_f[n])
-        for i in range(grid.dim):
-            resid = resid + multiply(state.u.component(i), partial(f, i))
+    for state, dot in zip(states[1:-1], dots[1:-1]):
         p = pressure_field(state, params)
-        resid = resid + p - ScalarField.constant(grid, p.mean)
         comm, _ = coifman_commutator(state)
-        resid = resid - comm
-        g = params.forcing_field(state.t, grid)
-        if g is not None:
-            rho_g = VectorField.from_components(
-                [multiply(state.rho, g.component(i)) for i in range(grid.dim)])
-            resid = resid - inv_laplacian_zero_mean(divergence(rho_g))
+        resid = (dot + p - ScalarField.constant(state.grid, p.mean) - comm
+                 - _inv_lap_div(_forcing_density(state, params)))
         out.append(lebesgue_norm(resid, math.inf))
     return np.array(out)
 
@@ -331,19 +372,11 @@ def elliptic_identities(trajectory: Trajectory, params: FluidParams,
     falsified +g variant of the lap G identity, which must not converge.
     """
     states = trajectory.states
-    grid = states[0].grid
     dots = u_dot(trajectory)
     res_p, res_q, res_lap = [], [], []
-    for n in range(1, len(states) - 1):
-        state, dot = states[n], dots[n]
-        rho_dot = VectorField.from_components(
-            [multiply(state.rho, dot.component(i)) for i in range(grid.dim)])
-        g = params.forcing_field(state.t, grid)
-        if g is not None:
-            rho_g = VectorField.from_components(
-                [multiply(state.rho, g.component(i)) for i in range(grid.dim)])
-        else:
-            rho_g = VectorField.zero(grid)
+    for state, dot in zip(states[1:-1], dots[1:-1]):
+        rho_dot = scale_vector(state.rho, dot)
+        rho_g = _forcing_density(state, params)
         p_u, _ = leray_project(state.u)
         p_dot, q_dot = leray_project(rho_dot)
         p_g, q_g = leray_project(rho_g)
@@ -366,18 +399,13 @@ def elliptic_identities(trajectory: Trajectory, params: FluidParams,
 
 def total_energy(state: FluidState, params: FluidParams) -> float:
     """E = int (rho |u|^2 / 2 + Pi(rho)) dx."""
-    kin = 0.5 * float(np.sum(state.rho.samples * np.sum(state.u.samples ** 2,
-                                                        axis=0))) * state.grid.cell_volume
-    pot = integral(pressure_potential(params.pressure, state.rho))
-    return kin + pot
+    kin = 0.5 * _rho_weighted_sq(state.rho, state.u)
+    return kin + integral(pressure_potential(params.pressure, state.rho))
 
 
 def dissipation_rate(state: FluidState, params: FluidParams) -> float:
     """int mu |grad u|^2 + (mu + lam)(div u)^2 dx."""
-    gu = velocity_gradient(state.u)
-    div_u = np.trace(gu, axis1=0, axis2=1)
-    val = params.mu * np.sum(gu ** 2) + (params.mu + params.lam) * np.sum(div_u ** 2)
-    return float(val) * state.grid.cell_volume
+    return _viscous_form(params, state.u)
 
 
 def energy_ledger(trajectory: Trajectory, params: FluidParams) -> LedgerReport:
@@ -387,23 +415,16 @@ def energy_ledger(trajectory: Trajectory, params: FluidParams) -> LedgerReport:
     quadratures (RK4-accurate); the slack column should be zero up to time
     discretization and dealiasing, and non-negative up to that tolerance.
     """
-    e0 = total_energy(trajectory.states[0], params)
-    diss = trajectory.quadratures.get("dissipation")
-    work = trajectory.quadratures.get("forcing_work")
-    rows = []
-    worst = 0.0
-    for n, state in enumerate(trajectory.states):
-        e = total_energy(state, params)
-        d = diss[n] if diss else 0.0
-        w = work[n] if work else 0.0
-        slack = e0 + w - e - d
-        worst = min(worst, slack)
-        rows.append((state.t, e, d, w, slack))
+    n = len(trajectory)
+    energy = np.array([total_energy(s, params) for s in trajectory.states])
+    diss = np.asarray(trajectory.quadratures.get("dissipation") or np.zeros(n))
+    work = np.asarray(trajectory.quadratures.get("forcing_work") or np.zeros(n))
+    slack = energy[0] + work - energy - diss
     return LedgerReport(
         "energy_balance",
         ["time", "energy", "dissipation", "forcing_work", "slack"],
-        rows,
-        empirical_constant=-worst,
+        list(zip(trajectory.times, energy, diss, work, slack)),
+        empirical_constant=-float(np.min(slack, initial=0.0)),
         notes="slack = E(0) + work - E(t) - dissipation; stays >= -tolerance")
 
 
@@ -418,34 +439,25 @@ def a_functional(trajectory: Trajectory, params: FluidParams
     returned together with its four components as time series.
     """
     states = trajectory.states
-    grid = states[0].grid
     times = trajectory.times
-    vol = grid.cell_volume
-    coeffs = np.stack([s.u.coeffs for s in states])
-    dt_u = _time_derivative(times, coeffs)
-    fw = f_weight(times)
-    kin_rate = np.empty(len(states))
-    press_rate = np.empty(len(states))
-    grad_term = np.empty(len(states))
-    k_term = np.empty(len(states))
-    for n, state in enumerate(states):
-        du = VectorField(grid, dt_u[n]).samples
-        kin_rate[n] = fw[n] * float(np.sum(state.rho.samples * np.sum(du ** 2, axis=0))) * vol
-        p_s = params.pressure(state.rho.samples)
-        dp_s = params.pressure.derivative(state.rho.samples)
-        press_rate[n] = fw[n] * float(
-            np.sum(p_s ** 2 * (state.rho.samples * dp_s - p_s))) * vol
-        grad_term[n] = 0.5 * fw[n] * dissipation_rate(state, params) / 1.0
-        k_term[n] = fw[n] * float(np.sum(k_function(params.pressure,
-                                                    state.rho.samples))) * vol
-    # the grad term uses the same quadratic form as the dissipation rate but
-    # weights (mu, lam+mu); dissipation_rate already carries exactly those
+    law = params.pressure
+    vol = states[0].grid.cell_volume
+    rates = []
+    for state, du in zip(states, _time_derivative(times, [s.u for s in states])):
+        rho = state.rho.samples
+        p = law(rho)
+        rates.append((_rho_weighted_sq(state.rho, du),
+                      float(np.sum(p ** 2 * (rho * law.derivative(rho) - p))) * vol,
+                      dissipation_rate(state, params),
+                      float(np.sum(k_function(law, rho))) * vol))
+    kin_rate, press_rate, grad_rate, k_rate = f_weight(times) * np.array(rates).T
     accel = cumulative_trapezoid(kin_rate, times, initial=0)
     press = cumulative_trapezoid(press_rate, times, initial=0) / params.nu ** 2
-    total = accel + grad_term + press + k_term / params.nu
-    return {"time": times, "A": total, "acceleration": accel,
-            "gradient": grad_term, "pressure_interaction": press,
-            "k_weight": k_term / params.nu}
+    grad_term = 0.5 * grad_rate
+    k_term = k_rate / params.nu
+    return {"time": times, "A": accel + grad_term + press + k_term,
+            "acceleration": accel, "gradient": grad_term,
+            "pressure_interaction": press, "k_weight": k_term}
 
 
 def gradient_splitting(state: FluidState, params: FluidParams
@@ -485,28 +497,14 @@ def quartic_gradient_budget(trajectory: Trajectory, params: FluidParams
                             ) -> LedgerReport:
     """int_0^t int f(s)^N |grad u|^4 against ||rho||_inf^alpha (1 + A(t)^2)
     with the reporting choice alpha = 1 (the paper leaves alpha > 0 free)."""
-    states = trajectory.states
-    grid = states[0].grid
+    grid = trajectory.initial.grid
     times = trajectory.times
-    fw = f_weight(times) ** grid.dim
-    rate = np.empty(len(states))
-    rho_sup = 0.0
-    for n, state in enumerate(states):
-        gu = velocity_gradient(state.u)
-        mag2 = np.sum(gu ** 2, axis=(0, 1))
-        rate[n] = fw[n] * float(np.sum(mag2 ** 2)) * grid.cell_volume
-        rho_sup = max(rho_sup, lebesgue_norm(state.rho, math.inf))
+    rate = f_weight(times) ** grid.dim * [
+        float(np.sum(_grad_sq(s.u) ** 2)) * grid.cell_volume for s in trajectory.states]
     lhs = cumulative_trapezoid(rate, times, initial=0)
-    a_series = a_functional(trajectory, params)["A"]
-    rows, worst = [], 0.0
-    for n in range(len(states)):
-        rhs = rho_sup * (1.0 + a_series[n] ** 2)
-        ratio = lhs[n] / rhs if rhs > 0 else 0.0
-        worst = max(worst, ratio)
-        rows.append((times[n], lhs[n], rhs, ratio))
-    return LedgerReport("quartic_gradient_budget",
-                        ["time", "lhs", "rhs", "ratio"], rows, worst,
-                        notes="alpha = 1 reporting choice")
+    rhs = _rho_sup(trajectory.states) * (1.0 + a_functional(trajectory, params)["A"] ** 2)
+    return _ratio_ledger("quartic_gradient_budget", {"time": times}, lhs, rhs,
+                         notes="alpha = 1 reporting choice")
 
 
 def udot_budget(trajectory: Trajectory, params: FluidParams
@@ -519,23 +517,13 @@ def udot_budget(trajectory: Trajectory, params: FluidParams
     where Ddot is the material derivative of div u.  Returned with its two
     components; reader-verification series for the budget inequalities."""
     states = trajectory.states
-    grid = states[0].grid
     times = trajectory.times
-    fw = f_weight(times)
-    vol = grid.cell_volume
+    fw2 = f_weight(times) ** 2
     dots = u_dot(trajectory)
-    div_series = [divergence(s.u) for s in states]
-    ddot_series = material_derivative(trajectory, div_series)
-    point = np.empty(len(states))
-    rate = np.empty(len(states))
-    for n, state in enumerate(states):
-        dot_s = dots[n].samples
-        point[n] = fw[n] ** 2 * float(
-            np.sum(state.rho.samples * np.sum(dot_s ** 2, axis=0))) * vol
-        g_dot = velocity_gradient(dots[n])
-        rate[n] = fw[n] ** 2 * (params.mu * float(np.sum(g_dot ** 2))
-                                + (params.mu + params.lam)
-                                * float(np.sum(ddot_series[n].samples ** 2))) * vol
+    ddots = material_derivative(trajectory, [divergence(s.u) for s in states])
+    point = fw2 * [_rho_weighted_sq(s.rho, dot) for s, dot in zip(states, dots)]
+    rate = fw2 * [_viscous_form(params, dot, ddot.samples)
+                  for dot, ddot in zip(dots, ddots)]
     integral_part = cumulative_trapezoid(rate, times, initial=0)
     return {"time": times, "B": point + integral_part,
             "pointwise": point, "integral": integral_part}
@@ -546,23 +534,11 @@ def grad_omega_budget(trajectory: Trajectory, params: FluidParams
     """int_0^t int f(s) |grad omega|^2 against ||rho||_inf A(t)."""
     states = trajectory.states
     times = trajectory.times
-    fw = f_weight(times)
-    rate = np.empty(len(states))
-    rho_sup = 0.0
-    for n, state in enumerate(states):
-        val = float(np.sum(velocity_gradient(curl(state.u)) ** 2)) * state.grid.cell_volume
-        rate[n] = fw[n] * val
-        rho_sup = max(rho_sup, lebesgue_norm(state.rho, math.inf))
+    vol = trajectory.initial.grid.cell_volume
+    rate = f_weight(times) * [float(np.sum(_grad_sq(curl(s.u)))) * vol for s in states]
     lhs = cumulative_trapezoid(rate, times, initial=0)
-    a_series = a_functional(trajectory, params)["A"]
-    rows, worst = [], 0.0
-    for n in range(len(states)):
-        rhs = rho_sup * a_series[n]
-        ratio = lhs[n] / rhs if rhs > 0 else 0.0
-        worst = max(worst, ratio)
-        rows.append((times[n], lhs[n], rhs, ratio))
-    return LedgerReport("vorticity_gradient_budget",
-                        ["time", "lhs", "rhs", "ratio"], rows, worst)
+    rhs = _rho_sup(states) * a_functional(trajectory, params)["A"]
+    return _ratio_ledger("vorticity_gradient_budget", {"time": times}, lhs, rhs)
 
 
 def integrability_gain(trajectory: Trajectory, params: FluidParams,
@@ -588,49 +564,35 @@ def integrability_gain(trajectory: Trajectory, params: FluidParams,
         eta = math.inf
         b_coeff = params.mu * (p1 - 2) / 4.0
     a_coeff = params.mu * (1.0 - s_param * dim)
+    if dim == 3:
+        space_p = 3.0 * p1 / (p1 + 1.0)
+    else:
+        q = time_lebesgue_q
+        space_p = 2.0 * q * p1 / ((q - 2.0) * p1 + 4.0)
 
     times = trajectory.times
     states = trajectory.states
     vol = grid.cell_volume
-    moment = np.empty(len(states))
+    moment = np.array([_moment(s, p1) for s in states])
     d1_rate = np.empty(len(states))
-    d2_rate = np.empty(len(states))
-    p_norm = np.empty(len(states))
+    d2_rate = np.zeros(len(states))
     for n, state in enumerate(states):
         u_s = state.u.samples
         mag2 = np.sum(u_s ** 2, axis=0)
-        moment[n] = float(np.sum(state.rho.samples * mag2 ** (p1 / 2))) * vol / p1
-        gu = velocity_gradient(state.u)
-        d1_rate[n] = float(np.sum(mag2 ** ((p1 - 2) / 2) * np.sum(gu ** 2,
-                                                                  axis=(0, 1)))) * vol
+        d1_rate[n] = float(np.sum(mag2 ** ((p1 - 2) / 2) * _grad_sq(state.u))) * vol
         if p1 >= 4:
-            grad_mag2 = sum(
-                (2 * np.sum(u_s * np.stack([partial(state.u.component(j), i).samples
-                                            for j in range(dim)]), axis=0)) ** 2
-                for i in range(dim))
+            # |grad |u|^2|^2 with d_i |u|^2 = 2 sum_j u_j d_i u_j
+            grad_mag2 = np.sum((2 * np.sum(u_s * velocity_gradient(state.u), axis=1)) ** 2,
+                               axis=0)
             d2_rate[n] = float(np.sum(mag2 ** ((p1 - 4) / 2) * grad_mag2)) * vol
-        else:
-            d2_rate[n] = 0.0
-        if dim == 3:
-            space_p = 3.0 * p1 / (p1 + 1.0)
-        else:
-            q = time_lebesgue_q
-            space_p = 2.0 * q * p1 / ((q - 2.0) * p1 + 4.0)
-        p_norm[n] = lebesgue_norm(pressure_field(state, params), space_p)
+    p_norm = np.array([lebesgue_norm(pressure_field(s, params), space_p) for s in states])
     d1 = cumulative_trapezoid(d1_rate, times, initial=0)
     d2 = cumulative_trapezoid(d2_rate, times, initial=0)
     p_time = cumulative_trapezoid(p_norm ** p1, times, initial=0) ** (1.0 / p1)
-    rows, worst = [], 0.0
-    for n in range(len(states)):
-        lhs = moment[n] + a_coeff * d1[n] + max(b_coeff, 0.0) * d2[n]
-        rhs = p_time[n] ** 2 + moment[0]
-        ratio = lhs / rhs if rhs > 0 else 0.0
-        worst = max(worst, ratio)
-        rows.append((times[n], moment[n], d1[n], d2[n], lhs, rhs, ratio))
-    return LedgerReport(
+    return _ratio_ledger(
         f"integrability_gain_p{p1}",
-        ["time", "moment", "grad_integral", "grad_mag_integral", "lhs", "rhs", "ratio"],
-        rows, worst,
+        {"time": times, "moment": moment, "grad_integral": d1, "grad_mag_integral": d2},
+        moment + a_coeff * d1 + max(b_coeff, 0.0) * d2, p_time ** 2 + moment[0],
         notes=f"eta={eta:g}, A_s={a_coeff:g}, B_s={b_coeff:g}, s={s_param:g}")
 
 
@@ -655,45 +617,33 @@ def density_bound_ledger(trajectory: Trajectory, params: FluidParams
         raise VacuumError(states[0].t, states[0].min_density)
     nu = params.nu
     times = trajectory.times
-    m0 = scale_vector(states[0].rho, states[0].u)
-    init_term = lebesgue_norm(inv_laplacian_zero_mean(divergence(m0)), math.inf)
-    mean_p = np.empty(len(states))
-    sup_p = np.empty(len(states))
-    comm_sup = np.empty(len(states))
-    pot_term = np.empty(len(states))
-    for n, state in enumerate(states):
-        p = pressure_field(state, params)
-        mean_p[n] = p.mean
-        sup_p[n] = lebesgue_norm(p, math.inf)
-        comm, _ = coifman_commutator(state)
-        comm_sup[n] = lebesgue_norm(comm, math.inf)
-        m = scale_vector(state.rho, state.u)
-        pot_term[n] = lebesgue_norm(inv_laplacian_zero_mean(divergence(m)), math.inf)
+    cols = []
+    for s in states:  # one pass per state keeps its arrays in cache
+        p = pressure_field(s, params)
+        comm, _ = coifman_commutator(s)
+        log_rho = np.log(s.rho.samples)
+        cols.append((p.mean, lebesgue_norm(p, math.inf), lebesgue_norm(comm, math.inf),
+                     lebesgue_norm(_inv_lap_div(scale_vector(s.rho, s.u)), math.inf),
+                     np.max(log_rho), np.min(log_rho)))
+    mean_p, sup_p, comm_sup, pot_term, log_max, log_min = np.array(cols).T
     int_mean_p = cumulative_trapezoid(mean_p, times, initial=0)
     int_sup_p = cumulative_trapezoid(sup_p, times, initial=0)
     int_comm = cumulative_trapezoid(comm_sup, times, initial=0)
-    running_pot = np.maximum.accumulate(pot_term)
     rho0 = states[0].rho.samples
-    upper_base = nu * math.log(float(np.max(rho0))) + init_term
-    lower_base = nu * math.log(float(np.min(rho0))) - init_term
-    rows, worst = [], 0.0
-    for n, state in enumerate(states):
-        log_rho = np.log(state.rho.samples)
-        lhs_hi = nu * float(np.max(log_rho))
-        rhs_hi = upper_base + pot_term[n] + int_mean_p[n] + int_comm[n]
-        lhs_lo = nu * float(np.min(log_rho))
-        rhs_lo = (lower_base - running_pot[n] - int_sup_p[n] + int_mean_p[n]
-                  - int_comm[n])
-        gap_hi = rhs_hi - lhs_hi
-        gap_lo = lhs_lo - rhs_lo
-        ratio = max(lhs_hi / rhs_hi if rhs_hi != 0 else 0.0, 0.0)
-        worst = max(worst, ratio)
-        rows.append((state.t, lhs_hi, rhs_hi, gap_hi, lhs_lo, rhs_lo, gap_lo))
+    lhs_hi = nu * log_max
+    rhs_hi = nu * math.log(float(np.max(rho0))) + pot_term[0] + pot_term \
+        + int_mean_p + int_comm
+    lhs_lo = nu * log_min
+    rhs_lo = (nu * math.log(float(np.min(rho0))) - pot_term[0]
+              - np.maximum.accumulate(pot_term) - int_sup_p + int_mean_p - int_comm)
+    ratio = np.maximum(np.divide(lhs_hi, rhs_hi, out=np.zeros_like(lhs_hi),
+                                 where=rhs_hi != 0), 0.0)
     return LedgerReport(
         "log_density_bounds",
         ["time", "upper_lhs", "upper_rhs", "upper_gap",
          "lower_lhs", "lower_rhs", "lower_gap"],
-        rows, worst,
+        list(zip(times, lhs_hi, rhs_hi, rhs_hi - lhs_hi, lhs_lo, rhs_lo, lhs_lo - rhs_lo)),
+        float(np.max(ratio, initial=0.0)),
         notes="gaps must stay nonnegative up to discretization; forcing terms "
               "are not included (the bound is derived for g = 0)")
 
@@ -739,34 +689,14 @@ def blowup_monitor(trajectory: Trajectory, params: FluidParams,
             raise ValueError("window excludes every snapshot")
     times = np.array([s.t for s in states])
     dim = states[0].grid.dim
-    gamma = getattr(params.pressure, "gamma", None)
-    if gamma is None:
-        if monitor.q_density is None:
-            raise ValueError("tabulated law needs an explicit q_density")
-        gamma = 1.0
-    q_crit = monitor.q_density or criterion_exponent(dim, gamma, monitor.epsilon)
-
-    density_ok = True
-    first_bad = None
-    rho_sup = 0.0
-    rho_qc = np.empty(len(states))
-    grad_sup = np.empty(len(states))
-    companions: dict[str, list[float]] = {}
+    gamma, q_crit = _criterion_exponents(params, monitor, dim)
+    bad = [s.t for s in states if not (s.is_finite() and s.min_density > 0)]
+    first_bad = bad[0] if bad else None
+    density_ok = not bad
     comp_exps = ({"L9eps": 9.0 + monitor.epsilon, "L3g32": 3.0 * gamma + 1.5}
                  if dim == 3 else {"L2g1": 2.0 * gamma + 1.0})
-    for n, s in enumerate(states):
-        finite = s.is_finite() and s.min_density > 0
-        if not finite and first_bad is None:
-            density_ok = False
-            first_bad = s.t
-        rho_sup = max(rho_sup, lebesgue_norm(s.rho, math.inf))
-        rho_qc[n] = lebesgue_norm(s.rho, q_crit)
-        grad_sup[n] = lebesgue_norm(
-            pointwise(s.grid, np.sqrt(np.sum(velocity_gradient(s.u) ** 2,
-                                             axis=(0, 1))), dealiased=False),
-            math.inf)
-        for name, q in comp_exps.items():
-            companions.setdefault(name, []).append(lebesgue_norm(s.rho, q))
+    comp = {name: float(np.max([lebesgue_norm(s.rho, q) for s in states]))
+            for name, q in comp_exps.items()}
     abnormal = trajectory.stop_reason not in ("completed", "max_steps")
     in_window = window_end is None or trajectory.stop_time <= window_end * (1 + 1e-12)
     if abnormal and in_window:
@@ -774,12 +704,13 @@ def blowup_monitor(trajectory: Trajectory, params: FluidParams,
         if first_bad is None:
             first_bad = trajectory.stop_time
     if len(states) > 1:
+        rho_qc = np.array([lebesgue_norm(s.rho, q_crit) for s in states])
+        grad_sup = np.array([math.sqrt(np.max(_grad_sq(s.u))) for s in states])
         pressure_time_norm = float(np.trapezoid(rho_qc ** (gamma + 1.0), times)
                                    ** (1.0 / (gamma + 1.0)))
         lipschitz = float(np.trapezoid(grad_sup, times))
     else:
         pressure_time_norm, lipschitz = 0.0, 0.0
-    comp = {k: float(np.max(v)) for k, v in companions.items()}
     norms_finite = (math.isfinite(pressure_time_norm) and math.isfinite(lipschitz)
                     and all(math.isfinite(v) for v in comp.values()))
     return MonitorFlags(
@@ -787,7 +718,7 @@ def blowup_monitor(trajectory: Trajectory, params: FluidParams,
         criterion_norms_finite=norms_finite,
         extendable=density_ok and norms_finite,
         first_violation_time=first_bad,
-        rho_sup=rho_sup,
+        rho_sup=_rho_sup(states),
         criterion_exponent=q_crit,
         pressure_time_norm=pressure_time_norm,
         companion_norms=comp,
@@ -836,15 +767,14 @@ def transport_estimate_report(trajectory: Trajectory, partition: DyadicPartition
     env_spec = BesovSpec(grid.dim / p1, p1, math.inf)
     times = trajectory.times
     states = trajectory.states
+    qs = np.arange(-1, partition.q_max + 1, dtype=float)
     block_sup = None
     lhs = np.empty(len(states))
     v_rate = np.empty(len(states))
     src_rate = np.empty(len(states))
-    from .littlewood_paley import block_norms
     for n, state in enumerate(states):
         bn = block_norms(partition, state.rho, p)
         block_sup = bn if block_sup is None else np.maximum(block_sup, bn)
-        qs = np.arange(-1, partition.q_max + 1, dtype=float)
         weighted = 2.0 ** (qs * sigma) * block_sup
         lhs[n] = float(np.max(weighted)) if math.isinf(r) else \
             float(np.sum(weighted ** r) ** (1.0 / r))
@@ -859,20 +789,16 @@ def transport_estimate_report(trajectory: Trajectory, partition: DyadicPartition
                      + rho_inf ** (alpha + 1) + 1.0)
         src_rate[n] = rho_inf * besov_norm(partition, div_v1, spec)
     v_int = cumulative_trapezoid(v_rate, times, initial=0)
-    src_int = cumulative_trapezoid(src_rate, times, initial=0)
-    base = lhs[0]
-    rows, c_min = [], 0.0
-    for n in range(len(states)):
-        envelope = base + src_int[n]
-        need = 0.0
-        if lhs[n] > envelope and v_int[n] > 0:
-            need = math.log(lhs[n] / envelope) / v_int[n]
-        c_min = max(c_min, need)
-        rows.append((times[n], lhs[n], envelope, v_int[n], need))
+    envelope = lhs[0] + cumulative_trapezoid(src_rate, times, initial=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a NaN on either side fails both tests and propagates
+        need = np.where((lhs <= envelope) | (v_int <= 0), 0.0,
+                        np.log(lhs / envelope) / v_int)
     return LedgerReport(
         "besov_transport_estimate",
         ["time", "lhs", "envelope_no_exp", "V", "required_C"],
-        rows, c_min,
+        list(zip(times, lhs, envelope, v_int, need)),
+        float(np.max(need, initial=0.0)),
         notes=f"sigma={sigma}, p={p}, r={r}, p1={p1}")
 
 
@@ -946,42 +872,21 @@ def v1_energy_ledger(trajectory: Trajectory, params: FluidParams
     if any(s.min_density <= 0 for s in states):
         raise VacuumError(trajectory.stop_time,
                           min(s.min_density for s in states))
-    if len(states) < 3:
-        raise ValueError("need at least 3 snapshots")
-    grid = states[0].grid
     times = trajectory.times
+    v1s, vs = zip(*[effective_velocity(s, params) for s in states])
     fw = f_weight(times)
-    vol = grid.cell_volume
-    v1s, vs = [], []
-    for s in states:
-        v1, v = effective_velocity(s, params)
-        v1s.append(v1)
-        vs.append(v)
-    dt_v1 = _time_derivative(times, np.stack([f.coeffs for f in v1s]))
-    dt_v = _time_derivative(times, np.stack([f.coeffs for f in vs]))
-    k1_rate = np.empty(len(states))
-    k2 = np.empty(len(states))
+    k1_rate = fw * [_rho_weighted_sq(s.rho, d) for s, d in
+                    zip(states, _time_derivative(times, v1s))]
+    k2 = 0.5 * fw * [_viscous_form(params, v1) for v1 in v1s]
     dtv_resid = np.full(len(states), math.nan)
-    for n, state in enumerate(states):
-        dv1 = VectorField(grid, dt_v1[n]).samples
-        k1_rate[n] = fw[n] * float(np.sum(state.rho.samples
-                                          * np.sum(dv1 ** 2, axis=0))) * vol
-        gv = velocity_gradient(v1s[n])
-        div_v = np.trace(gv, axis1=0, axis2=1)
-        k2[n] = 0.5 * fw[n] * (params.mu * float(np.sum(gv ** 2))
-                               + (params.mu + params.lam)
-                               * float(np.sum(div_v ** 2))) * vol
-        if 0 < n < len(states) - 1:
-            formula = dtv_formula(state, params)
-            dtv_resid[n] = lebesgue_norm(
-                formula - VectorField(grid, dt_v[n]), math.inf)
+    for n, dt_v in enumerate(_time_derivative(times, vs)[1:-1], start=1):
+        dtv_resid[n] = lebesgue_norm(dtv_formula(states[n], params) - dt_v, math.inf)
     k1 = cumulative_trapezoid(k1_rate, times, initial=0)
-    rows = [(times[n], k1[n], k2[n], dtv_resid[n]) for n in range(len(states))]
-    finite = [r for r in dtv_resid if math.isfinite(r)]
     return LedgerReport(
         "effective_velocity_energy",
         ["time", "weighted_acceleration", "weighted_gradient", "dtv_residual"],
-        rows, max(finite) if finite else 0.0,
+        list(zip(times, k1, k2, dtv_resid)),
+        float(np.max(dtv_resid[1:-1], initial=0.0)),
         notes="dtv_residual is O(dt^2); NaN at the window ends")
 
 
@@ -993,12 +898,11 @@ def coifman_constant_study(grid: TorusGrid, ensemble_size: int,
                            r1: float = 2.0, r2: float = 2.0, seed: int = 0):
     """sup ||[u_j, R_i R_j](rho u)||_{W^{1,r3}} / (||u||_{W^{1,r1}}
     ||rho u||_{L^{r2}}) over random states."""
-    from .littlewood_paley import EnsembleReport
     ratios = []
     for i in range(ensemble_size):
         rng = np.random.default_rng(seed + i)
-        rho = pointwise(grid, 1.0 + 0.4 * random_field(grid, rng).samples
-                        / max(1e-9, np.max(np.abs(random_field(grid, rng).samples))),
+        r = random_field(grid, rng).samples
+        rho = pointwise(grid, 1.0 + 0.4 * r / max(1e-9, np.max(np.abs(r))),
                         dealiased=False)
         u = random_vector_field(grid, rng)
         state = FluidState(rho, u, 0.0)
@@ -1024,20 +928,17 @@ def forcing_norm(trajectory: Trajectory, params: FluidParams,
     times = trajectory.times
     gamma = getattr(params.pressure, "gamma", None) or 1.0
     if params.forcing is None:
-        zero = {"sup_l2": 0.0, "l2_l2": 0.0, "l1_lneps": 0.0,
+        return {"sup_l2": 0.0, "l2_l2": 0.0, "l1_lneps": 0.0,
                 "weighted_grad": 0.0, "weighted_dt": 0.0, "total": 0.0}
-        return zero
     fields = [params.forcing(t, grid) for t in times]
     l2 = np.array([lebesgue_norm(g, 2) for g in fields])
     lneps = np.array([lebesgue_norm(g, grid.dim + epsilon) for g in fields])
-    grad4 = np.array([lebesgue_norm(pointwise(
-        grid, np.sqrt(np.sum(velocity_gradient(g) ** 2, axis=(0, 1))),
-        dealiased=False), 4) for g in fields])
+    grad4 = np.array([lebesgue_norm(pointwise(grid, np.sqrt(_grad_sq(g)),
+                                              dealiased=False), 4) for g in fields])
     fw = f_weight(times)
     if len(times) > 2:
-        dt_g = _time_derivative(times, np.stack([g.coeffs for g in fields]))
-        dt_energy = np.array([float(np.sum(VectorField(grid, d).samples ** 2))
-                              * grid.cell_volume for d in dt_g])
+        dt_energy = np.array([float(np.sum(d.samples ** 2)) * grid.cell_volume
+                              for d in _time_derivative(times, fields)])
     else:
         dt_energy = np.zeros(len(times))
     out = {
@@ -1091,40 +992,30 @@ def compute_diagnostics(trajectory: Trajectory, params: FluidParams,
                         ) -> list[DiagnosticRecord]:
     """Per-snapshot bundle of norms, functionals, exact-identity residuals,
     and sanity flags."""
-    gamma = getattr(params.pressure, "gamma", None) or 1.0
-    dim = trajectory.initial.grid.dim
-    q_dens = monitor.q_density or criterion_exponent(dim, gamma, monitor.epsilon)
+    _, q_dens = _criterion_exponents(params, monitor, trajectory.initial.grid.dim)
     diss = trajectory.quadratures.get("dissipation", [0.0] * len(trajectory))
     work = trajectory.quadratures.get("forcing_work", [0.0] * len(trajectory))
     eps_spec = BesovSpec(monitor.epsilon, math.inf, math.inf)
     records = []
     for n, state in enumerate(trajectory.states):
-        grid = state.grid
-        vol = grid.cell_volume
         positive = state.min_density > 0
-        finite = state.is_finite()
-        gu = velocity_gradient(state.u)
-        gu_mag = np.sqrt(np.sum(gu ** 2, axis=(0, 1)))
-        kin = 0.5 * float(np.sum(state.rho.samples
-                                 * np.sum(state.u.samples ** 2, axis=0))) * vol
+        gu_mag = np.sqrt(_grad_sq(state.u))
+        kin = 0.5 * _rho_weighted_sq(state.rho, state.u)
         pot = integral(pressure_potential(params.pressure, state.rho)) \
             if positive else math.nan
-        mag2 = np.sum(state.u.samples ** 2, axis=0)
-        p1 = monitor.p_gain
         values = {
             "mass": state.mass,
             "min_rho": state.min_density,
             "rho_linf": lebesgue_norm(state.rho, math.inf),
             "rho_lq": lebesgue_norm(state.rho, q_dens),
-            "grad_u_l2": float(math.sqrt(np.sum(gu_mag ** 2) * vol)),
+            "grad_u_l2": float(math.sqrt(np.sum(gu_mag ** 2) * state.grid.cell_volume)),
             "grad_u_linf": float(np.max(gu_mag)),
             "kinetic": kin,
             "potential": pot,
             "energy": kin + pot if positive else math.nan,
             "dissipation_cum": diss[n] if n < len(diss) else math.nan,
             "forcing_work_cum": work[n] if n < len(work) else math.nan,
-            "p1_moment": float(np.sum(state.rho.samples * mag2 ** (p1 / 2)))
-            * vol / p1,
+            "p1_moment": _moment(state, monitor.p_gain),
         }
         residuals = v1_identities(state, params)
         values["div_v1_residual"] = residuals["div_v1"]
@@ -1134,8 +1025,8 @@ def compute_diagnostics(trajectory: Trajectory, params: FluidParams,
             effective_pressure(state, params), 2)
         values["rho_besov_eps"] = besov_norm(partition, state.rho, eps_spec) \
             if partition is not None else math.nan
-        records.append(DiagnosticRecord(state.t, values,
-                                        {"finite": finite, "positive": positive}))
+        records.append(DiagnosticRecord(
+            state.t, values, {"finite": state.is_finite(), "positive": positive}))
     return records
 
 

@@ -860,6 +860,9 @@ def read_checkpoint(path: str) -> FluidState:
     m = parse(2, int, "grid size")
     n_fields = parse(3, int, "field count")
     t = parse(4, float, "time")
+    if not math.isfinite(t):
+        raise CheckpointError(
+            f"{path}: non-finite time {tokens[4]!r} at byte offset {offsets[4]}")
     if n_fields != 1 + dim:
         raise CheckpointError(
             f"{path}: field count {n_fields} != 1 + dim at byte offset {offsets[3]}")

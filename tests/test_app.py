@@ -8,6 +8,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusns import app, dynamics as dyn, spectral as sp
 
@@ -65,6 +66,29 @@ class TestConfig:
         assert any("grid.dim" in m for m in messages)
         assert any("unknown key" in m for m in messages)
         assert any("time.dt or time.cfl" in m for m in messages)
+
+    @pytest.mark.parametrize("key, value", [
+        ("fluid.mu", "nan"), ("time.t_end", "inf"), ("monitor.q_density", "-inf"),
+        ("init.amplitude", "NaN"), ("time.dt", "1e999")])
+    def test_non_finite_float_rejected(self, key, value):
+        # parsed only: a run with time.t_end = inf would step until max_steps
+        with pytest.raises(app.ConfigError, match=key):
+            app.parse_config(f"time.cfl = 0.5\n{key} = {value}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.builds("{} = {}".format, st.sampled_from(sorted(app.CONFIG_SCHEMA)),
+                  st.one_of(st.sampled_from(["nan", "-inf", "Infinity", "1e999"]),
+                            st.floats().map(repr), st.integers().map(str),
+                            st.text(max_size=12))),
+        st.text(max_size=40)), max_size=8))
+    def test_any_text_gives_finite_floats_or_config_error(self, lines):
+        try:
+            cfg = app.parse_config("\n".join(["time.dt = 0.01"] + lines))
+        except app.ConfigError:
+            return
+        assert all(math.isfinite(v) for v in cfg.values.values()
+                   if isinstance(v, float))
 
     def test_canonical_hash_stable_under_reordering(self):
         a = app.parse_config("time.dt = 0.01\nfluid.mu = 0.2")
@@ -194,6 +218,18 @@ class TestVerify:
         result = app.verify(outdir, "monitors")
         assert "snapshot 1: non-finite samples" in result.failures
 
+    def test_two_snapshot_run_skips_time_differenced_ledgers(self, tmp_path):
+        cfg_path = os.path.join(tmp_path, "two.cfg")
+        open(cfg_path, "w").write(
+            "grid.points_per_axis = 16\ninit.preset = stream_vortex\n"
+            "time.dt = 0.01\ntime.t_end = 0.02\ntime.snapshot_every = 2\n"
+            f"output.dir = {tmp_path}/out\n")
+        assert app.main(["simulate", "--config", cfg_path]) == 0
+        assert app.main(["verify", "--dir", f"{tmp_path}/out"]) == 0
+        reports = app.verify(f"{tmp_path}/out").reports
+        assert "energy" in reports
+        assert "omega_budget" not in reports and "v1_energy" not in reports
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             app.verify(str(tmp_path))
@@ -269,6 +305,12 @@ class TestCli:
         assert app.main(["simulate", "--config", cfg_path]) == 1
         err = capsys.readouterr().err
         assert "grid.dim" in err
+
+    def test_non_finite_config_exit_code(self, tmp_path):
+        cfg_path = os.path.join(tmp_path, "nan.cfg")
+        open(cfg_path, "w").write(VORTEX_CFG + f"fluid.mu = nan\noutput.dir = {tmp_path}/out\n")
+        assert app.main(["simulate", "--config", cfg_path]) == 1
+        assert not os.path.exists(f"{tmp_path}/out")
 
     def test_abnormal_stop_exit_code(self, tmp_path):
         cfg_path = os.path.join(tmp_path, "vac.cfg")

@@ -159,6 +159,21 @@ class TestCoifman:
         rep2 = diag.coifman_constant_study(grid, 20, seed=0)
         assert rep1.sup_ratio > 0 and rep1.stable_against(rep2)
 
+    def test_study_density_amplitude_is_exact(self, grid, monkeypatch):
+        """The density perturbation is normalised by its own sup, so every
+        member has max |rho - 1| = 0.4."""
+        seen = []
+        original = diag.coifman_commutator
+
+        def spy(state, *args):
+            seen.append(state)
+            return original(state, *args)
+        monkeypatch.setattr(diag, "coifman_commutator", spy)
+        diag.coifman_constant_study(grid, 4, seed=3)
+        assert len(seen) == 4
+        for state in seen:
+            assert abs(np.max(np.abs(state.rho.samples - 1.0)) - 0.4) < 1e-12
+
 
 class TestMaterialDerivative:
     def test_time_constant_field_at_rest(self, grid, params):
@@ -193,6 +208,24 @@ class TestMaterialDerivative:
         series = diag.material_derivative(traj, fields)
         err = max(sp.lebesgue_norm(s, INF) for s in series[1:-1])
         assert err < 1e-3  # O(dt^2) with dt = 0.05
+
+    def test_matches_per_product_reference(self, vortex_run):
+        """u . grad f summed in physical space and dealiased once equals the
+        sum of dealiased products, for a scalar and a vector series."""
+        traj, _ = vortex_run
+        grid = traj.initial.grid
+        for series in ([sp.divergence(s.u) for s in traj.states],
+                       [s.u for s in traj.states]):
+            dt = np.gradient(np.stack([f.coeffs for f in series]), traj.times,
+                             axis=0, edge_order=2)
+            for state, f, d, got in zip(traj.states, series, dt,
+                                        diag.material_derivative(traj, series)):
+                comps = f.components if f.rank else [f]
+                adv = [sum((sp.multiply(state.u.component(i), sp.partial(c, i))
+                            for i in range(grid.dim)), sp.ScalarField.zero(grid))
+                       for c in comps]
+                ref = np.stack([a.coeffs for a in adv]).reshape(f.coeffs.shape) + d
+                assert np.max(np.abs(got.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_needs_three_snapshots(self, grid, params):
         state = dyn.equilibrium_state(grid)
@@ -424,6 +457,66 @@ class TestBlowupMonitor:
         assert early.density_bounded          # violation not yet in window
         assert not late.density_bounded and not full.density_bounded
         assert late.first_violation_time == full.first_violation_time
+
+
+def test_tabulated_law_q_density_resolved_alike():
+    """compute_diagnostics and blowup_monitor both need q_density for a
+    tabulated law, and both use it when it is given."""
+    # one small snapshot: the tabulated potential is a quadrature per sample
+    s = np.linspace(0.1, 4.0, 40)
+    params = dyn.FluidParams(0.05, 0.05, dyn.TabulatedLaw(s, LAW(s)))
+    state = dyn.stream_vortex_state(sp.TorusGrid(2, 8), 1.0, 0.3)
+    traj = dyn.Trajectory([state], "completed", 0.0,
+                          dyn.SolverConfig(t_end=0.01, dt=0.01), params)
+    for fn in (diag.blowup_monitor, diag.compute_diagnostics):
+        with pytest.raises(ValueError, match="explicit q_density"):
+            fn(traj, params, diag.MonitorConfig())
+    mon = diag.MonitorConfig(q_density=3.0)
+    assert diag.blowup_monitor(traj, params, mon).criterion_exponent == 3.0
+    [rec] = diag.compute_diagnostics(traj, params, mon)
+    assert rec.values["rho_lq"] == sp.lebesgue_norm(state.rho, 3.0)
+
+
+@pytest.fixture(scope="module")
+def short_run():
+    grid = sp.TorusGrid(2, 16)
+    params = dyn.FluidParams(0.05, 0.05, LAW)
+    cfg = dyn.SolverConfig(t_end=0.04, dt=0.01)
+    return dyn.run(dyn.stream_vortex_state(grid, 1.0, 0.5), params, cfg), params
+
+
+#: the ledgers that `verify --suite inequalities` writes
+SUITE_LEDGERS = {
+    "energy": lambda traj, params, part: diag.energy_ledger(traj, params),
+    "density_bounds": lambda traj, params, part:
+        diag.density_bound_ledger(traj, params),
+    "integrability": lambda traj, params, part:
+        diag.integrability_gain(traj, params, 4),
+    "omega_budget": lambda traj, params, part: diag.grad_omega_budget(traj, params),
+    "transport": lambda traj, params, part:
+        diag.transport_estimate_report(traj, part, 0.5, INF, INF),
+    "v1_energy": lambda traj, params, part: diag.v1_energy_ledger(traj, params),
+}
+
+
+@pytest.mark.parametrize("field", ["rho", "u"])
+@pytest.mark.parametrize("ledger", sorted(SUITE_LEDGERS))
+def test_nan_sample_gives_nan_constant(short_run, ledger, field):
+    """One NaN sample in one snapshot makes the ledger's constant NaN
+    instead of being dropped by a running max or min."""
+    traj, params = short_run
+    part = lp.build_partition(traj.initial.grid)
+    build = SUITE_LEDGERS[ledger]
+    assert math.isfinite(build(traj, params, part).empirical_constant)
+    states = list(traj.states)
+    s = states[2]
+    rho, u = s.rho.samples.copy(), s.u.samples.copy()
+    (rho if field == "rho" else u)[(0,) * rho.ndim] = math.nan
+    states[2] = dyn.FluidState(sp.ScalarField.from_samples(s.grid, rho),
+                               sp.VectorField.from_samples(s.grid, u), s.t)
+    broken = dyn.Trajectory(states, traj.stop_reason, traj.stop_time,
+                            traj.config, traj.params, traj.quadratures)
+    assert math.isnan(build(broken, params, part).empirical_constant)
 
 
 class TestTransportEstimate:

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusns import spectral as sp
 from torusns import dynamics as dyn
@@ -461,6 +462,49 @@ class TestCheckpoint:
             fh.write(b"NSLAB1 3 65536 4 0.0\n" + bytes(8))
         with pytest.raises(dyn.CheckpointError, match="expected 9007199254740992"):
             dyn.read_checkpoint(path)
+
+    @pytest.mark.parametrize("token", [b"nan", b"inf", b"-inf", b"1e999"])
+    def test_non_finite_time_is_a_checkpoint_error(self, grid, token, tmp_path):
+        path = os.path.join(tmp_path, "t.nsb")
+        dyn.write_checkpoint(path, dyn.equilibrium_state(grid))
+        data = open(path, "rb").read()
+        header, body = data.split(b"\n", 1)
+        with open(path, "wb") as fh:
+            fh.write(header.rsplit(b" ", 1)[0] + b" " + token + b"\n" + body)
+        with pytest.raises(dyn.CheckpointError, match="non-finite time"):
+            dyn.read_checkpoint(path)
+
+    @pytest.fixture(scope="class")
+    def small_checkpoint(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("fuzz") / "state.nsb")
+        state = dyn.stream_vortex_state(sp.TorusGrid(2, 8), 1.0, 0.3)
+        dyn.write_checkpoint(path, dyn.FluidState(state.rho, state.u, 0.25))
+        return path, open(path, "rb").read()
+
+    @settings(max_examples=300, deadline=None)
+    @given(time_token=st.one_of(st.none(), st.binary(max_size=8),
+                                st.sampled_from([b"nan", b"inf", b"-Infinity", b"1e999"])),
+           edits=st.lists(st.tuples(st.one_of(st.integers(0, 40), st.integers(0, 2000)),
+                                    st.binary(min_size=1, max_size=8)), max_size=4),
+           keep=st.one_of(st.none(), st.integers(0, 2000)))
+    def test_mutated_bytes_give_finite_time_or_checkpoint_error(
+            self, small_checkpoint, time_token, edits, keep):
+        path, original = small_checkpoint
+        data = bytearray(original)
+        if time_token is not None:
+            header, body = bytes(data).split(b"\n", 1)
+            data = bytearray(header.rsplit(b" ", 1)[0] + b" " + time_token + b"\n" + body)
+        for pos, chunk in edits:
+            pos %= len(data)
+            data[pos:pos + len(chunk)] = chunk
+        mutated = os.path.join(os.path.dirname(path), "mutated.nsb")
+        with open(mutated, "wb") as fh:
+            fh.write(bytes(data[:keep]))
+        try:
+            state = dyn.read_checkpoint(mutated)
+        except dyn.CheckpointError:
+            return
+        assert math.isfinite(state.t)
 
     def test_truncated_payload_names_offset(self, grid, tmp_path):
         state = dyn.equilibrium_state(grid)
