@@ -42,7 +42,7 @@ from .spectral import (
     velocity_gradient,
 )
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
-                               besov_norm, block_norms)
+                               besov_from_block_norms, besov_norm, block_norms)
 from .dynamics import FluidParams, FluidState, Trajectory, VacuumError
 
 
@@ -136,9 +136,10 @@ def _viscous_form(params: FluidParams, x: VectorField,
     return float(val) * x.grid.cell_volume
 
 
-def _grad_sq(f: Field) -> np.ndarray:
-    """Pointwise |grad f|^2, summed over the derivative and component axes."""
-    g = velocity_gradient(f)
+def _grad_sq(f: Field, grad: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise |grad f|^2, summed over the derivative and component axes;
+    `grad` stands in for velocity_gradient(f) where the caller has it."""
+    g = velocity_gradient(f) if grad is None else grad
     return np.sum(g ** 2, axis=tuple(range(1 + f.rank)))
 
 
@@ -254,14 +255,8 @@ def log_state_rejected_reading(state: FluidState, params: FluidParams) -> Scalar
     return (log_rho + flux) * params.nu
 
 
-def coifman_commutator(state: FluidState, r1: float = 2.0, r2: float = 2.0
-                       ) -> tuple[ScalarField, float]:
-    """The double-summed commutator [u_j, R_i R_j](rho u_i) =
-    u . grad inv_lap div(rho u) - sum_j d_j inv_lap div(u_j rho u), and its
-    W^{1,r3} norm with 1/r3 = 1/r1 + 1/r2."""
-    r3 = 1.0 / (1.0 / r1 + 1.0 / r2)
-    if r3 < 1.0:
-        raise ValueError(f"exponent relation gives r3={r3:g} < 1")
+def _coifman_parts(state: FluidState) -> tuple[ScalarField, ScalarField]:
+    """(the commutator of `coifman_commutator`, inv_lap div(rho u))."""
     grid = state.grid
     b = scale_vector(state.rho, state.u)  # rho u
     phi = _inv_lap_div(b)
@@ -271,7 +266,18 @@ def coifman_commutator(state: FluidState, r1: float = 2.0, r2: float = 2.0
         uj = state.u.component(j)
         term1 = term1 + multiply(uj, partial(phi, j))
         term2 = term2 + partial(_inv_lap_div(scale_vector(uj, b)), j)
-    comm = term1 - term2
+    return term1 - term2, phi
+
+
+def coifman_commutator(state: FluidState, r1: float = 2.0, r2: float = 2.0
+                       ) -> tuple[ScalarField, float]:
+    """The double-summed commutator [u_j, R_i R_j](rho u_i) =
+    u . grad inv_lap div(rho u) - sum_j d_j inv_lap div(u_j rho u), and its
+    W^{1,r3} norm with 1/r3 = 1/r1 + 1/r2."""
+    r3 = 1.0 / (1.0 / r1 + 1.0 / r2)
+    if r3 < 1.0:
+        raise ValueError(f"exponent relation gives r3={r3:g} < 1")
+    comm, _ = _coifman_parts(state)
     return comm, sobolev_norm(comm, 1, r3)
 
 
@@ -353,7 +359,7 @@ def f_transport_residual(trajectory: Trajectory, params: FluidParams,
     out = []
     for state, dot in zip(states[1:-1], dots[1:-1]):
         p = pressure_field(state, params)
-        comm, _ = coifman_commutator(state)
+        comm, _ = _coifman_parts(state)
         resid = (dot + p - ScalarField.constant(state.grid, p.mean) - comm
                  - _inv_lap_div(_forcing_density(state, params)))
         out.append(lebesgue_norm(resid, math.inf))
@@ -579,11 +585,11 @@ def integrability_gain(trajectory: Trajectory, params: FluidParams,
     for n, state in enumerate(states):
         u_s = state.u.samples
         mag2 = np.sum(u_s ** 2, axis=0)
-        d1_rate[n] = float(np.sum(mag2 ** ((p1 - 2) / 2) * _grad_sq(state.u))) * vol
+        grad_u = velocity_gradient(state.u)
+        d1_rate[n] = float(np.sum(mag2 ** ((p1 - 2) / 2) * _grad_sq(state.u, grad_u))) * vol
         if p1 >= 4:
             # |grad |u|^2|^2 with d_i |u|^2 = 2 sum_j u_j d_i u_j
-            grad_mag2 = np.sum((2 * np.sum(u_s * velocity_gradient(state.u), axis=1)) ** 2,
-                               axis=0)
+            grad_mag2 = np.sum((2 * np.sum(u_s * grad_u, axis=1)) ** 2, axis=0)
             d2_rate[n] = float(np.sum(mag2 ** ((p1 - 4) / 2) * grad_mag2)) * vol
     p_norm = np.array([lebesgue_norm(pressure_field(s, params), space_p) for s in states])
     d1 = cumulative_trapezoid(d1_rate, times, initial=0)
@@ -620,11 +626,10 @@ def density_bound_ledger(trajectory: Trajectory, params: FluidParams
     cols = []
     for s in states:  # one pass per state keeps its arrays in cache
         p = pressure_field(s, params)
-        comm, _ = coifman_commutator(s)
+        comm, phi = _coifman_parts(s)
         log_rho = np.log(s.rho.samples)
         cols.append((p.mean, lebesgue_norm(p, math.inf), lebesgue_norm(comm, math.inf),
-                     lebesgue_norm(_inv_lap_div(scale_vector(s.rho, s.u)), math.inf),
-                     np.max(log_rho), np.min(log_rho)))
+                     lebesgue_norm(phi, math.inf), np.max(log_rho), np.min(log_rho)))
     mean_p, sup_p, comm_sup, pot_term, log_max, log_min = np.array(cols).T
     int_mean_p = cumulative_trapezoid(mean_p, times, initial=0)
     int_sup_p = cumulative_trapezoid(sup_p, times, initial=0)
@@ -767,7 +772,6 @@ def transport_estimate_report(trajectory: Trajectory, partition: DyadicPartition
     env_spec = BesovSpec(grid.dim / p1, p1, math.inf)
     times = trajectory.times
     states = trajectory.states
-    qs = np.arange(-1, partition.q_max + 1, dtype=float)
     block_sup = None
     lhs = np.empty(len(states))
     v_rate = np.empty(len(states))
@@ -775,19 +779,19 @@ def transport_estimate_report(trajectory: Trajectory, partition: DyadicPartition
     for n, state in enumerate(states):
         bn = block_norms(partition, state.rho, p)
         block_sup = bn if block_sup is None else np.maximum(block_sup, bn)
-        weighted = 2.0 ** (qs * sigma) * block_sup
-        lhs[n] = float(np.max(weighted)) if math.isinf(r) else \
-            float(np.sum(weighted ** r) ** (1.0 / r))
+        lhs[n] = besov_from_block_norms(block_sup, spec)
         v1, _ = effective_velocity(state, params)
         div_v1 = divergence(v1)
+        div_norms = block_norms(partition, div_v1, p)
+        env_div_norms = div_norms if p1 == p else block_norms(partition, div_v1, p1)
         grad_u_fields = _grad_block_fields(state.u)
         rho_inf = lebesgue_norm(state.rho, math.inf)
         v_rate[n] = (max(_vector_besov(partition, grad_u_fields, env_spec),
                          max(lebesgue_norm(f, math.inf) for f in grad_u_fields))
-                     + max(besov_norm(partition, div_v1, env_spec),
+                     + max(besov_from_block_norms(env_div_norms, env_spec),
                            lebesgue_norm(div_v1, math.inf))
                      + rho_inf ** (alpha + 1) + 1.0)
-        src_rate[n] = rho_inf * besov_norm(partition, div_v1, spec)
+        src_rate[n] = rho_inf * besov_from_block_norms(div_norms, spec)
     v_int = cumulative_trapezoid(v_rate, times, initial=0)
     envelope = lhs[0] + cumulative_trapezoid(src_rate, times, initial=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -926,10 +930,13 @@ def forcing_norm(trajectory: Trajectory, params: FluidParams,
     time-derivative energy."""
     grid = trajectory.initial.grid
     times = trajectory.times
-    gamma = getattr(params.pressure, "gamma", None) or 1.0
     if params.forcing is None:
         return {"sup_l2": 0.0, "l2_l2": 0.0, "l1_lneps": 0.0,
                 "weighted_grad": 0.0, "weighted_dt": 0.0, "total": 0.0}
+    gamma = getattr(params.pressure, "gamma", None)
+    if gamma is None:
+        raise ValueError("the f^gamma weight needs a pressure law with a gamma; "
+                         "a tabulated law has none")
     fields = [params.forcing(t, grid) for t in times]
     l2 = np.array([lebesgue_norm(g, 2) for g in fields])
     lneps = np.array([lebesgue_norm(g, grid.dim + epsilon) for g in fields])

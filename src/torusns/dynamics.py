@@ -324,7 +324,8 @@ def _rk4(rhs, t: float, ys: tuple, dt: float):
 class _Stepper:
     """Conservative-variable RK4 kernel on the stacked coefficient array
     y = (rho, m_1, ..., m_dim); each stage does one batched inverse and one
-    batched forward transform."""
+    batched forward transform, except that a step's first stage takes the
+    samples of y from the caller when it already has them."""
 
     def __init__(self, grid: TorusGrid, params: FluidParams, config: SolverConfig):
         self.grid = grid
@@ -333,7 +334,9 @@ class _Stepper:
         self.keep = grid.dealias_mask(config.dealias_fraction)
         self.dk = np.stack([np.where(grid.nyquist_mask, 0.0, 1j * k)
                             for k in grid.frequency_mesh])
-        self.lap = np.where(grid.nyquist_mask, 0.0, -grid.k_squared)
+        mu, lam = params.mu, params.lam
+        self.mu_lap = mu * np.where(grid.nyquist_mask, 0.0, -grid.k_squared)
+        self.mu_lam_dk = (mu + lam) * self.dk
         # m_i u_j is symmetric in (i, j): only the dim(dim+1)/2 pairs i <= j are formed
         dim = grid.dim
         self.pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
@@ -350,20 +353,23 @@ class _Stepper:
         self._forcing_cache = (t, g)
         return g
 
-    def momentum(self, v_c: np.ndarray, flux_c: np.ndarray) -> np.ndarray:
+    def divergence(self, v_c: np.ndarray) -> np.ndarray:
+        """Coefficients of div v from those of the components of v."""
+        return np.sum(self.dk * v_c, axis=0)
+
+    def momentum(self, v_c: np.ndarray, div_v: np.ndarray, flux_c: np.ndarray) -> np.ndarray:
         """mu lap v + (mu+lam) grad div v - div(flux), flux_c[i, j] = F_ij."""
-        mu, lam = self.params.mu, self.params.lam
-        div_v = np.sum(self.dk * v_c, axis=0)
-        acc = mu * self.lap * v_c + (mu + lam) * self.dk * div_v
+        acc = self.mu_lap * v_c + self.mu_lam_dk * div_v
         for i in range(self.grid.dim):
             acc -= self.dk[i] * flux_c[i]
         return acc
 
     # -----------------------------------------------------------------------
-    def rhs(self, t: float, y: np.ndarray):
-        """Returns (dy, aux) where aux carries the stage fields."""
+    def rhs(self, t: float, y: np.ndarray, samples: np.ndarray | None = None):
+        """Returns (dy, aux) where aux carries the stage fields; ``samples``,
+        when given, must be the inverse transform of y."""
         grid, dim = self.grid, self.grid.dim
-        s = to_samples(grid, y)
+        s = to_samples(grid, y) if samples is None else samples
         rho_s, m_s = s[0], s[1:]
         min_rho = float(np.min(rho_s))
         if min_rho <= self.config.vacuum_floor:
@@ -381,11 +387,12 @@ class _Stepper:
         sources = -self.dk * p_c
         if g_s is not None:
             sources += c[n_flux:]
+        div_u = self.divergence(u_c)
         dy = np.empty_like(y)
-        dy[0] = -np.sum(self.dk * y[1:], axis=0)
-        dy[1:] = self.momentum(u_c, c[dim + 1:n_flux][self.pair_index]) + sources
-        aux = {"rho_s": rho_s, "m_s": m_s, "u_s": u_s, "u_c": u_c, "g_s": g_s,
-               "sources": sources}
+        dy[0] = -self.divergence(y[1:])
+        dy[1:] = self.momentum(u_c, div_u, c[dim + 1:n_flux][self.pair_index]) + sources
+        aux = {"rho_s": rho_s, "m_s": m_s, "u_s": u_s, "u_c": u_c, "div_u": div_u,
+               "g_s": g_s, "sources": sources}
         return dy, aux
 
     def passenger_rhs(self, aux, w_c: np.ndarray, with_sources: bool) -> np.ndarray:
@@ -397,7 +404,8 @@ class _Stepper:
         flux = (aux["m_s"][:, None] * w_s[None]).reshape((dim * dim,) + grid.shape)
         c = to_coeffs(grid, np.concatenate([w_s, flux]))
         c[dim:] *= self.keep
-        out = self.momentum(c[:dim], c[dim:].reshape((dim, dim) + grid.spectral_shape))
+        out = self.momentum(c[:dim], self.divergence(c[:dim]),
+                            c[dim:].reshape((dim, dim) + grid.spectral_shape))
         return out + aux["sources"] if with_sources else out
 
     def quadrature_values(self, aux) -> dict[str, float]:
@@ -407,7 +415,7 @@ class _Stepper:
         grid, mu, lam = self.grid, self.params.mu, self.params.lam
         u_c = aux["u_c"]
         grad_sq = parseval_sum(grid, self.dk[:, None] * u_c[None])
-        div_sq = parseval_sum(grid, np.sum(self.dk * u_c, axis=0))
+        div_sq = parseval_sum(grid, aux["div_u"])
         dissipation = grid.volume * (mu * grad_sq + (mu + lam) * div_sq)
         if aux["g_s"] is None:
             work = 0.0
@@ -416,10 +424,11 @@ class _Stepper:
                          ) * grid.cell_volume
         return {"dissipation": dissipation, "forcing_work": work}
 
-    def step(self, t: float, y: np.ndarray, dt: float):
-        """One RK4 step; returns (y, quadrature increments)."""
+    def step(self, t: float, y: np.ndarray, dt: float, samples: np.ndarray | None = None):
+        """One RK4 step; returns (y, quadrature increments).  ``samples``,
+        when given, are those of y and serve the first stage."""
         def rhs(s, ys):
-            dy, aux = self.rhs(s, ys[0])
+            dy, aux = self.rhs(s, ys[0], samples if ys[0] is y else None)
             return (dy,), aux
 
         (y,), stages = _rk4(rhs, t, (y,), dt)
@@ -436,8 +445,9 @@ def _conservative(state: FluidState, keep: np.ndarray) -> np.ndarray:
     return np.concatenate([state.rho.coeffs[None], m_c])
 
 
-def _state_from_conservative(grid: TorusGrid, y: np.ndarray, t: float) -> FluidState:
-    s = to_samples(grid, y)
+def _state_from_conservative(grid: TorusGrid, y: np.ndarray, s: np.ndarray,
+                             t: float) -> FluidState:
+    """The state of stacked coefficients y whose samples are s."""
     rho = ScalarField(grid, y[0], copy=False, samples=s[0])
     return FluidState(rho, VectorField.from_samples(grid, s[1:] / s[0]), t)
 
@@ -464,7 +474,8 @@ def step(state: FluidState, params: FluidParams, config: SolverConfig) -> FluidS
         raise CflError(state.t, config.dt, limit)
     stepper = _Stepper(state.grid, params, config)
     y, _ = stepper.step(state.t, _conservative(state, stepper.keep), config.dt)
-    new = _state_from_conservative(state.grid, y, state.t + config.dt)
+    new = _state_from_conservative(state.grid, y, to_samples(state.grid, y),
+                                   state.t + config.dt)
     if new.min_density <= config.vacuum_floor:
         raise VacuumError(new.t, new.min_density)
     if not new.is_finite():
@@ -484,8 +495,9 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
     grid = initial.grid
     stepper = _Stepper(grid, params, config)
     y = _conservative(initial, stepper.keep)
-
-    state = _state_from_conservative(grid, y, initial.t)
+    # the samples of each new y serve its state and the next step's first stage
+    y_s = to_samples(grid, y)
+    state = _state_from_conservative(grid, y, y_s, initial.t)
     states = [state]
     quads = {"dissipation": [0.0], "forcing_work": [0.0]}
     totals = {"dissipation": 0.0, "forcing_work": 0.0}
@@ -515,7 +527,7 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
                 break
         dt = min(dt, t_final - t)
         try:
-            y, inc = stepper.step(t, y, dt)
+            y, inc = stepper.step(t, y, dt, y_s)
         except SolverStop as stop:
             stop_reason = stop.reason
             break
@@ -526,7 +538,8 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
         steps += 1
         for k, v in inc.items():
             totals[k] += v
-        state = _state_from_conservative(grid, y, t)
+        y_s = to_samples(grid, y)
+        state = _state_from_conservative(grid, y, y_s, t)
         if state.min_density <= config.vacuum_floor:
             stop_reason = "vacuum"
             break

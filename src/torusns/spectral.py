@@ -2,7 +2,7 @@
 elementary spectral operators built on it: derivatives, inverse Laplacian,
 Riesz transforms, Leray projection, general multipliers, and grid norms.
 
-Fields are stored as the half spectrum that ``np.fft.rfftn`` returns:
+Fields are stored as the half spectrum of a real-to-complex transform:
 u(x) = sum_k c_k e^{i k.x} over the integer lattice, of which only the modes
 with 0 <= k_N <= M/2 on the last axis are kept; the leading axes run over
 {-M/2+1, ..., M/2}.  The omitted modes are the conjugates of stored ones, so
@@ -15,8 +15,10 @@ negates the others.  Fourier symbols s are applied through their Hermitian
 part (s(k) + conj(s(k*)))/2, which is what taking the real part of a
 full-lattice inverse transform does implicitly on the Nyquist planes.
 
-This module holds the package's only calls into ``np.fft``.  All operations
-are pure; field objects are immutable after construction.
+This module holds the package's only transform calls: ``to_coeffs`` and
+``to_samples`` call ``scipy.fft.rfftn``/``irfftn`` (one worker), looked up on
+the ``scipy.fft`` module at call time.  All operations are pure; field
+objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 
 TAU = 2.0 * math.pi
 
@@ -129,12 +132,13 @@ def _dealias_mask(grid: TorusGrid, fraction: float) -> np.ndarray:
 def to_coeffs(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     """Normalized half-spectrum coefficients of real samples; leading axes
     beyond the grid's are a batch transformed in one call."""
-    return np.fft.rfftn(samples, axes=grid.axes, norm="forward")
+    return scipy.fft.rfftn(samples, axes=grid.axes, norm="forward", workers=1)
 
 
 def to_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples of half-spectrum coefficients (inverse of to_coeffs)."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
+    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward",
+                            workers=1)
 
 
 def _check_same_grid(*objs) -> TorusGrid:
@@ -203,7 +207,7 @@ class Field:
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean norm over the component axes."""
-        return np.sqrt(np.sum(self.samples ** 2, axis=tuple(range(self.rank))))
+        return _magnitude(self.samples, self.rank)
 
     def max_frequency(self, tol: float = 1e-13) -> int:
         """Largest per-axis |k| carrying a coefficient above tol * max|c|
@@ -478,14 +482,27 @@ def integral(field: ScalarField) -> float:
     return field.mean * field.grid.volume
 
 
-def lebesgue_norm(field: Field, p: float) -> float:
-    """L^p norm by uniform grid quadrature; p = inf is the sample max."""
+def _magnitude(samples: np.ndarray, rank: int) -> np.ndarray:
+    """Pointwise Euclidean norm over the ``rank`` leading component axes."""
+    if rank == 0:
+        return np.abs(samples)
+    return np.sqrt(np.sum(samples ** 2, axis=tuple(range(rank))))
+
+
+def sample_norm(grid: TorusGrid, samples: np.ndarray, p: float, rank: int = 0) -> float:
+    """L^p norm of a field given by its samples (``rank`` leading component
+    axes) by uniform grid quadrature; p = inf is the sample max."""
     if not (p >= 1):
         raise ValueError(f"p must be >= 1, got {p}")
-    mag = field.magnitude()
+    mag = _magnitude(samples, rank)
     if math.isinf(p):
         return float(np.max(mag))
-    return float((np.sum(mag ** p) * field.grid.cell_volume) ** (1.0 / p))
+    return float((np.sum(mag ** p) * grid.cell_volume) ** (1.0 / p))
+
+
+def lebesgue_norm(field: Field, p: float) -> float:
+    """L^p norm by uniform grid quadrature; p = inf is the sample max."""
+    return sample_norm(field.grid, field.samples, p, field.rank)
 
 
 def sobolev_norm(field: Field, k: int = 1, p: float = 2) -> float:

@@ -608,6 +608,23 @@ class TestForcingNorm:
         out = diag.forcing_norm(traj, params)
         assert out["total"] > 0 and math.isfinite(out["total"])
 
+    @pytest.mark.parametrize("law", [LAW, dyn.IsothermalLaw(1.0),
+                                     dyn.TabulatedLaw([0.5, 1.0, 2.0], [0.25, 1.0, 4.0])],
+                             ids=["power", "isothermal", "tabulated"])
+    def test_weight_needs_the_law_gamma(self, manufactured_run, law):
+        """The grad-g term is weighted by f^gamma; a tabulated law has no
+        gamma, so its forced trajectory is refused rather than weighted by f^1."""
+        _, forced, ms = manufactured_run
+        params = dyn.FluidParams(forced.mu, forced.lam, law, forced.forcing)
+        traj = dyn.run(ms.state(sp.TorusGrid(2, 32), 0.0), params,
+                       dyn.SolverConfig(t_end=0.03, dt=0.01))
+        if law.gamma is None:
+            with pytest.raises(ValueError, match="gamma"):
+                diag.forcing_norm(traj, params)
+        else:
+            out = diag.forcing_norm(traj, params)
+            assert out["weighted_grad"] > 0 and math.isfinite(out["total"])
+
 
 class TestRecords:
     def test_equilibrium_records_constant(self, grid, params, part):

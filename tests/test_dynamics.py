@@ -2,6 +2,7 @@
 
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ class TestRun:
         traj = dyn.run(state, params, dyn.SolverConfig(t_end=1.0, dt=0.01),
                        monitors=[monitor])
         assert traj.stop_reason == "monitor:halfway"
+
+    def test_transform_budget_per_step(self, grid, params, fft_calls):
+        """Per RK4 step: an inverse transform for each stage but the first,
+        which reuses the samples of the previous state, and one for the new
+        state; a forward transform for each stage and one for the new
+        state's velocity."""
+        def counted_run(steps):
+            state = dyn.stream_vortex_state(grid)
+            fft_calls.clear()
+            traj = dyn.run(state, params, dyn.SolverConfig(t_end=steps * 0.01, dt=0.01))
+            assert traj.stop_reason == "completed" and traj.step_count == steps
+            return Counter(fft_calls)
+
+        n = 4
+        short, long = counted_run(n), counted_run(2 * n)
+        assert long["irfftn"] - short["irfftn"] == 4 * n
+        assert long["rfftn"] - short["rfftn"] == 5 * n
 
     def test_adaptive_dt(self, grid, params):
         state = dyn.stream_vortex_state(grid)

@@ -1,7 +1,6 @@
 """Dyadic decomposition, Besov norms, Bony calculus, and commutators."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -483,16 +482,6 @@ class TestTransformCount:
     """Each Bony piece costs one forward transform; per-block transforms
     must not come back."""
 
-    @pytest.fixture()
-    def calls(self, monkeypatch):
-        counts = Counter()
-        for name in ("rfftn", "irfftn"):
-            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
-        return counts
-
     @pytest.fixture(scope="class")
     def case(self):
         grid = sp.TorusGrid(2, 128)
@@ -500,13 +489,14 @@ class TestTransformCount:
         return (lp.build_partition(grid), sp.random_field(grid, r),
                 sp.random_field(grid, r), sp.random_vector_field(grid, r))
 
-    def test_paraproduct(self, case, calls):
+    def test_paraproduct(self, case, fft_calls):
         part, a, b, _ = case
         lp.paraproduct(part, a, b)
-        assert calls["irfftn"] <= 2 * (part.q_max + 2)
-        assert calls["rfftn"] == 1
+        assert fft_calls["irfftn"] <= 2 * (part.q_max + 2)
+        assert fft_calls["rfftn"] == 1
 
-    def test_eight_way_split(self, case, calls):
+    def test_eight_way_split(self, case, fft_calls):
         part, a, _, u = case
         lp.eight_way_split(part, u, a, 2)
-        assert calls["rfftn"] + calls["irfftn"] <= 120
+        # the lower bound shows that the counter sees the transforms at all
+        assert 90 <= fft_calls["rfftn"] + fft_calls["irfftn"] <= 120

@@ -1,6 +1,8 @@
 """Spectral core: transforms, derivatives, projections, multipliers, norms."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +87,35 @@ class TestTransform:
         # omitted half is their conjugate by construction
         f = sp.random_field(grid, rng)
         assert np.max(np.abs(f.coeffs - np.fft.rfftn(f.samples) / grid.size)) < 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["0", "1", "2"])
+    def test_engine_matches_numpy_fft(self, dim, lead):
+        """to_coeffs/to_samples agree with numpy.fft with 0, 1 and 2 leading
+        batch axes, to 1e-15 of the sup of the result."""
+        g = sp.TorusGrid(dim, 32 if dim == 2 else 16)
+        x = np.random.default_rng(5).standard_normal(lead + g.shape)
+        coeffs = sp.to_coeffs(g, x)
+        want = np.fft.rfftn(x, axes=g.axes, norm="forward")
+        assert coeffs.shape == want.shape
+        assert np.max(np.abs(coeffs - want)) <= 1e-15 * np.max(np.abs(want))
+        samples = sp.to_samples(g, coeffs)
+        want = np.fft.irfftn(coeffs, s=g.shape, axes=g.axes, norm="forward")
+        assert samples.shape == x.shape
+        assert np.max(np.abs(samples - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_spectral_module_is_the_single_transform_entry_point(self):
+        """Only spectral.py calls or imports an FFT transform, so counting the
+        library entry points sees every transform the package makes."""
+        transform_use = re.compile(
+            r"\bfft\.(?!r?fftfreq\b|i?fftshift\b)\w+\s*\("   # np.fft.rfftn(...
+            r"|\bfrom\s+[\w.]*fft[\w.]*\s+import\b"           # from scipy.fft import ...
+            r"|\bimport\s+[\w.]*fft\b"                          # import scipy.fft
+            r"|\bfrom\s+(?:numpy|scipy)\s+import\s+[^\n]*\bfft\b")  # from scipy import fft
+        src = pathlib.Path(sp.__file__).parent
+        users = sorted(path.name for path in src.glob("*.py")
+                       if transform_use.search(path.read_text()))
+        assert users == ["spectral.py"]
 
     def test_grid_mismatch_rejected(self, grid):
         other = sp.TorusGrid(2, 16)
