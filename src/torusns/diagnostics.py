@@ -42,7 +42,8 @@ from .spectral import (
     velocity_gradient,
 )
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
-                               besov_from_block_norms, besov_norm, block_norms)
+                               besov_from_block_norms, besov_norm, block_norms,
+                               _sup_besov)
 from .dynamics import FluidParams, FluidState, Trajectory, VacuumError
 
 
@@ -222,9 +223,11 @@ def pressure_field(state: FluidState, params: FluidParams) -> ScalarField:
     return pointwise(state.grid, params.pressure(state.rho.samples))
 
 
-def effective_pressure(state: FluidState, params: FluidParams) -> ScalarField:
-    """G = (2 mu + lam) div u - P(rho) + mean P(rho)."""
-    p = pressure_field(state, params)
+def effective_pressure(state: FluidState, params: FluidParams,
+                       pressure: ScalarField | None = None) -> ScalarField:
+    """G = (2 mu + lam) div u - P(rho) + mean P(rho); `pressure`, when given,
+    must be `pressure_field(state, params)` (it saves rebuilding it)."""
+    p = pressure_field(state, params) if pressure is None else pressure
     g = divergence(state.u) * params.nu - p
     return g + ScalarField.constant(state.grid, p.mean)
 
@@ -281,19 +284,23 @@ def coifman_commutator(state: FluidState, r1: float = 2.0, r2: float = 2.0
     return comm, sobolev_norm(comm, 1, r3)
 
 
-def effective_velocity(state: FluidState, params: FluidParams
+def effective_velocity(state: FluidState, params: FluidParams,
+                       pressure: ScalarField | None = None
                        ) -> tuple[VectorField, VectorField]:
-    """(v1, v) with v = grad inv_lap (P(rho) - mean P) and v1 = u - v/nu."""
-    v = bogovskii(pressure_field(state, params))
+    """(v1, v) with v = grad inv_lap (P(rho) - mean P) and v1 = u - v/nu;
+    `pressure` as in `effective_pressure`."""
+    v = bogovskii(pressure_field(state, params) if pressure is None else pressure)
     return state.u - v * (1.0 / params.nu), v
 
 
-def v1_identities(state: FluidState, params: FluidParams) -> dict[str, float]:
+def v1_identities(state: FluidState, params: FluidParams,
+                  pressure: ScalarField | None = None) -> dict[str, float]:
     """Sup-norm residuals of the exact effective-velocity identities:
-    div v1 = G/nu, curl v1 = curl u, lap u = lap v1 + grad P / nu."""
-    v1, _ = effective_velocity(state, params)
-    g = effective_pressure(state, params)
-    p = pressure_field(state, params)
+    div v1 = G/nu, curl v1 = curl u, lap u = lap v1 + grad P / nu;
+    `pressure` as in `effective_pressure`."""
+    p = pressure_field(state, params) if pressure is None else pressure
+    v1, _ = effective_velocity(state, params, p)
+    g = effective_pressure(state, params, p)
     div_res = divergence(v1) - g * (1.0 / params.nu)
     curl_res = curl(v1) - curl(state.u)
     lap_res = laplacian(state.u) - laplacian(v1) - gradient(p) * (1.0 / params.nu)
@@ -479,8 +486,8 @@ def gradient_splitting(state: FluidState, params: FluidParams
     grid = state.grid
     p_u, _ = leray_project(state.u)
     omega_part = velocity_gradient(p_u)
-    g_field = effective_pressure(state, params)
     p = pressure_field(state, params)
+    g_field = effective_pressure(state, params, p)
     p0 = p - ScalarField.constant(grid, p.mean)
 
     def hessian_inv_lap(f: ScalarField) -> np.ndarray:
@@ -671,6 +678,34 @@ class MonitorFlags:
     stop_reason: str
 
 
+def _window_states(trajectory: Trajectory, window_end: float | None
+                   ) -> list[FluidState]:
+    """The snapshots with t <= window_end (all of them for None)."""
+    if len(trajectory) == 0:
+        raise ValueError("empty trajectory")
+    states = trajectory.states
+    if window_end is not None:
+        states = [s for s in states if s.t <= window_end * (1 + 1e-12)]
+        if not states:
+            raise ValueError("window excludes every snapshot")
+    return states
+
+
+def _density_verdict(trajectory: Trajectory, window_end: float | None = None
+                     ) -> tuple[bool, float | None]:
+    """(density criterion holds, first violation time) on [0, window_end]:
+    every snapshot finite with positive density, and no abnormal stop inside
+    the window.  It needs no norm, so checking a shorter window is cheap."""
+    states = _window_states(trajectory, window_end)
+    bad = [s.t for s in states if not (s.is_finite() and s.min_density > 0)]
+    first_bad = bad[0] if bad else None
+    abnormal = trajectory.stop_reason not in ("completed", "max_steps")
+    in_window = window_end is None or trajectory.stop_time <= window_end * (1 + 1e-12)
+    if abnormal and in_window:
+        return False, trajectory.stop_time if first_bad is None else first_bad
+    return not bad, first_bad
+
+
 def blowup_monitor(trajectory: Trajectory, params: FluidParams,
                    monitor: MonitorConfig, window_end: float | None = None
                    ) -> MonitorFlags:
@@ -685,29 +720,15 @@ def blowup_monitor(trajectory: Trajectory, params: FluidParams,
     Flags are monotone under window extension: once violated, the first
     violation time is fixed.
     """
-    if len(trajectory) == 0:
-        raise ValueError("empty trajectory")
-    states = trajectory.states
-    if window_end is not None:
-        states = [s for s in states if s.t <= window_end * (1 + 1e-12)]
-        if not states:
-            raise ValueError("window excludes every snapshot")
+    states = _window_states(trajectory, window_end)
     times = np.array([s.t for s in states])
     dim = states[0].grid.dim
     gamma, q_crit = _criterion_exponents(params, monitor, dim)
-    bad = [s.t for s in states if not (s.is_finite() and s.min_density > 0)]
-    first_bad = bad[0] if bad else None
-    density_ok = not bad
+    density_ok, first_bad = _density_verdict(trajectory, window_end)
     comp_exps = ({"L9eps": 9.0 + monitor.epsilon, "L3g32": 3.0 * gamma + 1.5}
                  if dim == 3 else {"L2g1": 2.0 * gamma + 1.0})
     comp = {name: float(np.max([lebesgue_norm(s.rho, q) for s in states]))
             for name, q in comp_exps.items()}
-    abnormal = trajectory.stop_reason not in ("completed", "max_steps")
-    in_window = window_end is None or trajectory.stop_time <= window_end * (1 + 1e-12)
-    if abnormal and in_window:
-        density_ok = False
-        if first_bad is None:
-            first_bad = trajectory.stop_time
     if len(states) > 1:
         rho_qc = np.array([lebesgue_norm(s.rho, q_crit) for s in states])
         grad_sup = np.array([math.sqrt(np.max(_grad_sq(s.u))) for s in states])
@@ -737,7 +758,7 @@ def blowup_monitor(trajectory: Trajectory, params: FluidParams,
 
 def _vector_besov(partition: DyadicPartition, fields: Sequence[ScalarField],
                   spec: BesovSpec) -> float:
-    return max(besov_norm(partition, f, spec) for f in fields)
+    return float(np.max([besov_norm(partition, f, spec) for f in fields]))
 
 
 def _grad_block_fields(u: VectorField) -> list[ScalarField]:
@@ -770,6 +791,10 @@ def transport_estimate_report(trajectory: Trajectory, partition: DyadicPartition
     alpha = max(0, math.ceil(sigma))
     spec = BesovSpec(sigma, p, r)
     env_spec = BesovSpec(grid.dim / p1, p1, math.inf)
+    # max-type norms throughout: every term is a max over blocks, settled
+    # through the l^1 block bounds of _sup_besov; for r = inf the time and
+    # block maxima of the left side commute
+    sup_norms = p == p1 == r == math.inf
     times = trajectory.times
     states = trajectory.states
     block_sup = None
@@ -777,21 +802,32 @@ def transport_estimate_report(trajectory: Trajectory, partition: DyadicPartition
     v_rate = np.empty(len(states))
     src_rate = np.empty(len(states))
     for n, state in enumerate(states):
-        bn = block_norms(partition, state.rho, p)
-        block_sup = bn if block_sup is None else np.maximum(block_sup, bn)
-        lhs[n] = besov_from_block_norms(block_sup, spec)
         v1, _ = effective_velocity(state, params)
         div_v1 = divergence(v1)
-        div_norms = block_norms(partition, div_v1, p)
-        env_div_norms = div_norms if p1 == p else block_norms(partition, div_v1, p1)
-        grad_u_fields = _grad_block_fields(state.u)
+        div_inf = lebesgue_norm(div_v1, math.inf)
         rho_inf = lebesgue_norm(state.rho, math.inf)
-        v_rate[n] = (max(_vector_besov(partition, grad_u_fields, env_spec),
-                         max(lebesgue_norm(f, math.inf) for f in grad_u_fields))
-                     + max(besov_from_block_norms(env_div_norms, env_spec),
-                           lebesgue_norm(div_v1, math.inf))
-                     + rho_inf ** (alpha + 1) + 1.0)
-        src_rate[n] = rho_inf * besov_from_block_norms(div_norms, spec)
+        if sup_norms:
+            lhs[n] = _sup_besov(partition, state.rho, sigma, lhs[n - 1] if n else 0.0)
+            grad_env = float(np.max(np.abs(velocity_gradient(state.u))))
+            for f in _grad_block_fields(state.u):
+                grad_env = _sup_besov(partition, f, 0.0, grad_env)
+            div_env = _sup_besov(partition, div_v1, 0.0, div_inf)
+            div_src = _sup_besov(partition, div_v1, sigma)
+        else:
+            bn = block_norms(partition, state.rho, p)
+            block_sup = bn if block_sup is None else np.maximum(block_sup, bn)
+            lhs[n] = besov_from_block_norms(block_sup, spec)
+            div_norms = block_norms(partition, div_v1, p)
+            env_div_norms = div_norms if p1 == p else block_norms(partition, div_v1, p1)
+            grad_u_fields = _grad_block_fields(state.u)
+            grad_env = float(np.max(
+                [_vector_besov(partition, grad_u_fields, env_spec)]
+                + [lebesgue_norm(f, math.inf) for f in grad_u_fields]))
+            div_env = float(np.max([besov_from_block_norms(env_div_norms, env_spec),
+                                    div_inf]))
+            div_src = besov_from_block_norms(div_norms, spec)
+        v_rate[n] = grad_env + div_env + rho_inf ** (alpha + 1) + 1.0
+        src_rate[n] = rho_inf * div_src
     v_int = cumulative_trapezoid(v_rate, times, initial=0)
     envelope = lhs[0] + cumulative_trapezoid(src_rate, times, initial=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1024,12 +1060,13 @@ def compute_diagnostics(trajectory: Trajectory, params: FluidParams,
             "forcing_work_cum": work[n] if n < len(work) else math.nan,
             "p1_moment": _moment(state, monitor.p_gain),
         }
-        residuals = v1_identities(state, params)
+        p = pressure_field(state, params)
+        residuals = v1_identities(state, params, p)
         values["div_v1_residual"] = residuals["div_v1"]
         values["curl_v1_residual"] = residuals["curl_v1"]
         values["lap_decomposition_residual"] = residuals["lap_u_decomposition"]
         values["effective_pressure_l2"] = lebesgue_norm(
-            effective_pressure(state, params), 2)
+            effective_pressure(state, params, p), 2)
         values["rho_besov_eps"] = besov_norm(partition, state.rho, eps_spec) \
             if partition is not None else math.nan
         records.append(DiagnosticRecord(

@@ -40,6 +40,22 @@ time.t_end = 0.2
 time.snapshot_every = 2
 """
 
+FORCED_3D_CFG = """
+grid.dim = 3
+grid.points_per_axis = 16
+fluid.mu = 0.05
+fluid.lambda = 0.05
+fluid.gamma = 1.4
+forcing.preset = constant
+forcing.amplitude = 0.2
+init.preset = density_bump
+init.amplitude = 0.3
+init.u_amplitude = 0.2
+time.dt = 0.01
+time.t_end = 0.03
+time.snapshot_every = 1
+"""
+
 
 class TestConfig:
     def test_defaults_and_parse(self):
@@ -229,6 +245,16 @@ class TestVerify:
         reports = app.verify(f"{tmp_path}/out").reports
         assert "energy" in reports
         assert "omega_budget" not in reports and "v1_energy" not in reports
+
+    def test_transform_budget_of_verify_all(self, tmp_path, fft_calls):
+        """Sup-norm Besov terms transform only the blocks their l^1 bound
+        leaves open, the monitor pays its gradient norms once and each
+        snapshot builds its pressure once: 241 transforms here (545 before)."""
+        outdir = str(tmp_path / "run")
+        app.simulate(app.parse_config(FORCED_3D_CFG), outdir)
+        fft_calls.clear()
+        assert app.verify(outdir, "all").ok
+        assert 100 <= fft_calls["rfftn"] + fft_calls["irfftn"] <= 260
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -457,6 +457,10 @@ class TestBlowupMonitor:
         assert early.density_bounded          # violation not yet in window
         assert not late.density_bounded and not full.density_bounded
         assert late.first_violation_time == full.first_violation_time
+        # the verify suite's shorter-window check reads the same verdict
+        for flags, window_end in ((early, stop * 0.5), (late, stop * 2.0), (full, None)):
+            assert diag._density_verdict(traj, window_end) == \
+                (flags.density_bounded, flags.first_violation_time)
 
 
 def test_tabulated_law_q_density_resolved_alike():
@@ -517,6 +521,36 @@ def test_nan_sample_gives_nan_constant(short_run, ledger, field):
     broken = dyn.Trajectory(states, traj.stop_reason, traj.stop_time,
                             traj.config, traj.params, traj.quadratures)
     assert math.isnan(build(broken, params, part).empirical_constant)
+
+
+@pytest.mark.parametrize("spec", [lp.BesovSpec(0.5, INF, INF), lp.BesovSpec(0.5, 2, 2)],
+                         ids=["sup", "finite"])
+def test_vector_besov_keeps_a_nan_in_any_position(part, grid, spec):
+    ok = sp.random_field(grid, np.random.default_rng(5))
+    coeffs = ok.coeffs.copy()
+    coeffs[1, 2] = math.nan
+    bad = ok.with_coeffs(coeffs)
+    assert math.isfinite(diag._vector_besov(part, [ok, ok], spec))
+    for fields in ([bad, ok], [ok, bad]):
+        assert math.isnan(diag._vector_besov(part, fields, spec))
+
+
+def test_pressure_built_once_per_snapshot(vortex_run, part, monkeypatch):
+    """compute_diagnostics shares one pressure field per snapshot between
+    v1_identities (v1, G and grad P) and the effective-pressure column."""
+    traj, params = vortex_run
+    want = diag.compute_diagnostics(traj, params, diag.MonitorConfig(), part)
+    calls = []
+    built = diag.pressure_field
+
+    def counted(*args):
+        calls.append(args)
+        return built(*args)
+
+    monkeypatch.setattr(diag, "pressure_field", counted)
+    got = diag.compute_diagnostics(traj, params, diag.MonitorConfig(), part)
+    assert len(calls) == len(traj)
+    assert [r.row() for r in got] == [r.row() for r in want]
 
 
 class TestTransportEstimate:

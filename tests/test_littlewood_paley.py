@@ -500,3 +500,90 @@ class TestTransformCount:
         lp.eight_way_split(part, u, a, 2)
         # the lower bound shows that the counter sees the transforms at all
         assert 90 <= fft_calls["rfftn"] + fft_calls["irfftn"] <= 120
+
+    def test_sup_besov_norm_transforms_unsettled_blocks_only(self, case, fft_calls):
+        part = case[0]
+        smooth = sp.random_field(part.grid, np.random.default_rng(3), slope=3.0)
+        fft_calls.clear()
+        lp.besov_norm(part, smooth, lp.BesovSpec(0.0, INF, INF))
+        # 3 of the 8 blocks; every block at the parent
+        assert 1 <= fft_calls["irfftn"] <= 4 < part.q_max + 2
+        assert fft_calls["rfftn"] == 0
+
+
+# ---------------------------------------------------------------------------
+# sup-norm Besov norms through the l^1 block bound
+# ---------------------------------------------------------------------------
+
+_BOUND_PARTS = {dim: lp.build_partition(sp.TorusGrid(dim, m))
+                for dim, m in ((2, 32), (3, 16))}
+
+
+def _bound_field(grid, seed, spectrum, slope):
+    rng = np.random.default_rng(seed)
+    if spectrum == "flat_dyadic":
+        return sp.random_field(grid, rng, flat_dyadic=True)
+    # "nyquist" keeps every mode up to M/2, so the Nyquist planes are filled
+    top = grid.n // 2 if spectrum == "nyquist" else None
+    return sp.random_field(grid, rng, slope=slope, max_wavenumber=top)
+
+
+def _l1_reference(part, f):
+    """sum_k |phi_l(k) c_k| over the full lattice, from numpy's complex
+    transform of the samples and the radial profiles."""
+    grid = part.grid
+    full = np.abs(np.fft.fftn(f.samples)) / grid.size
+    k = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+    radius = np.sqrt(sum(x ** 2 for x in np.meshgrid(*[k] * grid.dim, indexing="ij")))
+    filters = [lp.chi_profile(radius)] + [lp.phi_profile(radius / 2.0 ** q)
+                                          for q in range(part.q_max + 1)]
+    return np.array([np.sum(phi * full) for phi in filters])
+
+
+class TestSupBesov:
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 16),
+           spectrum=st.sampled_from(["slope", "nyquist", "flat_dyadic"]),
+           slope=st.floats(0.0, 3.0))
+    def test_block_sup_within_l1_bound(self, dim, seed, spectrum, slope):
+        part = _BOUND_PARTS[dim]
+        f = _bound_field(part.grid, seed, spectrum, slope)
+        bounds = lp._block_bounds(part, f)
+        # the reference also sums the transform's round-off outside the band
+        assert np.allclose(bounds, _l1_reference(part, f), rtol=1e-12,
+                           atol=1e-13 * np.max(bounds))
+        sups = lp.block_norms(part, f, INF)
+        assert np.all(sups <= bounds * (1 + 1e-13)), sups / bounds
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 16),
+           spectrum=st.sampled_from(["slope", "nyquist", "flat_dyadic"]),
+           slope=st.floats(0.0, 3.0), s=st.floats(-1.0, 2.0))
+    def test_pruned_norm_is_the_full_block_max(self, dim, seed, spectrum, slope, s):
+        part = _BOUND_PARTS[dim]
+        f = _bound_field(part.grid, seed, spectrum, slope)
+        spec = lp.BesovSpec(s, INF, INF)
+        full = lp.besov_from_block_norms(lp.block_norms(part, f, INF), spec)
+        assert lp.besov_norm(part, f, spec) == full
+        # a floor just below the max leaves only the maximal block to visit
+        for floor in (0.5 * full, (1 - 1e-9) * full, full, 2.0 * full):
+            assert lp._sup_besov(part, f, s, floor) == max(floor, full)
+
+    @pytest.mark.parametrize("k", [(3, 0), (5, 7), (16, 0), (16, 16)])
+    def test_tight_bound_of_one_mode_still_visits_its_block(self, part, grid, k):
+        """A single cosine (Nyquist included) meets its bound with equality,
+        so a floor just below its norm must not settle the block."""
+        f = sp.ScalarField.from_function(grid, lambda x, y: np.cos(k[0] * x + k[1] * y))
+        sups = lp.block_norms(part, f, INF)
+        assert np.allclose(sups, lp._block_bounds(part, f), rtol=1e-13, atol=1e-13)
+        full = float(np.max(sups))
+        assert lp._sup_besov(part, f, 0.0, (1 - 1e-9) * full) == full
+
+    def test_nan_coefficient_or_floor_gives_nan(self, part, grid, rng):
+        f = sp.random_field(grid, rng)
+        spec = lp.BesovSpec(0.5, INF, INF)
+        coeffs = f.coeffs.copy()
+        coeffs[3, 4] = complex(math.nan, 0.0)
+        assert math.isnan(lp.besov_norm(part, f.with_coeffs(coeffs), spec))
+        assert math.isfinite(lp.besov_norm(part, f, spec))
+        assert math.isnan(lp._sup_besov(part, f, 0.5, math.nan))
