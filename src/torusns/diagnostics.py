@@ -43,8 +43,8 @@ from .spectral import (
 )
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
                                besov_from_block_norms, besov_norm, block_norms,
-                               _sup_besov)
-from .dynamics import FluidParams, FluidState, Trajectory, VacuumError
+                               _ensemble, _ratio_report, _sup_besov)
+from .dynamics import NORMAL_STOPS, FluidParams, FluidState, Trajectory, VacuumError
 
 
 def f_weight(t):
@@ -174,11 +174,11 @@ def _rho_sup(states: Sequence[FluidState]) -> float:
 
 
 def _potential_quadrature(weight: Callable[[np.ndarray], np.ndarray],
-                          s: np.ndarray, nodes: int = 128) -> np.ndarray:
+                          s: np.ndarray) -> np.ndarray:
     """Pi_f(s) = s int_0^s f(z)/z^2 dz = int_0^1 f(s t)/t^2 dt (z = s t) by
-    Gauss-Legendre quadrature, exact for polynomial weights up to high
-    degree; 0 where s <= 0."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    128-node Gauss-Legendre quadrature, exact for polynomial weights up to
+    high degree; 0 where s <= 0."""
+    x, w = np.polynomial.legendre.leggauss(128)
     t, wt = 0.5 * (x + 1.0), 0.5 * w   # nodes on (0, 1)
     s = np.maximum(s, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -198,9 +198,9 @@ def pressure_potential(law, rho: ScalarField) -> ScalarField:
 
 
 def weighted_potential(weight: Callable[[np.ndarray], np.ndarray],
-                       rho: ScalarField, nodes: int = 128) -> ScalarField:
+                       rho: ScalarField) -> ScalarField:
     """Pi_f(s) = s int_0^s f(z)/z^2 dz by Gauss-Legendre quadrature."""
-    return pointwise(rho.grid, _potential_quadrature(weight, rho.samples, nodes),
+    return pointwise(rho.grid, _potential_quadrature(weight, rho.samples),
                      dealiased=False)
 
 
@@ -555,12 +555,15 @@ def grad_omega_budget(trajectory: Trajectory, params: FluidParams
 
 
 def integrability_gain(trajectory: Trajectory, params: FluidParams,
-                       p1: int, time_lebesgue_q: float = 6.0) -> LedgerReport:
+                       p1: int) -> LedgerReport:
     """Weighted-velocity moment ledger: tracks (1/p1) int rho |u|^{p1} and the
     two dissipation-like integrals against the pressure norm on the right.
 
     The Young exponent eta solves lam eta (p1-2)/4 = s mu + lam with
     s = 1/(2N); p1 must be even and >= 2 (grid powers of |u| stay smooth).
+    The pressure is measured in L^{3 p1/(p1+1)} in space: the 3-D exponent,
+    and the 2-D one 2 q p1/((q-2) p1 + 4) with the reporting choice q = 6 for
+    the time Lebesgue exponent (the paper leaves q free), which equals it.
     """
     if p1 < 2 or p1 % 2 != 0:
         raise ValueError(f"p1 must be even and >= 2, got {p1}")
@@ -577,11 +580,7 @@ def integrability_gain(trajectory: Trajectory, params: FluidParams,
         eta = math.inf
         b_coeff = params.mu * (p1 - 2) / 4.0
     a_coeff = params.mu * (1.0 - s_param * dim)
-    if dim == 3:
-        space_p = 3.0 * p1 / (p1 + 1.0)
-    else:
-        q = time_lebesgue_q
-        space_p = 2.0 * q * p1 / ((q - 2.0) * p1 + 4.0)
+    space_p = 3.0 * p1 / (p1 + 1.0)
 
     times = trajectory.times
     states = trajectory.states
@@ -699,7 +698,7 @@ def _density_verdict(trajectory: Trajectory, window_end: float | None = None
     states = _window_states(trajectory, window_end)
     bad = [s.t for s in states if not (s.is_finite() and s.min_density > 0)]
     first_bad = bad[0] if bad else None
-    abnormal = trajectory.stop_reason not in ("completed", "max_steps")
+    abnormal = trajectory.stop_reason not in NORMAL_STOPS
     in_window = window_end is None or trajectory.stop_time <= window_end * (1 + 1e-12)
     if abnormal and in_window:
         return False, trajectory.stop_time if first_bad is None else first_bad
@@ -935,23 +934,20 @@ def v1_energy_ledger(trajectory: Trajectory, params: FluidParams
 # ---------------------------------------------------------------------------
 
 def coifman_constant_study(grid: TorusGrid, ensemble_size: int,
-                           r1: float = 2.0, r2: float = 2.0, seed: int = 0):
+                           r1: float = 2.0, r2: float = 2.0, seed: int = 0
+                           ) -> EnsembleReport:
     """sup ||[u_j, R_i R_j](rho u)||_{W^{1,r3}} / (||u||_{W^{1,r1}}
     ||rho u||_{L^{r2}}) over random states."""
-    ratios = []
-    for i in range(ensemble_size):
-        rng = np.random.default_rng(seed + i)
+    def sample(rng):
         r = random_field(grid, rng).samples
         rho = pointwise(grid, 1.0 + 0.4 * r / max(1e-9, np.max(np.abs(r))),
                         dealiased=False)
         u = random_vector_field(grid, rng)
-        state = FluidState(rho, u, 0.0)
-        comm, norm = coifman_commutator(state, r1, r2)
-        den = sobolev_norm(u, 1, r1) * lebesgue_norm(
-            scale_vector(rho, u), r2)
-        ratios.append(norm / den if den > 0 else 0.0)
-    return EnsembleReport("coifman_commutator_continuity", ensemble_size,
-                          max(ratios), ratios)
+        _, norm = coifman_commutator(FluidState(rho, u, 0.0), r1, r2)
+        return norm, sobolev_norm(u, 1, r1) * lebesgue_norm(scale_vector(rho, u), r2)
+
+    return _ratio_report("coifman_commutator_continuity",
+                         _ensemble(ensemble_size, sample, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ flow map, and the w1/w2 splitting of the momentum operator.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -52,9 +51,9 @@ class VacuumError(SolverStop):
         self.min_rho = min_rho
 
 
-class CflError(SolverStop):
-    def __init__(self, time: float, dt: float, limit: float):
-        super().__init__("cfl", f"dt={dt:g} exceeds CFL limit {limit:g} at t={time:g}", time)
+#: stop reasons of a run that ended without a fault; every other reason
+#: (vacuum, cfl, nonfinite, monitor:<name>) is abnormal
+NORMAL_STOPS = frozenset({"completed", "max_steps"})
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,6 @@ class SolverConfig:
     snapshot_every: int = 1
     vacuum_floor: float = 0.0
     max_steps: int = 10_000_000
-    dealias_fraction: float = 2.0 / 3.0
 
     def validate(self) -> None:
         if self.t_end <= 0:
@@ -327,11 +325,11 @@ class _Stepper:
     batched forward transform, except that a step's first stage takes the
     samples of y from the caller when it already has them."""
 
-    def __init__(self, grid: TorusGrid, params: FluidParams, config: SolverConfig):
+    def __init__(self, grid: TorusGrid, params: FluidParams, vacuum_floor: float):
         self.grid = grid
         self.params = params
-        self.config = config
-        self.keep = grid.dealias_mask(config.dealias_fraction)
+        self.vacuum_floor = vacuum_floor
+        self.keep = grid.dealias_mask()
         self.dk = np.stack([np.where(grid.nyquist_mask, 0.0, 1j * k)
                             for k in grid.frequency_mesh])
         mu, lam = params.mu, params.lam
@@ -372,7 +370,7 @@ class _Stepper:
         s = to_samples(grid, y) if samples is None else samples
         rho_s, m_s = s[0], s[1:]
         min_rho = float(np.min(rho_s))
-        if min_rho <= self.config.vacuum_floor:
+        if min_rho <= self.vacuum_floor:
             raise VacuumError(t, min_rho)
         u_s = m_s / rho_s
         g_s = self.forcing_samples(t)
@@ -452,39 +450,16 @@ def _state_from_conservative(grid: TorusGrid, y: np.ndarray, s: np.ndarray,
     return FluidState(rho, VectorField.from_samples(grid, s[1:] / s[0]), t)
 
 
-def rhs_eval(state: FluidState, params: FluidParams,
-             config: SolverConfig | None = None) -> tuple[ScalarField, VectorField]:
+def rhs_eval(state: FluidState, params: FluidParams) -> tuple[ScalarField, VectorField]:
     """Instantaneous (d_t rho, d_t m) for a state, nonlinear terms dealiased."""
     if state.min_density <= 0:
         raise VacuumError(state.t, state.min_density)
-    config = config or SolverConfig(t_end=1.0, dt=1.0)
-    stepper = _Stepper(state.grid, params, config)
+    stepper = _Stepper(state.grid, params, vacuum_floor=0.0)
     dy, _ = stepper.rhs(state.t, _conservative(state, stepper.keep))
     return ScalarField(state.grid, dy[0]), VectorField(state.grid, dy[1:])
 
 
-def step(state: FluidState, params: FluidParams, config: SolverConfig) -> FluidState:
-    """Advance one RK4 step of size config.dt (must satisfy the CFL bound)."""
-    config.validate()
-    params.validate(state.grid.dim)
-    if config.dt is None:
-        raise ValueError("step() needs an explicit dt")
-    limit = (config.cfl if config.cfl is not None else 1.0) * cfl_limit(state, params)
-    if config.dt > limit * (1.0 + 1e-12):
-        raise CflError(state.t, config.dt, limit)
-    stepper = _Stepper(state.grid, params, config)
-    y, _ = stepper.step(state.t, _conservative(state, stepper.keep), config.dt)
-    new = _state_from_conservative(state.grid, y, to_samples(state.grid, y),
-                                   state.t + config.dt)
-    if new.min_density <= config.vacuum_floor:
-        raise VacuumError(new.t, new.min_density)
-    if not new.is_finite():
-        raise SolverStop("nonfinite", f"non-finite state at t={new.t:g}", new.t)
-    return new
-
-
 def run(initial: FluidState, params: FluidParams, config: SolverConfig,
-        hooks: Sequence[Callable[[FluidState], None]] = (),
         monitors: Sequence[Callable[[FluidState], str | None]] = ()) -> Trajectory:
     """Integrate to t_end or to a stopping event (vacuum, CFL collapse,
     non-finite values, monitor trigger); the reason is recorded, not raised."""
@@ -493,7 +468,7 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
     if initial.min_density <= config.vacuum_floor:
         raise ValueError("initial state already violates the vacuum floor")
     grid = initial.grid
-    stepper = _Stepper(grid, params, config)
+    stepper = _Stepper(grid, params, config.vacuum_floor)
     y = _conservative(initial, stepper.keep)
     # the samples of each new y serve its state and the next step's first stage
     y_s = to_samples(grid, y)
@@ -504,14 +479,6 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
     stop_reason, t = "completed", initial.t
     t_final = initial.t + config.t_end
     steps = 0
-
-    def snapshot(state):
-        states.append(state)
-        for k in totals:
-            quads[k].append(totals[k])
-        for hook in hooks:
-            hook(state)
-
     while t < t_final - 1e-13:
         limit = cfl_limit(state, params)
         if config.dt is not None:
@@ -549,7 +516,9 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
             if triggered:
                 break
         if steps % config.snapshot_every == 0 or t >= t_final - 1e-13 or triggered:
-            snapshot(state)
+            states.append(state)
+            for k in totals:
+                quads[k].append(totals[k])
         if triggered:
             stop_reason = f"monitor:{triggered}"
             break
@@ -687,7 +656,7 @@ def linear_split(trajectory: Trajectory, params: FluidParams) -> SplitResult:
                                                     for s in trajectory.states))
     grid = trajectory.initial.grid
     dim = grid.dim
-    stepper = _Stepper(grid, params, trajectory.config)
+    stepper = _Stepper(grid, params, trajectory.config.vacuum_floor)
     y = _conservative(trajectory.initial, stepper.keep)
     w1 = y[1:].copy()                      # rho0 w1(0) = rho0 u0 = m0
     w2 = np.zeros_like(w1)

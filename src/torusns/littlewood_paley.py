@@ -482,40 +482,52 @@ class EnsembleReport:
     sup_ratio: float
     ratios: list[float] = dc_field(default_factory=list)
 
-    def stable_against(self, other: "EnsembleReport", tol: float = 0.5) -> bool:
+    def stable_against(self, other: "EnsembleReport") -> bool:
+        """The two sup ratios differ by less than 50 % of the larger one."""
         if self.sup_ratio == 0.0 and other.sup_ratio == 0.0:
             return True
         base = max(self.sup_ratio, other.sup_ratio)
-        return abs(self.sup_ratio - other.sup_ratio) / base < tol
+        return abs(self.sup_ratio - other.sup_ratio) / base < 0.5
 
 
-def _ensemble(name: str, n: int, sample: Callable[[np.random.Generator], float],
-              seed: int) -> EnsembleReport:
-    ratios = []
-    for i in range(n):
-        ratios.append(float(sample(np.random.default_rng(seed + i))))
-    return EnsembleReport(name, n, max(ratios), ratios)
+def _ensemble(n: int, sample: Callable[[np.random.Generator], tuple[float, float]],
+              seed: int) -> list[tuple[float, float]]:
+    """The (numerator, denominator) pairs of n members; member i draws from
+    default_rng(seed + i)."""
+    return [sample(np.random.default_rng(seed + i)) for i in range(n)]
 
 
-def _validate_product_law(law: str, n_dim: int, spec1: BesovSpec, spec2: BesovSpec,
-                          p_out: float | None) -> float:
-    """Check the exponent constraints; return the output regularity index."""
+def _ratio_report(name: str, pairs: Sequence[tuple[float, float]]) -> EnsembleReport:
+    """The members' ratios num/den (0 where den is not positive) and their sup."""
+    ratios = [float(num / den) if den > 0 else 0.0 for num, den in pairs]
+    return EnsembleReport(name, len(ratios), max(ratios), ratios)
+
+
+def _lambda_pair(p1: float, p2: float) -> tuple[float, float]:
+    """(lambda1, lambda2) of a two-factor law: the one on the side of the
+    smaller exponent has 1/lambda = |1/p1 - 1/p2|, the other is inf."""
+    if p1 < p2:
+        return math.inf, 1.0 / (1.0 / p1 - 1.0 / p2)
+    if p2 < p1:
+        return 1.0 / (1.0 / p2 - 1.0 / p1), math.inf
+    return math.inf, math.inf
+
+
+def _validate_product_law(law: str, n_dim: int, spec1: BesovSpec,
+                          spec2: BesovSpec) -> BesovSpec:
+    """Check the exponent constraints; return the spec in which the product
+    is measured (the two-factor laws land in L^p with p = max(p1, p2))."""
+    s1, p1 = spec1.s, spec1.p
+    s2, p2 = spec2.s, spec2.p
+    p = max(p1, p2)
     if law == "linf_sym":
         if spec1 != spec2:
             raise ValueError("the symmetric law uses one spec for both factors")
-        return spec1.s
+        return spec1
     if law == "bilinear":
-        s1, p1 = spec1.s, spec1.p
-        s2, p2 = spec2.s, spec2.p
-        p = p_out if p_out is not None else max(p1, p2)
         if 1.0 / p > 1.0 / p1 + 1.0 / p2 + 1e-12:
             raise ValueError("need 1/p <= 1/p1 + 1/p2")
-        lam1 = lam2 = math.inf
-        if p1 <= p2:
-            with np.errstate(divide="ignore"):
-                lam2 = math.inf if p1 == p2 else 1.0 / (1.0 / p1 - 1.0 / p2)
-        else:
-            lam1 = 1.0 / (1.0 / p2 - 1.0 / p1)
+        lam1, lam2 = _lambda_pair(p1, p2)
         low = s1 + s2 + n_dim * min(0.0, 1.0 - 1.0 / p1 - 1.0 / p2)
         if low <= 0:
             raise ValueError(
@@ -524,46 +536,38 @@ def _validate_product_law(law: str, n_dim: int, spec1: BesovSpec, spec2: BesovSp
             raise ValueError("need s1 + N/lambda2 < N/p1")
         if s2 + n_dim / lam1 >= n_dim / p2:
             raise ValueError("need s2 + N/lambda1 < N/p2")
-        return s1 + s2 - n_dim * (1.0 / p1 + 1.0 / p2 - 1.0 / p)
+        return BesovSpec(s1 + s2 - n_dim * (1.0 / p1 + 1.0 / p2 - 1.0 / p), p, spec1.r)
     if law == "critical":
-        s1, p1 = spec1.s, spec1.p
-        s2, p2 = spec2.s, spec2.p
         if abs(s1 + s2) > 1e-12:
             raise ValueError(f"critical law needs s1 + s2 = 0, got {s1 + s2:g}")
         if 1.0 / p1 + 1.0 / p2 > 1.0 + 1e-12:
             raise ValueError("need 1/p1 + 1/p2 <= 1")
-        lam1 = lam2 = math.inf
-        if p1 < p2:
-            lam2 = 1.0 / (1.0 / p1 - 1.0 / p2)
-        elif p2 < p1:
-            lam1 = 1.0 / (1.0 / p2 - 1.0 / p1)
+        lam1, lam2 = _lambda_pair(p1, p2)
         lo = n_dim / lam1 - n_dim / p2
         hi = n_dim / p1 - n_dim / lam2
         if not (lo < s1 <= hi):
             raise ValueError(
                 f"critical window needs s1 in ({lo:g}, {hi:g}], got {s1}")
-        p = p_out if p_out is not None else max(p1, p2)
-        return -n_dim * (1.0 / p1 + 1.0 / p2 - 1.0 / p)
+        return BesovSpec(-n_dim * (1.0 / p1 + 1.0 / p2 - 1.0 / p), p, math.inf)
     if law == "uniform":
-        s, p = spec1.s, spec1.p
-        if p >= 2:
-            if not abs(s) < n_dim / p:
-                raise ValueError(f"need |s| < N/p, got s={s}, N/p={n_dim / p:g}")
+        if p1 >= 2:
+            if not abs(s1) < n_dim / p1:
+                raise ValueError(f"need |s| < N/p, got s={s1}, N/p={n_dim / p1:g}")
         else:
-            pp = p / (p - 1.0) if p > 1 else math.inf
-            if not (-n_dim / pp < s < n_dim / p):
+            pp = p1 / (p1 - 1.0) if p1 > 1 else math.inf
+            if not (-n_dim / pp < s1 < n_dim / p1):
                 raise ValueError("need -N/p' < s < N/p")
-        return s
+        return spec1
     raise ValueError(f"unknown product law {law!r}")
 
 
 def product_law_estimator(partition: DyadicPartition, ensemble_size: int,
                           spec1: BesovSpec, spec2: BesovSpec, *, law: str = "linf_sym",
-                          p_out: float | None = None, seed: int = 0) -> EnsembleReport:
+                          seed: int = 0) -> EnsembleReport:
     """Empirical constant for one of the Besov product laws.
 
     law = "linf_sym":  ||uv||_B <= C(||u||_inf ||v||_B + ||v||_inf ||u||_B)
-    law = "bilinear":  ||uv||_{B^{s1+s2-N(1/p1+1/p2-1/p)}_{p,r}}
+    law = "bilinear":  ||uv||_{B^{s1+s2-N(1/p1+1/p2-1/p)}_{p,r}}, p = max(p1, p2)
                        <= C ||u||_{B^{s1}_{p1,r}} ||v||_{B^{s2}_{p2,inf}}
     law = "critical":  the borderline s1 + s2 = 0 variant, landing in
                        B^{-N(1/p1+1/p2-1/p)}_{p,inf} from ||u||_{B^{s1}_{p1,1}}
@@ -572,35 +576,29 @@ def product_law_estimator(partition: DyadicPartition, ensemble_size: int,
     Exponent constraints are validated up front and violations raise.
     """
     grid = partition.grid
-    s_out = _validate_product_law(law, grid.dim, spec1, spec2, p_out)
+    out_spec = _validate_product_law(law, grid.dim, spec1, spec2)
 
-    def sample(rng: np.random.Generator) -> float:
+    def sample(rng: np.random.Generator) -> tuple[float, float]:
         u = random_field(grid, rng)
         v = random_field(grid, rng)
-        uv = multiply(u, v)
+        num = besov_norm(partition, multiply(u, v), out_spec)
         if law == "linf_sym":
-            num = besov_norm(partition, uv, spec1)
             den = (lebesgue_norm(u, math.inf) * besov_norm(partition, v, spec1)
                    + lebesgue_norm(v, math.inf) * besov_norm(partition, u, spec1))
         elif law == "bilinear":
-            p = p_out if p_out is not None else max(spec1.p, spec2.p)
-            num = besov_norm(partition, uv, BesovSpec(s_out, p, spec1.r))
             den = (besov_norm(partition, u, spec1)
                    * besov_norm(partition, v, BesovSpec(spec2.s, spec2.p, math.inf)))
         elif law == "critical":
-            p = p_out if p_out is not None else max(spec1.p, spec2.p)
-            num = besov_norm(partition, uv, BesovSpec(s_out, p, math.inf))
             den = (besov_norm(partition, u, BesovSpec(spec1.s, spec1.p, 1))
                    * besov_norm(partition, v, BesovSpec(spec2.s, spec2.p, math.inf)))
         else:
-            num = besov_norm(partition, uv, spec1)
             vnorm = max(besov_norm(partition, v,
                                    BesovSpec(grid.dim / spec1.p, spec1.p, math.inf)),
                         lebesgue_norm(v, math.inf))
             den = besov_norm(partition, u, spec1) * vnorm
-        return num / den if den > 0 else 0.0
+        return num, den
 
-    return _ensemble(f"product_law[{law}]", ensemble_size, sample, seed)
+    return _ratio_report(f"product_law[{law}]", _ensemble(ensemble_size, sample, seed))
 
 
 def embedding_estimator(partition: DyadicPartition, ensemble_size: int, s: float,
@@ -613,11 +611,10 @@ def embedding_estimator(partition: DyadicPartition, ensemble_size: int, s: float
 
     def sample(rng):
         u = random_field(grid, rng)
-        num = besov_norm(partition, u, BesovSpec(s_target, p2, r))
-        den = besov_norm(partition, u, BesovSpec(s, p1, r))
-        return num / den if den > 0 else 0.0
+        return (besov_norm(partition, u, BesovSpec(s_target, p2, r)),
+                besov_norm(partition, u, BesovSpec(s, p1, r)))
 
-    return _ensemble("embedding[Prop2.2]", ensemble_size, sample, seed)
+    return _ratio_report("embedding[Prop2.2]", _ensemble(ensemble_size, sample, seed))
 
 
 def linf_embedding_estimator(partition: DyadicPartition, ensemble_size: int,
@@ -628,10 +625,10 @@ def linf_embedding_estimator(partition: DyadicPartition, ensemble_size: int,
 
     def sample(rng):
         u = random_field(grid, rng)
-        den = besov_norm(partition, u, spec)
-        return lebesgue_norm(u, math.inf) / den if den > 0 else 0.0
+        return lebesgue_norm(u, math.inf), besov_norm(partition, u, spec)
 
-    return _ensemble("embedding[B^1_{N+eps,inf}->Linf]", ensemble_size, sample, seed)
+    return _ratio_report("embedding[B^1_{N+eps,inf}->Linf]",
+                         _ensemble(ensemble_size, sample, seed))
 
 
 def lemma1_scaling_study(grid: TorusGrid, *, k_range: Sequence[int] = range(7),
@@ -683,27 +680,20 @@ def derivative_norm_equivalence(partition: DyadicPartition, ensemble_size: int,
                                 ) -> tuple[EnsembleReport, EnsembleReport]:
     """Two-sided empirical constants for ||grad u||_{B^{s-1}} vs ||u||_{B^s}
     on zero-mean fields (the equivalence fails on constants, which the blocks
-    see only through the mean)."""
+    see only through the mean).  Both directions divide the same two norms of
+    each member."""
     grid = partition.grid
     low_spec = BesovSpec(s - 1.0, p, r)
     spec = BesovSpec(s, p, r)
 
-    def fwd(rng):
+    def sample(rng):
         u = random_field(grid, rng)
-        den = besov_norm(partition, u, spec)
-        num = max(besov_norm(partition, partial(u, a), low_spec)
-                  for a in range(grid.dim))
-        return num / den if den > 0 else 0.0
+        return (max(besov_norm(partition, partial(u, a), low_spec) for a in range(grid.dim)),
+                besov_norm(partition, u, spec))
 
-    def bwd(rng):
-        u = random_field(grid, rng)
-        num = besov_norm(partition, u, spec)
-        den = max(besov_norm(partition, partial(u, a), low_spec)
-                  for a in range(grid.dim))
-        return num / den if den > 0 else 0.0
-
-    return (_ensemble("grad_vs_besov_forward", ensemble_size, fwd, seed),
-            _ensemble("grad_vs_besov_backward", ensemble_size, bwd, seed))
+    pairs = _ensemble(ensemble_size, sample, seed)
+    return (_ratio_report("grad_vs_besov_forward", pairs),
+            _ratio_report("grad_vs_besov_backward", [(b, g) for g, b in pairs]))
 
 
 def lemma2_constant_study(partition: DyadicPartition, ensemble_size: int, *,
@@ -723,7 +713,7 @@ def lemma2_constant_study(partition: DyadicPartition, ensemble_size: int, *,
         num = _lr_combine(np.array(weighted), r)
         u_norm = max(besov_norm(partition, u, BesovSpec(grid.dim / p1, p1, math.inf)),
                      lebesgue_norm(u, math.inf))
-        den = besov_norm(partition, a, BesovSpec(sigma, p, r)) * u_norm
-        return num / den if den > 0 else 0.0
+        return num, besov_norm(partition, a, BesovSpec(sigma, p, r)) * u_norm
 
-    return _ensemble("lemma2[transport-commutator]", ensemble_size, sample, seed)
+    return _ratio_report("lemma2[transport-commutator]",
+                         _ensemble(ensemble_size, sample, seed))

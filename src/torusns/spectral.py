@@ -32,7 +32,7 @@ import scipy.fft
 
 TAU = 2.0 * math.pi
 
-#: fraction of the spectrum kept by the default (2/3 rule) dealiasing
+#: fraction of the spectrum kept by dealiasing (the 2/3 rule)
 DEALIAS_FRACTION = 2.0 / 3.0
 
 
@@ -106,9 +106,9 @@ class TorusGrid:
         x = np.arange(self.n) * self.spacing
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
-    def dealias_mask(self, fraction: float = DEALIAS_FRACTION) -> np.ndarray:
-        """Read-only mask of the modes kept by dealiasing at this fraction."""
-        return _dealias_mask(self, fraction)
+    def dealias_mask(self) -> np.ndarray:
+        """Read-only mask of the modes kept by 2/3-rule dealiasing."""
+        return _dealias_mask(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusGrid) and (self.dim, self.n) == (other.dim, other.n)
@@ -120,9 +120,9 @@ class TorusGrid:
         return f"TorusGrid(dim={self.dim}, points_per_axis={self.n})"
 
 
-@functools.lru_cache(maxsize=32)  # a few grids, one or two fractions each
-def _dealias_mask(grid: TorusGrid, fraction: float) -> np.ndarray:
-    cutoff = math.floor(grid.n * fraction / 2.0)
+@functools.lru_cache(maxsize=32)  # one entry per grid in use
+def _dealias_mask(grid: TorusGrid) -> np.ndarray:
+    cutoff = math.floor(grid.n * DEALIAS_FRACTION / 2.0)
     keep = np.ones(grid.spectral_shape, dtype=bool)
     for k in grid.frequency_mesh:
         keep &= np.abs(k) <= cutoff
@@ -209,11 +209,11 @@ class Field:
         """Pointwise Euclidean norm over the component axes."""
         return _magnitude(self.samples, self.rank)
 
-    def max_frequency(self, tol: float = 1e-13) -> int:
-        """Largest per-axis |k| carrying a coefficient above tol * max|c|
+    def max_frequency(self) -> int:
+        """Largest per-axis |k| carrying a coefficient above 1e-13 * max|c|
         (the maximum taken per component)."""
         c = np.abs(self.coeffs)
-        thresh = tol * np.maximum(c.max(axis=self.grid.axes, keepdims=True), 1e-300)
+        thresh = 1e-13 * np.maximum(c.max(axis=self.grid.axes, keepdims=True), 1e-300)
         active = np.any(c > thresh, axis=tuple(range(self.rank)))
         if not active.any():
             return 0
@@ -408,12 +408,6 @@ def velocity_gradient(field: Field) -> np.ndarray:
     return np.stack([partial(field, i).samples for i in range(field.grid.dim)])
 
 
-def strain(field: VectorField) -> np.ndarray:
-    """Strain tensor D(u) = (grad u + grad u^T)/2 as samples."""
-    g = velocity_gradient(field)
-    return 0.5 * (g + np.swapaxes(g, 0, 1))
-
-
 def inv_laplacian_zero_mean(field: Field) -> Field:
     """Solve laplacian(g) = f - mean(f) with mean(g) = 0."""
     grid = field.grid
@@ -450,8 +444,8 @@ def leray_project(field: VectorField) -> tuple[VectorField, VectorField]:
 # products, dealiasing, pointwise maps
 # ---------------------------------------------------------------------------
 
-def dealias(field: Field, fraction: float = DEALIAS_FRACTION) -> Field:
-    return field.with_coeffs(np.where(field.grid.dealias_mask(fraction), field.coeffs, 0.0))
+def dealias(field: Field) -> Field:
+    return field.with_coeffs(np.where(field.grid.dealias_mask(), field.coeffs, 0.0))
 
 
 def multiply(a: ScalarField, b: ScalarField, *, dealiased: bool = True) -> ScalarField:
@@ -526,11 +520,6 @@ def sobolev_norm(field: Field, k: int = 1, p: float = 2) -> float:
     return float(np.sum(np.asarray(norms) ** p) ** (1.0 / p))
 
 
-def l2_inner(a: Field, b: Field) -> float:
-    grid = _check_same_grid(a, b)
-    return float(np.sum(a.samples * b.samples) * grid.cell_volume)
-
-
 def parseval_sum(grid: TorusGrid, coeffs: np.ndarray) -> float:
     """sum |c_k|^2 over the full lattice for (a stack of) half-spectrum
     coefficient arrays; times the torus volume it is the squared L^2 norm."""
@@ -543,13 +532,8 @@ def coefficient_l2_norm(field: Field) -> float:
 
 
 # ---------------------------------------------------------------------------
-# transforms, evaluation, random fields
+# evaluation, random fields
 # ---------------------------------------------------------------------------
-
-def transform_roundtrip(field: ScalarField) -> ScalarField:
-    """physical -> spectral -> physical; the identity up to round-off."""
-    return ScalarField.from_samples(field.grid, field.samples)
-
 
 def fourier_eval(field: Field, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant at off-grid points by direct
@@ -576,8 +560,9 @@ def fourier_eval(field: Field, points: np.ndarray) -> np.ndarray:
 
 def random_field(grid: TorusGrid, rng: np.random.Generator, *,
                  max_wavenumber: int | None = None, slope: float = 1.5,
-                 rms: float = 1.0, flat_dyadic: bool = False) -> ScalarField:
-    """Random real zero-mean field with power-law coefficient decay.
+                 flat_dyadic: bool = False) -> ScalarField:
+    """Random real zero-mean field with power-law coefficient decay and unit
+    root-mean-square value.
 
     slope is the decay exponent of |c_k| ~ (1+|k|)^-slope.  With
     flat_dyadic=True the spectrum is rescaled so every dyadic octave
@@ -605,7 +590,7 @@ def random_field(grid: TorusGrid, rng: np.random.Generator, *,
     f = ScalarField(grid, half, copy=False)
     norm = lebesgue_norm(f, 2)
     if norm > 0:
-        f = f * (rms * math.sqrt(grid.volume) / norm)
+        f = f * (math.sqrt(grid.volume) / norm)
     return f
 
 

@@ -234,6 +234,17 @@ class TestVerify:
         result = app.verify(outdir, "monitors")
         assert "snapshot 1: non-finite samples" in result.failures
 
+    def test_monitor_stop_is_not_flagged(self):
+        """A run stopped by a user monitor is one abnormal stop for both the
+        density verdict and the monitor suite, so the suite finds nothing."""
+        problem = app.build_problem(app.parse_config(
+            "grid.points_per_axis = 16\ninit.preset = stream_vortex\n"
+            "init.amplitude = 0.5\ntime.dt = 0.01\ntime.t_end = 0.1\n"))
+        traj = dyn.run(problem.initial, problem.params, problem.solver,
+                       monitors=[lambda s: "hit" if s.t > 0.045 else None])
+        assert traj.stop_reason == "monitor:hit"
+        assert app._monitor_suite(problem, traj) == []
+
     def test_two_snapshot_run_skips_time_differenced_ledgers(self, tmp_path):
         cfg_path = os.path.join(tmp_path, "two.cfg")
         open(cfg_path, "w").write(
@@ -346,6 +357,30 @@ class TestCli:
             "time.cfl = 0.4\ntime.t_end = 5.0\ntime.vacuum_floor = 0.005\n"
             f"output.dir = {tmp_path}/out\n")
         assert app.main(["simulate", "--config", cfg_path]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--field", "FIELD", "--besov", "1,2"],
+        ["analyze", "--field", "FIELD", "--besov", "nan,2,2"],
+        ["verify", "--dir", "DIR", "--suite", "bogus"],
+        ["simulate"],
+    ], ids=["besov-pair", "besov-nan", "unknown-suite", "missing-config"])
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv):
+        """A malformed command line is a validation error (1); exit code 2
+        stays reserved for a failed verification."""
+        field = os.path.join(tmp_path, "f.nsb")
+        grid = sp.TorusGrid(2, 16)
+        dyn.write_checkpoint(field, dyn.equilibrium_state(grid))
+        argv = [{"FIELD": field, "DIR": str(tmp_path)}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            app.main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            app.main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert "--besov" in capsys.readouterr().out
 
     def test_verification_failure_exit_code(self, tmp_path):
         cfg_path = os.path.join(tmp_path, "run.cfg")

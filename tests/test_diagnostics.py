@@ -159,6 +159,20 @@ class TestCoifman:
         rep2 = diag.coifman_constant_study(grid, 20, seed=0)
         assert rep1.sup_ratio > 0 and rep1.stable_against(rep2)
 
+    def test_study_matches_hand_loop(self, grid):
+        rep = diag.coifman_constant_study(grid, 3, r1=4.0, r2=4.0, seed=2)
+        ref = []
+        for i in range(3):
+            rng = np.random.default_rng(2 + i)
+            r = sp.random_field(grid, rng).samples
+            rho = sp.pointwise(grid, 1.0 + 0.4 * r / max(1e-9, np.max(np.abs(r))),
+                               dealiased=False)
+            u = sp.random_vector_field(grid, rng)
+            _, norm = diag.coifman_commutator(dyn.FluidState(rho, u, 0.0), 4.0, 4.0)
+            den = sp.sobolev_norm(u, 1, 4.0) * sp.lebesgue_norm(sp.scale_vector(rho, u), 4.0)
+            ref.append(norm / den if den > 0 else 0.0)
+        assert rep.size == 3 and rep.ratios == ref and rep.sup_ratio == max(ref)
+
     def test_study_density_amplitude_is_exact(self, grid, monkeypatch):
         """The density perturbation is normalised by its own sup, so every
         member has max |rho - 1| = 0.4."""

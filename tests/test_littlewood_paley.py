@@ -379,6 +379,37 @@ class TestProductLaws:
         assert fwd.sup_ratio > 0 and fwd.stable_against(fwd2)
         assert bwd.sup_ratio > 0 and bwd.stable_against(bwd2)
 
+    def test_derivative_equivalence_draws_each_member_once(self, part, monkeypatch):
+        drawn = []
+        original = lp.random_field
+
+        def counting(*args, **kw):
+            drawn.append(1)
+            return original(*args, **kw)
+        monkeypatch.setattr(lp, "random_field", counting)
+        lp.derivative_norm_equivalence(part, 5, 1.0, 2, 2, seed=3)
+        assert len(drawn) == 5
+
+    @pytest.mark.parametrize("s,p,r", [(1.0, 2, 2), (0.5, INF, INF)])
+    def test_derivative_equivalence_matches_two_draw_reference(self, part, grid, s, p, r):
+        """Both directions equal, bit for bit, an ensemble that draws every
+        member once per direction from the same generator seed."""
+        fwd, bwd = lp.derivative_norm_equivalence(part, 4, s, p, r, seed=3)
+        spec, low = lp.BesovSpec(s, p, r), lp.BesovSpec(s - 1.0, p, r)
+
+        def norms(i):
+            u = sp.random_field(grid, np.random.default_rng(3 + i))
+            return (lp.besov_norm(part, u, spec),
+                    max(lp.besov_norm(part, sp.partial(u, a), low) for a in range(grid.dim)))
+        ref_fwd, ref_bwd = [], []
+        for i in range(4):
+            b, g = norms(i)
+            ref_fwd.append(g / b if b > 0 else 0.0)
+            b, g = norms(i)
+            ref_bwd.append(b / g if g > 0 else 0.0)
+        assert fwd.ratios == ref_fwd and fwd.sup_ratio == max(ref_fwd)
+        assert bwd.ratios == ref_bwd and bwd.sup_ratio == max(ref_bwd)
+
     def test_composition_report(self, part, grid, rng):
         f = sp.random_field(grid, rng)
         out = lp.composition_report(part, np.sin, f, lp.BesovSpec(0.5, 2, 2))
