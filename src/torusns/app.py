@@ -189,6 +189,21 @@ class Problem:
     manufactured: dyn.ManufacturedSolution | None = None
 
 
+def _constant_forcing(amplitude: float) -> dyn.ForcingFn:
+    """g = amplitude e_1 at every t; the field is built once per grid (fields
+    are immutable, so every call may share it)."""
+    fields: dict[sp.TorusGrid, sp.VectorField] = {}
+
+    def forcing(t, grid):
+        if grid not in fields:
+            s = np.zeros((grid.dim,) + grid.shape)
+            s[0] = amplitude
+            fields[grid] = sp.VectorField.from_samples(grid, s)
+        return fields[grid]
+
+    return forcing
+
+
 def build_problem(config: ExperimentConfig) -> Problem:
     v = config.values
     grid = sp.TorusGrid(v["grid.dim"], v["grid.points_per_axis"])
@@ -217,12 +232,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
             initial = dyn.stream_vortex_state(grid, v["init.density"],
                                               v["init.amplitude"])
         if v["forcing.preset"] == "constant":
-            amp = v["forcing.amplitude"]
-
-            def forcing(t, grid, _amp=amp):
-                s = np.zeros((grid.dim,) + grid.shape)
-                s[0] = _amp
-                return sp.VectorField.from_samples(grid, s)
+            forcing = _constant_forcing(v["forcing.amplitude"])
 
     params = dyn.FluidParams(v["fluid.mu"], v["fluid.lambda"], law, forcing)
     solver = dyn.SolverConfig(

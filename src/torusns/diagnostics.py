@@ -881,16 +881,18 @@ def besov_regularity_monitor(trajectory: Trajectory, partition: DyadicPartition,
 # effective-velocity energy ledger
 # ---------------------------------------------------------------------------
 
-def dtv_formula(state: FluidState, params: FluidParams) -> VectorField:
+def dtv_formula(state: FluidState, params: FluidParams,
+                pressure: ScalarField | None = None) -> VectorField:
     """Time derivative of the pressure potential field v from the mass
     equation alone:
 
         d_t v = Lambda^{-1}( -div(P u) + (P - rho P') div u
                              - mean(P div u) + mean(rho P' div u) )
 
-    with Lambda^{-1} the Bogovskii inverse grad inv_lap (. - mean)."""
+    with Lambda^{-1} the Bogovskii inverse grad inv_lap (. - mean);
+    `pressure` as in `effective_pressure`."""
     grid = state.grid
-    p = pressure_field(state, params)
+    p = pressure_field(state, params) if pressure is None else pressure
     dp = pointwise(grid, params.pressure.derivative(state.rho.samples))
     div_u = divergence(state.u)
     pu = scale_vector(p, state.u)
@@ -912,14 +914,16 @@ def v1_energy_ledger(trajectory: Trajectory, params: FluidParams
         raise VacuumError(trajectory.stop_time,
                           min(s.min_density for s in states))
     times = trajectory.times
-    v1s, vs = zip(*[effective_velocity(s, params) for s in states])
+    pressures = [pressure_field(s, params) for s in states]
+    v1s, vs = zip(*[effective_velocity(s, params, p) for s, p in zip(states, pressures)])
     fw = f_weight(times)
     k1_rate = fw * [_rho_weighted_sq(s.rho, d) for s, d in
                     zip(states, _time_derivative(times, v1s))]
     k2 = 0.5 * fw * [_viscous_form(params, v1) for v1 in v1s]
     dtv_resid = np.full(len(states), math.nan)
     for n, dt_v in enumerate(_time_derivative(times, vs)[1:-1], start=1):
-        dtv_resid[n] = lebesgue_norm(dtv_formula(states[n], params) - dt_v, math.inf)
+        dtv_resid[n] = lebesgue_norm(dtv_formula(states[n], params, pressures[n]) - dt_v,
+                                     math.inf)
     k1 = cumulative_trapezoid(k1_rate, times, initial=0)
     return LedgerReport(
         "effective_velocity_energy",

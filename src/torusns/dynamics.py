@@ -321,9 +321,12 @@ def _rk4(rhs, t: float, ys: tuple, dt: float):
 
 class _Stepper:
     """Conservative-variable RK4 kernel on the stacked coefficient array
-    y = (rho, m_1, ..., m_dim); each stage does one batched inverse and one
-    batched forward transform, except that a step's first stage takes the
-    samples of y from the caller when it already has them."""
+    y = (rho, m_1, ..., m_dim).  Each stage does one batched inverse
+    transform of the 1 + dim fields of y, except that a step's first stage
+    takes the samples of y from the caller when it already has them, and one
+    batched forward transform of dim + dim(dim+1)/2 fields, plus dim when
+    forced: u, the momentum flux m_i u_j + P(rho) delta_ij for i <= j (the
+    pressure sits on the flux diagonal) and rho g."""
 
     def __init__(self, grid: TorusGrid, params: FluidParams, vacuum_floor: float):
         self.grid = grid
@@ -335,11 +338,16 @@ class _Stepper:
         mu, lam = params.mu, params.lam
         self.mu_lap = mu * np.where(grid.nyquist_mask, 0.0, -grid.k_squared)
         self.mu_lam_dk = (mu + lam) * self.dk
+        # sum_ij |dk_i u_j|^2 = |k|^2 sum_j |u_j|^2 off the Nyquist planes,
+        # the Parseval weight folded in
+        self.grad_weight = grid.mode_weight * np.where(grid.nyquist_mask, 0.0,
+                                                       grid.k_squared)
         # m_i u_j is symmetric in (i, j): only the dim(dim+1)/2 pairs i <= j are formed
         dim = grid.dim
         self.pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
         self.pair_index = np.array([[self.pairs.index((min(i, j), max(i, j)))
                                      for j in range(dim)] for i in range(dim)])
+        self.diagonal = [self.pairs.index((i, i)) for i in range(dim)]
         self._forcing_cache: tuple[float, np.ndarray] | None = None
 
     def forcing_samples(self, t: float) -> np.ndarray | None:
@@ -373,24 +381,26 @@ class _Stepper:
         if min_rho <= self.vacuum_floor:
             raise VacuumError(t, min_rho)
         u_s = m_s / rho_s
+        p_s = self.params.pressure(rho_s)
         g_s = self.forcing_samples(t)
-        products = [u_s, self.params.pressure(rho_s)[None],
-                    np.stack([m_s[i] * u_s[j] for i, j in self.pairs])]
+        flux = np.stack([m_s[i] * u_s[j] for i, j in self.pairs])
+        flux[self.diagonal] += p_s
+        products = [u_s, flux]
         if g_s is not None:
             products.append(rho_s * g_s)
         c = to_coeffs(grid, np.concatenate(products))
         c[dim:] *= self.keep
-        u_c, p_c = c[:dim], c[dim]
-        n_flux = dim + 1 + len(self.pairs)
-        sources = -self.dk * p_c
-        if g_s is not None:
-            sources += c[n_flux:]
+        u_c = c[:dim]
+        n_flux = dim + len(self.pairs)
+        force_c = c[n_flux:] if g_s is not None else None
         div_u = self.divergence(u_c)
         dy = np.empty_like(y)
         dy[0] = -self.divergence(y[1:])
-        dy[1:] = self.momentum(u_c, div_u, c[dim + 1:n_flux][self.pair_index]) + sources
-        aux = {"rho_s": rho_s, "m_s": m_s, "u_s": u_s, "u_c": u_c, "div_u": div_u,
-               "g_s": g_s, "sources": sources}
+        dy[1:] = self.momentum(u_c, div_u, c[dim:n_flux][self.pair_index])
+        if force_c is not None:
+            dy[1:] += force_c
+        aux = {"rho_s": rho_s, "m_s": m_s, "u_s": u_s, "p_s": p_s, "u_c": u_c,
+               "div_u": div_u, "g_s": g_s, "force_c": force_c}
         return dy, aux
 
     def passenger_rhs(self, aux, w_c: np.ndarray, with_sources: bool) -> np.ndarray:
@@ -399,20 +409,23 @@ class _Stepper:
         of u)."""
         grid, dim = self.grid, self.grid.dim
         w_s = to_samples(grid, w_c) / aux["rho_s"]
-        flux = (aux["m_s"][:, None] * w_s[None]).reshape((dim * dim,) + grid.shape)
-        c = to_coeffs(grid, np.concatenate([w_s, flux]))
+        flux = aux["m_s"][:, None] * w_s[None]
+        if with_sources:
+            flux[range(dim), range(dim)] += aux["p_s"]
+        c = to_coeffs(grid, np.concatenate([w_s, flux.reshape((dim * dim,) + grid.shape)]))
         c[dim:] *= self.keep
         out = self.momentum(c[:dim], self.divergence(c[:dim]),
                             c[dim:].reshape((dim, dim) + grid.spectral_shape))
-        return out + aux["sources"] if with_sources else out
+        if with_sources and aux["force_c"] is not None:
+            out += aux["force_c"]
+        return out
 
     def quadrature_values(self, aux) -> dict[str, float]:
         """Instantaneous integrands accumulated at RK4 accuracy:
         viscous dissipation int mu |grad u|^2 + (mu+lam)(div u)^2 and the
         forcing power int rho g . u."""
         grid, mu, lam = self.grid, self.params.mu, self.params.lam
-        u_c = aux["u_c"]
-        grad_sq = parseval_sum(grid, self.dk[:, None] * u_c[None])
+        grad_sq = float(np.sum(self.grad_weight * np.abs(aux["u_c"]) ** 2))
         div_sq = parseval_sum(grid, aux["div_u"])
         dissipation = grid.volume * (mu * grad_sq + (mu + lam) * div_sq)
         if aux["g_s"] is None:

@@ -106,6 +106,15 @@ class TestConfig:
         assert all(math.isfinite(v) for v in cfg.values.values()
                    if isinstance(v, float))
 
+    def test_constant_forcing_built_once_per_grid(self, fft_calls):
+        problem = app.build_problem(app.parse_config(FORCED_3D_CFG))
+        first = problem.params.forcing_field(0.0, problem.grid)
+        fft_calls.clear()
+        again = problem.params.forcing_field(0.37, problem.grid)
+        assert fft_calls["rfftn"] + fft_calls["irfftn"] == 0
+        assert np.array_equal(again.samples, first.samples)
+        assert np.all(first.samples[0] == 0.2) and not np.any(first.samples[1:])
+
     def test_canonical_hash_stable_under_reordering(self):
         a = app.parse_config("time.dt = 0.01\nfluid.mu = 0.2")
         b = app.parse_config("fluid.mu = 0.2\ntime.dt = 0.01")

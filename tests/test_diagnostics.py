@@ -593,6 +593,20 @@ class TestV1EnergyLedger:
         assert np.max(np.abs(rep.column("weighted_acceleration"))) < 1e-12
         assert np.max(np.abs(rep.column("weighted_gradient"))) < 1e-12
 
+    def test_pressure_built_once_per_snapshot(self, grid, params, monkeypatch):
+        traj = dyn.run(dyn.stream_vortex_state(grid, 1.0, 0.5), params,
+                       dyn.SolverConfig(t_end=0.06, dt=0.01))
+        built = []
+        real = diag.pressure_field
+
+        def counted(state, params):
+            built.append(state.t)
+            return real(state, params)
+
+        monkeypatch.setattr(diag, "pressure_field", counted)
+        diag.v1_energy_ledger(traj, params)
+        assert sorted(built) == sorted(s.t for s in traj.states)
+
     def test_dtv_formula_second_order(self):
         grid = sp.TorusGrid(2, 32)
         params = dyn.FluidParams(0.05, 0.05, LAW)

@@ -138,6 +138,56 @@ class TestRhs:
             errors.append(np.max(np.abs(dmom.samples - ref)))
         assert errors[0] / errors[1] > 3.0  # finite-difference oracle is O(h^2)
 
+    @staticmethod
+    def _reference_rhs(state, params):
+        """(d_t rho, d_t m) coefficients with P(rho) transformed on its own,
+        dealiased, and -dk P_c added to the momentum slope."""
+        grid = state.grid
+        keep = grid.dealias_mask()
+        dk = np.stack([np.where(grid.nyquist_mask, 0.0, 1j * k)
+                       for k in grid.frequency_mesh])
+        y = dyn._conservative(state, keep)
+        s = sp.to_samples(grid, y)
+        rho_s, m_s = s[0], s[1:]
+        u_s = m_s / rho_s
+        u_c = sp.to_coeffs(grid, u_s)
+        flux_c = sp.to_coeffs(grid, m_s[:, None] * u_s[None]) * keep
+        p_c = sp.to_coeffs(grid, params.pressure(rho_s)) * keep
+        lap = np.where(grid.nyquist_mask, 0.0, -grid.k_squared)
+        div_u = np.sum(dk * u_c, axis=0)
+        dm = (params.mu * lap * u_c + (params.mu + params.lam) * dk * div_u
+              - np.sum(dk[:, None] * flux_c, axis=0) - dk * p_c)
+        g = params.forcing_field(state.t, grid)
+        if g is not None:
+            dm += sp.to_coeffs(grid, rho_s * g.samples) * keep
+        return -np.sum(dk * y[1:], axis=0), dm
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    def test_fused_pressure_flux_matches_reference(self, dim, forced):
+        grid = sp.TorusGrid(dim, 32 if dim == 2 else 16)
+        rng = np.random.default_rng(dim)
+        rho = sp.ScalarField.from_samples(
+            grid, 1.5 + 0.3 * sp.random_field(grid, rng).samples)
+        state = dyn.FluidState(rho, sp.random_vector_field(grid, rng), 0.0)
+        g = sp.random_vector_field(grid, rng)
+        params = dyn.FluidParams(0.07, 0.04, dyn.PowerLaw(1.0, 1.4),
+                                 (lambda t, grid: g) if forced else None)
+        ref_rho, ref_m = self._reference_rhs(state, params)
+        drho, dmom = dyn.rhs_eval(state, params)
+        for got, ref in ((drho.samples, sp.to_samples(grid, ref_rho)),
+                         (dmom.samples, sp.to_samples(grid, ref_m))):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the stage dissipation against the full dim x dim gradient array
+        stepper = dyn._Stepper(grid, params, 0.0)
+        _, aux = stepper.rhs(0.0, dyn._conservative(state, stepper.keep))
+        u_c = aux["u_c"]
+        ref = grid.volume * (
+            params.mu * sp.parseval_sum(grid, stepper.dk[:, None] * u_c[None])
+            + (params.mu + params.lam) * sp.parseval_sum(grid, aux["div_u"]))
+        got = stepper.quadrature_values(aux)["dissipation"]
+        assert abs(got - ref) <= 1e-13 * ref
+
     def test_vacuum_rejected(self, grid, params):
         rho = sp.ScalarField.constant(grid, 0.0)
         state = dyn.FluidState(rho, sp.VectorField.zero(grid), 0.0)
@@ -226,11 +276,38 @@ class TestRun:
                        monitors=[monitor])
         assert traj.stop_reason == "monitor:halfway"
 
-    def test_transform_budget_per_step(self, grid, params, fft_calls):
-        """Per RK4 step: an inverse transform for each stage but the first,
-        which reuses the samples of the previous state, and one for the new
-        state; a forward transform for each stage and one for the new
-        state's velocity."""
+    def test_nonfinite_pressure_stops_nonfinite(self, grid):
+        class FailingLaw(dyn.PowerLaw):
+            """Finite for its first 10 calls, NaN from then on."""
+            calls = 0
+
+            def __call__(self, s):
+                self.calls += 1
+                out = super().__call__(s)
+                return out if self.calls <= 10 else np.full_like(out, np.nan)
+
+        params = dyn.FluidParams(0.1, 0.1, FailingLaw(1.0, 2.0))
+        state = dyn.density_bump_state(grid, 1.0, 0.2)
+        traj = dyn.run(state, params, dyn.SolverConfig(t_end=1.0, dt=0.005))
+        # one call per RK4 stage: the 11th is stage 3 of step 3
+        assert traj.stop_reason == "nonfinite" and traj.step_count == 2
+        assert all(s.is_finite() for s in traj.states)
+
+    @pytest.mark.parametrize("dim, forced, forward_fields", [
+        (2, False, 22), (3, True, 51)], ids=["2d-vortex", "3d-forced"])
+    def test_transform_budget_per_step(self, params, fft_calls, dim, forced,
+                                       forward_fields):
+        """Per RK4 step: an inverse transform of the 1 + dim fields of y for
+        each stage but the first, which reuses the samples of the previous
+        state, and one for the new state; a forward transform for each stage
+        (u, the dim(dim+1)/2 flux pairs with the pressure on their diagonal,
+        and rho g when forced) and one for the new state's velocity."""
+        grid = sp.TorusGrid(dim, 32 if dim == 2 else 16)
+        if forced:
+            g = sp.VectorField.from_samples(grid, np.full((dim,) + grid.shape, 0.2))
+            params = dyn.FluidParams(params.mu, params.lam, params.pressure,
+                                     lambda t, grid: g)
+
         def counted_run(steps):
             state = dyn.stream_vortex_state(grid)
             fft_calls.clear()
@@ -242,6 +319,8 @@ class TestRun:
         short, long = counted_run(n), counted_run(2 * n)
         assert long["irfftn"] - short["irfftn"] == 4 * n
         assert long["rfftn"] - short["rfftn"] == 5 * n
+        assert long["irfftn_fields"] - short["irfftn_fields"] == 4 * (1 + dim) * n
+        assert long["rfftn_fields"] - short["rfftn_fields"] == forward_fields * n
 
     def test_adaptive_dt(self, grid, params):
         state = dyn.stream_vortex_state(grid)
