@@ -167,6 +167,8 @@ def _validate_values(v: dict) -> list[str]:
         errors.append("monitor.epsilon must be positive")
     if v["monitor.p_gain"] < 2 or v["monitor.p_gain"] % 2:
         errors.append("monitor.p_gain must be an even integer >= 2")
+    if v["monitor.q_density"] is not None and v["monitor.q_density"] < 1:
+        errors.append(f"monitor.q_density must be >= 1, got {v['monitor.q_density']}")
     return errors
 
 
@@ -292,8 +294,7 @@ def simulate(config: ExperimentConfig, outdir: str | None = None) -> ReportBundl
     os.makedirs(outdir, exist_ok=True)
     trajectory = dyn.run(problem.initial, problem.params, problem.solver)
     partition = lp.build_partition(problem.grid)
-    records = diag.compute_diagnostics(trajectory, problem.params,
-                                       problem.monitor, partition)
+    records = diag.compute_diagnostics(trajectory, problem.monitor, partition)
     files = []
     with open(os.path.join(outdir, CONFIG_FILE), "w", encoding="utf-8") as fh:
         fh.write(config.canonical_text())
@@ -383,12 +384,12 @@ def _check_integrity(outdir: str, manifest: dict) -> list[str]:
     return failures
 
 
-def _identity_suite(problem: Problem, states) -> list[str]:
+def _identity_suite(problem: Problem, partition: lp.DyadicPartition,
+                    states) -> list[str]:
     """Machine-precision identities on every checkpoint; a NaN residual
     fails (every test reads `not (residual <= tol)`)."""
     failures = []
     grid = problem.grid
-    partition = lp.build_partition(grid)
     for n, state in enumerate(states):
         tol = IDENTITY_TOL * (1.0 + sp.lebesgue_norm(state.u, math.inf)
                               + sp.lebesgue_norm(state.rho, math.inf))
@@ -451,25 +452,18 @@ def _series_crosscheck(outdir: str, problem: Problem, states) -> list[str]:
     return failures
 
 
-def _rebuild_trajectory(problem: Problem, states, manifest) -> dyn.Trajectory:
-    return dyn.Trajectory(states, manifest["stop_reason"], manifest["stop_time"],
-                          problem.solver, problem.params)
-
-
-def _inequality_suite(outdir: str, problem: Problem, trajectory
-                      ) -> dict[str, diag.LedgerReport]:
-    params = problem.params
-    partition = lp.build_partition(problem.grid)
+def _inequality_suite(outdir: str, problem: Problem, partition: lp.DyadicPartition,
+                      trajectory) -> dict[str, diag.LedgerReport]:
     reports = {}
-    reports["energy"] = diag.energy_ledger(trajectory, params)
-    reports["density_bounds"] = diag.density_bound_ledger(trajectory, params)
+    reports["energy"] = diag.energy_ledger(trajectory)
+    reports["density_bounds"] = diag.density_bound_ledger(trajectory)
     reports["integrability"] = diag.integrability_gain(
-        trajectory, params, problem.monitor.p_gain)
+        trajectory, problem.monitor.p_gain)
     reports["transport"] = diag.transport_estimate_report(
         trajectory, partition, problem.monitor.epsilon, math.inf, math.inf)
     if len(trajectory) >= 3:  # both differentiate the snapshots in time
-        reports["omega_budget"] = diag.grad_omega_budget(trajectory, params)
-        reports["v1_energy"] = diag.v1_energy_ledger(trajectory, params)
+        reports["omega_budget"] = diag.grad_omega_budget(trajectory)
+        reports["v1_energy"] = diag.v1_energy_ledger(trajectory)
     ledger_dir = os.path.join(outdir, "ledgers")
     os.makedirs(ledger_dir, exist_ok=True)
     for name, rep in reports.items():
@@ -482,7 +476,7 @@ def _inequality_suite(outdir: str, problem: Problem, trajectory
 def _monitor_suite(problem: Problem, trajectory) -> list[str]:
     failures = [f"snapshot {n}: non-finite samples"
                 for n, state in enumerate(trajectory.states) if not state.is_finite()]
-    flags = diag.blowup_monitor(trajectory, problem.params, problem.monitor)
+    flags = diag.blowup_monitor(trajectory, problem.monitor)
     abnormal = trajectory.stop_reason not in dyn.NORMAL_STOPS
     if abnormal and flags.extendable:
         failures.append(
@@ -505,12 +499,18 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     failures = _check_integrity(outdir, manifest)
     reports = {}
     if not failures:
-        trajectory = _rebuild_trajectory(problem, states, manifest)
+        # every ledger and monitor below reads the run's parameters from this
+        # trajectory; here is where they enter it
+        trajectory = dyn.Trajectory(states, manifest["stop_reason"],
+                                    manifest["stop_time"], problem.solver,
+                                    problem.params)
+        if suite != "monitors":
+            partition = lp.build_partition(problem.grid)
         if suite in ("identities", "all"):
-            failures += _identity_suite(problem, states)
+            failures += _identity_suite(problem, partition, states)
             failures += _series_crosscheck(outdir, problem, states)
         if suite in ("inequalities", "all"):
-            reports = _inequality_suite(outdir, problem, trajectory)
+            reports = _inequality_suite(outdir, problem, partition, trajectory)
         if suite in ("monitors", "all"):
             failures += _monitor_suite(problem, trajectory)
     return VerifyResult(not failures, failures, reports)
@@ -561,12 +561,12 @@ def trace(config: ExperimentConfig, n_particles: int,
           outdir: str | None = None) -> ReportBundle:
     """Simulate, then advect uniformly seeded particles and emit paths.csv."""
     bundle = simulate(config, outdir)
-    problem = build_problem(config)
-    seeds = uniform_seeds(problem.grid, n_particles)
+    grid = bundle.trajectory.initial.grid
+    seeds = uniform_seeds(grid, n_particles)
     paths = dyn.flow_map(bundle.trajectory, seeds)
     wrapped = paths.wrapped()
     path = os.path.join(bundle.outdir, PATHS_FILE)
-    cols = ["time", "particle"] + [f"x{i}" for i in range(problem.grid.dim)]
+    cols = ["time", "particle"] + [f"x{i}" for i in range(grid.dim)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for ti, t in enumerate(paths.times):

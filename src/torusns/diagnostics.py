@@ -348,7 +348,7 @@ def material_derivative(trajectory: Trajectory,
 # identity residual suites
 # ---------------------------------------------------------------------------
 
-def f_transport_residual(trajectory: Trajectory, params: FluidParams,
+def f_transport_residual(trajectory: Trajectory,
                          reading: str = "adopted") -> np.ndarray:
     """Sup-norm residual series of the transport identity for F:
 
@@ -361,6 +361,7 @@ def f_transport_residual(trajectory: Trajectory, params: FluidParams,
     residual does not vanish with dt.
     """
     build = log_state if reading == "adopted" else log_state_rejected_reading
+    params = trajectory.params
     states = trajectory.states
     dots = material_derivative(trajectory, [build(s, params) for s in states])
     out = []
@@ -373,7 +374,7 @@ def f_transport_residual(trajectory: Trajectory, params: FluidParams,
     return np.array(out)
 
 
-def elliptic_identities(trajectory: Trajectory, params: FluidParams,
+def elliptic_identities(trajectory: Trajectory,
                         forcing_sign: float = -1.0) -> dict[str, np.ndarray]:
     """Residual series (interior snapshots) of the elliptic identities
 
@@ -384,6 +385,7 @@ def elliptic_identities(trajectory: Trajectory, params: FluidParams,
     with udot from centred differencing. forcing_sign=+1 evaluates the
     falsified +g variant of the lap G identity, which must not converge.
     """
+    params = trajectory.params
     states = trajectory.states
     dots = u_dot(trajectory)
     res_p, res_q, res_lap = [], [], []
@@ -421,7 +423,7 @@ def dissipation_rate(state: FluidState, params: FluidParams) -> float:
     return _viscous_form(params, state.u)
 
 
-def energy_ledger(trajectory: Trajectory, params: FluidParams) -> LedgerReport:
+def energy_ledger(trajectory: Trajectory) -> LedgerReport:
     """Energy balance E(t) + dissipation <= E(0) + forcing work.
 
     The dissipation and work integrals come from the solver's stage-level
@@ -429,7 +431,7 @@ def energy_ledger(trajectory: Trajectory, params: FluidParams) -> LedgerReport:
     discretization and dealiasing, and non-negative up to that tolerance.
     """
     n = len(trajectory)
-    energy = np.array([total_energy(s, params) for s in trajectory.states])
+    energy = np.array([total_energy(s, trajectory.params) for s in trajectory.states])
     diss = np.asarray(trajectory.quadratures.get("dissipation") or np.zeros(n))
     work = np.asarray(trajectory.quadratures.get("forcing_work") or np.zeros(n))
     slack = energy[0] + work - energy - diss
@@ -441,8 +443,7 @@ def energy_ledger(trajectory: Trajectory, params: FluidParams) -> LedgerReport:
         notes="slack = E(0) + work - E(t) - dissipation; stays >= -tolerance")
 
 
-def a_functional(trajectory: Trajectory, params: FluidParams
-                 ) -> dict[str, np.ndarray]:
+def a_functional(trajectory: Trajectory) -> dict[str, np.ndarray]:
     """The weighted energy functional
 
         A(t) = int_0^t int f(s) rho |d_s u|^2 + f(t)/2 int (mu |grad u|^2
@@ -451,6 +452,7 @@ def a_functional(trajectory: Trajectory, params: FluidParams
 
     returned together with its four components as time series.
     """
+    params = trajectory.params
     states = trajectory.states
     times = trajectory.times
     law = params.pressure
@@ -506,8 +508,7 @@ def gradient_splitting(state: FluidState, params: FluidParams
     return omega_part, g_part, p_part, residual
 
 
-def quartic_gradient_budget(trajectory: Trajectory, params: FluidParams
-                            ) -> LedgerReport:
+def quartic_gradient_budget(trajectory: Trajectory) -> LedgerReport:
     """int_0^t int f(s)^N |grad u|^4 against ||rho||_inf^alpha (1 + A(t)^2)
     with the reporting choice alpha = 1 (the paper leaves alpha > 0 free)."""
     grid = trajectory.initial.grid
@@ -515,13 +516,12 @@ def quartic_gradient_budget(trajectory: Trajectory, params: FluidParams
     rate = f_weight(times) ** grid.dim * [
         float(np.sum(_grad_sq(s.u) ** 2)) * grid.cell_volume for s in trajectory.states]
     lhs = cumulative_trapezoid(rate, times, initial=0)
-    rhs = _rho_sup(trajectory.states) * (1.0 + a_functional(trajectory, params)["A"] ** 2)
+    rhs = _rho_sup(trajectory.states) * (1.0 + a_functional(trajectory)["A"] ** 2)
     return _ratio_ledger("quartic_gradient_budget", {"time": times}, lhs, rhs,
                          notes="alpha = 1 reporting choice")
 
 
-def udot_budget(trajectory: Trajectory, params: FluidParams
-                ) -> dict[str, np.ndarray]:
+def udot_budget(trajectory: Trajectory) -> dict[str, np.ndarray]:
     """The material-acceleration bundle
 
         B(t) = f(t)^2 int rho |udot|^2
@@ -535,27 +535,25 @@ def udot_budget(trajectory: Trajectory, params: FluidParams
     dots = u_dot(trajectory)
     ddots = material_derivative(trajectory, [divergence(s.u) for s in states])
     point = fw2 * [_rho_weighted_sq(s.rho, dot) for s, dot in zip(states, dots)]
-    rate = fw2 * [_viscous_form(params, dot, ddot.samples)
+    rate = fw2 * [_viscous_form(trajectory.params, dot, ddot.samples)
                   for dot, ddot in zip(dots, ddots)]
     integral_part = cumulative_trapezoid(rate, times, initial=0)
     return {"time": times, "B": point + integral_part,
             "pointwise": point, "integral": integral_part}
 
 
-def grad_omega_budget(trajectory: Trajectory, params: FluidParams
-                      ) -> LedgerReport:
+def grad_omega_budget(trajectory: Trajectory) -> LedgerReport:
     """int_0^t int f(s) |grad omega|^2 against ||rho||_inf A(t)."""
     states = trajectory.states
     times = trajectory.times
     vol = trajectory.initial.grid.cell_volume
     rate = f_weight(times) * [float(np.sum(_grad_sq(curl(s.u)))) * vol for s in states]
     lhs = cumulative_trapezoid(rate, times, initial=0)
-    rhs = _rho_sup(states) * a_functional(trajectory, params)["A"]
+    rhs = _rho_sup(states) * a_functional(trajectory)["A"]
     return _ratio_ledger("vorticity_gradient_budget", {"time": times}, lhs, rhs)
 
 
-def integrability_gain(trajectory: Trajectory, params: FluidParams,
-                       p1: int) -> LedgerReport:
+def integrability_gain(trajectory: Trajectory, p1: int) -> LedgerReport:
     """Weighted-velocity moment ledger: tracks (1/p1) int rho |u|^{p1} and the
     two dissipation-like integrals against the pressure norm on the right.
 
@@ -567,6 +565,7 @@ def integrability_gain(trajectory: Trajectory, params: FluidParams,
     """
     if p1 < 2 or p1 % 2 != 0:
         raise ValueError(f"p1 must be even and >= 2, got {p1}")
+    params = trajectory.params
     if params.mu <= 0:
         raise ValueError("mu must be positive")
     grid = trajectory.initial.grid
@@ -612,8 +611,7 @@ def integrability_gain(trajectory: Trajectory, params: FluidParams,
 # density bounds
 # ---------------------------------------------------------------------------
 
-def density_bound_ledger(trajectory: Trajectory, params: FluidParams
-                         ) -> LedgerReport:
+def density_bound_ledger(trajectory: Trajectory) -> LedgerReport:
     """Assembled two-sided log-density bounds along a trajectory.
 
     Upper: nu log rho(t,x) <= nu log ||rho0||_inf + ||inv_lap div m0||_inf
@@ -627,6 +625,7 @@ def density_bound_ledger(trajectory: Trajectory, params: FluidParams
     states = trajectory.states
     if states[0].min_density <= 0:
         raise VacuumError(states[0].t, states[0].min_density)
+    params = trajectory.params
     nu = params.nu
     times = trajectory.times
     cols = []
@@ -705,9 +704,8 @@ def _density_verdict(trajectory: Trajectory, window_end: float | None = None
     return not bad, first_bad
 
 
-def blowup_monitor(trajectory: Trajectory, params: FluidParams,
-                   monitor: MonitorConfig, window_end: float | None = None
-                   ) -> MonitorFlags:
+def blowup_monitor(trajectory: Trajectory, monitor: MonitorConfig,
+                   window_end: float | None = None) -> MonitorFlags:
     """Evaluate the continuation criteria on [0, T]:
 
       (a) sup_t ||rho||_inf finite with positive minimum (density criterion);
@@ -722,7 +720,7 @@ def blowup_monitor(trajectory: Trajectory, params: FluidParams,
     states = _window_states(trajectory, window_end)
     times = np.array([s.t for s in states])
     dim = states[0].grid.dim
-    gamma, q_crit = _criterion_exponents(params, monitor, dim)
+    gamma, q_crit = _criterion_exponents(trajectory.params, monitor, dim)
     density_ok, first_bad = _density_verdict(trajectory, window_end)
     comp_exps = ({"L9eps": 9.0 + monitor.epsilon, "L3g32": 3.0 * gamma + 1.5}
                  if dim == 3 else {"L2g1": 2.0 * gamma + 1.0})
@@ -903,8 +901,7 @@ def dtv_formula(state: FluidState, params: FluidParams,
     return bogovskii(h)
 
 
-def v1_energy_ledger(trajectory: Trajectory, params: FluidParams
-                     ) -> LedgerReport:
+def v1_energy_ledger(trajectory: Trajectory) -> LedgerReport:
     """Weighted energy of the effective velocity v1 (heat-type budget):
     K1(t) = int_0^t int f rho |d_s v1|^2 and
     K2(t) = f(t)/2 int (mu |grad v1|^2 + (lam+mu)(div v1)^2),
@@ -913,6 +910,7 @@ def v1_energy_ledger(trajectory: Trajectory, params: FluidParams
     if any(s.min_density <= 0 for s in states):
         raise VacuumError(trajectory.stop_time,
                           min(s.min_density for s in states))
+    params = trajectory.params
     times = trajectory.times
     pressures = [pressure_field(s, params) for s in states]
     v1s, vs = zip(*[effective_velocity(s, params, p) for s, p in zip(states, pressures)])
@@ -958,12 +956,12 @@ def coifman_constant_study(grid: TorusGrid, ensemble_size: int,
 # forcing norm
 # ---------------------------------------------------------------------------
 
-def forcing_norm(trajectory: Trajectory, params: FluidParams,
-                 epsilon: float = 0.5) -> dict[str, float]:
+def forcing_norm(trajectory: Trajectory, epsilon: float = 0.5) -> dict[str, float]:
     """The working norm of the source term over the trajectory window:
     sup-in-time and square-integrated L^2 norms, the L^1_T(L^{N+eps}) norm,
     the f^gamma-weighted squared L^4 norm of grad g, and the f^5-weighted
     time-derivative energy."""
+    params = trajectory.params
     grid = trajectory.initial.grid
     times = trajectory.times
     if params.forcing is None:
@@ -1029,12 +1027,12 @@ class DiagnosticRecord:
         return out
 
 
-def compute_diagnostics(trajectory: Trajectory, params: FluidParams,
-                        monitor: MonitorConfig,
+def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
                         partition: DyadicPartition | None = None
                         ) -> list[DiagnosticRecord]:
     """Per-snapshot bundle of norms, functionals, exact-identity residuals,
     and sanity flags."""
+    params = trajectory.params
     _, q_dens = _criterion_exponents(params, monitor, trajectory.initial.grid.dim)
     diss = trajectory.quadratures.get("dissipation", [0.0] * len(trajectory))
     work = trajectory.quadratures.get("forcing_work", [0.0] * len(trajectory))

@@ -654,7 +654,7 @@ class SplitResult:
     superposition_residual: float   # sup_t |w1 + w2 - u|_inf
 
 
-def linear_split(trajectory: Trajectory, params: FluidParams) -> SplitResult:
+def linear_split(trajectory: Trajectory) -> SplitResult:
     """Integrate L w1 = 0 (w1(0) = u0) and L w2 = -grad P(rho) + rho g
     (w2(0) = 0) along the frozen (rho, u) trajectory, where
 
@@ -669,7 +669,7 @@ def linear_split(trajectory: Trajectory, params: FluidParams) -> SplitResult:
                                                     for s in trajectory.states))
     grid = trajectory.initial.grid
     dim = grid.dim
-    stepper = _Stepper(grid, params, trajectory.config.vacuum_floor)
+    stepper = _Stepper(grid, trajectory.params, trajectory.config.vacuum_floor)
     y = _conservative(trajectory.initial, stepper.keep)
     w1 = y[1:].copy()                      # rho0 w1(0) = rho0 u0 = m0
     w2 = np.zeros_like(w1)

@@ -205,10 +205,6 @@ class Field:
         """A field of the same kind and grid with the given coefficients."""
         return type(self)(self.grid, coeffs, copy=False)
 
-    def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean norm over the component axes."""
-        return _magnitude(self.samples, self.rank)
-
     def max_frequency(self) -> int:
         """Largest per-axis |k| carrying a coefficient above 1e-13 * max|c|
         (the maximum taken per component)."""

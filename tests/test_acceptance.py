@@ -121,9 +121,8 @@ def test_elliptic_identity_convergence(manufactured, grid32):
     maxima = {}
     for dt in (0.02, 0.01, 0.005, 0.0025):
         traj = _mms_run(manufactured, grid32, dt)
-        good = diag.elliptic_identities(traj, manufactured.params())
-        bad = diag.elliptic_identities(traj, manufactured.params(),
-                                       forcing_sign=+1.0)
+        good = diag.elliptic_identities(traj)
+        bad = diag.elliptic_identities(traj, forcing_sign=+1.0)
         maxima[dt] = {k: v.max() for k, v in good.items()}
         maxima[dt]["bad"] = bad["effective_pressure_laplacian"].max()
     for key in ("momentum_p_part", "effective_pressure_gradient",
@@ -181,7 +180,7 @@ def test_energy_inequality(grid32):
     state = dyn.stream_vortex_state(grid32, 1.0, 0.5)
     cfg = dyn.SolverConfig(t_end=0.5, dt=0.005, snapshot_every=10)
     traj = dyn.run(state, params, cfg)
-    rep = diag.energy_ledger(traj, params)
+    rep = diag.energy_ledger(traj)
     slack = rep.column("slack")
     # slack = E(0) - E(t) - dissipation with g = 0: E(t) + D - E(0) <= 1e-8
     assert np.min(slack) > -1e-8
@@ -215,10 +214,8 @@ def test_f_transport_convergence(manufactured, grid32):
     good, bad = {}, {}
     for dt in (0.02, 0.01, 0.005):
         traj = _mms_run(manufactured, grid32, dt)
-        good[dt] = diag.f_transport_residual(traj, manufactured.params(),
-                                             "adopted").max()
-        bad[dt] = diag.f_transport_residual(traj, manufactured.params(),
-                                            "rejected").max()
+        good[dt] = diag.f_transport_residual(traj, "adopted").max()
+        bad[dt] = diag.f_transport_residual(traj, "rejected").max()
     for hi, lo in ((0.02, 0.01), (0.01, 0.005)):
         assert 3.0 < good[hi] / good[lo] < 5.7
         assert bad[hi] / bad[lo] < 1.5
@@ -228,7 +225,7 @@ def test_f_transport_convergence(manufactured, grid32):
 def test_linear_split(manufactured, grid32):
     cfg = dyn.SolverConfig(t_end=0.3, dt=0.01, snapshot_every=5)
     traj = dyn.run(manufactured.state(grid32, 0.0), manufactured.params(), cfg)
-    split = dyn.linear_split(traj, manufactured.params())
+    split = dyn.linear_split(traj)
     assert split.superposition_residual < 1e-11
     vol = grid32.cell_volume
     rho0, u0 = traj.states[0].rho.samples, traj.states[0].u.samples
@@ -271,7 +268,7 @@ def test_blowup_monitors():
     params = dyn.FluidParams(0.05, 0.05, LAW)
     good = dyn.run(dyn.stream_vortex_state(grid, 1.0, 0.5), params,
                    dyn.SolverConfig(t_end=0.3, dt=0.005, snapshot_every=10))
-    flags = diag.blowup_monitor(good, params, diag.MonitorConfig())
+    flags = diag.blowup_monitor(good, diag.MonitorConfig())
     assert flags.density_bounded and flags.extendable
     # constructed near-vacuum run: stop reason propagates, flags monotone
     weak = dyn.FluidParams(0.005, 0.0, dyn.PowerLaw(0.01, 2.0))
@@ -281,11 +278,11 @@ def test_blowup_monitors():
                          snapshot_every=5))
     assert stressed.stop_reason == "vacuum"
     mon = diag.MonitorConfig()
-    full = diag.blowup_monitor(stressed, weak, mon)
+    full = diag.blowup_monitor(stressed, mon)
     assert not full.extendable and full.first_violation_time is not None
-    early = diag.blowup_monitor(stressed, weak, mon,
+    early = diag.blowup_monitor(stressed, mon,
                                 window_end=stressed.stop_time * 0.5)
-    late = diag.blowup_monitor(stressed, weak, mon,
+    late = diag.blowup_monitor(stressed, mon,
                                window_end=stressed.stop_time * 2.0)
     assert early.density_bounded            # violation not yet inside window
     assert not late.density_bounded         # stays violated once reached
@@ -304,7 +301,7 @@ def _random_run(m, seed, steps=20):
     u = sp.random_vector_field(grid, rng, max_wavenumber=4) * 0.5
     params = dyn.FluidParams(0.1, 0.05, LAW)
     cfg = dyn.SolverConfig(t_end=steps * 0.005, dt=0.005, snapshot_every=5)
-    return dyn.run(dyn.FluidState(rho, u, 0.0), params, cfg), params
+    return dyn.run(dyn.FluidState(rho, u, 0.0), params, cfg)
 
 
 def _stable(a: float, b: float, tol: float = 0.5) -> bool:
@@ -316,8 +313,7 @@ def _stable(a: float, b: float, tol: float = 0.5) -> bool:
 def _trajectory_sup(m, n, extractor) -> float:
     sup = 0.0
     for seed in range(n):
-        traj, params = _random_run(m, 4000 + seed)
-        sup = max(sup, extractor(traj, params))
+        sup = max(sup, extractor(_random_run(m, 4000 + seed)))
     return sup
 
 
@@ -326,7 +322,7 @@ def test_empirical_constant_stability():
     checks = []
 
     # transport of Besov regularity (Gronwall ratio)
-    def transport_sup(traj, params):
+    def transport_sup(traj):
         part = lp.build_partition(traj.initial.grid)
         rep = diag.transport_estimate_report(traj, part, 0.5, 2, 2)
         lhs, env = rep.column("lhs"), rep.column("envelope_no_exp")
@@ -345,8 +341,8 @@ def test_empirical_constant_stability():
                    diag.coifman_constant_study(g64, 12, seed=0).sup_ratio))
 
     # log-density bound assembly (upper-bound saturation ratio)
-    def density_sup(traj, params):
-        rep = diag.density_bound_ledger(traj, params)
+    def density_sup(traj):
+        rep = diag.density_bound_ledger(traj)
         lhs, rhs = rep.column("upper_lhs"), rep.column("upper_rhs")
         return float(np.max(np.abs(lhs) / np.maximum(np.abs(rhs), 1e-300)))
 
@@ -355,16 +351,16 @@ def test_empirical_constant_stability():
                    _trajectory_sup(64, 2, density_sup)))
 
     # integrability gain
-    def gain_sup(traj, params):
-        return diag.integrability_gain(traj, params, 4).empirical_constant
+    def gain_sup(traj):
+        return diag.integrability_gain(traj, 4).empirical_constant
 
     checks.append(("integrability(4.45)", _trajectory_sup(32, 2, gain_sup),
                    _trajectory_sup(32, 4, gain_sup),
                    _trajectory_sup(64, 2, gain_sup)))
 
     # vorticity gradient budget
-    def omega_sup(traj, params):
-        return diag.grad_omega_budget(traj, params).empirical_constant
+    def omega_sup(traj):
+        return diag.grad_omega_budget(traj).empirical_constant
 
     checks.append(("omega(4.65)", _trajectory_sup(32, 2, omega_sup),
                    _trajectory_sup(32, 4, omega_sup),

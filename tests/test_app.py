@@ -91,6 +91,13 @@ class TestConfig:
         with pytest.raises(app.ConfigError, match=key):
             app.parse_config(f"time.cfl = 0.5\n{key} = {value}")
 
+    def test_q_density_below_one_reported_with_the_others(self):
+        with pytest.raises(app.ConfigError) as err:
+            app.parse_config("time.dt = 0.01\nmonitor.q_density = 0.5\nfluid.mu = -1")
+        messages = err.value.errors
+        assert any("monitor.q_density" in m for m in messages)
+        assert any("fluid.mu" in m for m in messages)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
         st.builds("{} = {}".format, st.sampled_from(sorted(app.CONFIG_SCHEMA)),

@@ -257,7 +257,7 @@ class TestTransportResidualF:
         for dt in (0.02, 0.01):
             cfg = dyn.SolverConfig(t_end=0.2, dt=dt, snapshot_every=1)
             t = dyn.run(ms.state(grid, 0.0), params, cfg)
-            residuals[dt] = diag.f_transport_residual(t, params, "adopted").max()
+            residuals[dt] = diag.f_transport_residual(t, "adopted").max()
         assert residuals[0.02] / residuals[0.01] > 3.0
 
     def test_rejected_reading_stalls(self, manufactured_run):
@@ -267,7 +267,7 @@ class TestTransportResidualF:
         for dt in (0.02, 0.01):
             cfg = dyn.SolverConfig(t_end=0.2, dt=dt, snapshot_every=1)
             t = dyn.run(ms.state(grid, 0.0), params, cfg)
-            stalls[dt] = diag.f_transport_residual(t, params, "rejected").max()
+            stalls[dt] = diag.f_transport_residual(t, "rejected").max()
         assert stalls[0.02] / stalls[0.01] < 1.5  # no convergence
 
 
@@ -275,7 +275,7 @@ class TestEllipticIdentities:
     def test_equilibrium_residuals_vanish(self, grid, params):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,
                        dyn.SolverConfig(t_end=0.05, dt=0.01))
-        res = diag.elliptic_identities(traj, params)
+        res = diag.elliptic_identities(traj)
         for series in res.values():
             assert series.max() < 1e-12
 
@@ -286,9 +286,9 @@ class TestEllipticIdentities:
         for dt in (0.02, 0.01):
             cfg = dyn.SolverConfig(t_end=0.2, dt=dt, snapshot_every=1)
             t = dyn.run(ms.state(grid, 0.0), params, cfg)
-            res = diag.elliptic_identities(t, params)
+            res = diag.elliptic_identities(t)
             maxima[dt] = {k: v.max() for k, v in res.items()}
-            bad = diag.elliptic_identities(t, params, forcing_sign=+1.0)
+            bad = diag.elliptic_identities(t, forcing_sign=+1.0)
             maxima[dt]["bad"] = bad["effective_pressure_laplacian"].max()
         for key in ("momentum_p_part", "effective_pressure_gradient",
                     "effective_pressure_laplacian"):
@@ -300,13 +300,13 @@ class TestEnergyLedger:
     def test_equilibrium_constant(self, grid, params):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,
                        dyn.SolverConfig(t_end=0.05, dt=0.01))
-        rep = diag.energy_ledger(traj, params)
+        rep = diag.energy_ledger(traj)
         e = rep.column("energy")
         assert np.max(np.abs(e - e[0])) < 1e-12
 
     def test_decaying_run_balance(self, vortex_run):
         traj, params = vortex_run
-        rep = diag.energy_ledger(traj, params)
+        rep = diag.energy_ledger(traj)
         slack = rep.column("slack")
         assert slack.min() > -1e-8        # balance holds
         e = rep.column("energy")
@@ -314,7 +314,7 @@ class TestEnergyLedger:
 
     def test_manufactured_balance_with_forcing(self, manufactured_run):
         traj, params, _ = manufactured_run
-        rep = diag.energy_ledger(traj, params)
+        rep = diag.energy_ledger(traj)
         assert np.max(np.abs(rep.column("slack"))) < 1e-6
 
 
@@ -322,7 +322,7 @@ class TestAFunctional:
     def test_equilibrium_components(self, grid, params):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,
                        dyn.SolverConfig(t_end=0.05, dt=0.01))
-        out = diag.a_functional(traj, params)
+        out = diag.a_functional(traj)
         assert np.max(np.abs(out["acceleration"])) < 1e-12
         assert np.max(np.abs(out["gradient"])) < 1e-12
 
@@ -335,13 +335,13 @@ class TestAFunctional:
 
     def test_integral_components_nondecreasing(self, vortex_run):
         traj, params = vortex_run
-        out = diag.a_functional(traj, params)
+        out = diag.a_functional(traj)
         assert np.all(np.diff(out["acceleration"]) >= -1e-13)
         assert np.all(np.diff(out["pressure_interaction"]) >= -1e-13)
 
     def test_udot_budget_components(self, vortex_run):
         traj, params = vortex_run
-        out = diag.udot_budget(traj, params)
+        out = diag.udot_budget(traj)
         assert np.all(np.diff(out["integral"]) >= -1e-13)
         assert np.all(np.isfinite(out["B"]))
 
@@ -359,7 +359,7 @@ class TestAFunctional:
 
     def test_quartic_budget_finite(self, vortex_run):
         traj, params = vortex_run
-        rep = diag.quartic_gradient_budget(traj, params)
+        rep = diag.quartic_gradient_budget(traj)
         assert math.isfinite(rep.empirical_constant)
         assert np.all(np.diff(rep.column("lhs")) >= -1e-13)
 
@@ -370,7 +370,7 @@ class TestAFunctional:
             grid = sp.TorusGrid(2, m)
             traj = dyn.run(dyn.stream_vortex_state(grid, 1.0, 0.5), params,
                            dyn.SolverConfig(t_end=0.25, dt=0.005, snapshot_every=10))
-            consts.append(diag.grad_omega_budget(traj, params).empirical_constant)
+            consts.append(diag.grad_omega_budget(traj).empirical_constant)
         assert all(math.isfinite(c) and c > 0 for c in consts)
         assert abs(consts[0] - consts[1]) / max(consts) < 0.5
 
@@ -379,13 +379,13 @@ class TestIntegrabilityGain:
     def test_rest_state(self, grid, params):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,
                        dyn.SolverConfig(t_end=0.05, dt=0.01))
-        rep = diag.integrability_gain(traj, params, 4)
+        rep = diag.integrability_gain(traj, 4)
         assert np.max(np.abs(rep.column("moment"))) < 1e-14
 
     def test_p1_two_matches_energy_pieces(self, vortex_run):
         traj, params = vortex_run
-        rep = diag.integrability_gain(traj, params, 2)
-        energy = diag.energy_ledger(traj, params)
+        rep = diag.integrability_gain(traj, 2)
+        energy = diag.energy_ledger(traj)
         kinetic = [0.5 * float(np.sum(s.rho.samples * np.sum(s.u.samples ** 2,
                                                              axis=0)))
                    * s.grid.cell_volume for s in traj.states]
@@ -397,7 +397,7 @@ class TestIntegrabilityGain:
         grid = sp.TorusGrid(2, 16)
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,
                        dyn.SolverConfig(t_end=0.02, dt=0.01))
-        rep = diag.integrability_gain(traj, params, 4)
+        rep = diag.integrability_gain(traj, 4)
         s = 1.0 / (2.0 * 2)
         eta = 4.0 * (s * 1.0 + 1.0) / (1.0 * (4 - 2))
         assert f"eta={eta:g}" in rep.notes
@@ -405,14 +405,14 @@ class TestIntegrabilityGain:
     def test_odd_p1_rejected(self, vortex_run):
         traj, params = vortex_run
         with pytest.raises(ValueError):
-            diag.integrability_gain(traj, params, 3)
+            diag.integrability_gain(traj, 3)
 
 
 class TestDensityBounds:
     def test_equilibrium_trivially_satisfied(self, grid, params):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.5), params,
                        dyn.SolverConfig(t_end=0.05, dt=0.01))
-        rep = diag.density_bound_ledger(traj, params)
+        rep = diag.density_bound_ledger(traj)
         assert rep.column("upper_gap").min() >= -1e-10
         assert rep.column("lower_gap").min() >= -1e-10
 
@@ -423,7 +423,7 @@ class TestDensityBounds:
             grid = sp.TorusGrid(2, m)
             traj = dyn.run(dyn.density_bump_state(grid, 1.0, 0.3), params,
                            dyn.SolverConfig(t_end=0.25, dt=0.005, snapshot_every=10))
-            rep = diag.density_bound_ledger(traj, params)
+            rep = diag.density_bound_ledger(traj)
             gaps.append(rep.column("upper_gap").min())
         assert all(g > -1e-8 for g in gaps)
 
@@ -440,7 +440,7 @@ class TestBlowupMonitor:
 
     def test_bounded_run_flags_true(self, vortex_run):
         traj, params = vortex_run
-        flags = diag.blowup_monitor(traj, params, diag.MonitorConfig())
+        flags = diag.blowup_monitor(traj, diag.MonitorConfig())
         assert flags.density_bounded and flags.extendable
         assert flags.first_violation_time is None
 
@@ -451,7 +451,7 @@ class TestBlowupMonitor:
         cfg = dyn.SolverConfig(t_end=5.0, cfl=0.4, vacuum_floor=5e-3,
                                snapshot_every=10)
         traj = dyn.run(state, weak, cfg)
-        flags = diag.blowup_monitor(traj, weak, diag.MonitorConfig())
+        flags = diag.blowup_monitor(traj, diag.MonitorConfig())
         assert not flags.density_bounded and not flags.extendable
         assert flags.first_violation_time is not None
         assert flags.stop_reason == "vacuum"
@@ -465,9 +465,9 @@ class TestBlowupMonitor:
         traj = dyn.run(state, weak, cfg)
         mon = diag.MonitorConfig()
         stop = traj.stop_time
-        early = diag.blowup_monitor(traj, weak, mon, window_end=stop * 0.5)
-        late = diag.blowup_monitor(traj, weak, mon, window_end=stop * 2.0)
-        full = diag.blowup_monitor(traj, weak, mon)
+        early = diag.blowup_monitor(traj, mon, window_end=stop * 0.5)
+        late = diag.blowup_monitor(traj, mon, window_end=stop * 2.0)
+        full = diag.blowup_monitor(traj, mon)
         assert early.density_bounded          # violation not yet in window
         assert not late.density_bounded and not full.density_bounded
         assert late.first_violation_time == full.first_violation_time
@@ -488,10 +488,10 @@ def test_tabulated_law_q_density_resolved_alike():
                           dyn.SolverConfig(t_end=0.01, dt=0.01), params)
     for fn in (diag.blowup_monitor, diag.compute_diagnostics):
         with pytest.raises(ValueError, match="explicit q_density"):
-            fn(traj, params, diag.MonitorConfig())
+            fn(traj, diag.MonitorConfig())
     mon = diag.MonitorConfig(q_density=3.0)
-    assert diag.blowup_monitor(traj, params, mon).criterion_exponent == 3.0
-    [rec] = diag.compute_diagnostics(traj, params, mon)
+    assert diag.blowup_monitor(traj, mon).criterion_exponent == 3.0
+    [rec] = diag.compute_diagnostics(traj, mon)
     assert rec.values["rho_lq"] == sp.lebesgue_norm(state.rho, 3.0)
 
 
@@ -505,15 +505,13 @@ def short_run():
 
 #: the ledgers that `verify --suite inequalities` writes
 SUITE_LEDGERS = {
-    "energy": lambda traj, params, part: diag.energy_ledger(traj, params),
-    "density_bounds": lambda traj, params, part:
-        diag.density_bound_ledger(traj, params),
-    "integrability": lambda traj, params, part:
-        diag.integrability_gain(traj, params, 4),
-    "omega_budget": lambda traj, params, part: diag.grad_omega_budget(traj, params),
-    "transport": lambda traj, params, part:
+    "energy": lambda traj, part: diag.energy_ledger(traj),
+    "density_bounds": lambda traj, part: diag.density_bound_ledger(traj),
+    "integrability": lambda traj, part: diag.integrability_gain(traj, 4),
+    "omega_budget": lambda traj, part: diag.grad_omega_budget(traj),
+    "transport": lambda traj, part:
         diag.transport_estimate_report(traj, part, 0.5, INF, INF),
-    "v1_energy": lambda traj, params, part: diag.v1_energy_ledger(traj, params),
+    "v1_energy": lambda traj, part: diag.v1_energy_ledger(traj),
 }
 
 
@@ -522,10 +520,10 @@ SUITE_LEDGERS = {
 def test_nan_sample_gives_nan_constant(short_run, ledger, field):
     """One NaN sample in one snapshot makes the ledger's constant NaN
     instead of being dropped by a running max or min."""
-    traj, params = short_run
+    traj, _ = short_run
     part = lp.build_partition(traj.initial.grid)
     build = SUITE_LEDGERS[ledger]
-    assert math.isfinite(build(traj, params, part).empirical_constant)
+    assert math.isfinite(build(traj, part).empirical_constant)
     states = list(traj.states)
     s = states[2]
     rho, u = s.rho.samples.copy(), s.u.samples.copy()
@@ -534,7 +532,7 @@ def test_nan_sample_gives_nan_constant(short_run, ledger, field):
                                sp.VectorField.from_samples(s.grid, u), s.t)
     broken = dyn.Trajectory(states, traj.stop_reason, traj.stop_time,
                             traj.config, traj.params, traj.quadratures)
-    assert math.isnan(build(broken, params, part).empirical_constant)
+    assert math.isnan(build(broken, part).empirical_constant)
 
 
 @pytest.mark.parametrize("spec", [lp.BesovSpec(0.5, INF, INF), lp.BesovSpec(0.5, 2, 2)],
@@ -553,7 +551,7 @@ def test_pressure_built_once_per_snapshot(vortex_run, part, monkeypatch):
     """compute_diagnostics shares one pressure field per snapshot between
     v1_identities (v1, G and grad P) and the effective-pressure column."""
     traj, params = vortex_run
-    want = diag.compute_diagnostics(traj, params, diag.MonitorConfig(), part)
+    want = diag.compute_diagnostics(traj, diag.MonitorConfig(), part)
     calls = []
     built = diag.pressure_field
 
@@ -562,7 +560,7 @@ def test_pressure_built_once_per_snapshot(vortex_run, part, monkeypatch):
         return built(*args)
 
     monkeypatch.setattr(diag, "pressure_field", counted)
-    got = diag.compute_diagnostics(traj, params, diag.MonitorConfig(), part)
+    got = diag.compute_diagnostics(traj, diag.MonitorConfig(), part)
     assert len(calls) == len(traj)
     assert [r.row() for r in got] == [r.row() for r in want]
 
@@ -589,7 +587,7 @@ class TestV1EnergyLedger:
     def test_equilibrium_all_zero(self, grid, params):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,
                        dyn.SolverConfig(t_end=0.05, dt=0.01))
-        rep = diag.v1_energy_ledger(traj, params)
+        rep = diag.v1_energy_ledger(traj)
         assert np.max(np.abs(rep.column("weighted_acceleration"))) < 1e-12
         assert np.max(np.abs(rep.column("weighted_gradient"))) < 1e-12
 
@@ -604,7 +602,7 @@ class TestV1EnergyLedger:
             return real(state, params)
 
         monkeypatch.setattr(diag, "pressure_field", counted)
-        diag.v1_energy_ledger(traj, params)
+        diag.v1_energy_ledger(traj)
         assert sorted(built) == sorted(s.t for s in traj.states)
 
     def test_dtv_formula_second_order(self):
@@ -615,7 +613,7 @@ class TestV1EnergyLedger:
         for dt in (0.02, 0.01):
             traj = dyn.run(state, params,
                            dyn.SolverConfig(t_end=0.2, dt=dt, snapshot_every=1))
-            res[dt] = diag.v1_energy_ledger(traj, params).empirical_constant
+            res[dt] = diag.v1_energy_ledger(traj).empirical_constant
         assert res[0.02] / res[0.01] > 3.0
 
 
@@ -662,12 +660,12 @@ class TestBesovRegularityMonitor:
 class TestForcingNorm:
     def test_zero_forcing(self, vortex_run):
         traj, params = vortex_run
-        out = diag.forcing_norm(traj, params)
+        out = diag.forcing_norm(traj)
         assert out["total"] == 0.0
 
     def test_manufactured_forcing_finite(self, manufactured_run):
         traj, params, _ = manufactured_run
-        out = diag.forcing_norm(traj, params)
+        out = diag.forcing_norm(traj)
         assert out["total"] > 0 and math.isfinite(out["total"])
 
     @pytest.mark.parametrize("law", [LAW, dyn.IsothermalLaw(1.0),
@@ -682,9 +680,9 @@ class TestForcingNorm:
                        dyn.SolverConfig(t_end=0.03, dt=0.01))
         if law.gamma is None:
             with pytest.raises(ValueError, match="gamma"):
-                diag.forcing_norm(traj, params)
+                diag.forcing_norm(traj)
         else:
-            out = diag.forcing_norm(traj, params)
+            out = diag.forcing_norm(traj)
             assert out["weighted_grad"] > 0 and math.isfinite(out["total"])
 
 
@@ -692,14 +690,14 @@ class TestRecords:
     def test_equilibrium_records_constant(self, grid, params, part):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,
                        dyn.SolverConfig(t_end=0.05, dt=0.01))
-        recs = diag.compute_diagnostics(traj, params, diag.MonitorConfig(), part)
+        recs = diag.compute_diagnostics(traj, diag.MonitorConfig(), part)
         assert all(r.flags["finite"] and r.flags["positive"] for r in recs)
         e = [r.values["energy"] for r in recs]
         assert max(e) - min(e) < 1e-12
 
     def test_csv_stable_columns(self, vortex_run, part):
         traj, params = vortex_run
-        recs = diag.compute_diagnostics(traj, params, diag.MonitorConfig(), part)
+        recs = diag.compute_diagnostics(traj, diag.MonitorConfig(), part)
         csv = diag.records_to_csv(recs)
         header = csv.splitlines()[0].split(",")
         assert header == diag.RECORD_COLUMNS

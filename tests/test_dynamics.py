@@ -449,7 +449,7 @@ class TestLinearSplit:
         traj = dyn.run(state, params, cfg)
         # density stays constant only if div u = 0 stays true; it does not
         # exactly, so use a very short window and a loose tolerance for w2
-        split = dyn.linear_split(traj, params)
+        split = dyn.linear_split(traj)
         w2_mag = max(sp.lebesgue_norm(w, INF) for w in split.w2)
         u_mag = sp.lebesgue_norm(state.u, INF)
         assert split.superposition_residual < 1e-12
@@ -459,7 +459,7 @@ class TestLinearSplit:
         grid = sp.TorusGrid(2, 32)
         cfg = dyn.SolverConfig(t_end=0.2, dt=0.01, snapshot_every=5)
         traj = dyn.run(manufactured.state(grid, 0.0), manufactured.params(), cfg)
-        split = dyn.linear_split(traj, manufactured.params())
+        split = dyn.linear_split(traj)
         assert split.superposition_residual < 1e-11
         assert len(split.w1) == len(traj.states)
 
@@ -467,7 +467,7 @@ class TestLinearSplit:
         grid = sp.TorusGrid(2, 32)
         cfg = dyn.SolverConfig(t_end=0.3, dt=0.01, snapshot_every=5)
         traj = dyn.run(manufactured.state(grid, 0.0), manufactured.params(), cfg)
-        split = dyn.linear_split(traj, manufactured.params())
+        split = dyn.linear_split(traj)
         s0 = traj.states[0]
         e0 = float(np.sum(s0.rho.samples * np.sum(s0.u.samples ** 2, axis=0))
                    ) * grid.cell_volume
