@@ -27,12 +27,14 @@ from .spectral import (
     dealias,
     divergence,
     gradient,
+    gradient_sum,
     integral,
     inv_laplacian_zero_mean,
     laplacian,
     leray_project,
     lebesgue_norm,
     multiply,
+    parseval_sum,
     partial,
     pointwise,
     random_field,
@@ -127,14 +129,14 @@ def _rho_weighted_sq(rho: ScalarField, x: VectorField) -> float:
 
 
 def _viscous_form(params: FluidParams, x: VectorField,
-                  div: np.ndarray | None = None) -> float:
-    """int mu |grad X|^2 + (mu + lam) (div X)^2 dx; `div` stands in for the
-    samples of div X where a ledger squares another scalar there."""
-    gx = velocity_gradient(x)
-    if div is None:
-        div = np.trace(gx, axis1=0, axis2=1)
-    val = params.mu * np.sum(gx ** 2) + (params.mu + params.lam) * np.sum(div ** 2)
-    return float(val) * x.grid.cell_volume
+                  div: ScalarField | None = None) -> float:
+    """int mu |grad X|^2 + (mu + lam) (div X)^2 dx as weighted coefficient
+    sums (Parseval), with the spectral derivatives' zero Nyquist planes;
+    `div` stands in for div X where a ledger squares another scalar there."""
+    grid = x.grid
+    div = divergence(x) if div is None else div
+    return grid.volume * (params.mu * gradient_sum(grid, x.coeffs)
+                          + (params.mu + params.lam) * parseval_sum(grid, div.coeffs))
 
 
 def _grad_sq(f: Field, grad: np.ndarray | None = None) -> np.ndarray:
@@ -535,7 +537,7 @@ def udot_budget(trajectory: Trajectory) -> dict[str, np.ndarray]:
     dots = u_dot(trajectory)
     ddots = material_derivative(trajectory, [divergence(s.u) for s in states])
     point = fw2 * [_rho_weighted_sq(s.rho, dot) for s, dot in zip(states, dots)]
-    rate = fw2 * [_viscous_form(trajectory.params, dot, ddot.samples)
+    rate = fw2 * [_viscous_form(trajectory.params, dot, ddot)
                   for dot, ddot in zip(dots, ddots)]
     integral_part = cumulative_trapezoid(rate, times, initial=0)
     return {"time": times, "B": point + integral_part,
@@ -546,8 +548,9 @@ def grad_omega_budget(trajectory: Trajectory) -> LedgerReport:
     """int_0^t int f(s) |grad omega|^2 against ||rho||_inf A(t)."""
     states = trajectory.states
     times = trajectory.times
-    vol = trajectory.initial.grid.cell_volume
-    rate = f_weight(times) * [float(np.sum(_grad_sq(curl(s.u)))) * vol for s in states]
+    grid = trajectory.initial.grid
+    rate = f_weight(times) * [grid.volume * gradient_sum(grid, curl(s.u).coeffs)
+                              for s in states]
     lhs = cumulative_trapezoid(rate, times, initial=0)
     rhs = _rho_sup(states) * a_functional(trajectory)["A"]
     return _ratio_ledger("vorticity_gradient_budget", {"time": times}, lhs, rhs)

@@ -27,6 +27,7 @@ from .spectral import (
     VectorField,
     check_grid_parameters,
     fourier_eval,
+    gradient_sum,
     parseval_sum,
     to_coeffs,
     to_samples,
@@ -289,7 +290,10 @@ class Trajectory:
 
 
 def cfl_limit(state: FluidState, params: FluidParams) -> float:
-    """min(h/|u|_inf, h^2 min(rho)/(2mu+lam), h/sqrt(P'(max rho)))."""
+    """min(h/|u|_inf, h^2 min(rho)/(2mu+lam), h/sqrt(max P'(rho))), the
+    sound speed taken at every sample: P' need not grow with rho (a concave
+    tabulated law), and for the power and isothermal laws, where it does,
+    the maximum is P'(max rho)."""
     grid = state.grid
     h = grid.spacing
     bounds = []
@@ -298,7 +302,7 @@ def cfl_limit(state: FluidState, params: FluidParams) -> float:
     min_rho = state.min_density
     if params.nu > 0 and min_rho > 0:
         bounds.append(h * h * min_rho / params.nu)
-    pmax = float(np.max(params.pressure.derivative(np.max(state.rho.samples))))
+    pmax = float(np.max(params.pressure.derivative(state.rho.samples)))
     bounds.append(h / math.sqrt(pmax) if pmax > 0 else math.inf)
     return min(bounds)
 
@@ -307,16 +311,15 @@ def cfl_limit(state: FluidState, params: FluidParams) -> float:
 # right-hand side and stepping
 # ---------------------------------------------------------------------------
 
-def _rk4(rhs, t: float, ys: tuple, dt: float):
-    """One classical RK4 step over a tuple of arrays.  rhs(t, ys) returns
-    (slopes, aux); the result is (new ys, the auxes of the four stages)."""
-    k1, a1 = rhs(t, ys)
-    k2, a2 = rhs(t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k1)))
-    k3, a3 = rhs(t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k2)))
-    k4, a4 = rhs(t + dt, tuple(y + dt * k for y, k in zip(ys, k3)))
-    new = tuple(y + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
-                for y, s1, s2, s3, s4 in zip(ys, k1, k2, k3, k4))
-    return new, (a1, a2, a3, a4)
+def _rk4(rhs, t: float, ys: tuple, dt: float) -> tuple:
+    """One classical RK4 step over a tuple of arrays; rhs(t, ys) returns
+    the slopes."""
+    k1 = rhs(t, ys)
+    k2 = rhs(t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k1)))
+    k3 = rhs(t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k2)))
+    k4 = rhs(t + dt, tuple(y + dt * k for y, k in zip(ys, k3)))
+    return tuple(y + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+                 for y, s1, s2, s3, s4 in zip(ys, k1, k2, k3, k4))
 
 
 class _Stepper:
@@ -326,7 +329,13 @@ class _Stepper:
     takes the samples of y from the caller when it already has them, and one
     batched forward transform of dim + dim(dim+1)/2 fields, plus dim when
     forced: u, the momentum flux m_i u_j + P(rho) delta_ij for i <= j (the
-    pressure sits on the flux diagonal) and rho g."""
+    pressure sits on the flux diagonal) and rho g.
+
+    A stage allocates one product array for these fields and fills it in
+    place, and accumulates its slope straight into the array it returns.
+    The 2/3 mask rides in the derivative factors of the flux divergence, and
+    each flux pair feeds both momentum components it belongs to, so no pass
+    copies or masks the product coefficients."""
 
     def __init__(self, grid: TorusGrid, params: FluidParams, vacuum_floor: float):
         self.grid = grid
@@ -335,19 +344,23 @@ class _Stepper:
         self.keep = grid.dealias_mask()
         self.dk = np.stack([np.where(grid.nyquist_mask, 0.0, 1j * k)
                             for k in grid.frequency_mesh])
+        # d_i of a product, which keeps only the dealiased band
+        self.dk_keep = self.dk * self.keep
         mu, lam = params.mu, params.lam
         self.mu_lap = mu * np.where(grid.nyquist_mask, 0.0, -grid.k_squared)
         self.mu_lam_dk = (mu + lam) * self.dk
-        # sum_ij |dk_i u_j|^2 = |k|^2 sum_j |u_j|^2 off the Nyquist planes,
-        # the Parseval weight folded in
-        self.grad_weight = grid.mode_weight * np.where(grid.nyquist_mask, 0.0,
-                                                       grid.k_squared)
-        # m_i u_j is symmetric in (i, j): only the dim(dim+1)/2 pairs i <= j are formed
+        # m_i u_j is symmetric in (i, j): only the dim(dim+1)/2 pairs i <= j
+        # are formed.  A flux term (i, j, p) subtracts d_i of row p from
+        # momentum component j; pair p = (i, j) feeds j, then i, so walking
+        # the pairs in order each component still takes i = 0, 1, ... in turn
         dim = grid.dim
         self.pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-        self.pair_index = np.array([[self.pairs.index((min(i, j), max(i, j)))
-                                     for j in range(dim)] for i in range(dim)])
-        self.diagonal = [self.pairs.index((i, i)) for i in range(dim)]
+        self.diagonal = [dim + self.pairs.index((i, i)) for i in range(dim)]
+        self.pair_terms = []
+        for p, (i, j) in enumerate(self.pairs):
+            self.pair_terms += [(i, j, p)] if i == j else [(i, j, p), (j, i, p)]
+        # the passenger flux m_i w_j is not symmetric: all dim^2 rows, row-major
+        self.full_terms = [(i, j, i * dim + j) for i in range(dim) for j in range(dim)]
         self._forcing_cache: tuple[float, np.ndarray] | None = None
 
     def forcing_samples(self, t: float) -> np.ndarray | None:
@@ -359,16 +372,23 @@ class _Stepper:
         self._forcing_cache = (t, g)
         return g
 
-    def divergence(self, v_c: np.ndarray) -> np.ndarray:
-        """Coefficients of div v from those of the components of v."""
-        return np.sum(self.dk * v_c, axis=0)
-
-    def momentum(self, v_c: np.ndarray, div_v: np.ndarray, flux_c: np.ndarray) -> np.ndarray:
-        """mu lap v + (mu+lam) grad div v - div(flux), flux_c[i, j] = F_ij."""
-        acc = self.mu_lap * v_c + self.mu_lam_dk * div_v
+    def divergence(self, v_c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Coefficients of div v from those of the components of v, into out."""
+        out[...] = 0.0  # summed from +0 like np.sum, so a zero sum keeps its sign
         for i in range(self.grid.dim):
-            acc -= self.dk[i] * flux_c[i]
-        return acc
+            out += self.dk[i] * v_c[i]
+        return out
+
+    def momentum(self, v_c: np.ndarray, div_v: np.ndarray, flux_c: np.ndarray,
+                 terms, out: np.ndarray) -> np.ndarray:
+        """mu lap v + (mu+lam) grad div v - div(F) into out, where flux_c[p]
+        holds F_ij for each (i, j, p) of terms; F counts in the dealiased
+        band only."""
+        np.multiply(self.mu_lap, v_c, out=out)
+        out += self.mu_lam_dk * div_v
+        for i, j, p in terms:
+            out[j] -= self.dk_keep[i] * flux_c[p]
+        return out
 
     # -----------------------------------------------------------------------
     def rhs(self, t: float, y: np.ndarray, samples: np.ndarray | None = None):
@@ -380,24 +400,27 @@ class _Stepper:
         min_rho = float(np.min(rho_s))
         if min_rho <= self.vacuum_floor:
             raise VacuumError(t, min_rho)
-        u_s = m_s / rho_s
-        p_s = self.params.pressure(rho_s)
         g_s = self.forcing_samples(t)
-        flux = np.stack([m_s[i] * u_s[j] for i, j in self.pairs])
-        flux[self.diagonal] += p_s
-        products = [u_s, flux]
-        if g_s is not None:
-            products.append(rho_s * g_s)
-        c = to_coeffs(grid, np.concatenate(products))
-        c[dim:] *= self.keep
-        u_c = c[:dim]
         n_flux = dim + len(self.pairs)
-        force_c = c[n_flux:] if g_s is not None else None
-        div_u = self.divergence(u_c)
+        prod = np.empty((n_flux + (0 if g_s is None else dim),) + grid.shape)
+        u_s = np.divide(m_s, rho_s, out=prod[:dim])
+        for p, (i, j) in enumerate(self.pairs, start=dim):
+            np.multiply(m_s[i], u_s[j], out=prod[p])
+        p_s = self.params.pressure(rho_s)
+        for p in self.diagonal:
+            prod[p] += p_s
+        if g_s is not None:
+            np.multiply(rho_s, g_s, out=prod[n_flux:])
+        c = to_coeffs(grid, prod)
+        u_c = c[:dim]
+        div_u = self.divergence(u_c, np.empty(grid.spectral_shape, dtype=c.dtype))
         dy = np.empty_like(y)
-        dy[0] = -self.divergence(y[1:])
-        dy[1:] = self.momentum(u_c, div_u, c[dim:n_flux][self.pair_index])
-        if force_c is not None:
+        np.negative(self.divergence(y[1:], dy[0]), out=dy[0])
+        self.momentum(u_c, div_u, c[dim:n_flux], self.pair_terms, dy[1:])
+        force_c = None
+        if g_s is not None:
+            force_c = c[n_flux:]
+            force_c *= self.keep
             dy[1:] += force_c
         aux = {"rho_s": rho_s, "m_s": m_s, "u_s": u_s, "p_s": p_s, "u_c": u_c,
                "div_u": div_u, "g_s": g_s, "force_c": force_c}
@@ -408,14 +431,17 @@ class _Stepper:
         along the stage state in aux (the momentum operator with w in place
         of u)."""
         grid, dim = self.grid, self.grid.dim
-        w_s = to_samples(grid, w_c) / aux["rho_s"]
-        flux = aux["m_s"][:, None] * w_s[None]
+        prod = np.empty((dim + dim * dim,) + grid.shape)
+        w_s = np.divide(to_samples(grid, w_c), aux["rho_s"], out=prod[:dim])
+        np.multiply(aux["m_s"][:, None], w_s[None],
+                    out=prod[dim:].reshape((dim, dim) + grid.shape))
         if with_sources:
-            flux[range(dim), range(dim)] += aux["p_s"]
-        c = to_coeffs(grid, np.concatenate([w_s, flux.reshape((dim * dim,) + grid.shape)]))
-        c[dim:] *= self.keep
-        out = self.momentum(c[:dim], self.divergence(c[:dim]),
-                            c[dim:].reshape((dim, dim) + grid.spectral_shape))
+            for i in range(dim):
+                prod[dim + i * (dim + 1)] += aux["p_s"]
+        c = to_coeffs(grid, prod)
+        out = np.empty_like(w_c)
+        self.momentum(c[:dim], self.divergence(c[:dim], np.empty_like(out[0])),
+                      c[dim:], self.full_terms, out)
         if with_sources and aux["force_c"] is not None:
             out += aux["force_c"]
         return out
@@ -425,7 +451,7 @@ class _Stepper:
         viscous dissipation int mu |grad u|^2 + (mu+lam)(div u)^2 and the
         forcing power int rho g . u."""
         grid, mu, lam = self.grid, self.params.mu, self.params.lam
-        grad_sq = float(np.sum(self.grad_weight * np.abs(aux["u_c"]) ** 2))
+        grad_sq = gradient_sum(grid, aux["u_c"])
         div_sq = parseval_sum(grid, aux["div_u"])
         dissipation = grid.volume * (mu * grad_sq + (mu + lam) * div_sq)
         if aux["g_s"] is None:
@@ -437,16 +463,23 @@ class _Stepper:
 
     def step(self, t: float, y: np.ndarray, dt: float, samples: np.ndarray | None = None):
         """One RK4 step; returns (y, quadrature increments).  ``samples``,
-        when given, are those of y and serve the first stage."""
+        when given, are those of y and serve the first stage.  Each stage's
+        integrands are taken as soon as it has run, so its fields are freed
+        before the next stage allocates the same sizes again: holding four
+        stages' fields to the end of the step made the allocator hand memory
+        back and fault it in anew every step (about 1000 page faults per 2-D
+        128^2 step)."""
+        quads = {}
+        weights = iter((1.0, 2.0, 2.0, 1.0))
+
         def rhs(s, ys):
             dy, aux = self.rhs(s, ys[0], samples if ys[0] is y else None)
-            return (dy,), aux
-
-        (y,), stages = _rk4(rhs, t, (y,), dt)
-        quads = {}
-        for stage, w in zip(stages, (1.0, 2.0, 2.0, 1.0)):
-            for name, val in self.quadrature_values(stage).items():
+            w = next(weights)
+            for name, val in self.quadrature_values(aux).items():
                 quads[name] = quads.get(name, 0.0) + dt / 6 * w * val
+            return (dy,)
+
+        (y,) = _rk4(rhs, t, (y,), dt)
         return y, quads
 
 
@@ -458,7 +491,9 @@ def _conservative(state: FluidState, keep: np.ndarray) -> np.ndarray:
 
 def _state_from_conservative(grid: TorusGrid, y: np.ndarray, s: np.ndarray,
                              t: float) -> FluidState:
-    """The state of stacked coefficients y whose samples are s."""
+    """The state of stacked coefficients y whose samples are s; the velocity
+    is transformed only if a snapshot reader asks for its coefficients
+    (the CFL bound and the vacuum check read samples)."""
     rho = ScalarField(grid, y[0], copy=False, samples=s[0])
     return FluidState(rho, VectorField.from_samples(grid, s[1:] / s[0]), t)
 
@@ -677,7 +712,7 @@ def linear_split(trajectory: Trajectory) -> SplitResult:
     def rhs(t, ys):
         dy, aux = stepper.rhs(t, ys[0])
         return (dy, stepper.passenger_rhs(aux, ys[1], False),
-                stepper.passenger_rhs(aux, ys[2], True)), aux
+                stepper.passenger_rhs(aux, ys[2], True))
 
     times = trajectory.times
     w1_series, w2_series = [], []
@@ -696,7 +731,7 @@ def linear_split(trajectory: Trajectory) -> SplitResult:
     for i, big_dt in enumerate(np.diff(times)):
         dt = big_dt / n_sub
         for sub in range(n_sub):
-            (y, w1, w2), _ = _rk4(rhs, times[i] + dt * sub, (y, w1, w2), dt)
+            y, w1, w2 = _rk4(rhs, times[i] + dt * sub, (y, w1, w2), dt)
         record(y, w1, w2)
     return SplitResult(times, w1_series, w2_series, residual)
 
@@ -875,6 +910,7 @@ def read_checkpoint(path: str) -> FluidState:
             f"expected {expected}")
     grid = TorusGrid(dim, m)
     data = np.frombuffer(body, dtype="<f8").reshape((n_fields,) + grid.shape)
+    # the fields copy the samples and transform them when first read
     rho = ScalarField.from_samples(grid, data[0])
-    u = VectorField.from_samples(grid, np.array(data[1:]))
+    u = VectorField.from_samples(grid, data[1:])
     return FluidState(rho, u, t)

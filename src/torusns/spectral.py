@@ -17,8 +17,9 @@ full-lattice inverse transform does implicitly on the Nyquist planes.
 
 This module holds the package's only transform calls: ``to_coeffs`` and
 ``to_samples`` call ``scipy.fft.rfftn``/``irfftn`` (one worker), looked up on
-the ``scipy.fft`` module at call time.  All operations are pure; field
-objects are immutable after construction.
+the ``scipy.fft`` module at call time.  A field computes whichever of its
+coefficients and samples it was not built from on first read.  All
+operations are pure; field objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -159,10 +160,13 @@ class Field:
     with ``rank`` leading component axes of length dim (0: scalar, 1: vector).
 
     ``coeffs[..., k]`` is the coefficient of e^{i k.x}, so the mode
-    ``(0,...,0)`` carries the mean value.
+    ``(0,...,0)`` carries the mean value.  A field made from samples keeps
+    them and computes its coefficients on first read, with the same
+    ``to_coeffs`` call that building them eagerly would make, so a field read
+    only in physical space costs no transform.
     """
 
-    __slots__ = ("grid", "coeffs", "_samples")
+    __slots__ = ("grid", "_coeffs", "_samples")
     rank = 0
 
     def __init__(self, grid: TorusGrid, coeffs: np.ndarray, *, copy: bool = True,
@@ -175,7 +179,7 @@ class Field:
         c = np.array(coeffs, dtype=np.complex128) if copy \
             else np.asarray(coeffs, dtype=np.complex128)
         self.grid = grid
-        self.coeffs = _frozen(c)
+        self._coeffs = _frozen(c)
         self._samples = None if samples is None else _frozen(samples)
 
     @classmethod
@@ -188,7 +192,14 @@ class Field:
         if values.shape != cls._lead(grid) + grid.shape:
             raise GridMismatchError(
                 f"sample shape {values.shape} does not match grid {grid.shape}")
-        return cls(grid, to_coeffs(grid, values), copy=False, samples=values.copy())
+        return cls._of_samples(grid, values.copy())
+
+    @classmethod
+    def _of_samples(cls, grid: TorusGrid, samples: np.ndarray):
+        """A field that owns ``samples`` and transforms them on first read."""
+        f = cls.__new__(cls)
+        f.grid, f._coeffs, f._samples = grid, None, _frozen(samples)
+        return f
 
     @classmethod
     def zero(cls, grid: TorusGrid):
@@ -196,9 +207,15 @@ class Field:
                                   dtype=np.complex128), copy=False)
 
     @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            self._coeffs = _frozen(to_coeffs(self.grid, self._samples))
+        return self._coeffs
+
+    @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            self._samples = _frozen(to_samples(self.grid, self.coeffs))
+            self._samples = _frozen(to_samples(self.grid, self._coeffs))
         return self._samples
 
     def with_coeffs(self, coeffs: np.ndarray):
@@ -274,7 +291,11 @@ class VectorField(Field):
         return cls(grid, np.stack([c.coeffs for c in components]), copy=False)
 
     def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.coeffs[i], copy=False,
+        """The i-th component; while this field's coefficients are not
+        computed yet, the component transforms its own samples when read."""
+        if self._coeffs is None:
+            return ScalarField._of_samples(self.grid, self._samples[i])
+        return ScalarField(self.grid, self._coeffs[i], copy=False,
                            samples=None if self._samples is None else self._samples[i])
 
     @property
@@ -377,20 +398,19 @@ def divergence(field: VectorField) -> ScalarField:
     grid = field.grid
     out = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for a in range(grid.dim):
-        out += partial(field.component(a), a).coeffs
+        out += field.coeffs[a] * _derivative_factor(
+            grid, tuple(int(b == a) for b in range(grid.dim)))
     return ScalarField(grid, out, copy=False)
 
 
 def curl(field: VectorField) -> Field:
     """Vorticity: scalar d1 u2 - d2 u1 in 2-D, the usual vector in 3-D."""
     grid = field.grid
-    u = field.components
+    g = [partial(field, i).coeffs for i in range(grid.dim)]  # g[i][j]: d_i u_j
     if grid.dim == 2:
-        return partial(u[1], 0) - partial(u[0], 1)
-    w0 = partial(u[2], 1) - partial(u[1], 2)
-    w1 = partial(u[0], 2) - partial(u[2], 0)
-    w2 = partial(u[1], 0) - partial(u[0], 1)
-    return VectorField.from_components([w0, w1, w2])
+        return ScalarField(grid, g[0][1] - g[1][0], copy=False)
+    return VectorField(grid, np.stack([g[1][2] - g[2][1], g[2][0] - g[0][2],
+                                       g[0][1] - g[1][0]]), copy=False)
 
 
 def laplacian(field: Field) -> Field:
@@ -444,23 +464,29 @@ def dealias(field: Field) -> Field:
     return field.with_coeffs(np.where(field.grid.dealias_mask(), field.coeffs, 0.0))
 
 
+def _from_values(cls, grid: TorusGrid, values: np.ndarray, dealiased: bool):
+    """A field of pointwise values.  Dealiased, it keeps only the truncated
+    coefficients: the values are not the samples of the result, so they are
+    transformed at once and not stored."""
+    if dealiased:
+        return dealias(cls(grid, to_coeffs(grid, values), copy=False))
+    return cls.from_samples(grid, values)
+
+
 def multiply(a: ScalarField, b: ScalarField, *, dealiased: bool = True) -> ScalarField:
     """Grid product, dealiased with the 2/3 rule by default."""
     grid = _check_same_grid(a, b)
-    prod = ScalarField.from_samples(grid, a.samples * b.samples)
-    return dealias(prod) if dealiased else prod
+    return _from_values(ScalarField, grid, a.samples * b.samples, dealiased)
 
 
 def scale_vector(a: ScalarField, u: VectorField, *, dealiased: bool = True) -> VectorField:
     grid = _check_same_grid(a, u)
-    prod = VectorField.from_samples(grid, a.samples[None, ...] * u.samples)
-    return dealias(prod) if dealiased else prod
+    return _from_values(VectorField, grid, a.samples[None, ...] * u.samples, dealiased)
 
 
 def pointwise(grid: TorusGrid, values: np.ndarray, *, dealiased: bool = True) -> ScalarField:
     """Wrap samples produced by a nonlinear pointwise map into a field."""
-    f = ScalarField.from_samples(grid, values)
-    return dealias(f) if dealiased else f
+    return _from_values(ScalarField, grid, np.asarray(values, dtype=np.float64), dealiased)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +546,19 @@ def parseval_sum(grid: TorusGrid, coeffs: np.ndarray) -> float:
     """sum |c_k|^2 over the full lattice for (a stack of) half-spectrum
     coefficient arrays; times the torus volume it is the squared L^2 norm."""
     return float(np.sum(grid.mode_weight * np.abs(coeffs) ** 2))
+
+
+@functools.lru_cache(maxsize=32)  # one entry per grid in use
+def _gradient_weight(grid: TorusGrid) -> np.ndarray:
+    return _frozen(grid.mode_weight * np.where(grid.nyquist_mask, 0.0, grid.k_squared))
+
+
+def gradient_sum(grid: TorusGrid, coeffs: np.ndarray) -> float:
+    """sum |k|^2 |c_k|^2 over the full lattice off the Nyquist planes, for (a
+    stack of) half-spectrum coefficient arrays; times the torus volume it is
+    int |grad f|^2 dx with the spectral derivatives, which zero those planes
+    (summed over the stack)."""
+    return float(np.sum(_gradient_weight(grid) * np.abs(coeffs) ** 2))
 
 
 def coefficient_l2_norm(field: Field) -> float:

@@ -1,10 +1,15 @@
 """Shape of the public analysis API."""
 
+import ast
 import inspect
+import pathlib
 
 import pytest
 
 from torusns import diagnostics, dynamics
+
+#: helpers of numpy.fft / scipy.fft that transform nothing
+NON_TRANSFORMS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
 
 
 @pytest.mark.parametrize("module", [diagnostics, dynamics], ids=lambda m: m.__name__)
@@ -15,3 +20,63 @@ def test_run_functions_take_params_from_the_trajectory(module):
             if fn.__module__ == module.__name__ and not name.startswith("_")
             and {"trajectory", "params"} <= set(inspect.signature(fn).parameters)]
     assert not both, f"take both `trajectory` and `params`: {both}"
+
+
+def _transform_references(source: str) -> set[str]:
+    """Dotted names of numpy.fft / scipy.fft transforms (or of the modules
+    themselves) that a module's code imports or refers to, through any
+    alias: `np.fft.rfftn`, `scipy.fft.irfftn`, `from scipy import fft`,
+    `from numpy.fft import rfft as f`, ..."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                top = a.name.split(".")[0]
+                bound[a.asname or top] = a.name if a.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for a in node.names:
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    # a chain such as np.fft.fftfreq is judged whole, not by its prefix np.fft
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = set(bound.values()) | {dotted(node) for node in ast.walk(tree)
+                                   if id(node) not in inner}
+    return {name for name in names if name for module in ("numpy.fft", "scipy.fft")
+            if (name == module or name.startswith(module + "."))
+            and name[len(module) + 1:] not in NON_TRANSFORMS}
+
+
+def test_only_spectral_reaches_a_transform_entry_point():
+    """Every transform of the package goes through `spectral.to_coeffs` and
+    `spectral.to_samples`, which is why the `fft_calls` fixture and the
+    benchmark's tracer, counting the library entry points, see them all."""
+    src = pathlib.Path(dynamics.__file__).parent
+    users = {path.name: refs for path in sorted(src.glob("*.py"))
+             if (refs := _transform_references(path.read_text()))}
+    assert set(users) == {"spectral.py"}, users
+    assert {"scipy.fft.rfftn", "scipy.fft.irfftn"} <= users["spectral.py"]
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nnp.fft.rfftn(x)",
+    "import scipy.fft\nscipy.fft.irfftn(c)",
+    "from scipy import fft\nfft.rfft(x)",
+    "from numpy.fft import irfftn as back\nback(c)",
+    "import numpy.fft as F\ng = F",
+    "from scipy.fft import *",
+])
+def test_transform_reference_is_seen(source):
+    assert _transform_references(source)
+
+
+def test_frequency_helpers_are_not_transforms():
+    assert not _transform_references("import numpy as np\nk = np.fft.fftfreq(8)")

