@@ -276,6 +276,7 @@ def _write_manifest(outdir: str, config: ExperimentConfig, trajectory,
         "stop_reason": trajectory.stop_reason,
         "stop_time": trajectory.stop_time,
         "snapshots": len(trajectory),
+        "step_count": trajectory.step_count,
         "files": [{"name": name, "sha256": _sha256(os.path.join(outdir, name))}
                   for name in sorted(files)],
     }
@@ -358,19 +359,23 @@ IDENTITY_TOL = 1e-11
 
 
 def _load_run(outdir: str):
+    """(manifest, problem, run, checkpoint paths in time order).  `run` is
+    the run's record without its states: the parameters and stop facts the
+    ledgers read, while the states stream from the checkpoints."""
     manifest_path = os.path.join(outdir, MANIFEST_FILE)
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"no manifest in {outdir}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    config = load_config(os.path.join(outdir, CONFIG_FILE))
-    problem = build_problem(config)
-    states = []
-    for entry in manifest["files"]:
-        if entry["name"].endswith(".nsb"):
-            states.append(dyn.read_checkpoint(os.path.join(outdir, entry["name"])))
-    states.sort(key=lambda s: s.t)
-    return manifest, config, problem, states
+    problem = build_problem(load_config(os.path.join(outdir, CONFIG_FILE)))
+    run = dyn.Trajectory([], manifest["stop_reason"], manifest["stop_time"],
+                         problem.solver, problem.params,
+                         step_count=manifest.get("step_count", 0))
+    paths = [os.path.join(outdir, entry["name"]) for entry in manifest["files"]
+             if entry["name"].endswith(".nsb")]
+    # the headers give the time order without reading the samples
+    paths.sort(key=dyn.checkpoint_time)
+    return manifest, problem, run, paths
 
 
 def _check_integrity(outdir: str, manifest: dict) -> list[str]:
@@ -384,17 +389,21 @@ def _check_integrity(outdir: str, manifest: dict) -> list[str]:
     return failures
 
 
-def _identity_suite(problem: Problem, partition: lp.DyadicPartition,
-                    states) -> list[str]:
+class _IdentitySuite:
     """Machine-precision identities on every checkpoint; a NaN residual
     fails (every test reads `not (residual <= tol)`)."""
-    failures = []
-    grid = problem.grid
-    for n, state in enumerate(states):
-        tol = IDENTITY_TOL * (1.0 + sp.lebesgue_norm(state.u, math.inf)
-                              + sp.lebesgue_norm(state.rho, math.inf))
-        h = diag.pressure_field(state, problem.params)
-        residuals = diag.v1_identities(state, problem.params, h)
+
+    def __init__(self, problem: Problem, partition: lp.DyadicPartition):
+        self.problem, self.partition = problem, partition
+        self.failures: list[str] = []
+
+    def add(self, window) -> None:
+        grid = self.problem.grid
+        snap = window.current
+        state = snap.state
+        tol = IDENTITY_TOL * (1.0 + sp.lebesgue_norm(state.u, math.inf) + snap.rho_inf)
+        h = snap.pressure
+        residuals = diag.v1_identities(state, self.problem.params, h)
         h0 = h - sp.ScalarField.constant(grid, h.mean)
         residuals["bogovskii"] = sp.lebesgue_norm(
             sp.divergence(diag.bogovskii(h)) - h0, math.inf)
@@ -410,84 +419,133 @@ def _identity_suite(problem: Problem, partition: lp.DyadicPartition,
         residuals["parseval_gap"] = abs(sp.lebesgue_norm(state.rho, 2)
                                         - sp.coefficient_l2_norm(state.rho))
         total = sp.ScalarField.zero(grid)
-        for q in partition.active_blocks:
-            total = total + lp.dyadic_block(partition, q, state.rho)
+        for q in self.partition.active_blocks:
+            total = total + lp.dyadic_block(self.partition, q, state.rho)
         residuals["dyadic_reconstruction"] = sp.lebesgue_norm(total - state.rho, math.inf)
         for name, val in residuals.items():
             if not (val <= tol):
-                failures.append(f"state {n}: {name} residual {val:.3e}")
-    return failures
+                self.failures.append(f"state {window.index}: {name} residual {val:.3e}")
+
+    def finish(self) -> list[str]:
+        return self.failures
 
 
-def _series_crosscheck(outdir: str, problem: Problem, states) -> list[str]:
+class _SeriesCrosscheck:
     """Recompute a few series columns from the checkpoints and compare;
     a NaN on either side fails."""
-    path = os.path.join(outdir, SERIES_FILE)
-    if not os.path.exists(path):
-        return [f"missing {SERIES_FILE}"]
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    if len(rows) != len(states):
-        return [f"series rows ({len(rows)}) != checkpoints ({len(states)})"]
-    failures = []
-    cols = {name: header.index(name) for name in ("time", "mass", "rho_linf",
-                                                  "min_rho")}
-    for n, (state, row) in enumerate(zip(states, rows)):
-        stored = {k: float(row[i]) for k, i in cols.items()}
+
+    COLUMNS = ("time", "mass", "rho_linf", "min_rho")
+
+    def __init__(self, outdir: str, count: int):
+        self.failures: list[str] = []
+        self.rows = []
+        path = os.path.join(outdir, SERIES_FILE)
+        if not os.path.exists(path):
+            self.failures.append(f"missing {SERIES_FILE}")
+            return
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        if len(rows) != count:
+            self.failures.append(f"series rows ({len(rows)}) != checkpoints ({count})")
+            return
+        cols = [header.index(name) for name in self.COLUMNS]
+        self.rows = [{k: float(row[i]) for k, i in zip(self.COLUMNS, cols)}
+                     for row in rows]
+
+    def add(self, window) -> None:
+        if not self.rows:
+            return
+        n, snap = window.index, window.current
+        state, stored = snap.state, self.rows[n]
         if not (abs(stored["time"] - state.t) <= 1e-12 * (1 + abs(state.t))):
-            failures.append(f"snapshot {n}: time mismatch")
-            continue
+            self.failures.append(f"snapshot {n}: time mismatch")
+            return
         recomputed = {
             "mass": state.mass,
-            "rho_linf": sp.lebesgue_norm(state.rho, math.inf),
+            "rho_linf": snap.rho_inf,
             "min_rho": state.min_density,
         }
         for key, val in recomputed.items():
             if not (abs(stored[key] - val) <= 1e-9 * (1.0 + abs(val))):
-                failures.append(
+                self.failures.append(
                     f"snapshot {n}: stored {key}={stored[key]:.12g} "
                     f"!= recomputed {val:.12g}")
-    return failures
+
+    def finish(self) -> list[str]:
+        return self.failures
 
 
-def _inequality_suite(outdir: str, problem: Problem, partition: lp.DyadicPartition,
-                      trajectory) -> dict[str, diag.LedgerReport]:
-    reports = {}
-    reports["energy"] = diag.energy_ledger(trajectory)
-    reports["density_bounds"] = diag.density_bound_ledger(trajectory)
-    reports["integrability"] = diag.integrability_gain(
-        trajectory, problem.monitor.p_gain)
-    reports["transport"] = diag.transport_estimate_report(
-        trajectory, partition, problem.monitor.epsilon, math.inf, math.inf)
-    if len(trajectory) >= 3:  # both differentiate the snapshots in time
-        reports["omega_budget"] = diag.grad_omega_budget(trajectory)
-        reports["v1_energy"] = diag.v1_energy_ledger(trajectory)
+def _inequality_ledgers(run: dyn.Trajectory, problem: Problem,
+                        partition: lp.DyadicPartition, count: int) -> dict:
+    """name -> (accumulator, the public function that reports it, the
+    arguments that follow it there) for every ledger the suite writes."""
+    mon = problem.monitor
+    specs = {
+        "energy": (diag.EnergyLedger, diag.energy_ledger, ()),
+        "density_bounds": (diag.DensityBoundLedger, diag.density_bound_ledger, ()),
+        "integrability": (diag.IntegrabilityGain, diag.integrability_gain,
+                          (mon.p_gain,)),
+        "transport": (diag.TransportEstimate, diag.transport_estimate_report,
+                      (partition, mon.epsilon, math.inf, math.inf)),
+    }
+    if count >= 3:  # both differentiate the snapshots in time
+        specs["omega_budget"] = (diag.GradOmegaBudget, diag.grad_omega_budget, ())
+        specs["v1_energy"] = (diag.V1EnergyLedger, diag.v1_energy_ledger, ())
+    return {name: (ledger(run, *args), report, args)
+            for name, (ledger, report, args) in specs.items()}
+
+
+def _write_ledgers(outdir: str, reports: dict[str, diag.LedgerReport]) -> None:
     ledger_dir = os.path.join(outdir, "ledgers")
     os.makedirs(ledger_dir, exist_ok=True)
     for name, rep in reports.items():
         with open(os.path.join(ledger_dir, f"{name}.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write(rep.to_csv())
-    return reports
 
 
-def _monitor_suite(problem: Problem, trajectory) -> list[str]:
-    failures = [f"snapshot {n}: non-finite samples"
-                for n, state in enumerate(trajectory.states) if not state.is_finite()]
-    flags = diag.blowup_monitor(trajectory, problem.monitor)
-    abnormal = trajectory.stop_reason not in dyn.NORMAL_STOPS
-    if abnormal and flags.extendable:
-        failures.append(
-            f"stop reason {trajectory.stop_reason} but monitor flags extendable")
-    if not abnormal and not flags.density_bounded:
-        failures.append("completed run flagged as density-unbounded")
-    return failures
+class _MonitorSuite:
+    """Finite samples in every checkpoint, and blow-up monitor flags that
+    agree with the run's stop reason."""
+
+    def __init__(self, run: dyn.Trajectory, monitor: diag.MonitorConfig):
+        self.monitor = monitor
+        self.stop_reason = run.stop_reason
+        self.ledger = diag.BlowupMonitor(run, monitor)
+        self.failures: list[str] = []
+
+    def add(self, window) -> None:
+        if not window.current.state.is_finite():
+            self.failures.append(f"snapshot {window.index}: non-finite samples")
+        self.ledger.add(window)
+
+    def finish(self) -> list[str]:
+        flags = diag.blowup_monitor(self.ledger, self.monitor)
+        abnormal = self.stop_reason not in dyn.NORMAL_STOPS
+        if abnormal and flags.extendable:
+            self.failures.append(
+                f"stop reason {self.stop_reason} but monitor flags extendable")
+        if not abnormal and not flags.density_bounded:
+            self.failures.append("completed run flagged as density-unbounded")
+        return self.failures
+
+
+def _monitor_suite(problem: Problem, trajectory: dyn.Trajectory) -> list[str]:
+    """The monitor suite over the states of a trajectory in memory."""
+    suite = _MonitorSuite(trajectory, problem.monitor)
+    diag.feed([suite], trajectory.params, len(trajectory), trajectory.states.__getitem__)
+    return suite.finish()
 
 
 def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """Run a verification suite over a stored run directory.
+
+    The checkpoints are read one at a time, in time order, in one pass that
+    feeds every check and ledger of the suite through a window of (previous,
+    current, next) states; all of them share each state's derived fields
+    while it is in the window, so at most three states are held at once.
 
     Machine-precision identity failures and monitor-contract violations
     make the result (and the exit code) fail; inequality ledgers only
@@ -495,24 +553,26 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
-    manifest, config, problem, states = _load_run(outdir)
+    manifest, problem, run, paths = _load_run(outdir)
     failures = _check_integrity(outdir, manifest)
-    reports = {}
-    if not failures:
-        # every ledger and monitor below reads the run's parameters from this
-        # trajectory; here is where they enter it
-        trajectory = dyn.Trajectory(states, manifest["stop_reason"],
-                                    manifest["stop_time"], problem.solver,
-                                    problem.params)
-        if suite != "monitors":
-            partition = lp.build_partition(problem.grid)
-        if suite in ("identities", "all"):
-            failures += _identity_suite(problem, partition, states)
-            failures += _series_crosscheck(outdir, problem, states)
-        if suite in ("inequalities", "all"):
-            reports = _inequality_suite(outdir, problem, partition, trajectory)
-        if suite in ("monitors", "all"):
-            failures += _monitor_suite(problem, trajectory)
+    if failures:
+        return VerifyResult(False, failures, {})
+    checks, ledgers = [], {}
+    if suite != "monitors":
+        partition = lp.build_partition(problem.grid)
+    if suite in ("identities", "all"):
+        checks += [_IdentitySuite(problem, partition), _SeriesCrosscheck(outdir, len(paths))]
+    if suite in ("inequalities", "all"):
+        ledgers = _inequality_ledgers(run, problem, partition, len(paths))
+    if suite in ("monitors", "all"):
+        checks.append(_MonitorSuite(run, problem.monitor))
+    diag.feed(checks + [ledger for ledger, _, _ in ledgers.values()], problem.params,
+              len(paths), lambda n: dyn.read_checkpoint(paths[n]))
+    for check in checks:
+        failures += check.finish()
+    reports = {name: report(ledger, *args) for name, (ledger, report, args) in ledgers.items()}
+    if reports:
+        _write_ledgers(outdir, reports)
     return VerifyResult(not failures, failures, reports)
 
 

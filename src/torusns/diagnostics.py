@@ -11,6 +11,7 @@ Three accuracy classes, tested accordingly:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -41,6 +42,7 @@ from .spectral import (
     random_vector_field,
     scale_vector,
     sobolev_norm,
+    to_coeffs,
     velocity_gradient,
 )
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
@@ -261,17 +263,20 @@ def log_state_rejected_reading(state: FluidState, params: FluidParams) -> Scalar
 
 
 def _coifman_parts(state: FluidState) -> tuple[ScalarField, ScalarField]:
-    """(the commutator of `coifman_commutator`, inv_lap div(rho u))."""
+    """(the commutator of `coifman_commutator`, inv_lap div(rho u)).
+
+    By linearity the dim products u_j d_j phi are summed before their one
+    transform, and the dim^2 products u_j (rho u)_i share one stacked
+    transform: three forward transform calls in all."""
     grid = state.grid
     b = scale_vector(state.rho, state.u)  # rho u
     phi = _inv_lap_div(b)
-    term1 = ScalarField.zero(grid)
+    flux = np.where(grid.dealias_mask(),
+                    to_coeffs(grid, state.u.samples[:, None] * b.samples[None]), 0.0)
     term2 = ScalarField.zero(grid)
     for j in range(grid.dim):
-        uj = state.u.component(j)
-        term1 = term1 + multiply(uj, partial(phi, j))
-        term2 = term2 + partial(_inv_lap_div(scale_vector(uj, b)), j)
-    return term1 - term2, phi
+        term2 = term2 + partial(_inv_lap_div(VectorField(grid, flux[j], copy=False)), j)
+    return _advect(state.u, phi) - term2, phi
 
 
 def coifman_commutator(state: FluidState, r1: float = 2.0, r2: float = 2.0
@@ -323,13 +328,173 @@ def bogovskii(h: ScalarField) -> VectorField:
 # time differencing
 # ---------------------------------------------------------------------------
 
+def _difference(times: Sequence[float], values: Sequence, pos: int):
+    """d/dt at times[pos] of `values` sampled at three consecutive `times`:
+    the centred second-order difference at pos 1 and the one-sided ones at
+    the ends (np.gradient's non-uniform formulas with edge_order=2)."""
+    if len(values) < 3:
+        raise ValueError("need at least 3 snapshots for centred differencing")
+    dx1, dx2 = np.diff(np.asarray(times, dtype=float))
+    if pos == 0:
+        a = -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2))
+        b = (dx1 + dx2) / (dx1 * dx2)
+        c = -dx1 / (dx2 * (dx1 + dx2))
+    elif pos == 1:
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+    else:
+        a = dx2 / (dx1 * (dx1 + dx2))
+        b = -(dx2 + dx1) / (dx1 * dx2)
+        c = (2. * dx2 + dx1) / (dx2 * (dx1 + dx2))
+    return a * values[0] + b * values[1] + c * values[2]
+
+
+class _Window:
+    """Up to three consecutive items of a time series and the position of
+    the current one among them: (previous, current, next) inside the series,
+    its first three at its first item and its last three at its last, which
+    the one-sided differences at the ends read."""
+
+    def __init__(self):
+        self.items: list = []
+        self.pos = 0
+        self.index = 0   # of the current item in the series
+
+    @property
+    def current(self):
+        return self.items[self.pos]
+
+    def time_derivative(self, read: Callable[["_Snapshot"], Field]) -> Field:
+        """d/dt at the current snapshot of the field read(snapshot)."""
+        fields = [read(s) for s in self.items]
+        return fields[0].with_coeffs(_difference([s.t for s in self.items],
+                                                 [f.coeffs for f in fields], self.pos))
+
+
+def _windows(count: int, load: Callable[[int], object]):
+    """Yield one `_Window` per item n = 0 .. count-1 in order, loading each
+    item once with load(n).  The same window object is updated in place, and
+    an item leaves it before the next one is loaded, so at most three loaded
+    items are alive at any time."""
+    window = _Window()
+    first = 0
+    for n in range(count):
+        start = min(max(n - 1, 0), max(count - 3, 0))
+        del window.items[:start - first]
+        first = start
+        while len(window.items) < min(3, count - start):
+            window.items.append(load(start + len(window.items)))
+        window.pos, window.index = n - start, n
+        yield window
+
+
 def _time_derivative(times: np.ndarray, fields: Sequence[Field]) -> list[Field]:
     """Second-order centred (one-sided at the ends) time derivative of a field
     series sampled at `times`."""
-    if len(fields) < 3:
-        raise ValueError("need at least 3 snapshots for centred differencing")
-    d = np.gradient(np.stack([f.coeffs for f in fields]), times, axis=0, edge_order=2)
-    return [f.with_coeffs(c) for f, c in zip(fields, d)]
+    out = []
+    for w in _windows(len(fields), lambda n: n):
+        out.append(fields[0].with_coeffs(_difference(
+            times[w.items], [fields[i].coeffs for i in w.items], w.pos)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# snapshot passes: one state's shared fields, and the ledgers fed by them
+# ---------------------------------------------------------------------------
+
+class _Snapshot:
+    """One state and the fields derived from it that more than one ledger
+    reads, each computed on first use.  Every accumulator of a pass reads the
+    same object while the state is in the window, so such a field is
+    transformed once per state; it is dropped with the window."""
+
+    def __init__(self, state: FluidState, params: FluidParams):
+        self.state = state
+        self.params = params
+        self.t = state.t
+
+    @functools.cached_property
+    def pressure(self) -> ScalarField:
+        return pressure_field(self.state, self.params)
+
+    @functools.cached_property
+    def velocities(self) -> tuple[VectorField, VectorField]:
+        """(v1, v) of `effective_velocity`."""
+        return effective_velocity(self.state, self.params, self.pressure)
+
+    @functools.cached_property
+    def grad_u(self) -> np.ndarray:
+        """Samples of grad u, as `velocity_gradient` gives them."""
+        return velocity_gradient(self.state.u)
+
+    @functools.cached_property
+    def grad_sq(self) -> np.ndarray:
+        """Pointwise |grad u|^2."""
+        return _grad_sq(self.state.u, self.grad_u)
+
+    @functools.cached_property
+    def coifman(self) -> tuple[ScalarField, ScalarField]:
+        return _coifman_parts(self.state)
+
+    @functools.cached_property
+    def rho_inf(self) -> float:
+        return lebesgue_norm(self.state.rho, math.inf)
+
+    def release(self) -> None:
+        """Drop the fields that only this snapshot's own window position
+        reads: a neighbour's time derivative reads u, v1 and v alone."""
+        for name in ("pressure", "grad_u", "grad_sq", "coifman"):
+            self.__dict__.pop(name, None)
+
+
+class Accumulator:
+    """A ledger fed one snapshot window at a time, in time order, by `feed`;
+    `finish` returns its report.
+
+    It is built from a run's record, whose `params`, `quadratures`,
+    `stop_reason` and `stop_time` it may read (never its states, which a
+    pass may stream from disk), and from the ledger's own arguments, kept as
+    `config`.  It keeps scalars per snapshot, not fields, so its memory does
+    not grow with a snapshot's size.
+    """
+
+    def __init__(self, run: Trajectory, *config):
+        self.params = run.params
+        self.config = config
+        self.times: list[float] = []
+
+    def add(self, window: _Window) -> None:
+        self.times.append(window.current.t)
+
+    def finish(self):
+        raise NotImplementedError
+
+
+def feed(accumulators: Sequence, params: FluidParams, count: int,
+         load: Callable[[int], FluidState]) -> None:
+    """One pass over the `count` states that load(n) returns in time order:
+    every accumulator gets every window, so all of them share each state's
+    `_Snapshot`, and at most three states are held at once."""
+    for window in _windows(count, lambda n: _Snapshot(load(n), params)):
+        for acc in accumulators:
+            acc.add(window)
+        window.current.release()
+
+
+def _report(source, ledger: type, *config):
+    """The finished `ledger` accumulator built with `config`: fed every state
+    of `source` when it is a Trajectory, or `source` itself when it is such
+    an accumulator that a shared pass has fed (how `app.verify` reads its
+    checkpoints), whose config must then be `config`."""
+    if isinstance(source, ledger):
+        if source.config != config:
+            raise ValueError(f"{ledger.__name__} was built with {source.config}, "
+                             f"not {config}")
+        return source.finish()
+    acc = ledger(source, *config)
+    feed([acc], source.params, len(source), source.states.__getitem__)
+    return acc.finish()
 
 
 def u_dot(trajectory: Trajectory) -> list[VectorField]:
@@ -425,24 +590,75 @@ def dissipation_rate(state: FluidState, params: FluidParams) -> float:
     return _viscous_form(params, state.u)
 
 
-def energy_ledger(trajectory: Trajectory) -> LedgerReport:
+class EnergyLedger(Accumulator):
+    """Accumulator of `energy_ledger`."""
+
+    def __init__(self, run: Trajectory):
+        super().__init__(run)
+        self.quadratures = run.quadratures
+        self.energy: list[float] = []
+
+    def add(self, window: _Window) -> None:
+        super().add(window)
+        self.energy.append(total_energy(window.current.state, self.params))
+
+    def finish(self) -> LedgerReport:
+        n = len(self.times)
+        energy = np.array(self.energy)
+        diss = np.asarray(self.quadratures.get("dissipation") or np.zeros(n))
+        work = np.asarray(self.quadratures.get("forcing_work") or np.zeros(n))
+        slack = energy[0] + work - energy - diss
+        return LedgerReport(
+            "energy_balance",
+            ["time", "energy", "dissipation", "forcing_work", "slack"],
+            list(zip(self.times, energy, diss, work, slack)),
+            empirical_constant=-float(np.min(slack, initial=0.0)),
+            notes="slack = E(0) + work - E(t) - dissipation; stays >= -tolerance")
+
+
+def energy_ledger(trajectory: Trajectory | EnergyLedger) -> LedgerReport:
     """Energy balance E(t) + dissipation <= E(0) + forcing work.
 
     The dissipation and work integrals come from the solver's stage-level
     quadratures (RK4-accurate); the slack column should be zero up to time
     discretization and dealiasing, and non-negative up to that tolerance.
+    Like every ledger below, it also reports an accumulator that a shared
+    pass has fed in place of the trajectory (see `_report`).
     """
-    n = len(trajectory)
-    energy = np.array([total_energy(s, trajectory.params) for s in trajectory.states])
-    diss = np.asarray(trajectory.quadratures.get("dissipation") or np.zeros(n))
-    work = np.asarray(trajectory.quadratures.get("forcing_work") or np.zeros(n))
-    slack = energy[0] + work - energy - diss
-    return LedgerReport(
-        "energy_balance",
-        ["time", "energy", "dissipation", "forcing_work", "slack"],
-        list(zip(trajectory.times, energy, diss, work, slack)),
-        empirical_constant=-float(np.min(slack, initial=0.0)),
-        notes="slack = E(0) + work - E(t) - dissipation; stays >= -tolerance")
+    return _report(trajectory, EnergyLedger)
+
+
+class _AFunctional(Accumulator):
+    """Accumulator of `a_functional`."""
+
+    def __init__(self, run: Trajectory):
+        super().__init__(run)
+        self.rates: list[tuple] = []
+
+    def add(self, window: _Window) -> None:
+        super().add(window)
+        state = window.current.state
+        law = self.params.pressure
+        rho = state.rho.samples
+        p = law(rho)
+        du = window.time_derivative(lambda s: s.state.u)
+        self.rates.append((_rho_weighted_sq(state.rho, du),
+                           float(np.sum(p ** 2 * (rho * law.derivative(rho) - p)))
+                           * state.grid.cell_volume,
+                           dissipation_rate(state, self.params),
+                           float(np.sum(k_function(law, rho))) * state.grid.cell_volume))
+
+    def finish(self) -> dict[str, np.ndarray]:
+        times = np.array(self.times)
+        nu = self.params.nu
+        kin_rate, press_rate, grad_rate, k_rate = f_weight(times) * np.array(self.rates).T
+        accel = cumulative_trapezoid(kin_rate, times, initial=0)
+        press = cumulative_trapezoid(press_rate, times, initial=0) / nu ** 2
+        grad_term = 0.5 * grad_rate
+        k_term = k_rate / nu
+        return {"time": times, "A": accel + grad_term + press + k_term,
+                "acceleration": accel, "gradient": grad_term,
+                "pressure_interaction": press, "k_weight": k_term}
 
 
 def a_functional(trajectory: Trajectory) -> dict[str, np.ndarray]:
@@ -454,27 +670,7 @@ def a_functional(trajectory: Trajectory) -> dict[str, np.ndarray]:
 
     returned together with its four components as time series.
     """
-    params = trajectory.params
-    states = trajectory.states
-    times = trajectory.times
-    law = params.pressure
-    vol = states[0].grid.cell_volume
-    rates = []
-    for state, du in zip(states, _time_derivative(times, [s.u for s in states])):
-        rho = state.rho.samples
-        p = law(rho)
-        rates.append((_rho_weighted_sq(state.rho, du),
-                      float(np.sum(p ** 2 * (rho * law.derivative(rho) - p))) * vol,
-                      dissipation_rate(state, params),
-                      float(np.sum(k_function(law, rho))) * vol))
-    kin_rate, press_rate, grad_rate, k_rate = f_weight(times) * np.array(rates).T
-    accel = cumulative_trapezoid(kin_rate, times, initial=0)
-    press = cumulative_trapezoid(press_rate, times, initial=0) / params.nu ** 2
-    grad_term = 0.5 * grad_rate
-    k_term = k_rate / params.nu
-    return {"time": times, "A": accel + grad_term + press + k_term,
-            "acceleration": accel, "gradient": grad_term,
-            "pressure_interaction": press, "k_weight": k_term}
+    return _report(trajectory, _AFunctional)
 
 
 def gradient_splitting(state: FluidState, params: FluidParams
@@ -544,19 +740,89 @@ def udot_budget(trajectory: Trajectory) -> dict[str, np.ndarray]:
             "pointwise": point, "integral": integral_part}
 
 
-def grad_omega_budget(trajectory: Trajectory) -> LedgerReport:
+class GradOmegaBudget(Accumulator):
+    """Accumulator of `grad_omega_budget`."""
+
+    def __init__(self, run: Trajectory):
+        super().__init__(run)
+        self.a = _AFunctional(run)
+        self.rows: list[tuple[float, float]] = []
+
+    def add(self, window: _Window) -> None:
+        super().add(window)
+        snap = window.current
+        grid = snap.state.grid
+        self.rows.append((grid.volume * gradient_sum(grid, curl(snap.state.u).coeffs),
+                          snap.rho_inf))
+        self.a.add(window)
+
+    def finish(self) -> LedgerReport:
+        times = np.array(self.times)
+        curl_rate, rho_inf = np.array(self.rows).T
+        lhs = cumulative_trapezoid(f_weight(times) * curl_rate, times, initial=0)
+        rhs = float(np.max(rho_inf)) * self.a.finish()["A"]
+        return _ratio_ledger("vorticity_gradient_budget", {"time": times}, lhs, rhs)
+
+
+def grad_omega_budget(trajectory: Trajectory | GradOmegaBudget) -> LedgerReport:
     """int_0^t int f(s) |grad omega|^2 against ||rho||_inf A(t)."""
-    states = trajectory.states
-    times = trajectory.times
-    grid = trajectory.initial.grid
-    rate = f_weight(times) * [grid.volume * gradient_sum(grid, curl(s.u).coeffs)
-                              for s in states]
-    lhs = cumulative_trapezoid(rate, times, initial=0)
-    rhs = _rho_sup(states) * a_functional(trajectory)["A"]
-    return _ratio_ledger("vorticity_gradient_budget", {"time": times}, lhs, rhs)
+    return _report(trajectory, GradOmegaBudget)
 
 
-def integrability_gain(trajectory: Trajectory, p1: int) -> LedgerReport:
+class IntegrabilityGain(Accumulator):
+    """Accumulator of `integrability_gain`."""
+
+    def __init__(self, run: Trajectory, p1: int):
+        super().__init__(run, p1)
+        if p1 < 2 or p1 % 2 != 0:
+            raise ValueError(f"p1 must be even and >= 2, got {p1}")
+        if self.params.mu <= 0:
+            raise ValueError("mu must be positive")
+        self.p1 = p1
+        self.rows: list[tuple] = []
+
+    def add(self, window: _Window) -> None:
+        super().add(window)
+        snap = window.current
+        state, p1 = snap.state, self.p1
+        self.dim = state.grid.dim
+        vol = state.grid.cell_volume
+        u_s = state.u.samples
+        mag2 = np.sum(u_s ** 2, axis=0)
+        d1_rate = float(np.sum(mag2 ** ((p1 - 2) / 2) * snap.grad_sq)) * vol
+        d2_rate = 0.0
+        if p1 >= 4:
+            # |grad |u|^2|^2 with d_i |u|^2 = 2 sum_j u_j d_i u_j
+            grad_mag2 = np.sum((2 * np.sum(u_s * snap.grad_u, axis=1)) ** 2, axis=0)
+            d2_rate = float(np.sum(mag2 ** ((p1 - 4) / 2) * grad_mag2)) * vol
+        space_p = 3.0 * p1 / (p1 + 1.0)
+        self.rows.append((_moment(state, p1), d1_rate, d2_rate,
+                          lebesgue_norm(snap.pressure, space_p)))
+
+    def finish(self) -> LedgerReport:
+        params, p1 = self.params, self.p1
+        s_param = 1.0 / (2.0 * self.dim)
+        if p1 > 2 and params.lam > 0:
+            eta = 4.0 * (s_param * params.mu + params.lam) / (params.lam * (p1 - 2))
+            b_coeff = (p1 - 2) / 4.0 * (params.mu - params.lam ** 2 * (p1 - 2)
+                                        / (s_param * params.mu + params.lam))
+        else:
+            eta = math.inf
+            b_coeff = params.mu * (p1 - 2) / 4.0
+        a_coeff = params.mu * (1.0 - s_param * self.dim)
+        times = np.array(self.times)
+        moment, d1_rate, d2_rate, p_norm = np.array(self.rows).T
+        d1 = cumulative_trapezoid(d1_rate, times, initial=0)
+        d2 = cumulative_trapezoid(d2_rate, times, initial=0)
+        p_time = cumulative_trapezoid(p_norm ** p1, times, initial=0) ** (1.0 / p1)
+        return _ratio_ledger(
+            f"integrability_gain_p{p1}",
+            {"time": times, "moment": moment, "grad_integral": d1, "grad_mag_integral": d2},
+            moment + a_coeff * d1 + max(b_coeff, 0.0) * d2, p_time ** 2 + moment[0],
+            notes=f"eta={eta:g}, A_s={a_coeff:g}, B_s={b_coeff:g}, s={s_param:g}")
+
+
+def integrability_gain(trajectory: Trajectory | IntegrabilityGain, p1: int) -> LedgerReport:
     """Weighted-velocity moment ledger: tracks (1/p1) int rho |u|^{p1} and the
     two dissipation-like integrals against the pressure norm on the right.
 
@@ -566,55 +832,62 @@ def integrability_gain(trajectory: Trajectory, p1: int) -> LedgerReport:
     and the 2-D one 2 q p1/((q-2) p1 + 4) with the reporting choice q = 6 for
     the time Lebesgue exponent (the paper leaves q free), which equals it.
     """
-    if p1 < 2 or p1 % 2 != 0:
-        raise ValueError(f"p1 must be even and >= 2, got {p1}")
-    params = trajectory.params
-    if params.mu <= 0:
-        raise ValueError("mu must be positive")
-    grid = trajectory.initial.grid
-    dim = grid.dim
-    s_param = 1.0 / (2.0 * dim)
-    if p1 > 2 and params.lam > 0:
-        eta = 4.0 * (s_param * params.mu + params.lam) / (params.lam * (p1 - 2))
-        b_coeff = (p1 - 2) / 4.0 * (params.mu - params.lam ** 2 * (p1 - 2)
-                                    / (s_param * params.mu + params.lam))
-    else:
-        eta = math.inf
-        b_coeff = params.mu * (p1 - 2) / 4.0
-    a_coeff = params.mu * (1.0 - s_param * dim)
-    space_p = 3.0 * p1 / (p1 + 1.0)
-
-    times = trajectory.times
-    states = trajectory.states
-    vol = grid.cell_volume
-    moment = np.array([_moment(s, p1) for s in states])
-    d1_rate = np.empty(len(states))
-    d2_rate = np.zeros(len(states))
-    for n, state in enumerate(states):
-        u_s = state.u.samples
-        mag2 = np.sum(u_s ** 2, axis=0)
-        grad_u = velocity_gradient(state.u)
-        d1_rate[n] = float(np.sum(mag2 ** ((p1 - 2) / 2) * _grad_sq(state.u, grad_u))) * vol
-        if p1 >= 4:
-            # |grad |u|^2|^2 with d_i |u|^2 = 2 sum_j u_j d_i u_j
-            grad_mag2 = np.sum((2 * np.sum(u_s * grad_u, axis=1)) ** 2, axis=0)
-            d2_rate[n] = float(np.sum(mag2 ** ((p1 - 4) / 2) * grad_mag2)) * vol
-    p_norm = np.array([lebesgue_norm(pressure_field(s, params), space_p) for s in states])
-    d1 = cumulative_trapezoid(d1_rate, times, initial=0)
-    d2 = cumulative_trapezoid(d2_rate, times, initial=0)
-    p_time = cumulative_trapezoid(p_norm ** p1, times, initial=0) ** (1.0 / p1)
-    return _ratio_ledger(
-        f"integrability_gain_p{p1}",
-        {"time": times, "moment": moment, "grad_integral": d1, "grad_mag_integral": d2},
-        moment + a_coeff * d1 + max(b_coeff, 0.0) * d2, p_time ** 2 + moment[0],
-        notes=f"eta={eta:g}, A_s={a_coeff:g}, B_s={b_coeff:g}, s={s_param:g}")
+    return _report(trajectory, IntegrabilityGain, p1)
 
 
 # ---------------------------------------------------------------------------
 # density bounds
 # ---------------------------------------------------------------------------
 
-def density_bound_ledger(trajectory: Trajectory) -> LedgerReport:
+class DensityBoundLedger(Accumulator):
+    """Accumulator of `density_bound_ledger`."""
+
+    def __init__(self, run: Trajectory):
+        super().__init__(run)
+        self.cols: list[tuple] = []
+
+    def add(self, window: _Window) -> None:
+        snap = window.current
+        s = snap.state
+        if not self.times:
+            if s.min_density <= 0:
+                raise VacuumError(s.t, s.min_density)
+            self.rho0_max = float(np.max(s.rho.samples))
+            self.rho0_min = float(np.min(s.rho.samples))
+        super().add(window)
+        p = snap.pressure
+        comm, phi = snap.coifman
+        log_rho = np.log(s.rho.samples)
+        self.cols.append((p.mean, lebesgue_norm(p, math.inf), lebesgue_norm(comm, math.inf),
+                          lebesgue_norm(phi, math.inf), np.max(log_rho), np.min(log_rho)))
+
+    def finish(self) -> LedgerReport:
+        nu = self.params.nu
+        times = np.array(self.times)
+        mean_p, sup_p, comm_sup, pot_term, log_max, log_min = np.array(self.cols).T
+        int_mean_p = cumulative_trapezoid(mean_p, times, initial=0)
+        int_sup_p = cumulative_trapezoid(sup_p, times, initial=0)
+        int_comm = cumulative_trapezoid(comm_sup, times, initial=0)
+        lhs_hi = nu * log_max
+        rhs_hi = nu * math.log(self.rho0_max) + pot_term[0] + pot_term \
+            + int_mean_p + int_comm
+        lhs_lo = nu * log_min
+        rhs_lo = (nu * math.log(self.rho0_min) - pot_term[0]
+                  - np.maximum.accumulate(pot_term) - int_sup_p + int_mean_p - int_comm)
+        ratio = np.maximum(np.divide(lhs_hi, rhs_hi, out=np.zeros_like(lhs_hi),
+                                     where=rhs_hi != 0), 0.0)
+        return LedgerReport(
+            "log_density_bounds",
+            ["time", "upper_lhs", "upper_rhs", "upper_gap",
+             "lower_lhs", "lower_rhs", "lower_gap"],
+            list(zip(times, lhs_hi, rhs_hi, rhs_hi - lhs_hi, lhs_lo, rhs_lo,
+                     lhs_lo - rhs_lo)),
+            float(np.max(ratio, initial=0.0)),
+            notes="gaps must stay nonnegative up to discretization; forcing terms "
+                  "are not included (the bound is derived for g = 0)")
+
+
+def density_bound_ledger(trajectory: Trajectory | DensityBoundLedger) -> LedgerReport:
     """Assembled two-sided log-density bounds along a trajectory.
 
     Upper: nu log rho(t,x) <= nu log ||rho0||_inf + ||inv_lap div m0||_inf
@@ -625,40 +898,7 @@ def density_bound_ledger(trajectory: Trajectory) -> LedgerReport:
     Both follow from the characteristic representation of F by dropping
     sign-definite terms, so the empirical constants sit near one.
     """
-    states = trajectory.states
-    if states[0].min_density <= 0:
-        raise VacuumError(states[0].t, states[0].min_density)
-    params = trajectory.params
-    nu = params.nu
-    times = trajectory.times
-    cols = []
-    for s in states:  # one pass per state keeps its arrays in cache
-        p = pressure_field(s, params)
-        comm, phi = _coifman_parts(s)
-        log_rho = np.log(s.rho.samples)
-        cols.append((p.mean, lebesgue_norm(p, math.inf), lebesgue_norm(comm, math.inf),
-                     lebesgue_norm(phi, math.inf), np.max(log_rho), np.min(log_rho)))
-    mean_p, sup_p, comm_sup, pot_term, log_max, log_min = np.array(cols).T
-    int_mean_p = cumulative_trapezoid(mean_p, times, initial=0)
-    int_sup_p = cumulative_trapezoid(sup_p, times, initial=0)
-    int_comm = cumulative_trapezoid(comm_sup, times, initial=0)
-    rho0 = states[0].rho.samples
-    lhs_hi = nu * log_max
-    rhs_hi = nu * math.log(float(np.max(rho0))) + pot_term[0] + pot_term \
-        + int_mean_p + int_comm
-    lhs_lo = nu * log_min
-    rhs_lo = (nu * math.log(float(np.min(rho0))) - pot_term[0]
-              - np.maximum.accumulate(pot_term) - int_sup_p + int_mean_p - int_comm)
-    ratio = np.maximum(np.divide(lhs_hi, rhs_hi, out=np.zeros_like(lhs_hi),
-                                 where=rhs_hi != 0), 0.0)
-    return LedgerReport(
-        "log_density_bounds",
-        ["time", "upper_lhs", "upper_rhs", "upper_gap",
-         "lower_lhs", "lower_rhs", "lower_gap"],
-        list(zip(times, lhs_hi, rhs_hi, rhs_hi - lhs_hi, lhs_lo, rhs_lo, lhs_lo - rhs_lo)),
-        float(np.max(ratio, initial=0.0)),
-        notes="gaps must stay nonnegative up to discretization; forcing terms "
-              "are not included (the bound is derived for g = 0)")
+    return _report(trajectory, DensityBoundLedger)
 
 
 # ---------------------------------------------------------------------------
@@ -679,35 +919,107 @@ class MonitorFlags:
     stop_reason: str
 
 
-def _window_states(trajectory: Trajectory, window_end: float | None
-                   ) -> list[FluidState]:
-    """The snapshots with t <= window_end (all of them for None)."""
-    if len(trajectory) == 0:
-        raise ValueError("empty trajectory")
-    states = trajectory.states
-    if window_end is not None:
-        states = [s for s in states if s.t <= window_end * (1 + 1e-12)]
-        if not states:
+def _in_window(t: float, window_end: float | None) -> bool:
+    return window_end is None or t <= window_end * (1 + 1e-12)
+
+
+class _DensityVerdict(Accumulator):
+    """Accumulator of `_density_verdict`; it reads the snapshots with
+    t <= window_end (all of them for None)."""
+
+    def __init__(self, run: Trajectory, window_end: float | None = None):
+        super().__init__(run, window_end)
+        self.window_end = window_end
+        self.stop_reason, self.stop_time = run.stop_reason, run.stop_time
+        self.seen = 0
+        self.bad: list[float] = []
+
+    def add(self, window: _Window) -> bool:
+        """Whether the current snapshot lies in the window."""
+        self.seen += 1
+        s = window.current.state
+        if not _in_window(s.t, self.window_end):
+            return False
+        super().add(window)
+        if not (s.is_finite() and s.min_density > 0):
+            self.bad.append(s.t)
+        return True
+
+    def finish(self) -> tuple[bool, float | None]:
+        if not self.seen:
+            raise ValueError("empty trajectory")
+        if not self.times:
             raise ValueError("window excludes every snapshot")
-    return states
+        first_bad = self.bad[0] if self.bad else None
+        abnormal = self.stop_reason not in NORMAL_STOPS
+        if abnormal and _in_window(self.stop_time, self.window_end):
+            return False, self.stop_time if first_bad is None else first_bad
+        return not self.bad, first_bad
 
 
 def _density_verdict(trajectory: Trajectory, window_end: float | None = None
                      ) -> tuple[bool, float | None]:
     """(density criterion holds, first violation time) on [0, window_end]:
     every snapshot finite with positive density, and no abnormal stop inside
-    the window.  It needs no norm, so checking a shorter window is cheap."""
-    states = _window_states(trajectory, window_end)
-    bad = [s.t for s in states if not (s.is_finite() and s.min_density > 0)]
-    first_bad = bad[0] if bad else None
-    abnormal = trajectory.stop_reason not in NORMAL_STOPS
-    in_window = window_end is None or trajectory.stop_time <= window_end * (1 + 1e-12)
-    if abnormal and in_window:
-        return False, trajectory.stop_time if first_bad is None else first_bad
-    return not bad, first_bad
+    the window.  It needs no norm."""
+    return _report(trajectory, _DensityVerdict, window_end)
 
 
-def blowup_monitor(trajectory: Trajectory, monitor: MonitorConfig,
+class BlowupMonitor(Accumulator):
+    """Accumulator of `blowup_monitor`."""
+
+    def __init__(self, run: Trajectory, monitor: MonitorConfig,
+                 window_end: float | None = None):
+        super().__init__(run, monitor, window_end)
+        self.monitor = monitor
+        self.verdict = _DensityVerdict(run, window_end)
+        self.rows: list[tuple] = []
+
+    def add(self, window: _Window) -> None:
+        if not self.verdict.add(window):
+            return
+        super().add(window)
+        snap = window.current
+        rho = snap.state.rho
+        if len(self.times) == 1:
+            dim = snap.state.grid.dim
+            self.gamma, self.q_crit = _criterion_exponents(self.params, self.monitor, dim)
+            eps = self.monitor.epsilon
+            self.comp_exps = ({"L9eps": 9.0 + eps, "L3g32": 3.0 * self.gamma + 1.5}
+                              if dim == 3 else {"L2g1": 2.0 * self.gamma + 1.0})
+        self.rows.append(tuple(lebesgue_norm(rho, q) for q in self.comp_exps.values())
+                         + (lebesgue_norm(rho, self.q_crit),
+                            math.sqrt(np.max(snap.grad_sq)), snap.rho_inf))
+
+    def finish(self) -> MonitorFlags:
+        density_ok, first_bad = self.verdict.finish()
+        times = np.array(self.times)
+        cols = np.array(self.rows).T
+        comp = {name: float(np.max(col)) for name, col in zip(self.comp_exps, cols)}
+        rho_qc, grad_sup, rho_inf = cols[len(comp):]
+        gamma = self.gamma
+        if len(times) > 1:
+            pressure_time_norm = float(np.trapezoid(rho_qc ** (gamma + 1.0), times)
+                                       ** (1.0 / (gamma + 1.0)))
+            lipschitz = float(np.trapezoid(grad_sup, times))
+        else:
+            pressure_time_norm, lipschitz = 0.0, 0.0
+        norms_finite = (math.isfinite(pressure_time_norm) and math.isfinite(lipschitz)
+                        and all(math.isfinite(v) for v in comp.values()))
+        return MonitorFlags(
+            density_bounded=density_ok,
+            criterion_norms_finite=norms_finite,
+            extendable=density_ok and norms_finite,
+            first_violation_time=first_bad,
+            rho_sup=float(np.max(rho_inf)),
+            criterion_exponent=self.q_crit,
+            pressure_time_norm=pressure_time_norm,
+            companion_norms=comp,
+            lipschitz_integral=lipschitz,
+            stop_reason=self.verdict.stop_reason)
+
+
+def blowup_monitor(trajectory: Trajectory | BlowupMonitor, monitor: MonitorConfig,
                    window_end: float | None = None) -> MonitorFlags:
     """Evaluate the continuation criteria on [0, T]:
 
@@ -720,36 +1032,7 @@ def blowup_monitor(trajectory: Trajectory, monitor: MonitorConfig,
     Flags are monotone under window extension: once violated, the first
     violation time is fixed.
     """
-    states = _window_states(trajectory, window_end)
-    times = np.array([s.t for s in states])
-    dim = states[0].grid.dim
-    gamma, q_crit = _criterion_exponents(trajectory.params, monitor, dim)
-    density_ok, first_bad = _density_verdict(trajectory, window_end)
-    comp_exps = ({"L9eps": 9.0 + monitor.epsilon, "L3g32": 3.0 * gamma + 1.5}
-                 if dim == 3 else {"L2g1": 2.0 * gamma + 1.0})
-    comp = {name: float(np.max([lebesgue_norm(s.rho, q) for s in states]))
-            for name, q in comp_exps.items()}
-    if len(states) > 1:
-        rho_qc = np.array([lebesgue_norm(s.rho, q_crit) for s in states])
-        grad_sup = np.array([math.sqrt(np.max(_grad_sq(s.u))) for s in states])
-        pressure_time_norm = float(np.trapezoid(rho_qc ** (gamma + 1.0), times)
-                                   ** (1.0 / (gamma + 1.0)))
-        lipschitz = float(np.trapezoid(grad_sup, times))
-    else:
-        pressure_time_norm, lipschitz = 0.0, 0.0
-    norms_finite = (math.isfinite(pressure_time_norm) and math.isfinite(lipschitz)
-                    and all(math.isfinite(v) for v in comp.values()))
-    return MonitorFlags(
-        density_bounded=density_ok,
-        criterion_norms_finite=norms_finite,
-        extendable=density_ok and norms_finite,
-        first_violation_time=first_bad,
-        rho_sup=_rho_sup(states),
-        criterion_exponent=q_crit,
-        pressure_time_norm=pressure_time_norm,
-        companion_norms=comp,
-        lipschitz_integral=lipschitz,
-        stop_reason=trajectory.stop_reason)
+    return _report(trajectory, BlowupMonitor, monitor, window_end)
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +1050,84 @@ def _grad_block_fields(u: VectorField) -> list[ScalarField]:
             for j in range(grid.dim)]
 
 
-def transport_estimate_report(trajectory: Trajectory, partition: DyadicPartition,
-                              sigma: float, p: float, r: float,
-                              p1: float | None = None) -> LedgerReport:
+class TransportEstimate(Accumulator):
+    """Accumulator of `transport_estimate_report`."""
+
+    def __init__(self, run: Trajectory, partition: DyadicPartition, sigma: float,
+                 p: float, r: float, p1: float | None = None):
+        super().__init__(run, partition, sigma, p, r, p1)
+        dim = partition.grid.dim
+        if p1 is None:
+            p1 = p
+        if p > p1:
+            raise ValueError("need p <= p1")
+        p_prime = p / (p - 1.0) if p > 1 else math.inf
+        if sigma <= -dim * min(1.0 / p1, 1.0 / p_prime):
+            raise ValueError(
+                f"regularity index sigma={sigma} violates the admissible window")
+        self.partition, self.sigma, self.p, self.r, self.p1 = partition, sigma, p, r, p1
+        self.alpha = max(0, math.ceil(sigma))
+        self.spec = BesovSpec(sigma, p, r)
+        self.env_spec = BesovSpec(dim / p1, p1, math.inf)
+        # max-type norms throughout: every term is a max over blocks, settled
+        # through the l^1 block bounds of _sup_besov; for r = inf the time and
+        # block maxima of the left side commute
+        self.sup_norms = p == p1 == r == math.inf
+        self.block_sup = None
+        self.rows: list[tuple[float, float, float]] = []
+
+    def add(self, window: _Window) -> None:
+        super().add(window)
+        snap = window.current
+        state, partition, sigma = snap.state, self.partition, self.sigma
+        div_v1 = divergence(snap.velocities[0])
+        div_inf = lebesgue_norm(div_v1, math.inf)
+        rho_inf = snap.rho_inf
+        if self.sup_norms:
+            lhs = _sup_besov(partition, state.rho, sigma,
+                             self.rows[-1][0] if self.rows else 0.0)
+            grad_env = float(np.max(np.abs(snap.grad_u)))
+            for f in _grad_block_fields(state.u):
+                grad_env = _sup_besov(partition, f, 0.0, grad_env)
+            div_env = _sup_besov(partition, div_v1, 0.0, div_inf)
+            div_src = _sup_besov(partition, div_v1, sigma)
+        else:
+            p, p1 = self.p, self.p1
+            bn = block_norms(partition, state.rho, p)
+            self.block_sup = bn if self.block_sup is None else np.maximum(self.block_sup, bn)
+            lhs = besov_from_block_norms(self.block_sup, self.spec)
+            div_norms = block_norms(partition, div_v1, p)
+            env_div_norms = div_norms if p1 == p else block_norms(partition, div_v1, p1)
+            grad_u_fields = _grad_block_fields(state.u)
+            grad_env = float(np.max(
+                [_vector_besov(partition, grad_u_fields, self.env_spec)]
+                + [lebesgue_norm(f, math.inf) for f in grad_u_fields]))
+            div_env = float(np.max([besov_from_block_norms(env_div_norms, self.env_spec),
+                                    div_inf]))
+            div_src = besov_from_block_norms(div_norms, self.spec)
+        self.rows.append((lhs, grad_env + div_env + rho_inf ** (self.alpha + 1) + 1.0,
+                          rho_inf * div_src))
+
+    def finish(self) -> LedgerReport:
+        times = np.array(self.times)
+        lhs, v_rate, src_rate = np.array(self.rows).T
+        v_int = cumulative_trapezoid(v_rate, times, initial=0)
+        envelope = lhs[0] + cumulative_trapezoid(src_rate, times, initial=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a NaN on either side fails both tests and propagates
+            need = np.where((lhs <= envelope) | (v_int <= 0), 0.0,
+                            np.log(lhs / envelope) / v_int)
+        return LedgerReport(
+            "besov_transport_estimate",
+            ["time", "lhs", "envelope_no_exp", "V", "required_C"],
+            list(zip(times, lhs, envelope, v_int, need)),
+            float(np.max(need, initial=0.0)),
+            notes=f"sigma={self.sigma}, p={self.p}, r={self.r}, p1={self.p1}")
+
+
+def transport_estimate_report(trajectory: Trajectory | TransportEstimate,
+                              partition: DyadicPartition, sigma: float, p: float,
+                              r: float, p1: float | None = None) -> LedgerReport:
     """Empirical Gronwall constant of the Besov transport estimate
 
         ||rho||_{L~inf_t(B^sigma_{p,r})} <= e^{C V(t)} (||rho0||_{B^sigma_{p,r}}
@@ -778,68 +1136,7 @@ def transport_estimate_report(trajectory: Trajectory, partition: DyadicPartition
     with V(t) accumulating the grad u / div v1 / density norms.  The minimal
     C making the bound hold at each snapshot is reported.
     """
-    params = trajectory.params
-    grid = trajectory.initial.grid
-    if p1 is None:
-        p1 = p
-    if p > p1:
-        raise ValueError("need p <= p1")
-    p_prime = p / (p - 1.0) if p > 1 else math.inf
-    if sigma <= -grid.dim * min(1.0 / p1, 1.0 / p_prime):
-        raise ValueError(
-            f"regularity index sigma={sigma} violates the admissible window")
-    alpha = max(0, math.ceil(sigma))
-    spec = BesovSpec(sigma, p, r)
-    env_spec = BesovSpec(grid.dim / p1, p1, math.inf)
-    # max-type norms throughout: every term is a max over blocks, settled
-    # through the l^1 block bounds of _sup_besov; for r = inf the time and
-    # block maxima of the left side commute
-    sup_norms = p == p1 == r == math.inf
-    times = trajectory.times
-    states = trajectory.states
-    block_sup = None
-    lhs = np.empty(len(states))
-    v_rate = np.empty(len(states))
-    src_rate = np.empty(len(states))
-    for n, state in enumerate(states):
-        v1, _ = effective_velocity(state, params)
-        div_v1 = divergence(v1)
-        div_inf = lebesgue_norm(div_v1, math.inf)
-        rho_inf = lebesgue_norm(state.rho, math.inf)
-        if sup_norms:
-            lhs[n] = _sup_besov(partition, state.rho, sigma, lhs[n - 1] if n else 0.0)
-            grad_env = float(np.max(np.abs(velocity_gradient(state.u))))
-            for f in _grad_block_fields(state.u):
-                grad_env = _sup_besov(partition, f, 0.0, grad_env)
-            div_env = _sup_besov(partition, div_v1, 0.0, div_inf)
-            div_src = _sup_besov(partition, div_v1, sigma)
-        else:
-            bn = block_norms(partition, state.rho, p)
-            block_sup = bn if block_sup is None else np.maximum(block_sup, bn)
-            lhs[n] = besov_from_block_norms(block_sup, spec)
-            div_norms = block_norms(partition, div_v1, p)
-            env_div_norms = div_norms if p1 == p else block_norms(partition, div_v1, p1)
-            grad_u_fields = _grad_block_fields(state.u)
-            grad_env = float(np.max(
-                [_vector_besov(partition, grad_u_fields, env_spec)]
-                + [lebesgue_norm(f, math.inf) for f in grad_u_fields]))
-            div_env = float(np.max([besov_from_block_norms(env_div_norms, env_spec),
-                                    div_inf]))
-            div_src = besov_from_block_norms(div_norms, spec)
-        v_rate[n] = grad_env + div_env + rho_inf ** (alpha + 1) + 1.0
-        src_rate[n] = rho_inf * div_src
-    v_int = cumulative_trapezoid(v_rate, times, initial=0)
-    envelope = lhs[0] + cumulative_trapezoid(src_rate, times, initial=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a NaN on either side fails both tests and propagates
-        need = np.where((lhs <= envelope) | (v_int <= 0), 0.0,
-                        np.log(lhs / envelope) / v_int)
-    return LedgerReport(
-        "besov_transport_estimate",
-        ["time", "lhs", "envelope_no_exp", "V", "required_C"],
-        list(zip(times, lhs, envelope, v_int, need)),
-        float(np.max(need, initial=0.0)),
-        notes=f"sigma={sigma}, p={p}, r={r}, p1={p1}")
+    return _report(trajectory, TransportEstimate, partition, sigma, p, r, p1)
 
 
 def besov_regularity_monitor(trajectory: Trajectory, partition: DyadicPartition,
@@ -904,34 +1201,50 @@ def dtv_formula(state: FluidState, params: FluidParams,
     return bogovskii(h)
 
 
-def v1_energy_ledger(trajectory: Trajectory) -> LedgerReport:
+class V1EnergyLedger(Accumulator):
+    """Accumulator of `v1_energy_ledger`."""
+
+    def __init__(self, run: Trajectory):
+        super().__init__(run)
+        self.stop_time = run.stop_time
+        self.rows: list[tuple[float, float, float]] = []
+
+    def add(self, window: _Window) -> None:
+        snap = window.current
+        if snap.state.min_density <= 0:
+            raise VacuumError(self.stop_time, snap.state.min_density)
+        super().add(window)
+        params = self.params
+        v1, _ = snap.velocities
+        dt_v1 = window.time_derivative(lambda s: s.velocities[0])
+        dtv_resid = math.nan   # at the ends of the run
+        if window.pos == 1:
+            dt_v = window.time_derivative(lambda s: s.velocities[1])
+            dtv_resid = lebesgue_norm(
+                dtv_formula(snap.state, params, snap.pressure) - dt_v, math.inf)
+        self.rows.append((_rho_weighted_sq(snap.state.rho, dt_v1),
+                          _viscous_form(params, v1), dtv_resid))
+
+    def finish(self) -> LedgerReport:
+        times = np.array(self.times)
+        k1_rate, visc, dtv_resid = np.array(self.rows).T
+        fw = f_weight(times)
+        k1 = cumulative_trapezoid(fw * k1_rate, times, initial=0)
+        k2 = 0.5 * fw * visc
+        return LedgerReport(
+            "effective_velocity_energy",
+            ["time", "weighted_acceleration", "weighted_gradient", "dtv_residual"],
+            list(zip(times, k1, k2, dtv_resid)),
+            float(np.max(dtv_resid[1:-1], initial=0.0)),
+            notes="dtv_residual is O(dt^2); NaN at the window ends")
+
+
+def v1_energy_ledger(trajectory: Trajectory | V1EnergyLedger) -> LedgerReport:
     """Weighted energy of the effective velocity v1 (heat-type budget):
     K1(t) = int_0^t int f rho |d_s v1|^2 and
     K2(t) = f(t)/2 int (mu |grad v1|^2 + (lam+mu)(div v1)^2),
     plus the residual of the d_t v formula against centred differencing."""
-    states = trajectory.states
-    if any(s.min_density <= 0 for s in states):
-        raise VacuumError(trajectory.stop_time,
-                          min(s.min_density for s in states))
-    params = trajectory.params
-    times = trajectory.times
-    pressures = [pressure_field(s, params) for s in states]
-    v1s, vs = zip(*[effective_velocity(s, params, p) for s, p in zip(states, pressures)])
-    fw = f_weight(times)
-    k1_rate = fw * [_rho_weighted_sq(s.rho, d) for s, d in
-                    zip(states, _time_derivative(times, v1s))]
-    k2 = 0.5 * fw * [_viscous_form(params, v1) for v1 in v1s]
-    dtv_resid = np.full(len(states), math.nan)
-    for n, dt_v in enumerate(_time_derivative(times, vs)[1:-1], start=1):
-        dtv_resid[n] = lebesgue_norm(dtv_formula(states[n], params, pressures[n]) - dt_v,
-                                     math.inf)
-    k1 = cumulative_trapezoid(k1_rate, times, initial=0)
-    return LedgerReport(
-        "effective_velocity_energy",
-        ["time", "weighted_acceleration", "weighted_gradient", "dtv_residual"],
-        list(zip(times, k1, k2, dtv_resid)),
-        float(np.max(dtv_resid[1:-1], initial=0.0)),
-        notes="dtv_residual is O(dt^2); NaN at the window ends")
+    return _report(trajectory, V1EnergyLedger)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,8 +1355,9 @@ def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
     eps_spec = BesovSpec(monitor.epsilon, math.inf, math.inf)
     records = []
     for n, state in enumerate(trajectory.states):
+        snap = _Snapshot(state, params)
         positive = state.min_density > 0
-        gu_mag = np.sqrt(_grad_sq(state.u))
+        gu_mag = np.sqrt(snap.grad_sq)
         kin = 0.5 * _rho_weighted_sq(state.rho, state.u)
         pot = integral(pressure_potential(params.pressure, state.rho)) \
             if positive else math.nan
@@ -1061,13 +1375,12 @@ def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
             "forcing_work_cum": work[n] if n < len(work) else math.nan,
             "p1_moment": _moment(state, monitor.p_gain),
         }
-        p = pressure_field(state, params)
-        residuals = v1_identities(state, params, p)
+        residuals = v1_identities(state, params, snap.pressure)
         values["div_v1_residual"] = residuals["div_v1"]
         values["curl_v1_residual"] = residuals["curl_v1"]
         values["lap_decomposition_residual"] = residuals["lap_u_decomposition"]
         values["effective_pressure_l2"] = lebesgue_norm(
-            effective_pressure(state, params, p), 2)
+            effective_pressure(state, params, snap.pressure), 2)
         values["rho_besov_eps"] = besov_norm(partition, state.rho, eps_spec) \
             if partition is not None else math.nan
         records.append(DiagnosticRecord(

@@ -14,6 +14,7 @@ flow map, and the w1/w2 splitting of the momentum operator.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -863,8 +864,10 @@ def write_checkpoint(path: str, state: FluidState) -> None:
             fh.write(np.ascontiguousarray(state.u.samples[i], dtype="<f8").tobytes())
 
 
-def read_checkpoint(path: str) -> FluidState:
-    raw = open(path, "rb").read()
+def _checkpoint_header(path: str, raw: bytes, size: int) -> tuple[int, int, float, int]:
+    """(dim, M, t, payload offset) of the checkpoint at `path`, whose first
+    bytes (at least its header line) are `raw` and whose length is `size`.
+    Raises CheckpointError naming the byte offset of the first fault."""
     nl = raw.find(b"\n")
     if nl < 0:
         raise CheckpointError(f"{path}: no header line found (offset 0)")
@@ -902,14 +905,29 @@ def read_checkpoint(path: str) -> FluidState:
         check_grid_parameters(dim, m)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc} (header at byte offset 0)") from None
-    body = raw[nl + 1:]
     expected = n_fields * m ** dim * 8
-    if len(body) != expected:
+    if size - (nl + 1) != expected:
         raise CheckpointError(
-            f"{path}: payload of {len(body)} bytes at byte offset {nl + 1}, "
+            f"{path}: payload of {size - (nl + 1)} bytes at byte offset {nl + 1}, "
             f"expected {expected}")
+    return dim, m, t, nl + 1
+
+
+def checkpoint_time(path: str) -> float:
+    """The time of a checkpoint, from its header alone; the header and the
+    payload length are checked as `read_checkpoint` checks them."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        size = os.fstat(fh.fileno()).st_size
+    return _checkpoint_header(path, head, size)[2]
+
+
+def read_checkpoint(path: str) -> FluidState:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    dim, m, t, start = _checkpoint_header(path, raw, len(raw))
     grid = TorusGrid(dim, m)
-    data = np.frombuffer(body, dtype="<f8").reshape((n_fields,) + grid.shape)
+    data = np.frombuffer(raw, dtype="<f8", offset=start).reshape((1 + dim,) + grid.shape)
     # the fields copy the samples and transform them when first read
     rho = ScalarField.from_samples(grid, data[0])
     u = VectorField.from_samples(grid, data[1:])

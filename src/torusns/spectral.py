@@ -137,9 +137,25 @@ def to_coeffs(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
 
 
 def to_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Real samples of half-spectrum coefficients (inverse of to_coeffs)."""
-    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward",
-                            workers=1)
+    """Real samples of half-spectrum coefficients (inverse of to_coeffs).
+
+    Leading axes are a stack of fields.  A stack in 3-D, or of more than
+    three fields in 2-D, is transformed one field per call, with
+    bit-identical results: pocketfft's batched inverse was the slower one
+    there (one thread of a 2-vCPU x86 host, medians: 2.41 against 1.53 ms
+    over (3, 32, 32, 17), 1.9 against 1.1 ms over (8, 128, 65)), and no
+    faster over the (3, 128, 65) stack of a 2-D step, which keeps its single
+    call."""
+    lead = coeffs.shape[:coeffs.ndim - grid.dim]
+    n_fields = math.prod(lead)
+    if n_fields == 1 or (grid.dim == 2 and n_fields <= 3):
+        return scipy.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes,
+                                norm="forward", workers=1)
+    out = np.empty(lead + grid.shape)
+    for index in np.ndindex(lead):
+        out[index] = scipy.fft.irfftn(coeffs[index], s=grid.shape, axes=grid.axes,
+                                      norm="forward", workers=1)
+    return out
 
 
 def _check_same_grid(*objs) -> TorusGrid:

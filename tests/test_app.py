@@ -5,12 +5,15 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusns import app, dynamics as dyn, spectral as sp
+from torusns import app, diagnostics as diag, dynamics as dyn, spectral as sp
+from torusns import littlewood_paley as lp
 
 VORTEX_CFG = """
 grid.dim = 2
@@ -156,6 +159,14 @@ class TestSimulate:
         assert (json.dumps(b1.manifest["files"])
                 == json.dumps(b2.manifest["files"]))
 
+    def test_manifest_records_the_step_count(self, tmp_path):
+        bundle = app.simulate(app.parse_config(VORTEX_CFG), str(tmp_path))
+        assert bundle.trajectory.step_count == 10
+        assert bundle.manifest["step_count"] == 10
+        assert all(entry["name"] != "step_count" for entry in bundle.manifest["files"])
+        _, _, run, _ = app._load_run(str(tmp_path))
+        assert run.step_count == 10
+
     def test_vacuum_stop_recorded_in_manifest(self, tmp_path):
         cfg = app.parse_config(
             "init.preset = density_bump\ninit.u_amplitude = 3.0\n"
@@ -275,13 +286,14 @@ class TestVerify:
 
     def test_transform_budget_of_verify_all(self, tmp_path, fft_calls):
         """Sup-norm Besov terms transform only the blocks their l^1 bound
-        leaves open, the monitor pays its gradient norms once and each
-        snapshot builds its pressure once: 241 transforms here (545 before)."""
+        leaves open, and every ledger and suite shares each snapshot's
+        pressure, grad u and v1: 267 transformed fields here (369 when each
+        ledger built its own)."""
         outdir = str(tmp_path / "run")
         app.simulate(app.parse_config(FORCED_3D_CFG), outdir)
         fft_calls.clear()
         assert app.verify(outdir, "all").ok
-        assert 100 <= fft_calls["rfftn"] + fft_calls["irfftn"] <= 260
+        assert 100 <= fft_calls["rfftn_fields"] + fft_calls["irfftn_fields"] <= 280
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -291,6 +303,146 @@ class TestVerify:
         with pytest.raises(ValueError):
             app.verify(run_dir, "everything")
 
+
+#: 2-D forced vortex with a snapshot every step; `{t_end}` sets their count
+STREAM_CFG = """
+grid.points_per_axis = {m}
+init.preset = stream_vortex
+init.amplitude = 0.5
+forcing.preset = constant
+forcing.amplitude = 0.2
+time.dt = 0.005
+time.t_end = {t_end!r}
+"""
+
+
+def _stream_run(outdir, snapshots, m=16):
+    app.simulate(app.parse_config(STREAM_CFG.format(m=m, t_end=0.005 * (snapshots - 1))),
+                 outdir)
+    return outdir
+
+
+def _rewrite_checksum(outdir, name):
+    manifest_path = os.path.join(outdir, app.MANIFEST_FILE)
+    manifest = json.load(open(manifest_path))
+    for entry in manifest["files"]:
+        if entry["name"] == name:
+            entry["sha256"] = app._sha256(os.path.join(outdir, name))
+    json.dump(manifest, open(manifest_path, "w"))
+
+
+def _ledgers_from_trajectory(outdir):
+    """The inequality ledgers computed by the trajectory-level functions from
+    every checkpoint of a run, loaded at once, with no quadratures (as
+    `verify` has none)."""
+    manifest = json.load(open(os.path.join(outdir, app.MANIFEST_FILE)))
+    problem = app.build_problem(app.load_config(os.path.join(outdir, app.CONFIG_FILE)))
+    states = [dyn.read_checkpoint(os.path.join(outdir, entry["name"]))
+              for entry in manifest["files"] if entry["name"].endswith(".nsb")]
+    traj = dyn.Trajectory(states, manifest["stop_reason"], manifest["stop_time"],
+                          problem.solver, problem.params)
+    part = lp.build_partition(problem.grid)
+    mon = problem.monitor
+    return {
+        "energy": diag.energy_ledger(traj),
+        "density_bounds": diag.density_bound_ledger(traj),
+        "integrability": diag.integrability_gain(traj, mon.p_gain),
+        "transport": diag.transport_estimate_report(traj, part, mon.epsilon,
+                                                    math.inf, math.inf),
+        "omega_budget": diag.grad_omega_budget(traj),
+        "v1_energy": diag.v1_energy_ledger(traj),
+    }
+
+
+class TestStreamingVerify:
+    """`verify` reads the checkpoints one at a time through a window of three
+    and feeds every suite and ledger from it."""
+
+    def test_at_most_three_states_alive(self, tmp_path, monkeypatch):
+        outdir = _stream_run(str(tmp_path), 8)
+        live = weakref.WeakSet()
+        most = []
+        real = dyn.read_checkpoint
+
+        def counted(path):
+            state = real(path)
+            live.add(state)
+            most.append(len(live))
+            return state
+
+        monkeypatch.setattr(dyn, "read_checkpoint", counted)
+        assert app.verify(outdir, "all").ok
+        assert len(most) == 8 and max(most) == 3
+
+    def test_peak_memory_flat_in_the_snapshot_count(self, tmp_path):
+        m = 32
+        grid = sp.TorusGrid(2, m)
+        # a state's fields as verify holds them: samples and coefficients
+        snapshot_bytes = 3 * (grid.size * 8 + math.prod(grid.spectral_shape) * 16)
+        peaks = []
+        for n in (4, 12):
+            outdir = _stream_run(str(tmp_path / str(n)), n, m)
+            assert app.verify(outdir, "all").ok  # fills the per-grid caches
+            tracemalloc.start()
+            try:
+                app.verify(outdir, "all")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < snapshot_bytes, peaks
+
+    @pytest.mark.parametrize("cfg, snapshots", [
+        (STREAM_CFG.format(m=16, t_end=0.03), 7), (FORCED_3D_CFG, 4)], ids=["2d", "3d"])
+    def test_ledgers_equal_the_trajectory_functions(self, tmp_path, cfg, snapshots):
+        outdir = str(tmp_path)
+        bundle = app.simulate(app.parse_config(cfg), outdir)
+        assert len(bundle.trajectory) == snapshots
+        result = app.verify(outdir, "inequalities")
+        reference = _ledgers_from_trajectory(outdir)
+        assert list(result.reports) == list(reference)
+        for name, want in reference.items():
+            got = result.reports[name]
+            assert got.columns == want.columns
+            a, b = np.array(got.rows, dtype=float), np.array(want.rows, dtype=float)
+            both_nan = np.isnan(a) & np.isnan(b)
+            assert np.all(both_nan | (np.abs(a - b) <= 1e-13 * np.abs(b))), name
+            assert got.empirical_constant == pytest.approx(want.empirical_constant,
+                                                           rel=1e-13)
+
+    def test_nan_checkpoint_mid_run_fails(self, tmp_path):
+        outdir = _stream_run(str(tmp_path), 7)
+        name = "state_000003.nsb"
+        path = os.path.join(outdir, name)
+        data = bytearray(open(path, "rb").read())
+        offset = data.index(b"\n") + 1 + 8 * (16 * 16 + 9)  # a velocity sample
+        data[offset:offset + 8] = np.array(np.nan, dtype="<f8").tobytes()
+        open(path, "wb").write(bytes(data))
+        _rewrite_checksum(outdir, name)
+        result = app.verify(outdir, "all")
+        assert not result.ok
+        assert "snapshot 3: non-finite samples" in result.failures
+        assert any(f.startswith("state 3:") for f in result.failures)
+        assert not any(f.startswith(("state 2:", "state 4:")) for f in result.failures)
+        assert math.isnan(result.reports["v1_energy"].empirical_constant)
+
+    def test_checkpoint_names_out_of_time_order(self, tmp_path):
+        """Checkpoints whose names do not follow their times are read in the
+        time order of their headers, so the run verifies as it did."""
+        outdir = _stream_run(str(tmp_path / "run"), 6)
+        want = app.verify(outdir, "all")
+        swapped = str(tmp_path / "swapped")
+        shutil.copytree(outdir, swapped)
+        a, b = (os.path.join(swapped, f"state_00000{n}.nsb") for n in (1, 4))
+        os.rename(a, a + ".tmp")
+        os.rename(b, a)
+        os.rename(a + ".tmp", b)
+        for name in ("state_000001.nsb", "state_000004.nsb"):
+            _rewrite_checksum(swapped, name)
+        got = app.verify(swapped, "all")
+        assert got.ok and want.ok
+        assert got.failures == want.failures
+        for name, rep in want.reports.items():
+            assert got.reports[name].to_csv() == rep.to_csv()
 
 class TestAnalyze:
     def test_zero_field_norms(self, tmp_path):

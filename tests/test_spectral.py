@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from torusns import spectral as sp
@@ -101,6 +102,21 @@ class TestTransform:
         want = np.fft.irfftn(coeffs, s=g.shape, axes=g.axes, norm="forward")
         assert samples.shape == x.shape
         assert np.max(np.abs(samples - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim, lead, calls", [
+        (2, (3,), 1), (2, (8,), 8), (2, (2, 2), 4), (3, (1,), 1), (3, (4,), 4),
+        (3, (3, 3), 9)])
+    def test_inverse_stack_split_by_dimension_and_size(self, fft_calls, dim, lead,
+                                                       calls):
+        """A stack in 3-D, or of more than three fields in 2-D, goes one field
+        per inverse call; the samples are bit-identical to one batched call."""
+        g = sp.TorusGrid(dim, 32 if dim == 2 else 16)
+        coeffs = sp.to_coeffs(g, np.random.default_rng(2).standard_normal(lead + g.shape))
+        want = scipy.fft.irfftn(coeffs, s=g.shape, axes=g.axes, norm="forward")
+        fft_calls.clear()
+        got = sp.to_samples(g, coeffs)
+        assert fft_calls["irfftn"] == calls
+        assert got.shape == lead + g.shape and np.array_equal(got, want)
 
     def test_grid_mismatch_rejected(self, grid):
         other = sp.TorusGrid(2, 16)
