@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .spectral import (
     Field,
@@ -54,6 +53,18 @@ from .dynamics import NORMAL_STOPS, FluidParams, FluidState, Trajectory, VacuumE
 def f_weight(t):
     """The parabolic weight f(t) = min(t, 1)."""
     return np.minimum(np.asarray(t, dtype=float), 1.0)
+
+
+def _cumulative_trapezoid(y, t) -> np.ndarray:
+    """Running trapezoid integral of the samples y at the times t, starting
+    from 0: the operations of `scipy.integrate.cumulative_trapezoid(y, t,
+    initial=0)` in the same order, so the ledgers match it bit for bit
+    without importing `scipy.integrate`.  A NaN reaches every later entry."""
+    y, t = np.asarray(y), np.asarray(t)
+    if y.ndim != 1 or y.shape != t.shape or not y.size:
+        raise ValueError(f"need matching 1-D samples and times, got shapes "
+                         f"{y.shape} and {t.shape}")
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
 @dataclass
@@ -652,8 +663,8 @@ class _AFunctional(Accumulator):
         times = np.array(self.times)
         nu = self.params.nu
         kin_rate, press_rate, grad_rate, k_rate = f_weight(times) * np.array(self.rates).T
-        accel = cumulative_trapezoid(kin_rate, times, initial=0)
-        press = cumulative_trapezoid(press_rate, times, initial=0) / nu ** 2
+        accel = _cumulative_trapezoid(kin_rate, times)
+        press = _cumulative_trapezoid(press_rate, times) / nu ** 2
         grad_term = 0.5 * grad_rate
         k_term = k_rate / nu
         return {"time": times, "A": accel + grad_term + press + k_term,
@@ -713,7 +724,7 @@ def quartic_gradient_budget(trajectory: Trajectory) -> LedgerReport:
     times = trajectory.times
     rate = f_weight(times) ** grid.dim * [
         float(np.sum(_grad_sq(s.u) ** 2)) * grid.cell_volume for s in trajectory.states]
-    lhs = cumulative_trapezoid(rate, times, initial=0)
+    lhs = _cumulative_trapezoid(rate, times)
     rhs = _rho_sup(trajectory.states) * (1.0 + a_functional(trajectory)["A"] ** 2)
     return _ratio_ledger("quartic_gradient_budget", {"time": times}, lhs, rhs,
                          notes="alpha = 1 reporting choice")
@@ -735,7 +746,7 @@ def udot_budget(trajectory: Trajectory) -> dict[str, np.ndarray]:
     point = fw2 * [_rho_weighted_sq(s.rho, dot) for s, dot in zip(states, dots)]
     rate = fw2 * [_viscous_form(trajectory.params, dot, ddot)
                   for dot, ddot in zip(dots, ddots)]
-    integral_part = cumulative_trapezoid(rate, times, initial=0)
+    integral_part = _cumulative_trapezoid(rate, times)
     return {"time": times, "B": point + integral_part,
             "pointwise": point, "integral": integral_part}
 
@@ -759,7 +770,7 @@ class GradOmegaBudget(Accumulator):
     def finish(self) -> LedgerReport:
         times = np.array(self.times)
         curl_rate, rho_inf = np.array(self.rows).T
-        lhs = cumulative_trapezoid(f_weight(times) * curl_rate, times, initial=0)
+        lhs = _cumulative_trapezoid(f_weight(times) * curl_rate, times)
         rhs = float(np.max(rho_inf)) * self.a.finish()["A"]
         return _ratio_ledger("vorticity_gradient_budget", {"time": times}, lhs, rhs)
 
@@ -812,9 +823,9 @@ class IntegrabilityGain(Accumulator):
         a_coeff = params.mu * (1.0 - s_param * self.dim)
         times = np.array(self.times)
         moment, d1_rate, d2_rate, p_norm = np.array(self.rows).T
-        d1 = cumulative_trapezoid(d1_rate, times, initial=0)
-        d2 = cumulative_trapezoid(d2_rate, times, initial=0)
-        p_time = cumulative_trapezoid(p_norm ** p1, times, initial=0) ** (1.0 / p1)
+        d1 = _cumulative_trapezoid(d1_rate, times)
+        d2 = _cumulative_trapezoid(d2_rate, times)
+        p_time = _cumulative_trapezoid(p_norm ** p1, times) ** (1.0 / p1)
         return _ratio_ledger(
             f"integrability_gain_p{p1}",
             {"time": times, "moment": moment, "grad_integral": d1, "grad_mag_integral": d2},
@@ -865,9 +876,9 @@ class DensityBoundLedger(Accumulator):
         nu = self.params.nu
         times = np.array(self.times)
         mean_p, sup_p, comm_sup, pot_term, log_max, log_min = np.array(self.cols).T
-        int_mean_p = cumulative_trapezoid(mean_p, times, initial=0)
-        int_sup_p = cumulative_trapezoid(sup_p, times, initial=0)
-        int_comm = cumulative_trapezoid(comm_sup, times, initial=0)
+        int_mean_p = _cumulative_trapezoid(mean_p, times)
+        int_sup_p = _cumulative_trapezoid(sup_p, times)
+        int_comm = _cumulative_trapezoid(comm_sup, times)
         lhs_hi = nu * log_max
         rhs_hi = nu * math.log(self.rho0_max) + pot_term[0] + pot_term \
             + int_mean_p + int_comm
@@ -1111,8 +1122,8 @@ class TransportEstimate(Accumulator):
     def finish(self) -> LedgerReport:
         times = np.array(self.times)
         lhs, v_rate, src_rate = np.array(self.rows).T
-        v_int = cumulative_trapezoid(v_rate, times, initial=0)
-        envelope = lhs[0] + cumulative_trapezoid(src_rate, times, initial=0)
+        v_int = _cumulative_trapezoid(v_rate, times)
+        envelope = lhs[0] + _cumulative_trapezoid(src_rate, times)
         with np.errstate(divide="ignore", invalid="ignore"):
             # a NaN on either side fails both tests and propagates
             need = np.where((lhs <= envelope) | (v_int <= 0), 0.0,
@@ -1171,8 +1182,8 @@ def besov_regularity_monitor(trajectory: Trajectory, partition: DyadicPartition,
             "rho_besov_eps": b_eps,
             "rho_besov_zero_one": b01,
             "log_interpolation_ratio": ratio,
-            "grad_u_besov_integral": cumulative_trapezoid(gu_rate, times, initial=0),
-            "grad_v1_besov_integral": cumulative_trapezoid(gv_rate, times, initial=0)}
+            "grad_u_besov_integral": _cumulative_trapezoid(gu_rate, times),
+            "grad_v1_besov_integral": _cumulative_trapezoid(gv_rate, times)}
 
 
 # ---------------------------------------------------------------------------
@@ -1229,7 +1240,7 @@ class V1EnergyLedger(Accumulator):
         times = np.array(self.times)
         k1_rate, visc, dtv_resid = np.array(self.rows).T
         fw = f_weight(times)
-        k1 = cumulative_trapezoid(fw * k1_rate, times, initial=0)
+        k1 = _cumulative_trapezoid(fw * k1_rate, times)
         k2 = 0.5 * fw * visc
         return LedgerReport(
             "effective_velocity_energy",

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 
 from .spectral import (
     Field,
@@ -146,6 +145,9 @@ class TabulatedLaw:
         """s int_0^s P(z)/z^2 dz; adaptive quadrature above the first knot,
         the [0, d0] tail modelled as quadratic growth (exact for gamma = 2,
         negligible when the tabulation starts near zero)."""
+        # imported here, like PchipInterpolator: no other law needs scipy.integrate
+        from scipy.integrate import quad
+
         def one(val):
             if val <= 0:
                 return 0.0
@@ -153,7 +155,7 @@ class TabulatedLaw:
             out = 0.0
             if val > lo:
                 integrand = lambda z: float(self(z)) / z ** 2
-                out, _ = _sci_integrate.quad(integrand, lo, val, limit=200)
+                out, _ = quad(integrand, lo, val, limit=200)
             if lo > 0:
                 out += float(self(lo)) / lo
             return val * out

@@ -147,17 +147,26 @@ def low_pass(partition: DyadicPartition, q: int, f: Field) -> Field:
 def _block_stack(partition: DyadicPartition, f: Field,
                  blocks: Sequence[int] | None = None) -> np.ndarray:
     """Samples of Delta_q f for q in `blocks` (default -1 .. q_max), stacked
-    on a leading axis."""
+    on a leading axis.  A row whose filter misses the field's coefficients
+    (for Delta_q f, all but rows q-1 .. q+1) is set to zero, which is what
+    its transform gives, bit for bit.  `reach` sums the non-negative terms
+    filter * |c|: zero exactly when every filtered coefficient is, and NaN
+    (so the row is transformed) when a coefficient is not finite."""
     grid = _check_same_grid(partition.grid, f)
     filters = partition._filters if blocks is None \
-        else [partition._filters[q + 1] for q in blocks]
+        else partition._filters[[q + 1 for q in blocks]]
+    weight = np.abs(f.coeffs).reshape((-1,) + grid.spectral_shape).sum(axis=0)
+    reach = filters.reshape(len(filters), weight.size) @ weight.ravel()
     stack = np.empty((len(filters),) + f.coeffs.shape[:f.rank] + grid.shape)
     # one block at a time: forming the whole product stack first and passing
     # it to `to_samples` once (the same transform calls) made an lp-ensemble
     # cycle 24 % slower (0.350 against 0.282 s, medians of 20 interleaved
     # cycles, one thread of a 2-vCPU x86 host)
-    for block, filt in zip(stack, filters):
-        block[...] = to_samples(grid, f.coeffs * filt)
+    for block, filt, r in zip(stack, filters, reach):
+        if r != 0:
+            block[...] = to_samples(grid, f.coeffs * filt)
+        else:
+            block[...] = 0.0
     return stack
 
 

@@ -318,6 +318,38 @@ class TestEnergyLedger:
         assert np.max(np.abs(rep.column("slack"))) < 1e-6
 
 
+class TestCumulativeTrapezoid:
+    """The ledgers' running time integral, which replaces
+    scipy.integrate.cumulative_trapezoid(y, t, initial=0)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 250])
+    def test_bit_equal_to_scipy(self, n):
+        rng = np.random.default_rng(n)
+        t = np.cumsum(rng.uniform(1e-3, 0.2, n))
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+        got = diag._cumulative_trapezoid(y, t)
+        assert got.tobytes() == cumulative_trapezoid(y, t, initial=0).tobytes()
+
+    def test_one_sample(self):
+        got = diag._cumulative_trapezoid([2.5], [0.3])
+        assert got.dtype == float and got.tolist() == [0.0]
+
+    @pytest.mark.parametrize("where", ["y", "t"])
+    def test_nan_reaches_every_later_entry(self, where):
+        for i in range(6):
+            y, t = np.ones(6), np.linspace(0.0, 1.0, 6)
+            (y if where == "y" else t)[i] = np.nan
+            got = diag._cumulative_trapezoid(y, t)
+            first = max(i, 1)
+            assert np.all(np.isnan(got[first:])) and not np.any(np.isnan(got[:first]))
+
+    def test_mismatched_times_rejected(self):
+        with pytest.raises(ValueError):
+            diag._cumulative_trapezoid(np.ones(5), np.linspace(0.0, 1.0, 2))
+        with pytest.raises(ValueError):
+            diag._cumulative_trapezoid([], [])
+
+
 class TestAFunctional:
     def test_equilibrium_components(self, grid, params):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,

@@ -1,0 +1,111 @@
+"""Start-up loads only the scipy a run uses.
+
+Every step of the workflow is a fresh `torusns simulate` or `torusns verify`
+process, so whatever `import torusns.app` loads is paid by every run.
+`scipy.fft` is always loaded; `scipy.interpolate` and `scipy.integrate`
+(which pulls in `scipy.optimize`, `scipy.sparse`, `scipy.linalg` and
+`scipy.spatial`) only for a tabulated pressure law.  Each check runs in a
+fresh interpreter, since this test process has imported scipy already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from torusns import dynamics as dyn
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TABULATED_ONLY = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
+                  "scipy.linalg", "scipy.interpolate", "scipy.spatial")
+
+CONFIG = """
+grid.dim = 2
+grid.points_per_axis = 16
+fluid.mu = 0.05
+fluid.lambda = 0.05
+init.preset = stream_vortex
+init.amplitude = 0.3
+time.dt = 0.01
+time.t_end = 0.04
+time.snapshot_every = 2
+monitor.q_density = 4
+"""
+
+# simulate + verify through the CLI; with `tabulated`, every problem the
+# run builds (simulate's and verify's) gets a tabulated law instead, as the
+# config has no key for one (which is why CONFIG sets q_density)
+RUN = """
+import sys
+from torusns import app, dynamics as dyn
+cfg, out, tabulated = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
+if tabulated:
+    build = app.build_problem
+    def build_problem(config):
+        problem = build(config)
+        knots = [0.25, 0.5, 1.0, 2.0, 4.0]  # a smooth integrand keeps quad cheap
+        problem.params.pressure = dyn.TabulatedLaw(knots, [0.5 * d for d in knots])
+        return problem
+    app.build_problem = build_problem
+codes = (app.main(["simulate", "--config", cfg, "--out", out]),
+         app.main(["verify", "--dir", out, "--suite", "all"]))
+if codes != (0, 0):
+    sys.exit(f"exit codes {codes}")
+"""
+
+
+def _scipy_modules(code: str, *args: str) -> set[str]:
+    """The scipy modules loaded after a fresh interpreter runs `code`."""
+    script = code + ("\nimport json, sys\nprint(json.dumps(sorted("
+                     "m for m in sys.modules if m.startswith('scipy'))))")
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _tabulated_only(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules for top in TABULATED_ONLY
+                  if m == top or m.startswith(top + "."))
+
+
+def test_import_loads_only_the_transforms():
+    modules = _scipy_modules("import torusns.app")
+    assert "scipy.fft" in modules     # the check sees scipy at all
+    assert _tabulated_only(modules) == []
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["power", "tabulated"])
+def test_run_loads_the_quadrature_only_for_a_tabulated_law(tmp_path, tabulated):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    modules = _scipy_modules(RUN, str(cfg), str(tmp_path / "out"), str(int(tabulated)))
+    loaded = _tabulated_only(modules)
+    if tabulated:
+        assert {"scipy.integrate", "scipy.interpolate"} <= set(loaded)
+    else:
+        assert loaded == []
+    assert os.path.exists(tmp_path / "out" / "ledgers" / "energy.csv")
+
+
+def test_tabulated_potential_is_the_adaptive_quadrature():
+    """The quadrature imported on first use gives the values it always has:
+    s (int_{d0}^s P(z)/z^2 dz + P(d0)/d0) above the first knot d0."""
+    law = dyn.TabulatedLaw(np.geomspace(0.01, 4.0, 30), np.geomspace(0.01, 4.0, 30) ** 1.4)
+    s = np.array([0.0, 0.005, 0.01, 0.3, 1.0, 2.7, 4.0, 5.5])
+    d0 = 0.01
+
+    def want(val):
+        if val <= 0:
+            return 0.0
+        lo = min(d0, val)
+        out = quad(lambda z: float(law(z)) / z ** 2, lo, val, limit=200)[0] \
+            if val > lo else 0.0
+        return val * (out + float(law(lo)) / lo)
+
+    assert np.array_equal(law.potential(s), [want(v) for v in s])
