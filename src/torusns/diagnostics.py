@@ -418,10 +418,19 @@ class _Snapshot:
     """One state and the fields derived from it that more than one ledger
     reads, each computed on first use.  Every accumulator of a pass reads the
     same object while the state is in the window, so such a field is
-    transformed once per state; it is dropped with the window."""
+    transformed once per state.
+
+    `state` is the snapshot's own copy of the stored state: its fields view
+    the stored arrays, and whatever they compute on first read (the velocity
+    coefficients, say) is kept here, not on the stored state, so it is freed
+    with the snapshot and a trajectory's states stay as small as they were
+    built.  Every read of a pass goes through `state`; `stored` is the
+    state it was built from, kept (and never read) for as long as the
+    snapshot is in the window."""
 
     def __init__(self, state: FluidState, params: FluidParams):
-        self.state = state
+        self.stored = state
+        self.state = FluidState(state.rho.view(), state.u.view(), state.t)
         self.params = params
         self.t = state.t
 
@@ -591,9 +600,12 @@ def elliptic_identities(trajectory: Trajectory,
 # ---------------------------------------------------------------------------
 
 def total_energy(state: FluidState, params: FluidParams) -> float:
-    """E = int (rho |u|^2 / 2 + Pi(rho)) dx."""
+    """E = int (rho |u|^2 / 2 + Pi(rho)) dx, both terms by grid quadrature
+    (the integral of the potential is its mean mode, which is the sample
+    mean, so it needs no transform)."""
     kin = 0.5 * _rho_weighted_sq(state.rho, state.u)
-    return kin + integral(pressure_potential(params.pressure, state.rho))
+    potential = pressure_potential(params.pressure, state.rho).samples
+    return kin + float(np.sum(potential)) * state.grid.cell_volume
 
 
 def dissipation_rate(state: FluidState, params: FluidParams) -> float:
@@ -1207,7 +1219,9 @@ def dtv_formula(state: FluidState, params: FluidParams,
     pu = scale_vector(p, state.u)
     rho_dp = multiply(state.rho, dp)
     h = (divergence(pu) * -1.0) + multiply(p - rho_dp, div_u)
-    mean_terms = (-multiply(p, div_u).mean + multiply(rho_dp, div_u).mean)
+    # the mean mode survives dealiasing: each mean is that of the samples
+    mean_terms = (-float(np.mean(p.samples * div_u.samples))
+                  + float(np.mean(rho_dp.samples * div_u.samples)))
     h = h + ScalarField.constant(grid, mean_terms)
     return bogovskii(h)
 
@@ -1365,8 +1379,9 @@ def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
     work = trajectory.quadratures.get("forcing_work", [0.0] * len(trajectory))
     eps_spec = BesovSpec(monitor.epsilon, math.inf, math.inf)
     records = []
-    for n, state in enumerate(trajectory.states):
-        snap = _Snapshot(state, params)
+    for n, stored in enumerate(trajectory.states):
+        snap = _Snapshot(stored, params)
+        state = snap.state
         positive = state.min_density > 0
         gu_mag = np.sqrt(snap.grad_sq)
         kin = 0.5 * _rho_weighted_sq(state.rho, state.u)

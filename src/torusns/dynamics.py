@@ -334,11 +334,19 @@ class _Stepper:
     forced: u, the momentum flux m_i u_j + P(rho) delta_ij for i <= j (the
     pressure sits on the flux diagonal) and rho g.
 
-    A stage allocates one product array for these fields and fills it in
-    place, and accumulates its slope straight into the array it returns.
-    The 2/3 mask rides in the derivative factors of the flux divergence, and
-    each flux pair feeds both momentum components it belongs to, so no pass
-    copies or masks the product coefficients."""
+    A stage fills one product array with these fields in place, and
+    accumulates its slope straight into the array it returns.  The 2/3 mask
+    rides in the derivative factors of the flux divergence, and each flux
+    pair feeds both momentum components it belongs to, so no pass copies or
+    masks the product coefficients.
+
+    In `step`, stage n of every step writes the product and slope arrays
+    that stage n of the previous step wrote: the stepper owns four of each,
+    one per stage, for as long as it lives (one run).  Allocated afresh per
+    stage, these arrays went back to the kernel and were faulted in again
+    whenever the rest of the heap left no hole for them, which made a step's
+    cost depend on what unrelated code held (35k rather than 3.5-8k minor
+    faults per sim2d-vortex cycle, `tools/heap_churn.py`)."""
 
     def __init__(self, grid: TorusGrid, params: FluidParams, vacuum_floor: float):
         self.grid = grid
@@ -365,6 +373,18 @@ class _Stepper:
         # the passenger flux m_i w_j is not symmetric: all dim^2 rows, row-major
         self.full_terms = [(i, j, i * dim + j) for i in range(dim) for j in range(dim)]
         self._forcing_cache: tuple[float, np.ndarray] | None = None
+        self._stage_arrays: dict[tuple[int, str], np.ndarray] = {}
+
+    def _array(self, stage: int | None, name: str, shape: tuple,
+               dtype=np.float64) -> np.ndarray:
+        """An uninitialised array: a new one, or the one that the given RK4
+        stage of every step reuses."""
+        if stage is None:
+            return np.empty(shape, dtype=dtype)
+        a = self._stage_arrays.get((stage, name))
+        if a is None:
+            a = self._stage_arrays[stage, name] = np.empty(shape, dtype=dtype)
+        return a
 
     def forcing_samples(self, t: float) -> np.ndarray | None:
         if self.params.forcing is None:
@@ -394,9 +414,12 @@ class _Stepper:
         return out
 
     # -----------------------------------------------------------------------
-    def rhs(self, t: float, y: np.ndarray, samples: np.ndarray | None = None):
+    def rhs(self, t: float, y: np.ndarray, samples: np.ndarray | None = None,
+            stage: int | None = None):
         """Returns (dy, aux) where aux carries the stage fields; ``samples``,
-        when given, must be the inverse transform of y."""
+        when given, must be the inverse transform of y.  With a ``stage``
+        index, dy and the product array are that stage's own (see the class
+        docstring), valid until the same stage of the next step runs."""
         grid, dim = self.grid, self.grid.dim
         s = to_samples(grid, y) if samples is None else samples
         rho_s, m_s = s[0], s[1:]
@@ -405,7 +428,7 @@ class _Stepper:
             raise VacuumError(t, min_rho)
         g_s = self.forcing_samples(t)
         n_flux = dim + len(self.pairs)
-        prod = np.empty((n_flux + (0 if g_s is None else dim),) + grid.shape)
+        prod = self._array(stage, "prod", (n_flux + (0 if g_s is None else dim),) + grid.shape)
         u_s = np.divide(m_s, rho_s, out=prod[:dim])
         for p, (i, j) in enumerate(self.pairs, start=dim):
             np.multiply(m_s[i], u_s[j], out=prod[p])
@@ -417,7 +440,7 @@ class _Stepper:
         c = to_coeffs(grid, prod)
         u_c = c[:dim]
         div_u = self.divergence(u_c, np.empty(grid.spectral_shape, dtype=c.dtype))
-        dy = np.empty_like(y)
+        dy = self._array(stage, "dy", y.shape, y.dtype)
         np.negative(self.divergence(y[1:], dy[0]), out=dy[0])
         self.momentum(u_c, div_u, c[dim:n_flux], self.pair_terms, dy[1:])
         force_c = None
@@ -467,17 +490,15 @@ class _Stepper:
     def step(self, t: float, y: np.ndarray, dt: float, samples: np.ndarray | None = None):
         """One RK4 step; returns (y, quadrature increments).  ``samples``,
         when given, are those of y and serve the first stage.  Each stage's
-        integrands are taken as soon as it has run, so its fields are freed
-        before the next stage allocates the same sizes again: holding four
-        stages' fields to the end of the step made the allocator hand memory
-        back and fault it in anew every step (about 1000 page faults per 2-D
-        128^2 step)."""
+        integrands are taken as soon as it has run, and its fields other than
+        the stage's own product and slope arrays are freed before the next
+        stage allocates the same sizes again."""
         quads = {}
-        weights = iter((1.0, 2.0, 2.0, 1.0))
+        stages = iter(enumerate((1.0, 2.0, 2.0, 1.0)))
 
         def rhs(s, ys):
-            dy, aux = self.rhs(s, ys[0], samples if ys[0] is y else None)
-            w = next(weights)
+            stage, w = next(stages)
+            dy, aux = self.rhs(s, ys[0], samples if ys[0] is y else None, stage)
             for name, val in self.quadrature_values(aux).items():
                 quads[name] = quads.get(name, 0.0) + dt / 6 * w * val
             return (dy,)
@@ -496,9 +517,18 @@ def _state_from_conservative(grid: TorusGrid, y: np.ndarray, s: np.ndarray,
                              t: float) -> FluidState:
     """The state of stacked coefficients y whose samples are s; the velocity
     is transformed only if a snapshot reader asks for its coefficients
-    (the CFL bound and the vacuum check read samples)."""
+    (the CFL bound and the vacuum check read samples).  Its density views
+    row 0 of y and s, so it keeps both stacks alive: `_stored` gives the
+    copy a trajectory keeps."""
     rho = ScalarField(grid, y[0], copy=False, samples=s[0])
     return FluidState(rho, VectorField.from_samples(grid, s[1:] / s[0]), t)
+
+
+def _stored(state: FluidState) -> FluidState:
+    """`state` with its density's coefficients and samples copied out of the
+    stacks it views, so that a stored snapshot holds its own fields only."""
+    rho = ScalarField(state.grid, state.rho.coeffs, samples=state.rho.samples.copy())
+    return FluidState(rho, state.u, state.t)
 
 
 def rhs_eval(state: FluidState, params: FluidParams) -> tuple[ScalarField, VectorField]:
@@ -524,7 +554,7 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
     # the samples of each new y serve its state and the next step's first stage
     y_s = to_samples(grid, y)
     state = _state_from_conservative(grid, y, y_s, initial.t)
-    states = [state]
+    states = [_stored(state)]
     quads = {"dissipation": [0.0], "forcing_work": [0.0]}
     totals = {"dissipation": 0.0, "forcing_work": 0.0}
     stop_reason, t = "completed", initial.t
@@ -567,7 +597,7 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
             if triggered:
                 break
         if steps % config.snapshot_every == 0 or t >= t_final - 1e-13 or triggered:
-            states.append(state)
+            states.append(_stored(state))
             for k in totals:
                 quads[k].append(totals[k])
         if triggered:

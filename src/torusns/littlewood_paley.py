@@ -31,6 +31,7 @@ PDEs* (2011), ch. 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -87,19 +88,19 @@ def phi_profile(r: np.ndarray) -> np.ndarray:
 
 
 class DyadicPartition:
-    """Dyadic filters for one grid, blocks q = -1 .. q_max."""
+    """Dyadic filters for one grid, blocks q = -1 .. q_max.
+
+    The stack of block filters (row q + 1 is Delta_q's) is read-only and
+    built once per grid size, so every partition of an equal grid holds the
+    same array; the low-pass filters other than S_0 are built on demand and
+    kept by the partition that built them."""
 
     def __init__(self, grid: TorusGrid):
         if grid.n < 8:
             raise ValueError("grid too small to host one full dyadic shell (M < 8)")
         self.grid = grid
-        radius = grid.k_radius
-        kmax = float(np.max(radius))
-        self.q_max = int(math.floor(math.log2(kmax / 0.75)))
-        # row q + 1 holds the filter of Delta_q
-        self._filters = _frozen(np.stack(
-            [chi_profile(radius)]
-            + [phi_profile(radius / 2.0 ** q) for q in range(self.q_max + 1)]))
+        self._filters = _filter_stack(grid)
+        self.q_max = len(self._filters) - 2
         self._low_pass = {0: self._filters[0]}
 
     @property
@@ -124,6 +125,16 @@ class DyadicPartition:
 
     def partition_residual(self) -> float:
         return float(np.max(np.abs(np.sum(self._filters, axis=0) - 1.0)))
+
+
+@functools.lru_cache(maxsize=32)  # one entry per grid size in use
+def _filter_stack(grid: TorusGrid) -> np.ndarray:
+    """chi, then phi(2^-q |k|) for q = 0 .. q_max, with q_max the last shell
+    that reaches the grid's largest |k|."""
+    radius = grid.k_radius
+    q_max = int(math.floor(math.log2(float(np.max(radius)) / 0.75)))
+    return _frozen(np.stack([chi_profile(radius)]
+                            + [phi_profile(radius / 2.0 ** q) for q in range(q_max + 1)]))
 
 
 def build_partition(grid: TorusGrid) -> DyadicPartition:

@@ -67,6 +67,12 @@ class TorusGrid:
     frequencies per axis are {-M/2+1, ..., M/2}; the Nyquist residue class
     is represented as +M/2.  The frequency arrays live on the half-spectrum
     layout ``spectral_shape``, whose last axis runs over 0..M/2.
+
+    The grid owns none of its arrays: ``axis_frequencies``,
+    ``frequency_mesh``, ``partner_mesh``, ``k_squared``, ``k_radius``,
+    ``nyquist_mask`` and ``mode_weight`` are read-only and built once per
+    (dim, M), so every equal grid (one per checkpoint read, say) holds the
+    same objects, as it holds the same ``dealias_mask()``.
     """
 
     def __init__(self, dim: int, points_per_axis: int):
@@ -81,26 +87,9 @@ class TorusGrid:
         self.spacing = TAU / m
         self.cell_volume = self.spacing ** dim
         self.volume = TAU ** dim
-
-        freqs = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
-        freqs[m // 2] = m // 2  # report the Nyquist class as +M/2
-        self.axis_frequencies = _frozen(freqs)
-
-        mesh = np.meshgrid(*([freqs] * (dim - 1) + [freqs[:m // 2 + 1]]), indexing="ij")
-        self.frequency_mesh = tuple(_frozen(k.astype(np.float64)) for k in mesh)
-        # the lattice partner k*: Nyquist components stay, the others flip sign
-        self.partner_mesh = tuple(_frozen(np.where(k == m // 2, k, -k))
-                                  for k in self.frequency_mesh)
-        self.k_squared = _frozen(sum(k * k for k in self.frequency_mesh))
-        self.k_radius = _frozen(np.sqrt(self.k_squared))
-        # True on every plane that touches the Nyquist frequency of some axis
-        self.nyquist_mask = _frozen(np.logical_or.reduce(
-            [k == m // 2 for k in self.frequency_mesh]))
-        # full-lattice modes each stored coefficient stands for (along the
-        # last axis): its partner is stored too on the k_N = 0 and M/2 planes
-        weight = np.full(m // 2 + 1, 2.0)
-        weight[[0, -1]] = 1.0
-        self.mode_weight = _frozen(weight)
+        (self.axis_frequencies, self.frequency_mesh, self.partner_mesh,
+         self.k_squared, self.k_radius, self.nyquist_mask,
+         self.mode_weight) = _lattice(dim, m)
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Meshgrid of sample coordinates x_i = 2*pi*j/M."""
@@ -119,6 +108,27 @@ class TorusGrid:
 
     def __repr__(self) -> str:
         return f"TorusGrid(dim={self.dim}, points_per_axis={self.n})"
+
+
+@functools.lru_cache(maxsize=32)  # one entry per grid size in use
+def _lattice(dim: int, m: int) -> tuple:
+    """The frozen frequency arrays of every (dim, M) grid, in the order
+    `TorusGrid.__init__` unpacks them."""
+    freqs = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
+    freqs[m // 2] = m // 2  # report the Nyquist class as +M/2
+    mesh = np.meshgrid(*([freqs] * (dim - 1) + [freqs[:m // 2 + 1]]), indexing="ij")
+    frequency_mesh = tuple(_frozen(k.astype(np.float64)) for k in mesh)
+    # the lattice partner k*: Nyquist components stay, the others flip sign
+    partner_mesh = tuple(_frozen(np.where(k == m // 2, k, -k)) for k in frequency_mesh)
+    k_squared = _frozen(sum(k * k for k in frequency_mesh))
+    # True on every plane that touches the Nyquist frequency of some axis
+    nyquist_mask = _frozen(np.logical_or.reduce([k == m // 2 for k in frequency_mesh]))
+    # full-lattice modes each stored coefficient stands for (along the
+    # last axis): its partner is stored too on the k_N = 0 and M/2 planes
+    weight = np.full(m // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    return (_frozen(freqs), frequency_mesh, partner_mesh, k_squared,
+            _frozen(np.sqrt(k_squared)), nyquist_mask, _frozen(weight))
 
 
 @functools.lru_cache(maxsize=32)  # one entry per grid in use
@@ -233,6 +243,13 @@ class Field:
         if self._samples is None:
             self._samples = _frozen(to_samples(self.grid, self._coeffs))
         return self._samples
+
+    def view(self):
+        """A field of the same kind over the same arrays; what it computes on
+        first read is kept by the new field alone, not by this one."""
+        f = type(self).__new__(type(self))
+        f.grid, f._coeffs, f._samples = self.grid, self._coeffs, self._samples
+        return f
 
     def with_coeffs(self, coeffs: np.ndarray):
         """A field of the same kind and grid with the given coefficients."""

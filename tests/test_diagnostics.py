@@ -641,6 +641,28 @@ def test_pressure_built_once_per_snapshot(vortex_run, part, monkeypatch):
     assert [r.row() for r in got] == [r.row() for r in want]
 
 
+def test_diagnostics_leave_stored_states_as_built():
+    """The fields compute_diagnostics derives, the velocity coefficients
+    included, stay with its per-snapshot object: afterwards a stored 3-D
+    state holds only its density (coefficients and samples) and its
+    velocity samples."""
+    grid = sp.TorusGrid(3, 16)
+    traj = dyn.run(dyn.density_bump_state(grid, u_amplitude=0.2),
+                   dyn.FluidParams(0.05, 0.05, LAW),
+                   dyn.SolverConfig(t_end=0.01, dt=0.005))
+    diag.compute_diagnostics(traj, diag.MonitorConfig(), lp.build_partition(grid))
+    for s in traj.states:
+        arrays = [a for f in (s.rho, s.u) for a in (f._coeffs, f._samples)
+                  if a is not None]
+        owners = {}
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            owners[id(a)] = a.nbytes
+        assert sum(owners.values()) <= (s.rho.coeffs.nbytes + s.rho.samples.nbytes
+                                        + s.u.samples.nbytes)
+
+
 class TestTransportEstimate:
     def test_rest_state_needs_no_constant(self, grid, params, part):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.2), params,

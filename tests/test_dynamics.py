@@ -235,6 +235,24 @@ class TestRhs:
         assert len(refs) == 16 and all(ref() is None for ref in refs)
         assert quads["dissipation"] > 0
 
+    def test_stage_arrays_are_reused_by_the_next_step(self, grid, params):
+        """Stage n of every step writes the product and slope arrays that
+        stage n of the previous step wrote, so steps after the first
+        allocate neither."""
+        stepper = dyn._Stepper(grid, params, 0.0)
+        seen, rhs = [], stepper.rhs
+
+        def recorded(*args):
+            dy, aux = rhs(*args)
+            seen.append((dy.ctypes.data, aux["u_s"].ctypes.data))
+            return dy, aux
+
+        stepper.rhs = recorded
+        y = dyn._conservative(dyn.density_bump_state(grid, u_amplitude=0.2), stepper.keep)
+        y1, _ = stepper.step(0.0, y, 0.01)
+        stepper.step(0.01, y1, 0.01)
+        assert seen[:4] == seen[4:] and len(set(seen)) == 4
+
     def test_vacuum_rejected(self, grid, params):
         rho = sp.ScalarField.constant(grid, 0.0)
         state = dyn.FluidState(rho, sp.VectorField.zero(grid), 0.0)
@@ -555,6 +573,13 @@ def grid3():
     return sp.TorusGrid(3, 16)
 
 
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory `a` views (`a` itself if it owns it)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 class TestThreeDimensions:
     """The solver path at N = 3 (small 16^3 grid)."""
 
@@ -566,6 +591,19 @@ class TestThreeDimensions:
         assert traj.stop_reason == "completed"
         m0 = traj.states[0].mass
         assert max(abs(s.mass - m0) for s in traj.states) < 1e-12 * abs(m0)
+
+    def test_stored_density_owns_its_arrays(self, grid3):
+        """A stored state's density holds copies of row 0 of the step's
+        coefficient and sample stacks, not views that keep both (1 + dim)-row
+        stacks alive for as long as the trajectory is held."""
+        state = dyn.density_bump_state(grid3, u_amplitude=0.2)
+        traj = dyn.run(state, dyn.FluidParams(0.05, 0.05, LAW),
+                       dyn.SolverConfig(t_end=0.02, dt=0.005, snapshot_every=2))
+        assert len(traj) == 3
+        for s in traj.states:
+            for a in (s.rho.coeffs, s.rho.samples):
+                assert _owner(a).nbytes == a.nbytes
+                assert _owner(a).shape[0] != 1 + grid3.dim
 
     def test_manufactured_accuracy(self, grid3):
         ms = dyn.ManufacturedSolution(LAW, 0.05, 0.05,
@@ -599,6 +637,19 @@ class TestCheckpoint:
         assert back.t == 0.75
         assert np.array_equal(back.rho.samples, state.rho.samples)
         assert np.array_equal(back.u.samples, state.u.samples)
+
+    def test_read_state_shares_the_run_grid_arrays(self, grid, tmp_path):
+        """Every equal grid holds the same frozen frequency arrays, so a
+        checkpoint read builds none of them."""
+        path = os.path.join(tmp_path, "state.nsb")
+        dyn.write_checkpoint(path, dyn.stream_vortex_state(grid))
+        back = dyn.read_checkpoint(path).grid
+        assert back == grid
+        for name in ("axis_frequencies", "k_squared", "k_radius", "nyquist_mask",
+                     "mode_weight"):
+            assert getattr(back, name) is getattr(grid, name), name
+        for name in ("frequency_mesh", "partner_mesh"):
+            assert all(a is b for a, b in zip(getattr(back, name), getattr(grid, name)))
 
     def test_malformed_magic_names_offset(self, tmp_path):
         path = os.path.join(tmp_path, "bad.nsb")

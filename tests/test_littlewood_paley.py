@@ -31,6 +31,12 @@ class TestPartition:
     def test_partition_of_unity(self, part):
         assert part.partition_residual() < 1e-12
 
+    def test_equal_grids_share_one_filter_stack(self):
+        a = lp.build_partition(sp.TorusGrid(2, 32))
+        b = lp.build_partition(sp.TorusGrid(2, 32))
+        assert a._filters is b._filters and not a._filters.flags.writeable
+        assert a.q_max == 4  # 0.75 * 2^4 <= max |k| = 16 sqrt(2) < 0.75 * 2^5
+
     def test_shell_disjointness(self, part, grid):
         # phi(2^-q xi) * phi(2^-q' xi) = 0 pointwise for |q - q'| >= 2
         for q in range(0, part.q_max - 1):

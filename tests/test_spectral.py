@@ -63,6 +63,21 @@ class TestGrid:
         assert factor is sp._derivative_factor(grid, (1, 0)) and not factor.flags.writeable
 
 
+    def test_equal_grids_share_their_arrays(self):
+        a, b = sp.TorusGrid(3, 16), sp.TorusGrid(3, 16)
+        assert a.k_squared is b.k_squared and not a.k_squared.flags.writeable
+        assert all(x is y for x, y in zip(a.frequency_mesh, b.frequency_mesh))
+        assert sp.TorusGrid(3, 32).k_squared is not a.k_squared
+
+    def test_view_keeps_what_it_computes(self, grid):
+        """A view shares the field's arrays, and the coefficients it
+        transforms on first read stay with the view."""
+        f = sp.ScalarField.from_samples(grid, np.ones(grid.shape))
+        v = f.view()
+        assert v.samples is f.samples and v.coeffs[0, 0] == 1.0
+        assert f._coeffs is None
+
+
 class TestTransform:
     def test_single_mode_roundtrip(self, grid):
         f = sp.ScalarField.from_function(grid, lambda x, y: np.cos(x))
