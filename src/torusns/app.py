@@ -367,6 +367,7 @@ def _load_run(outdir: str):
         raise FileNotFoundError(f"no manifest in {outdir}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    _check_manifest(manifest)
     problem = build_problem(load_config(os.path.join(outdir, CONFIG_FILE)))
     run = dyn.Trajectory([], manifest["stop_reason"], manifest["stop_time"],
                          problem.solver, problem.params,
@@ -378,11 +379,30 @@ def _load_run(outdir: str):
     return manifest, problem, run, paths
 
 
+def _is_file_entry(entry) -> bool:
+    """Whether a manifest `files` entry is {name, sha256} with a plain file
+    name, one that stays inside the run directory."""
+    return (isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
+            and isinstance(name := entry.get("name"), str)
+            and name not in ("", ".", "..") and os.path.basename(name) == name)
+
+
+def _check_manifest(manifest) -> None:
+    """Raise ValueError unless the manifest has what `verify` reads: a `files`
+    list of such entries, a string `stop_reason` and a numeric `stop_time`."""
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("files"), list)
+            and all(map(_is_file_entry, manifest["files"]))
+            and isinstance(manifest.get("stop_reason"), str)
+            and type(manifest.get("stop_time")) in (int, float)):
+        raise ValueError(f"malformed {MANIFEST_FILE}: need a `files` list of "
+                         "{name, sha256} entries, `stop_reason` and `stop_time`")
+
+
 def _check_integrity(outdir: str, manifest: dict) -> list[str]:
     failures = []
     for entry in manifest["files"]:
         path = os.path.join(outdir, entry["name"])
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             failures.append(f"missing file {entry['name']}")
         elif _sha256(path) != entry["sha256"]:
             failures.append(f"checksum mismatch for {entry['name']}")
@@ -654,6 +674,16 @@ def _besov_triple(text: str) -> tuple[float, float, float]:
     return s, p, r
 
 
+def _count(minimum: int):
+    """An argument type: an integer of at least `minimum`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error, as on any other validation error, keeping
     exit code 2 for a failed verification (argparse's default is 2)."""
@@ -675,7 +705,7 @@ def _build_cli() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run an experiment")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None, help="override output.dir")
-    p_sim.add_argument("--convergence", type=int, default=0, metavar="LEVELS",
+    p_sim.add_argument("--convergence", type=_count(0), default=0, metavar="LEVELS",
                        help="dt-halving study instead of a single run "
                             "(manufactured preset only)")
 
@@ -690,7 +720,7 @@ def _build_cli() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("trace", help="particle paths of a run")
     p_tr.add_argument("--config", required=True)
-    p_tr.add_argument("--particles", type=int, default=16)
+    p_tr.add_argument("--particles", type=_count(1), default=16)
     p_tr.add_argument("--out", default=None)
     return parser
 

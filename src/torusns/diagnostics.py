@@ -183,11 +183,6 @@ def _forcing_density(state: FluidState, params: FluidParams) -> VectorField:
     return VectorField.zero(state.grid) if g is None else scale_vector(state.rho, g)
 
 
-def _rho_sup(states: Sequence[FluidState]) -> float:
-    """sup over the snapshots of ||rho||_inf (NaN if any sample is)."""
-    return float(np.max([lebesgue_norm(s.rho, math.inf) for s in states]))
-
-
 def _potential_quadrature(weight: Callable[[np.ndarray], np.ndarray],
                           s: np.ndarray) -> np.ndarray:
     """Pi_f(s) = s int_0^s f(z)/z^2 dz = int_0^1 f(s t)/t^2 dt (z = s t) by
@@ -210,13 +205,6 @@ def pressure_potential(law, rho: ScalarField) -> ScalarField:
     laws with gamma > 1; quadrature for tabulated laws)."""
     vals = law.potential(np.maximum(rho.samples, 0.0))
     return pointwise(rho.grid, vals, dealiased=False)
-
-
-def weighted_potential(weight: Callable[[np.ndarray], np.ndarray],
-                       rho: ScalarField) -> ScalarField:
-    """Pi_f(s) = s int_0^s f(z)/z^2 dz by Gauss-Legendre quadrature."""
-    return pointwise(rho.grid, _potential_quadrature(weight, rho.samples),
-                     dealiased=False)
 
 
 def k_function(law, s):
@@ -652,7 +640,14 @@ def energy_ledger(trajectory: Trajectory | EnergyLedger) -> LedgerReport:
 
 
 class _AFunctional(Accumulator):
-    """Accumulator of `a_functional`."""
+    """The weighted energy functional
+
+        A(t) = int_0^t int f(s) rho |d_s u|^2 + f(t)/2 int (mu |grad u|^2
+               + (lam+mu)(div u)^2) + nu^{-2} int_0^t int f P^2 (rho P' - P)
+               + nu^{-1} f(t) int k(rho)
+
+    and its four components as time series, the right side of
+    `grad_omega_budget`."""
 
     def __init__(self, run: Trajectory):
         super().__init__(run)
@@ -682,85 +677,6 @@ class _AFunctional(Accumulator):
         return {"time": times, "A": accel + grad_term + press + k_term,
                 "acceleration": accel, "gradient": grad_term,
                 "pressure_interaction": press, "k_weight": k_term}
-
-
-def a_functional(trajectory: Trajectory) -> dict[str, np.ndarray]:
-    """The weighted energy functional
-
-        A(t) = int_0^t int f(s) rho |d_s u|^2 + f(t)/2 int (mu |grad u|^2
-               + (lam+mu)(div u)^2) + nu^{-2} int_0^t int f P^2 (rho P' - P)
-               + nu^{-1} f(t) int k(rho)
-
-    returned together with its four components as time series.
-    """
-    return _report(trajectory, _AFunctional)
-
-
-def gradient_splitting(state: FluidState, params: FluidParams
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Zero-order splitting of the velocity gradient
-
-        grad u = grad Pu + nu^{-1} R G + nu^{-1} R (P - mean P),
-        R = grad grad inv_lap,
-
-    returned as three sample tensors (vorticity part, effective-pressure
-    part, pressure part) plus the sup-norm residual of the reconstruction,
-    which is exact up to round-off."""
-    grid = state.grid
-    p_u, _ = leray_project(state.u)
-    omega_part = velocity_gradient(p_u)
-    p = pressure_field(state, params)
-    g_field = effective_pressure(state, params, p)
-    p0 = p - ScalarField.constant(grid, p.mean)
-
-    def hessian_inv_lap(f: ScalarField) -> np.ndarray:
-        base = inv_laplacian_zero_mean(f)
-        out = np.empty((grid.dim, grid.dim) + grid.shape)
-        for i in range(grid.dim):
-            di = partial(base, i)
-            for j in range(grid.dim):
-                out[i, j] = partial(di, j).samples
-        return out
-
-    g_part = hessian_inv_lap(g_field) / params.nu
-    p_part = hessian_inv_lap(p0) / params.nu
-    total = omega_part + g_part + p_part
-    residual = float(np.max(np.abs(total - velocity_gradient(state.u))))
-    return omega_part, g_part, p_part, residual
-
-
-def quartic_gradient_budget(trajectory: Trajectory) -> LedgerReport:
-    """int_0^t int f(s)^N |grad u|^4 against ||rho||_inf^alpha (1 + A(t)^2)
-    with the reporting choice alpha = 1 (the paper leaves alpha > 0 free)."""
-    grid = trajectory.initial.grid
-    times = trajectory.times
-    rate = f_weight(times) ** grid.dim * [
-        float(np.sum(_grad_sq(s.u) ** 2)) * grid.cell_volume for s in trajectory.states]
-    lhs = _cumulative_trapezoid(rate, times)
-    rhs = _rho_sup(trajectory.states) * (1.0 + a_functional(trajectory)["A"] ** 2)
-    return _ratio_ledger("quartic_gradient_budget", {"time": times}, lhs, rhs,
-                         notes="alpha = 1 reporting choice")
-
-
-def udot_budget(trajectory: Trajectory) -> dict[str, np.ndarray]:
-    """The material-acceleration bundle
-
-        B(t) = f(t)^2 int rho |udot|^2
-               + int_0^t int f^2 (mu |grad udot|^2 + (lam+mu) |Ddot|^2)
-
-    where Ddot is the material derivative of div u.  Returned with its two
-    components; reader-verification series for the budget inequalities."""
-    states = trajectory.states
-    times = trajectory.times
-    fw2 = f_weight(times) ** 2
-    dots = u_dot(trajectory)
-    ddots = material_derivative(trajectory, [divergence(s.u) for s in states])
-    point = fw2 * [_rho_weighted_sq(s.rho, dot) for s, dot in zip(states, dots)]
-    rate = fw2 * [_viscous_form(trajectory.params, dot, ddot)
-                  for dot, ddot in zip(dots, ddots)]
-    integral_part = _cumulative_trapezoid(rate, times)
-    return {"time": times, "B": point + integral_part,
-            "pointwise": point, "integral": integral_part}
 
 
 class GradOmegaBudget(Accumulator):
@@ -1059,7 +975,7 @@ def blowup_monitor(trajectory: Trajectory | BlowupMonitor, monitor: MonitorConfi
 
 
 # ---------------------------------------------------------------------------
-# Besov transport estimate and regularity monitor
+# Besov transport estimate
 # ---------------------------------------------------------------------------
 
 def _vector_besov(partition: DyadicPartition, fields: Sequence[ScalarField],
@@ -1162,42 +1078,6 @@ def transport_estimate_report(trajectory: Trajectory | TransportEstimate,
     return _report(trajectory, TransportEstimate, partition, sigma, p, r, p1)
 
 
-def besov_regularity_monitor(trajectory: Trajectory, partition: DyadicPartition,
-                             epsilon: float) -> dict[str, np.ndarray]:
-    """Time series of the density's Besov norms, the logarithmic interpolation
-    ratio, and the accumulating Lipschitz-type integrals of grad u and grad v1."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    params = trajectory.params
-    states = trajectory.states
-    times = trajectory.times
-    inf = math.inf
-    eps_spec = BesovSpec(epsilon, inf, inf)
-    zero_inf = BesovSpec(0.0, inf, inf)
-    zero_one = BesovSpec(0.0, inf, 1.0)
-    b_eps = np.empty(len(states))
-    b01 = np.empty(len(states))
-    ratio = np.empty(len(states))
-    gu_rate = np.empty(len(states))
-    gv_rate = np.empty(len(states))
-    for n, state in enumerate(states):
-        b_eps[n] = besov_norm(partition, state.rho, eps_spec)
-        b01[n] = besov_norm(partition, state.rho, zero_one)
-        base = besov_norm(partition, state.rho, zero_inf)
-        rhs = base * (1.0 + math.log(max(b_eps[n], 1e-300))) \
-            * math.log(math.e + 1.0 / max(base, 1e-300))
-        ratio[n] = b01[n] / rhs if rhs > 0 else math.nan
-        gu_rate[n] = _vector_besov(partition, _grad_block_fields(state.u), eps_spec)
-        v1, _ = effective_velocity(state, params)
-        gv_rate[n] = _vector_besov(partition, _grad_block_fields(v1), eps_spec)
-    return {"time": times,
-            "rho_besov_eps": b_eps,
-            "rho_besov_zero_one": b01,
-            "log_interpolation_ratio": ratio,
-            "grad_u_besov_integral": _cumulative_trapezoid(gu_rate, times),
-            "grad_v1_besov_integral": _cumulative_trapezoid(gv_rate, times)}
-
-
 # ---------------------------------------------------------------------------
 # effective-velocity energy ledger
 # ---------------------------------------------------------------------------
@@ -1291,47 +1171,6 @@ def coifman_constant_study(grid: TorusGrid, ensemble_size: int,
 
     return _ratio_report("coifman_commutator_continuity",
                          _ensemble(ensemble_size, sample, seed))
-
-
-# ---------------------------------------------------------------------------
-# forcing norm
-# ---------------------------------------------------------------------------
-
-def forcing_norm(trajectory: Trajectory, epsilon: float = 0.5) -> dict[str, float]:
-    """The working norm of the source term over the trajectory window:
-    sup-in-time and square-integrated L^2 norms, the L^1_T(L^{N+eps}) norm,
-    the f^gamma-weighted squared L^4 norm of grad g, and the f^5-weighted
-    time-derivative energy."""
-    params = trajectory.params
-    grid = trajectory.initial.grid
-    times = trajectory.times
-    if params.forcing is None:
-        return {"sup_l2": 0.0, "l2_l2": 0.0, "l1_lneps": 0.0,
-                "weighted_grad": 0.0, "weighted_dt": 0.0, "total": 0.0}
-    gamma = getattr(params.pressure, "gamma", None)
-    if gamma is None:
-        raise ValueError("the f^gamma weight needs a pressure law with a gamma; "
-                         "a tabulated law has none")
-    fields = [params.forcing(t, grid) for t in times]
-    l2 = np.array([lebesgue_norm(g, 2) for g in fields])
-    lneps = np.array([lebesgue_norm(g, grid.dim + epsilon) for g in fields])
-    grad4 = np.array([lebesgue_norm(pointwise(grid, np.sqrt(_grad_sq(g)),
-                                              dealiased=False), 4) for g in fields])
-    fw = f_weight(times)
-    if len(times) > 2:
-        dt_energy = np.array([float(np.sum(d.samples ** 2)) * grid.cell_volume
-                              for d in _time_derivative(times, fields)])
-    else:
-        dt_energy = np.zeros(len(times))
-    out = {
-        "sup_l2": float(np.max(l2)),
-        "l2_l2": float(np.sqrt(np.trapezoid(l2 ** 2, times))),
-        "l1_lneps": float(np.trapezoid(lneps, times)),
-        "weighted_grad": float(np.trapezoid(fw ** gamma * grad4 ** 2, times)),
-        "weighted_dt": float(np.trapezoid(fw ** 5 * dt_energy, times)),
-    }
-    out["total"] = sum(out.values())
-    return out
 
 
 # ---------------------------------------------------------------------------

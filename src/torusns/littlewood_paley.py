@@ -1,7 +1,7 @@
-"""Periodic Littlewood-Paley machinery: dyadic blocks, Besov and
-Chemin-Lerner norms, Bony paraproducts, transport and multiplier
-commutators, and the ensemble harnesses that estimate the constants of
-the classical inequalities empirically.
+"""Periodic Littlewood-Paley machinery: dyadic blocks, Besov norms, Bony
+paraproducts, transport and multiplier commutators, and the ensemble
+harnesses that estimate the constants of the classical inequalities
+empirically.
 
 Block convention: Delta_{-1} is the low-pass chi(D) (it carries the mean),
 Delta_q for q >= 0 is the shell filter phi(2^{-q} D) with
@@ -51,9 +51,7 @@ from .spectral import (
     multiply,
     partial,
     random_field,
-    random_vector_field,
     sample_norm,
-    sobolev_norm,
     to_coeffs,
     to_samples,
     _check_same_grid,
@@ -182,7 +180,7 @@ def _block_stack(partition: DyadicPartition, f: Field,
 
 
 # ---------------------------------------------------------------------------
-# Besov / Chemin-Lerner norms
+# Besov norms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -194,16 +192,6 @@ class BesovSpec:
     def __post_init__(self):
         if not (self.p >= 1 and self.r >= 1):
             raise ValueError(f"p and r must be >= 1, got p={self.p}, r={self.r}")
-
-
-@dataclass(frozen=True)
-class CheminLernerSpec:
-    rho: float
-    besov: BesovSpec
-
-    def __post_init__(self):
-        if not self.rho >= 1:
-            raise ValueError(f"rho must be >= 1, got {self.rho}")
 
 
 def block_norms(partition: DyadicPartition, f: Field, p: float,
@@ -275,34 +263,6 @@ def besov_norm(partition: DyadicPartition, f: Field, spec: BesovSpec) -> float:
     if f.rank == 0 and math.isinf(spec.p) and math.isinf(spec.r):
         return _sup_besov(partition, f, spec.s)
     return besov_from_block_norms(block_norms(partition, f, spec.p), spec)
-
-
-def chemin_lerner_norm(partition: DyadicPartition, times: Sequence[float],
-                       snapshots: Sequence[Field], spec: CheminLernerSpec) -> float:
-    """Time-inside-block norm of Chemin-Lerner type; the time integral is
-    trapezoidal over the snapshot instants."""
-    times = np.asarray(times, dtype=float)
-    if len(snapshots) < 2 or times.size < 2:
-        raise ValueError("need at least 2 snapshots")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("time samples must be strictly increasing")
-    bs = spec.besov
-    per_block = np.stack([block_norms(partition, f, bs.p) for f in snapshots])  # (t, l)
-    if math.isinf(spec.rho):
-        time_norms = np.max(per_block, axis=0)
-    else:
-        time_norms = np.trapezoid(per_block ** spec.rho, times, axis=0) ** (1.0 / spec.rho)
-    return besov_from_block_norms(time_norms, bs)
-
-
-def besov_norm_timespace(partition: DyadicPartition, times, snapshots,
-                         rho: float, spec: BesovSpec) -> float:
-    """Plain L^rho_T(B^s_{p,r}) norm, the Minkowski partner of the above."""
-    times = np.asarray(times, dtype=float)
-    vals = np.array([besov_norm(partition, f, spec) for f in snapshots])
-    if math.isinf(rho):
-        return float(np.max(vals))
-    return float(np.trapezoid(vals ** rho, times) ** (1.0 / rho))
 
 
 # ---------------------------------------------------------------------------
@@ -452,45 +412,6 @@ def eight_way_split(partition: DyadicPartition, u: VectorField,
 
 
 # ---------------------------------------------------------------------------
-# pointwise inequality probes
-# ---------------------------------------------------------------------------
-
-def bernstein_check(partition: DyadicPartition, f: ScalarField, q: int,
-                    p2: float) -> tuple[float, float]:
-    """Two-sided Bernstein ratio for the block q of the high-frequency part.
-
-    Returns (r, 1/r) with r = ||Delta_q grad u||_{p2} / (2^q ||Delta_q u||_{p2});
-    both entries must stay below a fixed constant C (so r lies in [1/C, C]).
-    """
-    if q < 0:
-        raise ValueError("Bernstein ratios are for the away-from-origin blocks q >= 0")
-    high = f - low_pass(partition, 0, f)
-    block = dyadic_block(partition, q, high)
-    denom = lebesgue_norm(block, p2)
-    if denom <= 1e-14 * max(lebesgue_norm(high, p2), 1e-300):
-        raise ValueError(f"Delta_q u vanishes for q={q}; ratio undefined")
-    num = lebesgue_norm(gradient(block), p2)
-    ratio = num / (2.0 ** q * denom)
-    return ratio, 1.0 / ratio
-
-
-def log_interpolation_check(partition: DyadicPartition, f: Field, s: float,
-                            p: float, epsilon: float) -> tuple[float, float]:
-    """Left side ||u||_{B^s_{p,1}} and the logarithmic right side
-    ((1+eps)/eps) ||u||_{B^s_{p,inf}} (1 + log(||u||_{B^{s+eps}_{p,inf}} /
-    ||u||_{B^s_{p,inf}})), without the universal constant."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    lhs = besov_norm(partition, f, BesovSpec(s, p, 1))
-    base = besov_norm(partition, f, BesovSpec(s, p, math.inf))
-    if base == 0.0:
-        raise ValueError("zero field: logarithmic ratio undefined")
-    upper = besov_norm(partition, f, BesovSpec(s + epsilon, p, math.inf))
-    rhs = (1.0 + epsilon) / epsilon * base * (1.0 + math.log(upper / base))
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
 # ensemble estimators for the existential constants
 # ---------------------------------------------------------------------------
 
@@ -523,104 +444,6 @@ def _ratio_report(name: str, pairs: Sequence[tuple[float, float]]) -> EnsembleRe
     return EnsembleReport(name, len(ratios), max(ratios), ratios)
 
 
-def _lambda_pair(p1: float, p2: float) -> tuple[float, float]:
-    """(lambda1, lambda2) of a two-factor law: the one on the side of the
-    smaller exponent has 1/lambda = |1/p1 - 1/p2|, the other is inf."""
-    if p1 < p2:
-        return math.inf, 1.0 / (1.0 / p1 - 1.0 / p2)
-    if p2 < p1:
-        return 1.0 / (1.0 / p2 - 1.0 / p1), math.inf
-    return math.inf, math.inf
-
-
-def _validate_product_law(law: str, n_dim: int, spec1: BesovSpec,
-                          spec2: BesovSpec) -> BesovSpec:
-    """Check the exponent constraints; return the spec in which the product
-    is measured (the two-factor laws land in L^p with p = max(p1, p2))."""
-    s1, p1 = spec1.s, spec1.p
-    s2, p2 = spec2.s, spec2.p
-    p = max(p1, p2)
-    if law == "linf_sym":
-        if spec1 != spec2:
-            raise ValueError("the symmetric law uses one spec for both factors")
-        return spec1
-    if law == "bilinear":
-        if 1.0 / p > 1.0 / p1 + 1.0 / p2 + 1e-12:
-            raise ValueError("need 1/p <= 1/p1 + 1/p2")
-        lam1, lam2 = _lambda_pair(p1, p2)
-        low = s1 + s2 + n_dim * min(0.0, 1.0 - 1.0 / p1 - 1.0 / p2)
-        if low <= 0:
-            raise ValueError(
-                f"s1 + s2 + N inf(0, 1 - 1/p1 - 1/p2) = {low:g} must be positive")
-        if s1 + n_dim / lam2 >= n_dim / p1:
-            raise ValueError("need s1 + N/lambda2 < N/p1")
-        if s2 + n_dim / lam1 >= n_dim / p2:
-            raise ValueError("need s2 + N/lambda1 < N/p2")
-        return BesovSpec(s1 + s2 - n_dim * (1.0 / p1 + 1.0 / p2 - 1.0 / p), p, spec1.r)
-    if law == "critical":
-        if abs(s1 + s2) > 1e-12:
-            raise ValueError(f"critical law needs s1 + s2 = 0, got {s1 + s2:g}")
-        if 1.0 / p1 + 1.0 / p2 > 1.0 + 1e-12:
-            raise ValueError("need 1/p1 + 1/p2 <= 1")
-        lam1, lam2 = _lambda_pair(p1, p2)
-        lo = n_dim / lam1 - n_dim / p2
-        hi = n_dim / p1 - n_dim / lam2
-        if not (lo < s1 <= hi):
-            raise ValueError(
-                f"critical window needs s1 in ({lo:g}, {hi:g}], got {s1}")
-        return BesovSpec(-n_dim * (1.0 / p1 + 1.0 / p2 - 1.0 / p), p, math.inf)
-    if law == "uniform":
-        if p1 >= 2:
-            if not abs(s1) < n_dim / p1:
-                raise ValueError(f"need |s| < N/p, got s={s1}, N/p={n_dim / p1:g}")
-        else:
-            pp = p1 / (p1 - 1.0) if p1 > 1 else math.inf
-            if not (-n_dim / pp < s1 < n_dim / p1):
-                raise ValueError("need -N/p' < s < N/p")
-        return spec1
-    raise ValueError(f"unknown product law {law!r}")
-
-
-def product_law_estimator(partition: DyadicPartition, ensemble_size: int,
-                          spec1: BesovSpec, spec2: BesovSpec, *, law: str = "linf_sym",
-                          seed: int = 0) -> EnsembleReport:
-    """Empirical constant for one of the Besov product laws.
-
-    law = "linf_sym":  ||uv||_B <= C(||u||_inf ||v||_B + ||v||_inf ||u||_B)
-    law = "bilinear":  ||uv||_{B^{s1+s2-N(1/p1+1/p2-1/p)}_{p,r}}, p = max(p1, p2)
-                       <= C ||u||_{B^{s1}_{p1,r}} ||v||_{B^{s2}_{p2,inf}}
-    law = "critical":  the borderline s1 + s2 = 0 variant, landing in
-                       B^{-N(1/p1+1/p2-1/p)}_{p,inf} from ||u||_{B^{s1}_{p1,1}}
-    law = "uniform":   ||uv||_{B^s_{p,r}} <= C ||u||_{B^s_{p,r}}
-                       ||v||_{B^{N/p}_{p,inf} ∩ L^inf}
-    Exponent constraints are validated up front and violations raise.
-    """
-    grid = partition.grid
-    out_spec = _validate_product_law(law, grid.dim, spec1, spec2)
-
-    def sample(rng: np.random.Generator) -> tuple[float, float]:
-        u = random_field(grid, rng)
-        v = random_field(grid, rng)
-        num = besov_norm(partition, multiply(u, v), out_spec)
-        if law == "linf_sym":
-            den = (lebesgue_norm(u, math.inf) * besov_norm(partition, v, spec1)
-                   + lebesgue_norm(v, math.inf) * besov_norm(partition, u, spec1))
-        elif law == "bilinear":
-            den = (besov_norm(partition, u, spec1)
-                   * besov_norm(partition, v, BesovSpec(spec2.s, spec2.p, math.inf)))
-        elif law == "critical":
-            den = (besov_norm(partition, u, BesovSpec(spec1.s, spec1.p, 1))
-                   * besov_norm(partition, v, BesovSpec(spec2.s, spec2.p, math.inf)))
-        else:
-            vnorm = max(besov_norm(partition, v,
-                                   BesovSpec(grid.dim / spec1.p, spec1.p, math.inf)),
-                        lebesgue_norm(v, math.inf))
-            den = besov_norm(partition, u, spec1) * vnorm
-        return num, den
-
-    return _ratio_report(f"product_law[{law}]", _ensemble(ensemble_size, sample, seed))
-
-
 def embedding_estimator(partition: DyadicPartition, ensemble_size: int, s: float,
                         p1: float, p2: float, r: float, *, seed: int = 0) -> EnsembleReport:
     """Empirical constant of B^s_{p1,r} into B^{s - N(1/p1 - 1/p2)}_{p2,r}."""
@@ -635,20 +458,6 @@ def embedding_estimator(partition: DyadicPartition, ensemble_size: int, s: float
                 besov_norm(partition, u, BesovSpec(s, p1, r)))
 
     return _ratio_report("embedding[Prop2.2]", _ensemble(ensemble_size, sample, seed))
-
-
-def linf_embedding_estimator(partition: DyadicPartition, ensemble_size: int,
-                             epsilon: float, *, seed: int = 0) -> EnsembleReport:
-    """Empirical constant of ||f||_inf <= C ||f||_{B^1_{N+eps,inf}}."""
-    grid = partition.grid
-    spec = BesovSpec(1.0, grid.dim + epsilon, math.inf)
-
-    def sample(rng):
-        u = random_field(grid, rng)
-        return lebesgue_norm(u, math.inf), besov_norm(partition, u, spec)
-
-    return _ratio_report("embedding[B^1_{N+eps,inf}->Linf]",
-                         _ensemble(ensemble_size, sample, seed))
 
 
 def lemma1_scaling_study(grid: TorusGrid, *, k_range: Sequence[int] = range(7),
@@ -677,63 +486,3 @@ def lemma1_scaling_study(grid: TorusGrid, *, k_range: Sequence[int] = range(7),
     return out
 
 
-def composition_report(partition: DyadicPartition, func: Callable[[np.ndarray], np.ndarray],
-                       f: ScalarField, spec: BesovSpec) -> dict[str, float]:
-    """Norms of the pointwise composition func(f) next to those of f.
-
-    The composition estimate only guarantees a bound with an unspecified
-    envelope depending on ||f||_inf, so this reports the raw numbers
-    (including the vanishing-at-zero normalization func(f) - func(0))."""
-    from .spectral import pointwise
-    grid = partition.grid
-    composed = pointwise(grid, func(f.samples) - func(np.zeros(1)))
-    return {
-        "input_besov": besov_norm(partition, f, spec),
-        "input_linf": lebesgue_norm(f, math.inf),
-        "composed_besov": besov_norm(partition, composed, spec),
-        "composed_linf": lebesgue_norm(composed, math.inf),
-    }
-
-
-def derivative_norm_equivalence(partition: DyadicPartition, ensemble_size: int,
-                                s: float, p: float, r: float, *, seed: int = 0
-                                ) -> tuple[EnsembleReport, EnsembleReport]:
-    """Two-sided empirical constants for ||grad u||_{B^{s-1}} vs ||u||_{B^s}
-    on zero-mean fields (the equivalence fails on constants, which the blocks
-    see only through the mean).  Both directions divide the same two norms of
-    each member."""
-    grid = partition.grid
-    low_spec = BesovSpec(s - 1.0, p, r)
-    spec = BesovSpec(s, p, r)
-
-    def sample(rng):
-        u = random_field(grid, rng)
-        return (max(besov_norm(partition, partial(u, a), low_spec) for a in range(grid.dim)),
-                besov_norm(partition, u, spec))
-
-    pairs = _ensemble(ensemble_size, sample, seed)
-    return (_ratio_report("grad_vs_besov_forward", pairs),
-            _ratio_report("grad_vs_besov_backward", [(b, g) for g, b in pairs]))
-
-
-def lemma2_constant_study(partition: DyadicPartition, ensemble_size: int, *,
-                          sigma: float = 0.5, p: float = 2, p1: float = 2,
-                          r: float = 2, seed: int = 0) -> EnsembleReport:
-    """sup over samples of ||(2^{q sigma} ||R_q||_p)_q||_{l^r} /
-    (||a||_{B^sigma_{p,r}} ||u||_{B^{N/p1}_{p1,inf} ∩ L^inf})."""
-    grid = partition.grid
-
-    def sample(rng):
-        u = random_vector_field(grid, rng)
-        a = random_field(grid, rng)
-        weighted = []
-        for q in partition.active_blocks:
-            rq = transport_commutator(partition, u, a, q)
-            weighted.append(2.0 ** (q * sigma) * lebesgue_norm(rq, p))
-        num = _lr_combine(np.array(weighted), r)
-        u_norm = max(besov_norm(partition, u, BesovSpec(grid.dim / p1, p1, math.inf)),
-                     lebesgue_norm(u, math.inf))
-        return num, besov_norm(partition, a, BesovSpec(sigma, p, r)) * u_norm
-
-    return _ratio_report("lemma2[transport-commutator]",
-                         _ensemble(ensemble_size, sample, seed))

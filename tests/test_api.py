@@ -80,3 +80,28 @@ def test_transform_reference_is_seen(source):
 
 def test_frequency_helpers_are_not_transforms():
     assert not _transform_references("import numpy as np\nk = np.fft.fftfreq(8)")
+
+
+
+def test_every_public_definition_has_a_user():
+    """Every public top-level function and class of the package is used by
+    other package code, a benchmark script or an acceptance test.  One that
+    only its own unit tests reach is reached by no command, no `verify`
+    suite and no benchmark workload."""
+    src = pathlib.Path(dynamics.__file__).parent
+    root = src.parents[1]
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    users = [*trees.values()] + [
+        ast.parse(path.read_text()) for path in
+        [*sorted((root / "bench").glob("*.py")), root / "tests" / "test_acceptance.py"]]
+    refs: dict[str, set[int]] = {}  # name -> ids of the Name/Attribute nodes reading it
+    for node in (node for tree in users for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            refs.setdefault(node.id, set()).add(id(node))
+        elif isinstance(node, ast.Attribute):
+            refs.setdefault(node.attr, set()).add(id(node))
+    unused = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not refs.get(node.name, set()) - {id(n) for n in ast.walk(node)}]
+    assert not unused, f"reached only by their own definition or unit tests: {unused}"

@@ -196,6 +196,18 @@ def run_dir(tmp_path_factory):
     return outdir
 
 
+def _with_manifest(run_dir, tmp_path, edit) -> str:
+    """A copy of the run directory whose manifest is edit(manifest)."""
+    outdir = os.path.join(tmp_path, "run")
+    shutil.copytree(run_dir, outdir)
+    path = os.path.join(outdir, app.MANIFEST_FILE)
+    with open(path) as fh:
+        manifest = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(edit(manifest), fh)
+    return outdir
+
+
 class TestVerify:
     def test_identities_pass_on_fresh_run(self, run_dir):
         result = app.verify(run_dir, "identities")
@@ -294,6 +306,13 @@ class TestVerify:
         fft_calls.clear()
         assert app.verify(outdir, "all").ok
         assert 100 <= fft_calls["rfftn_fields"] + fft_calls["irfftn_fields"] <= 280
+
+    def test_listed_directory_is_a_missing_file(self, run_dir, tmp_path):
+        outdir = _with_manifest(run_dir, tmp_path, lambda m: {
+            **m, "files": m["files"] + [{"name": "sub", "sha256": "0"}]})
+        os.mkdir(os.path.join(outdir, "sub"))
+        result = app.verify(outdir, "monitors")
+        assert not result.ok and result.failures == ["missing file sub"]
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -543,6 +562,37 @@ class TestCli:
             app.main(argv)
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_counts_checked_before_any_run(self, tmp_path, capsys):
+        """A particle count below one or a negative number of convergence
+        levels is a usage error, found before anything runs or is written."""
+        cfg_path = os.path.join(tmp_path, "run.cfg")
+        open(cfg_path, "w").write(MANUFACTURED_CFG)
+        out = os.path.join(tmp_path, "out")
+        for argv in (["trace", "--config", cfg_path, "--particles", "0", "--out", out],
+                     ["simulate", "--config", cfg_path, "--convergence", "-2",
+                      "--out", out]):
+            with pytest.raises(SystemExit) as exc:
+                app.main(argv)
+            assert exc.value.code == 1
+            assert "must be at least" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: {k: v for k, v in m.items() if k != "stop_reason"},
+        lambda m: {k: v for k, v in m.items() if k != "files"},
+        lambda m: {**m, "files": None},
+        lambda m: [m],
+        lambda m: {**m, "stop_time": "0.1"},
+        lambda m: {**m, "files": [{"name": "config.txt"}]},
+        lambda m: {**m, "files": [{"name": "../config.txt", "sha256": "0"}]},
+    ], ids=["no-stop-reason", "no-files", "null-files", "list", "text-stop-time",
+            "no-sha256", "name-outside"])
+    def test_malformed_manifest_exit_code(self, run_dir, tmp_path, capsys, edit):
+        outdir = _with_manifest(run_dir, tmp_path, edit)
+        assert app.main(["verify", "--dir", outdir]) == 1
+        err = capsys.readouterr().err
+        assert "error: malformed manifest.json" in err and "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

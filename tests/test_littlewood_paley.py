@@ -133,49 +133,6 @@ class TestBesovNorm:
             lp.BesovSpec(0.0, 0.5, 2)
 
 
-class TestCheminLerner:
-    def test_time_constant_field(self, part, grid, rng):
-        f = sp.random_field(grid, rng)
-        times = [0.0, 0.5, 1.0, 1.5]
-        snaps = [f] * 4
-        spec = lp.CheminLernerSpec(2.0, lp.BesovSpec(0.5, 2, 2))
-        val = lp.chemin_lerner_norm(part, times, snaps, spec)
-        expected = 1.5 ** 0.5 * lp.besov_norm(part, f, spec.besov)
-        assert abs(val - expected) < 1e-12
-
-    def test_duplicated_snapshot_rho_one(self, part, grid, rng):
-        f = sp.random_field(grid, rng)
-        spec = lp.CheminLernerSpec(1.0, lp.BesovSpec(0.3, 2, 1))
-        val = lp.chemin_lerner_norm(part, [0.0, 1.0], [f, f], spec)
-        assert abs(val - lp.besov_norm(part, f, spec.besov)) < 1e-12
-
-    def test_minkowski_comparison(self, part, grid):
-        times = np.linspace(0.0, 1.0, 6)
-        snaps = [sp.random_field(grid, np.random.default_rng(i)) for i in range(6)]
-        # r >= rho: tilde norm <= plain norm
-        spec = lp.CheminLernerSpec(1.0, lp.BesovSpec(0.5, 2, 2))
-        tilde = lp.chemin_lerner_norm(part, times, snaps, spec)
-        plain = lp.besov_norm_timespace(part, times, snaps, 1.0, spec.besov)
-        assert tilde <= plain + 1e-10
-        # r <= rho: tilde norm >= plain norm
-        spec2 = lp.CheminLernerSpec(4.0, lp.BesovSpec(0.5, 2, 1))
-        tilde2 = lp.chemin_lerner_norm(part, times, snaps, spec2)
-        plain2 = lp.besov_norm_timespace(part, times, snaps, 4.0, spec2.besov)
-        assert tilde2 >= plain2 - 1e-10
-
-    def test_too_few_snapshots(self, part, grid, rng):
-        f = sp.random_field(grid, rng)
-        with pytest.raises(ValueError):
-            lp.chemin_lerner_norm(part, [0.0], [f],
-                                  lp.CheminLernerSpec(1.0, lp.BesovSpec(0.0, 2, 2)))
-
-    def test_decreasing_times_rejected(self, part, grid, rng):
-        f = sp.random_field(grid, rng)
-        with pytest.raises(ValueError):
-            lp.chemin_lerner_norm(part, [0.0, 0.0], [f, f],
-                                  lp.CheminLernerSpec(1.0, lp.BesovSpec(0.0, 2, 2)))
-
-
 class TestBony:
     def test_constant_second_factor(self, part, grid, rng):
         u = sp.random_field(grid, rng)
@@ -274,65 +231,6 @@ class TestTransportCommutator:
         with pytest.raises(ValueError):
             lp.transport_commutator(part, u, a, part.q_max + 1)
 
-    def test_empirical_constant_stable(self, part):
-        small = lp.lemma2_constant_study(part, 10, seed=0)
-        big = lp.lemma2_constant_study(part, 20, seed=0)
-        assert math.isfinite(big.sup_ratio) and big.sup_ratio > 0
-        assert small.stable_against(big)
-
-
-class TestBernstein:
-    def test_single_frequency_block(self):
-        grid = sp.TorusGrid(2, 64)
-        part = lp.build_partition(grid)
-        q = 3
-        f = sp.ScalarField.from_function(grid, lambda x, y: np.cos(2.0 ** q * x))
-        ratio, inv = lp.bernstein_check(part, f, q, 2)
-        assert abs(ratio - 1.0) < 1e-12 and abs(inv - 1.0) < 1e-12
-
-    def test_band_on_random_fields(self, part, grid):
-        for seed in range(5):
-            f = sp.random_field(grid, np.random.default_rng(seed))
-            for q in range(0, part.q_max + 1):
-                block = lp.dyadic_block(part, q, f - lp.low_pass(part, 0, f))
-                if sp.lebesgue_norm(block, 2) < 1e-12:
-                    continue
-                for p2 in (2, INF):
-                    ratio, inv = lp.bernstein_check(part, f, q, p2)
-                    assert 0.25 <= ratio <= 4.0
-
-    def test_zero_block_rejected(self, part, grid):
-        f = sp.ScalarField.from_function(grid, lambda x, y: np.cos(x))
-        with pytest.raises(ValueError):
-            lp.bernstein_check(part, f, part.q_max, 2)
-
-
-class TestLogInterpolation:
-    def test_single_block_field(self, part, grid, rng):
-        f = lp.dyadic_block(part, 2, sp.random_field(grid, rng))
-        lhs, rhs = lp.log_interpolation_check(part, f, 0.5, 2, 0.5)
-        base = lp.besov_norm(part, f, lp.BesovSpec(0.5, 2, INF))
-        assert lhs / base <= 3.0 + 1e-12  # at most 3 blocks active
-        assert lhs <= 3.0 * rhs
-
-    def test_flat_spectrum_growth(self, grid):
-        part = lp.build_partition(grid)
-        for k in (2, 4):
-            # equal block masses across k octaves
-            f = sp.ScalarField.zero(grid)
-            raw = sp.random_field(grid, np.random.default_rng(k), flat_dyadic=True)
-            for q in range(0, k):
-                blk = lp.dyadic_block(part, q, raw)
-                n = sp.lebesgue_norm(blk, 2)
-                if n > 0:
-                    f = f + blk * (1.0 / n)
-            lhs, rhs = lp.log_interpolation_check(part, f, 0.0, 2, 0.5)
-            assert lhs <= 4.0 * rhs
-
-    def test_zero_field_rejected(self, part, grid):
-        with pytest.raises(ValueError):
-            lp.log_interpolation_check(part, sp.ScalarField.zero(grid), 0.0, 2, 0.5)
-
 
 class TestProductLaws:
     def test_symmetric_law_single_mode(self, part, grid):
@@ -343,85 +241,12 @@ class TestProductLaws:
         den = 2 * sp.lebesgue_norm(u, INF) * lp.besov_norm(part, u, spec)
         assert math.isfinite(num / den)
 
-    def test_constraint_violation_rejected(self, part):
-        s1 = lp.BesovSpec(-1.0, 2, 2)
-        s2 = lp.BesovSpec(0.5, 2, 2)
-        with pytest.raises(ValueError, match="positive"):
-            lp.product_law_estimator(part, 4, s1, s2, law="bilinear")
-
-    def test_uniform_law_window_violation(self, part):
-        bad = lp.BesovSpec(1.5, 2, 2)  # |s| = 1.5 >= N/p = 1
-        with pytest.raises(ValueError, match="N/p"):
-            lp.product_law_estimator(part, 4, bad, bad, law="uniform")
-
-    def test_critical_law_window(self, part):
-        ok1 = lp.BesovSpec(0.5, 2, 2)
-        ok2 = lp.BesovSpec(-0.5, 2, 2)
-        rep = lp.product_law_estimator(part, 10, ok1, ok2, law="critical", seed=0)
-        rep2 = lp.product_law_estimator(part, 20, ok1, ok2, law="critical", seed=0)
-        assert rep.sup_ratio > 0 and rep.stable_against(rep2)
-        with pytest.raises(ValueError, match="s1 \\+ s2"):
-            lp.product_law_estimator(part, 4, ok1, ok1, law="critical")
-        with pytest.raises(ValueError, match="window"):
-            lp.product_law_estimator(part, 4, lp.BesovSpec(1.5, 2, 2),
-                                     lp.BesovSpec(-1.5, 2, 2), law="critical")
-
-    def test_uniform_law_ensemble_stability(self, part):
-        spec = lp.BesovSpec(0.5, 2, 2)
-        rep1 = lp.product_law_estimator(part, 20, spec, spec, law="uniform", seed=0)
-        rep2 = lp.product_law_estimator(part, 40, spec, spec, law="uniform", seed=0)
-        assert rep1.sup_ratio > 0 and rep1.stable_against(rep2)
-
     def test_embedding_report(self, part):
         rep = lp.embedding_estimator(part, 25, 1.0, 2, 4, 2, seed=0)
         rep2 = lp.embedding_estimator(part, 50, 1.0, 2, 4, 2, seed=0)
         assert rep.sup_ratio > 0 and rep.stable_against(rep2)
         with pytest.raises(ValueError):
             lp.embedding_estimator(part, 4, 1.0, 4, 2, 2)
-
-    def test_derivative_norm_equivalence(self, part):
-        fwd, bwd = lp.derivative_norm_equivalence(part, 20, 1.0, 2, 2, seed=0)
-        fwd2, bwd2 = lp.derivative_norm_equivalence(part, 40, 1.0, 2, 2, seed=0)
-        assert fwd.sup_ratio > 0 and fwd.stable_against(fwd2)
-        assert bwd.sup_ratio > 0 and bwd.stable_against(bwd2)
-
-    def test_derivative_equivalence_draws_each_member_once(self, part, monkeypatch):
-        drawn = []
-        original = lp.random_field
-
-        def counting(*args, **kw):
-            drawn.append(1)
-            return original(*args, **kw)
-        monkeypatch.setattr(lp, "random_field", counting)
-        lp.derivative_norm_equivalence(part, 5, 1.0, 2, 2, seed=3)
-        assert len(drawn) == 5
-
-    @pytest.mark.parametrize("s,p,r", [(1.0, 2, 2), (0.5, INF, INF)])
-    def test_derivative_equivalence_matches_two_draw_reference(self, part, grid, s, p, r):
-        """Both directions equal, bit for bit, an ensemble that draws every
-        member once per direction from the same generator seed."""
-        fwd, bwd = lp.derivative_norm_equivalence(part, 4, s, p, r, seed=3)
-        spec, low = lp.BesovSpec(s, p, r), lp.BesovSpec(s - 1.0, p, r)
-
-        def norms(i):
-            u = sp.random_field(grid, np.random.default_rng(3 + i))
-            return (lp.besov_norm(part, u, spec),
-                    max(lp.besov_norm(part, sp.partial(u, a), low) for a in range(grid.dim)))
-        ref_fwd, ref_bwd = [], []
-        for i in range(4):
-            b, g = norms(i)
-            ref_fwd.append(g / b if b > 0 else 0.0)
-            b, g = norms(i)
-            ref_bwd.append(b / g if g > 0 else 0.0)
-        assert fwd.ratios == ref_fwd and fwd.sup_ratio == max(ref_fwd)
-        assert bwd.ratios == ref_bwd and bwd.sup_ratio == max(ref_bwd)
-
-    def test_composition_report(self, part, grid, rng):
-        f = sp.random_field(grid, rng)
-        out = lp.composition_report(part, np.sin, f, lp.BesovSpec(0.5, 2, 2))
-        assert out["composed_besov"] > 0
-        # sin(0) = 0 so the normalization leaves a genuine field
-        assert math.isfinite(out["composed_besov"] / out["input_besov"])
 
 
 # ---------------------------------------------------------------------------
