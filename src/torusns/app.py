@@ -552,13 +552,6 @@ class _MonitorSuite:
         return self.failures
 
 
-def _monitor_suite(problem: Problem, trajectory: dyn.Trajectory) -> list[str]:
-    """The monitor suite over the states of a trajectory in memory."""
-    suite = _MonitorSuite(trajectory, problem.monitor)
-    diag.feed([suite], trajectory.params, len(trajectory), trajectory.states.__getitem__)
-    return suite.finish()
-
-
 def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """Run a verification suite over a stored run directory.
 

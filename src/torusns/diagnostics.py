@@ -863,8 +863,10 @@ def _in_window(t: float, window_end: float | None) -> bool:
 
 
 class _DensityVerdict(Accumulator):
-    """Accumulator of `_density_verdict`; it reads the snapshots with
-    t <= window_end (all of them for None)."""
+    """The density criterion of `BlowupMonitor` on [0, window_end] (all
+    snapshots for None): every snapshot finite with positive density, and
+    no abnormal stop inside the window.  `finish` returns (criterion holds,
+    first violation time); it needs no norm."""
 
     def __init__(self, run: Trajectory, window_end: float | None = None):
         super().__init__(run, window_end)
@@ -894,14 +896,6 @@ class _DensityVerdict(Accumulator):
         if abnormal and _in_window(self.stop_time, self.window_end):
             return False, self.stop_time if first_bad is None else first_bad
         return not self.bad, first_bad
-
-
-def _density_verdict(trajectory: Trajectory, window_end: float | None = None
-                     ) -> tuple[bool, float | None]:
-    """(density criterion holds, first violation time) on [0, window_end]:
-    every snapshot finite with positive density, and no abnormal stop inside
-    the window.  It needs no norm."""
-    return _report(trajectory, _DensityVerdict, window_end)
 
 
 class BlowupMonitor(Accumulator):

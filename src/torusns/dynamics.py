@@ -340,13 +340,16 @@ class _Stepper:
     pair feeds both momentum components it belongs to, so no pass copies or
     masks the product coefficients.
 
-    In `step`, stage n of every step writes the product and slope arrays
-    that stage n of the previous step wrote: the stepper owns four of each,
-    one per stage, for as long as it lives (one run).  Allocated afresh per
-    stage, these arrays went back to the kernel and were faulted in again
-    whenever the rest of the heap left no hole for them, which made a step's
-    cost depend on what unrelated code held (35k rather than 3.5-8k minor
-    faults per sim2d-vortex cycle, `tools/heap_churn.py`)."""
+    In `step`, every stage writes the one product array of the stepper, and
+    stage n of every step writes the slope array that stage n of the
+    previous step wrote: the stepper owns one product array and four slope
+    arrays for as long as it lives (one run).  A stage's product array is
+    read only until its integrands are taken, before the next stage runs;
+    RK4 combines all four slopes at the end of the step.  Allocated afresh
+    per stage, these arrays went back to the kernel and were faulted in
+    again whenever the rest of the heap left no hole for them, which made a
+    step's cost depend on what unrelated code held (35k rather than 3.5-8k
+    minor faults per sim2d-vortex cycle, `tools/heap_churn.py`)."""
 
     def __init__(self, grid: TorusGrid, params: FluidParams, vacuum_floor: float):
         self.grid = grid
@@ -373,17 +376,16 @@ class _Stepper:
         # the passenger flux m_i w_j is not symmetric: all dim^2 rows, row-major
         self.full_terms = [(i, j, i * dim + j) for i in range(dim) for j in range(dim)]
         self._forcing_cache: tuple[float, np.ndarray] | None = None
-        self._stage_arrays: dict[tuple[int, str], np.ndarray] = {}
+        self._arrays: dict[object, np.ndarray] = {}
 
-    def _array(self, stage: int | None, name: str, shape: tuple,
-               dtype=np.float64) -> np.ndarray:
-        """An uninitialised array: a new one, or the one that the given RK4
-        stage of every step reuses."""
-        if stage is None:
+    def _array(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An uninitialised array: a new one for key None, else the one kept
+        under `key` for every step to reuse."""
+        if key is None:
             return np.empty(shape, dtype=dtype)
-        a = self._stage_arrays.get((stage, name))
+        a = self._arrays.get(key)
         if a is None:
-            a = self._stage_arrays[stage, name] = np.empty(shape, dtype=dtype)
+            a = self._arrays[key] = np.empty(shape, dtype=dtype)
         return a
 
     def forcing_samples(self, t: float) -> np.ndarray | None:
@@ -418,8 +420,10 @@ class _Stepper:
             stage: int | None = None):
         """Returns (dy, aux) where aux carries the stage fields; ``samples``,
         when given, must be the inverse transform of y.  With a ``stage``
-        index, dy and the product array are that stage's own (see the class
-        docstring), valid until the same stage of the next step runs."""
+        index, dy is that stage's own, valid until the same stage of the next
+        step runs, and the product array that aux views is the one every
+        stage shares, valid until the next stage runs (see the class
+        docstring)."""
         grid, dim = self.grid, self.grid.dim
         s = to_samples(grid, y) if samples is None else samples
         rho_s, m_s = s[0], s[1:]
@@ -428,7 +432,8 @@ class _Stepper:
             raise VacuumError(t, min_rho)
         g_s = self.forcing_samples(t)
         n_flux = dim + len(self.pairs)
-        prod = self._array(stage, "prod", (n_flux + (0 if g_s is None else dim),) + grid.shape)
+        prod = self._array(None if stage is None else "prod",
+                           (n_flux + (0 if g_s is None else dim),) + grid.shape)
         u_s = np.divide(m_s, rho_s, out=prod[:dim])
         for p, (i, j) in enumerate(self.pairs, start=dim):
             np.multiply(m_s[i], u_s[j], out=prod[p])
@@ -440,7 +445,7 @@ class _Stepper:
         c = to_coeffs(grid, prod)
         u_c = c[:dim]
         div_u = self.divergence(u_c, np.empty(grid.spectral_shape, dtype=c.dtype))
-        dy = self._array(stage, "dy", y.shape, y.dtype)
+        dy = self._array(None if stage is None else ("dy", stage), y.shape, y.dtype)
         np.negative(self.divergence(y[1:], dy[0]), out=dy[0])
         self.momentum(u_c, div_u, c[dim:n_flux], self.pair_terms, dy[1:])
         force_c = None
@@ -521,7 +526,7 @@ def _state_from_conservative(grid: TorusGrid, y: np.ndarray, s: np.ndarray,
     row 0 of y and s, so it keeps both stacks alive: `_stored` gives the
     copy a trajectory keeps."""
     rho = ScalarField(grid, y[0], copy=False, samples=s[0])
-    return FluidState(rho, VectorField.from_samples(grid, s[1:] / s[0]), t)
+    return FluidState(rho, VectorField._of_samples(grid, s[1:] / s[0]), t)
 
 
 def _stored(state: FluidState) -> FluidState:

@@ -21,15 +21,21 @@ def _fields(x, args, kwargs) -> int:
 
 @pytest.fixture()
 def fft_calls(monkeypatch):
-    """Counts rfftn/irfftn calls through either library's entry point, by
-    name, and under "<name>_fields" the fields they transformed; a
-    transform that bypasses both would not be seen."""
+    """Counts the package's transforms at the library entry points that
+    `spectral` calls, under "rfftn" (forward) and "irfftn" (inverse), and
+    under "<name>_fields" the fields they transformed.  A 2-D grid makes one
+    `numpy.fft.rfft` per forward and one `numpy.fft.irfft` per inverse
+    transform (the `fft`/`ifft` pass over axis -2 rides along), its fields
+    counted over the last two axes; a 3-D grid calls `scipy.fft.rfftn` and
+    `irfftn`.  A transform that bypasses these would not be seen."""
     counts = Counter()
-    for module in (numpy.fft, scipy.fft):
-        for name in ("rfftn", "irfftn"):
-            def counted(x, *args, _fn=getattr(module, name), _name=name, **kwargs):
-                counts[_name] += 1
-                counts[_name + "_fields"] += _fields(x, args, kwargs)
-                return _fn(x, *args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+    for module, name, key in ((numpy.fft, "rfft", "rfftn"), (numpy.fft, "irfft", "irfftn"),
+                              (scipy.fft, "rfftn", "rfftn"), (scipy.fft, "irfftn", "irfftn")):
+        def counted(x, *args, _fn=getattr(module, name), _key=key,
+                    _planar=module is numpy.fft, **kwargs):
+            counts[_key] += 1
+            counts[_key + "_fields"] += (np.size(x) // math.prod(np.shape(x)[-2:]) if _planar
+                                         else _fields(x, args, kwargs))
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     return counts

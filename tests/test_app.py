@@ -282,7 +282,9 @@ class TestVerify:
         traj = dyn.run(problem.initial, problem.params, problem.solver,
                        monitors=[lambda s: "hit" if s.t > 0.045 else None])
         assert traj.stop_reason == "monitor:hit"
-        assert app._monitor_suite(problem, traj) == []
+        suite = app._MonitorSuite(traj, problem.monitor)
+        diag.feed([suite], traj.params, len(traj), traj.states.__getitem__)
+        assert suite.finish() == []
 
     def test_two_snapshot_run_skips_time_differenced_ledgers(self, tmp_path):
         cfg_path = os.path.join(tmp_path, "two.cfg")

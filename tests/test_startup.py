@@ -2,10 +2,12 @@
 
 Every step of the workflow is a fresh `torusns simulate` or `torusns verify`
 process, so whatever `import torusns.app` loads is paid by every run.
-`scipy.fft` is always loaded; `scipy.interpolate` and `scipy.integrate`
-(which pulls in `scipy.optimize`, `scipy.sparse`, `scipy.linalg` and
-`scipy.spatial`) only for a tabulated pressure law.  Each check runs in a
-fresh interpreter, since this test process has imported scipy already.
+`import torusns.app` loads no scipy at all, and neither does a 2-D run with
+a power law: 2-D grids transform through `numpy.fft`.  The first 3-D grid
+loads `scipy.fft`; a tabulated pressure law loads `scipy.interpolate` and
+`scipy.integrate` (which pulls in `scipy.optimize`, `scipy.sparse`,
+`scipy.linalg` and `scipy.spatial`).  Each check runs in a fresh
+interpreter, since this test process has imported scipy already.
 """
 
 import json
@@ -74,8 +76,14 @@ def _tabulated_only(modules: set[str]) -> list[str]:
                   if m == top or m.startswith(top + "."))
 
 
-def test_import_loads_only_the_transforms():
-    modules = _scipy_modules("import torusns.app")
+def test_import_loads_only_the_transforms(tmp_path):
+    """No scipy for the import or a 2-D power-law simulate + verify; a 3-D
+    grid loads the transforms and nothing a tabulated law needs."""
+    assert _scipy_modules("import torusns.app") == set()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    assert _scipy_modules(RUN, str(cfg), str(tmp_path / "out"), "0") == set()
+    modules = _scipy_modules("from torusns.spectral import TorusGrid\nTorusGrid(3, 8)")
     assert "scipy.fft" in modules     # the check sees scipy at all
     assert _tabulated_only(modules) == []
 
