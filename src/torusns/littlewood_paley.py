@@ -16,9 +16,15 @@ forward transform are linear, so a Bony piece sums its block products in
 physical space and pays one forward transform: T_l h keeps S_{q-1} l as a
 running sum of l's blocks, and R(u, v) is three shifted contractions of the
 two stacks.  A stack lives as long as the call that builds it;
-eight_way_split builds the stacks of a, Delta_q a and div u1 once and those
-of u1^k, d_k a and d_k Delta_q a per component, freeing them before the
-next one.
+bony_decompose builds the stacks of u and v once and hands both to its
+three pieces (at most 2(q_max + 2) inverse and 3 forward transforms, 19 at
+2-D 128^2), and eight_way_split builds the stacks of a, Delta_q a and
+div u1 once and those of u1^k, d_k a and d_k Delta_q a per component,
+freeing them before the next one.
+
+L^2 block norms cost no transform: by Parseval, ||Delta_l f||_2^2 is the
+torus volume times sum_k w_k phi_l(k)^2 |c_k|^2 (w_k the mode weight), one
+product of the squared filter stack with the field's power spectrum.
 
 Max-type norms skip the blocks they cannot need: ||Delta_q f||_inf is at
 most the l^1 sum of the block's coefficients, which costs no transform, so
@@ -135,6 +141,25 @@ def _filter_stack(grid: TorusGrid) -> np.ndarray:
                             + [phi_profile(radius / 2.0 ** q) for q in range(q_max + 1)]))
 
 
+@functools.lru_cache(maxsize=32)  # one entry per grid size in use
+def _squared_filter_stack(grid: TorusGrid) -> np.ndarray:
+    """The filter stack squared, flattened to one row per block: the Parseval
+    weights of the L^2 block norms."""
+    filters = _filter_stack(grid)
+    return _frozen((filters ** 2).reshape(len(filters), -1))
+
+
+def _rows(stack: np.ndarray, blocks: Sequence[int] | None) -> np.ndarray:
+    """The rows of a per-block stack (row q + 1 is Delta_q's) for `blocks`;
+    all of them when `blocks` is None."""
+    if blocks is None:
+        return stack
+    if not all(-1 <= q <= len(stack) - 2 for q in blocks):
+        raise ValueError(f"blocks {list(blocks)} outside the active range "
+                         f"-1..{len(stack) - 2}")
+    return stack[[q + 1 for q in blocks]]
+
+
 def build_partition(grid: TorusGrid) -> DyadicPartition:
     return DyadicPartition(grid)
 
@@ -162,8 +187,7 @@ def _block_stack(partition: DyadicPartition, f: Field,
     filter * |c|: zero exactly when every filtered coefficient is, and NaN
     (so the row is transformed) when a coefficient is not finite."""
     grid = _check_same_grid(partition.grid, f)
-    filters = partition._filters if blocks is None \
-        else partition._filters[[q + 1 for q in blocks]]
+    filters = _rows(partition._filters, blocks)
     weight = np.abs(f.coeffs).reshape((-1,) + grid.spectral_shape).sum(axis=0)
     reach = filters.reshape(len(filters), weight.size) @ weight.ravel()
     stack = np.empty((len(filters),) + f.coeffs.shape[:f.rank] + grid.shape)
@@ -197,7 +221,18 @@ class BesovSpec:
 def block_norms(partition: DyadicPartition, f: Field, p: float,
                 blocks: Sequence[int] | None = None) -> np.ndarray:
     """(||Delta_l f||_{L^p}) for l in `blocks` (default -1 .. q_max); the
-    mean sits in the l = -1 block."""
+    mean sits in the l = -1 block.
+
+    p = 2 takes no transform: sqrt(volume * sum_k w_k phi_l(k)^2 |c_k|^2),
+    summed over components, which is the grid quadrature of the block's
+    samples up to round-off.  A non-finite coefficient gives NaN (or inf) in
+    every block, as the samples would."""
+    if p == 2:
+        grid = _check_same_grid(partition.grid, f)
+        squares = _rows(_squared_filter_stack(grid), blocks)
+        power = (grid.mode_weight * np.abs(f.coeffs) ** 2).reshape(
+            -1, squares.shape[1]).sum(axis=0)
+        return np.sqrt(grid.volume * (squares @ power))
     return np.array([sample_norm(f.grid, block, p, f.rank)
                      for block in _block_stack(partition, f, blocks)])
 
@@ -301,22 +336,35 @@ def bony_decompose(partition: DyadicPartition, u: ScalarField, v: ScalarField
 
     T_u v = sum_q S_{q-1} u Delta_q v and R(u, v) = sum_q Delta_q u
     (Delta_{q-1} + Delta_q + Delta_{q+1}) v; the three pieces reconstruct
-    multiply(u, v) exactly.
+    multiply(u, v) exactly.  The block stacks of u and v are built once and
+    shared by the three pieces.
     """
-    return paraproduct(partition, u, v), paraproduct(partition, v, u), \
-        remainder(partition, u, v)
+    stacks = _block_stack(partition, u), _block_stack(partition, v)
+    return paraproduct(partition, u, v, stacks), \
+        paraproduct(partition, v, u, stacks[::-1]), \
+        remainder(partition, u, v, stacks)
 
 
-def paraproduct(partition: DyadicPartition, low: ScalarField, high: ScalarField) -> ScalarField:
-    """T_low high = sum_q S_{q-1} low * Delta_q high."""
-    return _paraproduct(partition.grid, _block_stack(partition, low),
-                        _block_stack(partition, high))
+def paraproduct(partition: DyadicPartition, low: ScalarField, high: ScalarField,
+                stacks: tuple[np.ndarray, np.ndarray] | None = None) -> ScalarField:
+    """T_low high = sum_q S_{q-1} low * Delta_q high.
+
+    ``stacks``, when given, must be the block stacks of (low, high) (it saves
+    rebuilding them)."""
+    if stacks is None:
+        stacks = _block_stack(partition, low), _block_stack(partition, high)
+    return _paraproduct(partition.grid, *stacks)
 
 
-def remainder(partition: DyadicPartition, u: ScalarField, v: ScalarField) -> ScalarField:
-    """R(u, v) = sum_q Delta_q u (Delta_{q-1} + Delta_q + Delta_{q+1}) v."""
-    return _remainder(partition.grid, _block_stack(partition, u),
-                      _block_stack(partition, v))
+def remainder(partition: DyadicPartition, u: ScalarField, v: ScalarField,
+              stacks: tuple[np.ndarray, np.ndarray] | None = None) -> ScalarField:
+    """R(u, v) = sum_q Delta_q u (Delta_{q-1} + Delta_q + Delta_{q+1}) v.
+
+    ``stacks``, when given, must be the block stacks of (u, v) (it saves
+    rebuilding them)."""
+    if stacks is None:
+        stacks = _block_stack(partition, u), _block_stack(partition, v)
+    return _remainder(partition.grid, *stacks)
 
 
 # ---------------------------------------------------------------------------

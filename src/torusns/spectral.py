@@ -45,6 +45,18 @@ shape (fields, grid)   forward np / sp  inverse np / sp
 12 x 32^3              5.617 / 2.312    5.232 / 3.166
 =====================  ===============  ===============
 
+The 3-D np rows overstate numpy's cost.  Three 1-D passes in scipy's axis
+order (forward ``rfft`` over axis -1, then ``fft`` over -3 and -2; inverse
+``ifft`` over -3 and -2, then ``irfft`` over -1) are bit-identical to
+``scipy.fft`` on 32^3, and a whole seed-0 ``sim3d-dense`` run directory
+through them is byte-identical.  They are 12-20 % slower per call, not 2.4x
+(interleaved medians: 12 x 32^3 forward 4.98 against 4.45 ms, where
+``numpy.fft.rfftn`` took 12.3; 1 x 32^3 inverse 0.44 against 0.36 ms).
+Moving 3-D onto them was measured and not taken: ``sim3d-dense``
+``peak_rss_mb`` fell 104 -> 86 MiB and ``setup_s`` 0.42 -> 0.28 s, but
+``simulate_s`` and ``verify_s`` rose about 20 % (three alternating benchmark
+pairs), more than the memory is worth, so 3-D stays on scipy.
+
 A field computes whichever of its coefficients and samples it was not built
 from on first read.  All operations are pure; field objects are immutable
 after construction.
@@ -487,9 +499,13 @@ def curl(field: VectorField) -> Field:
                                        g[0][1] - g[1][0]]), copy=False)
 
 
+@functools.lru_cache(maxsize=32)  # one entry per grid in use
+def _laplacian_symbol(grid: TorusGrid) -> np.ndarray:
+    return _frozen(np.where(grid.nyquist_mask, 0.0, -grid.k_squared))
+
+
 def laplacian(field: Field) -> Field:
-    grid = field.grid
-    return field.with_coeffs(field.coeffs * np.where(grid.nyquist_mask, 0.0, -grid.k_squared))
+    return field.with_coeffs(field.coeffs * _laplacian_symbol(field.grid))
 
 
 def velocity_gradient(field: Field) -> np.ndarray:
@@ -498,12 +514,15 @@ def velocity_gradient(field: Field) -> np.ndarray:
     return np.stack([partial(field, i).samples for i in range(field.grid.dim)])
 
 
+@functools.lru_cache(maxsize=32)  # one entry per grid in use
+def _inv_laplacian_symbol(grid: TorusGrid) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _frozen(np.where(grid.k_squared > 0, -1.0 / grid.k_squared, 0.0))
+
+
 def inv_laplacian_zero_mean(field: Field) -> Field:
     """Solve laplacian(g) = f - mean(f) with mean(g) = 0."""
-    grid = field.grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(grid.k_squared > 0, -1.0 / grid.k_squared, 0.0)
-    return field.with_coeffs(field.coeffs * inv)
+    return field.with_coeffs(field.coeffs * _inv_laplacian_symbol(field.grid))
 
 
 @functools.lru_cache(maxsize=32)  # a few grids: a 3-D grid needs 9 entries

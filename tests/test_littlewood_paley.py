@@ -357,6 +357,33 @@ class TestTransformCount:
         assert fft_calls["irfftn"] <= 2 * (part.q_max + 2)
         assert fft_calls["rfftn"] == 1
 
+    def test_bony_decompose_builds_two_stacks(self, case, fft_calls):
+        part, a, b, _ = case
+        lp.bony_decompose(part, a, b)
+        assert fft_calls["irfftn"] <= 2 * (part.q_max + 2) == 16
+        assert fft_calls["rfftn"] == 3
+
+    def test_bony_pieces_equal_separate_calls(self, case):
+        part, a, b, _ = case
+        separate = (lp.paraproduct(part, a, b), lp.paraproduct(part, b, a),
+                    lp.remainder(part, a, b))
+        for got, want in zip(lp.bony_decompose(part, a, b), separate):
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nonfinite_coefficient_reaches_every_bony_piece(self, case, bad, which):
+        part, a, b, _ = case
+        coeffs = a.coeffs.copy()
+        coeffs[0, 1] = bad
+        factors = [a, b]
+        factors[which] = a.with_coeffs(coeffs)
+        keep = part.grid.dealias_mask()
+        with np.errstate(invalid="ignore"):
+            pieces = lp.bony_decompose(part, *factors)
+        for piece in pieces:
+            assert np.all(np.isnan(piece.coeffs[keep]))
+
     def test_eight_way_split(self, case, fft_calls):
         part, a, _, u = case
         lp.eight_way_split(part, u, a, 2)
@@ -474,3 +501,44 @@ class TestSupBesov:
         assert math.isnan(lp.besov_norm(part, f.with_coeffs(coeffs), spec))
         assert math.isfinite(lp.besov_norm(part, f, spec))
         assert math.isnan(lp._sup_besov(part, f, 0.5, math.nan))
+
+
+class TestParsevalBlockNorms:
+    """L^2 block norms come from the coefficients alone and agree with the
+    grid quadrature of the block samples."""
+
+    @pytest.fixture(scope="class", params=[(2, 128), (3, 32)], ids=["2d128", "3d32"])
+    def part(self, request):
+        return lp.build_partition(sp.TorusGrid(*request.param))
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_matches_quadrature_of_block_samples(self, part, kind, subset):
+        grid, r = part.grid, np.random.default_rng(11)
+        f = sp.random_field(grid, r) if kind == "scalar" else sp.random_vector_field(grid, r)
+        blocks = [part.q_max, -1, 2] if subset else None
+        got = lp.block_norms(part, f, 2, blocks)
+        want = [sp.sample_norm(grid, row, 2, f.rank)
+                for row in lp._block_stack(part, f, blocks)]
+        assert len(got) == (3 if subset else part.q_max + 2)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_zero_field_and_nan_coefficient(self, part):
+        grid = part.grid
+        assert np.all(lp.block_norms(part, sp.ScalarField.zero(grid), 2) == 0.0)
+        coeffs = sp.random_field(grid, np.random.default_rng(5)).coeffs.copy()
+        coeffs[(0,) * (grid.dim - 1) + (1,)] = np.nan
+        assert np.all(np.isnan(lp.block_norms(part, sp.ScalarField(grid, coeffs), 2)))
+
+    @pytest.mark.parametrize("p", [2, 3, INF])
+    @pytest.mark.parametrize("q", [-2, "top"])
+    def test_block_outside_the_active_range_is_rejected(self, part, p, q):
+        f = sp.random_field(part.grid, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="outside the active range"):
+            lp.block_norms(part, f, p, [part.q_max + 1 if q == "top" else q])
+
+    def test_l2_besov_norm_takes_no_transform(self, part, fft_calls):
+        f = sp.random_field(part.grid, np.random.default_rng(5))
+        fft_calls.clear()
+        assert lp.besov_norm(part, f, lp.BesovSpec(0.5, 2, 2)) > 0
+        assert fft_calls["rfftn"] == fft_calls["irfftn"] == 0
