@@ -10,17 +10,22 @@ S_q = chi(2^{-q} D) for q >= 0 and S_q = 0 for q < 0, and the Bony
 decomposition reconstructs the (dealiased) grid product exactly.
 
 Kernels work on block stacks: the samples of Delta_{-1} f .. Delta_{q_max} f
-of one field, stacked on a leading axis (one inverse transform per block,
-filters from the partition's single filter stack).  Dealiasing and the
-forward transform are linear, so a Bony piece sums its block products in
-physical space and pays one forward transform: T_l h keeps S_{q-1} l as a
-running sum of l's blocks, and R(u, v) is three shifted contractions of the
-two stacks.  A stack lives as long as the call that builds it;
-bony_decompose builds the stacks of u and v once and hands both to its
-three pieces (at most 2(q_max + 2) inverse and 3 forward transforms, 19 at
-2-D 128^2), and eight_way_split builds the stacks of a, Delta_q a and
-div u1 once and those of u1^k, d_k a and d_k Delta_q a per component,
-freeing them before the next one.
+of one field, one row per block (one inverse transform per block whose
+filtered coefficients are not all zero; the other rows are zero, and the
+kernels skip their products unless the other factor is not finite, since
+0 * NaN is NaN).  Dealiasing, Delta_q and the forward transform are linear,
+so a piece sums its block products in physical space, over the component
+index too, and pays one forward transform: T_l h keeps S_{q-1} l as a
+running sum of l's blocks, and R(u, v) meets each block of u with the
+neighbouring blocks of v.  A stack lives as long as the call that builds
+it.  bony_decompose builds the stacks of u and v once and hands both
+to its three pieces (at most 2(q_max + 2) inverse and 3 forward transforms,
+19 at 2-D 128^2).  eight_way_split builds the stacks of a and Delta_q a once
+and those of u1^k, d_k a and d_k Delta_q a per component, freeing them
+before the next one; it takes pieces 5 and 7 by Leibniz from sums it
+already has, so it builds no div u1 stack (51 inverse and 12 forward
+transforms at 2-D 128^2, q = 2).  transport_commutator makes 2 dim inverse
+and 2 forward transforms.
 
 L^2 block norms cost no transform: by Parseval, ||Delta_l f||_2^2 is the
 torus volume times sum_k w_k phi_l(k)^2 |c_k|^2 (w_k the mode weight), one
@@ -40,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +55,8 @@ from .spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
+    apply_multiplier,
     dealias,
-    divergence,
     gradient,
     lebesgue_norm,
     multiply,
@@ -120,7 +125,7 @@ class DyadicPartition:
     def low_pass_filter(self, q: int) -> np.ndarray:
         """Filter for S_q = chi(2^{-q} D) for q >= 0; S_q = 0 for q < 0."""
         if q < 0:
-            return np.zeros(self.grid.spectral_shape)
+            return _zero_filter(self.grid)
         f = self._low_pass.get(q)
         if f is None:
             f = chi_profile(self.grid.k_radius / 2.0 ** q)
@@ -139,6 +144,11 @@ def _filter_stack(grid: TorusGrid) -> np.ndarray:
     q_max = int(math.floor(math.log2(float(np.max(radius)) / 0.75)))
     return _frozen(np.stack([chi_profile(radius)]
                             + [phi_profile(radius / 2.0 ** q) for q in range(q_max + 1)]))
+
+
+@functools.lru_cache(maxsize=32)  # one entry per grid size in use
+def _zero_filter(grid: TorusGrid) -> np.ndarray:
+    return _frozen(np.zeros(grid.spectral_shape))
 
 
 @functools.lru_cache(maxsize=32)  # one entry per grid size in use
@@ -178,29 +188,37 @@ def low_pass(partition: DyadicPartition, q: int, f: Field) -> Field:
     return f.with_coeffs(f.coeffs * partition.low_pass_filter(q))
 
 
+class _Stack(NamedTuple):
+    """Block stack of one field: ``rows`` are the samples of its blocks, and
+    ``reach`` (one entry per row) is zero exactly where the row was left at
+    zero without a transform; such rows share one read-only zero array."""
+    rows: list[np.ndarray]
+    reach: np.ndarray
+
+
 def _block_stack(partition: DyadicPartition, f: Field,
-                 blocks: Sequence[int] | None = None) -> np.ndarray:
-    """Samples of Delta_q f for q in `blocks` (default -1 .. q_max), stacked
-    on a leading axis.  A row whose filter misses the field's coefficients
-    (for Delta_q f, all but rows q-1 .. q+1) is set to zero, which is what
-    its transform gives, bit for bit.  `reach` sums the non-negative terms
-    filter * |c|: zero exactly when every filtered coefficient is, and NaN
-    (so the row is transformed) when a coefficient is not finite."""
+                 blocks: Sequence[int] | None = None) -> _Stack:
+    """Samples of Delta_q f for q in `blocks` (default -1 .. q_max), one row
+    per block.  A row whose filter misses the field's coefficients (for
+    Delta_q f, all but rows q-1 .. q+1) is zero without a transform, which
+    is what its transform gives, bit for bit.  `reach` sums the non-negative
+    terms filter * |c|: zero exactly when every filtered coefficient is, and
+    NaN (so the row is transformed) when a coefficient is not finite."""
     grid = _check_same_grid(partition.grid, f)
     filters = _rows(partition._filters, blocks)
     weight = np.abs(f.coeffs).reshape((-1,) + grid.spectral_shape).sum(axis=0)
     reach = filters.reshape(len(filters), weight.size) @ weight.ravel()
-    stack = np.empty((len(filters),) + f.coeffs.shape[:f.rank] + grid.shape)
+    zero = np.broadcast_to(0.0, f.coeffs.shape[:f.rank] + grid.shape)
     # one block at a time: forming the whole product stack first and passing
     # it to `to_samples` once (the same transform calls) made an lp-ensemble
     # cycle 24 % slower (0.350 against 0.282 s, medians of 20 interleaved
-    # cycles, one thread of a 2-vCPU x86 host)
-    for block, filt, r in zip(stack, filters, reach):
-        if r != 0:
-            block[...] = to_samples(grid, f.coeffs * filt)
-        else:
-            block[...] = 0.0
-    return stack
+    # cycles, one thread of a 2-vCPU x86 host).  Each row is the array its
+    # transform returns: copying the rows into one preallocated stack cost
+    # an eight-way split at 2-D 128^2 about 1500 minor page faults per call
+    # against about 1200 this way
+    rows = [to_samples(grid, f.coeffs * filt) if r != 0 else zero
+            for filt, r in zip(filters, reach)]
+    return _Stack(rows, reach)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +252,7 @@ def block_norms(partition: DyadicPartition, f: Field, p: float,
             -1, squares.shape[1]).sum(axis=0)
         return np.sqrt(grid.volume * (squares @ power))
     return np.array([sample_norm(f.grid, block, p, f.rank)
-                     for block in _block_stack(partition, f, blocks)])
+                     for block in _block_stack(partition, f, blocks).rows])
 
 
 def _lr_combine(weighted: np.ndarray, r: float) -> float:
@@ -308,26 +326,44 @@ def _dealiased(grid: TorusGrid, samples: np.ndarray) -> ScalarField:
     return dealias(ScalarField(grid, to_coeffs(grid, samples), copy=False))
 
 
-def _paraproduct(grid: TorusGrid, low: np.ndarray, high: np.ndarray) -> ScalarField:
-    """T_low high from the block stacks of both factors."""
-    running = np.zeros(grid.shape)  # S_{q-1} low = Delta_{-1} + ... + Delta_{q-2} low
-    total = np.zeros(grid.shape)
-    for q in range(1, len(low) - 1):  # S_{q-1} vanishes for q <= 0
-        running += low[q - 1]
-        total += running * high[q + 1]
-    return _dealiased(grid, total)
+def _visited(stack: _Stack, other: _Stack) -> np.ndarray:
+    """The rows of `stack` whose products with `other` a kernel forms: the
+    rows `_block_stack` transformed (reach != 0, NaN included), or every row
+    while `other` is not finite, since 0 * NaN is NaN and a skipped product
+    would hide it."""
+    if np.isfinite(other.reach).all():
+        return stack.reach != 0
+    return np.ones(len(stack.reach), dtype=bool)
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i a[i] * b[i] over the leading (block) axis."""
-    return np.einsum("i...,i...->...", a, b)
+def _paraproduct(low: _Stack, high: _Stack, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples of T_low high (before dealiasing) from the block stacks of both
+    factors, added into `out` (zeros when None), which is returned."""
+    visit_low, visit_high = _visited(low, high), _visited(high, low)
+    started = np.logical_or.accumulate(visit_low)  # S_{q-1} low has a visited row
+    running = np.zeros(low.rows[0].shape)  # S_{q-1} low = Delta_{-1} + ... + Delta_{q-2} low
+    total = np.zeros_like(running) if out is None else out
+    for q in range(1, len(started) - 1):  # S_{q-1} vanishes for q <= 0
+        if visit_low[q - 1]:
+            running += low.rows[q - 1]
+        if started[q - 1] and visit_high[q + 1]:
+            total += running * high.rows[q + 1]
+    return total
 
 
-def _remainder(grid: TorusGrid, u: np.ndarray, v: np.ndarray) -> ScalarField:
-    """R(u, v) from the block stacks of both factors: each block of u meets
-    the same, the lower and the upper neighbouring block of v."""
-    total = _contract(u, v) + _contract(u[1:], v[:-1]) + _contract(u[:-1], v[1:])
-    return _dealiased(grid, total)
+def _remainder(u: _Stack, v: _Stack, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples of R(u, v) (before dealiasing) from the block stacks of both
+    factors, added into `out` (zeros when None), which is returned: each
+    block of u meets the same, the lower and the upper neighbouring block of
+    v."""
+    visit_u, visit_v = _visited(u, v), _visited(v, u)
+    total = np.zeros(u.rows[0].shape) if out is None else out
+    for i in np.flatnonzero(visit_u):
+        near = [v.rows[j] for j in (i - 1, i, i + 1)
+                if 0 <= j < len(visit_v) and visit_v[j]]
+        if near:
+            total += u.rows[i] * sum(near[1:], near[0])
+    return total
 
 
 def bony_decompose(partition: DyadicPartition, u: ScalarField, v: ScalarField
@@ -346,25 +382,25 @@ def bony_decompose(partition: DyadicPartition, u: ScalarField, v: ScalarField
 
 
 def paraproduct(partition: DyadicPartition, low: ScalarField, high: ScalarField,
-                stacks: tuple[np.ndarray, np.ndarray] | None = None) -> ScalarField:
+                stacks: tuple[_Stack, _Stack] | None = None) -> ScalarField:
     """T_low high = sum_q S_{q-1} low * Delta_q high.
 
     ``stacks``, when given, must be the block stacks of (low, high) (it saves
     rebuilding them)."""
     if stacks is None:
         stacks = _block_stack(partition, low), _block_stack(partition, high)
-    return _paraproduct(partition.grid, *stacks)
+    return _dealiased(partition.grid, _paraproduct(*stacks))
 
 
 def remainder(partition: DyadicPartition, u: ScalarField, v: ScalarField,
-              stacks: tuple[np.ndarray, np.ndarray] | None = None) -> ScalarField:
+              stacks: tuple[_Stack, _Stack] | None = None) -> ScalarField:
     """R(u, v) = sum_q Delta_q u (Delta_{q-1} + Delta_q + Delta_{q+1}) v.
 
     ``stacks``, when given, must be the block stacks of (u, v) (it saves
     rebuilding them)."""
     if stacks is None:
         stacks = _block_stack(partition, u), _block_stack(partition, v)
-    return _remainder(partition.grid, *stacks)
+    return _dealiased(partition.grid, _remainder(*stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +415,6 @@ def multiplier_commutator(theta: MultiplierSymbol, lam: float,
     grid = _check_same_grid(a, b)
     scaled = MultiplierSymbol(lambda *k: theta.rule(*(x / lam for x in k)),
                               theta.order, name=f"{theta.name}@{lam:g}")
-    from .spectral import apply_multiplier
     lhs = apply_multiplier(scaled, multiply(a, b))
     rhs = multiply(a, apply_multiplier(scaled, b))
     return lhs - rhs
@@ -394,13 +429,13 @@ def transport_commutator(partition: DyadicPartition, u: VectorField,
     u = dealias(u)
     a = dealias(a)
     block_a = dyadic_block(partition, q, a)
-    first = ScalarField.zero(grid)
-    second_arg = ScalarField.zero(grid)
+    first = np.zeros(grid.shape)   # u . grad Delta_q a
+    second = np.zeros(grid.shape)  # u . grad a
     for k in range(grid.dim):
-        uk = u.component(k)
-        first = first + multiply(uk, partial(block_a, k))
-        second_arg = second_arg + multiply(uk, partial(a, k))
-    return first - dyadic_block(partition, q, second_arg)
+        uk = u.component(k).samples
+        first += uk * partial(block_a, k).samples
+        second += uk * partial(a, k).samples
+    return _dealiased(grid, first) - dyadic_block(partition, q, _dealiased(grid, second))
 
 
 def eight_way_split(partition: DyadicPartition, u: VectorField,
@@ -415,6 +450,17 @@ def eight_way_split(partition: DyadicPartition, u: VectorField,
     They sum to transport_commutator exactly (the printed form of piece 2
     truncates the paraproduct argument; the plain paraproduct reading is the
     one that makes the sum exact, which the tests pin down).
+
+    Each piece sums its products over k in physical space and pays one
+    forward transform per term; pieces 4 and 6 pay one per k, as d_k acts on
+    their coefficients.  Pieces 5 and 7 come from Leibniz's rule
+    d_k R(f, g) = R(d_k f, g) + R(f, d_k g):
+      5 = R(u1^k, d_k Delta_q a) - piece 4,
+      7 = -piece 6 - Delta_q R(u1^k, d_k a),
+    so no stack of div u1 is built.  The rule is exact on the 2/3-dealiased
+    band: the factors are dealiased, so the aliases of their grid products
+    fall outside the kept band, where the pieces are zero.  The samples of
+    d_k a and d_k Delta_q a (piece 8) are the row sums of their stacks.
     """
     grid = _check_same_grid(partition.grid, u, a)
     if q not in partition.active_blocks:
@@ -427,36 +473,39 @@ def eight_way_split(partition: DyadicPartition, u: VectorField,
     a_blocks = _block_stack(partition, a)
     qa_blocks = _block_stack(partition, block_a)
 
-    pieces = [ScalarField.zero(grid) for _ in range(8)]
+    def delta_q(samples: np.ndarray) -> ScalarField:
+        return dyadic_block(partition, q, _dealiased(grid, samples))
+
+    # sums over k of the samples of: T_{u1k} d_k Delta_q a, T_{u1k} d_k a,
+    # T_{d_k Delta_q a} u1k, T_{d_k a} u1k, R(u1k, d_k Delta_q a),
+    # R(u1k, d_k a), S_0 u^k d_k Delta_q a and S_0 u^k d_k a
+    t1, t1q, t2, t3, r5, r7, p8, p8q = np.zeros((8,) + grid.shape)
+    piece4 = piece6 = ScalarField.zero(grid)
     for k in range(grid.dim):
-        da_k = partial(a, k)
-        dblock_k = partial(block_a, k)
         u1k = _block_stack(partition, high_u.component(k))
-        dak = _block_stack(partition, da_k)
-        dqk = _block_stack(partition, dblock_k)
-        # 1: T_{u1k}(d_k Delta_q a) - Delta_q T_{u1k}(d_k a)
-        pieces[0] = pieces[0] + _paraproduct(grid, u1k, dqk) \
-            - dyadic_block(partition, q, _paraproduct(grid, u1k, dak))
-        # 2: paraproduct with low factor d_k Delta_q a
-        pieces[1] = pieces[1] + _paraproduct(grid, dqk, u1k)
-        # 3
-        pieces[2] = pieces[2] - dyadic_block(partition, q, _paraproduct(grid, dak, u1k))
-        # 4
-        pieces[3] = pieces[3] + partial(_remainder(grid, u1k, qa_blocks), k)
-        # 6
-        pieces[5] = pieces[5] - partial(dyadic_block(partition, q,
-                                                     _remainder(grid, u1k, a_blocks)), k)
-        # 8: S_0 u^k Delta_q d_k a - Delta_q (S_0 u^k d_k a)
-        s0k = low_u.component(k)
-        pieces[7] = pieces[7] + multiply(s0k, dblock_k) \
-            - dyadic_block(partition, q, multiply(s0k, da_k))
+        dak = _block_stack(partition, partial(a, k))
+        dqk = _block_stack(partition, partial(block_a, k))
+        _paraproduct(u1k, dqk, t1)
+        _paraproduct(u1k, dak, t1q)
+        _paraproduct(dqk, u1k, t2)
+        _paraproduct(dak, u1k, t3)
+        piece4 = piece4 + partial(_dealiased(grid, _remainder(u1k, qa_blocks)), k)
+        piece6 = piece6 - partial(delta_q(_remainder(u1k, a_blocks)), k)
+        _remainder(u1k, dqk, r5)
+        _remainder(u1k, dak, r7)
+        s0k = low_u.component(k).samples
+        p8 += s0k * sum(dqk.rows)
+        p8q += s0k * sum(dak.rows)
         # free this component's stacks before the next one builds its own
         del u1k, dak, dqk
-    # 5 and 7 use div u1 once
-    div_blocks = _block_stack(partition, divergence(high_u))
-    pieces[4] = -_remainder(grid, div_blocks, qa_blocks)
-    pieces[6] = dyadic_block(partition, q, _remainder(grid, div_blocks, a_blocks))
-    return pieces
+    return [_dealiased(grid, t1) - delta_q(t1q),
+            _dealiased(grid, t2),
+            -delta_q(t3),
+            piece4,
+            _dealiased(grid, r5) - piece4,
+            piece6,
+            -piece6 - delta_q(r7),
+            _dealiased(grid, p8) - delta_q(p8q)]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,12 @@ class TestPartition:
         assert a._filters is b._filters and not a._filters.flags.writeable
         assert a.q_max == 4  # 0.75 * 2^4 <= max |k| = 16 sqrt(2) < 0.75 * 2^5
 
+    def test_negative_low_pass_is_one_shared_zero(self, part, grid, rng):
+        zero = part.low_pass_filter(-1)
+        assert zero is part.low_pass_filter(-3) is lp.build_partition(grid).low_pass_filter(-1)
+        assert not zero.flags.writeable and not zero.any()
+        assert not lp.low_pass(part, -1, sp.random_field(grid, rng)).coeffs.any()
+
     def test_shell_disjointness(self, part, grid):
         # phi(2^-q xi) * phi(2^-q' xi) = 0 pointwise for |q - q'| >= 2
         for q in range(0, part.q_max - 1):
@@ -154,7 +160,7 @@ class TestBony:
         """The fused paraproduct takes S_{q-1} as a running sum over the block
         stack; the stack rows are the blocks, and the sums are S_q."""
         f = sp.random_field(grid, rng)
-        stack = lp._block_stack(part, f)
+        stack = np.stack(lp._block_stack(part, f).rows)
         assert stack.shape == (part.q_max + 2,) + grid.shape
         running = np.zeros(grid.shape)
         for q in range(part.q_max + 3):
@@ -230,6 +236,34 @@ class TestTransportCommutator:
         a = sp.random_field(grid, rng)
         with pytest.raises(ValueError):
             lp.transport_commutator(part, u, a, part.q_max + 1)
+
+
+class TestEightWayFailsClosed:
+    """A non-finite coefficient inside the dealiased band, of a or of one
+    component of u, reaches every eight-way piece and the commutator, also
+    at the blocks where skipped products could hide it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["a", "u1", "u2"])
+    @pytest.mark.parametrize("q", [-1, 2, "top"])
+    def test_every_piece_is_nan_on_the_kept_band(self, part, grid, bad, where, q):
+        r = np.random.default_rng(17)
+        a, u = sp.random_field(grid, r), sp.random_vector_field(grid, r)
+        if where == "a":
+            coeffs = a.coeffs.copy()
+            coeffs[2, 3] = bad
+            a = a.with_coeffs(coeffs)
+        else:
+            coeffs = u.coeffs.copy()
+            coeffs[int(where[1]) - 1, 2, 3] = bad
+            u = u.with_coeffs(coeffs)
+        q = part.q_max if q == "top" else q
+        keep = grid.dealias_mask()
+        with np.errstate(invalid="ignore", over="ignore"):
+            results = lp.eight_way_split(part, u, a, q)
+            results.append(lp.transport_commutator(part, u, a, q))
+        for n, piece in enumerate(results, start=1):
+            assert np.all(np.isnan(piece.coeffs[keep])), f"piece {n}"
 
 
 class TestProductLaws:
@@ -333,7 +367,7 @@ class TestFusedKernels:
 
     def test_eight_way_pieces_match_block_loop(self, case):
         part, a, _, u = case
-        for q in (-1, 1, part.q_max - 1):
+        for q in (-1, 1, part.q_max - 1, part.q_max):
             got = lp.eight_way_split(part, u, a, q)
             want = ref_eight_way_split(part, u, a, q)
             for n, (g, w) in enumerate(zip(got, want), start=1):
@@ -387,9 +421,31 @@ class TestTransformCount:
     def test_eight_way_split(self, case, fft_calls):
         part, a, _, u = case
         lp.eight_way_split(part, u, a, 2)
-        # the lower bound shows that the counter sees the transforms at all;
-        # 81 here, as the stacks of Delta_q a transform rows q-1..q+1 only
-        assert 60 <= fft_calls["rfftn"] + fft_calls["irfftn"] <= 85
+        # stacks: 8 rows of a, 3 of Delta_q a, and per component 8 of u1^k,
+        # 8 of d_k a and 3 of d_k Delta_q a; then 2 samples of S_0 u^k.
+        # Forward: one per physical sum (8) and per k for pieces 4 and 6.
+        assert fft_calls["irfftn"] == 8 + 3 + 2 * (8 + 8 + 3) + 2 == 51
+        assert fft_calls["rfftn"] == 12
+
+    def test_transport_commutator(self, case, fft_calls):
+        part, a, _, u = case
+        lp.transport_commutator(part, u, a, 2)
+        # samples of u^k, d_k Delta_q a and d_k a; one forward per term
+        assert fft_calls["irfftn"] == 6
+        assert fft_calls["rfftn"] == 2
+
+    def test_paraproduct_with_empty_rows_keeps_a_nonfinite_factor(self, case):
+        """A product with a row left at zero is skipped only while the other
+        factor is finite: 0 * NaN is NaN, and T_low high must show it."""
+        part, a, b, _ = case
+        coeffs = a.coeffs.copy()
+        coeffs[0, 1] = np.nan
+        high = lp.dyadic_block(part, -1, b)  # rows -1 and 0 only: S_{q-1} meets none
+        keep = part.grid.dealias_mask()
+        with np.errstate(invalid="ignore"):
+            piece = lp.paraproduct(part, a.with_coeffs(coeffs), high)
+        assert np.all(np.isnan(piece.coeffs[keep]))
+        assert not np.any(lp.paraproduct(part, a, high).coeffs)
 
     @pytest.mark.parametrize("q", [-1, 2, 6])
     def test_filtered_field_transforms_its_nonzero_blocks_only(self, case, fft_calls, q):
@@ -397,7 +453,7 @@ class TestTransformCount:
         for f in (a, u):
             block = lp.dyadic_block(part, q, f)
             fft_calls.clear()
-            got = lp._block_stack(part, block)
+            got = np.stack(lp._block_stack(part, block).rows)
             assert 1 <= fft_calls["irfftn"] <= 3 and fft_calls["rfftn"] == 0
             want = np.stack([sp.to_samples(part.grid, block.coeffs * filt)
                              for filt in part._filters])
@@ -409,7 +465,7 @@ class TestTransformCount:
         coeffs = lp.dyadic_block(part, 2, a).coeffs.copy()
         coeffs[0, 1] = bad
         with np.errstate(invalid="ignore"):
-            stack = lp._block_stack(part, a.with_coeffs(coeffs))
+            stack = np.stack(lp._block_stack(part, a.with_coeffs(coeffs)).rows)
             want = np.stack([sp.to_samples(part.grid, coeffs * filt)
                              for filt in part._filters])
         assert np.array_equal(stack, want, equal_nan=True)
@@ -519,7 +575,7 @@ class TestParsevalBlockNorms:
         blocks = [part.q_max, -1, 2] if subset else None
         got = lp.block_norms(part, f, 2, blocks)
         want = [sp.sample_norm(grid, row, 2, f.rank)
-                for row in lp._block_stack(part, f, blocks)]
+                for row in lp._block_stack(part, f, blocks).rows]
         assert len(got) == (3 if subset else part.q_max + 2)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
