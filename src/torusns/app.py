@@ -389,13 +389,17 @@ def _is_file_entry(entry) -> bool:
 
 def _check_manifest(manifest) -> None:
     """Raise ValueError unless the manifest has what `verify` reads: a `files`
-    list of such entries, a string `stop_reason` and a numeric `stop_time`."""
+    list of such entries that names at least one checkpoint, a string
+    `stop_reason` and a numeric `stop_time`."""
     if not (isinstance(manifest, dict) and isinstance(manifest.get("files"), list)
             and all(map(_is_file_entry, manifest["files"]))
             and isinstance(manifest.get("stop_reason"), str)
             and type(manifest.get("stop_time")) in (int, float)):
         raise ValueError(f"malformed {MANIFEST_FILE}: need a `files` list of "
                          "{name, sha256} entries, `stop_reason` and `stop_time`")
+    if not any(entry["name"].endswith(".nsb") for entry in manifest["files"]):
+        raise ValueError(f"malformed {MANIFEST_FILE}: its `files` list names no "
+                         ".nsb checkpoint")
 
 
 def _check_integrity(outdir: str, manifest: dict) -> list[str]:
@@ -452,27 +456,41 @@ class _IdentitySuite:
 
 class _SeriesCrosscheck:
     """Recompute a few series columns from the checkpoints and compare;
-    a NaN on either side fails."""
+    a NaN on either side fails, and so does a series file that is missing
+    or malformed (no header, a missing column, a row of another length than
+    the header or a cell that is not a number)."""
 
     COLUMNS = ("time", "mass", "rho_linf", "min_rho")
 
     def __init__(self, outdir: str, count: int):
-        self.failures: list[str] = []
-        self.rows = []
-        path = os.path.join(outdir, SERIES_FILE)
+        self.rows, self.failures = [], []
+        try:
+            self.rows = self._read(os.path.join(outdir, SERIES_FILE), count)
+        except ValueError as exc:
+            self.failures.append(str(exc))
+
+    def _read(self, path: str, count: int) -> list[dict[str, float]]:
+        """The COLUMNS of every row; ValueError names the first fault."""
         if not os.path.exists(path):
-            self.failures.append(f"missing {SERIES_FILE}")
-            return
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().strip().splitlines()
-        header = lines[0].split(",")
-        rows = [line.split(",") for line in lines[1:]]
+            raise ValueError(f"missing {SERIES_FILE}")
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            lines = fh.read().strip().splitlines() or [""]
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        missing = [name for name in self.COLUMNS if name not in header]
+        if missing:
+            raise ValueError(f"{SERIES_FILE} has no column {', '.join(missing)}")
         if len(rows) != count:
-            self.failures.append(f"series rows ({len(rows)}) != checkpoints ({count})")
-            return
+            raise ValueError(f"series rows ({len(rows)}) != checkpoints ({count})")
         cols = [header.index(name) for name in self.COLUMNS]
-        self.rows = [{k: float(row[i]) for k, i in zip(self.COLUMNS, cols)}
-                     for row in rows]
+        out = []
+        for n, row in enumerate(rows):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, header has {len(header)}")
+                out.append({k: float(row[i]) for k, i in zip(self.COLUMNS, cols)})
+            except ValueError as exc:
+                raise ValueError(f"{SERIES_FILE} row {n}: {exc}") from None
+        return out
 
     def add(self, window) -> None:
         if not self.rows:

@@ -141,15 +141,12 @@ def _rho_weighted_sq(rho: ScalarField, x: VectorField) -> float:
         * rho.grid.cell_volume
 
 
-def _viscous_form(params: FluidParams, x: VectorField,
-                  div: ScalarField | None = None) -> float:
+def _viscous_form(params: FluidParams, x: VectorField) -> float:
     """int mu |grad X|^2 + (mu + lam) (div X)^2 dx as weighted coefficient
-    sums (Parseval), with the spectral derivatives' zero Nyquist planes;
-    `div` stands in for div X where a ledger squares another scalar there."""
+    sums (Parseval), with the spectral derivatives' zero Nyquist planes."""
     grid = x.grid
-    div = divergence(x) if div is None else div
-    return grid.volume * (params.mu * gradient_sum(grid, x.coeffs)
-                          + (params.mu + params.lam) * parseval_sum(grid, div.coeffs))
+    return grid.volume * (params.mu * gradient_sum(grid, x.coeffs) + (params.mu + params.lam)
+                          * parseval_sum(grid, divergence(x).coeffs))
 
 
 def _grad_sq(f: Field, grad: np.ndarray | None = None) -> np.ndarray:
@@ -278,16 +275,12 @@ def _coifman_parts(state: FluidState) -> tuple[ScalarField, ScalarField]:
     return _advect(state.u, phi) - term2, phi
 
 
-def coifman_commutator(state: FluidState, r1: float = 2.0, r2: float = 2.0
-                       ) -> tuple[ScalarField, float]:
+def coifman_commutator(state: FluidState) -> tuple[ScalarField, float]:
     """The double-summed commutator [u_j, R_i R_j](rho u_i) =
     u . grad inv_lap div(rho u) - sum_j d_j inv_lap div(u_j rho u), and its
-    W^{1,r3} norm with 1/r3 = 1/r1 + 1/r2."""
-    r3 = 1.0 / (1.0 / r1 + 1.0 / r2)
-    if r3 < 1.0:
-        raise ValueError(f"exponent relation gives r3={r3:g} < 1")
+    W^{1,1} norm (1/r3 = 1/r1 + 1/r2 with r1 = r2 = 2, so r3 = 1)."""
     comm, _ = _coifman_parts(state)
-    return comm, sobolev_norm(comm, 1, r3)
+    return comm, sobolev_norm(comm, 1, 1.0)
 
 
 def effective_velocity(state: FluidState, params: FluidParams,
@@ -412,12 +405,9 @@ class _Snapshot:
     the stored arrays, and whatever they compute on first read (the velocity
     coefficients, say) is kept here, not on the stored state, so it is freed
     with the snapshot and a trajectory's states stay as small as they were
-    built.  Every read of a pass goes through `state`; `stored` is the
-    state it was built from, kept (and never read) for as long as the
-    snapshot is in the window."""
+    built."""
 
     def __init__(self, state: FluidState, params: FluidParams):
-        self.stored = state
         self.state = FluidState(state.rho.view(), state.u.view(), state.t)
         self.params = params
         self.t = state.t
@@ -862,70 +852,50 @@ def _in_window(t: float, window_end: float | None) -> bool:
     return window_end is None or t <= window_end * (1 + 1e-12)
 
 
-class _DensityVerdict(Accumulator):
-    """The density criterion of `BlowupMonitor` on [0, window_end] (all
-    snapshots for None): every snapshot finite with positive density, and
-    no abnormal stop inside the window.  `finish` returns (criterion holds,
-    first violation time); it needs no norm."""
+class BlowupMonitor(Accumulator):
+    """Accumulator of `blowup_monitor` on [0, window_end] (all snapshots for
+    None).  Its density criterion needs no norm: every snapshot finite with
+    positive density, and no abnormal stop inside the window."""
 
-    def __init__(self, run: Trajectory, window_end: float | None = None):
-        super().__init__(run, window_end)
-        self.window_end = window_end
+    def __init__(self, run: Trajectory, monitor: MonitorConfig,
+                 window_end: float | None = None):
+        super().__init__(run, monitor, window_end)
+        self.monitor, self.window_end = monitor, window_end
         self.stop_reason, self.stop_time = run.stop_reason, run.stop_time
         self.seen = 0
-        self.bad: list[float] = []
+        self.bad: list[float] = []   # times of snapshots that fail the density criterion
+        self.rows: list[tuple] = []
 
-    def add(self, window: _Window) -> bool:
-        """Whether the current snapshot lies in the window."""
+    def add(self, window: _Window) -> None:
         self.seen += 1
-        s = window.current.state
-        if not _in_window(s.t, self.window_end):
-            return False
+        snap = window.current
+        if not _in_window(snap.t, self.window_end):
+            return
         super().add(window)
-        if not (s.is_finite() and s.min_density > 0):
-            self.bad.append(s.t)
-        return True
+        state = snap.state
+        if not (state.is_finite() and state.min_density > 0):
+            self.bad.append(snap.t)
+        if len(self.times) == 1:
+            dim = state.grid.dim
+            self.gamma, self.q_crit = _criterion_exponents(self.params, self.monitor, dim)
+            eps = self.monitor.epsilon
+            self.comp_exps = ({"L9eps": 9.0 + eps, "L3g32": 3.0 * self.gamma + 1.5}
+                              if dim == 3 else {"L2g1": 2.0 * self.gamma + 1.0})
+        self.rows.append(tuple(lebesgue_norm(state.rho, q) for q in self.comp_exps.values())
+                         + (lebesgue_norm(state.rho, self.q_crit),
+                            math.sqrt(np.max(snap.grad_sq)), snap.rho_inf))
 
-    def finish(self) -> tuple[bool, float | None]:
+    def finish(self) -> MonitorFlags:
         if not self.seen:
             raise ValueError("empty trajectory")
         if not self.times:
             raise ValueError("window excludes every snapshot")
         first_bad = self.bad[0] if self.bad else None
+        density_ok = not self.bad
         abnormal = self.stop_reason not in NORMAL_STOPS
         if abnormal and _in_window(self.stop_time, self.window_end):
-            return False, self.stop_time if first_bad is None else first_bad
-        return not self.bad, first_bad
-
-
-class BlowupMonitor(Accumulator):
-    """Accumulator of `blowup_monitor`."""
-
-    def __init__(self, run: Trajectory, monitor: MonitorConfig,
-                 window_end: float | None = None):
-        super().__init__(run, monitor, window_end)
-        self.monitor = monitor
-        self.verdict = _DensityVerdict(run, window_end)
-        self.rows: list[tuple] = []
-
-    def add(self, window: _Window) -> None:
-        if not self.verdict.add(window):
-            return
-        super().add(window)
-        snap = window.current
-        rho = snap.state.rho
-        if len(self.times) == 1:
-            dim = snap.state.grid.dim
-            self.gamma, self.q_crit = _criterion_exponents(self.params, self.monitor, dim)
-            eps = self.monitor.epsilon
-            self.comp_exps = ({"L9eps": 9.0 + eps, "L3g32": 3.0 * self.gamma + 1.5}
-                              if dim == 3 else {"L2g1": 2.0 * self.gamma + 1.0})
-        self.rows.append(tuple(lebesgue_norm(rho, q) for q in self.comp_exps.values())
-                         + (lebesgue_norm(rho, self.q_crit),
-                            math.sqrt(np.max(snap.grad_sq)), snap.rho_inf))
-
-    def finish(self) -> MonitorFlags:
-        density_ok, first_bad = self.verdict.finish()
+            density_ok = False
+            first_bad = self.stop_time if first_bad is None else first_bad
         times = np.array(self.times)
         cols = np.array(self.rows).T
         comp = {name: float(np.max(col)) for name, col in zip(self.comp_exps, cols)}
@@ -949,7 +919,7 @@ class BlowupMonitor(Accumulator):
             pressure_time_norm=pressure_time_norm,
             companion_norms=comp,
             lipschitz_integral=lipschitz,
-            stop_reason=self.verdict.stop_reason)
+            stop_reason=self.stop_reason)
 
 
 def blowup_monitor(trajectory: Trajectory | BlowupMonitor, monitor: MonitorConfig,
@@ -987,25 +957,21 @@ class TransportEstimate(Accumulator):
     """Accumulator of `transport_estimate_report`."""
 
     def __init__(self, run: Trajectory, partition: DyadicPartition, sigma: float,
-                 p: float, r: float, p1: float | None = None):
-        super().__init__(run, partition, sigma, p, r, p1)
+                 p: float, r: float):
+        super().__init__(run, partition, sigma, p, r)
         dim = partition.grid.dim
-        if p1 is None:
-            p1 = p
-        if p > p1:
-            raise ValueError("need p <= p1")
         p_prime = p / (p - 1.0) if p > 1 else math.inf
-        if sigma <= -dim * min(1.0 / p1, 1.0 / p_prime):
+        if sigma <= -dim * min(1.0 / p, 1.0 / p_prime):
             raise ValueError(
                 f"regularity index sigma={sigma} violates the admissible window")
-        self.partition, self.sigma, self.p, self.r, self.p1 = partition, sigma, p, r, p1
+        self.partition, self.sigma, self.p, self.r = partition, sigma, p, r
         self.alpha = max(0, math.ceil(sigma))
         self.spec = BesovSpec(sigma, p, r)
-        self.env_spec = BesovSpec(dim / p1, p1, math.inf)
+        self.env_spec = BesovSpec(dim / p, p, math.inf)
         # max-type norms throughout: every term is a max over blocks, settled
         # through the l^1 block bounds of _sup_besov; for r = inf the time and
         # block maxima of the left side commute
-        self.sup_norms = p == p1 == r == math.inf
+        self.sup_norms = p == r == math.inf
         self.block_sup = None
         self.rows: list[tuple[float, float, float]] = []
 
@@ -1025,17 +991,15 @@ class TransportEstimate(Accumulator):
             div_env = _sup_besov(partition, div_v1, 0.0, div_inf)
             div_src = _sup_besov(partition, div_v1, sigma)
         else:
-            p, p1 = self.p, self.p1
-            bn = block_norms(partition, state.rho, p)
+            bn = block_norms(partition, state.rho, self.p)
             self.block_sup = bn if self.block_sup is None else np.maximum(self.block_sup, bn)
             lhs = besov_from_block_norms(self.block_sup, self.spec)
-            div_norms = block_norms(partition, div_v1, p)
-            env_div_norms = div_norms if p1 == p else block_norms(partition, div_v1, p1)
+            div_norms = block_norms(partition, div_v1, self.p)
             grad_u_fields = _grad_block_fields(state.u)
             grad_env = float(np.max(
                 [_vector_besov(partition, grad_u_fields, self.env_spec)]
                 + [lebesgue_norm(f, math.inf) for f in grad_u_fields]))
-            div_env = float(np.max([besov_from_block_norms(env_div_norms, self.env_spec),
+            div_env = float(np.max([besov_from_block_norms(div_norms, self.env_spec),
                                     div_inf]))
             div_src = besov_from_block_norms(div_norms, self.spec)
         self.rows.append((lhs, grad_env + div_env + rho_inf ** (self.alpha + 1) + 1.0,
@@ -1055,12 +1019,12 @@ class TransportEstimate(Accumulator):
             ["time", "lhs", "envelope_no_exp", "V", "required_C"],
             list(zip(times, lhs, envelope, v_int, need)),
             float(np.max(need, initial=0.0)),
-            notes=f"sigma={self.sigma}, p={self.p}, r={self.r}, p1={self.p1}")
+            notes=f"sigma={self.sigma}, p={self.p}, r={self.r}")
 
 
 def transport_estimate_report(trajectory: Trajectory | TransportEstimate,
                               partition: DyadicPartition, sigma: float, p: float,
-                              r: float, p1: float | None = None) -> LedgerReport:
+                              r: float) -> LedgerReport:
     """Empirical Gronwall constant of the Besov transport estimate
 
         ||rho||_{L~inf_t(B^sigma_{p,r})} <= e^{C V(t)} (||rho0||_{B^sigma_{p,r}}
@@ -1069,7 +1033,7 @@ def transport_estimate_report(trajectory: Trajectory | TransportEstimate,
     with V(t) accumulating the grad u / div v1 / density norms.  The minimal
     C making the bound hold at each snapshot is reported.
     """
-    return _report(trajectory, TransportEstimate, partition, sigma, p, r, p1)
+    return _report(trajectory, TransportEstimate, partition, sigma, p, r)
 
 
 # ---------------------------------------------------------------------------
@@ -1150,18 +1114,17 @@ def v1_energy_ledger(trajectory: Trajectory | V1EnergyLedger) -> LedgerReport:
 # ensemble studies owned by the diagnostics layer
 # ---------------------------------------------------------------------------
 
-def coifman_constant_study(grid: TorusGrid, ensemble_size: int,
-                           r1: float = 2.0, r2: float = 2.0, seed: int = 0
+def coifman_constant_study(grid: TorusGrid, ensemble_size: int, seed: int = 0
                            ) -> EnsembleReport:
     """sup ||[u_j, R_i R_j](rho u)||_{W^{1,r3}} / (||u||_{W^{1,r1}}
-    ||rho u||_{L^{r2}}) over random states."""
+    ||rho u||_{L^{r2}}) over random states, with r1 = r2 = 2 and r3 = 1."""
     def sample(rng):
         r = random_field(grid, rng).samples
         rho = pointwise(grid, 1.0 + 0.4 * r / max(1e-9, np.max(np.abs(r))),
                         dealiased=False)
         u = random_vector_field(grid, rng)
-        _, norm = coifman_commutator(FluidState(rho, u, 0.0), r1, r2)
-        return norm, sobolev_norm(u, 1, r1) * lebesgue_norm(scale_vector(rho, u), r2)
+        _, norm = coifman_commutator(FluidState(rho, u, 0.0))
+        return norm, sobolev_norm(u, 1, 2.0) * lebesgue_norm(scale_vector(rho, u), 2.0)
 
     return _ratio_report("coifman_commutator_continuity",
                          _ensemble(ensemble_size, sample, seed))
@@ -1184,7 +1147,7 @@ RECORD_COLUMNS = [
 @dataclass
 class DiagnosticRecord:
     """One time sample of the monitored quantities; `values` keys follow
-    RECORD_COLUMNS (besov column NaN when no partition was supplied)."""
+    RECORD_COLUMNS."""
     time: float
     values: dict[str, float]
     flags: dict[str, bool] = dc_field(default_factory=dict)
@@ -1202,8 +1165,7 @@ class DiagnosticRecord:
 
 
 def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
-                        partition: DyadicPartition | None = None
-                        ) -> list[DiagnosticRecord]:
+                        partition: DyadicPartition) -> list[DiagnosticRecord]:
     """Per-snapshot bundle of norms, functionals, exact-identity residuals,
     and sanity flags."""
     params = trajectory.params
@@ -1240,8 +1202,7 @@ def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
         values["lap_decomposition_residual"] = residuals["lap_u_decomposition"]
         values["effective_pressure_l2"] = lebesgue_norm(
             effective_pressure(state, params, snap.pressure), 2)
-        values["rho_besov_eps"] = besov_norm(partition, state.rho, eps_spec) \
-            if partition is not None else math.nan
+        values["rho_besov_eps"] = besov_norm(partition, state.rho, eps_spec)
         records.append(DiagnosticRecord(
             state.t, values, {"finite": state.is_finite(), "positive": positive}))
     return records

@@ -53,7 +53,7 @@ class VacuumError(SolverStop):
 
 
 #: stop reasons of a run that ended without a fault; every other reason
-#: (vacuum, cfl, nonfinite, monitor:<name>) is abnormal
+#: (vacuum, cfl, nonfinite) is abnormal
 NORMAL_STOPS = frozenset({"completed", "max_steps"})
 
 
@@ -182,16 +182,13 @@ class FluidParams:
         """The effective-pressure viscosity 2*mu + lam."""
         return 2.0 * self.mu + self.lam
 
-    def validate(self, dim: int, *, strict_regime: bool = False) -> None:
+    def validate(self, dim: int) -> None:
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if dim * self.lam + 2.0 * self.mu <= 0:
             raise ValueError(
                 f"physical condition N*lam + 2*mu > 0 violated "
                 f"(N={dim}, lam={self.lam}, mu={self.mu})")
-        if strict_regime and not (0.0 < self.lam < 1.25 * self.mu):
-            raise ValueError(
-                f"strict regime needs 0 < lam < (5/4) mu, got lam={self.lam}, mu={self.mu}")
 
     def forcing_field(self, t: float, grid: TorusGrid) -> VectorField | None:
         if self.forcing is None:
@@ -545,10 +542,9 @@ def rhs_eval(state: FluidState, params: FluidParams) -> tuple[ScalarField, Vecto
     return ScalarField(state.grid, dy[0]), VectorField(state.grid, dy[1:])
 
 
-def run(initial: FluidState, params: FluidParams, config: SolverConfig,
-        monitors: Sequence[Callable[[FluidState], str | None]] = ()) -> Trajectory:
+def run(initial: FluidState, params: FluidParams, config: SolverConfig) -> Trajectory:
     """Integrate to t_end or to a stopping event (vacuum, CFL collapse,
-    non-finite values, monitor trigger); the reason is recorded, not raised."""
+    non-finite values); the reason is recorded, not raised."""
     config.validate()
     params.validate(initial.grid.dim)
     if initial.min_density <= config.vacuum_floor:
@@ -596,18 +592,10 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig,
         if state.min_density <= config.vacuum_floor:
             stop_reason = "vacuum"
             break
-        triggered = None
-        for monitor in monitors:
-            triggered = monitor(state)
-            if triggered:
-                break
-        if steps % config.snapshot_every == 0 or t >= t_final - 1e-13 or triggered:
+        if steps % config.snapshot_every == 0 or t >= t_final - 1e-13:
             states.append(_stored(state))
             for k in totals:
                 quads[k].append(totals[k])
-        if triggered:
-            stop_reason = f"monitor:{triggered}"
-            break
         if steps >= config.max_steps:
             stop_reason = "max_steps"
             break
@@ -675,8 +663,7 @@ def _lagrange_weights(nodes: np.ndarray, t: float) -> np.ndarray:
     return w
 
 
-def flow_map(trajectory: Trajectory, seeds: np.ndarray,
-             max_gap: float | None = None) -> ParticlePaths:
+def flow_map(trajectory: Trajectory, seeds: np.ndarray) -> ParticlePaths:
     """Particle paths Psi(t, 0, x) advected by the trajectory's velocity.
 
     RK4 in time over each snapshot interval; mid-interval velocities come
@@ -686,9 +673,6 @@ def flow_map(trajectory: Trajectory, seeds: np.ndarray,
     times = trajectory.times
     if len(times) < 2:
         raise ValueError("trajectory must contain at least two snapshots")
-    gaps = np.diff(times)
-    if max_gap is not None and np.any(gaps > max_gap * (1 + 1e-12)):
-        raise ValueError(f"trajectory gap {gaps.max():g} exceeds tolerance {max_gap:g}")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     velocities = [s.u for s in trajectory.states]
     n_t = len(times)

@@ -414,7 +414,7 @@ def multiplier_commutator(theta: MultiplierSymbol, lam: float,
         raise ValueError(f"lambda must be positive, got {lam}")
     grid = _check_same_grid(a, b)
     scaled = MultiplierSymbol(lambda *k: theta.rule(*(x / lam for x in k)),
-                              theta.order, name=f"{theta.name}@{lam:g}")
+                              name=f"{theta.name}@{lam:g}")
     lhs = apply_multiplier(scaled, multiply(a, b))
     rhs = multiply(a, apply_multiplier(scaled, b))
     return lhs - rhs
@@ -520,13 +520,6 @@ class EnsembleReport:
     sup_ratio: float
     ratios: list[float] = dc_field(default_factory=list)
 
-    def stable_against(self, other: "EnsembleReport") -> bool:
-        """The two sup ratios differ by less than 50 % of the larger one."""
-        if self.sup_ratio == 0.0 and other.sup_ratio == 0.0:
-            return True
-        base = max(self.sup_ratio, other.sup_ratio)
-        return abs(self.sup_ratio - other.sup_ratio) / base < 0.5
-
 
 def _ensemble(n: int, sample: Callable[[np.random.Generator], tuple[float, float]],
               seed: int) -> list[tuple[float, float]]:
@@ -558,16 +551,15 @@ def embedding_estimator(partition: DyadicPartition, ensemble_size: int, s: float
 
 
 def lemma1_scaling_study(grid: TorusGrid, *, k_range: Sequence[int] = range(7),
-                         ensemble_size: int = 12, p: float = 2, seed: int = 0,
-                         theta: MultiplierSymbol | None = None) -> dict[int, float]:
-    """Median of lam * ||[theta(lam^{-1}D), a] b||_p / (||grad a||_inf ||b||_p)
-    over an ensemble with flat dyadic spectrum, for lam = 2^k.
+                         ensemble_size: int = 12, seed: int = 0) -> dict[int, float]:
+    """Median of lam * ||[theta(lam^{-1}D), a] b||_2 / (||grad a||_inf ||b||_2)
+    over an ensemble with flat dyadic spectrum, for lam = 2^k and theta the
+    low-pass bump chi.
 
     The decay law says this stays in a fixed band across k.
     """
-    if theta is None:
-        theta = MultiplierSymbol(lambda *k: chi_profile(np.sqrt(sum(x ** 2 for x in k))),
-                                 order=0, name="chi")
+    theta = MultiplierSymbol(lambda *k: chi_profile(np.sqrt(sum(x ** 2 for x in k))),
+                             name="chi")
     a = ScalarField.from_function(grid, lambda *c: np.sin(c[0]))
     grad_a = lebesgue_norm(gradient(a), math.inf)
     fields = [random_field(grid, np.random.default_rng(seed + i), flat_dyadic=True)
@@ -578,7 +570,7 @@ def lemma1_scaling_study(grid: TorusGrid, *, k_range: Sequence[int] = range(7),
         ratios = []
         for b in fields:
             comm = multiplier_commutator(theta, lam, a, b)
-            ratios.append(lam * lebesgue_norm(comm, p) / (grad_a * lebesgue_norm(b, p)))
+            ratios.append(lam * lebesgue_norm(comm, 2) / (grad_a * lebesgue_norm(b, 2)))
         out[k] = float(np.median(ratios))
     return out
 

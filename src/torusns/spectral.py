@@ -318,10 +318,6 @@ class Field:
             return 0
         return max(int(np.max(np.abs(k)[active])) for k in self.grid.frequency_mesh)
 
-    def shifted(self, cells: Sequence[int]):
-        """Translate by an integer number of grid cells (for symmetry tests)."""
-        return self.from_samples(self.grid, np.roll(self.samples, cells, axis=self.grid.axes))
-
     def __add__(self, other):
         _check_same_grid(self, other)
         return self.with_coeffs(self.coeffs + other.coeffs)
@@ -403,16 +399,14 @@ def hermitian_part(grid: TorusGrid, rule: Callable[..., np.ndarray]) -> np.ndarr
 
 
 class MultiplierSymbol:
-    """Fourier multiplier xi -> f(xi) of declared order m.
+    """Fourier multiplier xi -> f(xi).
 
     The rule receives the tuple of frequency meshes and returns the symbol
-    values.  Validation on a grid checks finiteness everywhere and returns
-    the empirical bound constant C = max |f(xi)| / (1+|xi|)^m.
+    values.  Evaluating it on a grid checks that it is finite everywhere.
     """
 
-    def __init__(self, rule: Callable[..., np.ndarray], order: float, name: str = ""):
+    def __init__(self, rule: Callable[..., np.ndarray], name: str = ""):
         self.rule = rule
-        self.order = float(order)
         self.name = name or getattr(rule, "__name__", "multiplier")
         self._cache: dict[TorusGrid, np.ndarray] = {}
 
@@ -430,13 +424,8 @@ class MultiplierSymbol:
             self._cache[grid] = values
         return values
 
-    def bound_constant(self, grid: TorusGrid) -> float:
-        values = self.evaluate(grid)
-        weight = (1.0 + grid.k_radius) ** self.order
-        return float(np.max(np.abs(values) / weight))
-
     def __repr__(self) -> str:
-        return f"MultiplierSymbol({self.name!r}, order={self.order})"
+        return f"MultiplierSymbol({self.name!r})"
 
 
 def apply_multiplier(symbol: MultiplierSymbol, field: Field) -> Field:
@@ -557,29 +546,30 @@ def dealias(field: Field) -> Field:
     return field.with_coeffs(np.where(field.grid.dealias_mask(), field.coeffs, 0.0))
 
 
-def _from_values(cls, grid: TorusGrid, values: np.ndarray, dealiased: bool):
-    """A field of pointwise values.  Dealiased, it keeps only the truncated
+def _dealiased_values(cls, grid: TorusGrid, values: np.ndarray):
+    """A field of pointwise values that keeps only their truncated
     coefficients: the values are not the samples of the result, so they are
     transformed at once and not stored."""
-    if dealiased:
-        return dealias(cls(grid, to_coeffs(grid, values), copy=False))
-    return cls.from_samples(grid, values)
+    return dealias(cls(grid, to_coeffs(grid, values), copy=False))
 
 
-def multiply(a: ScalarField, b: ScalarField, *, dealiased: bool = True) -> ScalarField:
-    """Grid product, dealiased with the 2/3 rule by default."""
+def multiply(a: ScalarField, b: ScalarField) -> ScalarField:
+    """Grid product, dealiased with the 2/3 rule."""
     grid = _check_same_grid(a, b)
-    return _from_values(ScalarField, grid, a.samples * b.samples, dealiased)
+    return _dealiased_values(ScalarField, grid, a.samples * b.samples)
 
 
-def scale_vector(a: ScalarField, u: VectorField, *, dealiased: bool = True) -> VectorField:
+def scale_vector(a: ScalarField, u: VectorField) -> VectorField:
     grid = _check_same_grid(a, u)
-    return _from_values(VectorField, grid, a.samples[None, ...] * u.samples, dealiased)
+    return _dealiased_values(VectorField, grid, a.samples[None, ...] * u.samples)
 
 
 def pointwise(grid: TorusGrid, values: np.ndarray, *, dealiased: bool = True) -> ScalarField:
     """Wrap samples produced by a nonlinear pointwise map into a field."""
-    return _from_values(ScalarField, grid, np.asarray(values, dtype=np.float64), dealiased)
+    values = np.asarray(values, dtype=np.float64)
+    if dealiased:
+        return _dealiased_values(ScalarField, grid, values)
+    return ScalarField.from_samples(grid, values)
 
 
 # ---------------------------------------------------------------------------

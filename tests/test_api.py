@@ -1,6 +1,7 @@
 """Shape of the public analysis API."""
 
 import ast
+import functools
 import inspect
 import pathlib
 
@@ -84,25 +85,144 @@ def test_frequency_helpers_are_not_transforms():
 
 
 
-def test_every_public_definition_has_a_user():
-    """Every public top-level function and class of the package is used by
-    other package code, a benchmark script or an acceptance test.  One that
-    only its own unit tests reach is reached by no command, no `verify`
-    suite and no benchmark workload."""
+@functools.cache
+def _sources():
+    """(package module name -> its tree, the trees whose uses count).  Uses
+    count in package code, benchmark scripts and the acceptance tests: the
+    code that commands, `verify` suites and benchmark workloads run.  A name
+    that only unit tests use is kept for a test's sake."""
     src = pathlib.Path(dynamics.__file__).parent
     root = src.parents[1]
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     users = [*trees.values()] + [
         ast.parse(path.read_text()) for path in
         [*sorted((root / "bench").glob("*.py")), root / "tests" / "test_acceptance.py"]]
-    refs: dict[str, set[int]] = {}  # name -> ids of the Name/Attribute nodes reading it
-    for node in (node for tree in users for node in ast.walk(tree)):
+    return trees, users
+
+
+def _reads() -> dict[str, set[int]]:
+    """name -> ids of the Name/Attribute nodes of the users that read it."""
+    refs: dict[str, set[int]] = {}
+    for node in (node for tree in _sources()[1] for node in ast.walk(tree)):
         if isinstance(node, ast.Name):
             refs.setdefault(node.id, set()).add(id(node))
         elif isinstance(node, ast.Attribute):
             refs.setdefault(node.attr, set()).add(id(node))
+    return refs
+
+
+def _unread(node: ast.AST, name: str, refs: dict[str, set[int]]) -> bool:
+    """Whether `name` is read nowhere but inside its own definition `node`."""
+    return not refs.get(name, set()) - {id(n) for n in ast.walk(node)}
+
+
+def test_every_public_definition_has_a_user():
+    """Every public top-level function and class of the package has a user."""
+    trees, _ = _sources()
+    refs = _reads()
     unused = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and not refs.get(node.name, set()) - {id(n) for n in ast.walk(node)}]
+              and not node.name.startswith("_") and _unread(node, node.name, refs)]
     assert not unused, f"reached only by their own definition or unit tests: {unused}"
+
+
+#: methods that the package reads nowhere, and why they stay
+UNREAD_METHODS = {
+    "app.py:_Parser.error": "argparse calls it on a usage error",
+}
+
+
+def test_every_public_method_has_a_user():
+    """Every public method (property included) of a top-level class is read
+    by a user."""
+    trees, _ = _sources()
+    refs = _reads()
+    unused = [f"{module}:{cls.name}.{fn.name}" for module, tree in trees.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("_") and _unread(fn, fn.name, refs)]
+    assert sorted(unused) == sorted(UNREAD_METHODS), \
+        f"reached only by their own definition or unit tests: {unused}"
+
+
+#: parameters with defaults that no user passes, and why they stay
+UNPASSED_DEFAULTS = {
+    "app.py:main(argv)": "the console entry point calls main() alone, and "
+                         "argparse then reads sys.argv",
+    "dynamics.py:SolverConfig(max_steps)": "the cap behind the `max_steps` stop, "
+                                           "which a run whose t_end it cannot "
+                                           "reach ends on",
+    "diagnostics.py:BlowupMonitor.__init__(window_end)":
+        "`_report` passes it on as `ledger(source, *config)` from "
+        "`blowup_monitor`, whose window_end the acceptance tests set",
+}
+
+
+def _defaults(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of the parameters of `fn` with a default; position
+    None for a keyword-only one."""
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(args) if i >= first]
+            + [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if d is not None])
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether `call` passes the parameter at `position` (counted over the
+    call's own arguments) or called `name`; `*args` and `**kwargs` pass
+    every parameter they may reach."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    for n, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or n == position:
+            return True
+    return False
+
+
+def test_every_default_is_passed():
+    """Every parameter with a default (of a top-level function, of a method
+    of a top-level class, or a dataclass field) is passed, by position or
+    by keyword, by a user; one that none passes is not an option."""
+    trees, users = _sources()
+    calls: dict[str, list[ast.Call]] = {}
+    for node in (node for tree in users for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            calls.setdefault(name, []).append(node)
+    subclasses = {}  # class -> itself and the package classes naming it as a base
+    for tree in trees.values():
+        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+            for base in [cls.name] + [b.id for b in cls.bases if isinstance(b, ast.Name)]:
+                subclasses.setdefault(base, set()).add(cls.name)
+
+    def passed(names, own: ast.AST, position, name, shift) -> bool:
+        inside = {id(n) for n in ast.walk(own)}
+        return any(_passes(call, None if position is None else position - shift, name)
+                   for n in names for call in calls.get(n, []) if id(call) not in inside)
+
+    unpassed = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                unpassed += [f"{module}:{node.name}({name})" for position, name in
+                             _defaults(node) if not passed([node.name], node, position,
+                                                           name, 0)]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for fn in (f for f in node.body if isinstance(f, ast.FunctionDef)):
+                # a call passes no `self` (or `cls`), so its arguments start at 1
+                names = subclasses[node.name] if fn.name == "__init__" else [fn.name]
+                unpassed += [f"{module}:{node.name}.{fn.name}({name})"
+                             for position, name in _defaults(fn)
+                             if not passed(names, fn, position, name, 1)]
+            if any(getattr(d, "id", None) == "dataclass" for d in node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                unpassed += [f"{module}:{node.name}({f.target.id})"
+                             for position, f in enumerate(fields) if f.value is not None
+                             and not passed([node.name], node, position, f.target.id, 0)]
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS), \
+        f"set by no command, suite, workload or acceptance test: {unpassed}"

@@ -274,17 +274,36 @@ class TestVerify:
         assert "snapshot 1: non-finite samples" in result.failures
 
     def test_monitor_stop_is_not_flagged(self):
-        """A run stopped by a user monitor is one abnormal stop for both the
-        density verdict and the monitor suite, so the suite finds nothing."""
+        """A run stopped by the CFL check (a fixed dt above the limit) is one
+        abnormal stop for both the density criterion and the monitor suite,
+        so the suite finds nothing."""
         problem = app.build_problem(app.parse_config(
             "grid.points_per_axis = 16\ninit.preset = stream_vortex\n"
-            "init.amplitude = 0.5\ntime.dt = 0.01\ntime.t_end = 0.1\n"))
-        traj = dyn.run(problem.initial, problem.params, problem.solver,
-                       monitors=[lambda s: "hit" if s.t > 0.045 else None])
-        assert traj.stop_reason == "monitor:hit"
+            "init.amplitude = 0.5\ntime.dt = 0.5\ntime.t_end = 1.0\n"))
+        traj = dyn.run(problem.initial, problem.params, problem.solver)
+        assert traj.stop_reason == "cfl"
         suite = app._MonitorSuite(traj, problem.monitor)
         diag.feed([suite], traj.params, len(traj), traj.states.__getitem__)
         assert suite.finish() == []
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [],
+        lambda lines: lines[:2] + [",".join(lines[2].split(",")[:2])] + lines[3:],
+        lambda lines: [lines[0].replace("rho_linf", "rho_sup")] + lines[1:],
+        lambda lines: lines[:2] + [lines[2].replace(",", ",x", 1)] + lines[3:],
+    ], ids=["empty", "short-row", "missing-column", "non-numeric"])
+    def test_malformed_series_fails_identities(self, run_dir, tmp_path, capsys, edit):
+        """A series file that the manifest's checksum matches but that cannot
+        be read as the series is a named identities failure, not an error."""
+        outdir = str(tmp_path / "run")
+        shutil.copytree(run_dir, outdir)
+        path = os.path.join(outdir, app.SERIES_FILE)
+        lines = open(path).read().splitlines()
+        open(path, "w").write("".join(line + "\n" for line in edit(lines)))
+        _rewrite_checksum(outdir, app.SERIES_FILE)
+        assert app.main(["verify", "--dir", outdir, "--suite", "identities"]) == 2
+        out = capsys.readouterr().out
+        assert f"FAIL {app.SERIES_FILE}" in out, out
 
     def test_two_snapshot_run_skips_time_differenced_ledgers(self, tmp_path):
         cfg_path = os.path.join(tmp_path, "two.cfg")
@@ -380,18 +399,19 @@ class TestStreamingVerify:
     and feeds every suite and ledger from it."""
 
     def test_at_most_three_states_alive(self, tmp_path, monkeypatch):
+        """The window holds the `_Snapshot` of each state it has loaded, and
+        no more than three of them live at once."""
         outdir = _stream_run(str(tmp_path), 8)
         live = weakref.WeakSet()
         most = []
-        real = dyn.read_checkpoint
 
-        def counted(path):
-            state = real(path)
-            live.add(state)
-            most.append(len(live))
-            return state
+        class Counted(diag._Snapshot):
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.add(self)
+                most.append(len(live))
 
-        monkeypatch.setattr(dyn, "read_checkpoint", counted)
+        monkeypatch.setattr(diag, "_Snapshot", Counted)
         assert app.verify(outdir, "all").ok
         assert len(most) == 8 and max(most) == 3
 
@@ -603,6 +623,18 @@ class TestCli:
         assert app.main(["verify", "--dir", outdir]) == 1
         err = capsys.readouterr().err
         assert "error: malformed manifest.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
+    def test_manifest_without_checkpoints_exit_code(self, run_dir, tmp_path, capsys,
+                                                    suite):
+        """Every suite rejects, with the same message, a manifest whose
+        `files` list names no checkpoint."""
+        outdir = _with_manifest(run_dir, tmp_path, lambda m: {
+            **m, "files": [e for e in m["files"] if not e["name"].endswith(".nsb")]})
+        assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: malformed manifest.json: its `files` list names "
+                       "no .nsb checkpoint\n")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -150,17 +150,15 @@ class TestCoifman:
         comm, _ = diag.coifman_commutator(dyn.FluidState(random_state.rho, u, 0.0))
         assert sp.lebesgue_norm(comm, INF) < 1e-12
 
-    def test_exponent_relation_validated(self, random_state):
-        with pytest.raises(ValueError):
-            diag.coifman_commutator(random_state, r1=1.0, r2=1.0)
-
     def test_continuity_constant_stable(self, grid):
         rep1 = diag.coifman_constant_study(grid, 10, seed=0)
         rep2 = diag.coifman_constant_study(grid, 20, seed=0)
-        assert rep1.sup_ratio > 0 and rep1.stable_against(rep2)
+        # the two sup ratios differ by less than half the larger one
+        assert rep1.sup_ratio > 0
+        assert abs(rep1.sup_ratio - rep2.sup_ratio) < 0.5 * max(rep1.sup_ratio, rep2.sup_ratio)
 
     def test_study_matches_hand_loop(self, grid):
-        rep = diag.coifman_constant_study(grid, 3, r1=4.0, r2=4.0, seed=2)
+        rep = diag.coifman_constant_study(grid, 3, seed=2)
         ref = []
         for i in range(3):
             rng = np.random.default_rng(2 + i)
@@ -168,8 +166,9 @@ class TestCoifman:
             rho = sp.pointwise(grid, 1.0 + 0.4 * r / max(1e-9, np.max(np.abs(r))),
                                dealiased=False)
             u = sp.random_vector_field(grid, rng)
-            _, norm = diag.coifman_commutator(dyn.FluidState(rho, u, 0.0), 4.0, 4.0)
-            den = sp.sobolev_norm(u, 1, 4.0) * sp.lebesgue_norm(sp.scale_vector(rho, u), 4.0)
+            comm, norm = diag.coifman_commutator(dyn.FluidState(rho, u, 0.0))
+            assert norm == sp.sobolev_norm(comm, 1, 1.0)
+            den = sp.sobolev_norm(u, 1, 2.0) * sp.lebesgue_norm(sp.scale_vector(rho, u), 2.0)
             ref.append(norm / den if den > 0 else 0.0)
         assert rep.size == 3 and rep.ratios == ref and rep.sup_ratio == max(ref)
 
@@ -406,14 +405,12 @@ class TestParsevalGradientEnergies:
     def test_viscous_form(self, dim, m):
         traj = self._noisy_run(dim, m)
         params, grid = traj.params, traj.initial.grid
-        u, other = traj.states[0].u, traj.states[1].rho
+        u = traj.states[0].u
         grad = sp.velocity_gradient(u)
-        for div, div_samples in ((None, np.trace(grad, axis1=0, axis2=1)),
-                                 (other, other.samples)):
-            ref = (params.mu * np.sum(grad ** 2) + (params.mu + params.lam)
-                   * np.sum(div_samples ** 2)) * grid.cell_volume
-            got = diag._viscous_form(params, u, div)
-            assert abs(got - ref) <= 1e-13 * ref
+        ref = (params.mu * np.sum(grad ** 2) + (params.mu + params.lam)
+               * np.sum(np.trace(grad, axis1=0, axis2=1) ** 2)) * grid.cell_volume
+        got = diag._viscous_form(params, u)
+        assert abs(got - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
     def test_grad_omega_term(self, dim, m):
@@ -533,12 +530,14 @@ def test_tabulated_law_q_density_resolved_alike():
     state = dyn.stream_vortex_state(sp.TorusGrid(2, 8), 1.0, 0.3)
     traj = dyn.Trajectory([state], "completed", 0.0,
                           dyn.SolverConfig(t_end=0.01, dt=0.01), params)
-    for fn in (diag.blowup_monitor, diag.compute_diagnostics):
-        with pytest.raises(ValueError, match="explicit q_density"):
-            fn(traj, diag.MonitorConfig())
+    part = lp.build_partition(state.grid)
+    with pytest.raises(ValueError, match="explicit q_density"):
+        diag.blowup_monitor(traj, diag.MonitorConfig())
+    with pytest.raises(ValueError, match="explicit q_density"):
+        diag.compute_diagnostics(traj, diag.MonitorConfig(), part)
     mon = diag.MonitorConfig(q_density=3.0)
     assert diag.blowup_monitor(traj, mon).criterion_exponent == 3.0
-    [rec] = diag.compute_diagnostics(traj, mon)
+    [rec] = diag.compute_diagnostics(traj, mon, part)
     assert rec.values["rho_lq"] == sp.lebesgue_norm(state.rho, 3.0)
 
 

@@ -94,11 +94,6 @@ class TestParams:
             dyn.FluidParams(0.1, -0.2, LAW).validate(2)
         dyn.FluidParams(0.1, -0.05, LAW).validate(2)  # N lam + 2 mu > 0
 
-    def test_strict_regime_flag(self):
-        dyn.FluidParams(1.0, 1.0, LAW).validate(3, strict_regime=True)
-        with pytest.raises(ValueError):
-            dyn.FluidParams(1.0, 1.3, LAW).validate(3, strict_regime=True)
-
 
 class TestRhs:
     def test_constant_equilibrium_is_stationary(self, grid, params):
@@ -358,16 +353,6 @@ class TestRun:
         assert traj.states[-1].min_density > cfg.vacuum_floor
         assert traj.stop_time < 5.0
 
-    def test_monitor_trigger(self, grid, params):
-        state = dyn.stream_vortex_state(grid)
-
-        def monitor(s):
-            return "halfway" if s.t > 0.05 else None
-
-        traj = dyn.run(state, params, dyn.SolverConfig(t_end=1.0, dt=0.01),
-                       monitors=[monitor])
-        assert traj.stop_reason == "monitor:halfway"
-
     def test_nonfinite_pressure_stops_nonfinite(self, grid):
         class FailingLaw(dyn.PowerLaw):
             """Finite for its first 10 calls, NaN from then on."""
@@ -527,11 +512,6 @@ class TestFlowMap:
             errs.append(np.max(np.abs(a - ref)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(3.4 < o < 4.6 for o in orders)
-
-    def test_gap_tolerance(self, grid):
-        traj = self._steady_trajectory(grid, sp.VectorField.zero(grid), 1.0, 5)
-        with pytest.raises(ValueError, match="gap"):
-            dyn.flow_map(traj, np.array([[0.0, 0.0]]), max_gap=0.1)
 
 
 class TestLinearSplit:

@@ -184,20 +184,20 @@ class TestBony:
 
 class TestMultiplierCommutator:
     def test_constant_a(self, grid, rng):
-        theta = sp.MultiplierSymbol(lambda *k: np.exp(-sum(x ** 2 for x in k)), 0, "gauss")
+        theta = sp.MultiplierSymbol(lambda *k: np.exp(-sum(x ** 2 for x in k)), "gauss")
         a = sp.ScalarField.constant(grid, 3.0)
         b = sp.random_field(grid, rng)
         comm = lp.multiplier_commutator(theta, 2.0, a, b)
         assert sp.lebesgue_norm(comm, INF) < 1e-12
 
     def test_zero_b(self, grid):
-        theta = sp.MultiplierSymbol(lambda *k: np.exp(-sum(x ** 2 for x in k)), 0, "gauss")
+        theta = sp.MultiplierSymbol(lambda *k: np.exp(-sum(x ** 2 for x in k)), "gauss")
         a = sp.ScalarField.from_function(grid, lambda x, y: np.sin(x))
         comm = lp.multiplier_commutator(theta, 2.0, a, sp.ScalarField.zero(grid))
         assert sp.lebesgue_norm(comm, INF) == 0.0
 
     def test_nonpositive_lambda_rejected(self, grid, rng):
-        theta = sp.MultiplierSymbol(lambda *k: np.exp(-sum(x ** 2 for x in k)), 0)
+        theta = sp.MultiplierSymbol(lambda *k: np.exp(-sum(x ** 2 for x in k)))
         with pytest.raises(ValueError):
             lp.multiplier_commutator(theta, 0.0, sp.random_field(grid, rng),
                                      sp.random_field(grid, rng))
@@ -278,7 +278,9 @@ class TestProductLaws:
     def test_embedding_report(self, part):
         rep = lp.embedding_estimator(part, 25, 1.0, 2, 4, 2, seed=0)
         rep2 = lp.embedding_estimator(part, 50, 1.0, 2, 4, 2, seed=0)
-        assert rep.sup_ratio > 0 and rep.stable_against(rep2)
+        # the two sup ratios differ by less than half the larger one
+        assert rep.sup_ratio > 0
+        assert abs(rep.sup_ratio - rep2.sup_ratio) < 0.5 * max(rep.sup_ratio, rep2.sup_ratio)
         with pytest.raises(ValueError):
             lp.embedding_estimator(part, 4, 1.0, 4, 2, 2)
 
