@@ -43,6 +43,7 @@ from .spectral import (
     sobolev_norm,
     to_coeffs,
     velocity_gradient,
+    _inv_laplacian_symbol,
 )
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
                                besov_from_block_norms, besov_norm, block_norms,
@@ -258,21 +259,34 @@ def log_state_rejected_reading(state: FluidState, params: FluidParams) -> Scalar
     return (log_rho + flux) * params.nu
 
 
+@functools.lru_cache(maxsize=32)  # one entry per grid in use
+def _flux_symbols(grid: TorusGrid) -> np.ndarray:
+    """The symbols k_i k_j / |k|^2 of d_i d_j inv_lap for the index pairs
+    i <= j in row-major order, on the 2/3-dealiased band and zero off it (and
+    at k = 0), stacked on a leading axis; real, since the two derivative
+    factors i k_i, i k_j are imaginary and the band holds no Nyquist plane."""
+    k, band = grid.frequency_mesh, grid.dealias_mask()
+    minus_inv_lap = -_inv_laplacian_symbol(grid) * band  # 1/|k|^2 on the band
+    return np.stack([k[i] * k[j] * minus_inv_lap
+                     for i in range(grid.dim) for j in range(i, grid.dim)])
+
+
 def _coifman_parts(state: FluidState) -> tuple[ScalarField, ScalarField]:
     """(the commutator of `coifman_commutator`, inv_lap div(rho u)).
 
-    By linearity the dim products u_j d_j phi are summed before their one
-    transform, and the dim^2 products u_j (rho u)_i share one stacked
-    transform: three forward transform calls in all."""
+    With b = rho u, the second term sum_{i,j} d_i d_j inv_lap (u_j b_i) has a
+    symmetric symbol, so it is the sum over the pairs i <= j of that symbol
+    times the pair sums u_i b_j + u_j b_i (u_i b_i on the diagonal):
+    dim (dim + 1) / 2 forward-transformed fields multiplied by one cached
+    symbol stack, the 2/3 mask folded into it."""
     grid = state.grid
-    b = scale_vector(state.rho, state.u)  # rho u
+    b = scale_vector(state.rho, state.u)
     phi = _inv_lap_div(b)
-    flux = np.where(grid.dealias_mask(),
-                    to_coeffs(grid, state.u.samples[:, None] * b.samples[None]), 0.0)
-    term2 = ScalarField.zero(grid)
-    for j in range(grid.dim):
-        term2 = term2 + partial(_inv_lap_div(VectorField(grid, flux[j], copy=False)), j)
-    return _advect(state.u, phi) - term2, phi
+    u, bs = state.u.samples, b.samples
+    pairs = np.stack([u[i] * bs[i] if i == j else u[i] * bs[j] + u[j] * bs[i]
+                      for i in range(grid.dim) for j in range(i, grid.dim)])
+    term2 = np.sum(to_coeffs(grid, pairs) * _flux_symbols(grid), axis=0)
+    return _advect(state.u, phi) - ScalarField(grid, term2, copy=False), phi
 
 
 def coifman_commutator(state: FluidState) -> tuple[ScalarField, float]:
@@ -293,21 +307,13 @@ def effective_velocity(state: FluidState, params: FluidParams,
 
 
 def v1_identities(state: FluidState, params: FluidParams,
-                  pressure: ScalarField | None = None) -> dict[str, float]:
+                  snapshot: _Snapshot | None = None) -> dict[str, float]:
     """Sup-norm residuals of the exact effective-velocity identities:
-    div v1 = G/nu, curl v1 = curl u, lap u = lap v1 + grad P / nu;
-    `pressure` as in `effective_pressure`."""
-    p = pressure_field(state, params) if pressure is None else pressure
-    v1, _ = effective_velocity(state, params, p)
-    g = effective_pressure(state, params, p)
-    div_res = divergence(v1) - g * (1.0 / params.nu)
-    curl_res = curl(v1) - curl(state.u)
-    lap_res = laplacian(state.u) - laplacian(v1) - gradient(p) * (1.0 / params.nu)
-    return {
-        "div_v1": lebesgue_norm(div_res, math.inf),
-        "curl_v1": lebesgue_norm(curl_res, math.inf),
-        "lap_u_decomposition": lebesgue_norm(lap_res, math.inf),
-    }
+    div v1 = G/nu, curl v1 = curl u, lap u = lap v1 + grad P / nu.
+    `snapshot`, when given, must be `_Snapshot(state, params)`: its cached
+    fields are read, not rebuilt."""
+    snap = _Snapshot(state, params) if snapshot is None else snapshot
+    return {name: lebesgue_norm(res, math.inf) for name, res in snap.v1_residuals().items()}
 
 
 def bogovskii(h: ScalarField) -> VectorField:
@@ -339,7 +345,10 @@ def _difference(times: Sequence[float], values: Sequence, pos: int):
         a = dx2 / (dx1 * (dx1 + dx2))
         b = -(dx2 + dx1) / (dx1 * dx2)
         c = (2. * dx2 + dx1) / (dx2 * (dx1 + dx2))
-    return a * values[0] + b * values[1] + c * values[2]
+    out = a * values[0]
+    out += b * values[1]
+    out += c * values[2]
+    return out
 
 
 class _Window:
@@ -422,6 +431,21 @@ class _Snapshot:
         return effective_velocity(self.state, self.params, self.pressure)
 
     @functools.cached_property
+    def effective(self) -> ScalarField:
+        """G of `effective_pressure`."""
+        return effective_pressure(self.state, self.params, self.pressure)
+
+    @functools.cached_property
+    def vorticity(self) -> Field:
+        """curl u."""
+        return curl(self.state.u)
+
+    @functools.cached_property
+    def div_v1(self) -> ScalarField:
+        """div v1."""
+        return divergence(self.velocities[0])
+
+    @functools.cached_property
     def grad_u(self) -> np.ndarray:
         """Samples of grad u, as `velocity_gradient` gives them."""
         return velocity_gradient(self.state.u)
@@ -439,10 +463,23 @@ class _Snapshot:
     def rho_inf(self) -> float:
         return lebesgue_norm(self.state.rho, math.inf)
 
+    def v1_residuals(self) -> dict[str, Field]:
+        """The residual fields of the identities of `v1_identities`, by name,
+        built from the cached (v1, v), G, P and curl u."""
+        v1, _ = self.velocities
+        inv_nu = 1.0 / self.params.nu
+        return {
+            "div_v1": self.div_v1 - self.effective * inv_nu,
+            "curl_v1": curl(v1) - self.vorticity,
+            "lap_u_decomposition": (laplacian(self.state.u) - laplacian(v1)
+                                    - gradient(self.pressure) * inv_nu),
+        }
+
     def release(self) -> None:
         """Drop the fields that only this snapshot's own window position
         reads: a neighbour's time derivative reads u, v1 and v alone."""
-        for name in ("pressure", "grad_u", "grad_sq", "coifman"):
+        for name in ("pressure", "effective", "vorticity", "div_v1", "grad_u", "grad_sq",
+                     "coifman"):
             self.__dict__.pop(name, None)
 
 
@@ -681,7 +718,7 @@ class GradOmegaBudget(Accumulator):
         super().add(window)
         snap = window.current
         grid = snap.state.grid
-        self.rows.append((grid.volume * gradient_sum(grid, curl(snap.state.u).coeffs),
+        self.rows.append((grid.volume * gradient_sum(grid, snap.vorticity.coeffs),
                           snap.rho_inf))
         self.a.add(window)
 
@@ -979,7 +1016,7 @@ class TransportEstimate(Accumulator):
         super().add(window)
         snap = window.current
         state, partition, sigma = snap.state, self.partition, self.sigma
-        div_v1 = divergence(snap.velocities[0])
+        div_v1 = snap.div_v1
         div_inf = lebesgue_norm(div_v1, math.inf)
         rho_inf = snap.rho_inf
         if self.sup_norms:
@@ -1196,12 +1233,11 @@ def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
             "forcing_work_cum": work[n] if n < len(work) else math.nan,
             "p1_moment": _moment(state, monitor.p_gain),
         }
-        residuals = v1_identities(state, params, snap.pressure)
+        residuals = v1_identities(state, params, snap)
         values["div_v1_residual"] = residuals["div_v1"]
         values["curl_v1_residual"] = residuals["curl_v1"]
         values["lap_decomposition_residual"] = residuals["lap_u_decomposition"]
-        values["effective_pressure_l2"] = lebesgue_norm(
-            effective_pressure(state, params, snap.pressure), 2)
+        values["effective_pressure_l2"] = lebesgue_norm(snap.effective, 2)
         values["rho_besov_eps"] = besov_norm(partition, state.rho, eps_spec)
         records.append(DiagnosticRecord(
             state.t, values, {"finite": state.is_finite(), "positive": positive}))

@@ -463,29 +463,47 @@ def partial(field: Field, axis: int) -> Field:
     return differentiate(field, alpha)
 
 
+def _axis_derivative(grid: TorusGrid, axis: int) -> np.ndarray:
+    """The factor of d/dx_axis, as `partial` applies it."""
+    return _derivative_factor(grid, tuple(int(b == axis) for b in range(grid.dim)))
+
+
+def _derivative_stack(field: Field) -> np.ndarray:
+    """The coefficients of d_i f for every axis i, stacked on a new leading
+    axis and written in place (no per-axis field, no stacking copy)."""
+    grid, c = field.grid, field.coeffs
+    out = np.empty((grid.dim,) + c.shape, dtype=np.complex128)
+    for i in range(grid.dim):
+        np.multiply(c, _axis_derivative(grid, i), out=out[i])
+    return out
+
+
 def gradient(field: ScalarField) -> VectorField:
-    grid = field.grid
-    comps = [partial(field, a) for a in range(grid.dim)]
-    return VectorField.from_components(comps)
+    return VectorField(field.grid, _derivative_stack(field), copy=False)
 
 
 def divergence(field: VectorField) -> ScalarField:
     grid = field.grid
     out = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    term = np.empty_like(out)
     for a in range(grid.dim):
-        out += field.coeffs[a] * _derivative_factor(
-            grid, tuple(int(b == a) for b in range(grid.dim)))
+        out += np.multiply(field.coeffs[a], _axis_derivative(grid, a), out=term)
     return ScalarField(grid, out, copy=False)
 
 
 def curl(field: VectorField) -> Field:
-    """Vorticity: scalar d1 u2 - d2 u1 in 2-D, the usual vector in 3-D."""
-    grid = field.grid
-    g = [partial(field, i).coeffs for i in range(grid.dim)]  # g[i][j]: d_i u_j
+    """Vorticity: scalar d1 u2 - d2 u1 in 2-D, the usual vector in 3-D.
+    Each component d_i u_j - d_j u_i forms only its own two products."""
+    grid, c = field.grid, field.coeffs
+    pairs = [(0, 1)] if grid.dim == 2 else [(1, 2), (2, 0), (0, 1)]
+    out = np.empty((len(pairs),) + grid.spectral_shape, dtype=np.complex128)
+    term = np.empty(grid.spectral_shape, dtype=np.complex128)
+    for row, (i, j) in zip(out, pairs):
+        np.multiply(c[j], _axis_derivative(grid, i), out=row)
+        row -= np.multiply(c[i], _axis_derivative(grid, j), out=term)
     if grid.dim == 2:
-        return ScalarField(grid, g[0][1] - g[1][0], copy=False)
-    return VectorField(grid, np.stack([g[1][2] - g[2][1], g[2][0] - g[0][2],
-                                       g[0][1] - g[1][0]]), copy=False)
+        return ScalarField(grid, out[0], copy=False)
+    return VectorField(grid, out, copy=False)
 
 
 @functools.lru_cache(maxsize=32)  # one entry per grid in use
@@ -500,7 +518,7 @@ def laplacian(field: Field) -> Field:
 def velocity_gradient(field: Field) -> np.ndarray:
     """Sample array G[i, ...] = d_i f; for a vector field G[i, j] = d_i u_j,
     shape (dim, dim, *grid.shape)."""
-    return np.stack([partial(field, i).samples for i in range(field.grid.dim)])
+    return to_samples(field.grid, _derivative_stack(field))
 
 
 @functools.lru_cache(maxsize=32)  # one entry per grid in use
@@ -532,10 +550,14 @@ def riesz_composite(i: int, j: int, field: Field) -> Field:
 def leray_project(field: VectorField) -> tuple[VectorField, VectorField]:
     """Split u = Pu + Qu with Q = grad inv_laplacian div (curl-free part,
     zero-mean convention) and P = I - Q (divergence-free part)."""
-    grid = field.grid
-    q = np.stack([sum(_riesz_symbol(grid, a, b) * field.coeffs[b] for b in range(grid.dim))
-                  for a in range(grid.dim)])
-    return field.with_coeffs(field.coeffs - q), field.with_coeffs(q)
+    grid, c = field.grid, field.coeffs
+    q = np.empty_like(c)
+    term = np.empty(grid.spectral_shape, dtype=np.complex128)
+    for a in range(grid.dim):
+        np.multiply(_riesz_symbol(grid, a, 0), c[0], out=q[a])
+        for b in range(1, grid.dim):
+            q[a] += np.multiply(_riesz_symbol(grid, a, b), c[b], out=term)
+    return field.with_coeffs(c - q), field.with_coeffs(q)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +669,34 @@ def gradient_sum(grid: TorusGrid, coeffs: np.ndarray) -> float:
 def coefficient_l2_norm(field: Field) -> float:
     """L^2 norm computed from coefficients (Parseval partner of the grid sum)."""
     return math.sqrt(parseval_sum(field.grid, field.coeffs) * field.grid.volume)
+
+
+@functools.lru_cache(maxsize=32)  # one entry per grid in use
+def _part_weight(grid: TorusGrid) -> np.ndarray:
+    """The mode weight of the real and of the imaginary part of each stored
+    mode of a last-axis line, in the order of a complex array's float view."""
+    return _frozen(np.repeat(grid.mode_weight, 2))
+
+
+def coefficient_sup_bound(field: Field) -> float:
+    """An upper bound on ``lebesgue_norm(field, inf)`` from the coefficients
+    alone, at no transform.
+
+    Each component obeys |f(x)| <= sum_k w_k |c_k| <= sum_k w_k (|Re c_k| +
+    |Im c_k|) (the l^1 bound behind Bernstein's lemma, w the mode weight);
+    the last sum is one matrix-vector product over the float view of the
+    coefficients, and is what is taken.  A vector's pointwise length is at
+    most the Euclidean length of its components' bounds.  The result is that
+    bound times the round-off slack of littlewood_paley's `_sup_besov`,
+    1 + 2 K eps over K stored modes, so it also bounds the computed sample
+    max.  NaN when a coefficient is not finite."""
+    grid, coeffs = field.grid, np.ascontiguousarray(field.coeffs)
+    parts = np.abs(coeffs.view(np.float64)) @ _part_weight(grid)
+    per_component = parts.reshape(coeffs.shape[:field.rank] + (-1,)).sum(axis=-1)
+    bound = math.sqrt(np.sum(per_component ** 2))
+    if not math.isfinite(bound):
+        return math.nan
+    return bound * (1.0 + 2.0 * math.prod(grid.spectral_shape) * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------

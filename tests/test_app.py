@@ -238,16 +238,17 @@ class TestVerify:
         assert any("state_000001" in f for f in result.failures)
 
     @staticmethod
-    def _with_nan(run_dir, tmp_path, sample_index):
-        """Copy of the run with one NaN sample in state_000001 (rho comes
-        first in the payload) and a manifest checksum that still matches."""
+    def _with_nan(run_dir, tmp_path, sample_index, value=np.nan):
+        """Copy of the run with one NaN (or other `value`) sample in
+        state_000001 (rho comes first in the payload) and a manifest checksum
+        that still matches."""
         outdir = str(tmp_path / "nan")
         shutil.copytree(run_dir, outdir)
         name = "state_000001.nsb"
         path = os.path.join(outdir, name)
         data = bytearray(open(path, "rb").read())
         offset = data.index(b"\n") + 1 + 8 * sample_index
-        data[offset:offset + 8] = np.array(np.nan, dtype="<f8").tobytes()
+        data[offset:offset + 8] = np.array(value, dtype="<f8").tobytes()
         open(path, "wb").write(bytes(data))
         manifest_path = os.path.join(outdir, app.MANIFEST_FILE)
         manifest = json.load(open(manifest_path))
@@ -262,6 +263,33 @@ class TestVerify:
         result = app.verify(outdir, "identities")
         assert not result.ok
         assert any(f.startswith("state 1:") and "nan" in f for f in result.failures)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("index, names", [
+        (5, ("riesz_trace", "dyadic_reconstruction", "parseval_gap")),
+        (32 * 32 + 5, ("div_v1", "leray_divergence", "leray_curl"))], ids=["rho", "u"])
+    def test_non_finite_sample_fails_identities_by_name(self, run_dir, tmp_path, value,
+                                                        index, names):
+        """A NaN or inf sample makes the coefficient bounds of the residuals
+        it reaches NaN, so they are sampled, and fail under their names."""
+        result = app.verify(self._with_nan(run_dir, tmp_path, index, value), "identities")
+        failed = {f.split()[2] for f in result.failures if f.startswith("state 1: ")}
+        assert set(names) <= failed, result.failures
+
+    def test_residual_over_tolerance_reports_its_sampled_sup(self, run_dir, monkeypatch):
+        """A residual whose bound exceeds the tolerance is judged and reported
+        by its sampled sup norm, not by the bound."""
+        grid = sp.TorusGrid(2, 32)
+        extra = sp.random_field(grid, np.random.default_rng(0)) * 1e-6
+        riesz = sp.riesz_composite
+        monkeypatch.setattr(sp, "riesz_composite", lambda i, j, f: riesz(i, j, f) + extra
+                            if i == j == 0 else riesz(i, j, f))
+        sup = sp.lebesgue_norm(extra, math.inf)
+        assert sp.coefficient_sup_bound(extra) > 2.0 * sup
+        result = app.verify(run_dir, "identities")
+        assert result.failures == [f"state {n}: riesz_trace residual {sup:.3e}"
+                                   for n in range(3)]
 
     def test_nan_density_fails_series_crosscheck(self, run_dir, tmp_path):
         outdir = self._with_nan(run_dir, tmp_path, 5)
@@ -319,14 +347,16 @@ class TestVerify:
 
     def test_transform_budget_of_verify_all(self, tmp_path, fft_calls):
         """Sup-norm Besov terms transform only the blocks their l^1 bound
-        leaves open, and every ledger and suite shares each snapshot's
-        pressure, grad u and v1: 267 transformed fields here (369 when each
-        ledger built its own)."""
+        leaves open, the identity residuals are certified by their coefficient
+        bounds and transform nothing, and every ledger and suite shares each
+        snapshot's pressure, grad u, v1, G and curl u: 72 forward and 119
+        inverse fields here (84 and 175 when the residuals were sampled and
+        the Coifman flux took dim^2 products)."""
         outdir = str(tmp_path / "run")
         app.simulate(app.parse_config(FORCED_3D_CFG), outdir)
         fft_calls.clear()
         assert app.verify(outdir, "all").ok
-        assert 100 <= fft_calls["rfftn_fields"] + fft_calls["irfftn_fields"] <= 280
+        assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (72, 119)
 
     def test_listed_directory_is_a_missing_file(self, run_dir, tmp_path):
         outdir = _with_manifest(run_dir, tmp_path, lambda m: {
@@ -623,6 +653,37 @@ class TestCli:
         assert app.main(["verify", "--dir", outdir]) == 1
         err = capsys.readouterr().err
         assert "error: malformed manifest.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
+    def test_checkpoint_listed_twice_exit_code(self, run_dir, tmp_path, capsys, suite):
+        """A manifest naming a checkpoint twice is malformed for every suite:
+        read twice, its state would meet itself across a zero time step."""
+        outdir = _with_manifest(run_dir, tmp_path, lambda m: {
+            **m, "files": m["files"] + [e for e in m["files"]
+                                        if e["name"] == "state_000001.nsb"]})
+        assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: malformed manifest.json: its `files` list names "
+                       "state_000001.nsb more than once\n")
+
+    @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
+    def test_checkpoint_copied_under_a_second_name_exit_code(self, run_dir, tmp_path,
+                                                             capsys, suite):
+        """A copy of a checkpoint under another name, with a matching
+        checksum, repeats its header time, which every suite rejects."""
+        outdir = str(tmp_path / "run")
+        shutil.copytree(run_dir, outdir)
+        shutil.copy(os.path.join(outdir, "state_000001.nsb"),
+                    os.path.join(outdir, "state_copy.nsb"))
+        path = os.path.join(outdir, app.MANIFEST_FILE)
+        manifest = json.load(open(path))
+        manifest["files"].append({"name": "state_copy.nsb", "sha256": app._sha256(
+            os.path.join(outdir, "state_copy.nsb"))})
+        json.dump(manifest, open(path, "w"))
+        assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint times do not increase: ")
+        assert "state_000001.nsb" in err and "state_copy.nsb" in err
 
     @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
     def test_manifest_without_checkpoints_exit_code(self, run_dir, tmp_path, capsys,

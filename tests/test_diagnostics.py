@@ -1,6 +1,7 @@
 """Diagnostics: potentials, effective quantities, residual suites, ledgers,
 and blow-up monitors."""
 
+import functools
 import math
 
 import numpy as np
@@ -609,6 +610,19 @@ def test_pressure_built_once_per_snapshot(vortex_run, part, monkeypatch):
     got = diag.compute_diagnostics(traj, diag.MonitorConfig(), part)
     assert len(calls) == len(traj)
     assert [r.row() for r in got] == [r.row() for r in want]
+
+
+def test_release_keeps_only_what_a_neighbour_reads(grid, params, random_state):
+    """After `release` a snapshot keeps, of its cached fields, only (v1, v),
+    which the time derivatives of its neighbours read, and a float."""
+    snap = diag._Snapshot(random_state, params)
+    cached = [name for name, value in vars(diag._Snapshot).items()
+              if isinstance(value, functools.cached_property)]
+    for name in cached:
+        getattr(snap, name)
+    snap.v1_residuals()
+    snap.release()
+    assert set(cached) & set(vars(snap)) == {"velocities", "rho_inf"}
 
 
 def test_diagnostics_leave_stored_states_as_built():

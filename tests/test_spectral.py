@@ -453,6 +453,30 @@ class TestNorms:
         got = grid.volume * sp.gradient_sum(grid, u.coeffs)
         assert abs(got - ref) <= 1e-13 * ref
 
+    @pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
+    def test_coefficient_sup_bound_covers_the_sampled_sup(self, dim, m):
+        """On white noise, whose Nyquist planes carry content, and on a spike
+        at the origin, whose real coefficients the bound meets with equality,
+        the bound is at least the max of the transformed samples, scalar or
+        vector."""
+        grid = sp.TorusGrid(dim, m)
+        noise = np.random.default_rng(17).standard_normal((1 + dim,) + grid.shape)
+        spike = np.zeros_like(noise)
+        spike[(slice(None),) + (0,) * dim] = 1.0
+        for samples in (noise, spike):
+            for f in (sp.ScalarField.from_samples(grid, samples[0]),
+                      sp.VectorField.from_samples(grid, samples[1:])):
+                assert np.any(np.where(grid.nyquist_mask, f.coeffs, 0.0))
+                sup = sp.lebesgue_norm(f.with_coeffs(f.coeffs), np.inf)
+                assert sp.coefficient_sup_bound(f) >= sup
+        assert sp.coefficient_sup_bound(f) <= sup * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_coefficient_sup_bound_of_a_non_finite_coefficient_is_nan(self, grid, bad):
+        coeffs = sp.random_vector_field(grid, np.random.default_rng(4)).coeffs.copy()
+        coeffs[1, 3, 2] = bad
+        assert math.isnan(sp.coefficient_sup_bound(sp.VectorField(grid, coeffs)))
+
     def test_sobolev_norm_single_mode(self, grid):
         f = sp.ScalarField.from_function(grid, lambda x, y: np.cos(x))
         # W^{1,2}: (||f||^2 + ||df||^2)^{1/2} = sqrt(2) ||f||_2
