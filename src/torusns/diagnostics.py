@@ -77,8 +77,8 @@ class MonitorConfig:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.p_gain < 2:
-            raise ValueError("p_gain must be >= 2")
+        if self.p_gain < 2 or self.p_gain % 2:
+            raise ValueError(f"p_gain must be even and >= 2, got {self.p_gain}")
         if self.q_density is not None and self.q_density < 1:
             raise ValueError("q_density must be >= 1")
 
@@ -225,38 +225,11 @@ def pressure_field(state: FluidState, params: FluidParams) -> ScalarField:
 
 
 def effective_pressure(state: FluidState, params: FluidParams,
-                       pressure: ScalarField | None = None) -> ScalarField:
-    """G = (2 mu + lam) div u - P(rho) + mean P(rho); `pressure`, when given,
-    must be `pressure_field(state, params)` (it saves rebuilding it)."""
-    p = pressure_field(state, params) if pressure is None else pressure
-    g = divergence(state.u) * params.nu - p
-    return g + ScalarField.constant(state.grid, p.mean)
-
-
-def _log_parts(state: FluidState) -> tuple[ScalarField, ScalarField]:
-    """(log rho, inv_lap div(rho u)), the two terms of F."""
-    log_rho = pointwise(state.grid, np.log(state.rho.samples), dealiased=False)
-    return log_rho, _inv_lap_div(scale_vector(state.rho, state.u))
-
-
-def log_state(state: FluidState, params: FluidParams) -> ScalarField:
-    """F = (2 mu + lam) log rho + inv_laplacian(div(rho u)).
-
-    The viscosity factor multiplies only the log term: that is the reading
-    under which the transport identity for F follows from the momentum and
-    mass equations, which the residual test pins down.
-    """
-    if state.min_density <= 0:
-        raise VacuumError(state.t, state.min_density)
-    log_rho, flux = _log_parts(state)
-    return log_rho * params.nu + flux
-
-
-def log_state_rejected_reading(state: FluidState, params: FluidParams) -> ScalarField:
-    """The alternative reading with the factor on both terms; kept only so the
-    residual test can demonstrate that it fails to converge."""
-    log_rho, flux = _log_parts(state)
-    return (log_rho + flux) * params.nu
+                       pressure: ScalarField) -> ScalarField:
+    """G = (2 mu + lam) div u - P(rho) + mean P(rho), with `pressure` the
+    P(rho) of `pressure_field(state, params)`."""
+    g = divergence(state.u) * params.nu - pressure
+    return g + ScalarField.constant(state.grid, pressure.mean)
 
 
 @functools.lru_cache(maxsize=32)  # one entry per grid in use
@@ -298,11 +271,10 @@ def coifman_commutator(state: FluidState) -> tuple[ScalarField, float]:
 
 
 def effective_velocity(state: FluidState, params: FluidParams,
-                       pressure: ScalarField | None = None
-                       ) -> tuple[VectorField, VectorField]:
+                       pressure: ScalarField) -> tuple[VectorField, VectorField]:
     """(v1, v) with v = grad inv_lap (P(rho) - mean P) and v1 = u - v/nu;
     `pressure` as in `effective_pressure`."""
-    v = bogovskii(pressure_field(state, params) if pressure is None else pressure)
+    v = bogovskii(pressure)
     return state.u - v * (1.0 / params.nu), v
 
 
@@ -390,16 +362,6 @@ def _windows(count: int, load: Callable[[int], object]):
         yield window
 
 
-def _time_derivative(times: np.ndarray, fields: Sequence[Field]) -> list[Field]:
-    """Second-order centred (one-sided at the ends) time derivative of a field
-    series sampled at `times`."""
-    out = []
-    for w in _windows(len(fields), lambda n: n):
-        out.append(fields[0].with_coeffs(_difference(
-            times[w.items], [fields[i].coeffs for i in w.items], w.pos)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # snapshot passes: one state's shared fields, and the ledgers fed by them
 # ---------------------------------------------------------------------------
@@ -422,8 +384,19 @@ class _Snapshot:
         self.t = state.t
 
     @functools.cached_property
+    def p_values(self) -> np.ndarray:
+        """P(rho) at the grid points."""
+        return self.params.pressure(self.state.rho.samples)
+
+    @functools.cached_property
+    def dp_values(self) -> np.ndarray:
+        """P'(rho) at the grid points."""
+        return self.params.pressure.derivative(self.state.rho.samples)
+
+    @functools.cached_property
     def pressure(self) -> ScalarField:
-        return pressure_field(self.state, self.params)
+        """P(rho) as `pressure_field` builds it."""
+        return pointwise(self.state.grid, self.p_values)
 
     @functools.cached_property
     def velocities(self) -> tuple[VectorField, VectorField]:
@@ -460,6 +433,13 @@ class _Snapshot:
         return _coifman_parts(self.state)
 
     @functools.cached_property
+    def log_parts(self) -> tuple[ScalarField, ScalarField]:
+        """(log rho, inv_lap div(rho u)), the two terms of F; the second is
+        the potential that `coifman` holds."""
+        log_rho = pointwise(self.state.grid, np.log(self.state.rho.samples), dealiased=False)
+        return log_rho, self.coifman[1]
+
+    @functools.cached_property
     def rho_inf(self) -> float:
         return lebesgue_norm(self.state.rho, math.inf)
 
@@ -477,9 +457,10 @@ class _Snapshot:
 
     def release(self) -> None:
         """Drop the fields that only this snapshot's own window position
-        reads: a neighbour's time derivative reads u, v1 and v alone."""
-        for name in ("pressure", "effective", "vorticity", "div_v1", "grad_u", "grad_sq",
-                     "coifman"):
+        reads: a neighbour's time derivative reads u, (v1, v) and the terms
+        of F alone."""
+        for name in ("p_values", "dp_values", "pressure", "effective", "vorticity", "div_v1",
+                     "grad_u", "grad_sq", "coifman"):
             self.__dict__.pop(name, None)
 
 
@@ -490,14 +471,15 @@ class Accumulator:
     It is built from a run's record, whose `params`, `quadratures`,
     `stop_reason` and `stop_time` it may read (never its states, which a
     pass may stream from disk), and from the ledger's own arguments, kept as
-    `config`.  It keeps scalars per snapshot, not fields, so its memory does
-    not grow with a snapshot's size.
+    `config`.  It keeps scalars per snapshot in `rows`, not fields, so its
+    memory does not grow with a snapshot's size.
     """
 
     def __init__(self, run: Trajectory, *config):
         self.params = run.params
         self.config = config
         self.times: list[float] = []
+        self.rows: list = []
 
     def add(self, window: _Window) -> None:
         self.times.append(window.current.t)
@@ -532,23 +514,55 @@ def _report(source, ledger: type, *config):
     return acc.finish()
 
 
-def u_dot(trajectory: Trajectory) -> list[VectorField]:
-    """Material derivative du/dt = d_t u + (u . grad) u per snapshot, the
-    time part by centred differencing of the stored snapshots."""
-    return material_derivative(trajectory, [s.u for s in trajectory.states])
-
-
-def material_derivative(trajectory: Trajectory,
-                        fields: Sequence[Field]) -> list[Field]:
-    """d/dt = d_t + u . grad applied to a scalar or vector series along the
-    trajectory."""
-    return [dt_f + _advect(state.u, f) for state, f, dt_f in
-            zip(trajectory.states, fields, _time_derivative(trajectory.times, fields))]
+def _material_derivative(window: _Window, read: Callable[[_Snapshot], Field]) -> Field:
+    """d/dt = d_t + u . grad at the current snapshot of the scalar or vector
+    field read(snapshot), its time part from `_Window.time_derivative`."""
+    return window.time_derivative(read) + _advect(window.current.state.u, read(window.current))
 
 
 # ---------------------------------------------------------------------------
 # identity residual suites
 # ---------------------------------------------------------------------------
+
+class _InteriorResiduals(Accumulator):
+    """Sup norms of the residual fields that `residuals(window)` builds at
+    each interior snapshot, where the centred difference applies; fewer than
+    three snapshots raise."""
+
+    def add(self, window: _Window) -> None:
+        super().add(window)
+        if window.pos == 1:
+            self.rows.append(tuple(lebesgue_norm(res, math.inf)
+                                   for res in self.residuals(window)))
+
+    def columns(self) -> np.ndarray:
+        """One residual series per row."""
+        if len(self.times) < 3:
+            raise ValueError("need at least 3 snapshots for centred differencing")
+        return np.array(self.rows).T
+
+
+class _FTransport(_InteriorResiduals):
+    """Accumulator of `f_transport_residual`, its config the reading."""
+
+    def f_field(self, snap: _Snapshot) -> ScalarField:
+        """F of the snapshot under the reading; F needs positive density."""
+        if snap.state.min_density <= 0:
+            raise VacuumError(snap.t, snap.state.min_density)
+        log_rho, flux = snap.log_parts
+        nu = self.params.nu
+        return log_rho * nu + flux if self.config == ("adopted",) else (log_rho + flux) * nu
+
+    def residuals(self, window: _Window):
+        snap = window.current
+        p = snap.pressure
+        yield (_material_derivative(window, self.f_field) + p
+               - ScalarField.constant(snap.state.grid, p.mean) - snap.coifman[0]
+               - _inv_lap_div(_forcing_density(snap.state, self.params)))
+
+    def finish(self) -> np.ndarray:
+        return self.columns()[0]
+
 
 def f_transport_residual(trajectory: Trajectory,
                          reading: str = "adopted") -> np.ndarray:
@@ -557,23 +571,32 @@ def f_transport_residual(trajectory: Trajectory,
         d_t F + u . grad F + (P - mean P) - [u_j, R_i R_j](rho u_i)
             - inv_lap div(rho g) = 0
 
-    evaluated with centred time differencing (interior snapshots only).
-    reading = "adopted" uses F = nu log rho + inv_lap div(rho u);
-    reading = "rejected" uses the factor-on-both-terms variant, whose
-    residual does not vanish with dt.
+    at the interior snapshots, d_t F by centred differencing.  reading =
+    "adopted" uses F = nu log rho + inv_lap div(rho u), under which the
+    identity follows from the mass and momentum equations; reading =
+    "rejected" puts nu on both terms, and its residual does not vanish with dt.
     """
-    build = log_state if reading == "adopted" else log_state_rejected_reading
-    params = trajectory.params
-    states = trajectory.states
-    dots = material_derivative(trajectory, [build(s, params) for s in states])
-    out = []
-    for state, dot in zip(states[1:-1], dots[1:-1]):
-        p = pressure_field(state, params)
-        comm, _ = _coifman_parts(state)
-        resid = (dot + p - ScalarField.constant(state.grid, p.mean) - comm
-                 - _inv_lap_div(_forcing_density(state, params)))
-        out.append(lebesgue_norm(resid, math.inf))
-    return np.array(out)
+    return _report(trajectory, _FTransport, reading)
+
+
+class _EllipticIdentities(_InteriorResiduals):
+    """Accumulator of `elliptic_identities`, its config the forcing sign."""
+
+    def residuals(self, window: _Window):
+        snap, params = window.current, self.params
+        state = snap.state
+        rho_dot = scale_vector(state.rho, _material_derivative(window, lambda s: s.state.u))
+        rho_g = _forcing_density(state, params)
+        p_u, _ = leray_project(state.u)
+        p_dot, q_dot = leray_project(rho_dot)
+        p_g, q_g = leray_project(rho_g)
+        yield laplacian(p_u) * params.mu - p_dot + p_g
+        yield gradient(snap.effective) - q_dot + q_g
+        yield laplacian(snap.effective) - divergence(rho_dot + rho_g * self.config[0])
+
+    def finish(self) -> dict[str, np.ndarray]:
+        return dict(zip(("momentum_p_part", "effective_pressure_gradient",
+                         "effective_pressure_laplacian"), self.columns()))
 
 
 def elliptic_identities(trajectory: Trajectory,
@@ -584,30 +607,11 @@ def elliptic_identities(trajectory: Trajectory,
         grad G     = Q(rho udot) - Q(rho g)
         lap G      = div(rho (udot - g))
 
-    with udot from centred differencing. forcing_sign=+1 evaluates the
-    falsified +g variant of the lap G identity, which must not converge.
+    with udot = d_t u + u . grad u, d_t u by centred differencing.
+    forcing_sign=+1 evaluates the falsified +g variant of the lap G
+    identity, which must not converge.
     """
-    params = trajectory.params
-    states = trajectory.states
-    dots = u_dot(trajectory)
-    res_p, res_q, res_lap = [], [], []
-    for state, dot in zip(states[1:-1], dots[1:-1]):
-        rho_dot = scale_vector(state.rho, dot)
-        rho_g = _forcing_density(state, params)
-        p_u, _ = leray_project(state.u)
-        p_dot, q_dot = leray_project(rho_dot)
-        p_g, q_g = leray_project(rho_g)
-        g_field = effective_pressure(state, params)
-        res_p.append(lebesgue_norm(
-            laplacian(p_u) * params.mu - p_dot + p_g, math.inf))
-        res_q.append(lebesgue_norm(
-            gradient(g_field) - q_dot + q_g, math.inf))
-        res_lap.append(lebesgue_norm(
-            laplacian(g_field) - divergence(rho_dot + rho_g * forcing_sign),
-            math.inf))
-    return {"momentum_p_part": np.array(res_p),
-            "effective_pressure_gradient": np.array(res_q),
-            "effective_pressure_laplacian": np.array(res_lap)}
+    return _report(trajectory, _EllipticIdentities, forcing_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +638,14 @@ class EnergyLedger(Accumulator):
     def __init__(self, run: Trajectory):
         super().__init__(run)
         self.quadratures = run.quadratures
-        self.energy: list[float] = []
 
     def add(self, window: _Window) -> None:
         super().add(window)
-        self.energy.append(total_energy(window.current.state, self.params))
+        self.rows.append(total_energy(window.current.state, self.params))
 
     def finish(self) -> LedgerReport:
         n = len(self.times)
-        energy = np.array(self.energy)
+        energy = np.array(self.rows)
         diss = np.asarray(self.quadratures.get("dissipation") or np.zeros(n))
         work = np.asarray(self.quadratures.get("forcing_work") or np.zeros(n))
         slack = energy[0] + work - energy - diss
@@ -676,27 +679,23 @@ class _AFunctional(Accumulator):
     and its four components as time series, the right side of
     `grad_omega_budget`."""
 
-    def __init__(self, run: Trajectory):
-        super().__init__(run)
-        self.rates: list[tuple] = []
-
     def add(self, window: _Window) -> None:
         super().add(window)
-        state = window.current.state
-        law = self.params.pressure
-        rho = state.rho.samples
-        p = law(rho)
+        snap = window.current
+        state = snap.state
+        rho, p = state.rho.samples, snap.p_values
         du = window.time_derivative(lambda s: s.state.u)
-        self.rates.append((_rho_weighted_sq(state.rho, du),
-                           float(np.sum(p ** 2 * (rho * law.derivative(rho) - p)))
-                           * state.grid.cell_volume,
-                           dissipation_rate(state, self.params),
-                           float(np.sum(k_function(law, rho))) * state.grid.cell_volume))
+        self.rows.append((_rho_weighted_sq(state.rho, du),
+                          float(np.sum(p ** 2 * (rho * snap.dp_values - p)))
+                          * state.grid.cell_volume,
+                          dissipation_rate(state, self.params),
+                          float(np.sum(k_function(self.params.pressure, rho)))
+                          * state.grid.cell_volume))
 
     def finish(self) -> dict[str, np.ndarray]:
         times = np.array(self.times)
         nu = self.params.nu
-        kin_rate, press_rate, grad_rate, k_rate = f_weight(times) * np.array(self.rates).T
+        kin_rate, press_rate, grad_rate, k_rate = f_weight(times) * np.array(self.rows).T
         accel = _cumulative_trapezoid(kin_rate, times)
         press = _cumulative_trapezoid(press_rate, times) / nu ** 2
         grad_term = 0.5 * grad_rate
@@ -712,7 +711,6 @@ class GradOmegaBudget(Accumulator):
     def __init__(self, run: Trajectory):
         super().__init__(run)
         self.a = _AFunctional(run)
-        self.rows: list[tuple[float, float]] = []
 
     def add(self, window: _Window) -> None:
         super().add(window)
@@ -745,7 +743,6 @@ class IntegrabilityGain(Accumulator):
         if self.params.mu <= 0:
             raise ValueError("mu must be positive")
         self.p1 = p1
-        self.rows: list[tuple] = []
 
     def add(self, window: _Window) -> None:
         super().add(window)
@@ -808,10 +805,6 @@ def integrability_gain(trajectory: Trajectory | IntegrabilityGain, p1: int) -> L
 class DensityBoundLedger(Accumulator):
     """Accumulator of `density_bound_ledger`."""
 
-    def __init__(self, run: Trajectory):
-        super().__init__(run)
-        self.cols: list[tuple] = []
-
     def add(self, window: _Window) -> None:
         snap = window.current
         s = snap.state
@@ -824,13 +817,13 @@ class DensityBoundLedger(Accumulator):
         p = snap.pressure
         comm, phi = snap.coifman
         log_rho = np.log(s.rho.samples)
-        self.cols.append((p.mean, lebesgue_norm(p, math.inf), lebesgue_norm(comm, math.inf),
+        self.rows.append((p.mean, lebesgue_norm(p, math.inf), lebesgue_norm(comm, math.inf),
                           lebesgue_norm(phi, math.inf), np.max(log_rho), np.min(log_rho)))
 
     def finish(self) -> LedgerReport:
         nu = self.params.nu
         times = np.array(self.times)
-        mean_p, sup_p, comm_sup, pot_term, log_max, log_min = np.array(self.cols).T
+        mean_p, sup_p, comm_sup, pot_term, log_max, log_min = np.array(self.rows).T
         int_mean_p = _cumulative_trapezoid(mean_p, times)
         int_sup_p = _cumulative_trapezoid(sup_p, times)
         int_comm = _cumulative_trapezoid(comm_sup, times)
@@ -901,7 +894,6 @@ class BlowupMonitor(Accumulator):
         self.stop_reason, self.stop_time = run.stop_reason, run.stop_time
         self.seen = 0
         self.bad: list[float] = []   # times of snapshots that fail the density criterion
-        self.rows: list[tuple] = []
 
     def add(self, window: _Window) -> None:
         self.seen += 1
@@ -1010,7 +1002,6 @@ class TransportEstimate(Accumulator):
         # block maxima of the left side commute
         self.sup_norms = p == r == math.inf
         self.block_sup = None
-        self.rows: list[tuple[float, float, float]] = []
 
     def add(self, window: _Window) -> None:
         super().add(window)
@@ -1077,22 +1068,19 @@ def transport_estimate_report(trajectory: Trajectory | TransportEstimate,
 # effective-velocity energy ledger
 # ---------------------------------------------------------------------------
 
-def dtv_formula(state: FluidState, params: FluidParams,
-                pressure: ScalarField | None = None) -> VectorField:
+def dtv_formula(state: FluidState, p: ScalarField, dp: np.ndarray) -> VectorField:
     """Time derivative of the pressure potential field v from the mass
     equation alone:
 
         d_t v = Lambda^{-1}( -div(P u) + (P - rho P') div u
                              - mean(P div u) + mean(rho P' div u) )
 
-    with Lambda^{-1} the Bogovskii inverse grad inv_lap (. - mean);
-    `pressure` as in `effective_pressure`."""
+    with Lambda^{-1} the Bogovskii inverse grad inv_lap (. - mean), `p` the
+    P(rho) of `pressure_field` and `dp` the samples of P'(rho)."""
     grid = state.grid
-    p = pressure_field(state, params) if pressure is None else pressure
-    dp = pointwise(grid, params.pressure.derivative(state.rho.samples))
     div_u = divergence(state.u)
     pu = scale_vector(p, state.u)
-    rho_dp = multiply(state.rho, dp)
+    rho_dp = multiply(state.rho, pointwise(grid, dp))
     h = (divergence(pu) * -1.0) + multiply(p - rho_dp, div_u)
     # the mean mode survives dealiasing: each mean is that of the samples
     mean_terms = (-float(np.mean(p.samples * div_u.samples))
@@ -1107,7 +1095,6 @@ class V1EnergyLedger(Accumulator):
     def __init__(self, run: Trajectory):
         super().__init__(run)
         self.stop_time = run.stop_time
-        self.rows: list[tuple[float, float, float]] = []
 
     def add(self, window: _Window) -> None:
         snap = window.current
@@ -1121,7 +1108,7 @@ class V1EnergyLedger(Accumulator):
         if window.pos == 1:
             dt_v = window.time_derivative(lambda s: s.velocities[1])
             dtv_resid = lebesgue_norm(
-                dtv_formula(snap.state, params, snap.pressure) - dt_v, math.inf)
+                dtv_formula(snap.state, snap.pressure, snap.dp_values) - dt_v, math.inf)
         self.rows.append((_rho_weighted_sq(snap.state.rho, dt_v1),
                           _viscous_form(params, v1), dtv_resid))
 

@@ -23,11 +23,11 @@ def test_run_functions_take_params_from_the_trajectory(module):
     assert not both, f"take both `trajectory` and `params`: {both}"
 
 
-def _transform_references(source: str) -> set[str]:
-    """Dotted names of numpy.fft / scipy.fft transforms (or of the modules
-    themselves) that a module's code imports or refers to, through any
-    alias: `np.fft.rfftn`, `scipy.fft.irfftn`, `from scipy import fft`,
-    `from numpy.fft import rfft as f`, ..."""
+def _references(source: str) -> set[str]:
+    """Dotted names of the modules that a module's code imports, and of the
+    members of them that it refers to, through any alias: `np.fft.rfftn`,
+    `scipy.fft.irfftn`, `from scipy import fft`, `from numpy.fft import
+    rfft as f`, ..."""
     tree = ast.parse(source)
     bound = {}
     for node in ast.walk(tree):
@@ -51,7 +51,13 @@ def _transform_references(source: str) -> set[str]:
     inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names = set(bound.values()) | {dotted(node) for node in ast.walk(tree)
                                    if id(node) not in inner}
-    return {name for name in names if name for module in ("numpy.fft", "scipy.fft")
+    return {name for name in names if name}
+
+
+def _transform_references(source: str) -> set[str]:
+    """The references of `_references` to numpy.fft / scipy.fft transforms,
+    or to those modules themselves."""
+    return {name for name in _references(source) for module in ("numpy.fft", "scipy.fft")
             if (name == module or name.startswith(module + "."))
             and name[len(module) + 1:] not in NON_TRANSFORMS}
 
@@ -82,6 +88,31 @@ def test_transform_reference_is_seen(source):
 
 def test_frequency_helpers_are_not_transforms():
     assert not _transform_references("import numpy as np\nk = np.fft.fftfreq(8)")
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nnp.gradient(x, t, axis=0)",
+    "from numpy import gradient as g\ng(x)",
+])
+def test_gradient_reference_is_seen(source):
+    assert "numpy.gradient" in _references(source)
+
+
+def test_one_time_differencing_path():
+    """Every time derivative of the package is `_Window.time_derivative`,
+    the only reader of the difference weights `_difference`, so ledgers and
+    identity residuals difference alike, through the shared snapshot pass;
+    and no diagnostics code differences with np.gradient."""
+    trees, _ = _sources()
+    [window] = [c for c in trees["diagnostics.py"].body
+                if isinstance(c, ast.ClassDef) and c.name == "_Window"]
+    [method] = [f for f in window.body
+                if isinstance(f, ast.FunctionDef) and f.name == "time_derivative"]
+    inside = {id(n) for n in ast.walk(method)}
+    uses = [node for tree in trees.values() for node in ast.walk(tree)
+            if "_difference" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert uses and all(id(node) in inside for node in uses)
+    assert "numpy.gradient" not in _references(pathlib.Path(diagnostics.__file__).read_text())
 
 
 

@@ -358,6 +358,22 @@ class TestVerify:
         assert app.verify(outdir, "all").ok
         assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (72, 119)
 
+    def test_pressure_law_evaluated_once_per_snapshot(self, tmp_path, monkeypatch):
+        """`verify --suite all` evaluates P(rho) and P'(rho) once each per
+        checkpoint, shared by every suite and ledger (8 and 6 times on these
+        4 checkpoints when the A functional and the d_t v formula evaluated
+        the law themselves)."""
+        outdir = str(tmp_path / "run")
+        app.simulate(app.parse_config(FORCED_3D_CFG), outdir)
+        calls = {"__call__": 0, "derivative": 0}
+        for name in calls:
+            def counted(law, s, _real=getattr(dyn.PowerLaw, name), _name=name):
+                calls[_name] += 1
+                return _real(law, s)
+            monkeypatch.setattr(dyn.PowerLaw, name, counted)
+        assert app.verify(outdir, "all").ok
+        assert calls == {"__call__": 4, "derivative": 4}
+
     def test_listed_directory_is_a_missing_file(self, run_dir, tmp_path):
         outdir = _with_manifest(run_dir, tmp_path, lambda m: {
             **m, "files": m["files"] + [{"name": "sub", "sha256": "0"}]})

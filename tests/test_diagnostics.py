@@ -3,6 +3,8 @@ and blow-up monitors."""
 
 import functools
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -92,32 +94,37 @@ class TestPotentials:
 class TestEffectiveQuantities:
     def test_g_reduces_to_divergence_for_constant_density(self, grid, params):
         state = dyn.stream_vortex_state(grid, 1.3, 0.4)
-        g = diag.effective_pressure(state, params)
+        g = diag.effective_pressure(state, params, diag.pressure_field(state, params))
         ref = sp.divergence(state.u) * params.nu
         assert sp.lebesgue_norm(g - ref, INF) < 1e-12
 
     def test_g_and_f_at_rest(self, grid, params):
         state = dyn.equilibrium_state(grid, 1.7)
-        assert sp.lebesgue_norm(diag.effective_pressure(state, params), INF) == 0.0
-        f = diag.log_state(state, params)
+        snap = diag._Snapshot(state, params)
+        assert sp.lebesgue_norm(snap.effective, INF) == 0.0
+        log_rho, flux = snap.log_parts
+        f = log_rho * params.nu + flux
         assert abs(f.mean - params.nu * math.log(1.7)) < 1e-12
         assert sp.lebesgue_norm(f - sp.ScalarField.constant(grid, f.mean), INF) < 1e-12
 
-    def test_f_requires_positive_density(self, grid, params):
-        state = dyn.FluidState(sp.ScalarField.constant(grid, 0.0),
-                               sp.VectorField.zero(grid), 0.0)
+    @pytest.mark.parametrize("reading", ["adopted", "rejected"])
+    def test_f_requires_positive_density(self, grid, params, reading):
+        states = [dyn.FluidState(sp.ScalarField.constant(grid, 0.0),
+                                 sp.VectorField.zero(grid), t) for t in (0.0, 0.1, 0.2)]
+        traj = dyn.Trajectory(states, "completed", 0.2,
+                              dyn.SolverConfig(t_end=0.2, dt=0.1), params)
         with pytest.raises(dyn.VacuumError):
-            diag.log_state(state, params)
+            diag.f_transport_residual(traj, reading)
 
     def test_v1_of_constant_density(self, grid, params):
         state = dyn.stream_vortex_state(grid, 1.0, 0.5)
-        v1, v = diag.effective_velocity(state, params)
+        v1, v = diag.effective_velocity(state, params, diag.pressure_field(state, params))
         assert sp.lebesgue_norm(v, INF) < 1e-12
         assert sp.lebesgue_norm(v1 - state.u, INF) < 1e-12
 
     def test_v1_of_still_fluid_is_gradient(self, grid, params, random_state):
         state = dyn.FluidState(random_state.rho, sp.VectorField.zero(grid), 0.0)
-        v1, v = diag.effective_velocity(state, params)
+        v1, v = diag.effective_velocity(state, params, diag.pressure_field(state, params))
         assert sp.lebesgue_norm(v1 + v * (1.0 / params.nu), INF) < 1e-13
         assert sp.lebesgue_norm(sp.curl(v1), INF) < 1e-11
 
@@ -189,19 +196,40 @@ class TestCoifman:
             assert abs(np.max(np.abs(state.rho.samples - 1.0)) - 0.4) < 1e-12
 
 
+def _material_series(traj, read):
+    """`_material_derivative` of the field read(snapshot) at every snapshot
+    of the run, through one `feed` pass."""
+    out = []
+
+    class Probe:
+        def add(self, window):
+            out.append(diag._material_derivative(window, read))
+
+    diag.feed([Probe()], traj.params, len(traj), traj.states.__getitem__)
+    return out
+
+
+def _series_reader(traj, fields):
+    """A reader of the explicit field series `fields`, one per snapshot of
+    the run (whose times are distinct)."""
+    index = {t: n for n, t in enumerate(traj.times)}
+    return lambda snap: fields[index[snap.t]]
+
+
 class TestMaterialDerivative:
     def test_time_constant_field_at_rest(self, grid, params):
         state = dyn.equilibrium_state(grid, 1.0)
         cfg = dyn.SolverConfig(t_end=0.05, dt=0.01)
         traj = dyn.run(state, params, cfg)
         f = sp.ScalarField.from_function(grid, lambda x, y: np.cos(x))
-        series = diag.material_derivative(traj, [f] * len(traj))
+        series = _material_series(traj, _series_reader(traj, [f] * len(traj)))
+        assert len(series) == len(traj)
         assert all(sp.lebesgue_norm(s, INF) < 1e-12 for s in series)
 
     def test_equilibrium_u_dot_zero(self, grid, params):
         traj = dyn.run(dyn.equilibrium_state(grid, 1.0), params,
                        dyn.SolverConfig(t_end=0.05, dt=0.01))
-        for dot in diag.u_dot(traj):
+        for dot in _material_series(traj, lambda snap: snap.state.u):
             assert sp.lebesgue_norm(dot, INF) < 1e-12
 
     def test_advected_scalar_against_characteristics(self, grid):
@@ -219,7 +247,7 @@ class TestMaterialDerivative:
         traj = dyn.Trajectory(states, "completed", 0.5,
                               dyn.SolverConfig(t_end=0.5, dt=0.05),
                               dyn.FluidParams(0.1, 0.1, LAW))
-        series = diag.material_derivative(traj, fields)
+        series = _material_series(traj, _series_reader(traj, fields))
         err = max(sp.lebesgue_norm(s, INF) for s in series[1:-1])
         assert err < 1e-3  # O(dt^2) with dt = 0.05
 
@@ -232,8 +260,9 @@ class TestMaterialDerivative:
                        [s.u for s in traj.states]):
             dt = np.gradient(np.stack([f.coeffs for f in series]), traj.times,
                              axis=0, edge_order=2)
-            for state, f, d, got in zip(traj.states, series, dt,
-                                        diag.material_derivative(traj, series)):
+            got_series = _material_series(traj, _series_reader(traj, series))
+            assert len(got_series) == len(traj)
+            for state, f, d, got in zip(traj.states, series, dt, got_series):
                 comps = f.components if f.rank else [f]
                 adv = [sum((sp.multiply(state.u.component(i), sp.partial(c, i))
                             for i in range(grid.dim)), sp.ScalarField.zero(grid))
@@ -246,7 +275,7 @@ class TestMaterialDerivative:
         traj = dyn.Trajectory([state, state], "completed", 0.0,
                               dyn.SolverConfig(t_end=1.0, dt=1.0), params)
         with pytest.raises(ValueError):
-            diag.u_dot(traj)
+            _material_series(traj, lambda snap: snap.state.u)
 
 
 class TestTransportResidualF:
@@ -294,6 +323,92 @@ class TestEllipticIdentities:
                     "effective_pressure_laplacian"):
             assert maxima[0.02][key] / maxima[0.01][key] > 3.0
         assert maxima[0.02]["bad"] / maxima[0.01]["bad"] < 1.5
+
+
+#: the residual functions of the O(dt^2) identities, each series by name
+RESIDUALS = {
+    "f_adopted": lambda traj: {"f": diag.f_transport_residual(traj, "adopted")},
+    "f_rejected": lambda traj: {"f": diag.f_transport_residual(traj, "rejected")},
+    "elliptic": lambda traj: diag.elliptic_identities(traj),
+    "elliptic_plus_g": lambda traj: diag.elliptic_identities(traj, forcing_sign=+1.0),
+}
+
+
+class TestResidualPass:
+    """The identity residuals run on the shared snapshot pass: a window of
+    three snapshots, whatever the run's length."""
+
+    @staticmethod
+    def _run(ms, dt, t_end):
+        cfg = dyn.SolverConfig(t_end=t_end, dt=dt, snapshot_every=1)
+        return dyn.run(ms.state(sp.TorusGrid(2, 32), 0.0), ms.params(), cfg)
+
+    @pytest.mark.parametrize("name", sorted(RESIDUALS))
+    def test_at_most_three_snapshots_alive(self, manufactured_run, monkeypatch, name):
+        traj, _, _ = manufactured_run
+        assert len(traj) >= 20
+        live = weakref.WeakSet()
+        most = []
+
+        class Counted(diag._Snapshot):
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.add(self)
+                most.append(len(live))
+
+        monkeypatch.setattr(diag, "_Snapshot", Counted)
+        RESIDUALS[name](traj)
+        assert len(most) == len(traj) and max(most) == 3
+
+    @pytest.mark.parametrize("name", sorted(RESIDUALS))
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_needs_three_snapshots(self, manufactured_run, name, count):
+        traj, params, _ = manufactured_run
+        short = dyn.Trajectory(traj.states[:count], "completed", traj.times[count - 1],
+                               traj.config, params)
+        with pytest.raises(ValueError, match="at least 3 snapshots"):
+            RESIDUALS[name](short)
+
+    @pytest.mark.parametrize("name", sorted(RESIDUALS))
+    def test_nan_density_gives_nan_at_its_entry(self, manufactured_run, name):
+        traj, params, _ = manufactured_run
+        states = list(traj.states[:7])
+        s = states[3]
+        rho = s.rho.samples.copy()
+        rho[(0,) * rho.ndim] = math.nan
+        states[3] = dyn.FluidState(sp.ScalarField.from_samples(s.grid, rho), s.u, s.t)
+        broken = dyn.Trajectory(states, "completed", s.t, traj.config, params)
+        for series in RESIDUALS[name](broken).values():
+            assert len(series) == 5 and math.isnan(series[2])
+
+    @pytest.mark.parametrize("name, budget", [("f_adopted", (113, 71)),
+                                              ("elliptic", (85, 99))])
+    def test_transform_budget(self, manufactured_run, fft_calls, name, budget):
+        """Forward and inverse fields on 11 snapshots of 2-D 32^2: F reads the
+        potential inv_lap div(rho u) that the snapshot's Coifman commutator
+        holds, and each snapshot transforms its u once (125 and 67, 89 and
+        107 when the residuals differenced whole-run field lists)."""
+        _, _, ms = manufactured_run
+        traj = self._run(ms, 0.01, 0.1)
+        assert len(traj) == 11
+        fft_calls.clear()
+        RESIDUALS[name](traj)
+        assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == budget
+
+    @pytest.mark.parametrize("name", ["f_adopted", "elliptic"])
+    def test_peak_memory_flat_in_the_snapshot_count(self, manufactured_run, name):
+        _, _, ms = manufactured_run
+        peaks = []
+        for dt in (0.02, 0.005):
+            traj = self._run(ms, dt, 0.2)
+            RESIDUALS[name](traj)  # fills the per-grid caches
+            tracemalloc.start()
+            try:
+                RESIDUALS[name](traj)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 class TestEnergyLedger:
@@ -479,6 +594,14 @@ class TestDensityBounds:
 
 
 class TestBlowupMonitor:
+    @pytest.mark.parametrize("p_gain", [0, 1, 3, 5])
+    def test_monitor_config_rejects_a_gain_the_ledger_rejects(self, p_gain):
+        """p_gain is the integrability ledger's p1, which must be even and
+        >= 2: the config refuses what the ledger would."""
+        with pytest.raises(ValueError, match="even"):
+            diag.MonitorConfig(p_gain=p_gain)
+        assert diag.MonitorConfig(p_gain=6).p_gain == 6
+
     def test_criterion_exponent_arithmetic(self):
         assert diag.criterion_exponent(3, 2.0, 0.5) == 9.0
         assert diag.criterion_exponent(2, 2.0, 0.5) == 7.0
@@ -594,27 +717,40 @@ def test_vector_besov_keeps_a_nan_in_any_position(part, grid, spec):
         assert math.isnan(diag._vector_besov(part, fields, spec))
 
 
+def _count_law_calls(monkeypatch) -> dict[str, list[np.ndarray]]:
+    """The densities that every power law is evaluated at, by method."""
+    calls = {"__call__": [], "derivative": []}
+    for name, seen in calls.items():
+        def counted(law, s, _real=getattr(dyn.PowerLaw, name), _seen=seen):
+            _seen.append(np.asarray(s))
+            return _real(law, s)
+        monkeypatch.setattr(dyn.PowerLaw, name, counted)
+    return calls
+
+
+def _once_each(seen, states) -> bool:
+    """Whether `seen` holds one evaluation at each state's density, in order."""
+    return (len(seen) == len(states)
+            and all(np.array_equal(a, s.rho.samples) for a, s in zip(seen, states)))
+
+
 def test_pressure_built_once_per_snapshot(vortex_run, part, monkeypatch):
-    """compute_diagnostics shares one pressure field per snapshot between
-    v1_identities (v1, G and grad P) and the effective-pressure column."""
+    """compute_diagnostics evaluates the pressure law once per snapshot and
+    shares the field between v1_identities (v1, G and grad P) and the
+    effective-pressure column."""
     traj, params = vortex_run
     want = diag.compute_diagnostics(traj, diag.MonitorConfig(), part)
-    calls = []
-    built = diag.pressure_field
-
-    def counted(*args):
-        calls.append(args)
-        return built(*args)
-
-    monkeypatch.setattr(diag, "pressure_field", counted)
+    calls = _count_law_calls(monkeypatch)
     got = diag.compute_diagnostics(traj, diag.MonitorConfig(), part)
-    assert len(calls) == len(traj)
+    assert _once_each(calls["__call__"], traj.states)
+    assert calls["derivative"] == []
     assert [r.row() for r in got] == [r.row() for r in want]
 
 
 def test_release_keeps_only_what_a_neighbour_reads(grid, params, random_state):
-    """After `release` a snapshot keeps, of its cached fields, only (v1, v),
-    which the time derivatives of its neighbours read, and a float."""
+    """After `release` a snapshot keeps, of its cached fields, only (v1, v)
+    and the terms of F, which the time derivatives of its neighbours read,
+    and a float."""
     snap = diag._Snapshot(random_state, params)
     cached = [name for name, value in vars(diag._Snapshot).items()
               if isinstance(value, functools.cached_property)]
@@ -622,7 +758,7 @@ def test_release_keeps_only_what_a_neighbour_reads(grid, params, random_state):
         getattr(snap, name)
     snap.v1_residuals()
     snap.release()
-    assert set(cached) & set(vars(snap)) == {"velocities", "rho_inf"}
+    assert set(cached) & set(vars(snap)) == {"velocities", "rho_inf", "log_parts"}
 
 
 def test_diagnostics_leave_stored_states_as_built():
@@ -674,18 +810,14 @@ class TestV1EnergyLedger:
         assert np.max(np.abs(rep.column("weighted_gradient"))) < 1e-12
 
     def test_pressure_built_once_per_snapshot(self, grid, params, monkeypatch):
+        """P(rho) once per snapshot, and P'(rho) once per interior snapshot,
+        where the d_t v formula is checked."""
         traj = dyn.run(dyn.stream_vortex_state(grid, 1.0, 0.5), params,
                        dyn.SolverConfig(t_end=0.06, dt=0.01))
-        built = []
-        real = diag.pressure_field
-
-        def counted(state, params):
-            built.append(state.t)
-            return real(state, params)
-
-        monkeypatch.setattr(diag, "pressure_field", counted)
+        calls = _count_law_calls(monkeypatch)
         diag.v1_energy_ledger(traj)
-        assert sorted(built) == sorted(s.t for s in traj.states)
+        assert _once_each(calls["__call__"], traj.states)
+        assert _once_each(calls["derivative"], traj.states[1:-1])
 
     def test_dtv_formula_second_order(self):
         grid = sp.TorusGrid(2, 32)
