@@ -209,9 +209,7 @@ def _constant_forcing(amplitude: float) -> dyn.ForcingFn:
 def build_problem(config: ExperimentConfig) -> Problem:
     v = config.values
     grid = sp.TorusGrid(v["grid.dim"], v["grid.points_per_axis"])
-    gamma = v["fluid.gamma"]
-    law = dyn.IsothermalLaw(v["fluid.a"]) if gamma == 1.0 \
-        else dyn.PowerLaw(v["fluid.a"], gamma)
+    law = dyn.PowerLaw(v["fluid.a"], v["fluid.gamma"])
     ms = None
     forcing = None
     if v["init.preset"] == "manufactured":
@@ -427,6 +425,24 @@ def _check_integrity(outdir: str, manifest: dict) -> list[str]:
     return failures
 
 
+def _check_facts(outdir: str, manifest: dict, paths: list[str]) -> list[str]:
+    """The manifest's facts that the run directory, whose checkpoints are
+    `paths` in time order, contradicts: config digest, checkpoint count,
+    step count, stop time against the last checkpoint's, and stop reason."""
+    count, steps, stop = len(paths), manifest.get("step_count"), manifest["stop_time"]
+    last = dyn.checkpoint_time(paths[-1])
+    holds = {
+        "config_hash": manifest.get("config_hash")
+        == load_config(os.path.join(outdir, CONFIG_FILE)).digest(),
+        "snapshots": manifest.get("snapshots") == count,
+        "step_count": type(steps) is int and steps >= count - 1,
+        "stop_time": stop == last or (stop > last and manifest["stop_reason"] != "completed"),
+        "stop_reason": manifest["stop_reason"] in dyn.STOP_REASONS,
+    }
+    return [f"manifest {key} {manifest.get(key)!r} contradicts the run directory"
+            for key, ok in holds.items() if not ok]
+
+
 class _IdentitySuite:
     """Machine-precision identities on every checkpoint.
 
@@ -607,6 +623,8 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     current, next) states; all of them share each state's derived fields
     while it is in the window, so at most three states are held at once.
 
+    A file that fails its checksum, or a manifest fact that the directory
+    contradicts (`_check_facts`), fails every suite before the pass runs.
     Machine-precision identity failures and monitor-contract violations
     make the result (and the exit code) fail; inequality ledgers only
     report their empirical constants.
@@ -614,7 +632,7 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
     manifest, problem, run, paths = _load_run(outdir)
-    failures = _check_integrity(outdir, manifest)
+    failures = _check_integrity(outdir, manifest) + _check_facts(outdir, manifest, paths)
     if failures:
         return VerifyResult(False, failures, {})
     checks, ledgers = [], {}

@@ -24,7 +24,6 @@ from .spectral import (
     TorusGrid,
     VectorField,
     curl,
-    dealias,
     divergence,
     gradient,
     gradient_sum,
@@ -43,6 +42,7 @@ from .spectral import (
     sobolev_norm,
     to_coeffs,
     velocity_gradient,
+    _dealiased_values,
     _inv_laplacian_symbol,
 )
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
@@ -110,14 +110,19 @@ class LedgerReport:
     notes: str = ""
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv(self.columns, self.rows)
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
         return np.array([row[idx] for row in self.rows])
+
+
+def _csv(columns: Sequence[str], rows) -> str:
+    """A header line of `columns`, then one line per row of float reprs."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _ratio_ledger(name: str, columns: dict[str, np.ndarray], lhs, rhs,
@@ -167,7 +172,7 @@ def _moment(state: FluidState, p1: float) -> float:
 def _advect(u: VectorField, f: Field) -> Field:
     """u . grad f for a scalar or vector f, dealiased like `multiply`."""
     adv = sum(ui * gi for ui, gi in zip(u.samples, velocity_gradient(f)))
-    return dealias(f.from_samples(f.grid, adv))
+    return _dealiased_values(type(f), f.grid, adv)
 
 
 def _inv_lap_div(x: VectorField) -> ScalarField:
@@ -469,14 +474,15 @@ class Accumulator:
     `finish` returns its report.
 
     It is built from a run's record, whose `params`, `quadratures`,
-    `stop_reason` and `stop_time` it may read (never its states, which a
-    pass may stream from disk), and from the ledger's own arguments, kept as
+    `stop_reason` and `stop_time` it keeps (never its states, which a pass
+    may stream from disk), and from the ledger's own arguments, kept as
     `config`.  It keeps scalars per snapshot in `rows`, not fields, so its
     memory does not grow with a snapshot's size.
     """
 
     def __init__(self, run: Trajectory, *config):
-        self.params = run.params
+        self.params, self.quadratures = run.params, run.quadratures
+        self.stop_reason, self.stop_time = run.stop_reason, run.stop_time
         self.config = config
         self.times: list[float] = []
         self.rows: list = []
@@ -634,10 +640,6 @@ def dissipation_rate(state: FluidState, params: FluidParams) -> float:
 
 class EnergyLedger(Accumulator):
     """Accumulator of `energy_ledger`."""
-
-    def __init__(self, run: Trajectory):
-        super().__init__(run)
-        self.quadratures = run.quadratures
 
     def add(self, window: _Window) -> None:
         super().add(window)
@@ -891,7 +893,6 @@ class BlowupMonitor(Accumulator):
                  window_end: float | None = None):
         super().__init__(run, monitor, window_end)
         self.monitor, self.window_end = monitor, window_end
-        self.stop_reason, self.stop_time = run.stop_reason, run.stop_time
         self.seen = 0
         self.bad: list[float] = []   # times of snapshots that fail the density criterion
 
@@ -1092,10 +1093,6 @@ def dtv_formula(state: FluidState, p: ScalarField, dp: np.ndarray) -> VectorFiel
 class V1EnergyLedger(Accumulator):
     """Accumulator of `v1_energy_ledger`."""
 
-    def __init__(self, run: Trajectory):
-        super().__init__(run)
-        self.stop_time = run.stop_time
-
     def add(self, window: _Window) -> None:
         snap = window.current
         if snap.state.min_density <= 0:
@@ -1188,19 +1185,24 @@ class DiagnosticRecord:
         return out
 
 
-def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
-                        partition: DyadicPartition) -> list[DiagnosticRecord]:
-    """Per-snapshot bundle of norms, functionals, exact-identity residuals,
-    and sanity flags."""
-    params = trajectory.params
-    _, q_dens = _criterion_exponents(params, monitor, trajectory.initial.grid.dim)
-    diss = trajectory.quadratures.get("dissipation", [0.0] * len(trajectory))
-    work = trajectory.quadratures.get("forcing_work", [0.0] * len(trajectory))
-    eps_spec = BesovSpec(monitor.epsilon, math.inf, math.inf)
-    records = []
-    for n, stored in enumerate(trajectory.states):
-        snap = _Snapshot(stored, params)
-        state = snap.state
+class _Diagnostics(Accumulator):
+    """Accumulator of `compute_diagnostics`: one DiagnosticRecord per snapshot."""
+
+    def __init__(self, run: Trajectory, monitor: MonitorConfig, partition: DyadicPartition):
+        super().__init__(run, monitor, partition)
+        _, self.q_dens = _criterion_exponents(self.params, monitor, partition.grid.dim)
+        self.eps_spec = BesovSpec(monitor.epsilon, math.inf, math.inf)
+
+    def _cumulative(self, name: str, n: int) -> float:
+        """Entry n of a run quadrature: 0 without it, NaN past its end."""
+        series = self.quadratures.get(name)
+        if series is None:
+            return 0.0
+        return series[n] if n < len(series) else math.nan
+
+    def add(self, window: _Window) -> None:
+        n, snap = window.index, window.current
+        state, params, (monitor, partition) = snap.state, self.params, self.config
         positive = state.min_density > 0
         gu_mag = np.sqrt(snap.grad_sq)
         kin = 0.5 * _rho_weighted_sq(state.rho, state.u)
@@ -1210,14 +1212,14 @@ def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
             "mass": state.mass,
             "min_rho": state.min_density,
             "rho_linf": lebesgue_norm(state.rho, math.inf),
-            "rho_lq": lebesgue_norm(state.rho, q_dens),
+            "rho_lq": lebesgue_norm(state.rho, self.q_dens),
             "grad_u_l2": float(math.sqrt(np.sum(gu_mag ** 2) * state.grid.cell_volume)),
             "grad_u_linf": float(np.max(gu_mag)),
             "kinetic": kin,
             "potential": pot,
             "energy": kin + pot if positive else math.nan,
-            "dissipation_cum": diss[n] if n < len(diss) else math.nan,
-            "forcing_work_cum": work[n] if n < len(work) else math.nan,
+            "dissipation_cum": self._cumulative("dissipation", n),
+            "forcing_work_cum": self._cumulative("forcing_work", n),
             "p1_moment": _moment(state, monitor.p_gain),
         }
         residuals = v1_identities(state, params, snap)
@@ -1225,14 +1227,20 @@ def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
         values["curl_v1_residual"] = residuals["curl_v1"]
         values["lap_decomposition_residual"] = residuals["lap_u_decomposition"]
         values["effective_pressure_l2"] = lebesgue_norm(snap.effective, 2)
-        values["rho_besov_eps"] = besov_norm(partition, state.rho, eps_spec)
-        records.append(DiagnosticRecord(
+        values["rho_besov_eps"] = besov_norm(partition, state.rho, self.eps_spec)
+        self.rows.append(DiagnosticRecord(
             state.t, values, {"finite": state.is_finite(), "positive": positive}))
-    return records
+
+    def finish(self) -> list[DiagnosticRecord]:
+        return self.rows
+
+
+def compute_diagnostics(trajectory: Trajectory, monitor: MonitorConfig,
+                        partition: DyadicPartition) -> list[DiagnosticRecord]:
+    """Per-snapshot bundle of norms, functionals, exact-identity residuals,
+    and sanity flags, on the shared snapshot pass."""
+    return _report(trajectory, _Diagnostics, monitor, partition)
 
 
 def records_to_csv(records: Sequence[DiagnosticRecord]) -> str:
-    lines = [",".join(RECORD_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(repr(float(v)) for v in rec.row()))
-    return "\n".join(lines) + "\n"
+    return _csv(RECORD_COLUMNS, (rec.row() for rec in records))

@@ -55,6 +55,8 @@ class VacuumError(SolverStop):
 #: stop reasons of a run that ended without a fault; every other reason
 #: (vacuum, cfl, nonfinite) is abnormal
 NORMAL_STOPS = frozenset({"completed", "max_steps"})
+#: every stop reason that `run` records
+STOP_REASONS = NORMAL_STOPS | {"vacuum", "cfl", "nonfinite"}
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +64,8 @@ NORMAL_STOPS = frozenset({"completed", "max_steps"})
 # ---------------------------------------------------------------------------
 
 class PowerLaw:
-    """Barotropic pressure P(s) = a s^gamma with a > 0, gamma >= 1."""
+    """Barotropic pressure P(s) = a s^gamma with a > 0, gamma >= 1; gamma = 1
+    is the isothermal law."""
 
     def __init__(self, a: float, gamma: float):
         if a <= 0:
@@ -79,42 +82,20 @@ class PowerLaw:
         return self.a * self.gamma * np.asarray(s, dtype=float) ** (self.gamma - 1.0)
 
     def potential(self, s):
-        """Pressure potential s * int_0^s P(z)/z^2 dz = a s^gamma / (gamma-1)."""
+        """Pressure potential with s Pi'(s) - Pi(s) = P(s): a s^gamma / (gamma-1),
+        and for gamma = 1 the logarithmic form a s log s (0 at s <= 0)."""
+        s = np.asarray(s, dtype=float)
         if self.gamma == 1.0:
-            raise ValueError(
-                "gamma = 1 has no power-law potential; use IsothermalLaw explicitly")
-        return self.a * np.asarray(s, dtype=float) ** self.gamma / (self.gamma - 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = self.a * s * np.log(np.maximum(s, 1e-300))
+            return np.where(s > 0, out, 0.0)
+        return self.a * s ** self.gamma / (self.gamma - 1.0)
 
     def rescaled(self, factor: float) -> "PowerLaw":
         return PowerLaw(self.a * factor, self.gamma)
 
     def __repr__(self):
         return f"PowerLaw(a={self.a}, gamma={self.gamma})"
-
-
-class IsothermalLaw:
-    """P(s) = a s; the potential takes the logarithmic form a s log s."""
-
-    def __init__(self, a: float):
-        if a <= 0:
-            raise ValueError(f"pressure coefficient a must be positive, got {a}")
-        self.a = float(a)
-        self.gamma = 1.0
-
-    def __call__(self, s):
-        return self.a * np.asarray(s, dtype=float)
-
-    def derivative(self, s):
-        return self.a * np.ones_like(np.asarray(s, dtype=float))
-
-    def potential(self, s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.a * s * np.log(np.maximum(s, 1e-300))
-        return np.where(s > 0, out, 0.0)
-
-    def rescaled(self, factor: float) -> "IsothermalLaw":
-        return IsothermalLaw(self.a * factor)
 
 
 class TabulatedLaw:
@@ -174,7 +155,7 @@ class TabulatedLaw:
 class FluidParams:
     mu: float
     lam: float
-    pressure: PowerLaw | IsothermalLaw | TabulatedLaw
+    pressure: PowerLaw | TabulatedLaw
     forcing: ForcingFn | None = None
 
     @property
@@ -292,8 +273,8 @@ class Trajectory:
 def cfl_limit(state: FluidState, params: FluidParams) -> float:
     """min(h/|u|_inf, h^2 min(rho)/(2mu+lam), h/sqrt(max P'(rho))), the
     sound speed taken at every sample: P' need not grow with rho (a concave
-    tabulated law), and for the power and isothermal laws, where it does,
-    the maximum is P'(max rho)."""
+    tabulated law), and for a power law, where it does, the maximum is
+    P'(max rho)."""
     grid = state.grid
     h = grid.spacing
     bounds = []
@@ -312,12 +293,12 @@ def cfl_limit(state: FluidState, params: FluidParams) -> float:
 # ---------------------------------------------------------------------------
 
 def _rk4(rhs, t: float, ys: tuple, dt: float) -> tuple:
-    """One classical RK4 step over a tuple of arrays; rhs(t, ys) returns
-    the slopes."""
-    k1 = rhs(t, ys)
-    k2 = rhs(t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k1)))
-    k3 = rhs(t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k2)))
-    k4 = rhs(t + dt, tuple(y + dt * k for y, k in zip(ys, k3)))
+    """One classical RK4 step over a tuple of arrays, the package's only
+    one; rhs(stage, t, ys) returns the slopes of stage 0, 1, 2 or 3."""
+    k1 = rhs(0, t, ys)
+    k2 = rhs(1, t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k1)))
+    k3 = rhs(2, t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k2)))
+    k4 = rhs(3, t + dt, tuple(y + dt * k for y, k in zip(ys, k3)))
     return tuple(y + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
                  for y, s1, s2, s3, s4 in zip(ys, k1, k2, k3, k4))
 
@@ -337,16 +318,17 @@ class _Stepper:
     pair feeds both momentum components it belongs to, so no pass copies or
     masks the product coefficients.
 
-    In `step`, every stage writes the one product array of the stepper, and
-    stage n of every step writes the slope array that stage n of the
-    previous step wrote: the stepper owns one product array and four slope
-    arrays for as long as it lives (one run).  A stage's product array is
-    read only until its integrands are taken, before the next stage runs;
-    RK4 combines all four slopes at the end of the step.  Allocated afresh
-    per stage, these arrays went back to the kernel and were faulted in
-    again whenever the rest of the heap left no hole for them, which made a
-    step's cost depend on what unrelated code held (35k rather than 3.5-8k
-    minor faults per sim2d-vortex cycle, `tools/heap_churn.py`)."""
+    Every stage writes the one product array of the stepper, and stage n of
+    every step writes the slope array that stage n of the previous step
+    wrote: the stepper owns one product array and four slope arrays for as
+    long as it lives (one run, split or `rhs_eval`).  A stage's product
+    array is read only until its integrands are taken, before the next
+    stage runs; RK4 combines all four slopes at the end of the step.
+    Allocated afresh per stage, these arrays went back to the kernel and
+    were faulted in again whenever the rest of the heap left no hole for
+    them, which made a step's cost depend on what unrelated code held (35k
+    rather than 3.5-8k minor faults per sim2d-vortex cycle,
+    `tools/heap_churn.py`)."""
 
     def __init__(self, grid: TorusGrid, params: FluidParams, vacuum_floor: float):
         self.grid = grid
@@ -376,14 +358,10 @@ class _Stepper:
         self._arrays: dict[object, np.ndarray] = {}
 
     def _array(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """An uninitialised array: a new one for key None, else the one kept
-        under `key` for every step to reuse."""
-        if key is None:
-            return np.empty(shape, dtype=dtype)
-        a = self._arrays.get(key)
-        if a is None:
-            a = self._arrays[key] = np.empty(shape, dtype=dtype)
-        return a
+        """The uninitialised array kept under `key` for every step to reuse."""
+        if key not in self._arrays:
+            self._arrays[key] = np.empty(shape, dtype=dtype)
+        return self._arrays[key]
 
     def forcing_samples(self, t: float) -> np.ndarray | None:
         if self.params.forcing is None:
@@ -413,13 +391,12 @@ class _Stepper:
         return out
 
     # -----------------------------------------------------------------------
-    def rhs(self, t: float, y: np.ndarray, samples: np.ndarray | None = None,
-            stage: int | None = None):
-        """Returns (dy, aux) where aux carries the stage fields; ``samples``,
-        when given, must be the inverse transform of y.  With a ``stage``
-        index, dy is that stage's own, valid until the same stage of the next
-        step runs, and the product array that aux views is the one every
-        stage shares, valid until the next stage runs (see the class
+    def rhs(self, stage: int, t: float, y: np.ndarray, samples: np.ndarray | None = None):
+        """Returns (dy, aux) of RK4 stage ``stage`` (0 to 3), where aux carries
+        the stage fields; ``samples``, when given, must be the inverse
+        transform of y.  dy is the stage's own, valid until the same stage of
+        the next step runs, and the product array that aux views is the one
+        every stage shares, valid until the next stage runs (see the class
         docstring)."""
         grid, dim = self.grid, self.grid.dim
         s = to_samples(grid, y) if samples is None else samples
@@ -429,8 +406,7 @@ class _Stepper:
             raise VacuumError(t, min_rho)
         g_s = self.forcing_samples(t)
         n_flux = dim + len(self.pairs)
-        prod = self._array(None if stage is None else "prod",
-                           (n_flux + (0 if g_s is None else dim),) + grid.shape)
+        prod = self._array("prod", (n_flux + (0 if g_s is None else dim),) + grid.shape)
         u_s = np.divide(m_s, rho_s, out=prod[:dim])
         for p, (i, j) in enumerate(self.pairs, start=dim):
             np.multiply(m_s[i], u_s[j], out=prod[p])
@@ -442,7 +418,7 @@ class _Stepper:
         c = to_coeffs(grid, prod)
         u_c = c[:dim]
         div_u = self.divergence(u_c, np.empty(grid.spectral_shape, dtype=c.dtype))
-        dy = self._array(None if stage is None else ("dy", stage), y.shape, y.dtype)
+        dy = self._array(("dy", stage), y.shape, y.dtype)
         np.negative(self.divergence(y[1:], dy[0]), out=dy[0])
         self.momentum(u_c, div_u, c[dim:n_flux], self.pair_terms, dy[1:])
         force_c = None
@@ -496,13 +472,11 @@ class _Stepper:
         the stage's own product and slope arrays are freed before the next
         stage allocates the same sizes again."""
         quads = {}
-        stages = iter(enumerate((1.0, 2.0, 2.0, 1.0)))
 
-        def rhs(s, ys):
-            stage, w = next(stages)
-            dy, aux = self.rhs(s, ys[0], samples if ys[0] is y else None, stage)
+        def rhs(stage, s, ys):
+            dy, aux = self.rhs(stage, s, ys[0], samples if stage == 0 else None)
             for name, val in self.quadrature_values(aux).items():
-                quads[name] = quads.get(name, 0.0) + dt / 6 * w * val
+                quads[name] = quads.get(name, 0.0) + dt / 6 * (1, 2, 2, 1)[stage] * val
             return (dy,)
 
         (y,) = _rk4(rhs, t, (y,), dt)
@@ -538,7 +512,7 @@ def rhs_eval(state: FluidState, params: FluidParams) -> tuple[ScalarField, Vecto
     if state.min_density <= 0:
         raise VacuumError(state.t, state.min_density)
     stepper = _Stepper(state.grid, params, vacuum_floor=0.0)
-    dy, _ = stepper.rhs(state.t, _conservative(state, stepper.keep))
+    dy, _ = stepper.rhs(0, state.t, _conservative(state, stepper.keep))
     return ScalarField(state.grid, dy[0]), VectorField(state.grid, dy[1:])
 
 
@@ -689,12 +663,9 @@ def flow_map(trajectory: Trajectory, seeds: np.ndarray) -> ParticlePaths:
         mid_coeffs = sum(w * v.coeffs for w, v in
                          zip(weights, velocities[stencil]))
         u_mid = VectorField(trajectory.states[0].grid, mid_coeffs)
-        u0, u1 = velocities[i], velocities[i + 1]
-        k1 = fourier_eval(u0, x)
-        k2 = fourier_eval(u_mid, x + h / 2 * k1)
-        k3 = fourier_eval(u_mid, x + h / 2 * k2)
-        k4 = fourier_eval(u1, x + h * k3)
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        stage_u = (velocities[i], u_mid, u_mid, velocities[i + 1])
+        (x,) = _rk4(lambda stage, t, ys: (fourier_eval(stage_u[stage], ys[0]),),
+                    times[i], (x,), h)
         out[i + 1] = x
     return ParticlePaths(times, out)
 
@@ -731,8 +702,8 @@ def linear_split(trajectory: Trajectory) -> SplitResult:
     w1 = y[1:].copy()                      # rho0 w1(0) = rho0 u0 = m0
     w2 = np.zeros_like(w1)
 
-    def rhs(t, ys):
-        dy, aux = stepper.rhs(t, ys[0])
+    def rhs(stage, t, ys):
+        dy, aux = stepper.rhs(stage, t, ys[0])
         return (dy, stepper.passenger_rhs(aux, ys[1], False),
                 stepper.passenger_rhs(aux, ys[2], True))
 

@@ -61,9 +61,9 @@ from .spectral import (
     lebesgue_norm,
     multiply,
     partial,
+    pointwise,
     random_field,
     sample_norm,
-    to_coeffs,
     to_samples,
     _check_same_grid,
     _frozen,
@@ -322,10 +322,6 @@ def besov_norm(partition: DyadicPartition, f: Field, spec: BesovSpec) -> float:
 # Bony decomposition
 # ---------------------------------------------------------------------------
 
-def _dealiased(grid: TorusGrid, samples: np.ndarray) -> ScalarField:
-    return dealias(ScalarField(grid, to_coeffs(grid, samples), copy=False))
-
-
 def _visited(stack: _Stack, other: _Stack) -> np.ndarray:
     """The rows of `stack` whose products with `other` a kernel forms: the
     rows `_block_stack` transformed (reach != 0, NaN included), or every row
@@ -389,7 +385,7 @@ def paraproduct(partition: DyadicPartition, low: ScalarField, high: ScalarField,
     rebuilding them)."""
     if stacks is None:
         stacks = _block_stack(partition, low), _block_stack(partition, high)
-    return _dealiased(partition.grid, _paraproduct(*stacks))
+    return pointwise(partition.grid, _paraproduct(*stacks))
 
 
 def remainder(partition: DyadicPartition, u: ScalarField, v: ScalarField,
@@ -400,7 +396,7 @@ def remainder(partition: DyadicPartition, u: ScalarField, v: ScalarField,
     rebuilding them)."""
     if stacks is None:
         stacks = _block_stack(partition, u), _block_stack(partition, v)
-    return _dealiased(partition.grid, _remainder(*stacks))
+    return pointwise(partition.grid, _remainder(*stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +431,7 @@ def transport_commutator(partition: DyadicPartition, u: VectorField,
         uk = u.component(k).samples
         first += uk * partial(block_a, k).samples
         second += uk * partial(a, k).samples
-    return _dealiased(grid, first) - dyadic_block(partition, q, _dealiased(grid, second))
+    return pointwise(grid, first) - dyadic_block(partition, q, pointwise(grid, second))
 
 
 def eight_way_split(partition: DyadicPartition, u: VectorField,
@@ -474,7 +470,7 @@ def eight_way_split(partition: DyadicPartition, u: VectorField,
     qa_blocks = _block_stack(partition, block_a)
 
     def delta_q(samples: np.ndarray) -> ScalarField:
-        return dyadic_block(partition, q, _dealiased(grid, samples))
+        return dyadic_block(partition, q, pointwise(grid, samples))
 
     # sums over k of the samples of: T_{u1k} d_k Delta_q a, T_{u1k} d_k a,
     # T_{d_k Delta_q a} u1k, T_{d_k a} u1k, R(u1k, d_k Delta_q a),
@@ -489,7 +485,7 @@ def eight_way_split(partition: DyadicPartition, u: VectorField,
         _paraproduct(u1k, dak, t1q)
         _paraproduct(dqk, u1k, t2)
         _paraproduct(dak, u1k, t3)
-        piece4 = piece4 + partial(_dealiased(grid, _remainder(u1k, qa_blocks)), k)
+        piece4 = piece4 + partial(pointwise(grid, _remainder(u1k, qa_blocks)), k)
         piece6 = piece6 - partial(delta_q(_remainder(u1k, a_blocks)), k)
         _remainder(u1k, dqk, r5)
         _remainder(u1k, dak, r7)
@@ -498,14 +494,14 @@ def eight_way_split(partition: DyadicPartition, u: VectorField,
         p8q += s0k * sum(dak.rows)
         # free this component's stacks before the next one builds its own
         del u1k, dak, dqk
-    return [_dealiased(grid, t1) - delta_q(t1q),
-            _dealiased(grid, t2),
+    return [pointwise(grid, t1) - delta_q(t1q),
+            pointwise(grid, t2),
             -delta_q(t3),
             piece4,
-            _dealiased(grid, r5) - piece4,
+            pointwise(grid, r5) - piece4,
             piece6,
             -piece6 - delta_q(r7),
-            _dealiased(grid, p8) - delta_q(p8q)]
+            pointwise(grid, p8) - delta_q(p8q)]
 
 
 # ---------------------------------------------------------------------------

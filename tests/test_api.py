@@ -115,6 +115,17 @@ def test_one_time_differencing_path():
     assert "numpy.gradient" not in _references(pathlib.Path(diagnostics.__file__).read_text())
 
 
+def test_snapshots_built_only_by_the_pass():
+    """A `_Snapshot` is built only in `feed`, the one snapshot pass, and in
+    `v1_identities`' fallback for a lone state, so no per-snapshot loop of
+    the package runs beside the pass."""
+    trees, _ = _sources()
+    builders = sorted(
+        f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+        for call in ast.walk(node) if isinstance(call, ast.Call)
+        and "_Snapshot" in (getattr(call.func, "id", None), getattr(call.func, "attr", None)))
+    assert builders == ["diagnostics.py:feed", "diagnostics.py:v1_identities"], builders
+
 
 @functools.cache
 def _sources():

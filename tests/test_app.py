@@ -713,6 +713,32 @@ class TestCli:
         assert err == ("error: malformed manifest.json: its `files` list names "
                        "no .nsb checkpoint\n")
 
+    @pytest.mark.parametrize("key", ["config_hash", "snapshots", "step_count", "stop_time",
+                                     "stop_reason"])
+    def test_manifest_fact_contradicted_exit_code(self, run_dir, tmp_path, capsys, key):
+        """Each fact that the manifest states about its run is checked
+        against the directory by every suite, and a wrong one is a named
+        verification failure."""
+        value = {"config_hash": "0" * 64, "snapshots": 99, "step_count": 0,
+                 "stop_time": 123.0, "stop_reason": "bogus"}[key]
+        outdir = _with_manifest(run_dir, tmp_path, lambda m: {**m, key: value})
+        for suite in app.VERIFY_SUITES:
+            assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 2
+            assert capsys.readouterr().out == (
+                f"FAIL manifest {key} {value!r} contradicts the run directory\n"
+                "verification failed\n")
+
+    @pytest.mark.parametrize("after, ok", [(0.01, True), (0.0, True), (-0.01, False)])
+    def test_abnormal_stop_time_not_before_the_last_checkpoint(self, run_dir, tmp_path,
+                                                               after, ok):
+        """An abnormal stop may come after the last checkpoint (a vacuum
+        found after a step that no snapshot stored), never before it."""
+        last = dyn.checkpoint_time(os.path.join(run_dir, "state_000002.nsb"))
+        outdir = _with_manifest(run_dir, tmp_path, lambda m: {
+            **m, "stop_reason": "vacuum", "stop_time": last + after})
+        result = app.verify(outdir, "monitors")
+        assert result.ok == ok, result.failures
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             app.main(["analyze", "--help"])

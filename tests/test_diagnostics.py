@@ -333,17 +333,21 @@ RESIDUALS = {
     "elliptic_plus_g": lambda traj: diag.elliptic_identities(traj, forcing_sign=+1.0),
 }
 
+#: the functions of a run that go through the shared snapshot pass
+PASSES = {**RESIDUALS, "diagnostics": lambda traj: diag.compute_diagnostics(
+    traj, diag.MonitorConfig(), lp.build_partition(traj.initial.grid))}
+
 
 class TestResidualPass:
-    """The identity residuals run on the shared snapshot pass: a window of
-    three snapshots, whatever the run's length."""
+    """The identity residuals (and `compute_diagnostics`) run on the shared
+    snapshot pass: a window of three snapshots, whatever the run's length."""
 
     @staticmethod
     def _run(ms, dt, t_end):
         cfg = dyn.SolverConfig(t_end=t_end, dt=dt, snapshot_every=1)
         return dyn.run(ms.state(sp.TorusGrid(2, 32), 0.0), ms.params(), cfg)
 
-    @pytest.mark.parametrize("name", sorted(RESIDUALS))
+    @pytest.mark.parametrize("name", sorted(PASSES))
     def test_at_most_three_snapshots_alive(self, manufactured_run, monkeypatch, name):
         traj, _, _ = manufactured_run
         assert len(traj) >= 20
@@ -357,7 +361,7 @@ class TestResidualPass:
                 most.append(len(live))
 
         monkeypatch.setattr(diag, "_Snapshot", Counted)
-        RESIDUALS[name](traj)
+        PASSES[name](traj)
         assert len(most) == len(traj) and max(most) == 3
 
     @pytest.mark.parametrize("name", sorted(RESIDUALS))

@@ -17,7 +17,7 @@ LAW = dyn.PowerLaw(1.0, 2.0)
 _KNOTS = np.geomspace(1e-3, 8.0, 40)
 # a tabulated law through linear samples interpolates exactly, so P(rho)
 # stays band-limited and the scaled state remains representable
-EVERY_LAW = (LAW, dyn.IsothermalLaw(1.0), dyn.TabulatedLaw(_KNOTS, 0.5 * _KNOTS))
+EVERY_LAW = (LAW, dyn.PowerLaw(1.0, 1.0), dyn.TabulatedLaw(_KNOTS, 0.5 * _KNOTS))
 
 
 @pytest.fixture(scope="module")
@@ -42,11 +42,8 @@ class TestPressureLaws:
         # gamma = 2: potential = a rho^2 / (gamma - 1) = a rho^2
         assert abs(law.potential(3.0) - 2.0 * 9.0) < 1e-12
 
-    def test_gamma_one_requires_explicit_log_form(self):
-        law = dyn.PowerLaw(1.0, 1.0)
-        with pytest.raises(ValueError, match="IsothermalLaw"):
-            law.potential(1.0)
-        iso = dyn.IsothermalLaw(1.0)
+    def test_gamma_one_takes_the_log_potential(self):
+        iso = dyn.PowerLaw(1.0, 1.0)
         assert abs(iso.potential(2.0) - 2.0 * math.log(2.0)) < 1e-12
         assert iso.potential(0.0) == 0.0
 
@@ -176,7 +173,7 @@ class TestRhs:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the stage dissipation against the full dim x dim gradient array
         stepper = dyn._Stepper(grid, params, 0.0)
-        _, aux = stepper.rhs(0.0, dyn._conservative(state, stepper.keep))
+        _, aux = stepper.rhs(0, 0.0, dyn._conservative(state, stepper.keep))
         u_c = aux["u_c"]
         ref = grid.volume * (
             params.mu * sp.parseval_sum(grid, stepper.dk[:, None] * u_c[None])
@@ -288,7 +285,7 @@ class TestStep:
         assert limit == pytest.approx(want, rel=1e-12)
         assert law.derivative(np.max(rho.samples)) < 0.5 * np.max(law.derivative(rho.samples))
 
-    @pytest.mark.parametrize("law", [dyn.PowerLaw(1.0, 1.4), dyn.IsothermalLaw(2.0)],
+    @pytest.mark.parametrize("law", [dyn.PowerLaw(1.0, 1.4), dyn.PowerLaw(2.0, 1.0)],
                              ids=["power", "isothermal"])
     def test_cfl_unchanged_for_monotone_sound_speed(self, law):
         grid = sp.TorusGrid(2, 16)
