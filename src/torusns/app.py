@@ -621,7 +621,8 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     The checkpoints are read one at a time, in time order, in one pass that
     feeds every check and ledger of the suite through a window of (previous,
     current, next) states; all of them share each state's derived fields
-    while it is in the window, so at most three states are held at once.
+    while it is in the window, so at most three states are held at once
+    (one for a suite whose checks differentiate nothing in time).
 
     A file that fails its checksum, or a manifest fact that the directory
     contradicts (`_check_facts`), fails every suite before the pass runs.

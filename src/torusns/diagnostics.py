@@ -332,10 +332,12 @@ class _Window:
     """Up to three consecutive items of a time series and the position of
     the current one among them: (previous, current, next) inside the series,
     its first three at its first item and its last three at its last, which
-    the one-sided differences at the ends read."""
+    the one-sided differences at the ends read; or the current item alone,
+    for a pass that differentiates nothing in time."""
 
-    def __init__(self):
+    def __init__(self, span: int):
         self.items: list = []
+        self.span = span
         self.pos = 0
         self.index = 0   # of the current item in the series
 
@@ -345,23 +347,26 @@ class _Window:
 
     def time_derivative(self, read: Callable[["_Snapshot"], Field]) -> Field:
         """d/dt at the current snapshot of the field read(snapshot)."""
+        if self.span == 1:
+            raise RuntimeError("time derivative on a pass whose accumulators "
+                               "declare none (`differentiates`)")
         fields = [read(s) for s in self.items]
         return fields[0].with_coeffs(_difference([s.t for s in self.items],
                                                  [f.coeffs for f in fields], self.pos))
 
 
-def _windows(count: int, load: Callable[[int], object]):
-    """Yield one `_Window` per item n = 0 .. count-1 in order, loading each
-    item once with load(n).  The same window object is updated in place, and
-    an item leaves it before the next one is loaded, so at most three loaded
-    items are alive at any time."""
-    window = _Window()
+def _windows(count: int, load: Callable[[int], object], span: int):
+    """Yield one `_Window` of up to `span` (3 or 1) items per item n = 0 ..
+    count-1 in order, loading each item once with load(n).  The same window
+    object is updated in place, and an item leaves it before the next one is
+    loaded, so at most `span` loaded items are alive at any time."""
+    window = _Window(span)
     first = 0
     for n in range(count):
-        start = min(max(n - 1, 0), max(count - 3, 0))
+        start = min(max(n - span // 2, 0), max(count - span, 0))
         del window.items[:start - first]
         first = start
-        while len(window.items) < min(3, count - start):
+        while len(window.items) < min(span, count - start):
             window.items.append(load(start + len(window.items)))
         window.pos, window.index = n - start, n
         yield window
@@ -477,8 +482,12 @@ class Accumulator:
     `stop_reason` and `stop_time` it keeps (never its states, which a pass
     may stream from disk), and from the ledger's own arguments, kept as
     `config`.  It keeps scalars per snapshot in `rows`, not fields, so its
-    memory does not grow with a snapshot's size.
+    memory does not grow with a snapshot's size.  `differentiates` is true
+    for a ledger that reads the neighbours of the current snapshot (a time
+    derivative).
     """
+
+    differentiates = False
 
     def __init__(self, run: Trajectory, *config):
         self.params, self.quadratures = run.params, run.quadratures
@@ -498,8 +507,12 @@ def feed(accumulators: Sequence, params: FluidParams, count: int,
          load: Callable[[int], FluidState]) -> None:
     """One pass over the `count` states that load(n) returns in time order:
     every accumulator gets every window, so all of them share each state's
-    `_Snapshot`, and at most three states are held at once."""
-    for window in _windows(count, lambda n: _Snapshot(load(n), params)):
+    `_Snapshot`.  At most three states are held at once, and one when no
+    accumulator differentiates in time (an accumulator without a
+    `differentiates` attribute does not), so a snapshot's fields are freed
+    as soon as every accumulator has read it."""
+    span = 3 if any(getattr(acc, "differentiates", False) for acc in accumulators) else 1
+    for window in _windows(count, lambda n: _Snapshot(load(n), params), span):
         for acc in accumulators:
             acc.add(window)
         window.current.release()
@@ -534,6 +547,8 @@ class _InteriorResiduals(Accumulator):
     """Sup norms of the residual fields that `residuals(window)` builds at
     each interior snapshot, where the centred difference applies; fewer than
     three snapshots raise."""
+
+    differentiates = True
 
     def add(self, window: _Window) -> None:
         super().add(window)
@@ -681,6 +696,8 @@ class _AFunctional(Accumulator):
     and its four components as time series, the right side of
     `grad_omega_budget`."""
 
+    differentiates = True
+
     def add(self, window: _Window) -> None:
         super().add(window)
         snap = window.current
@@ -709,6 +726,8 @@ class _AFunctional(Accumulator):
 
 class GradOmegaBudget(Accumulator):
     """Accumulator of `grad_omega_budget`."""
+
+    differentiates = True   # through its A functional
 
     def __init__(self, run: Trajectory):
         super().__init__(run)
@@ -1092,6 +1111,8 @@ def dtv_formula(state: FluidState, p: ScalarField, dp: np.ndarray) -> VectorFiel
 
 class V1EnergyLedger(Accumulator):
     """Accumulator of `v1_energy_ledger`."""
+
+    differentiates = True
 
     def add(self, window: _Window) -> None:
         snap = window.current

@@ -16,46 +16,43 @@ part (s(k) + conj(s(k*)))/2, which is what taking the real part of a
 full-lattice inverse transform does implicitly on the Nyquist planes.
 
 This module holds the package's only transform calls, ``to_coeffs`` and
-``to_samples``; each looks its library function up on the module at call
-time.  The engine follows ``grid.dim``:
+``to_samples``.  In 2-D and 3-D alike they call the compiled pocketfft
+kernels of scipy, ``r2c`` and ``c2r``, on one thread, with the arguments
+that ``scipy.fft.rfftn``/``irfftn(norm="forward", workers=1)`` pass them, so
+the results are scipy's bit for bit.  The first ``TorusGrid`` loads the
+kernel module from its file (``_kernels``) without importing ``scipy.fft``,
+whose import brings ``scipy.special`` and more and cost every fresh 3-D
+process about 0.2 s and 19 MiB, all to reach these two functions.  Each
+call looks its kernel up on the module at call time.  A missing kernel
+file is an ImportError: there is no second engine to fall back on.
 
-* a 2-D grid uses ``numpy.fft`` in two 1-D passes, in the axis order of
-  ``scipy.fft.rfftn``: forward, ``rfft`` over the last axis, then ``fft``
-  over axis -2 in place; inverse, ``ifft`` over axis -2, then ``irfft`` over
-  the last axis.  On power-of-two grids the results are bit-identical to
-  ``scipy.fft.rfftn``/``irfftn`` (the per-axis 1/M factors are exact), and a
-  2-D run never imports scipy, whose ``scipy.fft`` costs every fresh process
-  about 0.15 s and 23 MiB;
-* a 3-D grid uses ``scipy.fft.rfftn``/``irfftn`` on one worker, imported by
-  the first 3-D ``TorusGrid``.  Its pocketfft batches several strided lines
-  into each SIMD operation, where numpy's transforms them one at a time.
+Milliseconds per call, one thread of a 2-vCPU x86 host (numpy 2.4.6,
+scipy 1.17.1): for each shape, the median over eight arrays at different
+addresses of the median of 9 interleaved samples; "one / per" is the range
+over those arrays of the ratio of one inverse call over the stack to one
+call per field.  The host's speed drifts by up to 2x between runs, which
+moves the times but not the ratios:
 
-Milliseconds per call, median of 15 samples of 20 calls, one thread of a
-2-vCPU x86 host (numpy 2.4.6, scipy 1.17.1); np is the two passes above in
-2-D and ``numpy.fft.rfftn``/``irfftn`` in 3-D, sp is ``scipy.fft``:
+=============  =======  ===============  ==================  =========
+fields x grid  forward  inverse, 1 call  inverse, per field  one / per
+=============  =======  ===============  ==================  =========
+1 x 128^2      0.141    0.147            -                   -
+2 x 128^2      0.291    0.299            0.320               0.91-1.00
+3 x 128^2      0.428    0.820            0.488               0.99-1.85
+5 x 128^2      0.769    1.519            0.887               1.06-1.83
+1 x 32^3       0.437    0.448            -                   -
+2 x 32^3       0.852    0.940            0.950               0.86-1.02
+4 x 32^3       1.725    2.200            2.007               0.97-1.66
+12 x 32^3      5.579    8.368            6.333               1.16-1.36
+=============  =======  ===============  ==================  =========
 
-=====================  ===============  ===============
-shape (fields, grid)   forward np / sp  inverse np / sp
-=====================  ===============  ===============
-1 x 128^2              0.072 / 0.068    0.071 / 0.074
-3 x 128^2              0.190 / 0.185    0.193 / 0.201
-5 x 128^2              0.335 / 0.324    0.707 / 0.721
-1 x 32^3               0.235 / 0.185    0.220 / 0.195
-4 x 32^3               1.038 / 0.722    1.010 / 0.816
-12 x 32^3              5.617 / 2.312    5.232 / 3.166
-=====================  ===============  ===============
-
-The 3-D np rows overstate numpy's cost.  Three 1-D passes in scipy's axis
-order (forward ``rfft`` over axis -1, then ``fft`` over -3 and -2; inverse
-``ifft`` over -3 and -2, then ``irfft`` over -1) are bit-identical to
-``scipy.fft`` on 32^3, and a whole seed-0 ``sim3d-dense`` run directory
-through them is byte-identical.  They are 12-20 % slower per call, not 2.4x
-(interleaved medians: 12 x 32^3 forward 4.98 against 4.45 ms, where
-``numpy.fft.rfftn`` took 12.3; 1 x 32^3 inverse 0.44 against 0.36 ms).
-Moving 3-D onto them was measured and not taken: ``sim3d-dense``
-``peak_rss_mb`` fell 104 -> 86 MiB and ``setup_s`` 0.42 -> 0.28 s, but
-``simulate_s`` and ``verify_s`` rose about 20 % (three alternating benchmark
-pairs), more than the memory is worth, so 3-D stays on scipy.
+So ``to_samples`` makes one call over a stack of at most two fields and one
+call per field above that.  The kernels replaced two engines: 3-D grids ran
+``scipy.fft``, and 2-D grids ran ``numpy.fft`` in two 1-D passes, which the
+kernels match bit for bit and beat at 128^2 in interleaved per-call
+timings: by 7-14 % forward on one to four fields, 3-7 % inverse on one and
+two, and 44 % inverse on three and four (0.22 against 0.40 and 0.29
+against 0.53 ms).
 
 A field computes whichever of its coefficients and samples it was not built
 from on first read.  All operations are pure; field objects are immutable
@@ -65,7 +62,11 @@ after construction.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,8 +117,7 @@ class TorusGrid:
 
     def __init__(self, dim: int, points_per_axis: int):
         check_grid_parameters(dim, points_per_axis)
-        if dim == 3:
-            import scipy.fft  # noqa: F401  the 3-D engine, loaded at set-up
+        _kernels()  # the transform engine, loaded at set-up
         m = int(points_per_axis)
         self.dim = dim
         self.n = m
@@ -149,6 +149,37 @@ class TorusGrid:
 
     def __repr__(self) -> str:
         return f"TorusGrid(dim={self.dim}, points_per_axis={self.n})"
+
+
+KERNELS = "scipy.fft._pocketfft.pypocketfft"
+
+
+@functools.cache
+def _kernels():
+    """scipy's compiled pocketfft module, loaded from its file once per
+    process without importing ``scipy.fft``.
+
+    It is registered under its own name, so a later ``import scipy.fft``
+    (a tabulated law's ``scipy.interpolate`` brings one) reuses it, and a
+    module that such an import has loaded already is taken as it is."""
+    if KERNELS in sys.modules:
+        return sys.modules[KERNELS]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates, imports nothing
+    folder = None if scipy_spec is None else os.path.join(
+        scipy_spec.submodule_search_locations[0], "fft", "_pocketfft")
+    spec = folder and importlib.machinery.PathFinder.find_spec(KERNELS, [folder])
+    if spec is None:
+        from importlib import metadata  # the error path alone pays for it
+        try:
+            version = f"scipy {metadata.version('scipy')}"
+        except metadata.PackageNotFoundError:
+            version = "scipy not installed"
+        raise ImportError(f"no {KERNELS} extension in {folder} ({version})",
+                          name=KERNELS, path=folder)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[KERNELS] = module
+    return module
 
 
 @functools.lru_cache(maxsize=32)  # one entry per grid size in use
@@ -184,36 +215,25 @@ def _dealias_mask(grid: TorusGrid) -> np.ndarray:
 def to_coeffs(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     """Normalized half-spectrum coefficients of real samples; leading axes
     beyond the grid's are a batch transformed in one call."""
-    if grid.dim == 2:
-        c = np.fft.rfft(samples, axis=-1, norm="forward")
-        return np.fft.fft(c, axis=-2, norm="forward", out=c)
-    import scipy.fft
-    return scipy.fft.rfftn(samples, axes=grid.axes, norm="forward", workers=1)
+    # forward, normalized by 1/size (inorm 2), into a new array, one thread
+    return _kernels().r2c(samples, grid.axes, True, 2, None, 1)
 
 
 def _inverse(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """One inverse transform call, on the engine of ``grid.dim``."""
-    if grid.dim == 2:
-        return np.fft.irfft(np.fft.ifft(coeffs, axis=-2, norm="forward"),
-                            n=grid.n, axis=-1, norm="forward")
-    import scipy.fft
-    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward",
-                            workers=1)
+    """One inverse transform call over the grid's axes."""
+    # last axis of length M, backward, not normalized (inorm 0), new array, one thread
+    return _kernels().c2r(coeffs, grid.axes, grid.n, False, 0, None, 1)
 
 
 def to_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples of half-spectrum coefficients (inverse of to_coeffs).
 
-    Leading axes are a stack of fields.  A stack in 3-D, or of more than
-    three fields in 2-D, is transformed one field per call, with
-    bit-identical results: a batched inverse was the slower one there (one
-    thread of a 2-vCPU x86 host, medians: 2.41 against 1.53 ms over
-    (3, 32, 32, 17) with scipy, 1.11 against 0.61 ms over (8, 128, 65) with
-    numpy), and no faster over the (3, 128, 65) stack of a 2-D step, which
-    keeps its single call."""
+    Leading axes are a stack of fields.  A stack of more than two fields
+    is transformed one field per call, with bit-identical results: one call
+    over it was up to 1.85 times slower, depending on the array's address,
+    and at best 3 % faster (the table in the module docstring)."""
     lead = coeffs.shape[:coeffs.ndim - grid.dim]
-    n_fields = math.prod(lead)
-    if n_fields == 1 or (grid.dim == 2 and n_fields <= 3):
+    if math.prod(lead) <= 2:
         return _inverse(grid, coeffs)
     out = np.empty(lead + grid.shape)
     for index in np.ndindex(lead):

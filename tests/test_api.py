@@ -11,6 +11,11 @@ from torusns import diagnostics, dynamics
 
 #: helpers of numpy.fft / scipy.fft that transform nothing
 NON_TRANSFORMS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
+#: scipy's compiled pocketfft module, which `spectral` loads by name from its
+#: file, and the transforms it holds
+KERNELS = "scipy.fft._pocketfft.pypocketfft"
+KERNEL_TRANSFORMS = {"c2c", "r2c", "c2r", "r2r_fftpack", "dct", "dst",
+                     "separable_hartley", "genuine_hartley"}
 
 
 @pytest.mark.parametrize("module", [diagnostics, dynamics], ids=lambda m: m.__name__)
@@ -56,22 +61,30 @@ def _references(source: str) -> set[str]:
 
 def _transform_references(source: str) -> set[str]:
     """The references of `_references` to numpy.fft / scipy.fft transforms,
-    or to those modules themselves."""
-    return {name for name in _references(source) for module in ("numpy.fft", "scipy.fft")
-            if (name == module or name.startswith(module + "."))
-            and name[len(module) + 1:] not in NON_TRANSFORMS}
+    or to those modules themselves, and the ways to the compiled kernels
+    that need no import statement: a string naming their module, and the
+    read of a kernel transform off any object (a handle to the module)."""
+    found = {name for name in _references(source) for module in ("numpy.fft", "scipy.fft")
+             if (name == module or name.startswith(module + "."))
+             and name[len(module) + 1:] not in NON_TRANSFORMS}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and KERNELS.rpartition(".")[2] in node.value:
+            found.add(KERNELS)
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_TRANSFORMS:
+            found.add(f"{KERNELS}.{node.attr}")
+    return found
 
 
 def test_only_spectral_reaches_a_transform_entry_point():
     """Every transform of the package goes through `spectral.to_coeffs` and
-    `spectral.to_samples`, which is why the `fft_calls` fixture and the
-    benchmark's tracer, counting the library entry points, see them all."""
+    `spectral.to_samples`, the only users of the compiled kernels, which is
+    why the `fft_calls` fixture, counting the kernel calls, sees them all."""
     src = pathlib.Path(dynamics.__file__).parent
     users = {path.name: refs for path in sorted(src.glob("*.py"))
              if (refs := _transform_references(path.read_text()))}
     assert set(users) == {"spectral.py"}, users
-    assert {"numpy.fft.rfft", "numpy.fft.fft", "numpy.fft.ifft", "numpy.fft.irfft",
-            "scipy.fft.rfftn", "scipy.fft.irfftn"} <= users["spectral.py"]
+    assert users["spectral.py"] == {KERNELS, f"{KERNELS}.r2c", f"{KERNELS}.c2r"}
 
 
 @pytest.mark.parametrize("source", [
@@ -81,6 +94,8 @@ def test_only_spectral_reaches_a_transform_entry_point():
     "from numpy.fft import irfftn as back\nback(c)",
     "import numpy.fft as F\ng = F",
     "from scipy.fft import *",
+    "import sys\nk = sys.modules['scipy.fft._pocketfft.pypocketfft']",
+    "from torusns import spectral\nspectral._kernels().c2r(c, (0, 1), 8, False, 0, None, 1)",
 ])
 def test_transform_reference_is_seen(source):
     assert _transform_references(source)

@@ -202,6 +202,8 @@ def _material_series(traj, read):
     out = []
 
     class Probe:
+        differentiates = True
+
         def add(self, window):
             out.append(diag._material_derivative(window, read))
 
@@ -277,6 +279,18 @@ class TestMaterialDerivative:
         with pytest.raises(ValueError):
             _material_series(traj, lambda snap: snap.state.u)
 
+    def test_undeclared_differentiation_raises(self, vortex_run):
+        """A pass whose accumulators declare no time derivative holds one
+        snapshot, and a time derivative on it names the missing declaration."""
+        traj, _ = vortex_run
+
+        class Undeclared:
+            def add(self, window):
+                window.time_derivative(lambda snap: snap.state.u)
+
+        with pytest.raises(RuntimeError, match="differentiates"):
+            diag.feed([Undeclared()], traj.params, len(traj), traj.states.__getitem__)
+
 
 class TestTransportResidualF:
     def test_adopted_reading_converges(self, manufactured_run):
@@ -340,7 +354,9 @@ PASSES = {**RESIDUALS, "diagnostics": lambda traj: diag.compute_diagnostics(
 
 class TestResidualPass:
     """The identity residuals (and `compute_diagnostics`) run on the shared
-    snapshot pass: a window of three snapshots, whatever the run's length."""
+    snapshot pass: a window of three snapshots, whatever the run's length,
+    or of one for `compute_diagnostics`, which differentiates nothing in
+    time."""
 
     @staticmethod
     def _run(ms, dt, t_end):
@@ -362,7 +378,7 @@ class TestResidualPass:
 
         monkeypatch.setattr(diag, "_Snapshot", Counted)
         PASSES[name](traj)
-        assert len(most) == len(traj) and max(most) == 3
+        assert len(most) == len(traj) and max(most) == (1 if name == "diagnostics" else 3)
 
     @pytest.mark.parametrize("name", sorted(RESIDUALS))
     @pytest.mark.parametrize("count", [1, 2])
@@ -785,6 +801,31 @@ def test_diagnostics_leave_stored_states_as_built():
             owners[id(a)] = a.nbytes
         assert sum(owners.values()) <= (s.rho.coeffs.nbytes + s.rho.samples.nbytes
                                         + s.u.samples.nbytes)
+
+
+def test_diagnostics_peak_memory_is_one_snapshot():
+    """compute_diagnostics differentiates nothing in time, so its pass frees
+    each snapshot's fields (the velocity coefficients, (v1, v), G) before it
+    loads the next: the traced peak over 7 snapshots of a 3-D run is that of
+    one snapshot (1.43 times it when the pass kept each snapshot for its
+    neighbours)."""
+    grid = sp.TorusGrid(3, 16)
+    traj = dyn.run(dyn.density_bump_state(grid, u_amplitude=0.2),
+                   dyn.FluidParams(0.05, 0.05, LAW),
+                   dyn.SolverConfig(t_end=0.03, dt=0.005))
+    part = lp.build_partition(grid)
+    one = dyn.Trajectory(traj.states[:1], "completed", 0.0, traj.config, traj.params)
+    peaks = []
+    for run in (one, traj):
+        diag.compute_diagnostics(run, diag.MonitorConfig(), part)  # fills the caches
+        tracemalloc.start()
+        try:
+            diag.compute_diagnostics(run, diag.MonitorConfig(), part)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(traj) == 7
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestTransportEstimate:

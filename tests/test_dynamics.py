@@ -368,16 +368,16 @@ class TestRun:
         assert all(s.is_finite() for s in traj.states)
 
     @pytest.mark.parametrize("dim, forced, forward_fields, inverse_calls", [
-        (2, False, 20, 4), (3, True, 48, 16)], ids=["2d-vortex", "3d-forced"])
+        (2, False, 20, 12), (3, True, 48, 16)], ids=["2d-vortex", "3d-forced"])
     def test_transform_budget_per_step(self, params, fft_calls, dim, forced,
                                        forward_fields, inverse_calls):
         """Per RK4 step: an inverse transform of the 1 + dim fields of y for
         each stage but the first, which reuses the samples of the previous
-        state, and one for the new state, in one call in 2-D and one call per
-        field in 3-D; a forward transform for each stage (u, the dim(dim+1)/2
-        flux pairs with the pressure on their diagonal, and rho g when forced)
-        and none for the new state, whose velocity is transformed only when a
-        snapshot reader asks for its coefficients."""
+        state, and one for the new state, one call per field (1 + dim fields
+        are more than two); a forward transform for each stage (u, the
+        dim(dim+1)/2 flux pairs with the pressure on their diagonal, and rho g
+        when forced) and none for the new state, whose velocity is transformed
+        only when a snapshot reader asks for its coefficients."""
         grid = sp.TorusGrid(dim, 32 if dim == 2 else 16)
         if forced:
             g = sp.VectorField.from_samples(grid, np.full((dim,) + grid.shape, 0.2))

@@ -2,12 +2,13 @@
 
 Every step of the workflow is a fresh `torusns simulate` or `torusns verify`
 process, so whatever `import torusns.app` loads is paid by every run.
-`import torusns.app` loads no scipy at all, and neither does a 2-D run with
-a power law: 2-D grids transform through `numpy.fft`.  The first 3-D grid
-loads `scipy.fft`; a tabulated pressure law loads `scipy.interpolate` and
-`scipy.integrate` (which pulls in `scipy.optimize`, `scipy.sparse`,
-`scipy.linalg` and `scipy.spatial`).  Each check runs in a fresh
-interpreter, since this test process has imported scipy already.
+`import torusns.app` loads no scipy at all.  The first grid loads scipy's
+compiled pocketfft module from its file and nothing else of scipy, so a
+2-D or 3-D run with a power law never imports `scipy.fft` (nor the
+`scipy.special` that it brings).  A tabulated pressure law loads
+`scipy.interpolate` and `scipy.integrate` (which pulls in `scipy.optimize`,
+`scipy.sparse`, `scipy.linalg` and `scipy.spatial`).  Each check runs in a
+fresh interpreter, since this test process has imported scipy already.
 """
 
 import json
@@ -17,9 +18,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import quad
 
 from torusns import dynamics as dyn
+from torusns.spectral import KERNELS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 TABULATED_ONLY = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
@@ -60,13 +63,17 @@ if codes != (0, 0):
 """
 
 
+def _fresh(code: str, *args: str, path: str = SRC) -> subprocess.CompletedProcess:
+    """A fresh interpreter that runs `code` with `path` as its PYTHONPATH."""
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
 def _scipy_modules(code: str, *args: str) -> set[str]:
     """The scipy modules loaded after a fresh interpreter runs `code`."""
-    script = code + ("\nimport json, sys\nprint(json.dumps(sorted("
-                     "m for m in sys.modules if m.startswith('scipy'))))")
-    done = subprocess.run([sys.executable, "-c", script, *args],
-                          env=dict(os.environ, PYTHONPATH=SRC),
-                          capture_output=True, text=True, timeout=300)
+    done = _fresh(code + ("\nimport json, sys\nprint(json.dumps(sorted("
+                          "m for m in sys.modules if m.startswith('scipy'))))"), *args)
     assert done.returncode == 0, done.stderr[-2000:]
     return set(json.loads(done.stdout.splitlines()[-1]))
 
@@ -76,16 +83,57 @@ def _tabulated_only(modules: set[str]) -> list[str]:
                   if m == top or m.startswith(top + "."))
 
 
-def test_import_loads_only_the_transforms(tmp_path):
-    """No scipy for the import or a 2-D power-law simulate + verify; a 3-D
-    grid loads the transforms and nothing a tabulated law needs."""
+def test_import_loads_no_scipy():
     assert _scipy_modules("import torusns.app") == set()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_power_law_run_loads_only_the_kernels(tmp_path, dim):
+    """A power-law simulate + verify loads scipy's pocketfft module and no
+    other scipy module: not `scipy.fft`, not `scipy.special`."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG)
-    assert _scipy_modules(RUN, str(cfg), str(tmp_path / "out"), "0") == set()
-    modules = _scipy_modules("from torusns.spectral import TorusGrid\nTorusGrid(3, 8)")
-    assert "scipy.fft" in modules     # the check sees scipy at all
-    assert _tabulated_only(modules) == []
+    cfg.write_text(CONFIG.replace("grid.dim = 2", f"grid.dim = {dim}")
+                   .replace("points_per_axis = 16", f"points_per_axis = {16 if dim == 2 else 8}"))
+    assert _scipy_modules(RUN, str(cfg), str(tmp_path / "out"), "0") == {KERNELS}
+    assert os.path.exists(tmp_path / "out" / "ledgers" / "energy.csv")
+
+
+def test_scipy_fft_imported_after_a_transform_reuses_the_kernels():
+    """`import scipy.fft` after the first transform takes the loaded module
+    (the extension is not loaded twice) and agrees with `to_coeffs` and
+    `to_samples` bit for bit."""
+    done = _fresh("""
+import sys
+import numpy as np
+from torusns import spectral as sp
+g = sp.TorusGrid(3, 16)
+x = np.random.default_rng(3).standard_normal((2,) + g.shape)
+c = sp.to_coeffs(g, x)
+kernels = sys.modules[sp.KERNELS]
+import scipy.fft
+from scipy.fft._pocketfft import basic
+assert basic.pfft is kernels, "a second copy of the kernels"
+assert np.array_equal(scipy.fft.rfftn(x, axes=g.axes, norm="forward"), c)
+assert np.array_equal(scipy.fft.irfftn(c, s=g.shape, axes=g.axes, norm="forward"),
+                      sp.to_samples(g, c))
+""")
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_missing_kernels_name_the_path_and_scipy_version(tmp_path):
+    """With no kernel file where scipy's package lives (here a stand-in
+    package first on the path), the first grid raises an ImportError that
+    names the folder it searched and the installed scipy version; there is
+    no fallback engine."""
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    done = _fresh("from torusns.spectral import TorusGrid\nTorusGrid(2, 8)",
+                  path=os.pathsep.join([str(tmp_path), SRC]))
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: ")
+    assert str(tmp_path / "scipy" / "fft" / "_pocketfft") in last
+    assert f"scipy {scipy.__version__}" in last
 
 
 @pytest.mark.parametrize("tabulated", [False, True], ids=["power", "tabulated"])

@@ -9,11 +9,14 @@ of the reference kernel, exactly as a benchmark child does.  The bench
 modules are imported, not changed.  Per cycle it prints the main-call and
 verify seconds (`simulate_s`/`verify_s`, or `analysis_s` on lp-ensemble),
 the minor page faults and the system CPU seconds that the cycle, check and
-reference sample took together, then the medians over the measured cycles.
+reference sample took together, and the process's peak resident set so far
+(`ru_maxrss`, in MiB), then the medians over the measured cycles.
 
 A cycle whose arrays the allocator hands back to the kernel and faults in
 again shows here as many minor faults and system time; the timings of the
 benchmark move with that count, so read it before trusting a timing claim.
+The peak column reads a memory claim cycle by cycle: it is the figure that
+the benchmark reports as `peak_rss_mb` at the end of its run.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import child  # noqa: E402  (bench/child.py, found through the path above)
 
 
-def _usage() -> tuple[int, float]:
+def _usage() -> tuple[int, float, float]:
+    """Minor faults, system seconds and peak RSS in MiB (Linux reports
+    ru_maxrss in KiB)."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
-    return ru.ru_minflt, ru.ru_stime
+    return ru.ru_minflt, ru.ru_stime, ru.ru_maxrss / 1024
 
 
 def main(argv=None) -> int:
@@ -55,7 +60,7 @@ def main(argv=None) -> int:
     simulation = args.workload != "lp-ensemble"
     main_name = "simulate_s" if simulation else "analysis_s"
     columns = ["cycle", main_name] + (["verify_s"] if simulation else []) \
-        + ["minor_faults", "sys_s"]
+        + ["minor_faults", "sys_s", "peak_rss_mb"]
     rows = []
     with tempfile.TemporaryDirectory(prefix="heap-churn-") as workdir:
         workload.setup(args.seed, workdir)
@@ -65,12 +70,12 @@ def main(argv=None) -> int:
         reference()
         print(" ".join(f"{c:>12s}" for c in columns))
         for n in range(args.cycles):
-            faults0, sys0 = _usage()
+            faults0, sys0, _ = _usage()
             cycle = loop.run()
             reference()
-            faults1, sys1 = _usage()
+            faults1, sys1, peak_mb = _usage()
             row = [cycle.main_s] + ([cycle.cycle_s - cycle.main_s] if simulation else []) \
-                + [faults1 - faults0, sys1 - sys0]
+                + [faults1 - faults0, sys1 - sys0, peak_mb]
             rows.append(row)
             print(f"{n:>12d} " + " ".join(
                 f"{v:>12d}" if isinstance(v, int) else f"{v:>12.4f}" for v in row))
