@@ -308,9 +308,11 @@ class _Stepper:
     y = (rho, m_1, ..., m_dim).  Each stage does one batched inverse
     transform of the 1 + dim fields of y, except that a step's first stage
     takes the samples of y from the caller when it already has them, and one
-    batched forward transform of dim + dim(dim+1)/2 fields, plus dim when
-    forced: u, the momentum flux m_i u_j + P(rho) delta_ij for i <= j (the
-    pressure sits on the flux diagonal) and rho g.
+    batched forward transform of dim + dim(dim+1)/2 fields, plus one per
+    component of g that is not identically zero when forced: u, the momentum
+    flux m_i u_j + P(rho) delta_ij for i <= j (the pressure sits on the flux
+    diagonal) and those components of rho g.  A zero component of g adds
+    nothing to the slope, so its product is not formed or transformed.
 
     A stage fills one product array with these fields in place, and
     accumulates its slope straight into the array it returns.  The 2/3 mask
@@ -318,8 +320,9 @@ class _Stepper:
     pair feeds both momentum components it belongs to, so no pass copies or
     masks the product coefficients.
 
-    Every stage writes the one product array of the stepper, and stage n of
-    every step writes the slope array that stage n of the previous step
+    Every stage writes the one product array of the stepper (one per count
+    of forced components, which a constant forcing keeps fixed), and stage n
+    of every step writes the slope array that stage n of the previous step
     wrote: the stepper owns one product array and four slope arrays for as
     long as it lives (one run, split or `rhs_eval`).  A stage's product
     array is read only until its integrands are taken, before the next
@@ -354,7 +357,7 @@ class _Stepper:
             self.pair_terms += [(i, j, p)] if i == j else [(i, j, p), (j, i, p)]
         # the passenger flux m_i w_j is not symmetric: all dim^2 rows, row-major
         self.full_terms = [(i, j, i * dim + j) for i in range(dim) for j in range(dim)]
-        self._forcing_cache: tuple[float, np.ndarray] | None = None
+        self._forcing_cache: tuple[float, tuple[np.ndarray, np.ndarray]] | None = None
         self._arrays: dict[object, np.ndarray] = {}
 
     def _array(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -363,14 +366,18 @@ class _Stepper:
             self._arrays[key] = np.empty(shape, dtype=dtype)
         return self._arrays[key]
 
-    def forcing_samples(self, t: float) -> np.ndarray | None:
+    def forcing_samples(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """The samples of g at time t and the indices of its components that
+        are not identically zero (NaN counts as nonzero), found once per
+        cached time; None when unforced."""
         if self.params.forcing is None:
             return None
         if self._forcing_cache is not None and self._forcing_cache[0] == t:
             return self._forcing_cache[1]
         g = self.params.forcing(t, self.grid).samples
-        self._forcing_cache = (t, g)
-        return g
+        forced = np.flatnonzero(g.reshape(len(g), -1).any(axis=1))
+        self._forcing_cache = (t, (g, forced))
+        return g, forced
 
     def divergence(self, v_c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Coefficients of div v from those of the components of v, into out."""
@@ -404,30 +411,31 @@ class _Stepper:
         min_rho = float(np.min(rho_s))
         if min_rho <= self.vacuum_floor:
             raise VacuumError(t, min_rho)
-        g_s = self.forcing_samples(t)
+        forcing = self.forcing_samples(t)
+        g_s, forced = (None, ()) if forcing is None else forcing
         n_flux = dim + len(self.pairs)
-        prod = self._array("prod", (n_flux + (0 if g_s is None else dim),) + grid.shape)
+        n_prod = n_flux + len(forced)
+        prod = self._array(("prod", n_prod), (n_prod,) + grid.shape)
         u_s = np.divide(m_s, rho_s, out=prod[:dim])
         for p, (i, j) in enumerate(self.pairs, start=dim):
             np.multiply(m_s[i], u_s[j], out=prod[p])
         p_s = self.params.pressure(rho_s)
         for p in self.diagonal:
             prod[p] += p_s
-        if g_s is not None:
-            np.multiply(rho_s, g_s, out=prod[n_flux:])
+        for p, i in enumerate(forced, start=n_flux):
+            np.multiply(rho_s, g_s[i], out=prod[p])
         c = to_coeffs(grid, prod)
         u_c = c[:dim]
         div_u = self.divergence(u_c, np.empty(grid.spectral_shape, dtype=c.dtype))
         dy = self._array(("dy", stage), y.shape, y.dtype)
         np.negative(self.divergence(y[1:], dy[0]), out=dy[0])
         self.momentum(u_c, div_u, c[dim:n_flux], self.pair_terms, dy[1:])
-        force_c = None
-        if g_s is not None:
-            force_c = c[n_flux:]
-            force_c *= self.keep
-            dy[1:] += force_c
+        force_c = c[n_flux:]  # the forced components of rho g, in `forced` order
+        force_c *= self.keep
+        for i, row in zip(forced, force_c):
+            dy[1 + i] += row
         aux = {"rho_s": rho_s, "m_s": m_s, "u_s": u_s, "p_s": p_s, "u_c": u_c,
-               "div_u": div_u, "g_s": g_s, "force_c": force_c}
+               "div_u": div_u, "g_s": g_s, "forced": forced, "force_c": force_c}
         return dy, aux
 
     def passenger_rhs(self, aux, w_c: np.ndarray, with_sources: bool) -> np.ndarray:
@@ -446,8 +454,9 @@ class _Stepper:
         out = np.empty_like(w_c)
         self.momentum(c[:dim], self.divergence(c[:dim], np.empty_like(out[0])),
                       c[dim:], self.full_terms, out)
-        if with_sources and aux["force_c"] is not None:
-            out += aux["force_c"]
+        if with_sources:
+            for i, row in zip(aux["forced"], aux["force_c"]):
+                out[i] += row
         return out
 
     def quadrature_values(self, aux) -> dict[str, float]:

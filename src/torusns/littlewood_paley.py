@@ -10,22 +10,29 @@ S_q = chi(2^{-q} D) for q >= 0 and S_q = 0 for q < 0, and the Bony
 decomposition reconstructs the (dealiased) grid product exactly.
 
 Kernels work on block stacks: the samples of Delta_{-1} f .. Delta_{q_max} f
-of one field, one row per block (one inverse transform per block whose
-filtered coefficients are not all zero; the other rows are zero, and the
-kernels skip their products unless the other factor is not finite, since
-0 * NaN is NaN).  Dealiasing, Delta_q and the forward transform are linear,
-so a piece sums its block products in physical space, over the component
-index too, and pays one forward transform: T_l h keeps S_{q-1} l as a
-running sum of l's blocks, and R(u, v) meets each block of u with the
-neighbouring blocks of v.  A stack lives as long as the call that builds
-it.  bony_decompose builds the stacks of u and v once and hands both
-to its three pieces (at most 2(q_max + 2) inverse and 3 forward transforms,
-19 at 2-D 128^2).  eight_way_split builds the stacks of a and Delta_q a once
-and those of u1^k, d_k a and d_k Delta_q a per component, freeing them
-before the next one; it takes pieces 5 and 7 by Leibniz from sums it
-already has, so it builds no div u1 stack (51 inverse and 12 forward
-transforms at 2-D 128^2, q = 2).  transport_commutator makes 2 dim inverse
-and 2 forward transforms.
+of one field, one row per block.  A block whose filtered coefficients are
+all zero is a zero row without a transform, and the kernels skip its
+products unless the other factor is not finite, since 0 * NaN is NaN.  Every
+other block is one inverse transform pruned to its own columns: Delta_q f
+lives in the first ceil((8/3) 2^q) columns of the half spectrum (2, 3, 6,
+11, 22 and 43 of 65 at 2-D 128^2; 2, 3, 6 and 11 of 17 at 3-D 32^3), and
+in no column past the field's own last nonzero one (43 of 65 for a
+dealiased 128^2 field), so only those columns take the transform along the
+leading axes before the last-axis pass (`spectral._block_inverse`,
+bit-identical to the full-width transform; pruning, after Markel, IEEE
+Trans. Audio Electroacoust. 19, 1971).  Dealiasing, Delta_q and the forward
+transform are linear, so a piece sums its block products in physical
+space, over the component index too, and pays one forward transform: T_l h
+keeps S_{q-1} l as a running sum of l's blocks, and R(u, v) meets each
+block of u with the neighbouring blocks of v.  A stack lives as long as the
+call that builds it.  bony_decompose builds the stacks of u and v once and
+hands both to its three pieces (at most 2(q_max + 2) inverse and 3 forward
+transforms, 19 at 2-D 128^2).  eight_way_split builds the stacks of a and
+Delta_q a once and those of u1^k, d_k a and d_k Delta_q a per component,
+freeing them before the next one; it takes pieces 5 and 7 by Leibniz from
+sums it already has, so it builds no div u1 stack (51 inverse and 12
+forward transforms at 2-D 128^2, q = 2).  transport_commutator makes 2 dim
+inverse and 2 forward transforms.
 
 L^2 block norms cost no transform: by Parseval, ||Delta_l f||_2^2 is the
 torus volume times sum_k w_k phi_l(k)^2 |c_k|^2 (w_k the mode weight), one
@@ -64,7 +71,7 @@ from .spectral import (
     pointwise,
     random_field,
     sample_norm,
-    to_samples,
+    _block_inverse,
     _check_same_grid,
     _frozen,
 )
@@ -147,6 +154,14 @@ def _filter_stack(grid: TorusGrid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)  # one entry per grid size in use
+def _filter_widths(grid: TorusGrid) -> np.ndarray:
+    """Per row of the filter stack, the number of leading half-spectrum
+    columns (last-axis frequencies 0, 1, ...) that hold its support."""
+    support = _filter_stack(grid).any(axis=grid.axes[:-1])
+    return _frozen(np.array([np.flatnonzero(row)[-1] + 1 for row in support]))
+
+
+@functools.lru_cache(maxsize=32)  # one entry per grid size in use
 def _zero_filter(grid: TorusGrid) -> np.ndarray:
     return _frozen(np.zeros(grid.spectral_shape))
 
@@ -199,25 +214,41 @@ class _Stack(NamedTuple):
 def _block_stack(partition: DyadicPartition, f: Field,
                  blocks: Sequence[int] | None = None) -> _Stack:
     """Samples of Delta_q f for q in `blocks` (default -1 .. q_max), one row
-    per block.  A row whose filter misses the field's coefficients (for
-    Delta_q f, all but rows q-1 .. q+1) is zero without a transform, which
-    is what its transform gives, bit for bit.  `reach` sums the non-negative
-    terms filter * |c|: zero exactly when every filtered coefficient is, and
-    NaN (so the row is transformed) when a coefficient is not finite."""
+    per block, each transformed over the columns of its filter's support and
+    of the field's (see the module docstring).  A row whose filter misses
+    the field's coefficients (for Delta_q f, all but rows q-1 .. q+1) is
+    zero without a transform, which is what its transform gives, bit for
+    bit.  `reach` sums the non-negative terms filter * |c|: zero exactly
+    when every filtered coefficient is, and NaN (so the row is transformed)
+    when a coefficient is not finite."""
     grid = _check_same_grid(partition.grid, f)
     filters = _rows(partition._filters, blocks)
     weight = np.abs(f.coeffs).reshape((-1,) + grid.spectral_shape).sum(axis=0)
     reach = filters.reshape(len(filters), weight.size) @ weight.ravel()
     zero = np.broadcast_to(0.0, f.coeffs.shape[:f.rank] + grid.shape)
+    # row q is transformed over the columns where both its filter and the
+    # field may be nonzero; a non-finite coefficient anywhere makes every
+    # product non-finite (0 * NaN), so then every row takes the full width
+    if np.isfinite(reach).all():
+        columns = np.flatnonzero(weight.any(axis=grid.axes[:-1]))
+        widths = np.minimum(_rows(_filter_widths(grid), blocks),
+                            columns[-1] + 1 if columns.size else 0)
+    else:
+        widths = np.full(len(filters), weight.shape[-1])
     # one block at a time: forming the whole product stack first and passing
     # it to `to_samples` once (the same transform calls) made an lp-ensemble
     # cycle 24 % slower (0.350 against 0.282 s, medians of 20 interleaved
     # cycles, one thread of a 2-vCPU x86 host).  Each row is the array its
     # transform returns: copying the rows into one preallocated stack cost
     # an eight-way split at 2-D 128^2 about 1500 minor page faults per call
-    # against about 1200 this way
-    rows = [to_samples(grid, f.coeffs * filt) if r != 0 else zero
-            for filt, r in zip(filters, reach)]
+    # against about 1200 this way.  The products share one work buffer, and
+    # the rows run by increasing width, so each product covers every column
+    # that the previous one left there
+    rows = [zero] * len(filters)
+    work = np.zeros_like(f.coeffs)
+    for row in np.argsort(widths, kind="stable"):
+        if reach[row] != 0:
+            rows[row] = _block_inverse(grid, f.coeffs, filters[row], widths[row], work)
     return _Stack(rows, reach)
 
 
@@ -337,13 +368,14 @@ def _paraproduct(low: _Stack, high: _Stack, out: np.ndarray | None = None) -> np
     factors, added into `out` (zeros when None), which is returned."""
     visit_low, visit_high = _visited(low, high), _visited(high, low)
     started = np.logical_or.accumulate(visit_low)  # S_{q-1} low has a visited row
-    running = np.zeros(low.rows[0].shape)  # S_{q-1} low = Delta_{-1} + ... + Delta_{q-2} low
+    # S_{q-1} low = Delta_{-1} + ... + Delta_{q-2} low, and one block product
+    running, product = np.zeros((2,) + low.rows[0].shape)
     total = np.zeros_like(running) if out is None else out
     for q in range(1, len(started) - 1):  # S_{q-1} vanishes for q <= 0
         if visit_low[q - 1]:
             running += low.rows[q - 1]
         if started[q - 1] and visit_high[q + 1]:
-            total += running * high.rows[q + 1]
+            total += np.multiply(running, high.rows[q + 1], out=product)
     return total
 
 
@@ -354,11 +386,16 @@ def _remainder(u: _Stack, v: _Stack, out: np.ndarray | None = None) -> np.ndarra
     v."""
     visit_u, visit_v = _visited(u, v), _visited(v, u)
     total = np.zeros(u.rows[0].shape) if out is None else out
+    product = np.empty_like(total)
     for i in np.flatnonzero(visit_u):
         near = [v.rows[j] for j in (i - 1, i, i + 1)
                 if 0 <= j < len(visit_v) and visit_v[j]]
         if near:
-            total += u.rows[i] * sum(near[1:], near[0])
+            # (near[0] + near[1] + ...) * u_i, summed in the same order
+            factor = near[0]
+            for row in near[1:]:
+                factor = np.add(factor, row, out=product)
+            total += np.multiply(u.rows[i], factor, out=product)
     return total
 
 

@@ -15,11 +15,14 @@ negates the others.  Fourier symbols s are applied through their Hermitian
 part (s(k) + conj(s(k*)))/2, which is what taking the real part of a
 full-lattice inverse transform does implicitly on the Nyquist planes.
 
-This module holds the package's only transform calls, ``to_coeffs`` and
-``to_samples``.  In 2-D and 3-D alike they call the compiled pocketfft
-kernels of scipy, ``r2c`` and ``c2r``, on one thread, with the arguments
-that ``scipy.fft.rfftn``/``irfftn(norm="forward", workers=1)`` pass them, so
-the results are scipy's bit for bit.  The first ``TorusGrid`` loads the
+This module holds the package's only transform calls, ``to_coeffs``,
+``to_samples`` and the block inverse ``_block_inverse`` of
+``littlewood_paley``'s block stacks.  In 2-D and 3-D alike they call the
+compiled pocketfft kernels of scipy, ``r2c`` and ``c2r`` (and ``c2c``, for
+the block inverse), on one thread, with the arguments that
+``scipy.fft.rfftn``/``irfftn(norm="forward", workers=1)`` pass them or, for
+the block inverse, with the two passes that ``c2r`` makes inside, so the
+results are scipy's bit for bit.  The first ``TorusGrid`` loads the
 kernel module from its file (``_kernels``) without importing ``scipy.fft``,
 whose import brings ``scipy.special`` and more and cost every fresh 3-D
 process about 0.2 s and 19 MiB, all to reach these two functions.  Each
@@ -53,6 +56,32 @@ kernels match bit for bit and beat at 128^2 in interleaved per-call
 timings: by 7-14 % forward on one to four fields, 3-7 % inverse on one and
 two, and 44 % inverse on three and four (0.22 against 0.40 and 0.29
 against 0.53 ms).
+
+A block row of ``littlewood_paley`` is pruned to the first w columns of the
+half spectrum that its filter reaches (``_block_inverse``).  Milliseconds per
+row, with the method above on the same host, measured on another day, when
+it ran faster: "full" is ``to_samples`` of the filtered product, "pruned" is
+``_block_inverse`` over the columns of the block, product included, and
+"ratio" is the range of pruned over full:
+
+=====  ==========  =====  ======  =========  ==========  =====  ======  =========
+block  128^2: w    full   pruned  ratio      32^3: w     full   pruned  ratio
+=====  ==========  =====  ======  =========  ==========  =====  ======  =========
+-1     2 of 65     0.095  0.052   0.54-0.57  2 of 17     0.246  0.125   0.50-0.51
+0      3 of 65     0.125  0.069   0.52-0.58  3 of 17     0.268  0.147   0.53-0.58
+1      6 of 65     0.097  0.057   0.58-0.60  6 of 17     0.250  0.170   0.62-0.71
+2      11 of 65    0.095  0.064   0.62-0.88  11 of 17    0.255  0.222   0.80-1.00
+3      22 of 65    0.093  0.068   0.72-0.85  17 of 17    0.238  0.227   0.92-0.96
+4      43 of 65    0.101  0.092   0.89-0.94  17 of 17    0.254  0.242   0.93-1.00
+5      65 of 65    0.107  0.101   0.88-1.02  17 of 17    0.248  0.234   0.85-1.01
+6      65 of 65    0.111  0.103   0.89-0.99  -           -      -       -
+=====  ==========  =====  ======  =========  ==========  =====  ======  =========
+
+The last-axis pass, over every line, is the floor: about half of a full
+2-D inverse.  At full width on the stepper's stacks, without a filter,
+``_block_inverse`` (a filter of ones) was not faster than ``to_samples``:
+0.456 against 0.418 ms at 3 x 128^2, though 0.153 against 0.163 ms at
+4 x 16^3 (medians as above), so ``to_samples`` keeps its own calls.
 
 A field computes whichever of its coefficients and samples it was not built
 from on first read.  All operations are pure; field objects are immutable
@@ -239,6 +268,25 @@ def to_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     for index in np.ndindex(lead):
         out[index] = _inverse(grid, coeffs[index])
     return out
+
+
+def _block_inverse(grid: TorusGrid, coeffs: np.ndarray, filt: np.ndarray,
+                   width: int, work: np.ndarray) -> np.ndarray:
+    """Samples of ``coeffs * filt`` when both are zero beyond the first
+    ``width`` columns of the half spectrum, bit-identical to
+    ``to_samples(grid, coeffs * filt)``.
+
+    ``work``, of the shape of ``coeffs``, must hold zeros beyond those
+    columns; the product is written into the rest.  The two passes are the
+    ones the inverse kernel makes inside: ``c2c`` over the leading grid
+    axes, here in place on the ``width`` columns alone, then ``c2r`` over
+    the last axis of the whole buffer (FFT pruning)."""
+    head = work[..., :width]
+    np.multiply(coeffs[..., :width], filt[..., :width], out=head)
+    kernels = _kernels()
+    # backward, not normalized (inorm 0), in place, one thread
+    kernels.c2c(head, grid.axes[:-1], False, 0, head, 1)
+    return kernels.c2r(work, (-1,), grid.n, False, 0, None, 1)
 
 
 def _check_same_grid(*objs) -> TorusGrid:

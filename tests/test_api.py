@@ -77,14 +77,16 @@ def _transform_references(source: str) -> set[str]:
 
 
 def test_only_spectral_reaches_a_transform_entry_point():
-    """Every transform of the package goes through `spectral.to_coeffs` and
-    `spectral.to_samples`, the only users of the compiled kernels, which is
-    why the `fft_calls` fixture, counting the kernel calls, sees them all."""
+    """Every transform of the package goes through `spectral.to_coeffs`,
+    `spectral.to_samples` and the block inverse `spectral._block_inverse`,
+    the only users of the compiled kernels, which is why the `fft_calls`
+    fixture, counting the kernel calls, sees them all."""
     src = pathlib.Path(dynamics.__file__).parent
     users = {path.name: refs for path in sorted(src.glob("*.py"))
              if (refs := _transform_references(path.read_text()))}
     assert set(users) == {"spectral.py"}, users
-    assert users["spectral.py"] == {KERNELS, f"{KERNELS}.r2c", f"{KERNELS}.c2r"}
+    assert users["spectral.py"] == {KERNELS, f"{KERNELS}.r2c", f"{KERNELS}.c2r",
+                                    f"{KERNELS}.c2c"}
 
 
 @pytest.mark.parametrize("source", [
@@ -96,6 +98,7 @@ def test_only_spectral_reaches_a_transform_entry_point():
     "from scipy.fft import *",
     "import sys\nk = sys.modules['scipy.fft._pocketfft.pypocketfft']",
     "from torusns import spectral\nspectral._kernels().c2r(c, (0, 1), 8, False, 0, None, 1)",
+    "from torusns import spectral\nk = spectral._kernels()\nk.c2c(c, (0,), False, 0, c, 1)",
 ])
 def test_transform_reference_is_seen(source):
     assert _transform_references(source)

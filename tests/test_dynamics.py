@@ -185,8 +185,8 @@ class TestRhs:
         """The stages of a step fill one product array, so of the fields a
         stage hands out in aux only u_s, which views it, is overwritten by
         the next stage; the step reads it only before then.  Every other
-        field stays that stage's own, except the forcing samples, an input
-        cached per stage time."""
+        field stays that stage's own, except the forcing samples and the
+        indices of their nonzero components, inputs cached per stage time."""
         grid = sp.TorusGrid(2, 16)
         g = sp.VectorField.from_samples(grid, np.full((2,) + grid.shape, 0.2))
         params = dyn.FluidParams(0.07, 0.04, dyn.PowerLaw(1.0, 1.4), lambda t, grid: g)
@@ -206,7 +206,7 @@ class TestRhs:
             for b in auxes[n + 1:]:
                 for key, x in a.items():
                     for other, z in b.items():
-                        if "g_s" not in (key, other):
+                        if not {"g_s", "forced"} & {key, other}:
                             shared = np.shares_memory(x, z)
                             assert shared == (key == other == "u_s"), (key, other)
 
@@ -367,20 +367,23 @@ class TestRun:
         assert traj.stop_reason == "nonfinite" and traj.step_count == 2
         assert all(s.is_finite() for s in traj.states)
 
-    @pytest.mark.parametrize("dim, forced, forward_fields, inverse_calls", [
-        (2, False, 20, 12), (3, True, 48, 16)], ids=["2d-vortex", "3d-forced"])
-    def test_transform_budget_per_step(self, params, fft_calls, dim, forced,
+    @pytest.mark.parametrize("dim, forcing, forward_fields, inverse_calls", [
+        (2, None, 20, 12), (3, (0.2, 0.2, 0.2), 48, 16), (3, (0.2, 0.0, 0.0), 40, 16)],
+        ids=["2d-vortex", "3d-forced", "3d-forced-axis"])
+    def test_transform_budget_per_step(self, params, fft_calls, dim, forcing,
                                        forward_fields, inverse_calls):
         """Per RK4 step: an inverse transform of the 1 + dim fields of y for
         each stage but the first, which reuses the samples of the previous
         state, and one for the new state, one call per field (1 + dim fields
         are more than two); a forward transform for each stage (u, the
-        dim(dim+1)/2 flux pairs with the pressure on their diagonal, and rho g
-        when forced) and none for the new state, whose velocity is transformed
-        only when a snapshot reader asks for its coefficients."""
+        dim(dim+1)/2 flux pairs with the pressure on their diagonal, and the
+        components of rho g whose g is not identically zero when forced) and
+        none for the new state, whose velocity is transformed only when a
+        snapshot reader asks for its coefficients."""
         grid = sp.TorusGrid(dim, 32 if dim == 2 else 16)
-        if forced:
-            g = sp.VectorField.from_samples(grid, np.full((dim,) + grid.shape, 0.2))
+        if forcing is not None:
+            g = sp.VectorField.from_samples(
+                grid, np.asarray(forcing)[:, None, None, None] * np.ones(grid.shape))
             params = dyn.FluidParams(params.mu, params.lam, params.pressure,
                                      lambda t, grid: g)
 

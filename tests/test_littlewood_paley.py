@@ -286,6 +286,119 @@ class TestProductLaws:
 
 
 # ---------------------------------------------------------------------------
+# block inverses pruned to their columns against the full-width transform
+# ---------------------------------------------------------------------------
+
+def _full_width_rows(part, f, blocks=None):
+    """What each transformed row of a block stack must equal bit for bit:
+    the full-width inverse of the filtered coefficients."""
+    blocks = part.active_blocks if blocks is None else blocks
+    return [sp.to_samples(part.grid, f.coeffs * part.block_filter(q)) for q in blocks]
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestPrunedBlockInverse:
+    GRIDS = [(2, 32), (2, 128), (3, 16), (3, 32)]
+
+    @pytest.mark.parametrize("dim, n", [(2, 128), (3, 32)])
+    def test_widths_are_the_filter_column_supports(self, dim, n):
+        grid = sp.TorusGrid(dim, n)
+        widths = lp._filter_widths(grid)
+        want = {(2, 128): [2, 3, 6, 11, 22, 43, 65, 65],
+                (3, 32): [2, 3, 6, 11, 17, 17, 17]}[dim, n]
+        assert widths.tolist() == want
+        for filt, w in zip(lp._filter_stack(grid), widths):
+            assert not filt[..., w:].any() and filt[..., w - 1].any()
+
+    @pytest.mark.parametrize("dim, n", GRIDS, ids=lambda v: str(v))
+    @pytest.mark.parametrize("dealiased", [False, True], ids=["raw", "dealiased"])
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_rows_equal_full_width_transforms(self, dim, n, dealiased, kind):
+        """Sign bits included, so the zeros of the work buffer beyond a row's
+        columns stand for the signed zeros of the full-width product."""
+        grid = sp.TorusGrid(dim, n)
+        part = lp.build_partition(grid)
+        r = np.random.default_rng(n + dim)
+        draw = sp.random_field if kind == "scalar" else sp.random_vector_field
+        f = draw(grid, r, slope=1.2, max_wavenumber=n // 2)
+        if dealiased:
+            f = sp.dealias(f)
+        stack = lp._block_stack(part, f)
+        # the dealiased band stops short of the top shell on a 3-D grid
+        assert (stack.reach > 0).sum() >= part.q_max + 1 - (dealiased and dim == 3)
+        for q, r, got, want in zip(part.active_blocks, stack.reach, stack.rows,
+                                   _full_width_rows(part, f)):
+            assert _same_bits(got, want) if r != 0 else not got.any(), q
+
+    @pytest.mark.parametrize("dim, n", GRIDS, ids=lambda v: str(v))
+    def test_block_subset_in_any_order(self, dim, n):
+        """Rows of a subset, in the order asked, as `_sup_besov` asks for
+        them one at a time, and of a block-limited field, whose rows stop at
+        the field's own columns."""
+        grid = sp.TorusGrid(dim, n)
+        part = lp.build_partition(grid)
+        f = sp.dealias(sp.random_field(grid, np.random.default_rng(5)))
+        top = part.q_max
+        for blocks in ([top, -1, 1, 0], [2, top - 1, -1], [1], [top]):
+            stack = lp._block_stack(part, f, blocks)
+            for got, want in zip(stack.rows, _full_width_rows(part, f, blocks)):
+                assert _same_bits(got, want), blocks
+        low = lp.low_pass(part, 2, f)  # Delta_{-1} .. Delta_1: rows -1 .. 2 transformed
+        stack = lp._block_stack(part, low, [2, 0, -1, 1, top])
+        for q, r, got, want in zip([2, 0, -1, 1, top], stack.reach, stack.rows,
+                                   _full_width_rows(part, low, [2, 0, -1, 1, top])):
+            assert (r != 0) == (q <= 2)
+            if r != 0:
+                assert _same_bits(got, want), q
+
+    def test_lp_ensemble_member_equals_full_width_reference(self, monkeypatch):
+        """The Bony pieces, the commutator and the eight pieces of one
+        ensemble member at 2-D 128^2, bit for bit, against the same kernels
+        with every block transformed at full width."""
+        grid = sp.TorusGrid(2, 128)
+        part = lp.build_partition(grid)
+        r = np.random.default_rng(0)
+        slope = 1.0 + r.random()
+        a, b = (sp.random_field(grid, r, slope=slope) for _ in range(2))
+        u = sp.random_vector_field(grid, r, slope=slope)
+        q = int(r.integers(1, part.q_max + 1))
+
+        def member():
+            return [*lp.bony_decompose(part, a, b), lp.transport_commutator(part, u, a, q),
+                    *lp.eight_way_split(part, u, a, q)]
+
+        got = member()
+        monkeypatch.setattr(lp, "_block_inverse", lambda grid, coeffs, filt, width, work:
+                            sp.to_samples(grid, coeffs * filt))
+        want = member()
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert _same_bits(g.coeffs, w.coeffs), n
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", [15, 16])
+    def test_nonfinite_coefficient_beyond_a_low_block_reaches_every_row(self, bad, column):
+        """At 2-D 32^2 the rows q = -1 .. 2 stop short of column 15; a bad
+        coefficient there still makes each of them non-finite, as the
+        full-width product 0 * NaN (or 0 * inf) would."""
+        grid = sp.TorusGrid(2, 32)
+        part = lp.build_partition(grid)
+        assert lp._filter_widths(grid)[:4].max() < 15
+        coeffs = sp.random_field(grid, np.random.default_rng(1)).coeffs.copy()
+        coeffs[3, column] = bad
+        f = sp.ScalarField(grid, coeffs)
+        with np.errstate(invalid="ignore", over="ignore"):
+            stack = lp._block_stack(part, f)
+            want = _full_width_rows(part, f)
+        assert len(stack.rows) == part.q_max + 2
+        for q, got, ref in zip(part.active_blocks, stack.rows, want):
+            assert not np.isfinite(got).any(), q
+            assert np.array_equal(got, ref, equal_nan=True), q
+
+
+# ---------------------------------------------------------------------------
 # fused Bony kernels against the per-block loop: one dealiased transform per
 # block product, S_{q-1} from its own filter
 # ---------------------------------------------------------------------------
@@ -428,6 +541,8 @@ class TestTransformCount:
         # Forward: one per physical sum (8) and per k for pieces 4 and 6.
         assert fft_calls["irfftn"] == 8 + 3 + 2 * (8 + 8 + 3) + 2 == 51
         assert fft_calls["rfftn"] == 12
+        # a block inverse is one call of one field, with one c2c pass before it
+        assert fft_calls["irfftn_fields"] == 51 and fft_calls["c2c"] == 51 - 2
 
     def test_transport_commutator(self, case, fft_calls):
         part, a, _, u = case
