@@ -449,11 +449,11 @@ class _IdentitySuite:
     Each residual is a field built from the snapshot's cached fields and is
     certified by `spectral.coefficient_sup_bound`, which costs no transform.
     That bound, round-off included, is at least the residual's computed sup
-    norm, so a residual it certifies would pass the sampled test too.  Only a
-    residual whose bound exceeds the tolerance is transformed, and its
-    sampled sup norm then decides and is reported, as without the bound.  A
-    NaN or inf makes the bound NaN, and the sampled norm then fails (every
-    test reads `not (residual <= tol)`).
+    norm.  The three v1 residuals are judged and reported by their bounds
+    (`_Snapshot.v1_bounds`, what `series.csv` stores); any other residual
+    whose bound exceeds the tolerance is transformed, and its sampled sup
+    norm then decides and is reported.  A NaN or inf makes the bound NaN,
+    and the test then fails (every test reads `not (residual <= tol)`).
 
     The Leray split is tested by div Pu = 0 and curl Qu = 0, properties of
     the projection that a wrong symbol breaks; Pu + Qu = u holds by the
@@ -464,10 +464,9 @@ class _IdentitySuite:
         self.failures: list[str] = []
 
     def _residuals(self, snap):
-        """(name, residual field) of every identity, built one at a time so
-        that only one (or the three of `v1_residuals`) is held at once."""
+        """(name, residual field) of every identity but the three of
+        `v1_bounds`, built one at a time so that only one is held at once."""
         grid, state, h = self.problem.grid, snap.state, snap.pressure
-        yield from snap.v1_residuals().items()
         yield "bogovskii", (sp.divergence(snap.velocities[1])
                             - (h - sp.ScalarField.constant(grid, h.mean)))
         zero_mean = state.rho - sp.ScalarField.constant(grid, state.rho.mean)
@@ -487,8 +486,9 @@ class _IdentitySuite:
         snap = window.current
         state = snap.state
         tol = IDENTITY_TOL * (1.0 + sp.lebesgue_norm(state.u, math.inf) + snap.rho_inf)
-        values = {name: sp.lebesgue_norm(res, math.inf) for name, res in self._residuals(snap)
-                  if not (sp.coefficient_sup_bound(res) <= tol)}
+        values = dict(snap.v1_bounds)
+        values.update({name: sp.lebesgue_norm(res, math.inf) for name, res in self._residuals(snap)
+                       if not (sp.coefficient_sup_bound(res) <= tol)})
         values["parseval_gap"] = abs(sp.lebesgue_norm(state.rho, 2)
                                      - sp.coefficient_l2_norm(state.rho))
         for name, val in values.items():
@@ -500,12 +500,13 @@ class _IdentitySuite:
 
 
 class _SeriesCrosscheck:
-    """Recompute a few series columns from the checkpoints and compare;
-    a NaN on either side fails, and so does a series file that is missing
-    or malformed (no header, a missing column, a row of another length than
-    the header or a cell that is not a number)."""
+    """Recompute some series columns from the checkpoints and compare them
+    exactly (float reprs read back bit for bit); a NaN on either side fails,
+    and so does a series file that is missing or malformed (no header, a
+    missing column, a row of another length than the header or a cell that
+    is not a number)."""
 
-    COLUMNS = ("time", "mass", "rho_linf", "min_rho")
+    COLUMNS = ("time", "mass", "rho_linf", "min_rho", *diag.RESIDUAL_COLUMNS.values())
 
     def __init__(self, outdir: str, count: int):
         self.rows, self.failures = [], []
@@ -542,19 +543,13 @@ class _SeriesCrosscheck:
             return
         n, snap = window.index, window.current
         state, stored = snap.state, self.rows[n]
-        if not (abs(stored["time"] - state.t) <= 1e-12 * (1 + abs(state.t))):
-            self.failures.append(f"snapshot {n}: time mismatch")
-            return
-        recomputed = {
-            "mass": state.mass,
-            "rho_linf": snap.rho_inf,
-            "min_rho": state.min_density,
-        }
+        recomputed = {"time": state.t, "mass": state.mass, "rho_linf": snap.rho_inf,
+                      "min_rho": state.min_density,
+                      **{diag.RESIDUAL_COLUMNS[k]: v for k, v in snap.v1_bounds.items()}}
         for key, val in recomputed.items():
-            if not (abs(stored[key] - val) <= 1e-9 * (1.0 + abs(val))):
-                self.failures.append(
-                    f"snapshot {n}: stored {key}={stored[key]:.12g} "
-                    f"!= recomputed {val:.12g}")
+            if not stored[key] == val:
+                self.failures.append(f"snapshot {n}: stored {key}={stored[key]!r} "
+                                     f"!= recomputed {val!r}")
 
     def finish(self) -> list[str]:
         return self.failures
@@ -627,8 +622,9 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     A file that fails its checksum, or a manifest fact that the directory
     contradicts (`_check_facts`), fails every suite before the pass runs.
     Machine-precision identity failures and monitor-contract violations
-    make the result (and the exit code) fail; inequality ledgers only
-    report their empirical constants.
+    make the result (and the exit code) fail, and so does an inequality
+    ledger's empirical constant that is not finite; a finite one is only
+    reported.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
@@ -650,6 +646,8 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     for check in checks:
         failures += check.finish()
     reports = {name: report(ledger, *args) for name, (ledger, report, args) in ledgers.items()}
+    failures += [f"ledger {name}: empirical constant {rep.empirical_constant!r} is not finite"
+                 for name, rep in reports.items() if not math.isfinite(rep.empirical_constant)]
     if reports:
         _write_ledgers(outdir, reports)
     return VerifyResult(not failures, failures, reports)

@@ -23,11 +23,11 @@ from .spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
+    coefficient_sup_bound,
     curl,
     divergence,
     gradient,
     gradient_sum,
-    integral,
     inv_laplacian_zero_mean,
     laplacian,
     leray_project,
@@ -286,11 +286,12 @@ def effective_velocity(state: FluidState, params: FluidParams,
 def v1_identities(state: FluidState, params: FluidParams,
                   snapshot: _Snapshot | None = None) -> dict[str, float]:
     """Sup-norm residuals of the exact effective-velocity identities:
-    div v1 = G/nu, curl v1 = curl u, lap u = lap v1 + grad P / nu.
-    `snapshot`, when given, must be `_Snapshot(state, params)`: its cached
-    fields are read, not rebuilt."""
+    div v1 = G/nu, curl v1 = curl u, lap u = lap v1 + grad P / nu, each the
+    `spectral.coefficient_sup_bound` that `series.csv` stores (no transform;
+    at least the sampled sup, round-off slack included).  `snapshot`, when
+    given, must be `_Snapshot(state, params)`: its bounds are read, not rebuilt."""
     snap = _Snapshot(state, params) if snapshot is None else snapshot
-    return {name: lebesgue_norm(res, math.inf) for name, res in snap.v1_residuals().items()}
+    return snap.v1_bounds
 
 
 def bogovskii(h: ScalarField) -> VectorField:
@@ -382,14 +383,17 @@ class _Snapshot:
     same object while the state is in the window, so such a field is
     transformed once per state.
 
-    `state` is the snapshot's own copy of the stored state: its fields view
-    the stored arrays, and whatever they compute on first read (the velocity
-    coefficients, say) is kept here, not on the stored state, so it is freed
-    with the snapshot and a trajectory's states stay as small as they were
-    built."""
+    `state` is the snapshot's own copy of the stored state, built from the
+    stored samples alone, as `dynamics.read_checkpoint` builds a state, so a
+    pass over a run in memory and one over its checkpoints read the same
+    fields, bit for bit.  What its fields compute on first read (their
+    coefficients) is kept here, not on the stored state, so it is freed with
+    the snapshot and a trajectory's states stay as small as they were built."""
 
     def __init__(self, state: FluidState, params: FluidParams):
-        self.state = FluidState(state.rho.view(), state.u.view(), state.t)
+        grid = state.grid
+        self.state = FluidState(ScalarField._of_samples(grid, state.rho.view().samples),
+                                VectorField._of_samples(grid, state.u.view().samples), state.t)
         self.params = params
         self.t = state.t
 
@@ -465,12 +469,17 @@ class _Snapshot:
                                     - gradient(self.pressure) * inv_nu),
         }
 
+    @functools.cached_property
+    def v1_bounds(self) -> dict[str, float]:
+        """The `coefficient_sup_bound` of each field of `v1_residuals`."""
+        return {name: coefficient_sup_bound(res) for name, res in self.v1_residuals().items()}
+
     def release(self) -> None:
         """Drop the fields that only this snapshot's own window position
         reads: a neighbour's time derivative reads u, (v1, v) and the terms
         of F alone."""
         for name in ("p_values", "dp_values", "pressure", "effective", "vorticity", "div_v1",
-                     "grad_u", "grad_sq", "coifman"):
+                     "grad_u", "grad_sq", "coifman", "v1_bounds"):
             self.__dict__.pop(name, None)
 
 
@@ -639,13 +648,17 @@ def elliptic_identities(trajectory: Trajectory,
 # energy ledgers
 # ---------------------------------------------------------------------------
 
-def total_energy(state: FluidState, params: FluidParams) -> float:
-    """E = int (rho |u|^2 / 2 + Pi(rho)) dx, both terms by grid quadrature
-    (the integral of the potential is its mean mode, which is the sample
-    mean, so it needs no transform)."""
-    kin = 0.5 * _rho_weighted_sq(state.rho, state.u)
+def _energy_parts(state: FluidState, params: FluidParams) -> tuple[float, float]:
+    """(int rho |u|^2 / 2 dx, int Pi(rho) dx), both sample sums (grid
+    quadrature), at no transform."""
     potential = pressure_potential(params.pressure, state.rho).samples
-    return kin + float(np.sum(potential)) * state.grid.cell_volume
+    return (0.5 * _rho_weighted_sq(state.rho, state.u),
+            float(np.sum(potential)) * state.grid.cell_volume)
+
+
+def total_energy(state: FluidState, params: FluidParams) -> float:
+    """E = int (rho |u|^2 / 2 + Pi(rho)) dx, the sum of `_energy_parts`."""
+    return sum(_energy_parts(state, params))
 
 
 def dissipation_rate(state: FluidState, params: FluidParams) -> float:
@@ -1176,6 +1189,10 @@ def coifman_constant_study(grid: TorusGrid, ensemble_size: int, seed: int = 0
 # per-snapshot records
 # ---------------------------------------------------------------------------
 
+#: the series column of each residual of `v1_identities`
+RESIDUAL_COLUMNS = {"div_v1": "div_v1_residual", "curl_v1": "curl_v1_residual",
+                    "lap_u_decomposition": "lap_decomposition_residual"}
+
 #: stable CSV column order for diagnostic series
 RECORD_COLUMNS = [
     "time", "mass", "min_rho", "rho_linf", "rho_lq",
@@ -1195,15 +1212,9 @@ class DiagnosticRecord:
     flags: dict[str, bool] = dc_field(default_factory=dict)
 
     def row(self) -> list[float]:
-        out = []
-        for col in RECORD_COLUMNS:
-            if col == "time":
-                out.append(self.time)
-            elif col in ("finite", "positive"):
-                out.append(1.0 if self.flags.get(col, False) else 0.0)
-            else:
-                out.append(self.values.get(col, math.nan))
-        return out
+        flags = {k: 1.0 if self.flags.get(k, False) else 0.0 for k in ("finite", "positive")}
+        cells = {**self.values, **flags, "time": self.time}
+        return [cells.get(col, math.nan) for col in RECORD_COLUMNS]
 
 
 class _Diagnostics(Accumulator):
@@ -1226,27 +1237,24 @@ class _Diagnostics(Accumulator):
         state, params, (monitor, partition) = snap.state, self.params, self.config
         positive = state.min_density > 0
         gu_mag = np.sqrt(snap.grad_sq)
-        kin = 0.5 * _rho_weighted_sq(state.rho, state.u)
-        pot = integral(pressure_potential(params.pressure, state.rho)) \
-            if positive else math.nan
+        kin, pot = _energy_parts(state, params)
+        pot = pot if positive else math.nan
         values = {
             "mass": state.mass,
             "min_rho": state.min_density,
-            "rho_linf": lebesgue_norm(state.rho, math.inf),
+            "rho_linf": snap.rho_inf,
             "rho_lq": lebesgue_norm(state.rho, self.q_dens),
             "grad_u_l2": float(math.sqrt(np.sum(gu_mag ** 2) * state.grid.cell_volume)),
             "grad_u_linf": float(np.max(gu_mag)),
             "kinetic": kin,
             "potential": pot,
-            "energy": kin + pot if positive else math.nan,
+            "energy": kin + pot,
             "dissipation_cum": self._cumulative("dissipation", n),
             "forcing_work_cum": self._cumulative("forcing_work", n),
             "p1_moment": _moment(state, monitor.p_gain),
         }
-        residuals = v1_identities(state, params, snap)
-        values["div_v1_residual"] = residuals["div_v1"]
-        values["curl_v1_residual"] = residuals["curl_v1"]
-        values["lap_decomposition_residual"] = residuals["lap_u_decomposition"]
+        values.update({RESIDUAL_COLUMNS[name]: val
+                       for name, val in v1_identities(state, params, snap).items()})
         values["effective_pressure_l2"] = lebesgue_norm(snap.effective, 2)
         values["rho_besov_eps"] = besov_norm(partition, state.rho, self.eps_spec)
         self.rows.append(DiagnosticRecord(

@@ -666,11 +666,6 @@ def pointwise(grid: TorusGrid, values: np.ndarray, *, dealiased: bool = True) ->
 # norms and integrals
 # ---------------------------------------------------------------------------
 
-def integral(field: ScalarField) -> float:
-    """Integral over the torus (exact for the resolved trigonometric sum)."""
-    return field.mean * field.grid.volume
-
-
 def _magnitude(samples: np.ndarray, rank: int) -> np.ndarray:
     """Pointwise Euclidean norm over the ``rank`` leading component axes."""
     if rank == 0:

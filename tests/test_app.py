@@ -59,6 +59,24 @@ time.t_end = 0.03
 time.snapshot_every = 1
 """
 
+#: the README's example run at 64^2, with adaptive steps at cfl 0.12
+README_VORTEX_CFG = """
+grid.dim = 2
+grid.points_per_axis = 64
+fluid.mu = 0.05
+fluid.lambda = 0.05
+fluid.a = 1.0
+fluid.gamma = 2.0
+init.preset = stream_vortex
+init.amplitude = 0.5
+time.cfl = 0.12
+time.t_end = 1.0
+time.snapshot_every = 10
+monitor.epsilon = 0.5
+monitor.p_gain = 4
+seed = 0
+"""
+
 
 class TestConfig:
     def test_defaults_and_parse(self):
@@ -296,6 +314,36 @@ class TestVerify:
         result = app.verify(outdir, "identities")
         assert any(f.startswith("snapshot 1: stored mass") for f in result.failures)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_sample_fails_inequalities_by_ledger(self, run_dir, tmp_path, capsys):
+        """A NaN sample makes every empirical constant NaN, and each is a
+        failure that names its ledger (exit code 2), not a silent pass."""
+        outdir = self._with_nan(run_dir, tmp_path, 32 * 32 + 5)
+        assert app.main(["verify", "--dir", outdir, "--suite", "inequalities"]) == 2
+        out = capsys.readouterr().out
+        for name in ("energy", "density_bounds", "integrability", "transport",
+                     "omega_budget", "v1_energy"):
+            assert f"FAIL ledger {name}: empirical constant nan is not finite" in out, out
+
+    @pytest.mark.parametrize("column", ["time", "mass", "rho_linf", "min_rho", "div_v1_residual",
+                                        "curl_v1_residual", "lap_decomposition_residual"])
+    def test_edited_series_cell_fails_identities(self, run_dir, tmp_path, column):
+        """The cross-checked columns are compared exactly: one cell moved by
+        one ulp, under a re-hashed manifest, fails with its column named."""
+        outdir = str(tmp_path / "run")
+        shutil.copytree(run_dir, outdir)
+        path = os.path.join(outdir, app.SERIES_FILE)
+        lines = open(path).read().splitlines()
+        cells = lines[2].split(",")
+        i = lines[0].split(",").index(column)
+        cells[i] = repr(float(np.nextafter(float(cells[i]), np.inf)))
+        lines[2] = ",".join(cells)
+        open(path, "w").write("".join(line + "\n" for line in lines))
+        _rewrite_checksum(outdir, app.SERIES_FILE)
+        result = app.verify(outdir, "identities")
+        assert any(f.startswith(f"snapshot 1: stored {column}=") for f in result.failures), \
+            result.failures
+
     def test_nan_fails_monitors(self, run_dir, tmp_path):
         outdir = self._with_nan(run_dir, tmp_path, 32 * 32 + 5)
         result = app.verify(outdir, "monitors")
@@ -358,6 +406,20 @@ class TestVerify:
         assert app.verify(outdir, "all").ok
         assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (72, 119)
 
+    def test_transform_budget_of_compute_diagnostics(self, fft_calls):
+        """The v1 residual columns are coefficient bounds and the potential a
+        sample sum, so neither transforms, while each snapshot's density
+        coefficients come from its samples: 20 forward and 44 inverse fields
+        on these 4 snapshots (20 and 72 when the residuals were sampled, the
+        potential's mean mode was transformed and the density's coefficients
+        were the stepper's)."""
+        problem = app.build_problem(app.parse_config(FORCED_3D_CFG))
+        traj = dyn.run(problem.initial, problem.params, problem.solver)
+        partition = lp.build_partition(problem.grid)
+        fft_calls.clear()
+        diag.compute_diagnostics(traj, problem.monitor, partition)
+        assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (20, 44)
+
     def test_pressure_law_evaluated_once_per_snapshot(self, tmp_path, monkeypatch):
         """`verify --suite all` evaluates P(rho) and P'(rho) once each per
         checkpoint, shared by every suite and ledger (8 and 6 times on these
@@ -388,6 +450,26 @@ class TestVerify:
     def test_unknown_suite_rejected(self, run_dir):
         with pytest.raises(ValueError):
             app.verify(run_dir, "everything")
+
+
+@pytest.mark.parametrize("text", [VORTEX_CFG, FORCED_3D_CFG, README_VORTEX_CFG],
+                         ids=["2d-vortex", "3d-forced", "readme-vortex"])
+def test_series_rows_recomputed_from_checkpoints(tmp_path, text):
+    """`compute_diagnostics` fed the checkpoints read back writes the rows
+    that `simulate` wrote, cell for cell, except the two stage quadratures,
+    which only the run holds; a NaN cell would fail."""
+    outdir = str(tmp_path / "run")
+    app.simulate(app.parse_config(text), outdir)
+    _, problem, run, paths = app._load_run(outdir)
+    run.states = [dyn.read_checkpoint(path) for path in paths]
+    records = diag.compute_diagnostics(run, problem.monitor, lp.build_partition(problem.grid))
+    lines = open(os.path.join(outdir, app.SERIES_FILE)).read().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == len(records) + 1
+    for n, (line, record) in enumerate(zip(lines[1:], records)):
+        for column, cell, value in zip(header, line.split(","), record.row()):
+            if column not in ("dissipation_cum", "forcing_work_cum"):
+                assert float(cell) == value, (n, column, cell, value)
 
 
 #: 2-D forced vortex with a snapshot every step; `{t_end}` sets their count
