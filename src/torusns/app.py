@@ -336,9 +336,7 @@ def convergence_study(config: ExperimentConfig, levels: int = 3,
         prev_err = err
         dt /= 2.0
     with open(os.path.join(outdir, "convergence.csv"), "w", encoding="utf-8") as fh:
-        fh.write("dt,l2_error,observed_order\n")
-        for r in rows:
-            fh.write(",".join(repr(float(v)) for v in r) + "\n")
+        fh.write(diag._csv(("dt", "l2_error", "observed_order"), rows))
     return rows
 
 
@@ -362,10 +360,7 @@ def _load_run(outdir: str):
     ledgers read, while the states stream from the checkpoints.  ValueError
     when two checkpoints share a header time (a copy under a second name,
     say), since no time step separates them."""
-    manifest_path = os.path.join(outdir, MANIFEST_FILE)
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"no manifest in {outdir}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
+    with open(os.path.join(outdir, MANIFEST_FILE), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     _check_manifest(manifest)
     problem = build_problem(load_config(os.path.join(outdir, CONFIG_FILE)))
@@ -500,56 +495,60 @@ class _IdentitySuite:
 
 
 class _SeriesCrosscheck:
-    """Recompute some series columns from the checkpoints and compare them
-    exactly (float reprs read back bit for bit); a NaN on either side fails,
-    and so does a series file that is missing or malformed (no header, a
-    missing column, a row of another length than the header or a cell that
-    is not a number)."""
+    """Every stored series cell against the row that `compute_diagnostics`'s
+    accumulator recomputes from the checkpoints, bit for bit (float reprs
+    read back exactly; a NaN fails), but the two stage quadratures, which
+    only the run holds: they must be finite, 0.0 in the first row, and the
+    dissipation must not decrease.  A missing or malformed series file (a
+    header other than `RECORD_COLUMNS`, a short row, a non-number) fails."""
 
-    COLUMNS = ("time", "mass", "rho_linf", "min_rho", *diag.RESIDUAL_COLUMNS.values())
+    QUADRATURES = ("dissipation_cum", "forcing_work_cum")
 
-    def __init__(self, outdir: str, count: int):
-        self.rows, self.failures = [], []
+    def __init__(self, outdir: str, diagnostics: diag._Diagnostics, count: int):
+        self.diagnostics, self.rows, self.failures = diagnostics, [], []
         try:
             self.rows = self._read(os.path.join(outdir, SERIES_FILE), count)
         except ValueError as exc:
             self.failures.append(str(exc))
 
-    def _read(self, path: str, count: int) -> list[dict[str, float]]:
-        """The COLUMNS of every row; ValueError names the first fault."""
+    @staticmethod
+    def _read(path: str, count: int) -> list[list[float]]:
+        """The cells of every row; ValueError names the first fault."""
         if not os.path.exists(path):
             raise ValueError(f"missing {SERIES_FILE}")
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
             lines = fh.read().strip().splitlines() or [""]
         header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
-        missing = [name for name in self.COLUMNS if name not in header]
-        if missing:
-            raise ValueError(f"{SERIES_FILE} has no column {', '.join(missing)}")
+        if header != diag.RECORD_COLUMNS:
+            raise ValueError(f"{SERIES_FILE} header is not {','.join(diag.RECORD_COLUMNS)}")
         if len(rows) != count:
-            raise ValueError(f"series rows ({len(rows)}) != checkpoints ({count})")
-        cols = [header.index(name) for name in self.COLUMNS]
-        out = []
+            raise ValueError(f"{SERIES_FILE} rows ({len(rows)}) != checkpoints ({count})")
         for n, row in enumerate(rows):
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells, header has {len(header)}")
-                out.append({k: float(row[i]) for k, i in zip(self.COLUMNS, cols)})
+                rows[n] = [float(cell) for cell in row]
             except ValueError as exc:
                 raise ValueError(f"{SERIES_FILE} row {n}: {exc}") from None
-        return out
+        return rows
 
     def add(self, window) -> None:
         if not self.rows:
             return
-        n, snap = window.index, window.current
-        state, stored = snap.state, self.rows[n]
-        recomputed = {"time": state.t, "mass": state.mass, "rho_linf": snap.rho_inf,
-                      "min_rho": state.min_density,
-                      **{diag.RESIDUAL_COLUMNS[k]: v for k, v in snap.v1_bounds.items()}}
-        for key, val in recomputed.items():
-            if not stored[key] == val:
-                self.failures.append(f"snapshot {n}: stored {key}={stored[key]!r} "
-                                     f"!= recomputed {val!r}")
+        self.diagnostics.add(window)
+        n = window.index
+        for col, stored, val, before in zip(diag.RECORD_COLUMNS, self.rows[n],
+                                            self.diagnostics.rows[-1].row(),
+                                            self.rows[max(n - 1, 0)]):
+            if col not in self.QUADRATURES:
+                fault = None if stored == val else f"!= recomputed {val!r}"
+            else:
+                fault = ("is not finite" if not math.isfinite(stored)
+                         else "is not 0.0" if n == 0 and stored != 0.0
+                         else f"decreases from {before!r}"
+                         if col == "dissipation_cum" and stored < before else None)
+            if fault:
+                self.failures.append(f"snapshot {n}: stored {col}={stored!r} {fault}")
 
     def finish(self) -> list[str]:
         return self.failures
@@ -621,10 +620,11 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
 
     A file that fails its checksum, or a manifest fact that the directory
     contradicts (`_check_facts`), fails every suite before the pass runs.
-    Machine-precision identity failures and monitor-contract violations
-    make the result (and the exit code) fail, and so does an inequality
-    ledger's empirical constant that is not finite; a finite one is only
-    reported.
+    Machine-precision identity failures, a `series.csv` cell that the
+    checkpoints do not reproduce bit for bit (`_SeriesCrosscheck`) and
+    monitor-contract violations make the result (and the exit code) fail,
+    and so does an inequality ledger's empirical constant that is not
+    finite; a finite one is only reported.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
@@ -636,7 +636,8 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     if suite != "monitors":
         partition = lp.build_partition(problem.grid)
     if suite in ("identities", "all"):
-        checks += [_IdentitySuite(problem, partition), _SeriesCrosscheck(outdir, len(paths))]
+        checks += [_IdentitySuite(problem, partition), _SeriesCrosscheck(
+            outdir, diag._Diagnostics(run, problem.monitor, partition), len(paths))]
     if suite in ("inequalities", "all"):
         ledgers = _inequality_ledgers(run, problem, partition, len(paths))
     if suite in ("monitors", "all"):
@@ -725,10 +726,8 @@ def _besov_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected s,p,r got {text!r}")
-    s = _finite_float(parts[0])
-    p = math.inf if parts[1].strip() in ("inf", "oo") else float(parts[1])
-    r = math.inf if parts[2].strip() in ("inf", "oo") else float(parts[2])
-    return s, p, r
+    p, r = (math.inf if x.strip() == "oo" else float(x) for x in parts[1:])
+    return _finite_float(parts[0]), p, r
 
 
 def _count(minimum: int):
@@ -820,7 +819,7 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 1
-    except (dyn.CheckpointError, FileNotFoundError, ValueError) as exc:
+    except (dyn.CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

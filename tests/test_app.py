@@ -325,24 +325,52 @@ class TestVerify:
                      "omega_budget", "v1_energy"):
             assert f"FAIL ledger {name}: empirical constant nan is not finite" in out, out
 
-    @pytest.mark.parametrize("column", ["time", "mass", "rho_linf", "min_rho", "div_v1_residual",
-                                        "curl_v1_residual", "lap_decomposition_residual"])
-    def test_edited_series_cell_fails_identities(self, run_dir, tmp_path, column):
-        """The cross-checked columns are compared exactly: one cell moved by
-        one ulp, under a re-hashed manifest, fails with its column named."""
+    @staticmethod
+    def _with_cell(run_dir, tmp_path, row, column, edit):
+        """Copy of the run whose series cell (row, column) is edit(cell), as
+        float, under a manifest checksum that still matches."""
         outdir = str(tmp_path / "run")
         shutil.copytree(run_dir, outdir)
         path = os.path.join(outdir, app.SERIES_FILE)
         lines = open(path).read().splitlines()
-        cells = lines[2].split(",")
+        cells = lines[row + 1].split(",")
         i = lines[0].split(",").index(column)
-        cells[i] = repr(float(np.nextafter(float(cells[i]), np.inf)))
-        lines[2] = ",".join(cells)
+        cells[i] = repr(float(edit(float(cells[i]))))
+        lines[row + 1] = ",".join(cells)
         open(path, "w").write("".join(line + "\n" for line in lines))
         _rewrite_checksum(outdir, app.SERIES_FILE)
+        return outdir
+
+    @pytest.mark.parametrize("column", [c for c in diag.RECORD_COLUMNS
+                                        if c not in ("dissipation_cum", "forcing_work_cum")])
+    def test_edited_series_cell_fails_identities(self, run_dir, tmp_path, column):
+        """Every column but the two stage quadratures is recomputed and
+        compared exactly: one cell moved by one ulp (a flag flipped from 1.0
+        to 0.0), under a re-hashed manifest, fails with its column named."""
+        move = (lambda x: 1.0 - x) if column in ("finite", "positive") \
+            else (lambda x: np.nextafter(x, np.inf))
+        outdir = self._with_cell(run_dir, tmp_path, 1, column, move)
         result = app.verify(outdir, "identities")
         assert any(f.startswith(f"snapshot 1: stored {column}=") for f in result.failures), \
             result.failures
+
+    @pytest.mark.parametrize("row, column, edit, fault", [
+        (1, "dissipation_cum", lambda x: math.nan, "is not finite"),
+        (2, "forcing_work_cum", lambda x: math.inf, "is not finite"),
+        (0, "dissipation_cum", lambda x: 1e-300, "is not 0.0"),
+        (0, "forcing_work_cum", lambda x: -1e-300, "is not 0.0"),
+        (2, "dissipation_cum", lambda x: 0.0, "decreases from"),
+    ], ids=["nan", "inf", "dissipation-start", "work-start", "decrease"])
+    def test_stage_quadrature_cell_fails_identities(self, run_dir, tmp_path, row, column,
+                                                    edit, fault):
+        """The stage quadratures, which the checkpoints cannot reproduce, must
+        be finite, start at 0.0, and the dissipation must not decrease: each
+        violation fails with its column and row named."""
+        outdir = self._with_cell(run_dir, tmp_path, row, column, edit)
+        failures = [f for f in app.verify(outdir, "identities").failures if "_cum=" in f]
+        assert len(failures) == 1, failures
+        assert failures[0].startswith(f"snapshot {row}: stored {column}=") \
+            and fault in failures[0], failures
 
     def test_nan_fails_monitors(self, run_dir, tmp_path):
         outdir = self._with_nan(run_dir, tmp_path, 32 * 32 + 5)
@@ -367,7 +395,11 @@ class TestVerify:
         lambda lines: lines[:2] + [",".join(lines[2].split(",")[:2])] + lines[3:],
         lambda lines: [lines[0].replace("rho_linf", "rho_sup")] + lines[1:],
         lambda lines: lines[:2] + [lines[2].replace(",", ",x", 1)] + lines[3:],
-    ], ids=["empty", "short-row", "missing-column", "non-numeric"])
+        lambda lines: [lines[0] + ",extra"] + [line + ",0.0" for line in lines[1:]],
+        lambda lines: [",".join(c[:1] + [c[2], c[1]] + c[3:])  # mass and min_rho swapped
+                       for c in (line.split(",") for line in lines)],
+    ], ids=["empty", "short-row", "missing-column", "non-numeric", "extra-column",
+            "reordered"])
     def test_malformed_series_fails_identities(self, run_dir, tmp_path, capsys, edit):
         """A series file that the manifest's checksum matches but that cannot
         be read as the series is a named identities failure, not an error."""
@@ -397,14 +429,16 @@ class TestVerify:
         """Sup-norm Besov terms transform only the blocks their l^1 bound
         leaves open, the identity residuals are certified by their coefficient
         bounds and transform nothing, and every ledger and suite shares each
-        snapshot's pressure, grad u, v1, G and curl u: 72 forward and 119
+        snapshot's pressure, grad u, v1, G and curl u: 72 forward and 127
         inverse fields here (84 and 175 when the residuals were sampled and
-        the Coifman flux took dim^2 products)."""
+        the Coifman flux took dim^2 products; 72 and 119 before the series
+        check recomputed every column, which adds the samples of G and the
+        epsilon-Besov block of each of the 4 snapshots)."""
         outdir = str(tmp_path / "run")
         app.simulate(app.parse_config(FORCED_3D_CFG), outdir)
         fft_calls.clear()
         assert app.verify(outdir, "all").ok
-        assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (72, 119)
+        assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (72, 127)
 
     def test_transform_budget_of_compute_diagnostics(self, fft_calls):
         """The v1 residual columns are coefficient bounds and the potential a
@@ -702,6 +736,25 @@ class TestCli:
             "time.cfl = 0.4\ntime.t_end = 5.0\ntime.vacuum_floor = 0.005\n"
             f"output.dir = {tmp_path}/out\n")
         assert app.main(["simulate", "--config", cfg_path]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "DIR"],
+        ["analyze", "--field", "DIR"],
+        ["verify", "--dir", "RUN"],
+        ["simulate", "--config", "CFG", "--out", "FILE"],
+    ], ids=["config-is-a-directory", "field-is-a-directory", "manifest-is-a-directory",
+            "out-is-a-file"])
+    def test_os_error_exit_code(self, tmp_path, capsys, argv):
+        """A directory where a file is read, or a file where the output
+        directory goes, is an error message and exit code 1, not a traceback."""
+        (tmp_path / "run" / app.MANIFEST_FILE).mkdir(parents=True)
+        (tmp_path / "run.cfg").write_text(VORTEX_CFG)
+        (tmp_path / "out").write_text("")
+        paths = {"DIR": tmp_path, "RUN": tmp_path / "run", "CFG": tmp_path / "run.cfg",
+                 "FILE": tmp_path / "out"}
+        assert app.main([str(paths.get(a, a)) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--field", "FIELD", "--besov", "1,2"],
