@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -130,21 +131,25 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(values)
 
 
+def _keyed(section: str, message: str) -> str:
+    """An owner's message with each word that names a field of `section`
+    written as its config key (`lam` is fluid.lambda)."""
+    keys = {key.partition(".")[2].replace("lambda", "lam"): key for key in CONFIG_SCHEMA
+            if key.startswith(section + ".")}
+    return re.sub(r"\w+", lambda word: keys.get(word[0], word[0]), message)
+
+
 def _validate_values(v: dict) -> list[str]:
-    errors = []
-    if v["grid.dim"] not in (2, 3):
-        errors.append(f"grid.dim must be 2 or 3, got {v['grid.dim']}")
-    m = v["grid.points_per_axis"]
-    if m < 8 or (m & (m - 1)) != 0:
-        errors.append(f"grid.points_per_axis must be a power of two >= 8, got {m}")
-    if v["fluid.mu"] <= 0:
-        errors.append(f"fluid.mu must be positive, got {v['fluid.mu']}")
-    if v["grid.dim"] * v["fluid.lambda"] + 2 * v["fluid.mu"] <= 0:
-        errors.append("physical condition N*lambda + 2*mu > 0 violated")
-    if v["fluid.a"] <= 0:
-        errors.append(f"fluid.a must be positive, got {v['fluid.a']}")
-    if v["fluid.gamma"] < 1:
-        errors.append(f"fluid.gamma must be >= 1, got {v['fluid.gamma']}")
+    """The configured types' rules, as each type states them, then the rest."""
+    dim = v["grid.dim"]
+    errors = [_keyed(section, message) for section, messages in (
+        ("grid", sp.grid_errors(dim, v["grid.points_per_axis"])),
+        ("fluid", dyn.FluidParams.errors(v["fluid.mu"], v["fluid.lambda"], dim)
+         + dyn.PowerLaw.errors(v["fluid.a"], v["fluid.gamma"])),
+        ("time", dyn.SolverConfig(v["time.t_end"], v["time.dt"], v["time.cfl"],
+                                  v["time.snapshot_every"], v["time.vacuum_floor"]).errors()),
+        ("monitor", diag.MonitorConfig.errors(v["monitor.epsilon"], v["monitor.p_gain"],
+                                              v["monitor.q_density"]))) for message in messages]
     if v["init.preset"] not in INIT_PRESETS:
         errors.append(f"init.preset must be one of {INIT_PRESETS}")
     if v["forcing.preset"] not in FORCING_PRESETS:
@@ -153,22 +158,6 @@ def _validate_values(v: dict) -> list[str]:
         errors.append("forcing.preset = manufactured requires the matching init preset")
     if v["init.preset"] == "manufactured" and v["forcing.preset"] != "manufactured":
         errors.append("init.preset = manufactured requires forcing.preset = manufactured")
-    if v["time.dt"] is None and v["time.cfl"] is None:
-        errors.append("one of time.dt or time.cfl is required")
-    if v["time.dt"] is not None and v["time.dt"] <= 0:
-        errors.append("time.dt must be positive")
-    if v["time.cfl"] is not None and not (0 < v["time.cfl"] <= 1):
-        errors.append("time.cfl must lie in (0, 1]")
-    if v["time.t_end"] <= 0:
-        errors.append("time.t_end must be positive")
-    if v["time.snapshot_every"] < 1:
-        errors.append("time.snapshot_every must be >= 1")
-    if v["monitor.epsilon"] <= 0:
-        errors.append("monitor.epsilon must be positive")
-    if v["monitor.p_gain"] < 2 or v["monitor.p_gain"] % 2:
-        errors.append("monitor.p_gain must be an even integer >= 2")
-    if v["monitor.q_density"] is not None and v["monitor.q_density"] < 1:
-        errors.append(f"monitor.q_density must be >= 1, got {v['monitor.q_density']}")
     return errors
 
 
@@ -609,6 +598,24 @@ class _MonitorSuite:
         return self.failures
 
 
+class _Guarded:
+    """An inequality ledger of `verify`'s pass under its name: a SolverStop
+    that its `add` raises (a stored density at or below zero, which the
+    density ledgers refuse) becomes `stop`, a failure naming the snapshot
+    and the ledger, and the ledger is fed no more."""
+
+    def __init__(self, name: str, ledger: diag.Accumulator):
+        self.name, self.ledger, self.stop = name, ledger, None
+        self.differentiates = ledger.differentiates
+
+    def add(self, window) -> None:
+        if self.stop is None:
+            try:
+                self.ledger.add(window)
+            except dyn.SolverStop as stop:
+                self.stop = f"snapshot {window.index}: ledger {self.name} stopped: {stop}"
+
+
 def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """Run a verification suite over a stored run directory.
 
@@ -624,7 +631,9 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     checkpoints do not reproduce bit for bit (`_SeriesCrosscheck`) and
     monitor-contract violations make the result (and the exit code) fail,
     and so does an inequality ledger's empirical constant that is not
-    finite; a finite one is only reported.
+    finite; a finite one is only reported.  A ledger that stops on a stored
+    density at or below zero fails the result too (`_Guarded`), and then no
+    ledger is written.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
@@ -642,10 +651,13 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
         ledgers = _inequality_ledgers(run, problem, partition, len(paths))
     if suite in ("monitors", "all"):
         checks.append(_MonitorSuite(run, problem.monitor))
-    diag.feed(checks + [ledger for ledger, _, _ in ledgers.values()], problem.params,
-              len(paths), lambda n: dyn.read_checkpoint(paths[n]))
+    guarded = [_Guarded(name, ledger) for name, (ledger, _, _) in ledgers.items()]
+    diag.feed(checks + guarded, problem.params, len(paths),
+              lambda n: dyn.read_checkpoint(paths[n]))
     for check in checks:
         failures += check.finish()
+    if stops := [ledger.stop for ledger in guarded if ledger.stop]:
+        return VerifyResult(False, failures + stops, {})
     reports = {name: report(ledger, *args) for name, (ledger, report, args) in ledgers.items()}
     failures += [f"ledger {name}: empirical constant {rep.empirical_constant!r} is not finite"
                  for name, rep in reports.items() if not math.isfinite(rep.empirical_constant)]

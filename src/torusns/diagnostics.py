@@ -75,12 +75,16 @@ class MonitorConfig:
     q_density: float | None = None  # Lebesgue exponent; None = (N+1+eps)*gamma
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.p_gain < 2 or self.p_gain % 2:
-            raise ValueError(f"p_gain must be even and >= 2, got {self.p_gain}")
-        if self.q_density is not None and self.q_density < 1:
-            raise ValueError("q_density must be >= 1")
+        if errors := self.errors(self.epsilon, self.p_gain, self.q_density):
+            raise ValueError("; ".join(errors))
+
+    @staticmethod
+    def errors(epsilon: float, p_gain: int, q_density: float | None) -> list[str]:
+        """The monitor's rules, which `parse_config` collects for monitor.*."""
+        rules = [(epsilon > 0, f"epsilon must be positive, got {epsilon}"),
+                 (p_gain >= 2 and p_gain % 2 == 0, f"p_gain must be even and >= 2, got {p_gain}"),
+                 (q_density is None or q_density >= 1, f"q_density must be >= 1, got {q_density}")]
+        return [message for holds, message in rules if not holds]
 
 
 def criterion_exponent(dim: int, gamma: float, epsilon: float) -> float:
@@ -774,8 +778,6 @@ class IntegrabilityGain(Accumulator):
         super().__init__(run, p1)
         if p1 < 2 or p1 % 2 != 0:
             raise ValueError(f"p1 must be even and >= 2, got {p1}")
-        if self.params.mu <= 0:
-            raise ValueError("mu must be positive")
         self.p1 = p1
 
     def add(self, window: _Window) -> None:
@@ -1130,7 +1132,7 @@ class V1EnergyLedger(Accumulator):
     def add(self, window: _Window) -> None:
         snap = window.current
         if snap.state.min_density <= 0:
-            raise VacuumError(self.stop_time, snap.state.min_density)
+            raise VacuumError(snap.t, snap.state.min_density)
         super().add(window)
         params = self.params
         v1, _ = snap.velocities

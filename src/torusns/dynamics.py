@@ -25,9 +25,9 @@ from .spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    check_grid_parameters,
     fourier_eval,
     gradient_sum,
+    grid_errors,
     parseval_sum,
     to_coeffs,
     to_samples,
@@ -68,12 +68,17 @@ class PowerLaw:
     is the isothermal law."""
 
     def __init__(self, a: float, gamma: float):
-        if a <= 0:
-            raise ValueError(f"pressure coefficient a must be positive, got {a}")
-        if gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {gamma}")
+        if errors := self.errors(a, gamma):
+            raise ValueError("; ".join(errors))
         self.a = float(a)
         self.gamma = float(gamma)
+
+    @staticmethod
+    def errors(a: float, gamma: float) -> list[str]:
+        """The law's rules, which `parse_config` collects for fluid.*."""
+        rules = [(a > 0, f"a must be positive, got {a}"),
+                 (gamma >= 1, f"gamma must be >= 1, got {gamma}")]
+        return [message for holds, message in rules if not holds]
 
     def __call__(self, s):
         return self.a * np.asarray(s, dtype=float) ** self.gamma
@@ -164,12 +169,16 @@ class FluidParams:
         return 2.0 * self.mu + self.lam
 
     def validate(self, dim: int) -> None:
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if dim * self.lam + 2.0 * self.mu <= 0:
-            raise ValueError(
-                f"physical condition N*lam + 2*mu > 0 violated "
-                f"(N={dim}, lam={self.lam}, mu={self.mu})")
+        if errors := self.errors(self.mu, self.lam, dim):
+            raise ValueError("; ".join(errors))
+
+    @staticmethod
+    def errors(mu: float, lam: float, dim: int) -> list[str]:
+        """The viscosities' rules in dimension `dim`, which `parse_config` collects."""
+        rules = [(mu > 0, f"mu must be positive, got {mu}"),
+                 (dim * lam + 2.0 * mu > 0, f"physical condition N*lam + 2*mu > 0 "
+                                            f"violated (N={dim}, lam={lam}, mu={mu})")]
+        return [message for holds, message in rules if not holds]
 
     def forcing_field(self, t: float, grid: TorusGrid) -> VectorField | None:
         if self.forcing is None:
@@ -235,16 +244,19 @@ class SolverConfig:
     max_steps: int = 10_000_000
 
     def validate(self) -> None:
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.dt is None and self.cfl is None:
-            raise ValueError("either dt or cfl must be given")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.cfl is not None and not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
+        if errors := self.errors():
+            raise ValueError("; ".join(errors))
+
+    def errors(self) -> list[str]:
+        """The solver's rules, which `parse_config` collects for time.*."""
+        dt, cfl, every, floor = self.dt, self.cfl, self.snapshot_every, self.vacuum_floor
+        rules = [(self.t_end > 0, f"t_end must be positive, got {self.t_end}"),
+                 (dt is not None or cfl is not None, "either dt or cfl must be given"),
+                 (dt is None or dt > 0, f"dt must be positive, got {dt}"),
+                 (cfl is None or 0.0 < cfl <= 1.0, f"cfl must lie in (0, 1], got {cfl}"),
+                 (every >= 1, f"snapshot_every must be >= 1, got {every}"),
+                 (floor >= 0, f"vacuum_floor must be >= 0, got {floor}")]
+        return [message for holds, message in rules if not holds]
 
 
 @dataclass
@@ -902,10 +914,8 @@ def _checkpoint_header(path: str, raw: bytes, size: int) -> tuple[int, int, floa
             f"{path}: field count {n_fields} != 1 + dim at byte offset {offsets[3]}")
     # validate the header against the payload before the grid allocates
     # M^dim-sized arrays, so a corrupt header cannot exhaust memory
-    try:
-        check_grid_parameters(dim, m)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc} (header at byte offset 0)") from None
+    if errors := grid_errors(dim, m):
+        raise CheckpointError(f"{path}: {'; '.join(errors)} (header at byte offset 0)")
     expected = n_fields * m ** dim * 8
     if size - (nl + 1) != expected:
         raise CheckpointError(

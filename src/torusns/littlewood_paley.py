@@ -112,8 +112,6 @@ class DyadicPartition:
     kept by the partition that built them."""
 
     def __init__(self, grid: TorusGrid):
-        if grid.n < 8:
-            raise ValueError("grid too small to host one full dyadic shell (M < 8)")
         self.grid = grid
         self._filters = _filter_stack(grid)
         self.q_max = len(self._filters) - 2

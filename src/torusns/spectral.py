@@ -119,14 +119,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # grid and transforms
 # ---------------------------------------------------------------------------
 
-def check_grid_parameters(dim: int, points_per_axis: int) -> None:
-    """Raise ValueError unless dim is 2 or 3 and M is a power of two >= 8."""
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
+def grid_errors(dim: int, points_per_axis: int) -> list[str]:
+    """The grid's rules, which `TorusGrid` raises as ValueError, the
+    checkpoint reader as CheckpointError, and `parse_config` collects."""
     m = int(points_per_axis)
-    if m < 8 or (m & (m - 1)) != 0:
-        raise ValueError(
-            f"points_per_axis must be a power of two >= 8, got {points_per_axis}")
+    rules = [(dim in (2, 3), f"dim must be 2 or 3, got {dim}"),
+             (m >= 8 and m & (m - 1) == 0,
+              f"points_per_axis must be a power of two >= 8, got {points_per_axis}")]
+    return [message for holds, message in rules if not holds]
 
 
 class TorusGrid:
@@ -145,7 +145,8 @@ class TorusGrid:
     """
 
     def __init__(self, dim: int, points_per_axis: int):
-        check_grid_parameters(dim, points_per_axis)
+        if errors := grid_errors(dim, points_per_axis):
+            raise ValueError("; ".join(errors))
         _kernels()  # the transform engine, loaded at set-up
         m = int(points_per_axis)
         self.dim = dim

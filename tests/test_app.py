@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import tracemalloc
 import weakref
@@ -134,6 +135,48 @@ class TestConfig:
         assert all(math.isfinite(v) for v in cfg.values.values()
                    if isinstance(v, float))
 
+    @pytest.mark.parametrize("text, key, owner", [
+        ("time.dt = 0.01\ngrid.dim = 4", "grid.dim", lambda: sp.TorusGrid(4, 32)),
+        ("time.dt = 0.01\ngrid.points_per_axis = 12", "grid.points_per_axis",
+         lambda: sp.TorusGrid(2, 12)),
+        ("time.dt = 0.01\nfluid.mu = -0.01", "fluid.mu",
+         lambda: dyn.FluidParams(-0.01, 0.1, dyn.PowerLaw(1.0, 2.0)).validate(2)),
+        ("time.dt = 0.01\nfluid.lambda = -0.2", "fluid.lambda",
+         lambda: dyn.FluidParams(0.1, -0.2, dyn.PowerLaw(1.0, 2.0)).validate(2)),
+        ("time.dt = 0.01\nfluid.a = 0", "fluid.a", lambda: dyn.PowerLaw(0.0, 2.0)),
+        ("time.dt = 0.01\nfluid.gamma = 0.5", "fluid.gamma", lambda: dyn.PowerLaw(1.0, 0.5)),
+        ("time.t_end = 1", "time.dt", lambda: dyn.SolverConfig(1.0).validate()),
+        ("time.dt = -0.01", "time.dt", lambda: dyn.SolverConfig(0.5, -0.01).validate()),
+        ("time.cfl = 2", "time.cfl", lambda: dyn.SolverConfig(0.5, cfl=2.0).validate()),
+        ("time.dt = 0.01\ntime.t_end = 0", "time.t_end",
+         lambda: dyn.SolverConfig(0.0, 0.01).validate()),
+        ("time.dt = 0.01\ntime.snapshot_every = 0", "time.snapshot_every",
+         lambda: dyn.SolverConfig(0.5, 0.01, snapshot_every=0).validate()),
+        ("time.dt = 0.01\ntime.vacuum_floor = -0.5", "time.vacuum_floor",
+         lambda: dyn.SolverConfig(0.5, 0.01, vacuum_floor=-0.5).validate()),
+        ("time.dt = 0.01\nmonitor.epsilon = 0", "monitor.epsilon",
+         lambda: diag.MonitorConfig(epsilon=0.0)),
+        ("time.dt = 0.01\nmonitor.p_gain = 3", "monitor.p_gain",
+         lambda: diag.MonitorConfig(p_gain=3)),
+        ("time.dt = 0.01\nmonitor.q_density = 0.5", "monitor.q_density",
+         lambda: diag.MonitorConfig(q_density=0.5)),
+    ], ids=["grid.dim", "grid.points_per_axis", "fluid.mu", "fluid.lambda", "fluid.a",
+            "fluid.gamma", "time.dt-or-cfl", "time.dt", "time.cfl", "time.t_end",
+            "time.snapshot_every", "time.vacuum_floor", "monitor.epsilon", "monitor.p_gain",
+            "monitor.q_density"])
+    def test_one_rule_two_entry_points(self, text, key, owner):
+        """Each rule that a configured type owns is written once: the config
+        reports it under its key, and the type raises the same text."""
+        with pytest.raises(app.ConfigError) as err:
+            app.parse_config(text)
+        [message] = err.value.errors
+        assert key in message
+        with pytest.raises(ValueError) as owned:
+            owner()
+        fields = re.sub(r"\b(?:grid|fluid|time|monitor)\.(\w+)",
+                        lambda m: "lam" if m[1] == "lambda" else m[1], message)
+        assert str(owned.value) == fields
+
     def test_constant_forcing_built_once_per_grid(self, fft_calls):
         problem = app.build_problem(app.parse_config(FORCED_3D_CFG))
         first = problem.params.forcing_field(0.0, problem.grid)
@@ -256,13 +299,13 @@ class TestVerify:
         assert any("state_000001" in f for f in result.failures)
 
     @staticmethod
-    def _with_nan(run_dir, tmp_path, sample_index, value=np.nan):
-        """Copy of the run with one NaN (or other `value`) sample in
-        state_000001 (rho comes first in the payload) and a manifest checksum
-        that still matches."""
+    def _with_nan(run_dir, tmp_path, sample_index, value=np.nan, checkpoint=1):
+        """Copy of the run with one NaN (or other `value`) sample in the
+        checkpoint numbered `checkpoint` (rho comes first in the payload)
+        and a manifest checksum that still matches."""
         outdir = str(tmp_path / "nan")
         shutil.copytree(run_dir, outdir)
-        name = "state_000001.nsb"
+        name = f"state_{checkpoint:06d}.nsb"
         path = os.path.join(outdir, name)
         data = bytearray(open(path, "rb").read())
         offset = data.index(b"\n") + 1 + 8 * sample_index
@@ -324,6 +367,19 @@ class TestVerify:
         for name in ("energy", "density_bounds", "integrability", "transport",
                      "omega_budget", "v1_energy"):
             assert f"FAIL ledger {name}: empirical constant nan is not finite" in out, out
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("suite", ["inequalities", "all"])
+    def test_non_positive_density_stops_a_ledger(self, run_dir, tmp_path, capsys, suite):
+        """A stored density below zero, which the v1 energy ledger refuses,
+        is a failure naming the snapshot and the ledger (exit code 2), not a
+        traceback, and no ledger is written."""
+        outdir = self._with_nan(run_dir, tmp_path, 5, -0.1, checkpoint=2)
+        shutil.rmtree(os.path.join(outdir, "ledgers"), ignore_errors=True)  # an earlier verify's
+        assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL snapshot 2: ledger v1_energy stopped: density reached -0.1" in out, out
+        assert not os.path.exists(os.path.join(outdir, "ledgers"))
 
     @staticmethod
     def _with_cell(run_dir, tmp_path, row, column, edit):
@@ -736,6 +792,26 @@ class TestCli:
             "time.cfl = 0.4\ntime.t_end = 5.0\ntime.vacuum_floor = 0.005\n"
             f"output.dir = {tmp_path}/out\n")
         assert app.main(["simulate", "--config", cfg_path]) == 3
+
+    @pytest.mark.parametrize("floor, code", [(-0.5, 1), (0.3, 3)])
+    def test_vacuum_floor_below_zero_exit_code(self, tmp_path, capsys, floor, code):
+        """The vacuum stress run with a negative floor would step through
+        negative densities: it is a config error naming the key, and no run
+        directory is written.  A positive floor runs and stops `vacuum`."""
+        cfg_path = os.path.join(tmp_path, "floor.cfg")
+        out = os.path.join(tmp_path, "out")
+        open(cfg_path, "w").write(
+            "grid.dim = 2\ngrid.points_per_axis = 32\ninit.preset = density_bump\n"
+            "init.u_amplitude = 3.0\nfluid.a = 0.01\nfluid.mu = 0.005\n"
+            f"fluid.lambda = 0.0\ntime.cfl = 0.4\ntime.vacuum_floor = {floor}\n"
+            f"output.dir = {out}\n")
+        assert app.main(["simulate", "--config", cfg_path]) == code
+        if code == 1:
+            assert capsys.readouterr().err.startswith("config error: time.vacuum_floor ")
+            assert not os.path.exists(out)
+        else:
+            assert json.load(open(os.path.join(out, app.MANIFEST_FILE)))["stop_reason"] \
+                == "vacuum"
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--config", "DIR"],

@@ -2,11 +2,13 @@
 
     python3 tools/transform_census.py --workload sim3d-dense
     python3 tools/transform_census.py --workload sim2d-vortex --seed 3
+    python3 tools/transform_census.py --config run.cfg
 
 Builds a simulation workload's config for the seed (the bench modules are
-imported, not changed), runs `app.simulate` on it into a temporary
-directory, then `app.verify` on that directory once per suite
-(identities, inequalities, monitors, all).  For each of these five phases it
+imported, not changed), or reads the config file given by --config (the
+README's example run or a test's config, say), runs `app.simulate` on it
+into a temporary directory, then `app.verify` on that directory once per
+suite (identities, inequalities, monitors, all).  For each of these five phases it
 prints the fields that `spectral`'s compiled kernels transformed, by call
 site: the first frame outside spectral.py (file:function) of the call.
 
@@ -104,14 +106,20 @@ class Census:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=("sim2d-vortex", "sim3d-dense"))
-    ap.add_argument("--seed", type=int, default=0)
+    source = ap.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workload", choices=("sim2d-vortex", "sim3d-dense"))
+    source.add_argument("--config", metavar="PATH", help="a config file instead of a workload")
+    ap.add_argument("--seed", type=int, default=0, help="the workload's seed")
     args = ap.parse_args(argv)
 
     child._import_torusns()
     import workloads
     from torusns import app, spectral
-    config = app.parse_config(workloads.make(args.workload).config_text(args.seed))
+    if args.config:
+        config, label = app.load_config(args.config), args.config
+    else:
+        config = app.parse_config(workloads.make(args.workload).config_text(args.seed))
+        label = f"{args.workload}, seed {args.seed}"
     failed = []
     with tempfile.TemporaryDirectory(prefix="transform-census-") as workdir:
         rundir = os.path.join(workdir, "run")
@@ -123,7 +131,7 @@ def main(argv=None) -> int:
                     failed.append(f"{phase}: {'; '.join(result.failures)}")
             rows = census.table()
             width = max(len(site) for site, _ in rows)
-            print(f"{phase} ({args.workload}, seed {args.seed})")
+            print(f"{phase} ({label})")
             print(f"  {'call site':<{width}s}" + "".join(f"{k:>9s}" for k in KINDS))
             for site, counts in rows:
                 print(f"  {site:<{width}s}" + "".join(f"{c:>9d}" for c in counts))
