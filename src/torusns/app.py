@@ -598,24 +598,6 @@ class _MonitorSuite:
         return self.failures
 
 
-class _Guarded:
-    """An inequality ledger of `verify`'s pass under its name: a SolverStop
-    that its `add` raises (a stored density at or below zero, which the
-    density ledgers refuse) becomes `stop`, a failure naming the snapshot
-    and the ledger, and the ledger is fed no more."""
-
-    def __init__(self, name: str, ledger: diag.Accumulator):
-        self.name, self.ledger, self.stop = name, ledger, None
-        self.differentiates = ledger.differentiates
-
-    def add(self, window) -> None:
-        if self.stop is None:
-            try:
-                self.ledger.add(window)
-            except dyn.SolverStop as stop:
-                self.stop = f"snapshot {window.index}: ledger {self.name} stopped: {stop}"
-
-
 def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """Run a verification suite over a stored run directory.
 
@@ -631,9 +613,9 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     checkpoints do not reproduce bit for bit (`_SeriesCrosscheck`) and
     monitor-contract violations make the result (and the exit code) fail,
     and so does an inequality ledger's empirical constant that is not
-    finite; a finite one is only reported.  A ledger that stops on a stored
-    density at or below zero fails the result too (`_Guarded`), and then no
-    ledger is written.
+    finite; a finite one is only reported.  A stored density at or below
+    zero, which the pass refuses (`diagnostics._Snapshot`), is the one
+    failure, naming the snapshot, and then no ledger is written.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
@@ -651,13 +633,14 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
         ledgers = _inequality_ledgers(run, problem, partition, len(paths))
     if suite in ("monitors", "all"):
         checks.append(_MonitorSuite(run, problem.monitor))
-    guarded = [_Guarded(name, ledger) for name, (ledger, _, _) in ledgers.items()]
-    diag.feed(checks + guarded, problem.params, len(paths),
-              lambda n: dyn.read_checkpoint(paths[n]))
+    try:
+        diag.feed(checks + [ledger for ledger, _, _ in ledgers.values()], problem.params,
+                  len(paths), lambda n: dyn.read_checkpoint(paths[n]))
+    except dyn.VacuumError as vacuum:
+        n = [dyn.checkpoint_time(path) for path in paths].index(vacuum.time)
+        return VerifyResult(False, [f"snapshot {n}: stored {vacuum}"], {})
     for check in checks:
         failures += check.finish()
-    if stops := [ledger.stop for ledger in guarded if ledger.stop]:
-        return VerifyResult(False, failures + stops, {})
     reports = {name: report(ledger, *args) for name, (ledger, report, args) in ledgers.items()}
     failures += [f"ledger {name}: empirical constant {rep.empirical_constant!r} is not finite"
                  for name, rep in reports.items() if not math.isfinite(rep.empirical_constant)]

@@ -33,7 +33,6 @@ from .spectral import (
     leray_project,
     lebesgue_norm,
     multiply,
-    parseval_sum,
     partial,
     pointwise,
     random_field,
@@ -48,7 +47,8 @@ from .spectral import (
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
                                besov_from_block_norms, besov_norm, block_norms,
                                _ensemble, _ratio_report, _sup_besov)
-from .dynamics import NORMAL_STOPS, FluidParams, FluidState, Trajectory, VacuumError
+from .dynamics import (NORMAL_STOPS, FluidParams, FluidState, Trajectory, VacuumError,
+                       _viscous_dissipation)
 
 
 def f_weight(t):
@@ -152,11 +152,8 @@ def _rho_weighted_sq(rho: ScalarField, x: VectorField) -> float:
 
 
 def _viscous_form(params: FluidParams, x: VectorField) -> float:
-    """int mu |grad X|^2 + (mu + lam) (div X)^2 dx as weighted coefficient
-    sums (Parseval), with the spectral derivatives' zero Nyquist planes."""
-    grid = x.grid
-    return grid.volume * (params.mu * gradient_sum(grid, x.coeffs) + (params.mu + params.lam)
-                          * parseval_sum(grid, divergence(x).coeffs))
+    """int mu |grad X|^2 + (mu + lam) (div X)^2 dx (`_viscous_dissipation`)."""
+    return _viscous_dissipation(x.grid, params, x.coeffs, divergence(x).coeffs)
 
 
 def _grad_sq(f: Field, grad: np.ndarray | None = None) -> np.ndarray:
@@ -392,9 +389,13 @@ class _Snapshot:
     pass over a run in memory and one over its checkpoints read the same
     fields, bit for bit.  What its fields compute on first read (their
     coefficients) is kept here, not on the stored state, so it is freed with
-    the snapshot and a trajectory's states stay as small as they were built."""
+    the snapshot and a trajectory's states stay as small as they were built.
+    Every pass refuses vacuum here alone: a density at or below zero raises
+    `VacuumError` (a NaN minimum passes, for the finiteness checks to judge)."""
 
     def __init__(self, state: FluidState, params: FluidParams):
+        if state.min_density <= 0:
+            raise VacuumError(state.t, state.min_density)
         grid = state.grid
         self.state = FluidState(ScalarField._of_samples(grid, state.rho.view().samples),
                                 VectorField._of_samples(grid, state.u.view().samples), state.t)
@@ -523,7 +524,8 @@ def feed(accumulators: Sequence, params: FluidParams, count: int,
     `_Snapshot`.  At most three states are held at once, and one when no
     accumulator differentiates in time (an accumulator without a
     `differentiates` attribute does not), so a snapshot's fields are freed
-    as soon as every accumulator has read it."""
+    as soon as every accumulator has read it.  A density <= 0 stops the pass
+    with `VacuumError` (`_Snapshot`)."""
     span = 3 if any(getattr(acc, "differentiates", False) for acc in accumulators) else 1
     for window in _windows(count, lambda n: _Snapshot(load(n), params), span):
         for acc in accumulators:
@@ -580,9 +582,7 @@ class _FTransport(_InteriorResiduals):
     """Accumulator of `f_transport_residual`, its config the reading."""
 
     def f_field(self, snap: _Snapshot) -> ScalarField:
-        """F of the snapshot under the reading; F needs positive density."""
-        if snap.state.min_density <= 0:
-            raise VacuumError(snap.t, snap.state.min_density)
+        """F of the snapshot under the reading."""
         log_rho, flux = snap.log_parts
         nu = self.params.nu
         return log_rho * nu + flux if self.config == ("adopted",) else (log_rho + flux) * nu
@@ -845,8 +845,6 @@ class DensityBoundLedger(Accumulator):
         snap = window.current
         s = snap.state
         if not self.times:
-            if s.min_density <= 0:
-                raise VacuumError(s.t, s.min_density)
             self.rho0_max = float(np.max(s.rho.samples))
             self.rho0_min = float(np.min(s.rho.samples))
         super().add(window)
@@ -920,8 +918,8 @@ def _in_window(t: float, window_end: float | None) -> bool:
 
 class BlowupMonitor(Accumulator):
     """Accumulator of `blowup_monitor` on [0, window_end] (all snapshots for
-    None).  Its density criterion needs no norm: every snapshot finite with
-    positive density, and no abnormal stop inside the window."""
+    None).  Its density criterion needs no norm: every snapshot finite (the
+    pass refuses vacuum), and no abnormal stop inside the window."""
 
     def __init__(self, run: Trajectory, monitor: MonitorConfig,
                  window_end: float | None = None):
@@ -937,7 +935,7 @@ class BlowupMonitor(Accumulator):
             return
         super().add(window)
         state = snap.state
-        if not (state.is_finite() and state.min_density > 0):
+        if not state.is_finite():
             self.bad.append(snap.t)
         if len(self.times) == 1:
             dim = state.grid.dim
@@ -1131,8 +1129,6 @@ class V1EnergyLedger(Accumulator):
 
     def add(self, window: _Window) -> None:
         snap = window.current
-        if snap.state.min_density <= 0:
-            raise VacuumError(snap.t, snap.state.min_density)
         super().add(window)
         params = self.params
         v1, _ = snap.velocities
@@ -1237,10 +1233,8 @@ class _Diagnostics(Accumulator):
     def add(self, window: _Window) -> None:
         n, snap = window.index, window.current
         state, params, (monitor, partition) = snap.state, self.params, self.config
-        positive = state.min_density > 0
         gu_mag = np.sqrt(snap.grad_sq)
         kin, pot = _energy_parts(state, params)
-        pot = pot if positive else math.nan
         values = {
             "mass": state.mass,
             "min_rho": state.min_density,
@@ -1260,7 +1254,7 @@ class _Diagnostics(Accumulator):
         values["effective_pressure_l2"] = lebesgue_norm(snap.effective, 2)
         values["rho_besov_eps"] = besov_norm(partition, state.rho, self.eps_spec)
         self.rows.append(DiagnosticRecord(
-            state.t, values, {"finite": state.is_finite(), "positive": positive}))
+            state.t, values, {"finite": state.is_finite(), "positive": state.min_density > 0}))
 
     def finish(self) -> list[DiagnosticRecord]:
         return self.rows

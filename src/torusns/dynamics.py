@@ -93,7 +93,7 @@ class PowerLaw:
         if self.gamma == 1.0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = self.a * s * np.log(np.maximum(s, 1e-300))
-            return np.where(s > 0, out, 0.0)
+            return np.where(s <= 0, 0.0, out)
         return self.a * s ** self.gamma / (self.gamma - 1.0)
 
     def rescaled(self, factor: float) -> "PowerLaw":
@@ -475,10 +475,8 @@ class _Stepper:
         """Instantaneous integrands accumulated at RK4 accuracy:
         viscous dissipation int mu |grad u|^2 + (mu+lam)(div u)^2 and the
         forcing power int rho g . u."""
-        grid, mu, lam = self.grid, self.params.mu, self.params.lam
-        grad_sq = gradient_sum(grid, aux["u_c"])
-        div_sq = parseval_sum(grid, aux["div_u"])
-        dissipation = grid.volume * (mu * grad_sq + (mu + lam) * div_sq)
+        grid = self.grid
+        dissipation = _viscous_dissipation(grid, self.params, aux["u_c"], aux["div_u"])
         if aux["g_s"] is None:
             work = 0.0
         else:
@@ -502,6 +500,14 @@ class _Stepper:
 
         (y,) = _rk4(rhs, t, (y,), dt)
         return y, quads
+
+
+def _viscous_dissipation(grid: TorusGrid, params: FluidParams, u_c: np.ndarray,
+                         div_c: np.ndarray) -> float:
+    """int mu |grad u|^2 + (mu + lam) (div u)^2 dx from the coefficients of u
+    and div u (Parseval, the spectral derivatives' Nyquist planes zero)."""
+    return grid.volume * (params.mu * gradient_sum(grid, u_c)
+                          + (params.mu + params.lam) * parseval_sum(grid, div_c))
 
 
 def _conservative(state: FluidState, keep: np.ndarray) -> np.ndarray:
@@ -713,9 +719,9 @@ def linear_split(trajectory: Trajectory) -> SplitResult:
     is co-integrated with a re-run of the trajectory so all stage
     coefficients line up; the forcing rides with w2.
     """
-    if any(s.min_density <= 0 for s in trajectory.states):
-        raise VacuumError(trajectory.stop_time, min(s.min_density
-                                                    for s in trajectory.states))
+    for state in trajectory.states:
+        if state.min_density <= 0:
+            raise VacuumError(state.t, state.min_density)
     grid = trajectory.initial.grid
     dim = grid.dim
     stepper = _Stepper(grid, trajectory.params, trajectory.config.vacuum_floor)

@@ -760,7 +760,7 @@ def coefficient_sup_bound(field: Field) -> float:
     bound = math.sqrt(np.sum(per_component ** 2))
     if not math.isfinite(bound):
         return math.nan
-    return bound * (1.0 + 2.0 * math.prod(grid.spectral_shape) * np.finfo(float).eps)
+    return bound * (1.0 + 2.0 * math.prod(grid.spectral_shape) * float(np.finfo(float).eps))
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,16 @@ def run_dir(tmp_path_factory):
     return outdir
 
 
+@pytest.fixture(scope="module")
+def two_snapshot_dir(tmp_path_factory):
+    """A 2-D 16^2 vortex run with two checkpoints, at t = 0 and t = 0.02."""
+    outdir = str(tmp_path_factory.mktemp("two"))
+    app.simulate(app.parse_config("grid.points_per_axis = 16\ninit.preset = stream_vortex\n"
+                                  "time.dt = 0.01\ntime.t_end = 0.02\n"
+                                  "time.snapshot_every = 2\n"), outdir)
+    return outdir
+
+
 def _with_manifest(run_dir, tmp_path, edit) -> str:
     """A copy of the run directory whose manifest is edit(manifest)."""
     outdir = os.path.join(tmp_path, "run")
@@ -368,17 +378,22 @@ class TestVerify:
                      "omega_budget", "v1_energy"):
             assert f"FAIL ledger {name}: empirical constant nan is not finite" in out, out
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("suite", ["inequalities", "all"])
-    def test_non_positive_density_stops_a_ledger(self, run_dir, tmp_path, capsys, suite):
-        """A stored density below zero, which the v1 energy ledger refuses,
-        is a failure naming the snapshot and the ledger (exit code 2), not a
-        traceback, and no ledger is written."""
-        outdir = self._with_nan(run_dir, tmp_path, 5, -0.1, checkpoint=2)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
+    @pytest.mark.parametrize("copy, checkpoint, time", [("three", 2, 0.1), ("two", 1, 0.02)],
+                             ids=["three-checkpoints", "two-checkpoints"])
+    def test_non_positive_density_fails_every_suite(self, run_dir, two_snapshot_dir, tmp_path,
+                                                    capsys, suite, copy, checkpoint, time):
+        """A stored density below zero, which the snapshot pass refuses before
+        any check or ledger reads the state, is one failure naming the
+        snapshot in every suite (exit code 2): no traceback, no warning, and
+        no ledger written, whether or not the time-differenced ledgers run."""
+        source = run_dir if copy == "three" else two_snapshot_dir
+        outdir = self._with_nan(source, tmp_path, 5, -0.1, checkpoint=checkpoint)
         shutil.rmtree(os.path.join(outdir, "ledgers"), ignore_errors=True)  # an earlier verify's
         assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 2
-        out = capsys.readouterr().out
-        assert "FAIL snapshot 2: ledger v1_energy stopped: density reached -0.1" in out, out
+        assert capsys.readouterr().out == (f"FAIL snapshot {checkpoint}: stored density "
+                                           f"reached -0.1 at t={time:g}\nverification failed\n")
         assert not os.path.exists(os.path.join(outdir, "ledgers"))
 
     @staticmethod
@@ -409,6 +424,17 @@ class TestVerify:
         result = app.verify(outdir, "identities")
         assert any(f.startswith(f"snapshot 1: stored {column}=") for f in result.failures), \
             result.failures
+
+    @pytest.mark.parametrize("column", diag.RESIDUAL_COLUMNS.values())
+    def test_edited_residual_cell_message_prints_plain_floats(self, run_dir, tmp_path,
+                                                              column):
+        """The recomputed value of a residual cell, a coefficient bound, is a
+        Python float, so the failure prints its repr and no numpy scalar's."""
+        outdir = self._with_cell(run_dir, tmp_path, 1, column, lambda x: 2.0 * x)
+        [failure] = app.verify(outdir, "identities").failures
+        recomputed = float(failure.rsplit(" ", 1)[1])
+        assert failure == (f"snapshot 1: stored {column}={2.0 * recomputed!r} "
+                           f"!= recomputed {recomputed!r}")
 
     @pytest.mark.parametrize("row, column, edit, fault", [
         (1, "dissipation_cum", lambda x: math.nan, "is not finite"),
@@ -949,6 +975,54 @@ class TestCli:
             **m, "stop_reason": "vacuum", "stop_time": last + after})
         result = app.verify(outdir, "monitors")
         assert result.ok == ok, result.failures
+
+    def test_analyze_prints_every_norm(self, run_dir, capsys):
+        """`analyze` exits 0 and prints one row per field and norm: the norms
+        of `app.analyze`, each value's repr read back exactly."""
+        path = os.path.join(run_dir, "state_000001.nsb")
+        assert app.main(["analyze", "--field", path, "--besov", "0.5,2,2"]) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+        want = app.analyze(path, [(0.5, 2.0, 2.0)])
+        assert len(want) == 3 * 4
+        assert printed == [[name, norm, repr(value)] for name, norm, value in want]
+
+    @pytest.mark.parametrize("t_end, code, stop", [(0.2, 0, "completed"), (1.0, 3, "vacuum")])
+    def test_trace_writes_listed_paths(self, tmp_path, capsys, t_end, code, stop):
+        """`trace` exits 0 on a completed run and 3 on an abnormal stop (the
+        vacuum floor 0.3 is reached near t = 0.26), and either way writes
+        `paths.csv` (a row per particle and snapshot), lists it in the
+        manifest with its sha256, and prints where it went."""
+        cfg_path, out = os.path.join(tmp_path, "trace.cfg"), os.path.join(tmp_path, "out")
+        open(cfg_path, "w").write(
+            "grid.points_per_axis = 16\ninit.preset = density_bump\n"
+            "init.u_amplitude = 3.0\nfluid.a = 0.01\nfluid.mu = 0.005\n"
+            f"fluid.lambda = 0.0\ntime.cfl = 0.4\ntime.t_end = {t_end}\n"
+            "time.vacuum_floor = 0.3\n")
+        assert app.main(["trace", "--config", cfg_path, "--particles", "3",
+                         "--out", out]) == code
+        path = os.path.join(out, app.PATHS_FILE)
+        assert capsys.readouterr().out == f"paths written to {path}\n"
+        manifest = json.load(open(os.path.join(out, app.MANIFEST_FILE)))
+        assert manifest["stop_reason"] == stop
+        assert {"name": app.PATHS_FILE, "sha256": app._sha256(path)} in manifest["files"]
+        rows = open(path).read().splitlines()
+        assert rows[0] == "time,particle,x0,x1"
+        assert len(rows) == 1 + 3 * manifest["snapshots"]
+
+    def test_convergence_study_prints_and_writes_each_level(self, tmp_path, capsys):
+        """`simulate --convergence N` exits 0, prints a header and one row per
+        level, and writes those N rows to convergence.csv."""
+        cfg_path, out = os.path.join(tmp_path, "mms.cfg"), os.path.join(tmp_path, "out")
+        open(cfg_path, "w").write(MANUFACTURED_CFG)
+        assert app.main(["simulate", "--config", cfg_path, "--convergence", "2",
+                         "--out", out]) == 0
+        header, *printed = capsys.readouterr().out.splitlines()
+        assert header.split() == ["dt", "l2_error", "observed_order"]
+        lines = open(os.path.join(out, "convergence.csv")).read().splitlines()
+        assert lines[0] == "dt,l2_error,observed_order"
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 2 and rows[0][0] == 0.02 and rows[1][0] == 0.01
+        assert printed == [f"{dt:<9.6g} {err:<13.6e} {order:.3f}" for dt, err, order in rows]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

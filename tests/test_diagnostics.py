@@ -145,6 +145,34 @@ class TestEffectiveQuantities:
         assert sp.lebesgue_norm(out - ref, INF) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("low", [-0.1, 0.0])
+@pytest.mark.parametrize("report", [
+    diag.energy_ledger, diag.density_bound_ledger, diag.grad_omega_budget,
+    diag.v1_energy_ledger, diag.f_transport_residual, diag.elliptic_identities,
+    lambda traj: diag.integrability_gain(traj, 4),
+    lambda traj: diag.transport_estimate_report(traj, lp.build_partition(traj.initial.grid),
+                                                0.5, INF, INF),
+    lambda traj: diag.compute_diagnostics(traj, diag.MonitorConfig(),
+                                          lp.build_partition(traj.initial.grid)),
+    lambda traj: diag.blowup_monitor(traj, diag.MonitorConfig()),
+], ids=["energy", "density_bounds", "omega_budget", "v1_energy", "f_transport", "elliptic",
+        "integrability", "transport", "compute_diagnostics", "blowup_monitor"])
+def test_every_pass_refuses_a_stored_vacuum(random_state, params, report, low):
+    """A trajectory state whose density is at or below zero stops every
+    ledger and pass with `VacuumError` at that state's own time and minimum,
+    with no warning from a log or power of a negative density."""
+    grid, rho = random_state.grid, random_state.rho.samples.copy()
+    rho[3, 4] = low
+    bad = dyn.FluidState(sp.ScalarField.from_samples(grid, rho), random_state.u, 0.2)
+    states = [dyn.FluidState(random_state.rho, random_state.u, t) for t in (0.0, 0.1)]
+    traj = dyn.Trajectory(states + [bad, dyn.FluidState(random_state.rho, random_state.u, 0.3)],
+                          "completed", 0.3, dyn.SolverConfig(t_end=0.3, dt=0.1), params)
+    with pytest.raises(dyn.VacuumError) as exc:
+        report(traj)
+    assert (exc.value.time, exc.value.min_rho) == (0.2, low)
+
+
 class TestCoifman:
     def test_zero_velocity(self, grid, params, random_state):
         state = dyn.FluidState(random_state.rho, sp.VectorField.zero(grid), 0.0)

@@ -47,6 +47,14 @@ class TestPressureLaws:
         assert abs(iso.potential(2.0) - 2.0 * math.log(2.0)) < 1e-12
         assert iso.potential(0.0) == 0.0
 
+    @pytest.mark.parametrize("law", [LAW, dyn.PowerLaw(1.0, 1.0),
+                                     dyn.TabulatedLaw([0.5, 1.0, 2.0], [0.25, 1.0, 4.0])],
+                             ids=["power", "isothermal", "tabulated"])
+    def test_potential_of_a_nan_density_is_nan(self, law):
+        """Every law's potential keeps a NaN density NaN, as a series'
+        `potential` cell must: a NaN is not read as vacuum (0)."""
+        assert np.isnan(law.potential(np.array([np.nan]))).all()
+
     def test_tabulated_law_matches_power_law(self):
         # log-spaced knots resolve the power behaviour near zero
         s = np.geomspace(1e-6, 4.0, 600)
@@ -515,6 +523,22 @@ class TestFlowMap:
 
 
 class TestLinearSplit:
+    def test_vacuum_names_the_first_state_at_or_below_zero(self, grid, params):
+        """A trajectory holding a density <= 0 is refused with the time and
+        minimum of the first such state, not the run's stop time or the
+        least minimum over all states."""
+        def state(t, low):
+            rho = np.ones(grid.shape)
+            rho[0, 0] = low
+            return dyn.FluidState(sp.ScalarField.from_samples(grid, rho),
+                                  sp.VectorField.zero(grid), t)
+
+        traj = dyn.Trajectory([state(0.0, 1.0), state(0.1, -0.2), state(0.2, -0.5)],
+                              "completed", 0.3, dyn.SolverConfig(t_end=0.3, dt=0.1), params)
+        with pytest.raises(dyn.VacuumError) as exc:
+            dyn.linear_split(traj)
+        assert (exc.value.time, exc.value.min_rho) == (0.1, -0.2)
+
     def test_constant_pressure_gives_zero_w2(self, grid):
         # rho constant: grad P = 0, so w2 = 0 and w1 = u
         params = dyn.FluidParams(0.1, 0.1, LAW)

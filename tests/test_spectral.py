@@ -471,6 +471,12 @@ class TestNorms:
                 assert sp.coefficient_sup_bound(f) >= sup
         assert sp.coefficient_sup_bound(f) <= sup * (1.0 + 1e-12)
 
+    def test_coefficient_sup_bound_is_a_python_float(self, grid):
+        """The bound is a Python float, not a numpy scalar, so a message that
+        prints its repr prints a plain number."""
+        f = sp.random_vector_field(grid, np.random.default_rng(2))
+        assert type(sp.coefficient_sup_bound(f)) is float
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_coefficient_sup_bound_of_a_non_finite_coefficient_is_nan(self, grid, bad):
         coeffs = sp.random_vector_field(grid, np.random.default_rng(4)).coeffs.copy()
