@@ -108,7 +108,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse `key = value` lines with dotted keys; every validation failure
     is collected and reported at once."""
     values = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
-    errors = []
+    errors, set_on = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,6 +120,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in CONFIG_SCHEMA:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
+        if key in set_on:
+            errors.append(f"line {lineno}: key {key} already set on line {set_on[key]}")
+        set_on.setdefault(key, lineno)
         conv = CONFIG_SCHEMA[key][0]
         try:
             values[key] = conv(val)
@@ -254,8 +257,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _file_entry(outdir: str, name: str) -> dict:
+    """The manifest's {name, sha256} entry of a file of the run directory."""
+    return {"name": name, "sha256": _sha256(os.path.join(outdir, name))}
+
+
 def _write_manifest(outdir: str, config: ExperimentConfig, trajectory,
-                    files: list[str]) -> dict:
+                    files: list[dict]) -> dict:
+    """Write the manifest of a run whose files have the {name, sha256} entries `files`."""
     manifest = {
         "version": __version__,
         "config_hash": config.digest(),
@@ -264,8 +273,7 @@ def _write_manifest(outdir: str, config: ExperimentConfig, trajectory,
         "stop_time": trajectory.stop_time,
         "snapshots": len(trajectory),
         "step_count": trajectory.step_count,
-        "files": [{"name": name, "sha256": _sha256(os.path.join(outdir, name))}
-                  for name in sorted(files)],
+        "files": sorted(files, key=lambda entry: entry["name"]),
     }
     path = os.path.join(outdir, MANIFEST_FILE)
     with open(path, "w", encoding="utf-8") as fh:
@@ -294,7 +302,8 @@ def simulate(config: ExperimentConfig, outdir: str | None = None) -> ReportBundl
         name = f"state_{n:06d}.nsb"
         dyn.write_checkpoint(os.path.join(outdir, name), state)
         files.append(name)
-    manifest = _write_manifest(outdir, config, trajectory, files)
+    manifest = _write_manifest(outdir, config, trajectory,
+                               [_file_entry(outdir, name) for name in files])
     return ReportBundle(outdir, manifest, trajectory, records)
 
 
@@ -344,15 +353,17 @@ IDENTITY_TOL = 1e-11
 
 
 def _load_run(outdir: str):
-    """(manifest, problem, run, checkpoint paths in time order).  `run` is
-    the run's record without its states: the parameters and stop facts the
-    ledgers read, while the states stream from the checkpoints.  ValueError
-    when two checkpoints share a header time (a copy under a second name,
-    say), since no time step separates them."""
+    """(manifest, config, problem, run, checkpoint paths in time order, their
+    header times), each file read once.  `run` is the run's record without
+    its states: the parameters and stop facts the ledgers read, while the
+    states stream from the checkpoints.  ValueError when two checkpoints
+    share a header time (a copy under a second name, say), since no time
+    step separates them."""
     with open(os.path.join(outdir, MANIFEST_FILE), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     _check_manifest(manifest)
-    problem = build_problem(load_config(os.path.join(outdir, CONFIG_FILE)))
+    config = load_config(os.path.join(outdir, CONFIG_FILE))
+    problem = build_problem(config)
     run = dyn.Trajectory([], manifest["stop_reason"], manifest["stop_time"],
                          problem.solver, problem.params,
                          step_count=manifest.get("step_count", 0))
@@ -360,14 +371,15 @@ def _load_run(outdir: str):
              if entry["name"].endswith(".nsb")]
     # the headers give the time order without reading the samples; the time
     # differences of the ledgers need times that strictly increase
-    times = {path: dyn.checkpoint_time(path) for path in paths}
-    paths.sort(key=times.__getitem__)
-    for earlier, later in zip(paths, paths[1:]):
-        if not times[earlier] < times[later]:
+    stored = sorted(((dyn.checkpoint_time(path), path) for path in paths),
+                    key=lambda pair: pair[0])
+    for (t0, earlier), (t1, later) in zip(stored, stored[1:]):
+        if not t0 < t1:
             raise ValueError(f"checkpoint times do not increase: "
-                             f"{os.path.basename(earlier)} at t={times[earlier]!r}, "
-                             f"{os.path.basename(later)} at t={times[later]!r}")
-    return manifest, problem, run, paths
+                             f"{os.path.basename(earlier)} at t={t0!r}, "
+                             f"{os.path.basename(later)} at t={t1!r}")
+    times, paths = (list(column) for column in zip(*stored))
+    return manifest, config, problem, run, paths, times
 
 
 def _is_file_entry(entry) -> bool:
@@ -409,15 +421,15 @@ def _check_integrity(outdir: str, manifest: dict) -> list[str]:
     return failures
 
 
-def _check_facts(outdir: str, manifest: dict, paths: list[str]) -> list[str]:
-    """The manifest's facts that the run directory, whose checkpoints are
-    `paths` in time order, contradicts: config digest, checkpoint count,
-    step count, stop time against the last checkpoint's, and stop reason."""
-    count, steps, stop = len(paths), manifest.get("step_count"), manifest["stop_time"]
-    last = dyn.checkpoint_time(paths[-1])
+def _check_facts(manifest: dict, config: ExperimentConfig, times: list[float]) -> list[str]:
+    """The manifest's facts that the run directory, with its `config` and
+    its checkpoints' header `times` in order, contradicts: config digest,
+    checkpoint count, step count, stop time against the last checkpoint's,
+    and stop reason."""
+    count, steps, stop = len(times), manifest.get("step_count"), manifest["stop_time"]
+    last = times[-1]
     holds = {
-        "config_hash": manifest.get("config_hash")
-        == load_config(os.path.join(outdir, CONFIG_FILE)).digest(),
+        "config_hash": manifest.get("config_hash") == config.digest(),
         "snapshots": manifest.get("snapshots") == count,
         "step_count": type(steps) is int and steps >= count - 1,
         "stop_time": stop == last or (stop > last and manifest["stop_reason"] != "completed"),
@@ -619,8 +631,8 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
-    manifest, problem, run, paths = _load_run(outdir)
-    failures = _check_integrity(outdir, manifest) + _check_facts(outdir, manifest, paths)
+    manifest, config, problem, run, paths, times = _load_run(outdir)
+    failures = _check_integrity(outdir, manifest) + _check_facts(manifest, config, times)
     if failures:
         return VerifyResult(False, failures, {})
     checks, ledgers = [], {}
@@ -637,7 +649,7 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
         diag.feed(checks + [ledger for ledger, _, _ in ledgers.values()], problem.params,
                   len(paths), lambda n: dyn.read_checkpoint(paths[n]))
     except dyn.VacuumError as vacuum:
-        n = [dyn.checkpoint_time(path) for path in paths].index(vacuum.time)
+        n = times.index(vacuum.time)
         return VerifyResult(False, [f"snapshot {n}: stored {vacuum}"], {})
     for check in checks:
         failures += check.finish()
@@ -707,9 +719,8 @@ def trace(config: ExperimentConfig, n_particles: int,
                 row = [repr(float(t)), str(pi)]
                 row += [repr(float(x)) for x in wrapped[ti, pi]]
                 fh.write(",".join(row) + "\n")
-    files = [entry["name"] for entry in bundle.manifest["files"]] + [PATHS_FILE]
-    bundle.manifest = _write_manifest(bundle.outdir,
-                                      config, bundle.trajectory, files)
+    files = bundle.manifest["files"] + [_file_entry(bundle.outdir, PATHS_FILE)]
+    bundle.manifest = _write_manifest(bundle.outdir, config, bundle.trajectory, files)
     return bundle
 
 

@@ -42,7 +42,7 @@ from .spectral import (
     to_coeffs,
     velocity_gradient,
     _dealiased_values,
-    _inv_laplacian_symbol,
+    _riesz_symbol,
 )
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
                                besov_from_block_norms, besov_norm, block_norms,
@@ -240,14 +240,11 @@ def effective_pressure(state: FluidState, params: FluidParams,
 
 @functools.lru_cache(maxsize=32)  # one entry per grid in use
 def _flux_symbols(grid: TorusGrid) -> np.ndarray:
-    """The symbols k_i k_j / |k|^2 of d_i d_j inv_lap for the index pairs
-    i <= j in row-major order, on the 2/3-dealiased band and zero off it (and
-    at k = 0), stacked on a leading axis; real, since the two derivative
-    factors i k_i, i k_j are imaginary and the band holds no Nyquist plane."""
-    k, band = grid.frequency_mesh, grid.dealias_mask()
-    minus_inv_lap = -_inv_laplacian_symbol(grid) * band  # 1/|k|^2 on the band
-    return np.stack([k[i] * k[j] * minus_inv_lap
-                     for i in range(grid.dim) for j in range(i, grid.dim)])
+    """The Riesz symbols k_i k_j / |k|^2 of d_i d_j inv_lap for the index
+    pairs i <= j in row-major order, on the 2/3-dealiased band and zero off
+    it, stacked on a leading axis."""
+    return np.stack([_riesz_symbol(grid, i, j) for i in range(grid.dim)
+                     for j in range(i, grid.dim)]) * grid.dealias_mask()
 
 
 def _coifman_parts(state: FluidState) -> tuple[ScalarField, ScalarField]:

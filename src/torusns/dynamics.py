@@ -32,6 +32,9 @@ from .spectral import (
     to_coeffs,
     to_samples,
     _check_same_grid,
+    _derivative_symbol,
+    _divergence,
+    _laplacian_symbol,
 )
 
 ForcingFn = Callable[[float, TorusGrid], VectorField]
@@ -330,7 +333,8 @@ class _Stepper:
     accumulates its slope straight into the array it returns.  The 2/3 mask
     rides in the derivative factors of the flux divergence, and each flux
     pair feeds both momentum components it belongs to, so no pass copies or
-    masks the product coefficients.
+    masks the product coefficients.  The derivative, Laplacian and divergence
+    are `spectral`'s arrays and kernel.
 
     Every stage writes the one product array of the stepper (one per count
     of forced components, which a constant forcing keeps fixed), and stage n
@@ -350,12 +354,11 @@ class _Stepper:
         self.params = params
         self.vacuum_floor = vacuum_floor
         self.keep = grid.dealias_mask()
-        self.dk = np.stack([np.where(grid.nyquist_mask, 0.0, 1j * k)
-                            for k in grid.frequency_mesh])
+        self.dk = _derivative_symbol(grid)
         # d_i of a product, which keeps only the dealiased band
         self.dk_keep = self.dk * self.keep
         mu, lam = params.mu, params.lam
-        self.mu_lap = mu * np.where(grid.nyquist_mask, 0.0, -grid.k_squared)
+        self.mu_lap = mu * _laplacian_symbol(grid)
         self.mu_lam_dk = (mu + lam) * self.dk
         # m_i u_j is symmetric in (i, j): only the dim(dim+1)/2 pairs i <= j
         # are formed.  A flux term (i, j, p) subtracts d_i of row p from
@@ -390,13 +393,6 @@ class _Stepper:
         forced = np.flatnonzero(g.reshape(len(g), -1).any(axis=1))
         self._forcing_cache = (t, (g, forced))
         return g, forced
-
-    def divergence(self, v_c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Coefficients of div v from those of the components of v, into out."""
-        out[...] = 0.0  # summed from +0 like np.sum, so a zero sum keeps its sign
-        for i in range(self.grid.dim):
-            out += self.dk[i] * v_c[i]
-        return out
 
     def momentum(self, v_c: np.ndarray, div_v: np.ndarray, flux_c: np.ndarray,
                  terms, out: np.ndarray) -> np.ndarray:
@@ -438,9 +434,9 @@ class _Stepper:
             np.multiply(rho_s, g_s[i], out=prod[p])
         c = to_coeffs(grid, prod)
         u_c = c[:dim]
-        div_u = self.divergence(u_c, np.empty(grid.spectral_shape, dtype=c.dtype))
+        div_u = _divergence(grid, u_c, np.empty(grid.spectral_shape, dtype=c.dtype))
         dy = self._array(("dy", stage), y.shape, y.dtype)
-        np.negative(self.divergence(y[1:], dy[0]), out=dy[0])
+        np.negative(_divergence(grid, y[1:], dy[0]), out=dy[0])
         self.momentum(u_c, div_u, c[dim:n_flux], self.pair_terms, dy[1:])
         force_c = c[n_flux:]  # the forced components of rho g, in `forced` order
         force_c *= self.keep
@@ -464,7 +460,7 @@ class _Stepper:
                 prod[dim + i * (dim + 1)] += aux["p_s"]
         c = to_coeffs(grid, prod)
         out = np.empty_like(w_c)
-        self.momentum(c[:dim], self.divergence(c[:dim], np.empty_like(out[0])),
+        self.momentum(c[:dim], _divergence(grid, c[:dim], np.empty_like(out[0])),
                       c[dim:], self.full_terms, out)
         if with_sources:
             for i, row in zip(aux["forced"], aux["force_c"]):

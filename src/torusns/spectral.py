@@ -2,6 +2,9 @@
 elementary spectral operators built on it: derivatives, inverse Laplacian,
 Riesz transforms, Leray projection, general multipliers, and grid norms.
 
+This is the only module that builds a Fourier symbol: the stepper of
+``dynamics`` and the flux of ``diagnostics`` apply its arrays.
+
 Fields are stored as the half spectrum of a real-to-complex transform:
 u(x) = sum_k c_k e^{i k.x} over the integer lattice, of which only the modes
 with 0 <= k_N <= M/2 on the last axis are kept; the leading axes run over
@@ -249,25 +252,26 @@ def to_coeffs(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     return _kernels().r2c(samples, grid.axes, True, 2, None, 1)
 
 
-def _inverse(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """One inverse transform call over the grid's axes."""
-    # last axis of length M, backward, not normalized (inorm 0), new array, one thread
-    return _kernels().c2r(coeffs, grid.axes, grid.n, False, 0, None, 1)
+def _inverse(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """One inverse transform call over the grid's axes, into `out` or a new array."""
+    # last axis of length M, backward, not normalized (inorm 0), one thread
+    return _kernels().c2r(coeffs, grid.axes, grid.n, False, 0, out, 1)
 
 
 def to_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples of half-spectrum coefficients (inverse of to_coeffs).
 
     Leading axes are a stack of fields.  A stack of more than two fields
-    is transformed one field per call, with bit-identical results: one call
+    is transformed one field per call, each written straight into its row of
+    the result, with bit-identical results: one call
     over it was up to 1.85 times slower, depending on the array's address,
     and at best 3 % faster (the table in the module docstring)."""
     lead = coeffs.shape[:coeffs.ndim - grid.dim]
     if math.prod(lead) <= 2:
-        return _inverse(grid, coeffs)
+        return _inverse(grid, coeffs, None)
     out = np.empty(lead + grid.shape)
     for index in np.ndindex(lead):
-        out[index] = _inverse(grid, coeffs[index])
+        _inverse(grid, coeffs[index], out[index])
     return out
 
 
@@ -505,36 +509,20 @@ def apply_multiplier(symbol: MultiplierSymbol, field: Field) -> Field:
 # derivatives
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)  # a few grids, one entry per multi-index in use
-def _derivative_factor(grid: TorusGrid, multi_index: tuple[int, ...]) -> np.ndarray:
-    factor = np.ones(grid.spectral_shape, dtype=np.complex128)
-    for axis, power in enumerate(multi_index):
-        if power:
-            factor = factor * (1j * grid.frequency_mesh[axis]) ** power
-    # the odd derivative of the Nyquist cosine is ill-defined; drop the class
-    if any(multi_index):
-        factor = np.where(grid.nyquist_mask, 0.0, factor)
-    return _frozen(factor)
-
-
-def differentiate(field: Field, multi_index: Sequence[int]) -> Field:
-    """Spectral partial derivative d^{|alpha|} / dx^alpha (exact on resolved
-    modes; Nyquist planes are zeroed)."""
-    grid = field.grid
-    if len(multi_index) != grid.dim:
-        raise ValueError(f"multi-index length {len(multi_index)} != dim {grid.dim}")
-    return field.with_coeffs(field.coeffs * _derivative_factor(grid, tuple(multi_index)))
+@functools.lru_cache(maxsize=32)  # one entry per grid in use
+def _derivative_symbol(grid: TorusGrid) -> np.ndarray:
+    """The factors i k_a of d/dx_a for every axis a, stacked on a leading
+    axis: the package's one first-derivative symbol.  The odd derivative of
+    the Nyquist cosine is ill-defined, so those planes are zero."""
+    # + 0.0 turns the real part -0.0 that 1j * k carries for k < 0 into +0.0
+    return _frozen(np.stack([np.where(grid.nyquist_mask, 0.0, 1j * k + 0.0)
+                             for k in grid.frequency_mesh]))
 
 
 def partial(field: Field, axis: int) -> Field:
-    alpha = [0] * field.grid.dim
-    alpha[axis] = 1
-    return differentiate(field, alpha)
-
-
-def _axis_derivative(grid: TorusGrid, axis: int) -> np.ndarray:
-    """The factor of d/dx_axis, as `partial` applies it."""
-    return _derivative_factor(grid, tuple(int(b == axis) for b in range(grid.dim)))
+    """Spectral partial derivative d/dx_axis (exact on resolved modes;
+    Nyquist planes are zeroed)."""
+    return field.with_coeffs(field.coeffs * _derivative_symbol(field.grid)[axis])
 
 
 def _derivative_stack(field: Field) -> np.ndarray:
@@ -542,8 +530,8 @@ def _derivative_stack(field: Field) -> np.ndarray:
     axis and written in place (no per-axis field, no stacking copy)."""
     grid, c = field.grid, field.coeffs
     out = np.empty((grid.dim,) + c.shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        np.multiply(c, _axis_derivative(grid, i), out=out[i])
+    for i, factor in enumerate(_derivative_symbol(grid)):
+        np.multiply(c, factor, out=out[i])
     return out
 
 
@@ -551,25 +539,30 @@ def gradient(field: ScalarField) -> VectorField:
     return VectorField(field.grid, _derivative_stack(field), copy=False)
 
 
-def divergence(field: VectorField) -> ScalarField:
-    grid = field.grid
-    out = np.zeros(grid.spectral_shape, dtype=np.complex128)
+def _divergence(grid: TorusGrid, v_c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Coefficients of div v from those of the components of v, into out."""
+    out[...] = 0.0  # summed from +0 like np.sum, so a zero sum keeps its sign
     term = np.empty_like(out)
-    for a in range(grid.dim):
-        out += np.multiply(field.coeffs[a], _axis_derivative(grid, a), out=term)
-    return ScalarField(grid, out, copy=False)
+    for factor, row in zip(_derivative_symbol(grid), v_c):
+        out += np.multiply(row, factor, out=term)
+    return out
+
+
+def divergence(field: VectorField) -> ScalarField:
+    out = np.empty(field.grid.spectral_shape, dtype=np.complex128)
+    return ScalarField(field.grid, _divergence(field.grid, field.coeffs, out), copy=False)
 
 
 def curl(field: VectorField) -> Field:
     """Vorticity: scalar d1 u2 - d2 u1 in 2-D, the usual vector in 3-D.
     Each component d_i u_j - d_j u_i forms only its own two products."""
-    grid, c = field.grid, field.coeffs
+    grid, c, dk = field.grid, field.coeffs, _derivative_symbol(field.grid)
     pairs = [(0, 1)] if grid.dim == 2 else [(1, 2), (2, 0), (0, 1)]
     out = np.empty((len(pairs),) + grid.spectral_shape, dtype=np.complex128)
     term = np.empty(grid.spectral_shape, dtype=np.complex128)
     for row, (i, j) in zip(out, pairs):
-        np.multiply(c[j], _axis_derivative(grid, i), out=row)
-        row -= np.multiply(c[i], _axis_derivative(grid, j), out=term)
+        np.multiply(c[j], dk[i], out=row)
+        row -= np.multiply(c[i], dk[j], out=term)
     if grid.dim == 2:
         return ScalarField(grid, out[0], copy=False)
     return VectorField(grid, out, copy=False)
@@ -603,10 +596,10 @@ def inv_laplacian_zero_mean(field: Field) -> Field:
 
 @functools.lru_cache(maxsize=32)  # a few grids: a 3-D grid needs 9 entries
 def _riesz_symbol(grid: TorusGrid, i: int, j: int) -> np.ndarray:
-    def rule(*k):
+    def rule(*k):  # k_i k_j * (1/|k|^2): the Coifman flux takes this, band-masked
         k_squared = sum(x * x for x in k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(k_squared > 0, k[i] * k[j] / k_squared, 0.0)
+        with np.errstate(divide="ignore"):
+            return k[i] * k[j] * np.where(k_squared > 0, 1.0 / k_squared, 0.0)
     return hermitian_part(grid, rule)
 
 

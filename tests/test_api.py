@@ -161,6 +161,29 @@ def test_one_vacuum_rule():
                 if "SolverStop" in (getattr(node, "id", None), getattr(node, "attr", None))]
 
 
+#: the frozen frequency arrays of a `TorusGrid`, and those of them that a
+#: Fourier symbol is built from
+LATTICE = {"axis_frequencies", "frequency_mesh", "partner_mesh", "k_squared", "k_radius",
+           "nyquist_mask", "mode_weight"}
+SYMBOL_SOURCES = {"axis_frequencies", "frequency_mesh", "partner_mesh", "k_squared",
+                  "nyquist_mask"}
+
+
+def test_only_spectral_builds_a_symbol():
+    """Every Fourier symbol (derivative, Laplacian, divergence, Riesz, Leray)
+    is built in `spectral`: no other package module reads the frequency
+    arrays a symbol is made of, and littlewood_paley's dyadic filters read
+    |k| (`k_radius`) alone, besides the mode weight of its Parseval sums."""
+    trees, _ = _sources()
+    reads = {module: {node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in LATTICE}
+             for module, tree in trees.items() if module != "spectral.py"}
+    assert {module: names & SYMBOL_SOURCES for module, names in reads.items()
+            if names & SYMBOL_SOURCES} == {}
+    assert {module: names for module, names in reads.items() if names} == {
+        "littlewood_paley.py": {"k_radius", "mode_weight"}}
+
+
 @functools.cache
 def _sources():
     """(package module name -> its tree, the trees whose uses count).  Uses

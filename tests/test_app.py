@@ -120,6 +120,25 @@ class TestConfig:
         assert any("monitor.q_density" in m for m in messages)
         assert any("fluid.mu" in m for m in messages)
 
+    def test_repeated_key_reported_with_the_others(self, tmp_path, capsys):
+        """A key set on two lines is an error naming both, reported with the
+        other errors (exit code 1), not a run with the last value."""
+        text = ("time.dt = 0.01\nfluid.mu = 0.05\n# the same key again\n"
+                "fluid.mu = 0.5\ngrid.dim = 5\nfluid.mu = nan\n")
+        with pytest.raises(app.ConfigError) as err:
+            app.parse_config(text)
+        assert err.value.errors[:4] == [
+            "line 4: key fluid.mu already set on line 2",
+            "line 6: key fluid.mu already set on line 2",
+            "line 6: bad value 'nan' for fluid.mu",
+            "grid.dim must be 2 or 3, got 5"]
+        cfg_path, out = os.path.join(tmp_path, "twice.cfg"), os.path.join(tmp_path, "out")
+        open(cfg_path, "w").write("time.dt = 0.01\nfluid.mu = 0.05\nfluid.mu = 0.5\n")
+        assert app.main(["simulate", "--config", cfg_path, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "config error: line 3: key fluid.mu already set on line 2\n")
+        assert not os.path.exists(out)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
         st.builds("{} = {}".format, st.sampled_from(sorted(app.CONFIG_SCHEMA)),
@@ -225,7 +244,7 @@ class TestSimulate:
         assert bundle.trajectory.step_count == 10
         assert bundle.manifest["step_count"] == 10
         assert all(entry["name"] != "step_count" for entry in bundle.manifest["files"])
-        _, _, run, _ = app._load_run(str(tmp_path))
+        _, _, _, run, _, _ = app._load_run(str(tmp_path))
         assert run.step_count == 10
 
     def test_vacuum_stop_recorded_in_manifest(self, tmp_path):
@@ -328,6 +347,32 @@ class TestVerify:
                 entry["sha256"] = hashlib.sha256(bytes(data)).hexdigest()
         json.dump(manifest, open(manifest_path, "w"))
         return outdir
+
+    @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
+    @pytest.mark.parametrize("density", [None, -0.1], ids=["stored", "vacuum"])
+    def test_each_file_read_once(self, run_dir, tmp_path, monkeypatch, suite, density):
+        """`verify` parses `config.txt` once and reads each checkpoint's
+        header once, also when a stored density at or below zero sends it to
+        the vacuum failure, which names the snapshot from those times."""
+        outdir = run_dir if density is None else self._with_nan(
+            run_dir, tmp_path, 5, density, checkpoint=2)
+        calls = {"load_config": 0, "checkpoint_time": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def count(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, count)
+
+        counted(app, "load_config")
+        counted(dyn, "checkpoint_time")
+        result = app.verify(outdir, suite)
+        assert calls == {"load_config": 1, "checkpoint_time": 3}
+        assert result.ok == (density is None)
+        if density is not None:
+            assert result.failures == ["snapshot 2: stored density reached -0.1 at t=0.1"]
 
     def test_nan_velocity_fails_identities(self, run_dir, tmp_path):
         outdir = self._with_nan(run_dir, tmp_path, 32 * 32 + 5)
@@ -576,7 +621,7 @@ def test_series_rows_recomputed_from_checkpoints(tmp_path, text):
     which only the run holds; a NaN cell would fail."""
     outdir = str(tmp_path / "run")
     app.simulate(app.parse_config(text), outdir)
-    _, problem, run, paths = app._load_run(outdir)
+    _, _, problem, run, paths, _ = app._load_run(outdir)
     run.states = [dyn.read_checkpoint(path) for path in paths]
     records = diag.compute_diagnostics(run, problem.monitor, lp.build_partition(problem.grid))
     lines = open(os.path.join(outdir, app.SERIES_FILE)).read().splitlines()
@@ -987,11 +1032,21 @@ class TestCli:
         assert printed == [[name, norm, repr(value)] for name, norm, value in want]
 
     @pytest.mark.parametrize("t_end, code, stop", [(0.2, 0, "completed"), (1.0, 3, "vacuum")])
-    def test_trace_writes_listed_paths(self, tmp_path, capsys, t_end, code, stop):
+    def test_trace_writes_listed_paths(self, tmp_path, capsys, monkeypatch, t_end, code, stop):
         """`trace` exits 0 on a completed run and 3 on an abnormal stop (the
         vacuum floor 0.3 is reached near t = 0.26), and either way writes
         `paths.csv` (a row per particle and snapshot), lists it in the
-        manifest with its sha256, and prints where it went."""
+        manifest with its sha256, and prints where it went.  Adding it hashes
+        no other file again: the manifest's other entries are `simulate`'s."""
+        simulated, simulate = [], app.simulate
+
+        def recorded(*args):
+            bundle = simulate(*args)
+            simulated.append(list(bundle.manifest["files"]))
+            return bundle
+        monkeypatch.setattr(app, "simulate", recorded)
+        hashed, sha256 = [], app._sha256
+        monkeypatch.setattr(app, "_sha256", lambda path: hashed.append(path) or sha256(path))
         cfg_path, out = os.path.join(tmp_path, "trace.cfg"), os.path.join(tmp_path, "out")
         open(cfg_path, "w").write(
             "grid.points_per_axis = 16\ninit.preset = density_bump\n"
@@ -1000,11 +1055,15 @@ class TestCli:
             "time.vacuum_floor = 0.3\n")
         assert app.main(["trace", "--config", cfg_path, "--particles", "3",
                          "--out", out]) == code
+        assert len(hashed) == len(simulated[0]) + 1  # each file hashed once
         path = os.path.join(out, app.PATHS_FILE)
         assert capsys.readouterr().out == f"paths written to {path}\n"
         manifest = json.load(open(os.path.join(out, app.MANIFEST_FILE)))
         assert manifest["stop_reason"] == stop
         assert {"name": app.PATHS_FILE, "sha256": app._sha256(path)} in manifest["files"]
+        # every other entry is the one `simulate` wrote, not hashed again
+        assert [entry for entry in manifest["files"] if entry["name"] != app.PATHS_FILE] \
+            == simulated[0]
         rows = open(path).read().splitlines()
         assert rows[0] == "time,particle,x0,x1"
         assert len(rows) == 1 + 3 * manifest["snapshots"]

@@ -59,8 +59,8 @@ class TestGrid:
         mask = grid.dealias_mask()
         assert mask is sp.TorusGrid(2, 32).dealias_mask() and not mask.flags.writeable
         assert mask.sum() == 21 * 11  # |k_i| <= floor(32/3) = 10 on the half spectrum
-        factor = sp._derivative_factor(grid, (1, 0))
-        assert factor is sp._derivative_factor(grid, (1, 0)) and not factor.flags.writeable
+        factor = sp._derivative_symbol(grid)
+        assert factor is sp._derivative_symbol(grid) and not factor.flags.writeable
 
 
     def test_equal_grids_share_their_arrays(self):
@@ -268,7 +268,7 @@ class TestHalfSpectrumOracle:
 class TestDerivatives:
     def test_d1_sin(self, grid):
         f = sp.ScalarField.from_function(grid, lambda x, y: np.sin(x))
-        d = sp.differentiate(f, (1, 0))
+        d = sp.partial(f, 0)
         x, _ = grid.coordinates()
         assert np.max(np.abs(d.samples - np.cos(x))) < 1e-13
 
