@@ -849,10 +849,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "grid.dim" in err
 
-    def test_non_finite_config_exit_code(self, tmp_path):
+    def test_non_finite_config_exit_code(self, tmp_path, capsys):
         cfg_path = os.path.join(tmp_path, "nan.cfg")
-        open(cfg_path, "w").write(VORTEX_CFG + f"fluid.mu = nan\noutput.dir = {tmp_path}/out\n")
+        open(cfg_path, "w").write(VORTEX_CFG.replace("fluid.mu = 0.05", "fluid.mu = nan")
+                                  + f"output.dir = {tmp_path}/out\n")
         assert app.main(["simulate", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == "config error: line 4: bad value 'nan' for fluid.mu\n"
         assert not os.path.exists(f"{tmp_path}/out")
 
     def test_abnormal_stop_exit_code(self, tmp_path):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -22,33 +23,39 @@ time.t_end = 0.03
 
 @pytest.fixture()
 def output_digest(monkeypatch):
-    """tools/output_digest.py as a module; the thread variables that it
-    sets on import are restored afterwards."""
+    """tools/output_digest.py as a module.  What its import changes is taken
+    back afterwards: the thread variables, the entries it puts on sys.path
+    and the bench modules (`child`, `workloads`) it imports."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    loaded = set(sys.modules)
     spec = importlib.util.spec_from_file_location("output_digest", TOOLS / "output_digest.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    yield module
+    for name in ("child", "workloads"):
+        if name not in loaded:
+            sys.modules.pop(name, None)
 
 
 def test_output_digest_default_runs(output_digest):
     """The default runs are the two simulation workloads at seed 0 and the
     README's example config."""
-    configs = output_digest._configs([])
+    configs = output_digest._configs()
     assert list(configs) == ["sim2d-vortex", "sim3d-dense", "README example"]
     assert configs["README example"]["grid.points_per_axis"] == 64
 
 
-def test_output_digest_two_runs_agree(output_digest, tmp_path, capsys):
+def test_output_digest_two_runs_agree(output_digest, monkeypatch, tmp_path, capsys):
     """Two runs of one config print the same digest of every file, ledgers
     included, and --against the first finds no difference; a digest entry
-    that differs is named and exits 1."""
-    cfg = tmp_path / "small.cfg"
-    cfg.write_text(SMALL_CFG)
-    assert output_digest.main(["--config", str(cfg)]) == 0
+    that differs is named and exits 1.  The default runs are swapped for
+    one small run."""
+    monkeypatch.setattr(output_digest, "_configs", lambda: {"small": app.parse_config(SMALL_CFG)})
+    assert output_digest.main([]) == 0
     first = json.loads(capsys.readouterr().out)
-    names = list(first[str(cfg)])
+    names = list(first["small"])
     assert names == sorted([app.CONFIG_FILE, app.MANIFEST_FILE, app.SERIES_FILE]
                            + [f"state_{n:06d}.nsb" for n in range(4)]
                            + [f"ledgers/{name}.csv" for name in (
@@ -56,14 +63,14 @@ def test_output_digest_two_runs_agree(output_digest, tmp_path, capsys):
                                "omega_budget", "transport", "v1_energy")])
     saved = tmp_path / "digest.json"
     saved.write_text(json.dumps(first))
-    assert output_digest.main(["--config", str(cfg), "--against", str(saved)]) == 0
+    assert output_digest.main(["--against", str(saved)]) == 0
     out = capsys.readouterr()
     assert json.loads(out.out) == first and out.err == f"0 of {len(names)} files differ\n"
 
-    first[str(cfg)][app.SERIES_FILE] = "0" * 64
+    first["small"][app.SERIES_FILE] = "0" * 64
     saved.write_text(json.dumps(first))
-    assert output_digest.main(["--config", str(cfg), "--against", str(saved)]) == 1
-    assert capsys.readouterr().err == (f"differs: {cfg}/{app.SERIES_FILE}\n"
+    assert output_digest.main(["--against", str(saved)]) == 1
+    assert capsys.readouterr().err == (f"differs: small/{app.SERIES_FILE}\n"
                                        f"1 of {len(names)} files differ\n")
 
 

@@ -2,15 +2,13 @@
 
     python3 tools/output_digest.py > digest.json
     python3 tools/output_digest.py --against digest.json
-    python3 tools/output_digest.py --config run.cfg --config other.cfg
 
 Runs `app.simulate` and then `app.verify(dir, "all")` on each config, each
 into its own temporary run directory, and prints {run: {file: sha256}} as
 JSON, every file named relative to its run directory (`ledgers/energy.csv`,
 say).  The runs are the seed-0 configs of the `sim2d-vortex` and
 `sim3d-dense` workloads (the bench modules are imported, not changed) and
-the README's example config (its first ```ini block), or the config files
-given by --config, each keyed by its path.
+the README's example config (its first ```ini block).
 
 With --against FILE the digest is compared with one that an earlier call
 printed: each file whose sha256 differs, or that only one of the two holds,
@@ -34,19 +32,20 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import child  # noqa: E402  (bench/child.py, found through the path above)
+
+child._import_torusns()
+import workloads  # noqa: E402
+from torusns import app  # noqa: E402
+
 WORKLOADS = ("sim2d-vortex", "sim3d-dense")
 README_RUN = "README example"
 
 
-def _configs(paths: list[str]) -> dict:
-    """run name -> parsed config: the files at `paths`, or the default runs."""
-    sys.path.insert(0, os.path.join(ROOT, "bench"))
-    import child  # bench/child.py, found through the path above
-    child._import_torusns()
-    from torusns import app
-    if paths:
-        return {path: app.load_config(path) for path in paths}
-    import workloads
+def _configs() -> dict:
+    """run name -> parsed config of each default run."""
     configs = {name: app.parse_config(workloads.make(name).config_text(workloads.DEFAULT_SEED))
                for name in WORKLOADS}
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
@@ -69,7 +68,6 @@ def file_digest(rundir: str) -> dict[str, str]:
 def run_digest(config, rundir: str) -> dict[str, str]:
     """`file_digest` of `rundir` after `simulate` and `verify --suite all`
     wrote a run of `config` there; a failed verification is an error."""
-    from torusns import app
     app.simulate(config, rundir)
     result = app.verify(rundir, "all")
     if not result.ok:
@@ -87,13 +85,11 @@ def differences(expected: dict, actual: dict) -> list[str]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--config", action="append", default=[], metavar="PATH",
-                    help="a config file to run instead of the default runs (repeatable)")
     ap.add_argument("--against", metavar="FILE", help="a digest printed earlier")
     args = ap.parse_args(argv)
     digest = {}
     with tempfile.TemporaryDirectory(prefix="output-digest-") as workdir:
-        for n, (name, config) in enumerate(_configs(args.config).items()):
+        for n, (name, config) in enumerate(_configs().items()):
             digest[name] = run_digest(config, os.path.join(workdir, f"run{n}"))
     print(json.dumps(digest, indent=1, sort_keys=True))
     if args.against:
