@@ -448,15 +448,16 @@ class _IdentitySuite:
     norm.  The three v1 residuals are judged and reported by their bounds
     (`_Snapshot.v1_bounds`, what `series.csv` stores); any other residual
     whose bound exceeds the tolerance is transformed, and its sampled sup
-    norm then decides and is reported.  A NaN or inf makes the bound NaN,
-    and the test then fails (every test reads `not (residual <= tol)`).
+    norm then decides and is reported.  The pass refuses a stored NaN or
+    inf; a residual that overflows to one fails, since every test reads
+    `not (residual <= tol)`.
 
     The Leray split is tested by div Pu = 0 and curl Qu = 0, properties of
     the projection that a wrong symbol breaks; Pu + Qu = u holds by the
     construction Pu = u - Qu whatever Q is, so it is not tested."""
 
-    def __init__(self, problem: Problem, partition: lp.DyadicPartition):
-        self.problem, self.partition = problem, partition
+    def __init__(self, problem: Problem, partition: lp.DyadicPartition, labels: list[str]):
+        self.problem, self.partition, self.labels = problem, partition, labels
         self.failures: list[str] = []
 
     def _residuals(self, snap):
@@ -489,7 +490,7 @@ class _IdentitySuite:
                                      - sp.coefficient_l2_norm(state.rho))
         for name, val in values.items():
             if not (val <= tol):
-                self.failures.append(f"state {window.index}: {name} residual {val:.3e}")
+                self.failures.append(f"{self.labels[window.index]}: {name} residual {val:.3e}")
 
     def finish(self) -> list[str]:
         return self.failures
@@ -505,10 +506,10 @@ class _SeriesCrosscheck:
 
     QUADRATURES = ("dissipation_cum", "forcing_work_cum")
 
-    def __init__(self, outdir: str, diagnostics: diag._Diagnostics, count: int):
-        self.diagnostics, self.rows, self.failures = diagnostics, [], []
+    def __init__(self, outdir: str, diagnostics: diag._Diagnostics, labels: list[str]):
+        self.diagnostics, self.labels, self.rows, self.failures = diagnostics, labels, [], []
         try:
-            self.rows = self._read(os.path.join(outdir, SERIES_FILE), count)
+            self.rows = self._read(os.path.join(outdir, SERIES_FILE), len(labels))
         except ValueError as exc:
             self.failures.append(str(exc))
 
@@ -549,7 +550,7 @@ class _SeriesCrosscheck:
                          else f"decreases from {before!r}"
                          if col == "dissipation_cum" and stored < before else None)
             if fault:
-                self.failures.append(f"snapshot {n}: stored {col}={stored!r} {fault}")
+                self.failures.append(f"{self.labels[n]}: stored {col}={stored!r} {fault}")
 
     def finish(self) -> list[str]:
         return self.failures
@@ -584,32 +585,6 @@ def _write_ledgers(outdir: str, reports: dict[str, diag.LedgerReport]) -> None:
             fh.write(rep.to_csv())
 
 
-class _MonitorSuite:
-    """Finite samples in every checkpoint, and blow-up monitor flags that
-    agree with the run's stop reason."""
-
-    def __init__(self, run: dyn.Trajectory, monitor: diag.MonitorConfig):
-        self.monitor = monitor
-        self.stop_reason = run.stop_reason
-        self.ledger = diag.BlowupMonitor(run, monitor)
-        self.failures: list[str] = []
-
-    def add(self, window) -> None:
-        if not window.current.state.is_finite():
-            self.failures.append(f"snapshot {window.index}: non-finite samples")
-        self.ledger.add(window)
-
-    def finish(self) -> list[str]:
-        flags = diag.blowup_monitor(self.ledger, self.monitor)
-        abnormal = self.stop_reason not in dyn.NORMAL_STOPS
-        if abnormal and flags.extendable:
-            self.failures.append(
-                f"stop reason {self.stop_reason} but monitor flags extendable")
-        if not abnormal and not flags.density_bounded:
-            self.failures.append("completed run flagged as density-unbounded")
-        return self.failures
-
-
 def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """Run a verification suite over a stored run directory.
 
@@ -622,12 +597,14 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     A file that fails its checksum, or a manifest fact that the directory
     contradicts (`_check_facts`), fails every suite before the pass runs.
     Machine-precision identity failures, a `series.csv` cell that the
-    checkpoints do not reproduce bit for bit (`_SeriesCrosscheck`) and
-    monitor-contract violations make the result (and the exit code) fail,
-    and so does an inequality ledger's empirical constant that is not
-    finite; a finite one is only reported.  A stored density at or below
-    zero, which the pass refuses (`diagnostics._Snapshot`), is the one
-    failure, naming the snapshot, and then no ledger is written.
+    checkpoints do not reproduce bit for bit (`_SeriesCrosscheck`) and, for
+    a run that stopped normally, a blow-up criterion norm that is not finite
+    (such a run must be extendable) make the result (and the exit code)
+    fail, and so does an inequality ledger's empirical constant that is not
+    finite; a finite one is only reported.  A stored state with a NaN or
+    inf sample or a density at or below zero, which the pass refuses
+    (`diagnostics._Snapshot`), is the one failure, and then no ledger is
+    written.  A failure of one snapshot names its checkpoint file.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
@@ -635,24 +612,30 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     failures = _check_integrity(outdir, manifest) + _check_facts(manifest, config, times)
     if failures:
         return VerifyResult(False, failures, {})
+    labels = [f"{os.path.basename(path)} (snapshot {n})" for n, path in enumerate(paths)]
     checks, ledgers = [], {}
+    monitors = [diag.BlowupMonitor(run, problem.monitor)] if suite in ("monitors", "all") else []
     if suite != "monitors":
         partition = lp.build_partition(problem.grid)
     if suite in ("identities", "all"):
-        checks += [_IdentitySuite(problem, partition), _SeriesCrosscheck(
-            outdir, diag._Diagnostics(run, problem.monitor, partition), len(paths))]
+        checks += [_IdentitySuite(problem, partition, labels), _SeriesCrosscheck(
+            outdir, diag._Diagnostics(run, problem.monitor, partition), labels)]
     if suite in ("inequalities", "all"):
         ledgers = _inequality_ledgers(run, problem, partition, len(paths))
-    if suite in ("monitors", "all"):
-        checks.append(_MonitorSuite(run, problem.monitor))
     try:
-        diag.feed(checks + [ledger for ledger, _, _ in ledgers.values()], problem.params,
-                  len(paths), lambda n: dyn.read_checkpoint(paths[n]))
-    except dyn.VacuumError as vacuum:
-        n = times.index(vacuum.time)
-        return VerifyResult(False, [f"snapshot {n}: stored {vacuum}"], {})
+        diag.feed(checks + monitors + [ledger for ledger, _, _ in ledgers.values()],
+                  problem.params, len(paths), lambda n: dyn.read_checkpoint(paths[n]))
+    except (dyn.VacuumError, dyn.NonFiniteError) as refused:
+        return VerifyResult(False, [f"{labels[times.index(refused.time)]}: stored {refused}"], {})
     for check in checks:
         failures += check.finish()
+    for monitor in monitors:
+        flags = diag.blowup_monitor(monitor, problem.monitor)
+        if run.stop_reason in dyn.NORMAL_STOPS and not flags.extendable:
+            failures += [f"{run.stop_reason} run is not extendable: criterion norm "
+                         f"{name} {value!r} is not finite"
+                         for name, value in flags.criterion_norms().items()
+                         if not math.isfinite(value)]
     reports = {name: report(ledger, *args) for name, (ledger, report, args) in ledgers.items()}
     failures += [f"ledger {name}: empirical constant {rep.empirical_constant!r} is not finite"
                  for name, rep in reports.items() if not math.isfinite(rep.empirical_constant)]
@@ -668,8 +651,11 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
 def analyze(field_path: str, besov_specs: list[tuple[float, float, float]]
             ) -> list[tuple[str, str, float]]:
     """Norm report for a stored checkpoint: Lebesgue, Sobolev, and the
-    requested Besov norms for the density and each velocity component."""
+    requested Besov norms for the density and each velocity component; a
+    NaN or inf sample is refused with ValueError."""
     state = dyn.read_checkpoint(field_path)
+    if not state.is_finite():
+        raise ValueError(f"{field_path}: a stored sample is not finite")
     partition = lp.build_partition(state.grid)
     fields = [("rho", state.rho)]
     fields += [(f"u{i + 1}", state.u.component(i))

@@ -47,8 +47,8 @@ from .spectral import (
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
                                besov_from_block_norms, besov_norm, block_norms,
                                _ensemble, _ratio_report, _sup_besov)
-from .dynamics import (NORMAL_STOPS, FluidParams, FluidState, Trajectory, VacuumError,
-                       _viscous_dissipation)
+from .dynamics import (NORMAL_STOPS, FluidParams, FluidState, NonFiniteError, Trajectory,
+                       VacuumError, _viscous_dissipation)
 
 
 def f_weight(t):
@@ -387,15 +387,19 @@ class _Snapshot:
     fields, bit for bit.  What its fields compute on first read (their
     coefficients) is kept here, not on the stored state, so it is freed with
     the snapshot and a trajectory's states stay as small as they were built.
-    Every pass refuses vacuum here alone: a density at or below zero raises
-    `VacuumError` (a NaN minimum passes, for the finiteness checks to judge)."""
+    Every pass refuses a state here alone, so every accumulator reads finite
+    samples and a positive density: a NaN or inf sample raises
+    `NonFiniteError`, and a density at or below zero `VacuumError`."""
 
     def __init__(self, state: FluidState, params: FluidParams):
-        if state.min_density <= 0:
-            raise VacuumError(state.t, state.min_density)
         grid = state.grid
         self.state = FluidState(ScalarField._of_samples(grid, state.rho.view().samples),
                                 VectorField._of_samples(grid, state.u.view().samples), state.t)
+        for name, f in (("density", self.state.rho), ("velocity", self.state.u)):
+            if not np.all(np.isfinite(f.samples)):
+                raise NonFiniteError(state.t, name)
+        if self.state.min_density <= 0:
+            raise VacuumError(state.t, self.state.min_density)
         self.params = params
         self.t = state.t
 
@@ -521,8 +525,8 @@ def feed(accumulators: Sequence, params: FluidParams, count: int,
     `_Snapshot`.  At most three states are held at once, and one when no
     accumulator differentiates in time (an accumulator without a
     `differentiates` attribute does not), so a snapshot's fields are freed
-    as soon as every accumulator has read it.  A density <= 0 stops the pass
-    with `VacuumError` (`_Snapshot`)."""
+    as soon as every accumulator has read it.  A non-finite sample or a
+    density <= 0 stops the pass (`_Snapshot`)."""
     span = 3 if any(getattr(acc, "differentiates", False) for acc in accumulators) else 1
     for window in _windows(count, lambda n: _Snapshot(load(n), params), span):
         for acc in accumulators:
@@ -898,8 +902,6 @@ def density_bound_ledger(trajectory: Trajectory | DensityBoundLedger) -> LedgerR
 @dataclass
 class MonitorFlags:
     density_bounded: bool
-    criterion_norms_finite: bool
-    extendable: bool
     first_violation_time: float | None
     rho_sup: float
     criterion_exponent: float
@@ -908,6 +910,19 @@ class MonitorFlags:
     lipschitz_integral: float
     stop_reason: str
 
+    def criterion_norms(self) -> dict[str, float]:
+        """Every norm of criteria (b) and (c) of `blowup_monitor`, by name."""
+        return {"pressure_time_norm": self.pressure_time_norm, **self.companion_norms,
+                "lipschitz_integral": self.lipschitz_integral}
+
+    @property
+    def criterion_norms_finite(self) -> bool:
+        return all(math.isfinite(v) for v in self.criterion_norms().values())
+
+    @property
+    def extendable(self) -> bool:
+        return self.density_bounded and self.criterion_norms_finite
+
 
 def _in_window(t: float, window_end: float | None) -> bool:
     return window_end is None or t <= window_end * (1 + 1e-12)
@@ -915,15 +930,14 @@ def _in_window(t: float, window_end: float | None) -> bool:
 
 class BlowupMonitor(Accumulator):
     """Accumulator of `blowup_monitor` on [0, window_end] (all snapshots for
-    None).  Its density criterion needs no norm: every snapshot finite (the
-    pass refuses vacuum), and no abnormal stop inside the window."""
+    None).  Its density criterion needs no norm, since the pass refuses a
+    non-finite or non-positive density: no abnormal stop inside the window."""
 
     def __init__(self, run: Trajectory, monitor: MonitorConfig,
                  window_end: float | None = None):
         super().__init__(run, monitor, window_end)
         self.monitor, self.window_end = monitor, window_end
         self.seen = 0
-        self.bad: list[float] = []   # times of snapshots that fail the density criterion
 
     def add(self, window: _Window) -> None:
         self.seen += 1
@@ -932,8 +946,6 @@ class BlowupMonitor(Accumulator):
             return
         super().add(window)
         state = snap.state
-        if not state.is_finite():
-            self.bad.append(snap.t)
         if len(self.times) == 1:
             dim = state.grid.dim
             self.gamma, self.q_crit = _criterion_exponents(self.params, self.monitor, dim)
@@ -949,12 +961,8 @@ class BlowupMonitor(Accumulator):
             raise ValueError("empty trajectory")
         if not self.times:
             raise ValueError("window excludes every snapshot")
-        first_bad = self.bad[0] if self.bad else None
-        density_ok = not self.bad
-        abnormal = self.stop_reason not in NORMAL_STOPS
-        if abnormal and _in_window(self.stop_time, self.window_end):
-            density_ok = False
-            first_bad = self.stop_time if first_bad is None else first_bad
+        density_ok = (self.stop_reason in NORMAL_STOPS
+                      or not _in_window(self.stop_time, self.window_end))
         times = np.array(self.times)
         cols = np.array(self.rows).T
         comp = {name: float(np.max(col)) for name, col in zip(self.comp_exps, cols)}
@@ -966,13 +974,9 @@ class BlowupMonitor(Accumulator):
             lipschitz = float(np.trapezoid(grad_sup, times))
         else:
             pressure_time_norm, lipschitz = 0.0, 0.0
-        norms_finite = (math.isfinite(pressure_time_norm) and math.isfinite(lipschitz)
-                        and all(math.isfinite(v) for v in comp.values()))
         return MonitorFlags(
             density_bounded=density_ok,
-            criterion_norms_finite=norms_finite,
-            extendable=density_ok and norms_finite,
-            first_violation_time=first_bad,
+            first_violation_time=None if density_ok else self.stop_time,
             rho_sup=float(np.max(rho_inf)),
             criterion_exponent=self.q_crit,
             pressure_time_norm=pressure_time_norm,
@@ -985,7 +989,9 @@ def blowup_monitor(trajectory: Trajectory | BlowupMonitor, monitor: MonitorConfi
                    window_end: float | None = None) -> MonitorFlags:
     """Evaluate the continuation criteria on [0, T]:
 
-      (a) sup_t ||rho||_inf finite with positive minimum (density criterion);
+      (a) sup_t ||rho||_inf finite with positive minimum (density criterion):
+          the pass refuses a state that breaks it, so it fails only by an
+          abnormal stop inside the window, at the stop time;
       (b) the pressure-integrability norms: ||rho||_{L^{gamma+1}_T(L^{q_c})}
           with q_c = (N+1+eps) gamma, plus the companion sup-in-time norms
           (L^{9+eps} and L^{3 gamma + 3/2} in 3-D, L^{2 gamma + 1} in 2-D);
@@ -1060,7 +1066,8 @@ class TransportEstimate(Accumulator):
             div_env = float(np.max([besov_from_block_norms(div_norms, self.env_spec),
                                     div_inf]))
             div_src = besov_from_block_norms(div_norms, self.spec)
-        self.rows.append((lhs, grad_env + div_env + rho_inf ** (self.alpha + 1) + 1.0,
+        # a float64 power, so a huge density overflows to inf, not OverflowError
+        self.rows.append((lhs, grad_env + div_env + np.power(rho_inf, self.alpha + 1) + 1.0,
                           rho_inf * div_src))
 
     def finish(self) -> LedgerReport:

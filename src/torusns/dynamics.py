@@ -55,6 +55,11 @@ class VacuumError(SolverStop):
         self.min_rho = min_rho
 
 
+class NonFiniteError(SolverStop):
+    def __init__(self, time: float, field: str):
+        super().__init__("nonfinite", f"{field} has a non-finite sample at t={time:g}", time)
+
+
 #: stop reasons of a run that ended without a fault; every other reason
 #: (vacuum, cfl, nonfinite) is abnormal
 NORMAL_STOPS = frozenset({"completed", "max_steps"})

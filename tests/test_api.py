@@ -145,18 +145,21 @@ def test_snapshots_built_only_by_the_pass():
     assert builders == ["diagnostics.py:feed", "diagnostics.py:v1_identities"], builders
 
 
-def test_one_vacuum_rule():
-    """A snapshot pass refuses a density at or below zero in one place: the
-    one `VacuumError` that diagnostics code builds is in `_Snapshot.__init__`,
-    and `app` names no `SolverStop` to catch one anywhere else."""
+def test_one_refusal_site():
+    """A snapshot pass refuses a non-finite sample and a density at or below
+    zero in one place: the one `NonFiniteError` and the one `VacuumError`
+    that diagnostics code builds are in `_Snapshot.__init__`, and `app`
+    names no `SolverStop` to catch one anywhere else."""
     trees, _ = _sources()
     [snapshot] = [c for c in trees["diagnostics.py"].body
                   if isinstance(c, ast.ClassDef) and c.name == "_Snapshot"]
     [init] = [f for f in snapshot.body
               if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
-    builds = [node for node in ast.walk(trees["diagnostics.py"]) if isinstance(node, ast.Call)
-              and "VacuumError" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert len(builds) == 1 and builds[0] in ast.walk(init)
+    for error in ("NonFiniteError", "VacuumError"):
+        builds = [node for node in ast.walk(trees["diagnostics.py"])
+                  if isinstance(node, ast.Call)
+                  and error in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        assert len(builds) == 1 and builds[0] in ast.walk(init), error
     assert not [node for node in ast.walk(trees["app.py"])
                 if "SolverStop" in (getattr(node, "id", None), getattr(node, "attr", None))]
 

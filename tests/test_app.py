@@ -1,17 +1,22 @@
 """Configuration, CLI entry points, persistence, and verification suites."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import pathlib
 import re
 import shutil
+import tempfile
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torusns import app, diagnostics as diag, dynamics as dyn, spectral as sp
 from torusns import littlewood_paley as lp
@@ -88,6 +93,15 @@ class TestConfig:
     def test_comments_and_blank_lines(self):
         cfg = app.parse_config("# top\n\ntime.dt = 0.01  # trailing\n")
         assert cfg["time.dt"] == 0.01
+
+    def test_readme_example_config_builds(self):
+        """README's example config (its first ```ini block) parses under
+        `CONFIG_SCHEMA` and builds its problem, so it cannot drift from the
+        schema."""
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        text = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        problem = app.build_problem(app.parse_config(text))
+        assert (problem.grid.dim, problem.grid.n, problem.solver.dt) == (2, 64, 0.005)
 
     def test_all_errors_reported_at_once(self):
         bad = "\n".join([
@@ -353,7 +367,7 @@ class TestVerify:
     def test_each_file_read_once(self, run_dir, tmp_path, monkeypatch, suite, density):
         """`verify` parses `config.txt` once and reads each checkpoint's
         header once, also when a stored density at or below zero sends it to
-        the vacuum failure, which names the snapshot from those times."""
+        the vacuum failure, which names the checkpoint from those times."""
         outdir = run_dir if density is None else self._with_nan(
             run_dir, tmp_path, 5, density, checkpoint=2)
         calls = {"load_config": 0, "checkpoint_time": 0}
@@ -372,26 +386,8 @@ class TestVerify:
         assert calls == {"load_config": 1, "checkpoint_time": 3}
         assert result.ok == (density is None)
         if density is not None:
-            assert result.failures == ["snapshot 2: stored density reached -0.1 at t=0.1"]
-
-    def test_nan_velocity_fails_identities(self, run_dir, tmp_path):
-        outdir = self._with_nan(run_dir, tmp_path, 32 * 32 + 5)
-        result = app.verify(outdir, "identities")
-        assert not result.ok
-        assert any(f.startswith("state 1:") and "nan" in f for f in result.failures)
-
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("index, names", [
-        (5, ("riesz_trace", "dyadic_reconstruction", "parseval_gap")),
-        (32 * 32 + 5, ("div_v1", "leray_divergence", "leray_curl"))], ids=["rho", "u"])
-    def test_non_finite_sample_fails_identities_by_name(self, run_dir, tmp_path, value,
-                                                        index, names):
-        """A NaN or inf sample makes the coefficient bounds of the residuals
-        it reaches NaN, so they are sampled, and fail under their names."""
-        result = app.verify(self._with_nan(run_dir, tmp_path, index, value), "identities")
-        failed = {f.split()[2] for f in result.failures if f.startswith("state 1: ")}
-        assert set(names) <= failed, result.failures
+            assert result.failures == [
+                "state_000002.nsb (snapshot 2): stored density reached -0.1 at t=0.1"]
 
     def test_residual_over_tolerance_reports_its_sampled_sup(self, run_dir, monkeypatch):
         """A residual whose bound exceeds the tolerance is judged and reported
@@ -404,42 +400,79 @@ class TestVerify:
         sup = sp.lebesgue_norm(extra, math.inf)
         assert sp.coefficient_sup_bound(extra) > 2.0 * sup
         result = app.verify(run_dir, "identities")
-        assert result.failures == [f"state {n}: riesz_trace residual {sup:.3e}"
-                                   for n in range(3)]
-
-    def test_nan_density_fails_series_crosscheck(self, run_dir, tmp_path):
-        outdir = self._with_nan(run_dir, tmp_path, 5)
-        result = app.verify(outdir, "identities")
-        assert any(f.startswith("snapshot 1: stored mass") for f in result.failures)
-
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_nan_sample_fails_inequalities_by_ledger(self, run_dir, tmp_path, capsys):
-        """A NaN sample makes every empirical constant NaN, and each is a
-        failure that names its ledger (exit code 2), not a silent pass."""
-        outdir = self._with_nan(run_dir, tmp_path, 32 * 32 + 5)
-        assert app.main(["verify", "--dir", outdir, "--suite", "inequalities"]) == 2
-        out = capsys.readouterr().out
-        for name in ("energy", "density_bounds", "integrability", "transport",
-                     "omega_budget", "v1_energy"):
-            assert f"FAIL ledger {name}: empirical constant nan is not finite" in out, out
+        assert result.failures == [f"state_{n:06d}.nsb (snapshot {n}): riesz_trace residual "
+                                   f"{sup:.3e}" for n in range(3)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
-    @pytest.mark.parametrize("copy, checkpoint, time", [("three", 2, 0.1), ("two", 1, 0.02)],
-                             ids=["three-checkpoints", "two-checkpoints"])
-    def test_non_positive_density_fails_every_suite(self, run_dir, two_snapshot_dir, tmp_path,
-                                                    capsys, suite, copy, checkpoint, time):
-        """A stored density below zero, which the snapshot pass refuses before
-        any check or ledger reads the state, is one failure naming the
-        snapshot in every suite (exit code 2): no traceback, no warning, and
-        no ledger written, whether or not the time-differenced ledgers run."""
+    @pytest.mark.parametrize("copy, m, checkpoint, time", [
+        ("three", 32, 2, 0.1), ("two", 16, 1, 0.02)], ids=["three-checkpoints", "two-checkpoints"])
+    @pytest.mark.parametrize("field, value, fault", [
+        ("rho", -0.1, "density reached -0.1"),
+        ("rho", np.nan, "density has a non-finite sample"),
+        ("rho", np.inf, "density has a non-finite sample"),
+        ("rho", -np.inf, "density has a non-finite sample"),
+        ("u", np.nan, "velocity has a non-finite sample"),
+        ("u", np.inf, "velocity has a non-finite sample"),
+        ("u", -np.inf, "velocity has a non-finite sample"),
+    ], ids=["rho-negative", "rho-nan", "rho-inf", "rho-minus-inf", "u-nan", "u-inf",
+            "u-minus-inf"])
+    def test_refused_state_fails_every_suite(self, run_dir, two_snapshot_dir, tmp_path, capsys,
+                                             suite, copy, m, checkpoint, time, field, value,
+                                             fault):
+        """A stored NaN or inf sample, or a density below zero, which the
+        snapshot pass refuses before any check or ledger reads the state, is
+        one failure naming the checkpoint file in every suite (exit code 2):
+        no traceback, no warning, and no ledger written, whether or not the
+        time-differenced ledgers run."""
         source = run_dir if copy == "three" else two_snapshot_dir
-        outdir = self._with_nan(source, tmp_path, 5, -0.1, checkpoint=checkpoint)
+        index = 5 if field == "rho" else m * m + 5
+        outdir = self._with_nan(source, tmp_path, index, value, checkpoint=checkpoint)
         shutil.rmtree(os.path.join(outdir, "ledgers"), ignore_errors=True)  # an earlier verify's
         assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 2
-        assert capsys.readouterr().out == (f"FAIL snapshot {checkpoint}: stored density "
-                                           f"reached -0.1 at t={time:g}\nverification failed\n")
+        assert capsys.readouterr().out == (
+            f"FAIL state_{checkpoint:06d}.nsb (snapshot {checkpoint}): stored {fault} "
+            f"at t={time:g}\nverification failed\n")
         assert not os.path.exists(os.path.join(outdir, "ledgers"))
+
+    def test_huge_density_fails_transport_ledger(self, run_dir, tmp_path, capsys):
+        """A finite density sample so large that its powers overflow makes the
+        transport ledger's constant NaN, a failure naming the ledger (exit
+        code 2), not an OverflowError."""
+        outdir = self._with_nan(run_dir, tmp_path, 5, 1e200, checkpoint=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert app.main(["verify", "--dir", outdir, "--suite", "inequalities"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL ledger transport: empirical constant nan is not finite\n" in out, out
+
+    def test_unbounded_criterion_norm_fails_monitors(self, run_dir, tmp_path, capsys):
+        """A run that completed must be extendable: a density sample of 1e60
+        makes the pressure time norm of the criterion overflow, and the
+        monitors suite fails naming that norm."""
+        outdir = self._with_nan(run_dir, tmp_path, 5, 1e60, checkpoint=2)
+        with np.errstate(over="ignore"):
+            assert app.main(["verify", "--dir", outdir, "--suite", "monitors"]) == 2
+        assert capsys.readouterr().out == (
+            "FAIL completed run is not extendable: criterion norm pressure_time_norm inf "
+            "is not finite\nverification failed\n")
+
+    def test_failures_name_the_checkpoint_file(self, run_dir, tmp_path):
+        """Snapshots are numbered in time order, so a failure of one snapshot
+        names its checkpoint file too: a header time moved before the run's
+        start makes state_000001.nsb snapshot 0, and every line about that
+        snapshot names the file."""
+        outdir = str(tmp_path / "run")
+        shutil.copytree(run_dir, outdir)
+        name = "state_000001.nsb"
+        path = os.path.join(outdir, name)
+        data = open(path, "rb").read()
+        head, _, payload = data.partition(b"\n")
+        open(path, "wb").write(b" ".join(head.split(b" ")[:4] + [b"-5.0"]) + b"\n" + payload)
+        _rewrite_checksum(outdir, name)
+        failures = app.verify(outdir, "identities").failures
+        assert f"{name} (snapshot 0): stored time=0.0 != recomputed -5.0" in failures
+        assert all(f.startswith(f"{name} (snapshot 0): ") for f in failures
+                   if "(snapshot 0)" in f), failures
 
     @staticmethod
     def _with_cell(run_dir, tmp_path, row, column, edit):
@@ -467,8 +500,8 @@ class TestVerify:
             else (lambda x: np.nextafter(x, np.inf))
         outdir = self._with_cell(run_dir, tmp_path, 1, column, move)
         result = app.verify(outdir, "identities")
-        assert any(f.startswith(f"snapshot 1: stored {column}=") for f in result.failures), \
-            result.failures
+        assert any(f.startswith(f"state_000001.nsb (snapshot 1): stored {column}=")
+                   for f in result.failures), result.failures
 
     @pytest.mark.parametrize("column", diag.RESIDUAL_COLUMNS.values())
     def test_edited_residual_cell_message_prints_plain_floats(self, run_dir, tmp_path,
@@ -478,8 +511,8 @@ class TestVerify:
         outdir = self._with_cell(run_dir, tmp_path, 1, column, lambda x: 2.0 * x)
         [failure] = app.verify(outdir, "identities").failures
         recomputed = float(failure.rsplit(" ", 1)[1])
-        assert failure == (f"snapshot 1: stored {column}={2.0 * recomputed!r} "
-                           f"!= recomputed {recomputed!r}")
+        assert failure == (f"state_000001.nsb (snapshot 1): stored {column}="
+                           f"{2.0 * recomputed!r} != recomputed {recomputed!r}")
 
     @pytest.mark.parametrize("row, column, edit, fault", [
         (1, "dissipation_cum", lambda x: math.nan, "is not finite"),
@@ -496,26 +529,19 @@ class TestVerify:
         outdir = self._with_cell(run_dir, tmp_path, row, column, edit)
         failures = [f for f in app.verify(outdir, "identities").failures if "_cum=" in f]
         assert len(failures) == 1, failures
-        assert failures[0].startswith(f"snapshot {row}: stored {column}=") \
+        assert failures[0].startswith(f"state_{row:06d}.nsb (snapshot {row}): stored {column}=") \
             and fault in failures[0], failures
 
-    def test_nan_fails_monitors(self, run_dir, tmp_path):
-        outdir = self._with_nan(run_dir, tmp_path, 32 * 32 + 5)
-        result = app.verify(outdir, "monitors")
-        assert "snapshot 1: non-finite samples" in result.failures
-
-    def test_monitor_stop_is_not_flagged(self):
-        """A run stopped by the CFL check (a fixed dt above the limit) is one
-        abnormal stop for both the density criterion and the monitor suite,
-        so the suite finds nothing."""
-        problem = app.build_problem(app.parse_config(
-            "grid.points_per_axis = 16\ninit.preset = stream_vortex\n"
-            "init.amplitude = 0.5\ntime.dt = 0.5\ntime.t_end = 1.0\n"))
-        traj = dyn.run(problem.initial, problem.params, problem.solver)
-        assert traj.stop_reason == "cfl"
-        suite = app._MonitorSuite(traj, problem.monitor)
-        diag.feed([suite], traj.params, len(traj), traj.states.__getitem__)
-        assert suite.finish() == []
+    def test_monitor_stop_is_not_flagged(self, tmp_path):
+        """A run stopped by the CFL check (a fixed dt above the limit) is not
+        extendable, and the monitors suite, whose contract binds a run that
+        stopped normally, finds nothing."""
+        config = app.parse_config("grid.points_per_axis = 16\ninit.preset = stream_vortex\n"
+                                  "init.amplitude = 0.5\ntime.dt = 0.5\ntime.t_end = 1.0\n")
+        bundle = app.simulate(config, str(tmp_path))
+        assert bundle.manifest["stop_reason"] == "cfl"
+        assert not diag.blowup_monitor(bundle.trajectory, diag.MonitorConfig()).extendable
+        assert app.verify(str(tmp_path), "monitors").failures == []
 
     @pytest.mark.parametrize("edit", [
         lambda lines: [],
@@ -739,7 +765,11 @@ class TestStreamingVerify:
             assert got.empirical_constant == pytest.approx(want.empirical_constant,
                                                            rel=1e-13)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_checkpoint_mid_run_fails(self, tmp_path):
+        """A NaN velocity sample in a checkpoint in mid-run is the one
+        failure, naming that checkpoint: no check reports the snapshots
+        before it, and no ledger is written."""
         outdir = _stream_run(str(tmp_path), 7)
         name = "state_000003.nsb"
         path = os.path.join(outdir, name)
@@ -749,11 +779,10 @@ class TestStreamingVerify:
         open(path, "wb").write(bytes(data))
         _rewrite_checksum(outdir, name)
         result = app.verify(outdir, "all")
-        assert not result.ok
-        assert "snapshot 3: non-finite samples" in result.failures
-        assert any(f.startswith("state 3:") for f in result.failures)
-        assert not any(f.startswith(("state 2:", "state 4:")) for f in result.failures)
-        assert math.isnan(result.reports["v1_energy"].empirical_constant)
+        assert not result.ok and result.reports == {}
+        assert result.failures == [f"{name} (snapshot 3): stored velocity has a non-finite "
+                                   f"sample at t={dyn.checkpoint_time(path):g}"]
+        assert not os.path.exists(os.path.join(outdir, "ledgers"))
 
     def test_checkpoint_names_out_of_time_order(self, tmp_path):
         """Checkpoints whose names do not follow their times are read in the
@@ -1100,3 +1129,55 @@ class TestCli:
         data[-4] ^= 0x01
         open(victim, "wb").write(bytes(data))
         assert app.main(["verify", "--dir", f"{tmp_path}/out"]) == 2
+
+
+@pytest.fixture(scope="module")
+def small_run_dir(tmp_path_factory):
+    """A forced 2-D 16^2 vortex run with three checkpoints."""
+    return _stream_run(str(tmp_path_factory.mktemp("small")), 3)
+
+
+def _main(argv):
+    """(exit code, stdout, stderr, RuntimeWarnings) of `app.main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = app.main(argv)
+    return (code, out.getvalue(), err.getvalue(),
+            [w for w in caught if issubclass(w.category, RuntimeWarning)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(field="rho", value=math.nan)
+@example(field="rho", value=-math.inf)
+@example(field="rho", value=0.0)
+@example(field="rho", value=-1.0)
+@example(field="rho", value=1e200)
+@example(field="rho", value=5e-324)
+@example(field="u", value=math.inf)
+@example(field="u", value=-1e200)
+@given(field=st.sampled_from(["rho", "u"]), value=st.floats())
+def test_no_traceback_on_any_payload_value(small_run_dir, field, value):
+    """Any float64 in one payload sample of a checkpoint (re-hashed) gives a
+    documented exit code and no traceback from every `verify` suite (0 or 2)
+    and from `analyze` (0 or 1).  A NaN or inf sample, or a density at or
+    below zero, is one failure line naming the file, with no RuntimeWarning;
+    `analyze` refuses a NaN or inf with one error line naming the file."""
+    refused = not math.isfinite(value) or (field == "rho" and value <= 0)
+    name = "state_000001.nsb"
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = TestVerify._with_nan(small_run_dir, pathlib.Path(tmp),
+                                      5 if field == "rho" else 16 * 16 + 5, value)
+        for suite in app.VERIFY_SUITES:
+            code, out, err, warned = _main(["verify", "--dir", outdir, "--suite", suite])
+            assert code in (0, 2) and "Traceback" not in err, (suite, out, err)
+            if refused:
+                [failure] = [line for line in out.splitlines() if line.startswith("FAIL")]
+                assert failure.startswith(f"FAIL {name} (snapshot 1): stored "), failure
+                assert code == 2 and not warned, (suite, warned)
+        code, _, err, warned = _main(["analyze", "--field", os.path.join(outdir, name)])
+        assert code in (0, 1) and "Traceback" not in err, err
+        if not math.isfinite(value):
+            assert code == 1 and not warned and err.splitlines() == [
+                f"error: {os.path.join(outdir, name)}: a stored sample is not finite"]
