@@ -585,6 +585,7 @@ def _write_ledgers(outdir: str, reports: dict[str, diag.LedgerReport]) -> None:
             fh.write(rep.to_csv())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow: inf or NaN, failed closed
 def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """Run a verification suite over a stored run directory.
 
@@ -648,6 +649,7 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
 # analyze
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow: inf or NaN, failed closed
 def analyze(field_path: str, besov_specs: list[tuple[float, float, float]]
             ) -> list[tuple[str, str, float]]:
     """Norm report for a stored checkpoint: Lebesgue, Sobolev, and the

@@ -156,13 +156,6 @@ def _viscous_form(params: FluidParams, x: VectorField) -> float:
     return _viscous_dissipation(x.grid, params, x.coeffs, divergence(x).coeffs)
 
 
-def _grad_sq(f: Field, grad: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise |grad f|^2, summed over the derivative and component axes;
-    `grad` stands in for velocity_gradient(f) where the caller has it."""
-    g = velocity_gradient(f) if grad is None else grad
-    return np.sum(g ** 2, axis=tuple(range(1 + f.rank)))
-
-
 def _moment(state: FluidState, p1: float) -> float:
     """(1/p1) int rho |u|^p1 dx."""
     mag2 = np.sum(state.u.samples ** 2, axis=0)
@@ -185,41 +178,6 @@ def _forcing_density(state: FluidState, params: FluidParams) -> VectorField:
     """rho g at the state's time (zero without forcing)."""
     g = params.forcing_field(state.t, state.grid)
     return VectorField.zero(state.grid) if g is None else scale_vector(state.rho, g)
-
-
-def _potential_quadrature(weight: Callable[[np.ndarray], np.ndarray],
-                          s: np.ndarray) -> np.ndarray:
-    """Pi_f(s) = s int_0^s f(z)/z^2 dz = int_0^1 f(s t)/t^2 dt (z = s t) by
-    128-node Gauss-Legendre quadrature, exact for polynomial weights up to
-    high degree; 0 where s <= 0."""
-    x, w = np.polynomial.legendre.leggauss(128)
-    t, wt = 0.5 * (x + 1.0), 0.5 * w   # nodes on (0, 1)
-    s = np.maximum(s, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = weight(s[..., None] * t) / t ** 2
-    return np.where(s > 0, (vals * wt).sum(axis=-1), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# pressure potentials
-# ---------------------------------------------------------------------------
-
-def pressure_potential(law, rho: ScalarField) -> ScalarField:
-    """Potential Pi(rho) with s Pi'(s) - Pi(s) = P(s) (closed form for power
-    laws with gamma > 1; quadrature for tabulated laws)."""
-    vals = law.potential(np.maximum(rho.samples, 0.0))
-    return pointwise(rho.grid, vals, dealiased=False)
-
-
-def k_function(law, s):
-    """k(s) = P(s)^2 - Pi_{P^2}(s)/2; for P = a s^gamma this is
-    a^2 s^{2 gamma} (2 gamma - 3/2) / (2 gamma - 1)."""
-    gamma = getattr(law, "gamma", None)
-    s = np.asarray(s, dtype=float)
-    if gamma is not None:
-        a = law.a
-        return a * a * s ** (2 * gamma) * (2 * gamma - 1.5) / (2 * gamma - 1.0)
-    return law(s) ** 2 - 0.5 * _potential_quadrature(lambda z: law(z) ** 2, s)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +403,8 @@ class _Snapshot:
 
     @functools.cached_property
     def grad_sq(self) -> np.ndarray:
-        """Pointwise |grad u|^2."""
-        return _grad_sq(self.state.u, self.grad_u)
+        """Pointwise |grad u|^2, summed over the derivative and component axes."""
+        return np.sum(self.grad_u ** 2, axis=(0, 1))
 
     @functools.cached_property
     def coifman(self) -> tuple[ScalarField, ScalarField]:
@@ -656,9 +614,8 @@ def elliptic_identities(trajectory: Trajectory,
 def _energy_parts(state: FluidState, params: FluidParams) -> tuple[float, float]:
     """(int rho |u|^2 / 2 dx, int Pi(rho) dx), both sample sums (grid
     quadrature), at no transform."""
-    potential = pressure_potential(params.pressure, state.rho).samples
     return (0.5 * _rho_weighted_sq(state.rho, state.u),
-            float(np.sum(potential)) * state.grid.cell_volume)
+            float(np.sum(params.pressure.potential(state.rho.samples))) * state.grid.cell_volume)
 
 
 def total_energy(state: FluidState, params: FluidParams) -> float:
@@ -726,7 +683,7 @@ class _AFunctional(Accumulator):
                           float(np.sum(p ** 2 * (rho * snap.dp_values - p)))
                           * state.grid.cell_volume,
                           dissipation_rate(state, self.params),
-                          float(np.sum(k_function(self.params.pressure, rho)))
+                          float(np.sum(self.params.pressure.k(rho)))
                           * state.grid.cell_volume))
 
     def finish(self) -> dict[str, np.ndarray]:

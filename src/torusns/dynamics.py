@@ -71,6 +71,21 @@ STOP_REASONS = NORMAL_STOPS | {"vacuum", "cfl", "nonfinite"}
 # pressure laws
 # ---------------------------------------------------------------------------
 
+def _polyval(c, z: np.ndarray) -> np.ndarray:
+    """sum_j c_j z^j by Horner's rule, the rows of `c` broadcast against z."""
+    out = c[-1]
+    for row in c[-2::-1]:
+        out = out * z + row
+    return out
+
+
+def _antiderivative(c, z: np.ndarray) -> np.ndarray:
+    """G(z) = -c_0/z + c_1 ln z + sum_{j>=2} c_j z^(j-1)/(j-1), whose G' is
+    f(z)/z^2 for f(z) = sum_j c_j z^j (the rows of `c` broadcast against z)."""
+    rest = [c[j] / (j - 1) for j in range(2, len(c))]
+    return z * _polyval(rest, z) - c[0] / z + c[1] * np.log(z)
+
+
 class PowerLaw:
     """Barotropic pressure P(s) = a s^gamma with a > 0, gamma >= 1; gamma = 1
     is the isothermal law."""
@@ -104,6 +119,12 @@ class PowerLaw:
             return np.where(s <= 0, 0.0, out)
         return self.a * s ** self.gamma / (self.gamma - 1.0)
 
+    def k(self, s):
+        """k(s) = P(s)^2 - Pi_{P^2}(s)/2 = a^2 s^{2 gamma} (2 gamma - 3/2) / (2 gamma - 1)."""
+        s = np.asarray(s, dtype=float)
+        a, gamma = self.a, self.gamma
+        return a * a * s ** (2 * gamma) * (2 * gamma - 1.5) / (2 * gamma - 1.0)
+
     def rescaled(self, factor: float) -> "PowerLaw":
         return PowerLaw(self.a * factor, self.gamma)
 
@@ -112,48 +133,64 @@ class PowerLaw:
 
 
 class TabulatedLaw:
-    """Increasing pressure law given by (density, pressure) samples; evaluated
-    by monotone interpolation, potential by adaptive quadrature."""
+    """Pressure law through samples (d_0, P_0) ... (d_n, P_n), d increasing
+    and P >= 0 non-decreasing, defined on all of (0, inf): P_0 (s/d_0)^2
+    below d_0, the monotone cubic interpolant (PCHIP; Fritsch & Carlson,
+    SIAM J. Numer. Anal. 17, 1980) on [d_0, d_n], its tangent line above
+    d_n; so P >= 0 and P' >= 0 everywhere.  Each piece is a cubic at most,
+    kept once as a column of power coefficients in s that P, P', the
+    potential and k read; their integrals are exact per piece (`_pi`)."""
 
     def __init__(self, densities: Sequence[float], pressures: Sequence[float]):
         d = np.asarray(densities, dtype=float)
         p = np.asarray(pressures, dtype=float)
         if d.ndim != 1 or d.size < 2 or np.any(np.diff(d) <= 0):
             raise ValueError("densities must be strictly increasing")
-        if np.any(np.diff(p) < 0):
-            raise ValueError("pressure law must be non-decreasing")
+        if p.shape != d.shape or p[0] < 0 or np.any(np.diff(p) < 0):
+            raise ValueError("pressures must be non-negative and non-decreasing")
         from scipy.interpolate import PchipInterpolator
+        inner = PchipInterpolator(d, p)
+        local, x = inner.c[::-1], d[:-1]   # piece i in powers of s - d_i
+        slope = float(inner.derivative()(d[-1]))
+        c = np.column_stack([[0.0, 0.0, p[0] / d[0] ** 2, 0.0],
+                             [sum(math.comb(m, j) * (-x) ** (m - j) * local[m]
+                                  for m in range(j, 4)) for j in range(4)],
+                             [p[-1] - slope * d[-1], slope, 0.0, 0.0]])
         self._knots = (d, p)
-        self._interp = PchipInterpolator(d, p, extrapolate=True)
-        self._deriv = self._interp.derivative()
-        self._d0 = float(d[0])
-        self.gamma = None
+        self._coeffs = (c, sum(np.pad(c[j] * c, ((j, 3 - j), (0, 0))) for j in range(4)))
+        # int_0^{lo_i} f/z^2 dz - G_i(lo_i) for f = P, P^2, summed piece by piece: piece
+        # i > 0 starts at lo_i = d_{i-1} and the tail at 0, where G_0 = 0 (c_0 = c_1 = 0)
+        lows = [np.r_[0.0, _antiderivative(f[:, 1:], d)] for f in self._coeffs]
+        self._offsets = [np.r_[0.0, np.cumsum(_antiderivative(f[:, :-1], d) - low[:-1])] - low
+                         for f, low in zip(self._coeffs, lows)]
+
+    def _piece(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """(s as floats, the piece of each: 0 below d_0, n + 1 from d_n up and for NaN)."""
+        s = np.asarray(s, dtype=float)
+        return s, np.searchsorted(self._knots[0], s, side="right")
+
+    def _pi(self, power: int, s: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Pi_f(s) = s int_0^s f(z)/z^2 dz for f = P^power; 0 at s <= 0."""
+        g = _antiderivative(self._coeffs[power - 1][:, i], np.where(s <= 0, 1.0, s))
+        return np.where(s <= 0, 0.0, s * (self._offsets[power - 1][i] + g))
 
     def __call__(self, s):
-        return np.maximum(self._interp(np.asarray(s, dtype=float)), 0.0)
+        s, i = self._piece(s)
+        return _polyval(self._coeffs[0][:, i], s)
 
     def derivative(self, s):
-        return self._deriv(np.asarray(s, dtype=float))
+        s, i = self._piece(s)
+        c = self._coeffs[0][:, i]
+        return _polyval([c[1], 2.0 * c[2], 3.0 * c[3]], s)
 
     def potential(self, s):
-        """s int_0^s P(z)/z^2 dz; adaptive quadrature above the first knot,
-        the [0, d0] tail modelled as quadratic growth (exact for gamma = 2,
-        negligible when the tabulation starts near zero)."""
-        # imported here, like PchipInterpolator: no other law needs scipy.integrate
-        from scipy.integrate import quad
+        """Pi_P, with s Pi'(s) - Pi(s) = P(s)."""
+        return self._pi(1, *self._piece(s))
 
-        def one(val):
-            if val <= 0:
-                return 0.0
-            lo = min(self._d0, val)
-            out = 0.0
-            if val > lo:
-                integrand = lambda z: float(self(z)) / z ** 2
-                out, _ = quad(integrand, lo, val, limit=200)
-            if lo > 0:
-                out += float(self(lo)) / lo
-            return val * out
-        return np.vectorize(one)(np.asarray(s, dtype=float))
+    def k(self, s):
+        """k(s) = P(s)^2 - Pi_{P^2}(s)/2."""
+        s, i = self._piece(s)
+        return _polyval(self._coeffs[0][:, i], s) ** 2 - 0.5 * self._pi(2, s, i)
 
     def rescaled(self, factor: float) -> "TabulatedLaw":
         densities, pressures = self._knots

@@ -164,6 +164,36 @@ def test_one_refusal_site():
                 if "SolverStop" in (getattr(node, "id", None), getattr(node, "attr", None))]
 
 
+def _integrate_references(source: str) -> set[str]:
+    return {name for name in _references(source)
+            if name == "scipy.integrate" or name.startswith("scipy.integrate.")}
+
+
+@pytest.mark.parametrize("source", [
+    "from scipy.integrate import quad\nquad(f, 0, 1)",
+    "import scipy.integrate\nscipy.integrate.quad(f, 0, 1)",
+    "from scipy import integrate as si\nsi.quad(f, 0, 1)",
+])
+def test_integrate_reference_is_seen(source):
+    assert _integrate_references(source)
+
+
+def test_each_law_owns_its_integrals():
+    """A pressure law computes its own potential and k in closed form: no
+    package module reaches `scipy.integrate`, and diagnostics reads a law's
+    gamma through `getattr` only where it picks the criterion exponents
+    (`_criterion_exponents`), not to switch between laws' formulas."""
+    trees, _ = _sources()
+    src = pathlib.Path(dynamics.__file__).parent
+    assert not {path.name: refs for path in sorted(src.glob("*.py"))
+                if (refs := _integrate_references(path.read_text()))}
+    switches = [node.name for node in trees["diagnostics.py"].body
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "getattr"
+                and any(getattr(arg, "value", None) == "gamma" for arg in call.args)]
+    assert switches == ["_criterion_exponents"], switches
+
+
 #: the frozen frequency arrays of a `TorusGrid`, and those of them that a
 #: Fourier symbol is built from
 LATTICE = {"axis_frequencies", "frequency_mesh", "partner_mesh", "k_squared", "k_radius",

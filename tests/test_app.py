@@ -1153,6 +1153,7 @@ def _main(argv):
 @example(field="rho", value=-math.inf)
 @example(field="rho", value=0.0)
 @example(field="rho", value=-1.0)
+@example(field="rho", value=1e60)
 @example(field="rho", value=1e200)
 @example(field="rho", value=5e-324)
 @example(field="u", value=math.inf)
@@ -1160,10 +1161,11 @@ def _main(argv):
 @given(field=st.sampled_from(["rho", "u"]), value=st.floats())
 def test_no_traceback_on_any_payload_value(small_run_dir, field, value):
     """Any float64 in one payload sample of a checkpoint (re-hashed) gives a
-    documented exit code and no traceback from every `verify` suite (0 or 2)
-    and from `analyze` (0 or 1).  A NaN or inf sample, or a density at or
-    below zero, is one failure line naming the file, with no RuntimeWarning;
-    `analyze` refuses a NaN or inf with one error line naming the file."""
+    documented exit code, no traceback and no RuntimeWarning from every
+    `verify` suite (0 or 2) and from `analyze` (0 or 1); a finite sample
+    huge enough to overflow too.  A NaN or inf sample, or a density at or
+    below zero, is one failure line naming the file; `analyze` refuses a
+    NaN or inf with one error line naming the file."""
     refused = not math.isfinite(value) or (field == "rho" and value <= 0)
     name = "state_000001.nsb"
     with tempfile.TemporaryDirectory() as tmp:
@@ -1172,12 +1174,14 @@ def test_no_traceback_on_any_payload_value(small_run_dir, field, value):
         for suite in app.VERIFY_SUITES:
             code, out, err, warned = _main(["verify", "--dir", outdir, "--suite", suite])
             assert code in (0, 2) and "Traceback" not in err, (suite, out, err)
+            assert not warned, (suite, [str(w.message) for w in warned])
             if refused:
                 [failure] = [line for line in out.splitlines() if line.startswith("FAIL")]
                 assert failure.startswith(f"FAIL {name} (snapshot 1): stored "), failure
-                assert code == 2 and not warned, (suite, warned)
+                assert code == 2, suite
         code, _, err, warned = _main(["analyze", "--field", os.path.join(outdir, name)])
         assert code in (0, 1) and "Traceback" not in err, err
+        assert not warned, [str(w.message) for w in warned]
         if not math.isfinite(value):
-            assert code == 1 and not warned and err.splitlines() == [
+            assert code == 1 and err.splitlines() == [
                 f"error: {os.path.join(outdir, name)}: a stored sample is not finite"]

@@ -60,37 +60,6 @@ def manufactured_run():
     return dyn.run(ms.state(grid, 0.0), ms.params(), cfg), ms.params(), ms
 
 
-class TestPotentials:
-    def test_gamma_two_closed_form(self, grid):
-        rho = sp.ScalarField.constant(grid, 3.0)
-        pot = diag.pressure_potential(dyn.PowerLaw(2.0, 2.0), rho)
-        # Pi(rho) = a rho^2 / (gamma - 1) = 2 * 9
-        assert abs(pot.samples[0, 0] - 18.0) < 1e-12
-
-    def test_zero_density(self, grid):
-        rho = sp.ScalarField.constant(grid, 0.0)
-        assert sp.lebesgue_norm(diag.pressure_potential(LAW, rho), INF) == 0.0
-        assert diag.k_function(LAW, 0.0) == 0.0
-
-    def test_quadrature_matches_closed_form(self, random_state):
-        """The Gauss-Legendre potential that `k_function` uses for tabulated
-        laws, against the power law's closed form."""
-        closed = diag.pressure_potential(LAW, random_state.rho).samples
-        quad = diag._potential_quadrature(LAW, random_state.rho.samples)
-        assert np.max(np.abs(quad - closed)) / np.max(np.abs(closed)) < 1e-10
-
-    def test_k_function_closed_form(self):
-        # k(s) = a^2 s^{2 gamma} (2 gamma - 3/2)/(2 gamma - 1)
-        val = diag.k_function(LAW, 2.0)
-        assert abs(val - 16.0 * 2.5 / 3.0) < 1e-12
-
-    def test_k_function_quadrature_path(self):
-        s = np.geomspace(1e-6, 4.0, 500)
-        tab = dyn.TabulatedLaw(s, LAW(s))
-        x = np.array([0.5, 1.5, 2.0])
-        assert np.max(np.abs(diag.k_function(tab, x) - diag.k_function(LAW, x))) < 1e-4
-
-
 class TestEffectiveQuantities:
     def test_g_reduces_to_divergence_for_constant_density(self, grid, params):
         state = dyn.stream_vortex_state(grid, 1.3, 0.4)
@@ -697,7 +666,6 @@ class TestBlowupMonitor:
 def test_tabulated_law_q_density_resolved_alike():
     """compute_diagnostics and blowup_monitor both need q_density for a
     tabulated law, and both use it when it is given."""
-    # one small snapshot: the tabulated potential is a quadrature per sample
     s = np.linspace(0.1, 4.0, 40)
     params = dyn.FluidParams(0.05, 0.05, dyn.TabulatedLaw(s, LAW(s)))
     state = dyn.stream_vortex_state(sp.TorusGrid(2, 8), 1.0, 0.3)

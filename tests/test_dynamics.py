@@ -8,6 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from torusns import spectral as sp
 from torusns import dynamics as dyn
@@ -18,6 +20,10 @@ _KNOTS = np.geomspace(1e-3, 8.0, 40)
 # a tabulated law through linear samples interpolates exactly, so P(rho)
 # stays band-limited and the scaled state remains representable
 EVERY_LAW = (LAW, dyn.PowerLaw(1.0, 1.0), dyn.TabulatedLaw(_KNOTS, 0.5 * _KNOTS))
+#: tables of a concave, a power-1.4 and a square law
+TABLES = {"concave": (np.array([0.5, 1.0, 1.5, 2.0]), np.array([0.0, 1.0, 1.5, 1.6])),
+          "power1.4": (np.geomspace(0.01, 4.0, 30), np.geomspace(0.01, 4.0, 30) ** 1.4),
+          "square": (np.linspace(0.1, 4.0, 40), np.linspace(0.1, 4.0, 40) ** 2)}
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +76,76 @@ class TestPressureLaws:
             dyn.PowerLaw(1.0, 0.5)
         with pytest.raises(ValueError):
             dyn.TabulatedLaw([1.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            dyn.TabulatedLaw([0.5, 1.0, 2.0], [-1.0, 0.2, 0.3])
+
+    @pytest.mark.parametrize("law", EVERY_LAW, ids=lambda law: type(law).__name__)
+    def test_zero_density_has_zero_potential_and_k(self, law):
+        assert law.potential(0.0) == 0.0 and law.k(0.0) == 0.0
+
+    def test_power_law_k_closed_form(self):
+        # k(s) = a^2 s^{2 gamma} (2 gamma - 3/2) / (2 gamma - 1) = 16 * 2.5 / 3 at s = 2
+        assert abs(LAW.k(2.0) - 16.0 * 2.5 / 3.0) < 1e-12
+
+    @pytest.mark.parametrize("knots, pressures", list(TABLES.values()), ids=list(TABLES))
+    def test_tabulated_integrals_are_the_quadrature_of_the_law(self, knots, pressures):
+        """Pi_P and Pi_{P^2} = 2 (P^2 - k), exact per piece, agree with a
+        1e-13 adaptive quadrature of the law (split at its knots) to 1e-12
+        relative, below the first knot, inside the table and above the last."""
+        law = dyn.TabulatedLaw(knots, pressures)
+        d0, dn = knots[0], knots[-1]
+        inside = d0 + (dn - d0) * np.array([0.1, 0.37, 0.5, 0.81, 0.99])
+        s = np.concatenate([[0.2 * d0, 0.9 * d0], inside, [dn, 1.3 * dn, 4.0 * dn]])
+
+        def pi(f, val):
+            ends = [0.0, *[d for d in knots if d < val], val]
+            return val * sum(quad(lambda z: f(z) / z ** 2, lo, hi, epsabs=0, epsrel=1e-13,
+                                  limit=200)[0] for lo, hi in zip(ends[:-1], ends[1:]))
+
+        want_p = [pi(lambda z: float(law(z)), v) for v in s]
+        want_p2 = [pi(lambda z: float(law(z)) ** 2, v) for v in s]
+        assert np.allclose(law.potential(s), want_p, rtol=1e-12, atol=0)
+        assert np.allclose(2.0 * (law(s) ** 2 - law.k(s)), want_p2, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("knots, pressures", list(TABLES.values()), ids=list(TABLES))
+    def test_tabulated_law_is_the_monotone_cubic_inside_its_table(self, knots, pressures):
+        law = dyn.TabulatedLaw(knots, pressures)
+        cubic = PchipInterpolator(knots, pressures)
+        s = np.linspace(knots[0], knots[-1], 997)
+        assert np.allclose(law(s), cubic(s), rtol=1e-12, atol=0)
+        assert np.allclose(law.derivative(s), cubic.derivative()(s), rtol=1e-12, atol=0)
+
+    def test_tabulated_law_outside_its_table(self):
+        """Below d0 the law is P(d0) (s/d0)^2, above dn its tangent line, so
+        P stays non-negative and non-decreasing on all of (0, inf) and
+        s Pi'(s) - Pi(s) = P(s) holds there too."""
+        knots, pressures = TABLES["concave"]
+        law = dyn.TabulatedLaw(knots, pressures)
+        s = np.linspace(1e-3, 4.0 * knots[-1], 4001)
+        assert np.all(law(s) >= 0) and np.all(np.diff(law(s)) >= 0)
+        assert np.all(law.derivative(s) >= 0)
+        low, high = np.array([0.1, 0.3]), np.array([2.5, 4.0, 8.0])
+        square = dyn.TabulatedLaw(*TABLES["square"])  # P(d0) (s/d0)^2 = s^2 below d0 = 0.1
+        assert np.allclose(square(low / 10), (low / 10) ** 2, rtol=1e-14, atol=0)
+        tangent = law(knots[-1]) + law.derivative(knots[-1]) * (high - knots[-1])
+        assert np.allclose(law(high), tangent, rtol=1e-14, atol=0)
+        x = np.concatenate([low, [0.7, 1.9], high])
+        h = 1e-6
+        slope = (law.potential(x + h) - law.potential(x - h)) / (2 * h)
+        assert np.allclose(x * slope - law.potential(x), law(x), rtol=0, atol=1e-8)
+
+    def test_tabulated_k_is_the_power_laws_on_its_table(self):
+        """The k of d^2 on linspace(0.1, 4, 40) follows PowerLaw(1, 2)'s
+        k = 5 s^4 / 6 up to the interpolant's own error: P is 1.4 % off s^2
+        between the first knots (PCHIP's harmonic-mean slopes), so k is
+        3.2 % off there and within 0.5 % from s = 0.25 up."""
+        law = dyn.TabulatedLaw(*TABLES["square"])
+        for lo, bound in ((0.05, 3.5e-2), (0.25, 5e-3)):
+            s = np.linspace(lo, 4.0, 800)
+            assert np.max(np.abs(law.k(s) / LAW.k(s) - 1.0)) < bound
+        fine = np.geomspace(1e-6, 4.0, 500)
+        x = np.array([0.5, 1.5, 2.0])
+        assert np.max(np.abs(dyn.TabulatedLaw(fine, LAW(fine)).k(x) - LAW.k(x))) < 1e-4
 
 
 class TestViscosityAdmissibility:
@@ -344,6 +420,53 @@ class TestStep:
             errs.append(np.max(np.abs(end.u.samples[1] - exact)) / eps)
         assert errs[0] < bounds[0] and errs[1] < bounds[1], errs
         assert abs(math.log2(errs[0] / errs[1]) - 4.0) < 0.1, errs
+
+    @staticmethod
+    def _acoustic_error(dim, m, law, dt, stepped=None):
+        """max |(S(eps) - S(-eps))/(2 eps) - exact| at t = 0.2 for the
+        longitudinal mode rho = 1 + eps cos(3 x1), u = 0 at t = 0, mu = lam =
+        0.05, with S the state that a run under `stepped` (`law` if None)
+        reaches.  The odd part cancels the eps^2 term of the nonlinearity.
+        At eps = 1e-5 the eps^3 term stays below the time error (which falls
+        as dt^4 to 4e-11 for the tabulated law); at eps = 1e-4 and t = 1 it
+        held the 3-D errors near 1e-8.  Linearised, rho = 1 + eps A cos(k x1)
+        and u1 = eps B sin(k x1) with A' = -k B and B' = P'(1) k A - nu k^2 B,
+        whose rates s solve s^2 + nu k^2 s + P'(1) k^2 = 0."""
+        k, eps, mu, t_end = 3, 1e-5, 0.05, 0.2
+        grid = sp.TorusGrid(dim, m)
+        x1 = grid.coordinates()[0]
+        params = dyn.FluidParams(mu, mu, stepped or law)
+        ends = []
+        for sign in (1.0, -1.0):
+            start = dyn.FluidState(sp.ScalarField.from_samples(
+                grid, 1.0 + sign * eps * np.cos(k * x1)), sp.VectorField.zero(grid))
+            traj = dyn.run(start, params,
+                           dyn.SolverConfig(t_end=t_end, dt=dt, snapshot_every=10 ** 9))
+            assert traj.stop_reason == "completed"
+            ends.append(traj.states[-1])
+        rates = np.array([[0.0, -k], [float(law.derivative(1.0)) * k, -params.nu * k * k]])
+        w, v = np.linalg.eig(rates)
+        a, b = (v @ (np.exp(w * ends[0].t) * np.linalg.solve(v, [1.0, 0.0]))).real
+        exact_u = np.zeros((dim,) + grid.shape)
+        exact_u[0] = b * np.sin(k * x1)
+        plus, minus = ends
+        odd_rho = (plus.rho.samples - minus.rho.samples) / (2 * eps)
+        odd_u = (plus.u.samples - minus.u.samples) / (2 * eps)
+        return max(np.max(np.abs(odd_rho - a * np.cos(k * x1))), np.max(np.abs(odd_u - exact_u)))
+
+    @pytest.mark.parametrize("law", EVERY_LAW, ids=["power", "isothermal", "tabulated"])
+    @pytest.mark.parametrize("dim, m", [(2, 32), (3, 16)])
+    def test_acoustic_wave_is_the_exact_linear_mode(self, dim, m, law):
+        """The linear acoustic mode under every law (a tabulated law enters
+        only through P'(rho0)): within 1e-8 at dt 0.005 (1.3e-9 measured)
+        and an observed order of 4 from dt 0.02 to dt 0.01."""
+        errs = [self._acoustic_error(dim, m, law, dt) for dt in (0.02, 0.01, 0.005)]
+        assert errs[2] < 1e-8, errs
+        assert abs(math.log2(errs[0] / errs[1]) - 4.0) < 0.1, errs
+
+    def test_acoustic_wave_sees_a_two_percent_pressure(self):
+        """A stepper that evaluates 1.02 P(rho) misses the mode by 1.6e-2."""
+        assert self._acoustic_error(2, 32, LAW, 0.005, stepped=LAW.rescaled(1.02)) > 1e-3
 
     def test_mass_conservation(self, grid, params):
         state = dyn.density_bump_state(grid, 1.0, 0.3)

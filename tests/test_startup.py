@@ -6,9 +6,10 @@ process, so whatever `import torusns.app` loads is paid by every run.
 compiled pocketfft module from its file and nothing else of scipy, so a
 2-D or 3-D run with a power law never imports `scipy.fft` (nor the
 `scipy.special` that it brings).  A tabulated pressure law loads
-`scipy.interpolate` and `scipy.integrate` (which pulls in `scipy.optimize`,
-`scipy.sparse`, `scipy.linalg` and `scipy.spatial`).  Each check runs in a
-fresh interpreter, since this test process has imported scipy already.
+`scipy.interpolate` (which pulls in `scipy.optimize`, `scipy.sparse`,
+`scipy.linalg` and `scipy.spatial`) and not `scipy.integrate`: its
+integrals are closed forms.  Each check runs in a fresh interpreter, since
+this test process has imported scipy already.
 """
 
 import json
@@ -16,12 +17,9 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 import scipy
-from scipy.integrate import quad
 
-from torusns import dynamics as dyn
 from torusns.spectral import KERNELS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -52,8 +50,8 @@ if tabulated:
     build = app.build_problem
     def build_problem(config):
         problem = build(config)
-        knots = [0.25, 0.5, 1.0, 2.0, 4.0]  # a smooth integrand keeps quad cheap
-        problem.params.pressure = dyn.TabulatedLaw(knots, [0.5 * d for d in knots])
+        knots = [0.1 * n for n in range(1, 41)]
+        problem.params.pressure = dyn.TabulatedLaw(knots, [d * d for d in knots])
         return problem
     app.build_problem = build_problem
 codes = (app.main(["simulate", "--config", cfg, "--out", out]),
@@ -137,31 +135,13 @@ def test_missing_kernels_name_the_path_and_scipy_version(tmp_path):
 
 
 @pytest.mark.parametrize("tabulated", [False, True], ids=["power", "tabulated"])
-def test_run_loads_the_quadrature_only_for_a_tabulated_law(tmp_path, tabulated):
+def test_run_loads_the_interpolant_only_for_a_tabulated_law(tmp_path, tabulated):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG)
     modules = _scipy_modules(RUN, str(cfg), str(tmp_path / "out"), str(int(tabulated)))
     loaded = _tabulated_only(modules)
     if tabulated:
-        assert {"scipy.integrate", "scipy.interpolate"} <= set(loaded)
+        assert "scipy.interpolate" in loaded and "scipy.integrate" not in modules
     else:
         assert loaded == []
     assert os.path.exists(tmp_path / "out" / "ledgers" / "energy.csv")
-
-
-def test_tabulated_potential_is_the_adaptive_quadrature():
-    """The quadrature imported on first use gives the values it always has:
-    s (int_{d0}^s P(z)/z^2 dz + P(d0)/d0) above the first knot d0."""
-    law = dyn.TabulatedLaw(np.geomspace(0.01, 4.0, 30), np.geomspace(0.01, 4.0, 30) ** 1.4)
-    s = np.array([0.0, 0.005, 0.01, 0.3, 1.0, 2.7, 4.0, 5.5])
-    d0 = 0.01
-
-    def want(val):
-        if val <= 0:
-            return 0.0
-        lo = min(d0, val)
-        out = quad(lambda z: float(law(z)) / z ** 2, lo, val, limit=200)[0] \
-            if val > lo else 0.0
-        return val * (out + float(law(lo)) / lo)
-
-    assert np.array_equal(law.potential(s), [want(v) for v in s])
