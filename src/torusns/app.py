@@ -421,11 +421,12 @@ def _check_integrity(outdir: str, manifest: dict) -> list[str]:
     return failures
 
 
-def _check_facts(manifest: dict, config: ExperimentConfig, times: list[float]) -> list[str]:
+def _check_facts(manifest: dict, config: ExperimentConfig, paths: list[str],
+                 times: list[float]) -> list[str]:
     """The manifest's facts that the run directory, with its `config` and
-    its checkpoints' header `times` in order, contradicts: config digest,
-    checkpoint count, step count, stop time against the last checkpoint's,
-    and stop reason."""
+    its checkpoints `paths` and header `times` in time order, contradicts:
+    config digest, checkpoint count, step count, stop time against the last
+    checkpoint's (which the failure names), and stop reason."""
     count, steps, stop = len(times), manifest.get("step_count"), manifest["stop_time"]
     last = times[-1]
     holds = {
@@ -435,8 +436,9 @@ def _check_facts(manifest: dict, config: ExperimentConfig, times: list[float]) -
         "stop_time": stop == last or (stop > last and manifest["stop_reason"] != "completed"),
         "stop_reason": manifest["stop_reason"] in dyn.STOP_REASONS,
     }
+    named = {"stop_time": f": its last checkpoint {os.path.basename(paths[-1])} is at t={last!r}"}
     return [f"manifest {key} {manifest.get(key)!r} contradicts the run directory"
-            for key, ok in holds.items() if not ok]
+            + named.get(key, "") for key, ok in holds.items() if not ok]
 
 
 class _IdentitySuite:
@@ -610,7 +612,7 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
     manifest, config, problem, run, paths, times = _load_run(outdir)
-    failures = _check_integrity(outdir, manifest) + _check_facts(manifest, config, times)
+    failures = _check_integrity(outdir, manifest) + _check_facts(manifest, config, paths, times)
     if failures:
         return VerifyResult(False, failures, {})
     labels = [f"{os.path.basename(path)} (snapshot {n})" for n, path in enumerate(paths)]

@@ -86,6 +86,24 @@ def _antiderivative(c, z: np.ndarray) -> np.ndarray:
     return z * _polyval(rest, z) - c[0] / z + c[1] * np.log(z)
 
 
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The knot slopes of the monotone cubic through (x, y), y non-decreasing,
+    as scipy's PchipInterpolator takes them: inside, the weighted harmonic
+    mean of the two secants, 0 where either is; at each end, the one-sided
+    three-point estimate, 0 where it is not positive (Moler, ch. 3.6)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        return np.r_[m, m]
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    ends = [((2 * h[i] + h[j]) * m[i] - h[i] * m[j]) / (h[i] + h[j])
+            for i, j in ((0, 1), (-1, -2))]
+    return np.r_[max(ends[0], 0.0), np.where((m[1:] == 0) | (m[:-1] == 0), 0.0, inner),
+                 max(ends[1], 0.0)]
+
+
 class PowerLaw:
     """Barotropic pressure P(s) = a s^gamma with a > 0, gamma >= 1; gamma = 1
     is the isothermal law."""
@@ -148,14 +166,15 @@ class TabulatedLaw:
             raise ValueError("densities must be strictly increasing")
         if p.shape != d.shape or p[0] < 0 or np.any(np.diff(p) < 0):
             raise ValueError("pressures must be non-negative and non-decreasing")
-        from scipy.interpolate import PchipInterpolator
-        inner = PchipInterpolator(d, p)
-        local, x = inner.c[::-1], d[:-1]   # piece i in powers of s - d_i
-        slope = float(inner.derivative()(d[-1]))
+        # piece i in powers of s - d_i, as scipy's CubicHermiteSpline builds it
+        slopes, h, x = _pchip_slopes(d, p), np.diff(d), d[:-1]
+        secant = np.diff(p) / h
+        t = (slopes[:-1] + slopes[1:] - 2 * secant) / h
+        local = [p[:-1], slopes[:-1], (secant - slopes[:-1]) / h - t, t / h]
         c = np.column_stack([[0.0, 0.0, p[0] / d[0] ** 2, 0.0],
                              [sum(math.comb(m, j) * (-x) ** (m - j) * local[m]
                                   for m in range(j, 4)) for j in range(4)],
-                             [p[-1] - slope * d[-1], slope, 0.0, 0.0]])
+                             [p[-1] - slopes[-1] * d[-1], slopes[-1], 0.0, 0.0]])
         self._knots = (d, p)
         self._coeffs = (c, sum(np.pad(c[j] * c, ((j, 3 - j), (0, 0))) for j in range(4)))
         # int_0^{lo_i} f/z^2 dz - G_i(lo_i) for f = P, P^2, summed piece by piece: piece
@@ -349,15 +368,20 @@ def cfl_limit(state: FluidState, params: FluidParams) -> float:
 # right-hand side and stepping
 # ---------------------------------------------------------------------------
 
+# Classical RK4 as its Butcher table, one (c, w) per stage: the stage runs at
+# t + c dt from y + c dt k, k the previous stage's slope, and weighs w dt/6.
+_RK4 = ((0.0, 1), (0.5, 2), (0.5, 2), (1.0, 1))
+
+
 def _rk4(rhs, t: float, ys: tuple, dt: float) -> tuple:
     """One classical RK4 step over a tuple of arrays, the package's only
-    one; rhs(stage, t, ys) returns the slopes of stage 0, 1, 2 or 3."""
-    k1 = rhs(0, t, ys)
-    k2 = rhs(1, t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k1)))
-    k3 = rhs(2, t + dt / 2, tuple(y + dt / 2 * k for y, k in zip(ys, k2)))
-    k4 = rhs(3, t + dt, tuple(y + dt * k for y, k in zip(ys, k3)))
-    return tuple(y + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
-                 for y, s1, s2, s3, s4 in zip(ys, k1, k2, k3, k4))
+    one; rhs(stage, t, ys) returns the slopes of stage 0, 1, 2 or 3, each
+    used up before the next stage runs, so rhs may reuse its arrays."""
+    ks = total = ()
+    for stage, (c, w) in enumerate(_RK4):
+        ks = rhs(stage, t + c * dt, tuple(y + c * dt * k for y, k in zip(ys, ks)) if ks else ys)
+        total = tuple(s + w * k for s, k in zip(total, ks)) if total else tuple(w * k for k in ks)
+    return tuple(y + dt / 6 * s for y, s in zip(ys, total))
 
 
 class _Stepper:
@@ -378,13 +402,10 @@ class _Stepper:
     masks the product coefficients.  The derivative, Laplacian and divergence
     are `spectral`'s arrays and kernel.
 
-    Every stage writes the one product array of the stepper (one per count
-    of forced components, which a constant forcing keeps fixed), and stage n
-    of every step writes the slope array that stage n of the previous step
-    wrote: the stepper owns one product array and four slope arrays for as
-    long as it lives (one run, split or `rhs_eval`).  A stage's product
-    array is read only until its integrands are taken, before the next
-    stage runs; RK4 combines all four slopes at the end of the step.
+    Every stage writes the stepper's one product array (one per count of
+    forced components, which a constant forcing keeps fixed) and its one
+    slope array, for as long as it lives (one run, split or `rhs_eval`):
+    both are read before the next stage runs.
     Allocated afresh per stage, these arrays went back to the kernel and
     were faulted in again whenever the rest of the heap left no hole for
     them, which made a step's cost depend on what unrelated code held (35k
@@ -448,13 +469,11 @@ class _Stepper:
         return out
 
     # -----------------------------------------------------------------------
-    def rhs(self, stage: int, t: float, y: np.ndarray, samples: np.ndarray | None = None):
-        """Returns (dy, aux) of RK4 stage ``stage`` (0 to 3), where aux carries
-        the stage fields; ``samples``, when given, must be the inverse
-        transform of y.  dy is the stage's own, valid until the same stage of
-        the next step runs, and the product array that aux views is the one
-        every stage shares, valid until the next stage runs (see the class
-        docstring)."""
+    def rhs(self, t: float, y: np.ndarray, samples: np.ndarray | None = None):
+        """Returns (dy, aux) of an RK4 stage, where aux carries the stage
+        fields; ``samples``, when given, must be the inverse transform of y.
+        dy and the product array that aux views are the ones every stage
+        shares, valid until the next stage runs (see the class docstring)."""
         grid, dim = self.grid, self.grid.dim
         s = to_samples(grid, y) if samples is None else samples
         rho_s, m_s = s[0], s[1:]
@@ -477,7 +496,7 @@ class _Stepper:
         c = to_coeffs(grid, prod)
         u_c = c[:dim]
         div_u = _divergence(grid, u_c, np.empty(grid.spectral_shape, dtype=c.dtype))
-        dy = self._array(("dy", stage), y.shape, y.dtype)
+        dy = self._array("dy", y.shape, y.dtype)
         np.negative(_divergence(grid, y[1:], dy[0]), out=dy[0])
         self.momentum(u_c, div_u, c[dim:n_flux], self.pair_terms, dy[1:])
         force_c = c[n_flux:]  # the forced components of rho g, in `forced` order
@@ -526,14 +545,14 @@ class _Stepper:
         """One RK4 step; returns (y, quadrature increments).  ``samples``,
         when given, are those of y and serve the first stage.  Each stage's
         integrands are taken as soon as it has run, and its fields other than
-        the stage's own product and slope arrays are freed before the next
+        the stepper's product and slope arrays are freed before the next
         stage allocates the same sizes again."""
         quads = {}
 
         def rhs(stage, s, ys):
-            dy, aux = self.rhs(stage, s, ys[0], samples if stage == 0 else None)
+            dy, aux = self.rhs(s, ys[0], samples if stage == 0 else None)
             for name, val in self.quadrature_values(aux).items():
-                quads[name] = quads.get(name, 0.0) + dt / 6 * (1, 2, 2, 1)[stage] * val
+                quads[name] = quads.get(name, 0.0) + dt / 6 * _RK4[stage][1] * val
             return (dy,)
 
         (y,) = _rk4(rhs, t, (y,), dt)
@@ -577,7 +596,7 @@ def rhs_eval(state: FluidState, params: FluidParams) -> tuple[ScalarField, Vecto
     if state.min_density <= 0:
         raise VacuumError(state.t, state.min_density)
     stepper = _Stepper(state.grid, params, vacuum_floor=0.0)
-    dy, _ = stepper.rhs(0, state.t, _conservative(state, stepper.keep))
+    dy, _ = stepper.rhs(state.t, _conservative(state, stepper.keep))
     return ScalarField(state.grid, dy[0]), VectorField(state.grid, dy[1:])
 
 
@@ -768,7 +787,7 @@ def linear_split(trajectory: Trajectory) -> SplitResult:
     w2 = np.zeros_like(w1)
 
     def rhs(stage, t, ys):
-        dy, aux = stepper.rhs(stage, t, ys[0])
+        dy, aux = stepper.rhs(t, ys[0])
         return (dy, stepper.passenger_rhs(aux, ys[1], False),
                 stepper.passenger_rhs(aux, ys[2], True))
 

@@ -58,11 +58,10 @@ import numpy as np
 
 from .spectral import (
     Field,
-    MultiplierSymbol,
     ScalarField,
     TorusGrid,
     VectorField,
-    apply_multiplier,
+    check_symbol,
     dealias,
     gradient,
     lebesgue_norm,
@@ -438,17 +437,14 @@ def remainder(partition: DyadicPartition, u: ScalarField, v: ScalarField,
 # commutators
 # ---------------------------------------------------------------------------
 
-def multiplier_commutator(theta: MultiplierSymbol, lam: float,
-                          a: ScalarField, b: ScalarField) -> ScalarField:
-    """[theta(lam^{-1} D), a] b = theta(lam^{-1}D)(a b) - a theta(lam^{-1}D) b."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+def multiplier_commutator(symbol: np.ndarray, a: ScalarField, b: ScalarField) -> ScalarField:
+    """[m(D), a] b = m(D)(a b) - a m(D) b, the symbol m given by its values
+    on the grid's stored modes (chi(lam^{-1} D) is `chi_profile(k_radius /
+    lam)`)."""
     grid = _check_same_grid(a, b)
-    scaled = MultiplierSymbol(lambda *k: theta.rule(*(x / lam for x in k)),
-                              name=f"{theta.name}@{lam:g}")
-    lhs = apply_multiplier(scaled, multiply(a, b))
-    rhs = multiply(a, apply_multiplier(scaled, b))
-    return lhs - rhs
+    check_symbol(grid, symbol)
+    ab = multiply(a, b)
+    return ab.with_coeffs(ab.coeffs * symbol) - multiply(a, b.with_coeffs(b.coeffs * symbol))
 
 
 def transport_commutator(partition: DyadicPartition, u: VectorField,
@@ -589,8 +585,6 @@ def lemma1_scaling_study(grid: TorusGrid, *, k_range: Sequence[int] = range(7),
 
     The decay law says this stays in a fixed band across k.
     """
-    theta = MultiplierSymbol(lambda *k: chi_profile(np.sqrt(sum(x ** 2 for x in k))),
-                             name="chi")
     a = ScalarField.from_function(grid, lambda *c: np.sin(c[0]))
     grad_a = lebesgue_norm(gradient(a), math.inf)
     fields = [random_field(grid, np.random.default_rng(seed + i), flat_dyadic=True)
@@ -598,9 +592,10 @@ def lemma1_scaling_study(grid: TorusGrid, *, k_range: Sequence[int] = range(7),
     out = {}
     for k in k_range:
         lam = 2.0 ** k
+        chi = chi_profile(grid.k_radius / lam)
         ratios = []
         for b in fields:
-            comm = multiplier_commutator(theta, lam, a, b)
+            comm = multiplier_commutator(chi, a, b)
             ratios.append(lam * lebesgue_norm(comm, 2) / (grad_a * lebesgue_norm(b, 2)))
         out[k] = float(np.median(ratios))
     return out

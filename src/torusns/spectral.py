@@ -471,38 +471,13 @@ def hermitian_part(grid: TorusGrid, rule: Callable[..., np.ndarray]) -> np.ndarr
     return _frozen(0.5 * (values + np.conj(partner)))
 
 
-class MultiplierSymbol:
-    """Fourier multiplier xi -> f(xi).
-
-    The rule receives the tuple of frequency meshes and returns the symbol
-    values.  Evaluating it on a grid checks that it is finite everywhere.
-    """
-
-    def __init__(self, rule: Callable[..., np.ndarray], name: str = ""):
-        self.rule = rule
-        self.name = name or getattr(rule, "__name__", "multiplier")
-        self._cache: dict[TorusGrid, np.ndarray] = {}
-
-    def evaluate(self, grid: TorusGrid) -> np.ndarray:
-        values = self._cache.get(grid)
-        if values is None:
-            with np.errstate(invalid="ignore"):  # reported just below
-                values = hermitian_part(
-                    grid, lambda *k: np.asarray(self.rule(*k), dtype=np.complex128))
-            if not np.all(np.isfinite(values)):
-                bad = np.argwhere(~np.isfinite(values))[0]
-                freq = tuple(int(grid.frequency_mesh[a][tuple(bad)]) for a in range(grid.dim))
-                raise ValueError(
-                    f"symbol {self.name!r} is non-finite at grid frequency {freq}")
-            self._cache[grid] = values
-        return values
-
-    def __repr__(self) -> str:
-        return f"MultiplierSymbol({self.name!r})"
-
-
-def apply_multiplier(symbol: MultiplierSymbol, field: Field) -> Field:
-    return field.with_coeffs(field.coeffs * symbol.evaluate(field.grid))
+def check_symbol(grid: TorusGrid, values: np.ndarray) -> None:
+    """Raise ValueError naming the first grid frequency at which a symbol,
+    given by its values on the stored modes, is not finite."""
+    bad = np.argwhere(~np.isfinite(np.broadcast_to(values, grid.spectral_shape)))
+    if bad.size:
+        freq = tuple(int(k[tuple(bad[0])]) for k in grid.frequency_mesh)
+        raise ValueError(f"symbol is non-finite at grid frequency {freq}")
 
 
 # ---------------------------------------------------------------------------

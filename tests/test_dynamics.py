@@ -20,6 +20,8 @@ _KNOTS = np.geomspace(1e-3, 8.0, 40)
 # a tabulated law through linear samples interpolates exactly, so P(rho)
 # stays band-limited and the scaled state remains representable
 EVERY_LAW = (LAW, dyn.PowerLaw(1.0, 1.0), dyn.TabulatedLaw(_KNOTS, 0.5 * _KNOTS))
+# |R(-Z_STAR)| = 1 for RK4's stability function R on the negative real axis
+Z_STAR = 2.785293563405282
 #: tables of a concave, a power-1.4 and a square law
 TABLES = {"concave": (np.array([0.5, 1.0, 1.5, 2.0]), np.array([0.0, 1.0, 1.5, 1.6])),
           "power1.4": (np.geomspace(0.01, 4.0, 30), np.geomspace(0.01, 4.0, 30) ** 1.4),
@@ -133,6 +135,13 @@ class TestPressureLaws:
         h = 1e-6
         slope = (law.potential(x + h) - law.potential(x - h)) / (2 * h)
         assert np.allclose(x * slope - law.potential(x), law(x), rtol=0, atol=1e-8)
+
+    def test_tabulated_tangent_takes_the_end_slope_itself(self):
+        """PCHIP's end slope on this table is 0 (the one-sided estimate turns
+        negative and is zeroed), so P is flat above it.  Read back from the
+        last cubic instead, the slope was -1.1e-16 and P fell there."""
+        law = dyn.TabulatedLaw([0.834, 1.59, 1.727, 2.544], [0.0, 0.178, 0.805, 1.002])
+        assert law.derivative(5.0) == 0.0 and law(5.0) == law(2.544) == 1.002
 
     def test_tabulated_k_is_the_power_laws_on_its_table(self):
         """The k of d^2 on linspace(0.1, 4, 40) follows PowerLaw(1, 2)'s
@@ -257,7 +266,7 @@ class TestRhs:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the stage dissipation against the full dim x dim gradient array
         stepper = dyn._Stepper(grid, params, 0.0)
-        _, aux = stepper.rhs(0, 0.0, dyn._conservative(state, stepper.keep))
+        _, aux = stepper.rhs(0.0, dyn._conservative(state, stepper.keep))
         u_c = aux["u_c"]
         ref = grid.volume * (
             params.mu * sp.parseval_sum(grid, stepper.dk[:, None] * u_c[None])
@@ -314,9 +323,8 @@ class TestRhs:
         assert quads["dissipation"] > 0
 
     def test_stage_arrays_are_reused_by_the_next_step(self, grid, params):
-        """Every stage writes the stepper's one product array, and stage n of
-        every step writes the slope array that stage n of the previous step
-        wrote, so steps after the first allocate neither."""
+        """Every stage of every step writes the stepper's one product array
+        and its one slope array, so steps after the first allocate neither."""
         stepper = dyn._Stepper(grid, params, 0.0)
         seen, rhs = [], stepper.rhs
 
@@ -329,8 +337,7 @@ class TestRhs:
         y = dyn._conservative(dyn.density_bump_state(grid, u_amplitude=0.2), stepper.keep)
         y1, _ = stepper.step(0.0, y, 0.01)
         stepper.step(0.01, y1, 0.01)
-        assert seen[:4] == seen[4:]
-        assert len({dy for dy, _ in seen}) == 4 and len({u for _, u in seen}) == 1
+        assert len(seen) == 8 and len(set(seen)) == 1
 
     def test_vacuum_rejected(self, grid, params):
         rho = sp.ScalarField.constant(grid, 0.0)
@@ -467,6 +474,49 @@ class TestStep:
     def test_acoustic_wave_sees_a_two_percent_pressure(self):
         """A stepper that evaluates 1.02 P(rho) misses the mode by 1.6e-2."""
         assert self._acoustic_error(2, 32, LAW, 0.005, stepped=LAW.rescaled(1.02)) > 1e-3
+
+    @staticmethod
+    def _top_mode_ratio(dim, m, f):
+        """(the factor by which 40 steps at dt = f dt* scale the momentum
+        coefficients of the top non-Nyquist diagonal mode, R(s dt)^40).  At
+        rest at rho0 = 2.5 with mu = lam = 0.5 and PowerLaw(1, 2), the mode
+        k_a = M/2 - 1 lies outside the 2/3 band, where the flux is masked,
+        so it decays at exactly s = -(2 mu + lam)|k|^2 / rho0 and one step
+        scales it by RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6
+        + z^4/24 of z = s dt.  dt* = Z_STAR / |s| is where |R(s dt)| = 1."""
+        rho0, mu, top = 2.5, 0.5, m // 2 - 1
+        grid = sp.TorusGrid(dim, m)
+        params = dyn.FluidParams(mu, mu, LAW)
+        stepper = dyn._Stepper(grid, params, 0.0)
+        y = dyn._conservative(dyn.equilibrium_state(grid, rho0), stepper.keep)
+        mode, eps = (slice(1, None),) + (top,) * dim, 1e-9 / math.sqrt(dim)
+        y[mode] += eps
+        rate = params.nu * dim * top ** 2 / rho0
+        dt = f * Z_STAR / rate
+        for n in range(40):
+            y, _ = stepper.step(n * dt, y, dt)
+        z = -rate * dt
+        return y[mode] / eps, (1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24) ** 40
+
+    @pytest.mark.parametrize("dim, m", [(2, 32), (3, 16)])
+    def test_top_mode_meets_rk4s_stability_boundary(self, dim, m):
+        """5 % below dt* the top mode decays by R^40 (2.1e-4), 5 % above it
+        grows by R^40 (4.1e3), each matched to 1e-9 relative (5e-12
+        measured).  `cfl_limit`'s viscous bound is 6.2x (2-D) and 8.1x (3-D)
+        this dt*, so it does not keep the mode stable."""
+        (decay, r_decay), (growth, r_growth) = (self._top_mode_ratio(dim, m, f)
+                                                for f in (0.95, 1.05))
+        for got, want in ((decay, r_decay), (growth, r_growth)):
+            assert np.max(np.abs(got / want - 1.0)) < 1e-9, (got, want)
+        assert np.all(np.abs(decay) < 1e-3) and np.all(np.abs(growth) > 1e3)
+
+    def test_stability_boundary_pins_the_weights(self, monkeypatch):
+        """Stage weights (1, 2, 1, 2) also sum to 6, so the step stays
+        consistent, but their stability function is not RK4's: at 0.95 dt*
+        the top mode grows until the density it drives reaches vacuum."""
+        monkeypatch.setattr(dyn, "_RK4", ((0.0, 1), (0.5, 2), (0.5, 1), (1.0, 2)))
+        with pytest.raises(dyn.VacuumError):
+            self.test_top_mode_meets_rk4s_stability_boundary(2, 32)
 
     def test_mass_conservation(self, grid, params):
         state = dyn.density_bump_state(grid, 1.0, 0.3)

@@ -183,23 +183,27 @@ class TestBony:
 
 
 class TestMultiplierCommutator:
+    @staticmethod
+    def gauss(grid, lam=2.0):
+        return np.exp(-grid.k_squared / lam ** 2)
+
     def test_constant_a(self, grid, rng):
-        theta = sp.MultiplierSymbol(lambda *k: np.exp(-sum(x ** 2 for x in k)), "gauss")
         a = sp.ScalarField.constant(grid, 3.0)
-        b = sp.random_field(grid, rng)
-        comm = lp.multiplier_commutator(theta, 2.0, a, b)
+        comm = lp.multiplier_commutator(self.gauss(grid), a, sp.random_field(grid, rng))
         assert sp.lebesgue_norm(comm, INF) < 1e-12
 
     def test_zero_b(self, grid):
-        theta = sp.MultiplierSymbol(lambda *k: np.exp(-sum(x ** 2 for x in k)), "gauss")
         a = sp.ScalarField.from_function(grid, lambda x, y: np.sin(x))
-        comm = lp.multiplier_commutator(theta, 2.0, a, sp.ScalarField.zero(grid))
+        comm = lp.multiplier_commutator(self.gauss(grid), a, sp.ScalarField.zero(grid))
         assert sp.lebesgue_norm(comm, INF) == 0.0
 
-    def test_nonpositive_lambda_rejected(self, grid, rng):
-        theta = sp.MultiplierSymbol(lambda *k: np.exp(-sum(x ** 2 for x in k)))
-        with pytest.raises(ValueError):
-            lp.multiplier_commutator(theta, 0.0, sp.random_field(grid, rng),
+    def test_non_finite_symbol_rejected(self, grid, rng):
+        """The symbol is checked where it enters, and the first frequency
+        at which it is not finite is named."""
+        symbol = self.gauss(grid).copy()
+        symbol[0, 3] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite at grid frequency \(0, 3\)"):
+            lp.multiplier_commutator(symbol, sp.random_field(grid, rng),
                                      sp.random_field(grid, rng))
 
     def test_decay_law_band(self):

@@ -233,8 +233,8 @@ class TestHalfSpectrumOracle:
     def test_apply_multiplier(self, case):
         grid, x, _, k = case
         rule = lambda *k: np.exp(0.3j * k[0]) / (1.0 + k[-1] ** 2) + k[0] * k[-1] / 64.0
-        sym = sp.MultiplierSymbol(rule, name="mixed")
-        got = sp.apply_multiplier(sym, sp.ScalarField.from_samples(grid, x)).samples
+        f = sp.ScalarField.from_samples(grid, x)
+        got = f.with_coeffs(f.coeffs * sp.hermitian_part(grid, rule)).samples
         assert np.max(np.abs(got - self.apply(rule(*k), x))) < 1e-13
 
     def test_laplacian(self, case):
@@ -386,33 +386,35 @@ class TestLeray:
 
 
 class TestMultipliers:
+    """A symbol is its array on the stored modes: `hermitian_part` of a rule,
+    applied by multiplying a field's coefficients."""
+
+    @staticmethod
+    def apply(rule, f):
+        return f.with_coeffs(f.coeffs * sp.hermitian_part(f.grid, rule))
+
     def test_identity_symbol(self, grid, rng):
-        one = sp.MultiplierSymbol(lambda *k: np.ones_like(k[0]), name="one")
         f = sp.random_field(grid, rng)
-        assert sp.lebesgue_norm(sp.apply_multiplier(one, f) - f, np.inf) == 0.0
+        assert sp.lebesgue_norm(self.apply(lambda *k: np.ones_like(k[0]), f) - f, np.inf) == 0.0
 
     def test_minus_laplacian_symbol(self, grid):
-        sym = sp.MultiplierSymbol(lambda *k: sum(x ** 2 for x in k), name="|xi|^2")
         f = sp.ScalarField.from_function(grid, lambda x, y: np.cos(x))
-        out = sp.apply_multiplier(sym, f)
+        out = self.apply(lambda *k: sum(x ** 2 for x in k), f)
         assert np.max(np.abs(out.samples - f.samples)) < 1e-13  # |xi|^2 = 1 on the mode
 
     def test_bessel_decay_across_modes(self, grid):
-        sym = sp.MultiplierSymbol(lambda *k: (1.0 + sum(x ** 2 for x in k)) ** -0.5,
-                                  name="bessel")
         for k in (1, 2, 4, 8):
             f = sp.ScalarField.from_function(grid, lambda x, y, k=k: np.cos(k * x))
-            out = sp.apply_multiplier(sym, f)
+            out = self.apply(lambda *k: (1.0 + sum(x ** 2 for x in k)) ** -0.5, f)
             ratio = sp.lebesgue_norm(out, 2) / sp.lebesgue_norm(f, 2)
             assert abs(ratio - (1 + k ** 2) ** -0.5) < 1e-12
 
-    def test_non_finite_symbol_rejected(self, grid, rng):
-        def singular(*k):
-            with np.errstate(divide="ignore"):
-                return 1.0 / sum(x ** 2 for x in k)
-        bad = sp.MultiplierSymbol(singular, name="singular")
-        with pytest.raises(ValueError, match="non-finite"):
-            sp.apply_multiplier(bad, sp.random_field(grid, rng))
+    def test_non_finite_symbol_rejected(self, grid):
+        with np.errstate(divide="ignore"):
+            singular = 1.0 / grid.k_squared
+        with pytest.raises(ValueError, match=r"non-finite at grid frequency \(0, 0\)"):
+            sp.check_symbol(grid, singular)
+        sp.check_symbol(grid, np.where(grid.k_squared > 0, singular, 0.0))
 
 
 class TestNorms:
