@@ -353,12 +353,14 @@ IDENTITY_TOL = 1e-11
 
 
 def _load_run(outdir: str):
-    """(manifest, config, problem, run, checkpoint paths in time order, their
-    header times), each file read once.  `run` is the run's record without
-    its states: the parameters and stop facts the ledgers read, while the
-    states stream from the checkpoints.  ValueError when two checkpoints
-    share a header time (a copy under a second name, say), since no time
-    step separates them."""
+    """(manifest, config, problem, run, checkpoint paths in file-name order,
+    their header times), each file read once.  `run` is the run's record
+    without its states: the parameters and stop facts the ledgers read,
+    while the states stream from the checkpoints.  ValueError naming both
+    files where the header times do not strictly increase in file-name
+    order, the order `simulate` writes them in (a copy under a second name
+    repeats a time, a moved time breaks the order): the time differences of
+    the ledgers need increasing times."""
     with open(os.path.join(outdir, MANIFEST_FILE), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     _check_manifest(manifest)
@@ -367,19 +369,15 @@ def _load_run(outdir: str):
     run = dyn.Trajectory([], manifest["stop_reason"], manifest["stop_time"],
                          problem.solver, problem.params,
                          step_count=manifest.get("step_count", 0))
-    paths = [os.path.join(outdir, entry["name"]) for entry in manifest["files"]
-             if entry["name"].endswith(".nsb")]
-    # the headers give the time order without reading the samples; the time
-    # differences of the ledgers need times that strictly increase
-    stored = sorted(((dyn.checkpoint_time(path), path) for path in paths),
-                    key=lambda pair: pair[0])
+    paths = [os.path.join(outdir, name) for name in sorted(
+        entry["name"] for entry in manifest["files"] if entry["name"].endswith(".nsb"))]
+    stored = [(dyn.checkpoint_time(path), path) for path in paths]
     for (t0, earlier), (t1, later) in zip(stored, stored[1:]):
         if not t0 < t1:
             raise ValueError(f"checkpoint times do not increase: "
                              f"{os.path.basename(earlier)} at t={t0!r}, "
                              f"{os.path.basename(later)} at t={t1!r}")
-    times, paths = (list(column) for column in zip(*stored))
-    return manifest, config, problem, run, paths, times
+    return manifest, config, problem, run, paths, [t for t, _ in stored]
 
 
 def _is_file_entry(entry) -> bool:

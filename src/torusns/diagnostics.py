@@ -339,10 +339,10 @@ class _Snapshot:
     same object while the state is in the window, so such a field is
     transformed once per state.
 
-    `state` is the snapshot's own copy of the stored state, built from the
-    stored samples alone, as `dynamics.read_checkpoint` builds a state, so a
-    pass over a run in memory and one over its checkpoints read the same
-    fields, bit for bit.  What its fields compute on first read (their
+    `state` holds the snapshot's own fields over the stored samples, as
+    `dynamics.run` and `dynamics.read_checkpoint` build a state, so a pass
+    over a run in memory and one over its checkpoints read the same fields,
+    bit for bit.  What its fields compute on first read (their
     coefficients) is kept here, not on the stored state, so it is freed with
     the snapshot and a trajectory's states stay as small as they were built.
     Every pass refuses a state here alone, so every accumulator reads finite
@@ -351,8 +351,8 @@ class _Snapshot:
 
     def __init__(self, state: FluidState, params: FluidParams):
         grid = state.grid
-        self.state = FluidState(ScalarField._of_samples(grid, state.rho.view().samples),
-                                VectorField._of_samples(grid, state.u.view().samples), state.t)
+        self.state = FluidState(ScalarField._of_samples(grid, state.rho.samples),
+                                VectorField._of_samples(grid, state.u.samples), state.t)
         for name, f in (("density", self.state.rho), ("velocity", self.state.u)):
             if not np.all(np.isfinite(f.samples)):
                 raise NonFiniteError(state.t, name)

@@ -155,9 +155,11 @@ class TabulatedLaw:
     and P >= 0 non-decreasing, defined on all of (0, inf): P_0 (s/d_0)^2
     below d_0, the monotone cubic interpolant (PCHIP; Fritsch & Carlson,
     SIAM J. Numer. Anal. 17, 1980) on [d_0, d_n], its tangent line above
-    d_n; so P >= 0 and P' >= 0 everywhere.  Each piece is a cubic at most,
-    kept once as a column of power coefficients in s that P, P', the
-    potential and k read; their integrals are exact per piece (`_pi`)."""
+    d_n; so P >= 0 and P' >= 0 everywhere.  Each piece is a cubic at most.
+    P and P' evaluate it in powers of s - its origin (0 below d_0, the
+    piece's left knot above), as scipy's PPoly does, so a piece that starts
+    at P = 0 does not cancel there; the potential and k integrate it from
+    its power coefficients in s, exactly per piece (`_pi`)."""
 
     def __init__(self, densities: Sequence[float], pressures: Sequence[float]):
         d = np.asarray(densities, dtype=float)
@@ -166,16 +168,18 @@ class TabulatedLaw:
             raise ValueError("densities must be strictly increasing")
         if p.shape != d.shape or p[0] < 0 or np.any(np.diff(p) < 0):
             raise ValueError("pressures must be non-negative and non-decreasing")
-        # piece i in powers of s - d_i, as scipy's CubicHermiteSpline builds it
-        slopes, h, x = _pchip_slopes(d, p), np.diff(d), d[:-1]
+        # the pieces on the table as scipy's CubicHermiteSpline builds them
+        slopes, h = _pchip_slopes(d, p), np.diff(d)
         secant = np.diff(p) / h
         t = (slopes[:-1] + slopes[1:] - 2 * secant) / h
-        local = [p[:-1], slopes[:-1], (secant - slopes[:-1]) / h - t, t / h]
-        c = np.column_stack([[0.0, 0.0, p[0] / d[0] ** 2, 0.0],
-                             [sum(math.comb(m, j) * (-x) ** (m - j) * local[m]
-                                  for m in range(j, 4)) for j in range(4)],
-                             [p[-1] - slopes[-1] * d[-1], slopes[-1], 0.0, 0.0]])
+        x = np.r_[0.0, d]
+        local = np.column_stack([[0.0, 0.0, p[0] / d[0] ** 2, 0.0],
+                                 [p[:-1], slopes[:-1], (secant - slopes[:-1]) / h - t, t / h],
+                                 [p[-1], slopes[-1], 0.0, 0.0]])
+        c = np.array([sum(math.comb(m, j) * (-x) ** (m - j) * local[m] for m in range(j, 4))
+                      for j in range(4)])
         self._knots = (d, p)
+        self._local = (x, local)
         self._coeffs = (c, sum(np.pad(c[j] * c, ((j, 3 - j), (0, 0))) for j in range(4)))
         # int_0^{lo_i} f/z^2 dz - G_i(lo_i) for f = P, P^2, summed piece by piece: piece
         # i > 0 starts at lo_i = d_{i-1} and the tail at 0, where G_0 = 0 (c_0 = c_1 = 0)
@@ -188,19 +192,22 @@ class TabulatedLaw:
         s = np.asarray(s, dtype=float)
         return s, np.searchsorted(self._knots[0], s, side="right")
 
+    def _at(self, s: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(the coefficients of piece i in powers of s - its origin, s - that origin)."""
+        x, local = self._local
+        return local[:, i], s - x[i]
+
     def _pi(self, power: int, s: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Pi_f(s) = s int_0^s f(z)/z^2 dz for f = P^power; 0 at s <= 0."""
         g = _antiderivative(self._coeffs[power - 1][:, i], np.where(s <= 0, 1.0, s))
         return np.where(s <= 0, 0.0, s * (self._offsets[power - 1][i] + g))
 
     def __call__(self, s):
-        s, i = self._piece(s)
-        return _polyval(self._coeffs[0][:, i], s)
+        return _polyval(*self._at(*self._piece(s)))
 
     def derivative(self, s):
-        s, i = self._piece(s)
-        c = self._coeffs[0][:, i]
-        return _polyval([c[1], 2.0 * c[2], 3.0 * c[3]], s)
+        c, z = self._at(*self._piece(s))
+        return _polyval([c[1], 2.0 * c[2], 3.0 * c[3]], z)
 
     def potential(self, s):
         """Pi_P, with s Pi'(s) - Pi(s) = P(s)."""
@@ -209,7 +216,7 @@ class TabulatedLaw:
     def k(self, s):
         """k(s) = P(s)^2 - Pi_{P^2}(s)/2."""
         s, i = self._piece(s)
-        return _polyval(self._coeffs[0][:, i], s) ** 2 - 0.5 * self._pi(2, s, i)
+        return _polyval(*self._at(s, i)) ** 2 - 0.5 * self._pi(2, s, i)
 
     def rescaled(self, factor: float) -> "TabulatedLaw":
         densities, pressures = self._knots
@@ -573,22 +580,13 @@ def _conservative(state: FluidState, keep: np.ndarray) -> np.ndarray:
     return np.concatenate([state.rho.coeffs[None], m_c])
 
 
-def _state_from_conservative(grid: TorusGrid, y: np.ndarray, s: np.ndarray,
-                             t: float) -> FluidState:
-    """The state of stacked coefficients y whose samples are s; the velocity
-    is transformed only if a snapshot reader asks for its coefficients
-    (the CFL bound and the vacuum check read samples).  Its density views
-    row 0 of y and s, so it keeps both stacks alive: `_stored` gives the
-    copy a trajectory keeps."""
-    rho = ScalarField(grid, y[0], copy=False, samples=s[0])
-    return FluidState(rho, VectorField._of_samples(grid, s[1:] / s[0]), t)
-
-
-def _stored(state: FluidState) -> FluidState:
-    """`state` with its density's coefficients and samples copied out of the
-    stacks it views, so that a stored snapshot holds its own fields only."""
-    rho = ScalarField(state.grid, state.rho.coeffs, samples=state.rho.samples.copy())
-    return FluidState(rho, state.u, state.t)
+def _state_over(grid: TorusGrid, stack: np.ndarray, t: float) -> FluidState:
+    """The state whose density is row 0 and whose velocity is rows 1.. of
+    `stack`, one (1 + dim, *grid.shape) float64 array of samples: a stored
+    snapshot's one array, laid out as a checkpoint's payload.  The fields
+    view the rows and compute their coefficients on first read."""
+    return FluidState(ScalarField._of_samples(grid, stack[0]),
+                      VectorField._of_samples(grid, stack[1:]), t)
 
 
 def rhs_eval(state: FluidState, params: FluidParams) -> tuple[ScalarField, VectorField]:
@@ -609,11 +607,19 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig) -> Traje
         raise ValueError("initial state already violates the vacuum floor")
     grid = initial.grid
     stepper = _Stepper(grid, params, config.vacuum_floor)
+
+    def sampled(y_s: np.ndarray, t: float) -> FluidState:
+        """The state of samples y_s = (rho, m) over a fresh stack (rho, m / rho),
+        which a trajectory keeps as it is: it views neither y nor y_s."""
+        stack = y_s / y_s[0]  # rows 1.. are u = m / rho; row 0 then takes rho
+        stack[0] = y_s[0]
+        return _state_over(grid, stack, t)
+
     y = _conservative(initial, stepper.keep)
     # the samples of each new y serve its state and the next step's first stage
     y_s = to_samples(grid, y)
-    state = _state_from_conservative(grid, y, y_s, initial.t)
-    states = [_stored(state)]
+    state = sampled(y_s, initial.t)
+    states = [state]
     quads = {"dissipation": [0.0], "forcing_work": [0.0]}
     totals = {"dissipation": 0.0, "forcing_work": 0.0}
     stop_reason, t = "completed", initial.t
@@ -646,12 +652,12 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig) -> Traje
         for k, v in inc.items():
             totals[k] += v
         y_s = to_samples(grid, y)
-        state = _state_from_conservative(grid, y, y_s, t)
+        state = sampled(y_s, t)
         if state.min_density <= config.vacuum_floor:
             stop_reason = "vacuum"
             break
         if steps % config.snapshot_every == 0 or t >= t_final - 1e-13:
-            states.append(_stored(state))
+            states.append(state)
             for k in totals:
                 quads[k].append(totals[k])
         if steps >= config.max_steps:
@@ -930,20 +936,21 @@ class CheckpointError(ValueError):
 
 def write_checkpoint(path: str, state: FluidState) -> None:
     """Header line `NSLAB1 <N> <M> <n_fields> <t>` then little-endian float64
-    samples, row-major per field, rho first then the velocity components."""
+    samples, row-major per field, rho first then the velocity components:
+    the bytes of the stack that `_state_over` reads."""
     grid = state.grid
     header = f"{CHECKPOINT_MAGIC} {grid.dim} {grid.n} {1 + grid.dim} {state.t:.17g}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(state.rho.samples, dtype="<f8").tobytes())
-        for i in range(grid.dim):
-            fh.write(np.ascontiguousarray(state.u.samples[i], dtype="<f8").tobytes())
+        for f in (state.rho, state.u):
+            fh.write(np.ascontiguousarray(f.samples, dtype="<f8"))
 
 
-def _checkpoint_header(path: str, raw: bytes, size: int) -> tuple[int, int, float, int]:
-    """(dim, M, t, payload offset) of the checkpoint at `path`, whose first
-    bytes (at least its header line) are `raw` and whose length is `size`.
-    Raises CheckpointError naming the byte offset of the first fault."""
+def _checkpoint_header(path: str, fh) -> tuple[int, int, float]:
+    """(dim, M, t) of the checkpoint at `path`, open as `fh`, whose header
+    line this reads, leaving `fh` at the payload.  Raises CheckpointError
+    naming the byte offset of the first fault."""
+    raw = fh.readline()
     nl = raw.find(b"\n")
     if nl < 0:
         raise CheckpointError(f"{path}: no header line found (offset 0)")
@@ -980,29 +987,27 @@ def _checkpoint_header(path: str, raw: bytes, size: int) -> tuple[int, int, floa
     if errors := grid_errors(dim, m):
         raise CheckpointError(f"{path}: {'; '.join(errors)} (header at byte offset 0)")
     expected = n_fields * m ** dim * 8
-    if size - (nl + 1) != expected:
+    size = os.fstat(fh.fileno()).st_size - (nl + 1)
+    if size != expected:
         raise CheckpointError(
-            f"{path}: payload of {size - (nl + 1)} bytes at byte offset {nl + 1}, "
-            f"expected {expected}")
-    return dim, m, t, nl + 1
+            f"{path}: payload of {size} bytes at byte offset {nl + 1}, expected {expected}")
+    return dim, m, t
 
 
 def checkpoint_time(path: str) -> float:
     """The time of a checkpoint, from its header alone; the header and the
     payload length are checked as `read_checkpoint` checks them."""
     with open(path, "rb") as fh:
-        head = fh.readline()
-        size = os.fstat(fh.fileno()).st_size
-    return _checkpoint_header(path, head, size)[2]
+        return _checkpoint_header(path, fh)[2]
 
 
 def read_checkpoint(path: str) -> FluidState:
+    """The state a checkpoint holds, over one fresh stack (`_state_over`)
+    that the payload is read into once its header is checked."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    dim, m, t, start = _checkpoint_header(path, raw, len(raw))
-    grid = TorusGrid(dim, m)
-    data = np.frombuffer(raw, dtype="<f8", offset=start).reshape((1 + dim,) + grid.shape)
-    # the fields copy the samples and transform them when first read
-    rho = ScalarField.from_samples(grid, data[0])
-    u = VectorField.from_samples(grid, data[1:])
-    return FluidState(rho, u, t)
+        dim, m, t = _checkpoint_header(path, fh)
+        grid = TorusGrid(dim, m)
+        stack = np.empty((1 + dim,) + grid.shape, dtype="<f8")
+        if fh.readinto(stack) != stack.nbytes:
+            raise CheckpointError(f"{path}: payload ended before {stack.nbytes} bytes")
+    return _state_over(grid, stack, t)

@@ -193,8 +193,8 @@ def _kernels():
     process without importing ``scipy.fft``.
 
     It is registered under its own name, so a later ``import scipy.fft``
-    (a tabulated law's ``scipy.interpolate`` brings one) reuses it, and a
-    module that such an import has loaded already is taken as it is."""
+    (the caller's, say) reuses it, and a module that such an import has
+    loaded already is taken as it is."""
     if KERNELS in sys.modules:
         return sys.modules[KERNELS]
     scipy_spec = importlib.util.find_spec("scipy")  # locates, imports nothing
@@ -369,13 +369,6 @@ class Field:
         if self._samples is None:
             self._samples = _frozen(to_samples(self.grid, self._coeffs))
         return self._samples
-
-    def view(self):
-        """A field of the same kind over the same arrays; what it computes on
-        first read is kept by the new field alone, not by this one."""
-        f = type(self).__new__(type(self))
-        f.grid, f._coeffs, f._samples = self.grid, self._coeffs, self._samples
-        return f
 
     def with_coeffs(self, coeffs: np.ndarray):
         """A field of the same kind and grid with the given coefficients."""

@@ -446,22 +446,37 @@ class TestVerify:
             "is not finite\nverification failed\n")
 
     def test_failures_name_the_checkpoint_file(self, run_dir, tmp_path):
-        """Snapshots are numbered in time order, so a failure of one snapshot
-        names its checkpoint file too: a header time moved before the run's
-        start makes state_000001.nsb snapshot 0, and every line about that
-        snapshot names the file."""
+        """Snapshots are numbered in file-name order, which is time order, so
+        a failure of one snapshot names its checkpoint file too: a header time
+        of state_000001.nsb moved from 0.05 to 0.04, still between its
+        neighbours', fails that snapshot alone, and every line names it."""
         outdir = str(tmp_path / "run")
         shutil.copytree(run_dir, outdir)
         name = "state_000001.nsb"
         path = os.path.join(outdir, name)
         data = open(path, "rb").read()
         head, _, payload = data.partition(b"\n")
-        open(path, "wb").write(b" ".join(head.split(b" ")[:4] + [b"-5.0"]) + b"\n" + payload)
+        open(path, "wb").write(b" ".join(head.split(b" ")[:4] + [b"0.04"]) + b"\n" + payload)
         _rewrite_checksum(outdir, name)
         failures = app.verify(outdir, "identities").failures
-        assert f"{name} (snapshot 0): stored time=0.0 != recomputed -5.0" in failures
-        assert all(f.startswith(f"{name} (snapshot 0): ") for f in failures
-                   if "(snapshot 0)" in f), failures
+        assert f"{name} (snapshot 1): stored time=0.05 != recomputed 0.04" in failures
+        assert all(f.startswith(f"{name} (snapshot 1): ") for f in failures), failures
+
+    def test_header_time_out_of_file_order_is_refused(self, tmp_path, capsys):
+        """A header time that moves before an earlier file's is refused with
+        both files named (exit code 1).  Read in header-time order instead,
+        the untouched state_000000.nsb of this 3-snapshot run became
+        "snapshot 1" and was named in 14 of 28 failure lines."""
+        outdir = _stream_run(str(tmp_path / "run"), 3)
+        name = "state_000001.nsb"
+        path = os.path.join(outdir, name)
+        head, _, payload = open(path, "rb").read().partition(b"\n")
+        open(path, "wb").write(b" ".join(head.split(b" ")[:4] + [b"-0.005"]) + b"\n" + payload)
+        _rewrite_checksum(outdir, name)
+        assert app.main(["verify", "--dir", outdir, "--suite", "identities"]) == 1
+        assert capsys.readouterr().err == (
+            "error: checkpoint times do not increase: state_000000.nsb at t=0.0, "
+            "state_000001.nsb at t=-0.005\n")
 
     @staticmethod
     def _with_cell(run_dir, tmp_path, row, column, edit):
@@ -785,24 +800,24 @@ class TestStreamingVerify:
                                    f"sample at t={dyn.checkpoint_time(path):g}"]
         assert not os.path.exists(os.path.join(outdir, "ledgers"))
 
-    def test_checkpoint_names_out_of_time_order(self, tmp_path):
-        """Checkpoints whose names do not follow their times are read in the
-        time order of their headers, so the run verifies as it did."""
+    def test_checkpoint_names_out_of_time_order(self, tmp_path, capsys):
+        """Checkpoints are read in file-name order, so two whose names are
+        swapped (the times of 1 and 4, re-hashed) are refused, naming the
+        first pair whose times do not increase (exit code 1)."""
         outdir = _stream_run(str(tmp_path / "run"), 6)
-        want = app.verify(outdir, "all")
-        swapped = str(tmp_path / "swapped")
-        shutil.copytree(outdir, swapped)
-        a, b = (os.path.join(swapped, f"state_00000{n}.nsb") for n in (1, 4))
+        times = [dyn.checkpoint_time(os.path.join(outdir, f"state_00000{n}.nsb"))
+                 for n in (2, 4)]
+        a, b = (os.path.join(outdir, f"state_00000{n}.nsb") for n in (1, 4))
         os.rename(a, a + ".tmp")
         os.rename(b, a)
         os.rename(a + ".tmp", b)
         for name in ("state_000001.nsb", "state_000004.nsb"):
-            _rewrite_checksum(swapped, name)
-        got = app.verify(swapped, "all")
-        assert got.ok and want.ok
-        assert got.failures == want.failures
-        for name, rep in want.reports.items():
-            assert got.reports[name].to_csv() == rep.to_csv()
+            _rewrite_checksum(outdir, name)
+        assert app.main(["verify", "--dir", outdir, "--suite", "all"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint times do not increase: state_000001.nsb at t={times[1]!r}, "
+            f"state_000002.nsb at t={times[0]!r}\n")
+
 
 class TestAnalyze:
     def test_zero_field_norms(self, tmp_path):
@@ -999,21 +1014,22 @@ class TestCli:
     @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
     def test_checkpoint_copied_under_a_second_name_exit_code(self, run_dir, tmp_path,
                                                              capsys, suite):
-        """A copy of a checkpoint under another name, with a matching
-        checksum, repeats its header time, which every suite rejects."""
+        """A copy of a checkpoint under another name that sorts next to it,
+        with a matching checksum, repeats its header time, which every suite
+        rejects."""
         outdir = str(tmp_path / "run")
         shutil.copytree(run_dir, outdir)
         shutil.copy(os.path.join(outdir, "state_000001.nsb"),
-                    os.path.join(outdir, "state_copy.nsb"))
+                    os.path.join(outdir, "state_000001_copy.nsb"))
         path = os.path.join(outdir, app.MANIFEST_FILE)
         manifest = json.load(open(path))
-        manifest["files"].append({"name": "state_copy.nsb", "sha256": app._sha256(
-            os.path.join(outdir, "state_copy.nsb"))})
+        manifest["files"].append({"name": "state_000001_copy.nsb", "sha256": app._sha256(
+            os.path.join(outdir, "state_000001_copy.nsb"))})
         json.dump(manifest, open(path, "w"))
         assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: checkpoint times do not increase: ")
-        assert "state_000001.nsb" in err and "state_copy.nsb" in err
+        assert err.startswith("error: checkpoint times do not increase: state_000001.nsb at ")
+        assert "state_000001_copy.nsb" in err
 
     @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
     def test_manifest_without_checkpoints_exit_code(self, run_dir, tmp_path, capsys,

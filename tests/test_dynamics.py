@@ -117,6 +117,22 @@ class TestPressureLaws:
         assert np.allclose(law(s), cubic(s), rtol=1e-12, atol=0)
         assert np.allclose(law.derivative(s), cubic.derivative()(s), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("knots, pressures", [
+        ([0.887, 1.542, 1.557, 2.212, 2.526], [0.0, 0.0, 0.176, 0.176, 0.952]),
+        ([0.2, 0.5, 0.7, 1.5, 3.0], [0.0, 0.0, 0.3, 0.31, 4.0])])
+    def test_tabulated_law_is_exact_just_above_a_zero_knot(self, knots, pressures):
+        """Just above a knot where P = 0 the law is evaluated in powers of
+        s - that knot, so it does not cancel: on 200 points in (d, d + h/100]
+        P >= 0, and P and P' are within 1e-12 relative of scipy's PCHIP.  In
+        powers of s, P(1.54200003) was -1.16e-10 (PCHIP: 2.1e-12)."""
+        law = dyn.TabulatedLaw(knots, pressures)
+        cubic = PchipInterpolator(knots, pressures)
+        d, h = knots[1], knots[2] - knots[1]
+        s = d + np.linspace(0.0, 0.01 * h, 201)[1:]
+        assert np.all(law(s) >= 0)
+        assert np.allclose(law(s), cubic(s), rtol=1e-12, atol=0)
+        assert np.allclose(law.derivative(s), cubic.derivative()(s), rtol=1e-12, atol=0)
+
     def test_tabulated_law_outside_its_table(self):
         """Below d0 the law is P(d0) (s/d0)^2, above dn its tangent line, so
         P stays non-negative and non-decreasing on all of (0, inf) and
@@ -429,51 +445,67 @@ class TestStep:
         assert abs(math.log2(errs[0] / errs[1]) - 4.0) < 0.1, errs
 
     @staticmethod
-    def _acoustic_error(dim, m, law, dt, stepped=None):
+    def _acoustic_error(dim, m, law, dt, k=(3,), rho0=1.0, stepped=None):
         """max |(S(eps) - S(-eps))/(2 eps) - exact| at t = 0.2 for the
-        longitudinal mode rho = 1 + eps cos(3 x1), u = 0 at t = 0, mu = lam =
-        0.05, with S the state that a run under `stepped` (`law` if None)
-        reaches.  The odd part cancels the eps^2 term of the nonlinearity.
-        At eps = 1e-5 the eps^3 term stays below the time error (which falls
-        as dt^4 to 4e-11 for the tabulated law); at eps = 1e-4 and t = 1 it
-        held the 3-D errors near 1e-8.  Linearised, rho = 1 + eps A cos(k x1)
-        and u1 = eps B sin(k x1) with A' = -k B and B' = P'(1) k A - nu k^2 B,
-        whose rates s solve s^2 + nu k^2 s + P'(1) k^2 = 0."""
-        k, eps, mu, t_end = 3, 1e-5, 0.05, 0.2
+        longitudinal mode rho = rho0 + eps cos(k.x), u = 0 at t = 0 (k padded
+        with zeros to dim), mu = lam = 0.05, with S the state that a run under
+        `stepped` (`law` if None) reaches.  The odd part cancels the eps^2
+        term of the nonlinearity.  At eps = 1e-5 the eps^3 term stays below
+        the time error (which falls as dt^4 to 4e-11 for the tabulated law);
+        at eps = 1e-4 and t = 1 it held the 3-D errors near 1e-8.
+        Linearised, rho = rho0 + eps A cos(k.x) and u = eps B sin(k.x) k/|k|
+        with A' = -rho0 |k| B and rho0 B' = P'(rho0) |k| A - nu |k|^2 B."""
+        eps, mu, t_end = 1e-5, 0.05, 0.2
         grid = sp.TorusGrid(dim, m)
-        x1 = grid.coordinates()[0]
+        k = np.array(k + (0,) * (dim - len(k)), dtype=float)
+        norm = np.linalg.norm(k)
+        phase = sum(k_i * x for k_i, x in zip(k, grid.coordinates()))
         params = dyn.FluidParams(mu, mu, stepped or law)
         ends = []
         for sign in (1.0, -1.0):
             start = dyn.FluidState(sp.ScalarField.from_samples(
-                grid, 1.0 + sign * eps * np.cos(k * x1)), sp.VectorField.zero(grid))
+                grid, rho0 + sign * eps * np.cos(phase)), sp.VectorField.zero(grid))
             traj = dyn.run(start, params,
                            dyn.SolverConfig(t_end=t_end, dt=dt, snapshot_every=10 ** 9))
             assert traj.stop_reason == "completed"
             ends.append(traj.states[-1])
-        rates = np.array([[0.0, -k], [float(law.derivative(1.0)) * k, -params.nu * k * k]])
+        rates = np.array([[0.0, -rho0 * norm],
+                          [float(law.derivative(rho0)) * norm / rho0, -params.nu * norm ** 2 / rho0]])
         w, v = np.linalg.eig(rates)
         a, b = (v @ (np.exp(w * ends[0].t) * np.linalg.solve(v, [1.0, 0.0]))).real
-        exact_u = np.zeros((dim,) + grid.shape)
-        exact_u[0] = b * np.sin(k * x1)
+        exact_u = np.multiply.outer(k / norm, b * np.sin(phase))
         plus, minus = ends
         odd_rho = (plus.rho.samples - minus.rho.samples) / (2 * eps)
         odd_u = (plus.u.samples - minus.u.samples) / (2 * eps)
-        return max(np.max(np.abs(odd_rho - a * np.cos(k * x1))), np.max(np.abs(odd_u - exact_u)))
+        return max(np.max(np.abs(odd_rho - a * np.cos(phase))), np.max(np.abs(odd_u - exact_u)))
 
-    @pytest.mark.parametrize("law", EVERY_LAW, ids=["power", "isothermal", "tabulated"])
-    @pytest.mark.parametrize("dim, m", [(2, 32), (3, 16)])
-    def test_acoustic_wave_is_the_exact_linear_mode(self, dim, m, law):
+    # the axis mode k = (3, 0, ...) is one-dimensional, so its 3-D run repeats
+    # the 2-D one; the 3-D runs take the diagonal mode, which every axis reads
+    @pytest.mark.parametrize("dim, m, law, k, rho0", [
+        (2, 32, EVERY_LAW[0], (3,), 1.0), (2, 32, EVERY_LAW[1], (3,), 1.0),
+        (2, 32, EVERY_LAW[2], (3,), 1.0), (3, 16, EVERY_LAW[0], (3,), 1.0),
+        (2, 32, EVERY_LAW[0], (3, 3), 1.0),
+        (2, 32, EVERY_LAW[1], (3, 3), 2.5), (3, 16, EVERY_LAW[1], (3, 3, 3), 2.5),
+        (2, 32, EVERY_LAW[2], (3, 3), 2.5), (3, 16, EVERY_LAW[2], (3, 3, 3), 2.5)],
+        ids=["2-power", "2-isothermal", "2-tabulated", "3-power",
+             "2-power-diagonal", "2-isothermal-diagonal-rho2.5",
+             "3-isothermal-diagonal-rho2.5", "2-tabulated-diagonal-rho2.5",
+             "3-tabulated-diagonal-rho2.5"])
+    def test_acoustic_wave_is_the_exact_linear_mode(self, dim, m, law, k, rho0):
         """The linear acoustic mode under every law (a tabulated law enters
-        only through P'(rho0)): within 1e-8 at dt 0.005 (1.3e-9 measured)
-        and an observed order of 4 from dt 0.02 to dt 0.01."""
-        errs = [self._acoustic_error(dim, m, law, dt) for dt in (0.02, 0.01, 0.005)]
+        only through P'(rho0)), along an axis and along the diagonal, at
+        rho0 = 1 and 2.5: within 1e-8 at dt 0.005 (5.7e-9 measured) and an
+        observed order of 4 from dt 0.02 to dt 0.01.  The power law's
+        faster sound misses 1e-8 at rho0 = 2.5 (1.3e-8 on the axis) and on
+        the 3-D diagonal (1.2e-8): RK4's own phase error at that dt."""
+        errs = [self._acoustic_error(dim, m, law, dt, k, rho0) for dt in (0.02, 0.01, 0.005)]
         assert errs[2] < 1e-8, errs
         assert abs(math.log2(errs[0] / errs[1]) - 4.0) < 0.1, errs
 
-    def test_acoustic_wave_sees_a_two_percent_pressure(self):
-        """A stepper that evaluates 1.02 P(rho) misses the mode by 1.6e-2."""
-        assert self._acoustic_error(2, 32, LAW, 0.005, stepped=LAW.rescaled(1.02)) > 1e-3
+    @pytest.mark.parametrize("k", [(3,), (3, 3)], ids=["axis", "diagonal"])
+    def test_acoustic_wave_sees_a_two_percent_pressure(self, k):
+        """A stepper that evaluates 1.02 P(rho) misses the mode by 1e-2 or more."""
+        assert self._acoustic_error(2, 32, LAW, 0.005, k, stepped=LAW.rescaled(1.02)) > 1e-3
 
     @staticmethod
     def _top_mode_ratio(dim, m, f):
@@ -791,6 +823,22 @@ def _owner(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _sample_stack(state: dyn.FluidState) -> np.ndarray:
+    """The one array that the fields of `state` hold, after checking that it
+    is an aligned (1 + dim, M, ..., M) float64 stack of samples with the
+    density in row 0 and the velocity in rows 1.., and that neither field
+    holds coefficients."""
+    grid = state.grid
+    stack = _owner(state.rho._samples)
+    assert _owner(state.u._samples) is stack
+    assert stack.dtype == np.float64 and stack.shape == (1 + grid.dim,) + grid.shape
+    assert stack.flags.aligned and stack.ctypes.data % 8 == 0
+    assert state.rho._samples.ctypes.data == stack[0].ctypes.data
+    assert state.u._samples.ctypes.data == stack[1:].ctypes.data
+    assert state.rho._coeffs is None and state.u._coeffs is None
+    return stack
+
+
 class TestThreeDimensions:
     """The solver path at N = 3 (small 16^3 grid)."""
 
@@ -803,18 +851,40 @@ class TestThreeDimensions:
         m0 = traj.states[0].mass
         assert max(abs(s.mass - m0) for s in traj.states) < 1e-12 * abs(m0)
 
-    def test_stored_density_owns_its_arrays(self, grid3):
-        """A stored state's density holds copies of row 0 of the step's
-        coefficient and sample stacks, not views that keep both (1 + dim)-row
-        stacks alive for as long as the trajectory is held."""
-        state = dyn.density_bump_state(grid3, u_amplitude=0.2)
-        traj = dyn.run(state, dyn.FluidParams(0.05, 0.05, LAW),
+    def test_stored_state_is_one_sample_stack(self, grid3, monkeypatch):
+        """Every stored state holds one fresh, aligned (1 + dim) M^N float64
+        stack of samples, rho then u, and nothing else: it views neither the
+        step's coefficients y nor their samples y_s, which are kept here to
+        tell them apart."""
+        seen = []
+
+        def kept(f):
+            return lambda *args: seen.append(f(*args)) or seen[-1]
+
+        monkeypatch.setattr(dyn, "to_samples", kept(dyn.to_samples))
+        monkeypatch.setattr(dyn._Stepper, "step", kept(dyn._Stepper.step))
+        traj = dyn.run(dyn.density_bump_state(grid3, u_amplitude=0.2),
+                       dyn.FluidParams(0.05, 0.05, LAW),
                        dyn.SolverConfig(t_end=0.02, dt=0.005, snapshot_every=2))
-        assert len(traj) == 3
+        # y_s of the start, and per step y, three stages' samples and y_s
+        steps = [y for y, _ in (a for a in seen if isinstance(a, tuple))]
+        arrays = steps + [a for a in seen if isinstance(a, np.ndarray)]
+        assert len(traj) == 3 and len(steps) == 4 and len(arrays) == 1 + 4 * 5
         for s in traj.states:
-            for a in (s.rho.coeffs, s.rho.samples):
-                assert _owner(a).nbytes == a.nbytes
-                assert _owner(a).shape[0] != 1 + grid3.dim
+            stack = _sample_stack(s)
+            assert not any(np.shares_memory(stack, a) for a in arrays)
+
+    def test_checkpoint_read_is_one_aligned_stack(self, grid3, tmp_path):
+        """A checkpoint whose header is not a multiple of 8 bytes long is
+        read into one aligned stack too, not viewed at its file offset."""
+        state = dyn.density_bump_state(grid3, u_amplitude=0.2)
+        path = str(tmp_path / "state.nsb")
+        dyn.write_checkpoint(path, dyn.FluidState(state.rho, state.u, 0.01))
+        assert len(open(path, "rb").readline()) % 8 != 0
+        back = dyn.read_checkpoint(path)
+        stack = _sample_stack(back)
+        assert np.array_equal(stack[0], state.rho.samples)
+        assert np.array_equal(stack[1:], state.u.samples)
 
     def test_manufactured_accuracy(self, grid3):
         ms = dyn.ManufacturedSolution(LAW, 0.05, 0.05,
@@ -938,6 +1008,20 @@ class TestCheckpoint:
         except dyn.CheckpointError:
             return
         assert math.isfinite(state.t)
+
+    def test_payload_shorter_than_its_checked_length(self, grid, tmp_path, monkeypatch):
+        """A file that is shorter when read than when its length was checked
+        (truncated in between) is an error, not a state of unread samples."""
+        path = os.path.join(tmp_path, "state.nsb")
+        dyn.write_checkpoint(path, dyn.equilibrium_state(grid))
+        checked = os.path.getsize(path)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[:-8])
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            fstat(fd)[:6] + (checked,) + fstat(fd)[7:]))
+        with pytest.raises(dyn.CheckpointError, match="payload ended before 24576 bytes"):
+            dyn.read_checkpoint(path)
 
     def test_truncated_payload_names_offset(self, grid, tmp_path):
         state = dyn.equilibrium_state(grid)

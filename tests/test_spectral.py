@@ -69,11 +69,12 @@ class TestGrid:
         assert all(x is y for x, y in zip(a.frequency_mesh, b.frequency_mesh))
         assert sp.TorusGrid(3, 32).k_squared is not a.k_squared
 
-    def test_view_keeps_what_it_computes(self, grid):
-        """A view shares the field's arrays, and the coefficients it
-        transforms on first read stay with the view."""
+    def test_field_over_shared_samples_keeps_what_it_computes(self, grid):
+        """A field over another field's samples (`_of_samples`, as
+        `diagnostics._Snapshot` builds its state) shares the array, and the
+        coefficients it transforms on first read stay with it."""
         f = sp.ScalarField.from_samples(grid, np.ones(grid.shape))
-        v = f.view()
+        v = sp.ScalarField._of_samples(grid, f.samples)
         assert v.samples is f.samples and v.coeffs[0, 0] == 1.0
         assert f._coeffs is None
 
