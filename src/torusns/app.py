@@ -353,22 +353,19 @@ IDENTITY_TOL = 1e-11
 
 
 def _load_run(outdir: str):
-    """(manifest, config, problem, run, checkpoint paths in file-name order,
-    their header times), each file read once.  `run` is the run's record
-    without its states: the parameters and stop facts the ledgers read,
-    while the states stream from the checkpoints.  ValueError naming both
-    files where the header times do not strictly increase in file-name
-    order, the order `simulate` writes them in (a copy under a second name
-    repeats a time, a moved time breaks the order): the time differences of
-    the ledgers need increasing times."""
+    """(manifest, config, checkpoint paths in file-name order, their header
+    times), each file read once; a config error names `CONFIG_FILE`.
+    ValueError naming both files where the header times do not strictly
+    increase in file-name order, the order `simulate` writes them in (a copy
+    under a second name repeats a time, a moved time breaks the order): the
+    time differences of the ledgers need increasing times."""
     with open(os.path.join(outdir, MANIFEST_FILE), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     _check_manifest(manifest)
-    config = load_config(os.path.join(outdir, CONFIG_FILE))
-    problem = build_problem(config)
-    run = dyn.Trajectory([], manifest["stop_reason"], manifest["stop_time"],
-                         problem.solver, problem.params,
-                         step_count=manifest.get("step_count", 0))
+    try:
+        config = load_config(os.path.join(outdir, CONFIG_FILE))
+    except ConfigError as exc:
+        raise ConfigError(f"{CONFIG_FILE}: {message}" for message in exc.errors) from None
     paths = [os.path.join(outdir, name) for name in sorted(
         entry["name"] for entry in manifest["files"] if entry["name"].endswith(".nsb"))]
     stored = [(dyn.checkpoint_time(path), path) for path in paths]
@@ -377,14 +374,14 @@ def _load_run(outdir: str):
             raise ValueError(f"checkpoint times do not increase: "
                              f"{os.path.basename(earlier)} at t={t0!r}, "
                              f"{os.path.basename(later)} at t={t1!r}")
-    return manifest, config, problem, run, paths, [t for t, _ in stored]
+    return manifest, config, paths, [t for t, _ in stored]
 
 
 def _is_file_entry(entry) -> bool:
-    """Whether a manifest `files` entry is {name, sha256} with a plain file
-    name, one that stays inside the run directory."""
+    """Whether a manifest `files` entry is {name, sha256} with a plain,
+    printable file name (no NUL), one that stays inside the run directory."""
     return (isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
-            and isinstance(name := entry.get("name"), str)
+            and isinstance(name := entry.get("name"), str) and name.isprintable()
             and name not in ("", ".", "..") and os.path.basename(name) == name)
 
 
@@ -434,8 +431,9 @@ def _check_facts(manifest: dict, config: ExperimentConfig, paths: list[str],
         "stop_time": stop == last or (stop > last and manifest["stop_reason"] != "completed"),
         "stop_reason": manifest["stop_reason"] in dyn.STOP_REASONS,
     }
-    named = {"stop_time": f": its last checkpoint {os.path.basename(paths[-1])} is at t={last!r}"}
-    return [f"manifest {key} {manifest.get(key)!r} contradicts the run directory"
+    named = {"stop_time": f": its last checkpoint {os.path.basename(paths[-1])} is at t={last!r}",
+             "config_hash": f": {CONFIG_FILE} hashes to {config.digest()}"}
+    return [f"{MANIFEST_FILE} {key} {manifest.get(key)!r} contradicts the run directory"
             + named.get(key, "") for key, ok in holds.items() if not ok]
 
 
@@ -497,16 +495,16 @@ class _IdentitySuite:
 
 
 class _SeriesCrosscheck:
-    """Every stored series cell against the row that `compute_diagnostics`'s
-    accumulator recomputes from the checkpoints, bit for bit (float reprs
-    read back exactly; a NaN fails), but the two stage quadratures, which
-    only the run holds: they must be finite, 0.0 in the first row, and the
-    dissipation must not decrease.  A missing or malformed series file (a
-    header other than `RECORD_COLUMNS`, a short row, a non-number) fails."""
+    """Each stored series cell against the row that `compute_diagnostics`'s
+    accumulator recomputes from the checkpoints, bit for bit (a NaN fails),
+    or with no accumulator the sample reductions time, min_rho and rho_linf
+    alone, at no transform; the stage quadratures, which only the run holds,
+    must be finite, 0.0 at first and, for the dissipation, non-decreasing.
+    A missing or malformed series file fails (`_read`)."""
 
     QUADRATURES = ("dissipation_cum", "forcing_work_cum")
 
-    def __init__(self, outdir: str, diagnostics: diag._Diagnostics, labels: list[str]):
+    def __init__(self, outdir: str, diagnostics: diag._Diagnostics | None, labels: list[str]):
         self.diagnostics, self.labels, self.rows, self.failures = diagnostics, labels, [], []
         try:
             self.rows = self._read(os.path.join(outdir, SERIES_FILE), len(labels))
@@ -514,8 +512,8 @@ class _SeriesCrosscheck:
             self.failures.append(str(exc))
 
     @staticmethod
-    def _read(path: str, count: int) -> list[list[float]]:
-        """The cells of every row; ValueError names the first fault."""
+    def _read(path: str, count: int) -> list[dict[str, float]]:
+        """The cells of every row by column; ValueError names the first fault."""
         if not os.path.exists(path):
             raise ValueError(f"missing {SERIES_FILE}")
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -529,7 +527,7 @@ class _SeriesCrosscheck:
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells, header has {len(header)}")
-                rows[n] = [float(cell) for cell in row]
+                rows[n] = dict(zip(header, map(float, row)))
             except ValueError as exc:
                 raise ValueError(f"{SERIES_FILE} row {n}: {exc}") from None
         return rows
@@ -537,11 +535,15 @@ class _SeriesCrosscheck:
     def add(self, window) -> None:
         if not self.rows:
             return
-        self.diagnostics.add(window)
-        n = window.index
-        for col, stored, val, before in zip(diag.RECORD_COLUMNS, self.rows[n],
-                                            self.diagnostics.rows[-1].row(),
-                                            self.rows[max(n - 1, 0)]):
+        n, snap = window.index, window.current
+        if self.diagnostics is None:
+            cells = zip(("time", "min_rho", "rho_linf"),
+                        (snap.t, snap.state.min_density, snap.rho_inf))
+        else:
+            self.diagnostics.add(window)
+            cells = zip(diag.RECORD_COLUMNS, self.diagnostics.rows[-1].row())
+        for col, val in cells:
+            stored, before = self.rows[n][col], self.rows[max(n - 1, 0)][col]
             if col not in self.QUADRATURES:
                 fault = None if stored == val else f"!= recomputed {val!r}"
             else:
@@ -589,40 +591,41 @@ def _write_ledgers(outdir: str, reports: dict[str, diag.LedgerReport]) -> None:
 def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """Run a verification suite over a stored run directory.
 
-    The checkpoints are read one at a time, in time order, in one pass that
-    feeds every check and ledger of the suite through a window of (previous,
-    current, next) states; all of them share each state's derived fields
-    while it is in the window, so at most three states are held at once
-    (one for a suite whose checks differentiate nothing in time).
+    The checkpoints stream in time order through one pass (`diagnostics.feed`)
+    that feeds every check and ledger of the suite, three states at most.
 
-    A file that fails its checksum, or a manifest fact that the directory
-    contradicts (`_check_facts`), fails every suite before the pass runs.
-    Machine-precision identity failures, a `series.csv` cell that the
-    checkpoints do not reproduce bit for bit (`_SeriesCrosscheck`) and, for
-    a run that stopped normally, a blow-up criterion norm that is not finite
-    (such a run must be extendable) make the result (and the exit code)
-    fail, and so does an inequality ledger's empirical constant that is not
-    finite; a finite one is only reported.  A stored state with a NaN or
-    inf sample or a density at or below zero, which the pass refuses
-    (`diagnostics._Snapshot`), is the one failure, and then no ledger is
-    written.  A failure of one snapshot names its checkpoint file.
+    A file that fails its checksum or a manifest fact that the directory
+    contradicts (`_check_facts`) fails every suite before the config builds
+    a problem.  A `series.csv` row that the checkpoints do not reproduce bit
+    for bit fails every suite (`_SeriesCrosscheck`: all its columns in the
+    identities and all suites, the sample reductions in the others), and so do
+    identity failures, a criterion norm that is not finite on a run that
+    stopped normally (it must be extendable) and an inequality ledger's
+    constant that is not finite (a finite one is only reported).  A stored
+    state with a NaN or inf sample or a density at or below zero, refused
+    by the pass (`diagnostics._Snapshot`), is the one failure, and no ledger
+    is written.  A failure of one snapshot names its checkpoint file.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
-    manifest, config, problem, run, paths, times = _load_run(outdir)
+    manifest, config, paths, times = _load_run(outdir)
     failures = _check_integrity(outdir, manifest) + _check_facts(manifest, config, paths, times)
     if failures:
         return VerifyResult(False, failures, {})
+    problem = build_problem(config)
+    run = dyn.Trajectory([], manifest["stop_reason"], manifest["stop_time"],
+                         problem.solver, problem.params)
     labels = [f"{os.path.basename(path)} (snapshot {n})" for n, path in enumerate(paths)]
-    checks, ledgers = [], {}
     monitors = [diag.BlowupMonitor(run, problem.monitor)] if suite in ("monitors", "all") else []
     if suite != "monitors":
         partition = lp.build_partition(problem.grid)
     if suite in ("identities", "all"):
-        checks += [_IdentitySuite(problem, partition, labels), _SeriesCrosscheck(
+        checks = [_IdentitySuite(problem, partition, labels), _SeriesCrosscheck(
             outdir, diag._Diagnostics(run, problem.monitor, partition), labels)]
-    if suite in ("inequalities", "all"):
-        ledgers = _inequality_ledgers(run, problem, partition, len(paths))
+    else:
+        checks = [_SeriesCrosscheck(outdir, None, labels)]
+    ledgers = (_inequality_ledgers(run, problem, partition, len(paths))
+               if suite in ("inequalities", "all") else {})
     try:
         diag.feed(checks + monitors + [ledger for ledger, _, _ in ledgers.values()],
                   problem.params, len(paths), lambda n: dyn.read_checkpoint(paths[n]))

@@ -41,7 +41,7 @@ ForcingFn = Callable[[float, TorusGrid], VectorField]
 
 
 class SolverStop(RuntimeError):
-    """Integration cannot continue; carries the machine-readable reason."""
+    """A stop found while integrating, with its reason and time; `run` records it."""
 
     def __init__(self, reason: str, message: str, time: float):
         super().__init__(message)
@@ -65,6 +65,8 @@ class NonFiniteError(SolverStop):
 NORMAL_STOPS = frozenset({"completed", "max_steps"})
 #: every stop reason that `run` records
 STOP_REASONS = NORMAL_STOPS | {"vacuum", "cfl", "nonfinite"}
+#: the steps `run` takes at most; one more ends the run as `max_steps`
+MAX_STEPS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,6 @@ class SolverConfig:
     cfl: float | None = None
     snapshot_every: int = 1
     vacuum_floor: float = 0.0
-    max_steps: int = 10_000_000
 
     def validate(self) -> None:
         if errors := self.errors():
@@ -563,6 +564,8 @@ class _Stepper:
             return (dy,)
 
         (y,) = _rk4(rhs, t, (y,), dt)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteError(t + dt, "the stepped state")
         return y, quads
 
 
@@ -598,9 +601,23 @@ def rhs_eval(state: FluidState, params: FluidParams) -> tuple[ScalarField, Vecto
     return ScalarField(state.grid, dy[0]), VectorField(state.grid, dy[1:])
 
 
+def _time_step(limit: float, config: SolverConfig, t: float) -> float:
+    """The step of `config` at time t under `cfl_limit`'s `limit`: a fixed dt
+    of at most cfl * limit (cfl 1 if unset), or cfl * limit of at least
+    1e-12 t_end; SolverStop("cfl") where the step breaks its rule."""
+    if config.dt is None:
+        dt, broken = config.cfl * limit, config.cfl * limit < 1e-12 * config.t_end
+    else:
+        dt, broken = config.dt, config.dt > (config.cfl or 1.0) * limit * (1.0 + 1e-12)
+    if broken:
+        raise SolverStop("cfl", f"step {dt:g} breaks the CFL rule at t={t:g} (limit {limit:g})", t)
+    return dt
+
+
 def run(initial: FluidState, params: FluidParams, config: SolverConfig) -> Trajectory:
-    """Integrate to t_end or to a stopping event (vacuum, CFL collapse,
-    non-finite values); the reason is recorded, not raised."""
+    """Integrate to t_end or to the first `SolverStop`, raised where it is
+    found and caught here alone: its reason is recorded with the time of the
+    last state reached (`completed` at t_end, on the last allowed step too)."""
     config.validate()
     params.validate(initial.grid.dim)
     if initial.min_density <= config.vacuum_floor:
@@ -625,44 +642,26 @@ def run(initial: FluidState, params: FluidParams, config: SolverConfig) -> Traje
     stop_reason, t = "completed", initial.t
     t_final = initial.t + config.t_end
     steps = 0
-    while t < t_final - 1e-13:
-        limit = cfl_limit(state, params)
-        if config.dt is not None:
-            dt = config.dt
-            scale = config.cfl if config.cfl is not None else 1.0
-            if dt > scale * limit * (1.0 + 1e-12):
-                stop_reason = "cfl"
-                break
-        else:
-            dt = config.cfl * limit
-            if dt < 1e-12 * config.t_end:
-                stop_reason = "cfl"
-                break
-        dt = min(dt, t_final - t)
-        try:
+    try:
+        while t < t_final - 1e-13:
+            if steps >= MAX_STEPS:
+                raise SolverStop("max_steps", f"{steps} steps taken by t={t:g}", t)
+            dt = min(_time_step(cfl_limit(state, params), config, t), t_final - t)
             y, inc = stepper.step(t, y, dt, y_s)
-        except SolverStop as stop:
-            stop_reason = stop.reason
-            break
-        if not np.all(np.isfinite(y)):
-            stop_reason = "nonfinite"
-            break
-        t += dt
-        steps += 1
-        for k, v in inc.items():
-            totals[k] += v
-        y_s = to_samples(grid, y)
-        state = sampled(y_s, t)
-        if state.min_density <= config.vacuum_floor:
-            stop_reason = "vacuum"
-            break
-        if steps % config.snapshot_every == 0 or t >= t_final - 1e-13:
-            states.append(state)
-            for k in totals:
-                quads[k].append(totals[k])
-        if steps >= config.max_steps:
-            stop_reason = "max_steps"
-            break
+            t += dt
+            steps += 1
+            for k, v in inc.items():
+                totals[k] += v
+            y_s = to_samples(grid, y)
+            state = sampled(y_s, t)
+            if state.min_density <= config.vacuum_floor:
+                raise VacuumError(t, state.min_density)
+            if steps % config.snapshot_every == 0 or t >= t_final - 1e-13:
+                states.append(state)
+                for k in totals:
+                    quads[k].append(totals[k])
+    except SolverStop as stop:
+        stop_reason = stop.reason
     return Trajectory(states, stop_reason, t, config, params, quads, steps)
 
 

@@ -164,6 +164,20 @@ def test_one_refusal_site():
                 if "SolverStop" in (getattr(node, "id", None), getattr(node, "attr", None))]
 
 
+def test_one_stop_site():
+    """`dynamics.run` ends a run in one place: every stop is a `SolverStop`
+    raised where it is found, and the one handler in `run` catches it; its
+    loop neither breaks nor sets a stop reason."""
+    trees, _ = _sources()
+    [run] = [f for f in trees["dynamics.py"].body
+             if isinstance(f, ast.FunctionDef) and f.name == "run"]
+    handlers = [node for node in ast.walk(run) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(handler.type) for handler in handlers] == ["SolverStop"]
+    [loop] = [node for node in ast.walk(run) if isinstance(node, ast.While)]
+    assert not [node for node in ast.walk(loop) if isinstance(node, ast.Break)
+                or isinstance(node, ast.Name) and node.id == "stop_reason"]
+
+
 def _integrate_references(source: str) -> set[str]:
     return {name for name in _references(source)
             if name == "scipy.integrate" or name.startswith("scipy.integrate.")}
@@ -281,9 +295,6 @@ def test_every_public_method_has_a_user():
 UNPASSED_DEFAULTS = {
     "app.py:main(argv)": "the console entry point calls main() alone, and "
                          "argparse then reads sys.argv",
-    "dynamics.py:SolverConfig(max_steps)": "the cap behind the `max_steps` stop, "
-                                           "which a run whose t_end it cannot "
-                                           "reach ends on",
     "diagnostics.py:BlowupMonitor.__init__(window_end)":
         "`_report` passes it on as `ledger(source, *config)` from "
         "`blowup_monitor`, whose window_end the acceptance tests set",

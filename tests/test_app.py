@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,8 +258,6 @@ class TestSimulate:
         assert bundle.trajectory.step_count == 10
         assert bundle.manifest["step_count"] == 10
         assert all(entry["name"] != "step_count" for entry in bundle.manifest["files"])
-        _, _, _, run, _, _ = app._load_run(str(tmp_path))
-        assert run.step_count == 10
 
     def test_vacuum_stop_recorded_in_manifest(self, tmp_path):
         cfg = app.parse_config(
@@ -437,13 +436,61 @@ class TestVerify:
     def test_unbounded_criterion_norm_fails_monitors(self, run_dir, tmp_path, capsys):
         """A run that completed must be extendable: a density sample of 1e60
         makes the pressure time norm of the criterion overflow, and the
-        monitors suite fails naming that norm."""
+        monitors suite fails naming that norm, after the series row that the
+        stored state no longer reproduces."""
         outdir = self._with_nan(run_dir, tmp_path, 5, 1e60, checkpoint=2)
         with np.errstate(over="ignore"):
             assert app.main(["verify", "--dir", outdir, "--suite", "monitors"]) == 2
+        rho_linf = float(app._SeriesCrosscheck._read(
+            os.path.join(run_dir, app.SERIES_FILE), 3)[2]["rho_linf"])
         assert capsys.readouterr().out == (
-            "FAIL completed run is not extendable: criterion norm pressure_time_norm inf "
-            "is not finite\nverification failed\n")
+            f"FAIL state_000002.nsb (snapshot 2): stored rho_linf={rho_linf!r} != recomputed "
+            "1e+60\nFAIL completed run is not extendable: criterion norm pressure_time_norm "
+            "inf is not finite\nverification failed\n")
+
+    @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
+    def test_state_its_series_row_does_not_describe_fails_every_suite(self, run_dir, tmp_path,
+                                                                      suite):
+        """Every suite compares each stored state's time, min_rho and rho_linf,
+        sample reductions that take no transform, with its series row: one
+        density sample of 1e60 (re-hashed) fails each suite (exit code 2)
+        with a line naming the checkpoint, and no RuntimeWarning."""
+        outdir = self._with_nan(run_dir, tmp_path, 5, 1e60, checkpoint=2)
+        code, out, err, warned = _main(["verify", "--dir", outdir, "--suite", suite])
+        assert code == 2 and err == "" and not warned, (out, err, warned)
+        assert "FAIL state_000002.nsb (snapshot 2): stored rho_linf=" in out, out
+
+    @pytest.mark.parametrize("column", ["time", "min_rho", "rho_linf"])
+    @pytest.mark.parametrize("suite", ["inequalities", "monitors"])
+    def test_sampled_series_cell_fails_every_suite(self, run_dir, tmp_path, suite, column):
+        """A series cell of a sample reduction moved by one ulp fails the
+        suites that recompute no other column too."""
+        outdir = self._with_cell(run_dir, tmp_path, 1, column, lambda x: np.nextafter(x, np.inf))
+        [failure] = app.verify(outdir, suite).failures
+        assert failure.startswith(f"state_000001.nsb (snapshot 1): stored {column}="), failure
+
+    @pytest.mark.parametrize("suite", ["inequalities", "monitors"])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "non-numeric"])
+    def test_missing_or_malformed_series_fails_every_suite(self, run_dir, tmp_path, suite,
+                                                           missing):
+        """A series file that is not there (nor listed), or whose cell is not
+        a number (re-hashed), fails the suites that recompute no other column
+        too, naming the file."""
+        outdir = str(tmp_path / "run")
+        shutil.copytree(run_dir, outdir)
+        path = os.path.join(outdir, app.SERIES_FILE)
+        if missing:
+            os.remove(path)
+            _with_manifest(outdir, tmp_path / "unlisted", lambda m: {**m, "files": [
+                e for e in m["files"] if e["name"] != app.SERIES_FILE]})
+            outdir = str(tmp_path / "unlisted" / "run")
+        else:
+            lines = open(path).read().splitlines()
+            open(path, "w").write("\n".join([lines[0], "x" + lines[1]] + lines[2:]) + "\n")
+            _rewrite_checksum(outdir, app.SERIES_FILE)
+        assert app.verify(outdir, suite).failures == [
+            f"missing {app.SERIES_FILE}" if missing else
+            f"{app.SERIES_FILE} row 0: could not convert string to float: 'x0.0'"]
 
     def test_failures_name_the_checkpoint_file(self, run_dir, tmp_path):
         """Snapshots are numbered in file-name order, which is time order, so
@@ -651,8 +698,10 @@ def test_series_rows_recomputed_from_checkpoints(tmp_path, text):
     which only the run holds; a NaN cell would fail."""
     outdir = str(tmp_path / "run")
     app.simulate(app.parse_config(text), outdir)
-    _, _, problem, run, paths, _ = app._load_run(outdir)
-    run.states = [dyn.read_checkpoint(path) for path in paths]
+    _, config, paths, _ = app._load_run(outdir)
+    problem = app.build_problem(config)
+    run = dyn.Trajectory([dyn.read_checkpoint(path) for path in paths], "completed", 0.0,
+                         problem.solver, problem.params)
     records = diag.compute_diagnostics(run, problem.monitor, lp.build_partition(problem.grid))
     lines = open(os.path.join(outdir, app.SERIES_FILE)).read().splitlines()
     header = lines[0].split(",")
@@ -1047,18 +1096,21 @@ class TestCli:
                                      "stop_reason"])
     def test_manifest_fact_contradicted_exit_code(self, run_dir, tmp_path, capsys, key):
         """Each fact that the manifest states about its run is checked
-        against the directory by every suite, and a wrong one is a named
-        verification failure; a wrong stop time names the last checkpoint."""
+        against the directory by every suite, and a wrong one is a
+        verification failure naming `manifest.json`; a wrong stop time names
+        the last checkpoint, a wrong config digest the one `config.txt` has."""
         value = {"config_hash": "0" * 64, "snapshots": 99, "step_count": 0,
                  "stop_time": 123.0, "stop_reason": "bogus"}[key]
         outdir = _with_manifest(run_dir, tmp_path, lambda m: {**m, key: value})
         last = dyn.checkpoint_time(os.path.join(run_dir, "state_000002.nsb"))
-        named = f": its last checkpoint state_000002.nsb is at t={last!r}"
+        digest = json.load(open(os.path.join(run_dir, app.MANIFEST_FILE)))["config_hash"]
+        named = {"stop_time": f": its last checkpoint state_000002.nsb is at t={last!r}",
+                 "config_hash": f": config.txt hashes to {digest}"}
         for suite in app.VERIFY_SUITES:
             assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 2
             assert capsys.readouterr().out == (
-                f"FAIL manifest {key} {value!r} contradicts the run directory"
-                f"{named if key == 'stop_time' else ''}\nverification failed\n")
+                f"FAIL manifest.json {key} {value!r} contradicts the run directory"
+                f"{named.get(key, '')}\nverification failed\n")
 
     @pytest.mark.parametrize("after, ok", [(0.01, True), (0.0, True), (-0.01, False)])
     def test_abnormal_stop_time_not_before_the_last_checkpoint(self, run_dir, tmp_path,
@@ -1246,3 +1298,140 @@ def test_no_traceback_on_any_header_byte(small_run_dir, offset, byte):
             lines += err.splitlines()
             assert all(".nsb" in line for line in lines), (argv, lines)
             assert code == 0 or any(name in line for line in lines), (argv, lines)
+
+
+def _named_lines(out, err):
+    """The FAIL lines of a `verify` run's stdout and every line of its stderr."""
+    return [line for line in out.splitlines() if line.startswith("FAIL")] + err.splitlines()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@example(row=1, column="rho_linf", cell="1e+60")
+@example(row=0, column="time", cell="nan")
+@example(row=2, column="dissipation_cum", cell="-inf")
+@example(row=1, column="mass", cell="1,2")
+@example(row=2, column="positive", cell="")
+@example(row=1, column="kinetic", cell="1\n2")
+@given(row=st.integers(0, 2), column=st.sampled_from(diag.RECORD_COLUMNS),
+       cell=st.one_of(st.floats().map(repr), st.text(max_size=6)))
+def test_no_traceback_on_any_series_cell(small_run_dir, row, column, cell):
+    """Any text in one `series.csv` cell (re-hashed) gives exit code 0 or 2
+    from every `verify` suite, no traceback and no RuntimeWarning, and each
+    failure line names `series.csv` or a checkpoint file.  A cell that is
+    not one number fails every suite, naming `series.csv`; one that reads
+    back as another number fails the identities and all suites unless it is
+    a stage quadrature that keeps its rules, and every suite when it is a
+    sample reduction (time, min_rho, rho_linf), naming its row's checkpoint."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = os.path.join(tmp, "run")
+        shutil.copytree(small_run_dir, outdir)
+        path = os.path.join(outdir, app.SERIES_FILE)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        cells = lines[row + 1].split(",")
+        i = diag.RECORD_COLUMNS.index(column)
+        before, cells[i] = float(cells[i]), cell
+        lines[row + 1] = ",".join(cells)
+        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        _rewrite_checksum(outdir, app.SERIES_FILE)
+        try:
+            one_cell = "," not in cell and len(f"x{cell}x".splitlines()) == 1
+            changed = not (one_cell and float(cell) == before)
+        except ValueError:
+            one_cell = changed = False
+        for suite in app.VERIFY_SUITES:
+            code, out, err, warned = _main(["verify", "--dir", outdir, "--suite", suite])
+            assert code in (0, 2) and not err and not warned, (suite, out, err, warned)
+            lines = _named_lines(out, err)
+            assert all(app.SERIES_FILE in line or ".nsb" in line for line in lines), lines
+            if not one_cell:
+                assert code == 2 and any(app.SERIES_FILE in line for line in lines), lines
+            elif changed and (column in ("time", "min_rho", "rho_linf") or (
+                    suite in ("identities", "all") and not column.endswith("_cum"))):
+                assert code == 2 and any(f"state_{row:06d}.nsb" in line for line in lines)
+            elif not changed or suite not in ("identities", "all"):
+                assert code == 0, (suite, lines)
+
+
+#: manifest JSON values: scalars, and lists and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(where="stop_reason", value="vacuum")
+@example(where="stop_time", value=math.nan)
+@example(where="step_count", value=True)
+@example(where="files", value={})
+@example(where=(1, "name"), value="series\x00.csv")
+@example(where=(3, "name"), value="state\x00.nsb")
+@example(where=(3, "name"), value="\ud800.nsb")
+@example(where=(3, "name"), value="state_000009.nsb")
+@example(where=(2, "sha256"), value="0" * 64)
+@given(where=st.one_of(st.sampled_from(["config_hash", "files", "seed", "snapshots",
+                                        "step_count", "stop_reason", "stop_time", "version"]),
+                       st.tuples(st.integers(0, 4), st.sampled_from(["name", "sha256"]))),
+       value=JSON_VALUES)
+def test_no_traceback_on_any_manifest_value(small_run_dir, where, value):
+    """Any JSON value in place of one manifest value, a top-level one or one
+    of a `files` entry, gives exit code 0, 1 or 2 from `verify --suite all`,
+    no traceback and no RuntimeWarning, and each line of a failing `verify`
+    names `manifest.json` or a file that the manifest lists, before or after
+    the change."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def edit(manifest):
+            if isinstance(where, str):
+                manifest[where] = value
+            else:
+                manifest["files"][where[0]][where[1]] = value
+            return manifest
+
+        outdir = _with_manifest(small_run_dir, tmp, edit)
+        code, out, err, warned = _main(["verify", "--dir", outdir, "--suite", "all"])
+        assert code in (0, 1, 2) and "Traceback" not in err and not warned, (code, out, err)
+        listed = [entry["name"] for entry in json.load(open(os.path.join(
+            small_run_dir, app.MANIFEST_FILE)))["files"]] + [str(value)]
+        lines = _named_lines(out, err)
+        assert all(app.MANIFEST_FILE in line or any(name in line for name in listed)
+                   for line in lines), lines
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@example(line=7, value="1048576", raw=False)   # grid.points_per_axis = 2^20
+@example(line=0, value="nan", raw=False)
+@example(line=0, value="1.0   # the same value", raw=False)
+@example(line=6, value="3\ngrid.dim = 2", raw=False)
+@example(line=6, value="fluid.mu = 0.1", raw=True)
+@given(line=st.integers(0, 22), raw=st.booleans(), value=st.one_of(
+    st.integers(-10, 1 << 20).map(str), st.floats().map(repr), st.text(max_size=12)))
+def test_no_traceback_on_any_config_line(small_run_dir, line, value, raw):
+    """Any text in place of one line of `config.txt` (re-hashed), a new value
+    for its key or `raw` text, gives exit code 0, 1 or 2 from `verify
+    --suite all`, no traceback and no RuntimeWarning: a config that does not
+    parse is an error naming `config.txt` (1), one whose digest moved a
+    failure naming it (2), and only a config that the manifest's digest
+    matches builds a problem, so that no edited grid size is allocated."""
+    real = app.build_problem
+
+    def checked(config):
+        assert config.digest() == digest, "a problem built from an unchecked config"
+        return real(config)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(app, "build_problem", checked):
+        outdir = os.path.join(tmp, "run")
+        shutil.copytree(small_run_dir, outdir)
+        path = os.path.join(outdir, app.CONFIG_FILE)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        digest = app.parse_config("\n".join(lines)).digest()
+        lines[line] = value if raw else f"{lines[line].partition(' = ')[0]} = {value}"
+        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        _rewrite_checksum(outdir, app.CONFIG_FILE)
+        try:
+            expected = 0 if app.parse_config("\n".join(lines)).digest() == digest else 2
+        except app.ConfigError:
+            expected = 1
+        code, out, err, warned = _main(["verify", "--dir", outdir, "--suite", "all"])
+        assert code == expected and "Traceback" not in err and not warned, (code, out, err)
+        assert all(app.CONFIG_FILE in line for line in _named_lines(out, err))

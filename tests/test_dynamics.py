@@ -22,6 +22,8 @@ _KNOTS = np.geomspace(1e-3, 8.0, 40)
 EVERY_LAW = (LAW, dyn.PowerLaw(1.0, 1.0), dyn.TabulatedLaw(_KNOTS, 0.5 * _KNOTS))
 # |R(-Z_STAR)| = 1 for RK4's stability function R on the negative real axis
 Z_STAR = 2.785293563405282
+#: the time steps of an acoustic case: the order from the first two, the error at the last
+DTS = (0.02, 0.01, 0.005)
 #: tables of a concave, a power-1.4 and a square law
 TABLES = {"concave": (np.array([0.5, 1.0, 1.5, 2.0]), np.array([0.0, 1.0, 1.5, 1.6])),
           "power1.4": (np.geomspace(0.01, 4.0, 30), np.geomspace(0.01, 4.0, 30) ** 1.4),
@@ -372,6 +374,8 @@ class TestStep:
         assert sp.lebesgue_norm(new.u, INF) < 1e-14
 
     def test_cfl_violation_raises(self, grid, params):
+        """A fixed dt over the CFL limit stops the run as `cfl` before its
+        first step."""
         state = dyn.stream_vortex_state(grid, 1.0, 0.5)
         traj = dyn.run(state, params, dyn.SolverConfig(t_end=10.0, dt=10.0))
         assert traj.stop_reason == "cfl" and traj.step_count == 0
@@ -479,27 +483,34 @@ class TestStep:
         odd_u = (plus.u.samples - minus.u.samples) / (2 * eps)
         return max(np.max(np.abs(odd_rho - a * np.cos(phase))), np.max(np.abs(odd_u - exact_u)))
 
-    # the axis mode k = (3, 0, ...) is one-dimensional, so its 3-D run repeats
-    # the 2-D one; the 3-D runs take the diagonal mode, which every axis reads
-    @pytest.mark.parametrize("dim, m, law, k, rho0", [
-        (2, 32, EVERY_LAW[0], (3,), 1.0), (2, 32, EVERY_LAW[1], (3,), 1.0),
-        (2, 32, EVERY_LAW[2], (3,), 1.0), (3, 16, EVERY_LAW[0], (3,), 1.0),
-        (2, 32, EVERY_LAW[0], (3, 3), 1.0),
-        (2, 32, EVERY_LAW[1], (3, 3), 2.5), (3, 16, EVERY_LAW[1], (3, 3, 3), 2.5),
-        (2, 32, EVERY_LAW[2], (3, 3), 2.5), (3, 16, EVERY_LAW[2], (3, 3, 3), 2.5)],
-        ids=["2-power", "2-isothermal", "2-tabulated", "3-power",
-             "2-power-diagonal", "2-isothermal-diagonal-rho2.5",
-             "3-isothermal-diagonal-rho2.5", "2-tabulated-diagonal-rho2.5",
-             "3-tabulated-diagonal-rho2.5"])
-    def test_acoustic_wave_is_the_exact_linear_mode(self, dim, m, law, k, rho0):
+    # the axis mode k = (3, 0, ...) is one-dimensional, so a 3-D run of it
+    # repeats the 2-D one; the 3-D runs take the diagonal mode, which every
+    # axis reads.  The fastest sound, c|k| = 11.6 on the power law's 3-D
+    # diagonal at rho0 = 2.5, reads order 4.18 from dt 0.02 to 0.01 and 4.10
+    # from 0.01 to 0.005, so it runs at dt 0.005 and 0.0025 alone
+    @pytest.mark.parametrize("dim, law, k, rho0, dts", [
+        (2, EVERY_LAW[0], (3,), 1.0, DTS), (2, EVERY_LAW[1], (3,), 1.0, DTS),
+        (2, EVERY_LAW[2], (3,), 1.0, DTS), (2, EVERY_LAW[0], (3, 3), 1.0, DTS),
+        (3, EVERY_LAW[0], (3, 3, 3), 1.0, DTS), (2, EVERY_LAW[0], (3,), 2.5, DTS),
+        (3, EVERY_LAW[0], (3, 3, 3), 2.5, (0.005, 0.0025)),
+        (2, EVERY_LAW[1], (3, 3), 2.5, DTS), (3, EVERY_LAW[1], (3, 3, 3), 2.5, DTS),
+        (2, EVERY_LAW[2], (3, 3), 2.5, DTS), (3, EVERY_LAW[2], (3, 3, 3), 2.5, DTS)],
+        ids=["2-power", "2-isothermal", "2-tabulated", "2-power-diagonal",
+             "3-power-diagonal", "2-power-rho2.5", "3-power-diagonal-rho2.5",
+             "2-isothermal-diagonal-rho2.5", "3-isothermal-diagonal-rho2.5",
+             "2-tabulated-diagonal-rho2.5", "3-tabulated-diagonal-rho2.5"])
+    def test_acoustic_wave_is_the_exact_linear_mode(self, dim, law, k, rho0, dts):
         """The linear acoustic mode under every law (a tabulated law enters
         only through P'(rho0)), along an axis and along the diagonal, at
-        rho0 = 1 and 2.5: within 1e-8 at dt 0.005 (5.7e-9 measured) and an
-        observed order of 4 from dt 0.02 to dt 0.01.  The power law's
-        faster sound misses 1e-8 at rho0 = 2.5 (1.3e-8 on the axis) and on
-        the 3-D diagonal (1.2e-8): RK4's own phase error at that dt."""
-        errs = [self._acoustic_error(dim, m, law, dt, k, rho0) for dt in (0.02, 0.01, 0.005)]
-        assert errs[2] < 1e-8, errs
+        rho0 = 1 and 2.5: at the last dt within 0.012 (c|k|dt)^4 of it, c =
+        sqrt(P'(rho0)) the sound speed, and an observed order of 4 from the
+        first dt to the second.  RK4's own error goes as (c|k|dt)^4: 0.0033
+        to 0.0106 of it was measured, and in every case of c|k| <= 6, which
+        met 1e-8 at dt 0.005 (5.7e-9 measured), the bound is under 1e-8."""
+        errs = [self._acoustic_error(dim, 32 if dim == 2 else 16, law, dt, k, rho0)
+                for dt in dts]
+        speed = math.sqrt(float(law.derivative(rho0))) * math.hypot(*k)
+        assert errs[-1] < 0.012 * (speed * dts[-1]) ** 4, errs
         assert abs(math.log2(errs[0] / errs[1]) - 4.0) < 0.1, errs
 
     @pytest.mark.parametrize("k", [(3,), (3, 3)], ids=["axis", "diagonal"])
@@ -609,7 +620,67 @@ class TestRun:
         traj = dyn.run(state, params, dyn.SolverConfig(t_end=1.0, dt=0.005))
         # one call per RK4 stage: the 11th is stage 3 of step 3
         assert traj.stop_reason == "nonfinite" and traj.step_count == 2
+        assert traj.stop_time == 0.01 and len(traj.states) == 3
         assert all(s.is_finite() for s in traj.states)
+
+    @pytest.mark.parametrize("cap, reason", [(10, "completed"), (9, "max_steps")])
+    def test_step_cap(self, grid, params, monkeypatch, cap, reason):
+        """The cap of MAX_STEPS steps is checked before a step: a run that
+        reaches t_end on its last allowed step is `completed`, and one step
+        fewer stops it as `max_steps` at the time of its last state."""
+        monkeypatch.setattr(dyn, "MAX_STEPS", cap)
+        traj = dyn.run(dyn.stream_vortex_state(grid), params,
+                       dyn.SolverConfig(t_end=0.1, dt=0.01))
+        assert traj.stop_reason == reason and traj.step_count == cap == len(traj) - 1
+        assert traj.stop_time == traj.states[-1].t == pytest.approx(0.01 * cap, abs=1e-15)
+
+    def test_adaptive_step_collapse_stops_cfl(self, grid, params, monkeypatch):
+        """An adaptive step below 1e-12 t_end stops the run as `cfl` at the
+        time of the last state reached."""
+        limit, times = dyn.cfl_limit, []
+
+        def collapsing(state, params):
+            times.append(state.t)
+            return limit(state, params) if len(times) <= 2 else 1e-14
+
+        monkeypatch.setattr(dyn, "cfl_limit", collapsing)
+        traj = dyn.run(dyn.stream_vortex_state(grid), params,
+                       dyn.SolverConfig(t_end=1.0, cfl=0.5))
+        assert traj.stop_reason == "cfl" and traj.step_count == 2 == len(traj) - 1
+        assert 0 < traj.stop_time == traj.states[-1].t == times[-1]
+
+    @pytest.mark.parametrize("stage", [True, False], ids=["in-a-stage", "after-a-step"])
+    def test_vacuum_floor_between_a_stage_and_the_stepped_state(self, grid, monkeypatch,
+                                                                stage):
+        """A floor met by a stage's input stops the run as `vacuum` before the
+        step (the 2-D drain u = 3 sin(x1) e1: its last stage input dips under
+        the stepped state), and a floor met by the stepped state alone stops
+        it after the step (the vortex, whose stepped state dips under every
+        stage input), with the time of the state reached and nothing stored
+        below the floor."""
+        if stage:
+            params = dyn.FluidParams(0.005, 0.0, dyn.PowerLaw(0.01, 2.0))
+            state = dyn.density_bump_state(grid, 1.0, 0.0, u_amplitude=3.0)
+        else:
+            params, state = dyn.FluidParams(0.1, 0.1, LAW), dyn.stream_vortex_state(grid)
+        inputs, rhs = [], dyn._Stepper.rhs
+
+        def spied(stepper, t, y, samples=None):
+            inputs.append(float(np.min(sp.to_samples(grid, y[0]))))
+            return rhs(stepper, t, y, samples)
+
+        monkeypatch.setattr(dyn._Stepper, "rhs", spied)
+        stepped = dyn.run(state, params, dyn.SolverConfig(t_end=0.01, dt=0.01)).states[-1]
+        assert len(inputs) == 4 and (min(inputs) < stepped.min_density) == stage
+        floor = (min(inputs) + stepped.min_density) / 2
+        traj = dyn.run(state, params, dyn.SolverConfig(t_end=1.0, dt=0.01, vacuum_floor=floor))
+        assert traj.stop_reason == "vacuum" and len(traj) == 1
+        assert (traj.step_count, traj.stop_time) == ((0, 0.0) if stage else (1, 0.01))
+
+    def test_initial_state_at_the_floor_is_an_error(self, grid, params):
+        with pytest.raises(ValueError, match="vacuum floor"):
+            dyn.run(dyn.equilibrium_state(grid, 1.0), params,
+                    dyn.SolverConfig(t_end=0.1, dt=0.01, vacuum_floor=1.0))
 
     @pytest.mark.parametrize("dim, forcing, forward_fields, inverse_calls", [
         (2, None, 20, 12), (3, (0.2, 0.2, 0.2), 48, 16), (3, (0.2, 0.0, 0.0), 40, 16)],

@@ -90,3 +90,33 @@ def test_output_digest_names_an_edited_byte(output_digest, tmp_path):
     os.remove(rundir / "ledgers" / "energy.csv")
     assert output_digest.differences({"run": want}, {"run": output_digest.file_digest(
         str(rundir))}) == ["run/ledgers/energy.csv", "run/state_000002.nsb"]
+
+
+def test_transform_census_import_changes_nothing(monkeypatch):
+    """Importing the census sets no thread variable, adds no sys.path entry
+    and imports no bench module: `main` does those."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    environ, path, modules = dict(os.environ), list(sys.path), set(sys.modules)
+    spec = importlib.util.spec_from_file_location("census_copy", TOOLS / "transform_census.py")
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert (dict(os.environ), sys.path) == (environ, path)
+    assert not {"child", "workloads"} & (set(sys.modules) - modules)
+
+
+def test_transform_census_totals_are_the_fixtures_counts(transform_census, fft_calls, tmp_path):
+    """Each phase's census table, summed over its call sites, counts the
+    fields that the `fft_calls` fixture counts for the same calls: forward,
+    and inverse plus block."""
+    config = app.parse_config(SMALL_CFG)
+    seen = []
+    for phase, rows, failure in transform_census.phases(config, str(tmp_path / "run")):
+        site, (forward, inverse, block) = rows[-1]
+        assert failure is None and site == "total", (phase, failure)
+        assert forward > 0 and inverse + block > 0, (phase, rows)
+        assert (forward, inverse + block) == (fft_calls["rfftn_fields"],
+                                              fft_calls["irfftn_fields"]), phase
+        seen.append((phase, block))
+        fft_calls.clear()
+    assert [phase for phase, _ in seen] == list(transform_census.PHASES)
+    assert any(block for _, block in seen), seen  # the block inverses are told apart

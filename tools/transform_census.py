@@ -12,41 +12,39 @@ suite (identities, inequalities, monitors, all).  For each of these five phases 
 prints the fields that `spectral`'s compiled kernels transformed, by call
 site: the first frame outside spectral.py (file:function) of the call.
 
-The fields are counted by the rule of the tests' `fft_calls` fixture: a
-forward (`r2c`) call counts the product of the axes it does not transform,
-an inverse (`c2r`) call the product of the axes before the grid's.  A block
-inverse (`spectral._block_inverse`: an in-place `c2c` over the leading grid
-axes, then `c2r` over the last one) is listed under "block", apart from the
+The fields are counted by `Census`, the one counting rule, which the
+tests' `fft_calls` fixture reads too: a forward (`r2c`) call counts the
+product of the axes it does not transform, an inverse (`c2r`) call the
+product of the axes before the grid's.  A block inverse
+(`spectral._block_inverse`: an in-place `c2c` over the leading grid axes,
+then `c2r` over the last one) is listed under "block", apart from the
 whole-grid inverses; "inverse" plus "block" is the fixture's inverse count.
-A transform that bypasses the kernels is not seen.
+A transform that bypasses the kernels is not seen.  Importing the module
+changes nothing: `main` pins the kernel threads to one and imports the
+bench modules.
 """
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"   # as bench/run.py starts its children
-
 import argparse
 import math
+import os
 import sys
 import tempfile
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "bench"))
-
-import child  # noqa: E402  (bench/child.py, found through the path above)
-
 PHASES = ("simulate", "identities", "inequalities", "monitors", "all")
 KINDS = ("forward", "inverse", "block")
+KERNELS = ("r2c", "c2r", "c2c")
 
 
 def _inverse_fields(shape: tuple[int, ...], lastsize: int) -> int:
     """The fields of an inverse call on coefficients of `shape`: the product
-    of the axes before the grid's, which are the last one and the axes of
-    length M = `lastsize` before it (batch axes are at most 3 long)."""
+    of the axes before the grid's, which are the last one (M/2 + 1 long)
+    and the axes of length M = `lastsize` before it.  The package's batch
+    axes are at most 3 long and M is at least 8, so they are never taken
+    for grid axes."""
     lead = len(shape) - 1
     while lead > 0 and shape[lead - 1] == lastsize:
         lead -= 1
@@ -54,9 +52,13 @@ def _inverse_fields(shape: tuple[int, ...], lastsize: int) -> int:
 
 
 def _call_site(spectral_file: str) -> tuple[str, bool]:
-    """(file:function of the first frame outside spectral.py, whether the
-    kernel was called from `spectral._block_inverse`)."""
-    frame = sys._getframe(2)   # the kernel's caller: above this and the wrapper
+    """(file:function of the first frame outside spectral.py that led to the
+    kernel call, whether `spectral._block_inverse` made it).  The frames of
+    this file, a census's wrappers (one per census that is active), are
+    passed over first."""
+    frame = sys._getframe(1)
+    while frame.f_code.co_filename == __file__:
+        frame = frame.f_back
     block = frame.f_code.co_name == "_block_inverse"
     while frame is not None and frame.f_code.co_filename == spectral_file:
         frame = frame.f_back
@@ -68,40 +70,78 @@ def _call_site(spectral_file: str) -> tuple[str, bool]:
 
 
 class Census:
-    """Wraps the kernels' `r2c` and `c2r` while active and counts the fields
-    of each call under (call site, kind)."""
+    """Wraps the compiled kernels that `spectral` calls (`r2c`, `c2r`, `c2c`)
+    while active, and counts their work two ways.
+
+    `totals`, which the tests' `fft_calls` fixture reads: "rfftn" (forward,
+    `r2c`) and "irfftn" (inverse, `c2r`) calls, and under "<name>_fields"
+    the fields they transformed: the product of the axes a forward call does
+    not transform (the leading batch axes of the package's calls), and of
+    the axes before the grid's for an inverse call.  A block inverse
+    (`spectral._block_inverse`) runs `c2c` over the leading grid axes and
+    then `c2r` over the last one alone: its `c2r` counts as one inverse
+    call of the fields of its block, and its `c2c`, counted under "c2c",
+    adds no call or field.
+
+    `counts`: the same fields by (call site, kind), a block inverse's under
+    "block" apart from the whole-grid "inverse", which `table` prints.  A
+    transform that bypasses the kernels is not seen."""
 
     def __init__(self, spectral):
         self.kernels = spectral._kernels()
         self.spectral_file = spectral.__file__
         self.counts: Counter = Counter()
+        self.totals: Counter = Counter()
+
+    def _count(self, call: str, fields: int, kind: str) -> None:
+        site, block = _call_site(self.spectral_file)
+        self.totals[call] += 1
+        self.totals[f"{call}_fields"] += fields
+        self.counts[site, "block" if block else kind] += fields
 
     def __enter__(self):
-        real_r2c, real_c2r = self.kernels.r2c, self.kernels.c2r
+        self.saved = {name: getattr(self.kernels, name) for name in KERNELS}
+        r2c, c2r, c2c = self.saved.values()
 
-        def r2c(x, axes, *args):
-            site, _ = _call_site(self.spectral_file)
-            fields = x.size // math.prod(x.shape[a] for a in axes)
-            self.counts[site, "forward"] += fields
-            return real_r2c(x, axes, *args)
+        def forward(x, axes, *args):
+            self._count("rfftn", x.size // math.prod(x.shape[a] for a in axes), "forward")
+            return r2c(x, axes, *args)
 
-        def c2r(x, axes, lastsize, *args):
-            site, block = _call_site(self.spectral_file)
-            self.counts[site, "block" if block else "inverse"] += \
-                _inverse_fields(x.shape, lastsize)
-            return real_c2r(x, axes, lastsize, *args)
+        def inverse(x, axes, lastsize, *args):
+            self._count("irfftn", _inverse_fields(x.shape, lastsize), "inverse")
+            return c2r(x, axes, lastsize, *args)
 
-        self.saved = real_r2c, real_c2r
-        self.kernels.r2c, self.kernels.c2r = r2c, c2r
+        def complex_pass(x, *args):
+            self.totals["c2c"] += 1
+            return c2c(x, *args)
+
+        for name, counted in zip(KERNELS, (forward, inverse, complex_pass)):
+            setattr(self.kernels, name, counted)
         return self
 
     def __exit__(self, *exc):
-        self.kernels.r2c, self.kernels.c2r = self.saved
+        for name, kernel in self.saved.items():
+            setattr(self.kernels, name, kernel)
 
     def table(self) -> list[tuple[str, list[int]]]:
         sites = sorted({site for site, _ in self.counts})
         rows = [(site, [self.counts[site, kind] for kind in KINDS]) for site in sites]
         return rows + [("total", [sum(r[1][i] for r in rows) for i in range(len(KINDS))])]
+
+
+def phases(config, rundir: str):
+    """Yield (phase, its census table, its failure or None) for `simulate`
+    of `config` into `rundir` and then `verify` of each suite; a phase runs
+    when the previous one's tuple has been taken."""
+    from torusns import app, spectral
+    for phase in PHASES:
+        failure = None
+        with Census(spectral) as census:
+            if phase == "simulate":
+                app.simulate(config, rundir)
+            elif not (result := app.verify(rundir, phase)).ok:
+                failure = f"{phase}: {'; '.join(result.failures)}"
+        yield phase, census.table(), failure
 
 
 def main(argv=None) -> int:
@@ -112,9 +152,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0, help="the workload's seed")
     args = ap.parse_args(argv)
 
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"   # as bench/run.py starts its children
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import child  # bench/child.py, found through the path above
     child._import_torusns()
     import workloads
-    from torusns import app, spectral
+    from torusns import app
     if args.config:
         config, label = app.load_config(args.config), args.config
     else:
@@ -122,14 +166,8 @@ def main(argv=None) -> int:
         label = f"{args.workload}, seed {args.seed}"
     failed = []
     with tempfile.TemporaryDirectory(prefix="transform-census-") as workdir:
-        rundir = os.path.join(workdir, "run")
-        for phase in PHASES:
-            with Census(spectral) as census:
-                if phase == "simulate":
-                    app.simulate(config, rundir)
-                elif not (result := app.verify(rundir, phase)).ok:
-                    failed.append(f"{phase}: {'; '.join(result.failures)}")
-            rows = census.table()
+        for phase, rows, failure in phases(config, os.path.join(workdir, "run")):
+            failed += [failure] if failure else []
             width = max(len(site) for site, _ in rows)
             print(f"{phase} ({label})")
             print(f"  {'call site':<{width}s}" + "".join(f"{k:>9s}" for k in KINDS))
