@@ -164,9 +164,16 @@ def _validate_values(v: dict) -> list[str]:
     return errors
 
 
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+def _read_bytes(path: str, sha256: str | None) -> bytes:
+    """The bytes of a file, which must hash to `sha256` when given (ChecksumError)."""
+    with open(path, "rb") as fh:
+        dyn.check_sha256(path, sha256, data := fh.read())
+    return data
+
+
+def load_config(path: str, sha256: str | None = None) -> ExperimentConfig:
+    """The config at `path`, checked against `sha256` if given; bad UTF-8 reads as U+FFFD."""
+    return parse_config(_read_bytes(path, sha256).decode("utf-8", errors="replace"))
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +256,13 @@ class ReportBundle:
     records: list
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _file_entry(outdir: str, name: str) -> dict:
-    """The manifest's {name, sha256} entry of a file of the run directory."""
-    return {"name": name, "sha256": _sha256(os.path.join(outdir, name))}
+def _write_file(outdir: str, name: str, text: str) -> dict:
+    """Write `text` as the file `name` of the directory `outdir`; its
+    manifest entry {name, sha256}, hashed from the bytes written."""
+    data = text.encode("utf-8")
+    with open(os.path.join(outdir, name), "wb") as fh:
+        fh.write(data)
+    return {"name": name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _write_manifest(outdir: str, config: ExperimentConfig, trajectory,
@@ -275,10 +278,7 @@ def _write_manifest(outdir: str, config: ExperimentConfig, trajectory,
         "step_count": trajectory.step_count,
         "files": sorted(files, key=lambda entry: entry["name"]),
     }
-    path = os.path.join(outdir, MANIFEST_FILE)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_file(outdir, MANIFEST_FILE, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return manifest
 
 
@@ -291,19 +291,13 @@ def simulate(config: ExperimentConfig, outdir: str | None = None) -> ReportBundl
     trajectory = dyn.run(problem.initial, problem.params, problem.solver)
     partition = lp.build_partition(problem.grid)
     records = diag.compute_diagnostics(trajectory, problem.monitor, partition)
-    files = []
-    with open(os.path.join(outdir, CONFIG_FILE), "w", encoding="utf-8") as fh:
-        fh.write(config.canonical_text())
-    files.append(CONFIG_FILE)
-    with open(os.path.join(outdir, SERIES_FILE), "w", encoding="utf-8") as fh:
-        fh.write(diag.records_to_csv(records))
-    files.append(SERIES_FILE)
+    files = [_write_file(outdir, CONFIG_FILE, config.canonical_text()),
+             _write_file(outdir, SERIES_FILE, diag.records_to_csv(records))]
     for n, state in enumerate(trajectory.states):
         name = f"state_{n:06d}.nsb"
-        dyn.write_checkpoint(os.path.join(outdir, name), state)
-        files.append(name)
-    manifest = _write_manifest(outdir, config, trajectory,
-                               [_file_entry(outdir, name) for name in files])
+        files.append({"name": name,
+                      "sha256": dyn.write_checkpoint(os.path.join(outdir, name), state)})
+    manifest = _write_manifest(outdir, config, trajectory, files)
     return ReportBundle(outdir, manifest, trajectory, records)
 
 
@@ -333,8 +327,7 @@ def convergence_study(config: ExperimentConfig, levels: int = 3,
         rows.append((dt, err, order))
         prev_err = err
         dt /= 2.0
-    with open(os.path.join(outdir, "convergence.csv"), "w", encoding="utf-8") as fh:
-        fh.write(diag._csv(("dt", "l2_error", "observed_order"), rows))
+    _write_file(outdir, "convergence.csv", diag._csv(("dt", "l2_error", "observed_order"), rows))
     return rows
 
 
@@ -352,31 +345,6 @@ class VerifyResult:
 IDENTITY_TOL = 1e-11
 
 
-def _load_run(outdir: str):
-    """(manifest, config, checkpoint paths in file-name order, their header
-    times), each file read once; a config error names `CONFIG_FILE`.
-    ValueError naming both files where the header times do not strictly
-    increase in file-name order, the order `simulate` writes them in (a copy
-    under a second name repeats a time, a moved time breaks the order): the
-    time differences of the ledgers need increasing times."""
-    with open(os.path.join(outdir, MANIFEST_FILE), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    _check_manifest(manifest)
-    try:
-        config = load_config(os.path.join(outdir, CONFIG_FILE))
-    except ConfigError as exc:
-        raise ConfigError(f"{CONFIG_FILE}: {message}" for message in exc.errors) from None
-    paths = [os.path.join(outdir, name) for name in sorted(
-        entry["name"] for entry in manifest["files"] if entry["name"].endswith(".nsb"))]
-    stored = [(dyn.checkpoint_time(path), path) for path in paths]
-    for (t0, earlier), (t1, later) in zip(stored, stored[1:]):
-        if not t0 < t1:
-            raise ValueError(f"checkpoint times do not increase: "
-                             f"{os.path.basename(earlier)} at t={t0!r}, "
-                             f"{os.path.basename(later)} at t={t1!r}")
-    return manifest, config, paths, [t for t, _ in stored]
-
-
 def _is_file_entry(entry) -> bool:
     """Whether a manifest `files` entry is {name, sha256} with a plain,
     printable file name (no NUL), one that stays inside the run directory."""
@@ -386,8 +354,8 @@ def _is_file_entry(entry) -> bool:
 
 
 def _check_manifest(manifest) -> None:
-    """Raise ValueError unless the manifest has what `verify` reads: a `files`
-    list of such entries that names at least one checkpoint and no file
+    """Raise ValueError unless the manifest has what `verify` reads: a `files` list
+    of such entries naming `config.txt`, `series.csv`, a checkpoint and no file
     twice, a string `stop_reason` and a numeric `stop_time`."""
     if not (isinstance(manifest, dict) and isinstance(manifest.get("files"), list)
             and all(map(_is_file_entry, manifest["files"]))
@@ -395,44 +363,70 @@ def _check_manifest(manifest) -> None:
             and type(manifest.get("stop_time")) in (int, float)):
         raise ValueError(f"malformed {MANIFEST_FILE}: need a `files` list of "
                          "{name, sha256} entries, `stop_reason` and `stop_time`")
-    if not any(entry["name"].endswith(".nsb") for entry in manifest["files"]):
+    names = [entry["name"] for entry in manifest["files"]]
+    if not any(name.endswith(".nsb") for name in names):
         raise ValueError(f"malformed {MANIFEST_FILE}: its `files` list names no "
                          ".nsb checkpoint")
-    names = [entry["name"] for entry in manifest["files"]]
+    if left_out := [name for name in (CONFIG_FILE, SERIES_FILE) if name not in names]:
+        raise ValueError(f"malformed {MANIFEST_FILE}: its `files` list leaves out "
+                         f"{', '.join(left_out)}")
     if len(set(names)) != len(names):
         twice = sorted({name for name in names if names.count(name) > 1})
         raise ValueError(f"malformed {MANIFEST_FILE}: its `files` list names "
                          f"{', '.join(twice)} more than once")
 
 
-def _check_integrity(outdir: str, manifest: dict) -> list[str]:
-    failures = []
-    for entry in manifest["files"]:
-        path = os.path.join(outdir, entry["name"])
-        if not os.path.isfile(path):
-            failures.append(f"missing file {entry['name']}")
-        elif _sha256(path) != entry["sha256"]:
-            failures.append(f"checksum mismatch for {entry['name']}")
-    return failures
+class _RunFiles:
+    """The files that a run directory's manifest lists, each read once and
+    hashed before it is parsed; `checkpoints` are the `.nsb` names in
+    file-name order, the order `simulate` writes them in."""
+
+    def __init__(self, outdir: str):
+        self.outdir, self.failures = outdir, []
+        with open(os.path.join(outdir, MANIFEST_FILE), "r", encoding="utf-8") as fh:
+            self.manifest = json.load(fh)
+        _check_manifest(self.manifest)
+        self.unread = {entry["name"]: entry["sha256"] for entry in self.manifest["files"]}
+        self.checkpoints = sorted(name for name in self.unread if name.endswith(".nsb"))
+
+    def read(self, name: str, parse=_read_bytes):
+        """parse(path, sha256) of listed file `name`, or None with its failure."""
+        path, sha256 = os.path.join(self.outdir, name), self.unread.pop(name)
+        try:
+            if os.path.isfile(path):
+                return parse(path, sha256)
+            self.failures.append(f"missing file {name}")
+        except dyn.ChecksumError as exc:
+            self.failures.append(str(exc))
+
+    def hash_unread(self, skip=()) -> list[str]:
+        """Hash each listed file not read yet but those in `skip`; every failure so far."""
+        for name in sorted(set(self.unread) - set(skip)):
+            self.read(name)
+        return self.failures
 
 
-def _check_facts(manifest: dict, config: ExperimentConfig, paths: list[str],
-                 times: list[float]) -> list[str]:
-    """The manifest's facts that the run directory, with its `config` and
-    its checkpoints `paths` and header `times` in time order, contradicts:
-    config digest, checkpoint count, step count, stop time against the last
-    checkpoint's (which the failure names), and stop reason."""
-    count, steps, stop = len(times), manifest.get("step_count"), manifest["stop_time"]
-    last = times[-1]
+def _check_facts(manifest: dict, config: ExperimentConfig, names: list[str],
+                 last: float | None = None) -> list[str]:
+    """The manifest's facts that need no checkpoint read, or given the last
+    checkpoint's time `last` those about the checkpoints `names`, that the
+    run directory contradicts.  Another version fails rather than warns:
+    `series.csv` is recomputed bit for bit, which holds within one build."""
+    steps, seed, stop = manifest.get("step_count"), manifest.get("seed"), manifest["stop_time"]
     holds = {
         "config_hash": manifest.get("config_hash") == config.digest(),
-        "snapshots": manifest.get("snapshots") == count,
-        "step_count": type(steps) is int and steps >= count - 1,
-        "stop_time": stop == last or (stop > last and manifest["stop_reason"] != "completed"),
+        "seed": type(seed) is int and seed == config["seed"],
+        "step_count": type(steps) is int and steps >= len(names) - 1,
         "stop_reason": manifest["stop_reason"] in dyn.STOP_REASONS,
+        "version": manifest.get("version") == __version__,
+    } if last is None else {
+        "snapshots": manifest.get("snapshots") == len(names),
+        "stop_time": stop == last or (stop > last and manifest["stop_reason"] != "completed"),
     }
-    named = {"stop_time": f": its last checkpoint {os.path.basename(paths[-1])} is at t={last!r}",
-             "config_hash": f": {CONFIG_FILE} hashes to {config.digest()}"}
+    named = {"config_hash": f": {CONFIG_FILE} hashes to {config.digest()}",
+             "seed": f": {CONFIG_FILE} has seed {config['seed']}",
+             "version": f": this is torusns {__version__}",
+             "stop_time": f": its last checkpoint {names[-1]} is at t={last!r}"}
     return [f"{MANIFEST_FILE} {key} {manifest.get(key)!r} contradicts the run directory"
             + named.get(key, "") for key, ok in holds.items() if not ok]
 
@@ -500,24 +494,21 @@ class _SeriesCrosscheck:
     or with no accumulator the sample reductions time, min_rho and rho_linf
     alone, at no transform; the stage quadratures, which only the run holds,
     must be finite, 0.0 at first and, for the dissipation, non-decreasing.
-    A missing or malformed series file fails (`_read`)."""
+    A malformed series fails (`_read`)."""
 
     QUADRATURES = ("dissipation_cum", "forcing_work_cum")
 
-    def __init__(self, outdir: str, diagnostics: diag._Diagnostics | None, labels: list[str]):
+    def __init__(self, series: bytes, diagnostics: diag._Diagnostics | None, labels: list[str]):
         self.diagnostics, self.labels, self.rows, self.failures = diagnostics, labels, [], []
         try:
-            self.rows = self._read(os.path.join(outdir, SERIES_FILE), len(labels))
+            self.rows = self._read(series, len(labels))
         except ValueError as exc:
             self.failures.append(str(exc))
 
     @staticmethod
-    def _read(path: str, count: int) -> list[dict[str, float]]:
-        """The cells of every row by column; ValueError names the first fault."""
-        if not os.path.exists(path):
-            raise ValueError(f"missing {SERIES_FILE}")
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            lines = fh.read().strip().splitlines() or [""]
+    def _read(series: bytes, count: int) -> list[dict[str, float]]:
+        """The cells of every row of `series` by column; ValueError names the first fault."""
+        lines = series.decode("utf-8", errors="replace").strip().splitlines() or [""]
         header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
         if header != diag.RECORD_COLUMNS:
             raise ValueError(f"{SERIES_FILE} header is not {','.join(diag.RECORD_COLUMNS)}")
@@ -578,59 +569,71 @@ def _inequality_ledgers(run: dyn.Trajectory, problem: Problem,
             for name, (ledger, report, args) in specs.items()}
 
 
-def _write_ledgers(outdir: str, reports: dict[str, diag.LedgerReport]) -> None:
-    ledger_dir = os.path.join(outdir, "ledgers")
-    os.makedirs(ledger_dir, exist_ok=True)
-    for name, rep in reports.items():
-        with open(os.path.join(ledger_dir, f"{name}.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(rep.to_csv())
+class _Stop(Exception):
+    """Ends the snapshot pass at a checkpoint that is missing or mismatched."""
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow: inf or NaN, failed closed
 def verify(outdir: str, suite: str = "all") -> VerifyResult:
     """Run a verification suite over a stored run directory.
 
-    The checkpoints stream in time order through one pass (`diagnostics.feed`)
-    that feeds every check and ledger of the suite, three states at most.
-
-    A file that fails its checksum or a manifest fact that the directory
-    contradicts (`_check_facts`) fails every suite before the config builds
-    a problem.  A `series.csv` row that the checkpoints do not reproduce bit
-    for bit fails every suite (`_SeriesCrosscheck`: all its columns in the
-    identities and all suites, the sample reductions in the others), and so do
-    identity failures, a criterion norm that is not finite on a run that
-    stopped normally (it must be extendable) and an inequality ledger's
-    constant that is not finite (a finite one is only reported).  A stored
-    state with a NaN or inf sample or a density at or below zero, refused
-    by the pass (`diagnostics._Snapshot`), is the one failure, and no ledger
-    is written.  A failure of one snapshot names its checkpoint file.
-    """
+    Each listed file is read once and hashed before it is parsed
+    (`_RunFiles`); the checkpoints stream in file-name order through one
+    pass (`diagnostics.feed`) that feeds every check and ledger, three
+    states at most, and their times must strictly increase, as the ledgers'
+    time differences need (ValueError naming both files).  A missing or
+    mismatched file, or a contradicted manifest fact (`_check_facts`), is a
+    failure by itself, and so is a state that the pass refuses
+    (`diagnostics._Snapshot`) besides the checksums of the files after it;
+    no ledger is then written.  A series row that the checkpoints do not
+    reproduce (`_SeriesCrosscheck`), an identity, a normal stop's criterion
+    norm or a ledger constant that is not finite fails too; a failure of
+    one snapshot names its checkpoint."""
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
-    manifest, config, paths, times = _load_run(outdir)
-    failures = _check_integrity(outdir, manifest) + _check_facts(manifest, config, paths, times)
-    if failures:
-        return VerifyResult(False, failures, {})
+    files = _RunFiles(outdir)
+    manifest, names = files.manifest, files.checkpoints
+    try:
+        config = files.read(CONFIG_FILE, load_config)
+    except ConfigError as exc:
+        raise ConfigError(f"{CONFIG_FILE}: {message}" for message in exc.errors) from None
+    series = files.read(SERIES_FILE)
+    failures = _check_facts(manifest, config, names) if config else []
+    if files.hash_unread(skip=names) or failures:
+        return VerifyResult(False, files.hash_unread() + failures, {})
     problem = build_problem(config)
     run = dyn.Trajectory([], manifest["stop_reason"], manifest["stop_time"],
                          problem.solver, problem.params)
-    labels = [f"{os.path.basename(path)} (snapshot {n})" for n, path in enumerate(paths)]
+    labels = [f"{name} (snapshot {n})" for n, name in enumerate(names)]
     monitors = [diag.BlowupMonitor(run, problem.monitor)] if suite in ("monitors", "all") else []
     if suite != "monitors":
         partition = lp.build_partition(problem.grid)
     if suite in ("identities", "all"):
         checks = [_IdentitySuite(problem, partition, labels), _SeriesCrosscheck(
-            outdir, diag._Diagnostics(run, problem.monitor, partition), labels)]
+            series, diag._Diagnostics(run, problem.monitor, partition), labels)]
     else:
-        checks = [_SeriesCrosscheck(outdir, None, labels)]
-    ledgers = (_inequality_ledgers(run, problem, partition, len(paths))
+        checks = [_SeriesCrosscheck(series, None, labels)]
+    ledgers = (_inequality_ledgers(run, problem, partition, len(names))
                if suite in ("inequalities", "all") else {})
+    times = []
+
+    def load(n: int) -> dyn.FluidState:
+        if (state := files.read(names[n], dyn.read_checkpoint)) is None:
+            raise _Stop
+        if times and not times[-1] < state.t:
+            raise ValueError(f"checkpoint times do not increase: {names[n - 1]} at "
+                             f"t={times[-1]!r}, {names[n]} at t={state.t!r}")
+        times.append(state.t)
+        return state
+
     try:
         diag.feed(checks + monitors + [ledger for ledger, _, _ in ledgers.values()],
-                  problem.params, len(paths), lambda n: dyn.read_checkpoint(paths[n]))
-    except (dyn.VacuumError, dyn.NonFiniteError) as refused:
-        return VerifyResult(False, [f"{labels[times.index(refused.time)]}: stored {refused}"], {})
+                  problem.params, len(names), load)
+    except (dyn.VacuumError, dyn.NonFiniteError, _Stop) as stop:
+        refused = [] if isinstance(stop, _Stop) else [f"{labels[len(times) - 1]}: stored {stop}"]
+        return VerifyResult(False, refused + files.hash_unread(), {})
+    if failures := _check_facts(manifest, config, names, times[-1]):
+        return VerifyResult(False, failures, {})
     for check in checks:
         failures += check.finish()
     for monitor in monitors:
@@ -643,8 +646,9 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     reports = {name: report(ledger, *args) for name, (ledger, report, args) in ledgers.items()}
     failures += [f"ledger {name}: empirical constant {rep.empirical_constant!r} is not finite"
                  for name, rep in reports.items() if not math.isfinite(rep.empirical_constant)]
-    if reports:
-        _write_ledgers(outdir, reports)
+    for name, rep in reports.items():
+        os.makedirs(os.path.join(outdir, "ledgers"), exist_ok=True)
+        _write_file(os.path.join(outdir, "ledgers"), f"{name}.csv", rep.to_csv())
     return VerifyResult(not failures, failures, reports)
 
 
@@ -698,19 +702,13 @@ def trace(config: ExperimentConfig, n_particles: int,
     """Simulate, then advect uniformly seeded particles and emit paths.csv."""
     bundle = simulate(config, outdir)
     grid = bundle.trajectory.initial.grid
-    seeds = uniform_seeds(grid, n_particles)
-    paths = dyn.flow_map(bundle.trajectory, seeds)
+    paths = dyn.flow_map(bundle.trajectory, uniform_seeds(grid, n_particles))
     wrapped = paths.wrapped()
-    path = os.path.join(bundle.outdir, PATHS_FILE)
-    cols = ["time", "particle"] + [f"x{i}" for i in range(grid.dim)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for ti, t in enumerate(paths.times):
-            for pi in range(wrapped.shape[1]):
-                row = [repr(float(t)), str(pi)]
-                row += [repr(float(x)) for x in wrapped[ti, pi]]
-                fh.write(",".join(row) + "\n")
-    files = bundle.manifest["files"] + [_file_entry(bundle.outdir, PATHS_FILE)]
+    rows = [["time", "particle"] + [f"x{i}" for i in range(grid.dim)]]
+    rows += [[repr(float(t)), str(pi)] + [repr(float(x)) for x in wrapped[ti, pi]]
+             for ti, t in enumerate(paths.times) for pi in range(wrapped.shape[1])]
+    files = bundle.manifest["files"] + [_write_file(
+        bundle.outdir, PATHS_FILE, "".join(",".join(row) + "\n" for row in rows))]
     bundle.manifest = _write_manifest(bundle.outdir, config, bundle.trajectory, files)
     return bundle
 

@@ -13,6 +13,7 @@ flow map, and the w1/w2 splitting of the momentum operator.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from dataclasses import dataclass, field as dc_field
@@ -933,35 +934,49 @@ class CheckpointError(ValueError):
     pass
 
 
-def write_checkpoint(path: str, state: FluidState) -> None:
+class ChecksumError(ValueError):
+    """A file's bytes do not hash to the sha256 that a manifest lists."""
+
+
+def _sha256(chunks) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def check_sha256(path: str, sha256: str | None, *chunks) -> None:
+    """Raise ChecksumError unless the bytes `chunks` of `path` hash to `sha256`, if given."""
+    if sha256 is not None and _sha256(chunks) != sha256:
+        raise ChecksumError(f"checksum mismatch for {os.path.basename(path)}")
+
+
+def write_checkpoint(path: str, state: FluidState) -> str:
     """Header line `NSLAB1 <N> <M> <n_fields> <t>` then little-endian float64
-    samples, row-major per field, rho first then the velocity components:
-    the bytes of the stack that `_state_over` reads."""
+    samples, row-major per field, rho first then the velocity components
+    (the stack that `_state_over` reads); the sha256 of the bytes written."""
     grid = state.grid
     header = f"{CHECKPOINT_MAGIC} {grid.dim} {grid.n} {1 + grid.dim} {state.t:.17g}\n"
+    chunks = [header.encode("ascii")] + [np.ascontiguousarray(f.samples, dtype="<f8")
+                                         for f in (state.rho, state.u)]
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for f in (state.rho, state.u):
-            fh.write(np.ascontiguousarray(f.samples, dtype="<f8"))
+        fh.writelines(chunks)
+    return _sha256(chunks)
 
 
-def _checkpoint_header(path: str, fh) -> tuple[int, int, float]:
-    """(dim, M, t) of the checkpoint at `path`, open as `fh`, whose header
-    line this reads, leaving `fh` at the payload.  Raises CheckpointError
-    naming the byte offset of the first fault."""
-    raw = fh.readline()
+def _checkpoint_header(path: str, raw: bytes, size: int) -> tuple[int, int, float]:
+    """(dim, M, t) of the checkpoint at `path` whose first line, read up to
+    its newline, is `raw` and whose payload after that line is `size` bytes
+    long.  Raises CheckpointError naming the byte offset of the first fault."""
     nl = raw.find(b"\n")
     if nl < 0:
         raise CheckpointError(f"{path}: no header line found (offset 0)")
-    header = raw[:nl].decode("ascii", errors="replace")
-    tokens = header.split(" ")
+    tokens = raw[:nl].decode("ascii", errors="replace").split(" ")
     offsets = np.cumsum([0] + [len(t) + 1 for t in tokens])[:-1]
     if tokens[0] != CHECKPOINT_MAGIC:
-        raise CheckpointError(
-            f"{path}: bad magic {tokens[0]!r} at byte offset 0")
+        raise CheckpointError(f"{path}: bad magic {tokens[0]!r} at byte offset 0")
     if len(tokens) != 5:
-        raise CheckpointError(
-            f"{path}: header needs 5 tokens, got {len(tokens)} (offset 0)")
+        raise CheckpointError(f"{path}: header needs 5 tokens, got {len(tokens)} (offset 0)")
 
     def parse(idx, conv, what):
         try:
@@ -971,42 +986,35 @@ def _checkpoint_header(path: str, fh) -> tuple[int, int, float]:
                 f"{path}: malformed {what} {tokens[idx]!r} at byte offset "
                 f"{offsets[idx]}") from None
 
-    dim = parse(1, int, "dimension")
-    m = parse(2, int, "grid size")
-    n_fields = parse(3, int, "field count")
-    t = parse(4, float, "time")
+    dim, m, n_fields, t = (parse(idx, conv, what) for idx, conv, what in (
+        (1, int, "dimension"), (2, int, "grid size"), (3, int, "field count"), (4, float, "time")))
     if not math.isfinite(t):
-        raise CheckpointError(
-            f"{path}: non-finite time {tokens[4]!r} at byte offset {offsets[4]}")
+        raise CheckpointError(f"{path}: non-finite time {tokens[4]!r} at byte offset {offsets[4]}")
     if n_fields != 1 + dim:
-        raise CheckpointError(
-            f"{path}: field count {n_fields} != 1 + dim at byte offset {offsets[3]}")
+        raise CheckpointError(f"{path}: field count {n_fields} != 1 + dim at byte offset "
+                              f"{offsets[3]}")
     # validate the header against the payload before the grid allocates
     # M^dim-sized arrays, so a corrupt header cannot exhaust memory
     if errors := grid_errors(dim, m):
         raise CheckpointError(f"{path}: {'; '.join(errors)} (header at byte offset 0)")
     expected = n_fields * m ** dim * 8
-    size = os.fstat(fh.fileno()).st_size - (nl + 1)
     if size != expected:
         raise CheckpointError(
             f"{path}: payload of {size} bytes at byte offset {nl + 1}, expected {expected}")
     return dim, m, t
 
 
-def checkpoint_time(path: str) -> float:
-    """The time of a checkpoint, from its header alone; the header and the
-    payload length are checked as `read_checkpoint` checks them."""
+def read_checkpoint(path: str, sha256: str | None = None) -> FluidState:
+    """The state a checkpoint holds, its file read once, the payload into one
+    fresh buffer that becomes the state's aligned stack (`_state_over`).
+    Given a manifest's `sha256`, the bytes must hash to it (ChecksumError)
+    before the header is parsed and checked against the payload's length."""
     with open(path, "rb") as fh:
-        return _checkpoint_header(path, fh)[2]
-
-
-def read_checkpoint(path: str) -> FluidState:
-    """The state a checkpoint holds, over one fresh stack (`_state_over`)
-    that the payload is read into once its header is checked."""
-    with open(path, "rb") as fh:
-        dim, m, t = _checkpoint_header(path, fh)
-        grid = TorusGrid(dim, m)
-        stack = np.empty((1 + dim,) + grid.shape, dtype="<f8")
-        if fh.readinto(stack) != stack.nbytes:
-            raise CheckpointError(f"{path}: payload ended before {stack.nbytes} bytes")
-    return _state_over(grid, stack, t)
+        raw = fh.readline()
+        payload = bytearray(os.fstat(fh.fileno()).st_size - len(raw))
+        if fh.readinto(payload) != len(payload):
+            raise CheckpointError(f"{path}: payload ended before {len(payload)} bytes")
+    check_sha256(path, sha256, raw, payload)
+    dim, m, t = _checkpoint_header(path, raw, len(payload))
+    grid = TorusGrid(dim, m)
+    return _state_over(grid, np.ndarray((1 + dim,) + grid.shape, "<f8", buffer=payload), t)

@@ -298,6 +298,12 @@ UNPASSED_DEFAULTS = {
     "diagnostics.py:BlowupMonitor.__init__(window_end)":
         "`_report` passes it on as `ledger(source, *config)` from "
         "`blowup_monitor`, whose window_end the acceptance tests set",
+    "app.py:load_config(sha256)":
+        "`verify` passes the manifest's digest through `_RunFiles.read`, "
+        "which calls the reader it is given as parse(path, sha256)",
+    "dynamics.py:read_checkpoint(sha256)":
+        "`verify` passes the manifest's digest through `_RunFiles.read`, "
+        "which calls the reader it is given as parse(path, sha256)",
 }
 
 

@@ -1,6 +1,9 @@
 """Configuration, CLI entry points, persistence, and verification suites."""
 
+import builtins
+import collections
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import torusns
 from torusns import app, diagnostics as diag, dynamics as dyn, spectral as sp
 from torusns import littlewood_paley as lp
 
@@ -351,14 +355,18 @@ class TestVerify:
         return _with_edit(run_dir, str(tmp_path / "nan"), f"state_{checkpoint:06d}.nsb", edit)
 
     @pytest.mark.parametrize("suite", app.VERIFY_SUITES)
-    @pytest.mark.parametrize("density", [None, -0.1], ids=["stored", "vacuum"])
-    def test_each_file_read_once(self, run_dir, tmp_path, monkeypatch, suite, density):
-        """`verify` parses `config.txt` once and reads each checkpoint's
-        header once, also when a stored density at or below zero sends it to
-        the vacuum failure, which names the checkpoint from those times."""
-        outdir = run_dir if density is None else self._with_nan(
-            run_dir, tmp_path, 5, density, checkpoint=2)
-        calls = {"load_config": 0, "checkpoint_time": 0}
+    @pytest.mark.parametrize("refused", [None, 1, 2], ids=["stored", "vacuum-1", "vacuum-2"])
+    def test_each_file_read_once(self, run_dir, tmp_path, monkeypatch, suite, refused):
+        """`verify` opens the manifest and each file it lists once, parses
+        `config.txt` once and reads each checkpoint once, also when a stored
+        density at or below zero in checkpoint `refused` sends it to the
+        vacuum failure, which names the checkpoint: the files after it are
+        then opened to be hashed alone."""
+        outdir = run_dir if refused is None else self._with_nan(
+            run_dir, tmp_path, 5, -0.1, checkpoint=refused)
+        listed = [entry["name"] for entry in json.load(open(os.path.join(
+            outdir, app.MANIFEST_FILE)))["files"]]
+        calls = {"load_config": 0, "read_checkpoint": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -369,13 +377,17 @@ class TestVerify:
             monkeypatch.setattr(module, name, count)
 
         counted(app, "load_config")
-        counted(dyn, "checkpoint_time")
+        counted(dyn, "read_checkpoint")
+        opened = _opened(monkeypatch, outdir)
         result = app.verify(outdir, suite)
-        assert calls == {"load_config": 1, "checkpoint_time": 3}
-        assert result.ok == (density is None)
-        if density is not None:
-            assert result.failures == [
-                "state_000002.nsb (snapshot 2): stored density reached -0.1 at t=0.1"]
+        assert opened == collections.Counter(
+            (name, "rb") for name in listed) + collections.Counter({(app.MANIFEST_FILE, "r"): 1})
+        read = 3 if refused is None else refused + 1  # the refused one is the last read
+        assert calls == {"load_config": 1, "read_checkpoint": read}
+        assert result.ok == (refused is None)
+        if refused is not None:
+            assert result.failures == [f"state_00000{refused}.nsb (snapshot {refused}): stored "
+                                       f"density reached -0.1 at t={0.05 * refused:g}"]
 
     def test_residual_over_tolerance_reports_its_sampled_sup(self, run_dir, monkeypatch):
         """A residual whose bound exceeds the tolerance is judged and reported
@@ -442,7 +454,7 @@ class TestVerify:
         with np.errstate(over="ignore"):
             assert app.main(["verify", "--dir", outdir, "--suite", "monitors"]) == 2
         rho_linf = float(app._SeriesCrosscheck._read(
-            os.path.join(run_dir, app.SERIES_FILE), 3)[2]["rho_linf"])
+            open(os.path.join(run_dir, app.SERIES_FILE), "rb").read(), 3)[2]["rho_linf"])
         assert capsys.readouterr().out == (
             f"FAIL state_000002.nsb (snapshot 2): stored rho_linf={rho_linf!r} != recomputed "
             "1e+60\nFAIL completed run is not extendable: criterion norm pressure_time_norm "
@@ -473,7 +485,7 @@ class TestVerify:
     @pytest.mark.parametrize("missing", [True, False], ids=["missing", "non-numeric"])
     def test_missing_or_malformed_series_fails_every_suite(self, run_dir, tmp_path, suite,
                                                            missing):
-        """A series file that is not there (nor listed), or whose cell is not
+        """A series file that is not there (but listed), or whose cell is not
         a number (re-hashed), fails the suites that recompute no other column
         too, naming the file."""
         outdir = str(tmp_path / "run")
@@ -481,15 +493,12 @@ class TestVerify:
         path = os.path.join(outdir, app.SERIES_FILE)
         if missing:
             os.remove(path)
-            _with_manifest(outdir, tmp_path / "unlisted", lambda m: {**m, "files": [
-                e for e in m["files"] if e["name"] != app.SERIES_FILE]})
-            outdir = str(tmp_path / "unlisted" / "run")
         else:
             lines = open(path).read().splitlines()
             open(path, "w").write("\n".join([lines[0], "x" + lines[1]] + lines[2:]) + "\n")
             _rewrite_checksum(outdir, app.SERIES_FILE)
         assert app.verify(outdir, suite).failures == [
-            f"missing {app.SERIES_FILE}" if missing else
+            f"missing file {app.SERIES_FILE}" if missing else
             f"{app.SERIES_FILE} row 0: could not convert string to float: 'x0.0'"]
 
     def test_failures_name_the_checkpoint_file(self, run_dir, tmp_path):
@@ -698,7 +707,8 @@ def test_series_rows_recomputed_from_checkpoints(tmp_path, text):
     which only the run holds; a NaN cell would fail."""
     outdir = str(tmp_path / "run")
     app.simulate(app.parse_config(text), outdir)
-    _, config, paths, _ = app._load_run(outdir)
+    config = app.load_config(os.path.join(outdir, app.CONFIG_FILE))
+    paths = sorted(str(path) for path in pathlib.Path(outdir).glob("*.nsb"))
     problem = app.build_problem(config)
     run = dyn.Trajectory([dyn.read_checkpoint(path) for path in paths], "completed", 0.0,
                          problem.solver, problem.params)
@@ -730,12 +740,30 @@ def _stream_run(outdir, snapshots, m=16):
     return outdir
 
 
+def _sha256(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def _opened(monkeypatch, outdir) -> collections.Counter:
+    """A count of (file name, mode) of each `open` of a file in `outdir`
+    from now on (a file in a directory below it is not counted)."""
+    opened, real = collections.Counter(), builtins.open
+
+    def counted(file, mode="r", *args, **kwargs):
+        path = os.path.abspath(file) if isinstance(file, str) else ""
+        if os.path.dirname(path) == os.path.abspath(outdir):
+            opened[os.path.basename(path), mode] += 1
+        return real(file, mode, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counted)
+    return opened
+
+
 def _rewrite_checksum(outdir, name):
     manifest_path = os.path.join(outdir, app.MANIFEST_FILE)
     manifest = json.load(open(manifest_path))
     for entry in manifest["files"]:
         if entry["name"] == name:
-            entry["sha256"] = app._sha256(os.path.join(outdir, name))
+            entry["sha256"] = _sha256(os.path.join(outdir, name))
     json.dump(manifest, open(manifest_path, "w"))
 
 
@@ -846,7 +874,7 @@ class TestStreamingVerify:
         result = app.verify(outdir, "all")
         assert not result.ok and result.reports == {}
         assert result.failures == [f"{name} (snapshot 3): stored velocity has a non-finite "
-                                   f"sample at t={dyn.checkpoint_time(path):g}"]
+                                   f"sample at t={dyn.read_checkpoint(path).t:g}"]
         assert not os.path.exists(os.path.join(outdir, "ledgers"))
 
     def test_checkpoint_names_out_of_time_order(self, tmp_path, capsys):
@@ -854,7 +882,7 @@ class TestStreamingVerify:
         swapped (the times of 1 and 4, re-hashed) are refused, naming the
         first pair whose times do not increase (exit code 1)."""
         outdir = _stream_run(str(tmp_path / "run"), 6)
-        times = [dyn.checkpoint_time(os.path.join(outdir, f"state_00000{n}.nsb"))
+        times = [dyn.read_checkpoint(os.path.join(outdir, f"state_00000{n}.nsb")).t
                  for n in (2, 4)]
         a, b = (os.path.join(outdir, f"state_00000{n}.nsb") for n in (1, 4))
         os.rename(a, a + ".tmp")
@@ -1072,7 +1100,7 @@ class TestCli:
                     os.path.join(outdir, "state_000001_copy.nsb"))
         path = os.path.join(outdir, app.MANIFEST_FILE)
         manifest = json.load(open(path))
-        manifest["files"].append({"name": "state_000001_copy.nsb", "sha256": app._sha256(
+        manifest["files"].append({"name": "state_000001_copy.nsb", "sha256": _sha256(
             os.path.join(outdir, "state_000001_copy.nsb"))})
         json.dump(manifest, open(path, "w"))
         assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 1
@@ -1092,20 +1120,59 @@ class TestCli:
         assert err == ("error: malformed manifest.json: its `files` list names "
                        "no .nsb checkpoint\n")
 
+    @pytest.mark.parametrize("name", [app.CONFIG_FILE, app.SERIES_FILE])
+    def test_manifest_leaving_out_config_or_series_exit_code(self, run_dir, tmp_path, capsys,
+                                                             name):
+        """A manifest whose `files` list leaves out `config.txt` or
+        `series.csv` is malformed (exit code 1): `verify` would parse a file
+        that the manifest does not hash."""
+        outdir = _with_manifest(run_dir, tmp_path, lambda m: {
+            **m, "files": [e for e in m["files"] if e["name"] != name]})
+        assert app.main(["verify", "--dir", outdir]) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed manifest.json: its `files` list leaves out {name}\n")
+
+    @pytest.mark.parametrize("name, old, new", [
+        (app.CONFIG_FILE, b"fluid.mu = 0.05", b"fluid.mu = x"),
+        (app.SERIES_FILE, b"time,", b"tim,"),
+        ("state_000001.nsb", b"NSLAB1", b"NSLABX"),
+        ("state_000002.nsb", b"NSLAB1 2 32", b"NSLAB1 2 99"),
+    ], ids=["config-value", "series-header", "checkpoint-magic", "checkpoint-grid"])
+    def test_unhashed_edit_is_a_checksum_failure(self, run_dir, tmp_path, capsys, name, old,
+                                                 new):
+        """A listed file edited without re-hashing fails its checksum (exit
+        code 2) in every suite, whatever its edit would break if parsed: its
+        bytes are hashed before any of them is parsed, so a config value or
+        a checkpoint header that does not parse is not a validation error."""
+        outdir = str(tmp_path / "run")
+        shutil.copytree(run_dir, outdir)
+        path = os.path.join(outdir, name)
+        data = open(path, "rb").read()
+        assert old in data
+        open(path, "wb").write(data.replace(old, new, 1))
+        for suite in app.VERIFY_SUITES:
+            assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 2
+            assert capsys.readouterr() == (
+                f"FAIL checksum mismatch for {name}\nverification failed\n", "")
+
     @pytest.mark.parametrize("key", ["config_hash", "snapshots", "step_count", "stop_time",
-                                     "stop_reason"])
+                                     "stop_reason", "seed", "version"])
     def test_manifest_fact_contradicted_exit_code(self, run_dir, tmp_path, capsys, key):
         """Each fact that the manifest states about its run is checked
         against the directory by every suite, and a wrong one is a
         verification failure naming `manifest.json`; a wrong stop time names
-        the last checkpoint, a wrong config digest the one `config.txt` has."""
+        the last checkpoint, a wrong config digest the one `config.txt` has,
+        a wrong seed the one `config.txt` sets and a wrong version the
+        package's."""
         value = {"config_hash": "0" * 64, "snapshots": 99, "step_count": 0,
-                 "stop_time": 123.0, "stop_reason": "bogus"}[key]
+                 "stop_time": 123.0, "stop_reason": "bogus", "seed": 99, "version": "9.9"}[key]
         outdir = _with_manifest(run_dir, tmp_path, lambda m: {**m, key: value})
-        last = dyn.checkpoint_time(os.path.join(run_dir, "state_000002.nsb"))
+        last = dyn.read_checkpoint(os.path.join(run_dir, "state_000002.nsb")).t
         digest = json.load(open(os.path.join(run_dir, app.MANIFEST_FILE)))["config_hash"]
         named = {"stop_time": f": its last checkpoint state_000002.nsb is at t={last!r}",
-                 "config_hash": f": config.txt hashes to {digest}"}
+                 "config_hash": f": config.txt hashes to {digest}",
+                 "seed": ": config.txt has seed 7",
+                 "version": f": this is torusns {torusns.__version__}"}
         for suite in app.VERIFY_SUITES:
             assert app.main(["verify", "--dir", outdir, "--suite", suite]) == 2
             assert capsys.readouterr().out == (
@@ -1117,7 +1184,7 @@ class TestCli:
                                                                after, ok):
         """An abnormal stop may come after the last checkpoint (a vacuum
         found after a step that no snapshot stored), never before it."""
-        last = dyn.checkpoint_time(os.path.join(run_dir, "state_000002.nsb"))
+        last = dyn.read_checkpoint(os.path.join(run_dir, "state_000002.nsb")).t
         outdir = _with_manifest(run_dir, tmp_path, lambda m: {
             **m, "stop_reason": "vacuum", "stop_time": last + after})
         result = app.verify(outdir, "monitors")
@@ -1138,8 +1205,9 @@ class TestCli:
         """`trace` exits 0 on a completed run and 3 on an abnormal stop (the
         vacuum floor 0.3 is reached near t = 0.26), and either way writes
         `paths.csv` (a row per particle and snapshot), lists it in the
-        manifest with its sha256, and prints where it went.  Adding it hashes
-        no other file again: the manifest's other entries are `simulate`'s."""
+        manifest with its sha256, and prints where it went.  Every sha256
+        comes from the bytes written, so no written file is read back, and
+        the manifest's other entries are `simulate`'s."""
         simulated, simulate = [], app.simulate
 
         def recorded(*args):
@@ -1147,9 +1215,8 @@ class TestCli:
             simulated.append(list(bundle.manifest["files"]))
             return bundle
         monkeypatch.setattr(app, "simulate", recorded)
-        hashed, sha256 = [], app._sha256
-        monkeypatch.setattr(app, "_sha256", lambda path: hashed.append(path) or sha256(path))
         cfg_path, out = os.path.join(tmp_path, "trace.cfg"), os.path.join(tmp_path, "out")
+        opened = _opened(monkeypatch, out)
         open(cfg_path, "w").write(
             "grid.points_per_axis = 16\ninit.preset = density_bump\n"
             "init.u_amplitude = 3.0\nfluid.a = 0.01\nfluid.mu = 0.005\n"
@@ -1157,12 +1224,12 @@ class TestCli:
             "time.vacuum_floor = 0.3\n")
         assert app.main(["trace", "--config", cfg_path, "--particles", "3",
                          "--out", out]) == code
-        assert len(hashed) == len(simulated[0]) + 1  # each file hashed once
+        assert opened and all(mode.startswith("w") for _, mode in opened), opened
         path = os.path.join(out, app.PATHS_FILE)
         assert capsys.readouterr().out == f"paths written to {path}\n"
         manifest = json.load(open(os.path.join(out, app.MANIFEST_FILE)))
         assert manifest["stop_reason"] == stop
-        assert {"name": app.PATHS_FILE, "sha256": app._sha256(path)} in manifest["files"]
+        assert {"name": app.PATHS_FILE, "sha256": _sha256(path)} in manifest["files"]
         # every other entry is the one `simulate` wrote, not hashed again
         assert [entry for entry in manifest["files"] if entry["name"] != app.PATHS_FILE] \
             == simulated[0]
@@ -1350,6 +1417,54 @@ def test_no_traceback_on_any_series_cell(small_run_dir, row, column, cell):
                 assert code == 2 and any(f"state_{row:06d}.nsb" in line for line in lines)
             elif not changed or suite not in ("identities", "all"):
                 assert code == 0, (suite, lines)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(edits=[(0, 0.2, 1, "stale"), (1, 0.5, 4, "stale"), (3, 0.0, 8, "stale"),
+                (4, 0.9, 16, "junk")])
+@example(edits=[(0, 0.1, 0x40, "rehash"), (4, 0.5, 1, "stale")])
+@example(edits=[(2, 0.0, 1, "rehash"), (4, 0.3, 2, "stale")])
+@example(edits=[(3, 0.99, 0x80, "rehash"), (4, 0.99, 1, "junk")])
+@given(edits=st.lists(st.tuples(st.integers(0, 4), st.floats(0, 1, exclude_max=True),
+                                st.integers(1, 255), st.sampled_from(["stale", "rehash", "junk"])),
+                      min_size=1, max_size=5, unique_by=lambda edit: edit[0]))
+def test_no_traceback_on_any_edit_of_a_listed_file(small_run_dir, edits):
+    """One byte of each of several listed files changed, together with its
+    manifest entry: kept (stale), re-hashed, or set to another digest
+    (junk).  `verify --suite all` exits 0, 1 or 2 with no traceback and no
+    RuntimeWarning; while a file is left mismatched, every line names a
+    listed file or `manifest.json`, and, unless an edit that the manifest
+    hashes does not parse (1), each mismatched file has its own checksum
+    line (2), however far the pass got.  With every edit left mismatched,
+    no edited byte is parsed, so the exit code is 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = os.path.join(tmp, "run")
+        shutil.copytree(small_run_dir, outdir)
+        manifest_path = os.path.join(outdir, app.MANIFEST_FILE)
+        manifest = json.load(open(manifest_path))
+        names = [entry["name"] for entry in manifest["files"]]
+        assert names == [app.CONFIG_FILE, app.SERIES_FILE] + [
+            f"state_00000{n}.nsb" for n in range(3)]
+        for index, where, xor, entry in edits:
+            path = os.path.join(outdir, names[index])
+            data = bytearray(open(path, "rb").read())
+            data[int(where * len(data))] ^= xor
+            open(path, "wb").write(bytes(data))
+            manifest["files"][index]["sha256"] = {
+                "stale": manifest["files"][index]["sha256"], "rehash": _sha256(path),
+                "junk": "0" * 64}[entry]
+        json.dump(manifest, open(manifest_path, "w"))
+        mismatched = [names[index] for index, _, _, entry in edits if entry != "rehash"]
+        code, out, err, warned = _main(["verify", "--dir", outdir, "--suite", "all"])
+        assert code in (0, 1, 2) and "Traceback" not in err and not warned, (code, out, err)
+        lines = _named_lines(out, err)
+        if mismatched:
+            assert code == 2 if len(mismatched) == len(edits) else code in (1, 2), (code, lines)
+            assert all(app.MANIFEST_FILE in line or any(name in line for name in names)
+                       for line in lines), lines
+        if mismatched and code == 2:
+            assert sorted(line for line in lines if "checksum" in line) == sorted(
+                f"FAIL checksum mismatch for {name}" for name in mismatched), lines
 
 
 #: manifest JSON values: scalars, and lists and objects of them
