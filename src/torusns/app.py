@@ -92,13 +92,8 @@ class ExperimentConfig:
         return self.values[key]
 
     def canonical_text(self) -> str:
-        lines = []
-        for key in sorted(self.values):
-            val = self.values[key]
-            if val is None:
-                continue
-            lines.append(f"{key} = {val}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(f"{key} = {val}" for key, val in sorted(self.values.items())
+                         if val is not None) + "\n"
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
@@ -580,19 +575,30 @@ def verify(outdir: str, suite: str = "all") -> VerifyResult:
     Each listed file is read once and hashed before it is parsed
     (`_RunFiles`); the checkpoints stream in file-name order through one
     pass (`diagnostics.feed`) that feeds every check and ledger, three
-    states at most, and their times must strictly increase, as the ledgers'
-    time differences need (ValueError naming both files).  A missing or
-    mismatched file, or a contradicted manifest fact (`_check_facts`), is a
-    failure by itself, and so is a state that the pass refuses
-    (`diagnostics._Snapshot`) besides the checksums of the files after it;
-    no ledger is then written.  A series row that the checkpoints do not
-    reproduce (`_SeriesCrosscheck`), an identity, a normal stop's criterion
-    norm or a ledger constant that is not finite fails too; a failure of
-    one snapshot names its checkpoint."""
+    states at most, and their times must strictly increase (ValueError
+    naming both files).  A missing or mismatched file, or a contradicted
+    manifest fact (`_check_facts`), is a failure by itself, and so is a
+    state that the pass refuses (`diagnostics._Snapshot`); no ledger is
+    then written.  A hashed file that does not parse stops `verify`
+    (ValueError), but a stop or a refused state first hashes every file
+    not read yet, and a mismatch among them makes the stop a failure too.
+    A series row that the checkpoints do not reproduce
+    (`_SeriesCrosscheck`), an identity, a normal stop's criterion norm or a
+    ledger constant that is not finite fails too; a failure of one snapshot
+    names its checkpoint."""
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
     files = _RunFiles(outdir)
-    manifest, names = files.manifest, files.checkpoints
+    try:
+        return _verify(files, suite)
+    except ValueError as stop:
+        if failures := files.hash_unread():
+            return VerifyResult(False, failures + [str(stop)], {})
+        raise
+
+
+def _verify(files: _RunFiles, suite: str) -> VerifyResult:
+    outdir, manifest, names = files.outdir, files.manifest, files.checkpoints
     try:
         config = files.read(CONFIG_FILE, load_config)
     except ConfigError as exc:

@@ -12,6 +12,7 @@ Three accuracy classes, tested accordingly:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -46,7 +47,7 @@ from .spectral import (
 )
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
                                besov_from_block_norms, besov_norm, block_norms,
-                               _ensemble, _ratio_report, _sup_besov)
+                               _ensemble, _floored_besov, _ratio_report)
 from .dynamics import (NORMAL_STOPS, FluidParams, FluidState, NonFiniteError, Trajectory,
                        VacuumError, _viscous_dissipation)
 
@@ -964,19 +965,10 @@ def blowup_monitor(trajectory: Trajectory | BlowupMonitor, monitor: MonitorConfi
 # Besov transport estimate
 # ---------------------------------------------------------------------------
 
-def _vector_besov(partition: DyadicPartition, fields: Sequence[ScalarField],
-                  spec: BesovSpec) -> float:
-    return float(np.max([besov_norm(partition, f, spec) for f in fields]))
-
-
-def _grad_block_fields(u: VectorField) -> list[ScalarField]:
-    grid = u.grid
-    return [partial(u.component(j), i) for i in range(grid.dim)
-            for j in range(grid.dim)]
-
-
 class TransportEstimate(Accumulator):
-    """Accumulator of `transport_estimate_report`."""
+    """Accumulator of `transport_estimate_report`: every norm through
+    `_floored_besov`.  For r = inf the time and block maxima of the left
+    side commute, so it is a running max; finite r keeps each block's."""
 
     def __init__(self, run: Trajectory, partition: DyadicPartition, sigma: float,
                  p: float, r: float):
@@ -990,39 +982,25 @@ class TransportEstimate(Accumulator):
         self.alpha = max(0, math.ceil(sigma))
         self.spec = BesovSpec(sigma, p, r)
         self.env_spec = BesovSpec(dim / p, p, math.inf)
-        # max-type norms throughout: every term is a max over blocks, settled
-        # through the l^1 block bounds of _sup_besov; for r = inf the time and
-        # block maxima of the left side commute
-        self.sup_norms = p == r == math.inf
         self.block_sup = None
 
     def add(self, window: _Window) -> None:
         super().add(window)
         snap = window.current
-        state, partition, sigma = snap.state, self.partition, self.sigma
-        div_v1 = snap.div_v1
-        div_inf = lebesgue_norm(div_v1, math.inf)
-        rho_inf = snap.rho_inf
-        if self.sup_norms:
-            lhs = _sup_besov(partition, state.rho, sigma,
-                             self.rows[-1][0] if self.rows else 0.0)
-            grad_env = float(np.max(np.abs(snap.grad_u)))
-            for f in _grad_block_fields(state.u):
-                grad_env = _sup_besov(partition, f, 0.0, grad_env)
-            div_env = _sup_besov(partition, div_v1, 0.0, div_inf)
-            div_src = _sup_besov(partition, div_v1, sigma)
+        u, div_v1, rho_inf = snap.state.u, snap.div_v1, snap.rho_inf
+        norm = functools.partial(_floored_besov, self.partition)
+        if math.isinf(self.r):
+            lhs = norm(snap.state.rho, self.spec, self.rows[-1][0] if self.rows else 0.0)
         else:
-            bn = block_norms(partition, state.rho, self.p)
+            bn = block_norms(self.partition, snap.state.rho, self.p)
             self.block_sup = bn if self.block_sup is None else np.maximum(self.block_sup, bn)
             lhs = besov_from_block_norms(self.block_sup, self.spec)
-            div_norms = block_norms(partition, div_v1, self.p)
-            grad_u_fields = _grad_block_fields(state.u)
-            grad_env = float(np.max(
-                [_vector_besov(partition, grad_u_fields, self.env_spec)]
-                + [lebesgue_norm(f, math.inf) for f in grad_u_fields]))
-            div_env = float(np.max([besov_from_block_norms(div_norms, self.env_spec),
-                                    div_inf]))
-            div_src = besov_from_block_norms(div_norms, self.spec)
+        # the envelopes of grad u and div v1 take their L^inf norms as floors
+        grad_env = float(np.max(np.abs(snap.grad_u)))
+        for i, j in itertools.product(range(u.grid.dim), repeat=2):
+            grad_env = norm(partial(u.component(j), i), self.env_spec, grad_env)
+        div_env = norm(div_v1, self.env_spec, lebesgue_norm(div_v1, math.inf))
+        div_src = norm(div_v1, self.spec, 0.0)
         # a float64 power, so a huge density overflows to inf, not OverflowError
         self.rows.append((lhs, grad_env + div_env + np.power(rho_inf, self.alpha + 1) + 1.0,
                           rho_inf * div_src))

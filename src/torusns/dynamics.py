@@ -255,9 +255,7 @@ class FluidParams:
         return [message for holds, message in rules if not holds]
 
     def forcing_field(self, t: float, grid: TorusGrid) -> VectorField | None:
-        if self.forcing is None:
-            return None
-        return self.forcing(t, grid)
+        return None if self.forcing is None else self.forcing(t, grid)
 
 
 def admissible_viscosity(mu: float, lam: float) -> tuple[bool, float]:

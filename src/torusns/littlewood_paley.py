@@ -130,11 +130,9 @@ class DyadicPartition:
         """Filter for S_q = chi(2^{-q} D) for q >= 0; S_q = 0 for q < 0."""
         if q < 0:
             return _zero_filter(self.grid)
-        f = self._low_pass.get(q)
-        if f is None:
-            f = chi_profile(self.grid.k_radius / 2.0 ** q)
-            self._low_pass[q] = f
-        return f
+        if q not in self._low_pass:
+            self._low_pass[q] = chi_profile(self.grid.k_radius / 2.0 ** q)
+        return self._low_pass[q]
 
     def partition_residual(self) -> float:
         return float(np.max(np.abs(np.sum(self._filters, axis=0) - 1.0)))
@@ -283,12 +281,6 @@ def block_norms(partition: DyadicPartition, f: Field, p: float,
                      for block in _block_stack(partition, f, blocks).rows])
 
 
-def _lr_combine(weighted: np.ndarray, r: float) -> float:
-    if math.isinf(r):
-        return float(np.max(weighted)) if weighted.size else 0.0
-    return float(np.sum(weighted ** r) ** (1.0 / r))
-
-
 def _block_weights(n_blocks: int, s: float) -> np.ndarray:
     """2^{ls} for l = -1 .. n_blocks - 2."""
     return 2.0 ** (np.arange(-1, n_blocks - 1, dtype=float) * s)
@@ -296,7 +288,10 @@ def _block_weights(n_blocks: int, s: float) -> np.ndarray:
 
 def besov_from_block_norms(norms: np.ndarray, spec: BesovSpec) -> float:
     """The B^s_{p,r} norm from block norms (||Delta_l f||_{L^p})_{l >= -1}."""
-    return _lr_combine(_block_weights(len(norms), spec.s) * norms, spec.r)
+    weighted = _block_weights(len(norms), spec.s) * norms
+    if math.isinf(spec.r):
+        return float(np.max(weighted)) if weighted.size else 0.0
+    return float(np.sum(weighted ** spec.r) ** (1.0 / spec.r))
 
 
 def _block_bounds(partition: DyadicPartition, f: ScalarField) -> np.ndarray:
@@ -308,8 +303,7 @@ def _block_bounds(partition: DyadicPartition, f: ScalarField) -> np.ndarray:
     return filters.reshape(len(filters), -1) @ (np.abs(f.coeffs) * grid.mode_weight).ravel()
 
 
-def _sup_besov(partition: DyadicPartition, f: ScalarField, s: float,
-               floor: float = 0.0) -> float:
+def _sup_besov(partition: DyadicPartition, f: ScalarField, s: float, floor: float) -> float:
     """max(floor, max_q 2^{qs} ||Delta_q f||_inf), transforming only the
     blocks that can still raise the running max.
 
@@ -340,10 +334,18 @@ def _sup_besov(partition: DyadicPartition, f: ScalarField, s: float,
     return float(best)
 
 
-def besov_norm(partition: DyadicPartition, f: Field, spec: BesovSpec) -> float:
+def _floored_besov(partition: DyadicPartition, f: Field, spec: BesovSpec,
+                   floor: float) -> float:
+    """max(floor, ||f||_{B^s_{p,r}}), NaN if either is NaN: `_sup_besov`
+    for a scalar at p = r = inf, else from every block norm."""
     if f.rank == 0 and math.isinf(spec.p) and math.isinf(spec.r):
-        return _sup_besov(partition, f, spec.s)
-    return besov_from_block_norms(block_norms(partition, f, spec.p), spec)
+        return _sup_besov(partition, f, spec.s, floor)
+    return float(np.maximum(floor, besov_from_block_norms(block_norms(partition, f, spec.p),
+                                                          spec)))
+
+
+def besov_norm(partition: DyadicPartition, f: Field, spec: BesovSpec) -> float:
+    return _floored_besov(partition, f, spec, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -246,10 +246,22 @@ def _sources():
     return trees, users
 
 
+def _annotations(node: ast.AST) -> list[ast.AST]:
+    """The type annotations that `node` itself holds."""
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return [node.annotation] if node.annotation else []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.returns] if node.returns else []
+    return []
+
+
 def _reads() -> dict[str, set[int]]:
-    """name -> ids of the Name/Attribute nodes of the users that read it."""
+    """name -> ids of the Name/Attribute nodes of the users that read it.  A
+    type annotation is not a read: no code runs it."""
     refs: dict[str, set[int]] = {}
-    for node in (node for tree in _sources()[1] for node in ast.walk(tree)):
+    nodes = [node for tree in _sources()[1] for node in ast.walk(tree)]
+    noted = {id(n) for node in nodes for note in _annotations(node) for n in ast.walk(note)}
+    for node in (node for node in nodes if id(node) not in noted):
         if isinstance(node, ast.Name):
             refs.setdefault(node.id, set()).add(id(node))
         elif isinstance(node, ast.Attribute):
@@ -262,6 +274,14 @@ def _unread(node: ast.AST, name: str, refs: dict[str, set[int]]) -> bool:
     return not refs.get(name, set()) - {id(n) for n in ast.walk(node)}
 
 
+#: public definitions that no user reads, and why they stay
+UNREAD_DEFINITIONS = {
+    "dynamics.py:TabulatedLaw": "outside unit tests only the annotation of "
+                                "`FluidParams.pressure` names it; ROADMAP item 7 adds the "
+                                "`fluid.law` config key that builds it",
+}
+
+
 def test_every_public_definition_has_a_user():
     """Every public top-level function and class of the package has a user."""
     trees, _ = _sources()
@@ -269,7 +289,8 @@ def test_every_public_definition_has_a_user():
     unused = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and _unread(node, node.name, refs)]
-    assert not unused, f"reached only by their own definition or unit tests: {unused}"
+    assert sorted(unused) == sorted(UNREAD_DEFINITIONS), \
+        f"reached only by their own definition or unit tests: {unused}"
 
 
 #: methods that the package reads nowhere, and why they stay

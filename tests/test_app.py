@@ -1419,6 +1419,36 @@ def test_no_traceback_on_any_series_cell(small_run_dir, row, column, cell):
                 assert code == 0, (suite, lines)
 
 
+@pytest.mark.parametrize("name, old, new, stop", [
+    ("state_000001.nsb", b"NSLAB1", b"NSLABX", "bad magic 'NSLABX' at byte offset 0"),
+    (app.CONFIG_FILE, b"fluid.mu = 0.1", b"fluid.mu = x", "config.txt: line 4: bad value 'x' for fluid.mu"),
+    ("state_000001.nsb", b" 0.0050000000000000001\n", b" -0.005\n",
+     "checkpoint times do not increase: state_000000.nsb at t=0.0, state_000001.nsb at "
+     "t=-0.005"),
+], ids=["checkpoint-magic", "config-value", "checkpoint-time"])
+def test_stop_on_a_hashed_file_names_every_unhashed_edit(small_run_dir, tmp_path, name, old,
+                                                         new, stop):
+    """A hashed file that does not parse stops `verify`, but first every
+    listed file not read yet is hashed: an unhashed edit of a later
+    checkpoint is a verification failure (exit code 2) that names it, and
+    the stop is one more failure line.  Without that edit the stop is exit
+    code 1, as before."""
+    def edit(data):
+        data[:] = data.replace(old, new, 1)
+    outdir = _with_edit(small_run_dir, str(tmp_path / "run"), name, edit)
+    code, out, err, _ = _main(["verify", "--dir", outdir])
+    assert (code, out) == (1, "") and stop in err, (code, out, err)
+    path = os.path.join(outdir, "state_000002.nsb")
+    data = bytearray(open(path, "rb").read())
+    data[-3] ^= 1
+    open(path, "wb").write(bytes(data))
+    code, out, err, _ = _main(["verify", "--dir", outdir])
+    lines = out.splitlines()
+    assert (code, err, lines[0], lines[2:]) == (
+        2, "", "FAIL checksum mismatch for state_000002.nsb", ["verification failed"]), out
+    assert lines[1].startswith("FAIL ") and stop in lines[1], out
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @example(edits=[(0, 0.2, 1, "stale"), (1, 0.5, 4, "stale"), (3, 0.0, 8, "stale"),
                 (4, 0.9, 16, "junk")])
@@ -1432,11 +1462,10 @@ def test_no_traceback_on_any_edit_of_a_listed_file(small_run_dir, edits):
     """One byte of each of several listed files changed, together with its
     manifest entry: kept (stale), re-hashed, or set to another digest
     (junk).  `verify --suite all` exits 0, 1 or 2 with no traceback and no
-    RuntimeWarning; while a file is left mismatched, every line names a
-    listed file or `manifest.json`, and, unless an edit that the manifest
-    hashes does not parse (1), each mismatched file has its own checksum
-    line (2), however far the pass got.  With every edit left mismatched,
-    no edited byte is parsed, so the exit code is 2."""
+    RuntimeWarning; while a file is left mismatched, the exit code is 2,
+    every line names a listed file or `manifest.json`, and each mismatched
+    file has its own checksum line, however far the pass got, even if an
+    edit that the manifest hashes does not parse."""
     with tempfile.TemporaryDirectory() as tmp:
         outdir = os.path.join(tmp, "run")
         shutil.copytree(small_run_dir, outdir)
@@ -1459,10 +1488,9 @@ def test_no_traceback_on_any_edit_of_a_listed_file(small_run_dir, edits):
         assert code in (0, 1, 2) and "Traceback" not in err and not warned, (code, out, err)
         lines = _named_lines(out, err)
         if mismatched:
-            assert code == 2 if len(mismatched) == len(edits) else code in (1, 2), (code, lines)
+            assert code == 2, (code, lines)
             assert all(app.MANIFEST_FILE in line or any(name in line for name in names)
                        for line in lines), lines
-        if mismatched and code == 2:
             assert sorted(line for line in lines if "checksum" in line) == sorted(
                 f"FAIL checksum mismatch for {name}" for name in mismatched), lines
 

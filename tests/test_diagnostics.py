@@ -685,13 +685,21 @@ def test_tabulated_law_q_density_resolved_alike():
 @pytest.mark.parametrize("spec", [lp.BesovSpec(0.5, INF, INF), lp.BesovSpec(0.5, 2, 2)],
                          ids=["sup", "finite"])
 def test_vector_besov_keeps_a_nan_in_any_position(part, grid, spec):
+    """The transport ledger folds the gradient envelope through the floor of
+    `_floored_besov`, one field after another: a NaN in any position is kept."""
     ok = sp.random_field(grid, np.random.default_rng(5))
     coeffs = ok.coeffs.copy()
     coeffs[1, 2] = math.nan
     bad = ok.with_coeffs(coeffs)
-    assert math.isfinite(diag._vector_besov(part, [ok, ok], spec))
+
+    def envelope(fields):
+        value = 0.0
+        for f in fields:
+            value = lp._floored_besov(part, f, spec, value)
+        return value
+    assert math.isfinite(envelope([ok, ok]))
     for fields in ([bad, ok], [ok, bad]):
-        assert math.isnan(diag._vector_besov(part, fields, spec))
+        assert math.isnan(envelope(fields))
 
 
 def _count_law_calls(monkeypatch) -> dict[str, list[np.ndarray]]:
@@ -794,6 +802,44 @@ class TestTransportEstimate:
         traj, params = vortex_run
         with pytest.raises(ValueError):
             diag.transport_estimate_report(traj, part, -3.0, 2, 2)
+
+    @pytest.mark.parametrize("sigma, p, r", [(0.5, INF, INF), (0.5, 2, 2), (0.5, 2, INF),
+                                             (0.5, INF, 2), (1.5, 4, 1), (0.25, 1, INF)])
+    def test_rows_are_the_estimate_from_block_norms(self, sigma, p, r):
+        """Each row is the estimate's definition built from `block_norms`
+        alone, bit for bit: the left side from each block's maximum in time,
+        the envelopes as the max of the L^inf norm and the B^{N/p}_{p,inf}
+        norm of each gradient entry and of div v1, the source from the
+        B^sigma_{p,r} norm of div v1.  r = inf takes a running max and
+        p = r = inf visits only the blocks that can still raise it."""
+        grid = sp.TorusGrid(2, 16)
+        params = dyn.FluidParams(0.05, 0.05, LAW)
+        traj = dyn.run(dyn.stream_vortex_state(grid, 1.0, 0.5), params,
+                       dyn.SolverConfig(t_end=0.03, dt=0.01))
+        part = lp.build_partition(grid)
+        spec, env = lp.BesovSpec(sigma, p, r), lp.BesovSpec(grid.dim / p, p, INF)
+
+        def norm(f, s):
+            return lp.besov_from_block_norms(lp.block_norms(part, f, p), s)
+        block_sup, rows = 0.0, []
+        for state in traj.states:
+            div_v1 = diag._Snapshot(state, params).div_v1
+            grads = [sp.partial(state.u.component(j), i) for i in range(2) for j in range(2)]
+            block_sup = np.maximum(block_sup, lp.block_norms(part, state.rho, p))
+            rho_inf = sp.lebesgue_norm(state.rho, INF)
+            grad_env = max(max(norm(f, env), sp.lebesgue_norm(f, INF)) for f in grads)
+            div_env = max(norm(div_v1, env), sp.lebesgue_norm(div_v1, INF))
+            rate = grad_env + div_env + rho_inf ** (max(0, math.ceil(sigma)) + 1) + 1.0
+            rows.append((lp.besov_from_block_norms(block_sup, spec), rate,
+                         rho_inf * norm(div_v1, spec)))
+        lhs, rate, source = np.array(rows).T
+        times = np.array([s.t for s in traj.states])
+        rep = diag.transport_estimate_report(traj, part, sigma, p, r)
+        assert rep.column("time").tolist() == times.tolist()
+        assert rep.column("lhs").tolist() == lhs.tolist()
+        assert rep.column("V").tolist() == diag._cumulative_trapezoid(rate, times).tolist()
+        assert rep.column("envelope_no_exp").tolist() == (
+            lhs[0] + diag._cumulative_trapezoid(source, times)).tolist()
 
 
 class TestV1EnergyLedger:

@@ -658,7 +658,7 @@ class TestSupBesov:
         assert lp.besov_norm(part, f, spec) == full
         # a floor just below the max leaves only the maximal block to visit
         for floor in (0.5 * full, (1 - 1e-9) * full, full, 2.0 * full):
-            assert lp._sup_besov(part, f, s, floor) == max(floor, full)
+            assert lp._floored_besov(part, f, spec, floor) == max(floor, full)
 
     @pytest.mark.parametrize("k", [(3, 0), (5, 7), (16, 0), (16, 16)])
     def test_tight_bound_of_one_mode_still_visits_its_block(self, part, grid, k):
@@ -668,7 +668,8 @@ class TestSupBesov:
         sups = lp.block_norms(part, f, INF)
         assert np.allclose(sups, lp._block_bounds(part, f), rtol=1e-13, atol=1e-13)
         full = float(np.max(sups))
-        assert lp._sup_besov(part, f, 0.0, (1 - 1e-9) * full) == full
+        spec = lp.BesovSpec(0.0, INF, INF)
+        assert lp._floored_besov(part, f, spec, (1 - 1e-9) * full) == full
 
     def test_nan_coefficient_or_floor_gives_nan(self, part, grid, rng):
         f = sp.random_field(grid, rng)
@@ -677,7 +678,7 @@ class TestSupBesov:
         coeffs[3, 4] = complex(math.nan, 0.0)
         assert math.isnan(lp.besov_norm(part, f.with_coeffs(coeffs), spec))
         assert math.isfinite(lp.besov_norm(part, f, spec))
-        assert math.isnan(lp._sup_besov(part, f, 0.5, math.nan))
+        assert math.isnan(lp._floored_besov(part, f, spec, math.nan))
 
 
 class TestParsevalBlockNorms:

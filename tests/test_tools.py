@@ -120,3 +120,56 @@ def test_transform_census_totals_are_the_fixtures_counts(transform_census, fft_c
         fft_calls.clear()
     assert [phase for phase, _ in seen] == list(transform_census.PHASES)
     assert any(block for _, block in seen), seen  # the block inverses are told apart
+
+
+@pytest.fixture()
+def census_main(transform_census, monkeypatch, tmp_path):
+    """transform_census.main on SMALL_CFG with the arguments given.  What
+    `main` changes is taken back afterwards: the thread variables, the
+    entries it puts on sys.path and the bench modules it imports."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    loaded = set(sys.modules)
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CFG)
+    yield lambda *args: transform_census.main(["--config", str(config), *args])
+    for name in ("child", "workloads"):
+        if name not in loaded:
+            sys.modules.pop(name, None)
+
+
+def test_transform_census_saved_tables_agree(census_main, tmp_path, capsys):
+    """--out saves every phase's table by call site, and a second run of
+    the same config --against it finds no row that differs."""
+    saved = tmp_path / "census.json"
+    assert census_main("--out", str(saved)) == 0
+    tables = json.loads(saved.read_text())
+    assert list(tables) == ["simulate", "identities", "inequalities", "monitors", "all"]
+    assert all(len(counts) == 3 for table in tables.values() for counts in table.values())
+    capsys.readouterr()
+    assert census_main("--against", str(saved)) == 0
+    rows = sum(map(len, tables.values()))
+    assert capsys.readouterr().err == f"0 of {rows} rows differ\n"
+
+
+def test_transform_census_names_each_differing_row(census_main, tmp_path, capsys):
+    """A saved count that differs, a saved row that the run lacks and a row
+    that the saved tables lack are each named, and the exit code is 1."""
+    saved = tmp_path / "census.json"
+    assert census_main("--out", str(saved)) == 0
+    tables = json.loads(saved.read_text())
+    rows = sum(map(len, tables.values()))
+    total = tables["monitors"]["total"]
+    tables["monitors"]["total"] = [total[0] + 1] + total[1:]
+    tables["all"]["nowhere.py:ghost"] = [1, 0, 0]
+    dropped = sorted(tables["simulate"])[0]
+    lost = tables["simulate"].pop(dropped)
+    saved.write_text(json.dumps(tables))
+    capsys.readouterr()
+    assert census_main("--against", str(saved)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "differs: all nowhere.py:ghost: [1, 0, 0] -> None",
+        f"differs: monitors total: {[total[0] + 1] + total[1:]} -> {total}",
+        f"differs: simulate {dropped}: None -> {lost}",
+        f"3 of {rows} rows differ"]

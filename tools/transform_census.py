@@ -3,6 +3,8 @@
     python3 tools/transform_census.py --workload sim3d-dense
     python3 tools/transform_census.py --workload sim2d-vortex --seed 3
     python3 tools/transform_census.py --config run.cfg
+    python3 tools/transform_census.py --workload sim3d-dense --out census.json
+    python3 tools/transform_census.py --workload sim3d-dense --against census.json
 
 Builds a simulation workload's config for the seed (the bench modules are
 imported, not changed), or reads the config file given by --config (the
@@ -22,11 +24,20 @@ whole-grid inverses; "inverse" plus "block" is the fixture's inverse count.
 A transform that bypasses the kernels is not seen.  Importing the module
 changes nothing: `main` pins the kernel threads to one and imports the
 bench modules.
+
+With --out FILE the tables are saved as JSON, {phase: {call site: [forward,
+inverse, block]}}.  With --against FILE they are compared with tables that
+an earlier --out saved: each row (phase and call site) whose counts differ,
+or that only one of the two holds, is named on stderr, and the exit code is
+1 if there is any.  A change that claims to move no transform is checked by
+saving the parent commit's tables and running --against them on the
+change's.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -144,12 +155,25 @@ def phases(config, rundir: str):
         yield phase, census.table(), failure
 
 
+def differences(expected: dict, actual: dict) -> list[str]:
+    """`phase call-site: saved -> now` of every row whose counts differ
+    between two saved tables, or that only one of them holds (None)."""
+    rows = []
+    for phase in sorted(set(expected) | set(actual)):
+        saved, now = expected.get(phase, {}), actual.get(phase, {})
+        rows += [f"{phase} {site}: {saved.get(site)} -> {now.get(site)}"
+                 for site in sorted(set(saved) | set(now)) if saved.get(site) != now.get(site)]
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     source = ap.add_mutually_exclusive_group(required=True)
     source.add_argument("--workload", choices=("sim2d-vortex", "sim3d-dense"))
     source.add_argument("--config", metavar="PATH", help="a config file instead of a workload")
     ap.add_argument("--seed", type=int, default=0, help="the workload's seed")
+    ap.add_argument("--out", metavar="FILE", help="save the tables as JSON")
+    ap.add_argument("--against", metavar="FILE", help="tables that --out saved earlier")
     args = ap.parse_args(argv)
 
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -164,19 +188,30 @@ def main(argv=None) -> int:
     else:
         config = app.parse_config(workloads.make(args.workload).config_text(args.seed))
         label = f"{args.workload}, seed {args.seed}"
-    failed = []
+    failed, tables = [], {}
     with tempfile.TemporaryDirectory(prefix="transform-census-") as workdir:
         for phase, rows, failure in phases(config, os.path.join(workdir, "run")):
             failed += [failure] if failure else []
+            tables[phase] = dict(rows)
             width = max(len(site) for site, _ in rows)
             print(f"{phase} ({label})")
             print(f"  {'call site':<{width}s}" + "".join(f"{k:>9s}" for k in KINDS))
             for site, counts in rows:
                 print(f"  {site:<{width}s}" + "".join(f"{c:>9d}" for c in counts))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(tables, fh, indent=1)
+    differing = []
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            differing = differences(json.load(fh), tables)
+        for row in differing:
+            print(f"differs: {row}", file=sys.stderr)
+        print(f"{len(differing)} of {sum(map(len, tables.values()))} rows differ",
+              file=sys.stderr)
     if failed:
         print("FAILED: " + " | ".join(failed), file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed or differing else 0
 
 
 if __name__ == "__main__":
