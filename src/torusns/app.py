@@ -469,7 +469,7 @@ class _IdentitySuite:
     def add(self, window) -> None:
         snap = window.current
         state = snap.state
-        tol = IDENTITY_TOL * (1.0 + sp.lebesgue_norm(state.u, math.inf) + snap.rho_inf)
+        tol = IDENTITY_TOL * (1.0 + sp.lebesgue_norm(state.u, math.inf) + snap.rho_norm(math.inf))
         values = dict(snap.v1_bounds)
         values.update({name: sp.lebesgue_norm(res, math.inf) for name, res in self._residuals(snap)
                        if not (sp.coefficient_sup_bound(res) <= tol)})
@@ -524,7 +524,7 @@ class _SeriesCrosscheck:
         n, snap = window.index, window.current
         if self.diagnostics is None:
             cells = zip(("time", "min_rho", "rho_linf"),
-                        (snap.t, snap.state.min_density, snap.rho_inf))
+                        (snap.t, snap.state.min_density, snap.rho_norm(math.inf)))
         else:
             self.diagnostics.add(window)
             cells = zip(diag.RECORD_COLUMNS, self.diagnostics.rows[-1].row())

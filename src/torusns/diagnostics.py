@@ -1,5 +1,7 @@
 """Derived quantities, identity residuals, energy functionals, inequality
-ledgers, and blow-up monitors for solver trajectories.
+ledgers, and blow-up monitors for solver trajectories, fed by one pass over
+the states (`feed`) whose `_Snapshot` derives each shared field and norm of
+a state once.
 
 Three accuracy classes, tested accordingly:
   * exact identities (operator algebra): residuals at round-off on any state;
@@ -152,9 +154,10 @@ def _rho_weighted_sq(rho: ScalarField, x: VectorField) -> float:
         * rho.grid.cell_volume
 
 
-def _viscous_form(params: FluidParams, x: VectorField) -> float:
-    """int mu |grad X|^2 + (mu + lam) (div X)^2 dx (`_viscous_dissipation`)."""
-    return _viscous_dissipation(x.grid, params, x.coeffs, divergence(x).coeffs)
+def _viscous_form(params: FluidParams, x: VectorField, div_x: ScalarField) -> float:
+    """int mu |grad X|^2 + (mu + lam) (div X)^2 dx (`_viscous_dissipation`),
+    with `div_x` the divergence of X."""
+    return _viscous_dissipation(x.grid, params, x.coeffs, div_x.coeffs)
 
 
 def _moment(state: FluidState, p1: float) -> float:
@@ -187,14 +190,6 @@ def _forcing_density(state: FluidState, params: FluidParams) -> VectorField:
 
 def pressure_field(state: FluidState, params: FluidParams) -> ScalarField:
     return pointwise(state.grid, params.pressure(state.rho.samples))
-
-
-def effective_pressure(state: FluidState, params: FluidParams,
-                       pressure: ScalarField) -> ScalarField:
-    """G = (2 mu + lam) div u - P(rho) + mean P(rho), with `pressure` the
-    P(rho) of `pressure_field(state, params)`."""
-    g = divergence(state.u) * params.nu - pressure
-    return g + ScalarField.constant(state.grid, pressure.mean)
 
 
 @functools.lru_cache(maxsize=32)  # one entry per grid in use
@@ -234,8 +229,8 @@ def coifman_commutator(state: FluidState) -> tuple[ScalarField, float]:
 
 def effective_velocity(state: FluidState, params: FluidParams,
                        pressure: ScalarField) -> tuple[VectorField, VectorField]:
-    """(v1, v) with v = grad inv_lap (P(rho) - mean P) and v1 = u - v/nu;
-    `pressure` as in `effective_pressure`."""
+    """(v1, v) with v = grad inv_lap (P(rho) - mean P) and v1 = u - v/nu,
+    `pressure` the P(rho) of `pressure_field(state, params)`."""
     v = bogovskii(pressure)
     return state.u - v * (1.0 / params.nu), v
 
@@ -335,10 +330,10 @@ def _windows(count: int, load: Callable[[int], object], span: int):
 # ---------------------------------------------------------------------------
 
 class _Snapshot:
-    """One state and the fields derived from it that more than one ledger
-    reads, each computed on first use.  Every accumulator of a pass reads the
-    same object while the state is in the window, so such a field is
-    transformed once per state.
+    """One state and what more than one accumulator derives from it, each
+    computed on first use: a field as a cached property, a norm in a memo by
+    its exponent or spec.  Every accumulator of a pass reads the same object
+    while the state is in the window, so each is derived once per state.
 
     `state` holds the snapshot's own fields over the stored samples, as
     `dynamics.run` and `dynamics.read_checkpoint` build a state, so a pass
@@ -359,8 +354,7 @@ class _Snapshot:
                 raise NonFiniteError(state.t, name)
         if self.state.min_density <= 0:
             raise VacuumError(state.t, self.state.min_density)
-        self.params = params
-        self.t = state.t
+        self.params, self.t = params, state.t
 
     @functools.cached_property
     def p_values(self) -> np.ndarray:
@@ -383,9 +377,22 @@ class _Snapshot:
         return effective_velocity(self.state, self.params, self.pressure)
 
     @functools.cached_property
+    def div_u(self) -> ScalarField:
+        """div u."""
+        return divergence(self.state.u)
+
+    @functools.cached_property
     def effective(self) -> ScalarField:
-        """G of `effective_pressure`."""
-        return effective_pressure(self.state, self.params, self.pressure)
+        """The effective pressure G = (2 mu + lam) div u - P(rho) + mean P(rho)."""
+        g = self.div_u * self.params.nu - self.pressure
+        return g + ScalarField.constant(self.state.grid, self.pressure.mean)
+
+    @functools.cached_property
+    def energy(self) -> tuple[float, float]:
+        """(int rho |u|^2 / 2, int Pi(rho)) dx as sample sums, at no transform."""
+        rho, vol = self.state.rho, self.state.grid.cell_volume
+        return (0.5 * _rho_weighted_sq(rho, self.state.u),
+                float(np.sum(self.params.pressure.potential(rho.samples))) * vol)
 
     @functools.cached_property
     def vorticity(self) -> Field:
@@ -418,34 +425,53 @@ class _Snapshot:
         log_rho = pointwise(self.state.grid, np.log(self.state.rho.samples), dealiased=False)
         return log_rho, self.coifman[1]
 
-    @functools.cached_property
-    def rho_inf(self) -> float:
-        return lebesgue_norm(self.state.rho, math.inf)
+    def _memo(self, key, take: Callable[[], object]):
+        """take(), once per key while the snapshot keeps what it derived."""
+        memo = self.__dict__.setdefault("memo", {})
+        return memo[key] if key in memo else memo.setdefault(key, take())
 
-    def v1_residuals(self) -> dict[str, Field]:
-        """The residual fields of the identities of `v1_identities`, by name,
-        built from the cached (v1, v), G, P and curl u."""
+    def rho_norm(self, q: float) -> float:
+        """||rho||_{L^q}."""
+        return self._memo(("lebesgue", q), lambda: lebesgue_norm(self.state.rho, q))
+
+    def moment(self, p1: int) -> float:
+        """(1/p1) int rho |u|^p1 dx."""
+        return self._memo(("moment", p1), lambda: _moment(self.state, p1))
+
+    def besov(self, partition: DyadicPartition, name: str, spec: BesovSpec,
+              floor: float) -> float:
+        """`_floored_besov` of rho or the cached field `name`: block norms once
+        per p; a scalar's pruned B^s_inf,inf norm once per s at the first floor
+        (`besov_norm`, the timed name, when unfloored), again below one not passed."""
+        f = self.state.rho if name == "rho" else getattr(self, name)
+        if f.rank or not (math.isinf(spec.p) and math.isinf(spec.r)):
+            norms = self._memo(("blocks", name, spec.p), lambda: block_norms(partition, f, spec.p))
+            return float(np.maximum(floor, besov_from_block_norms(norms, spec)))
+        at, norm = self._memo(key := ("sup", name, spec), lambda: (math.inf, math.inf))
+        if norm == at and floor < at:   # norm = max(at, ||f||), and ||f|| may be below at
+            self.memo[key] = floor, (norm := _floored_besov(partition, f, spec, floor)
+                                     if floor else besov_norm(partition, f, spec))
+        return float(np.maximum(floor, norm))
+
+    @functools.cached_property
+    def v1_bounds(self) -> dict[str, float]:
+        """The `coefficient_sup_bound` of each residual field of `v1_identities`,
+        by name, built from the cached (v1, v), G, P and curl u."""
         v1, _ = self.velocities
         inv_nu = 1.0 / self.params.nu
-        return {
+        residuals = {
             "div_v1": self.div_v1 - self.effective * inv_nu,
             "curl_v1": curl(v1) - self.vorticity,
             "lap_u_decomposition": (laplacian(self.state.u) - laplacian(v1)
                                     - gradient(self.pressure) * inv_nu),
         }
-
-    @functools.cached_property
-    def v1_bounds(self) -> dict[str, float]:
-        """The `coefficient_sup_bound` of each field of `v1_residuals`."""
-        return {name: coefficient_sup_bound(res) for name, res in self.v1_residuals().items()}
+        return {name: coefficient_sup_bound(res) for name, res in residuals.items()}
 
     def release(self) -> None:
-        """Drop the fields that only this snapshot's own window position
-        reads: a neighbour's time derivative reads u, (v1, v) and the terms
-        of F alone."""
-        for name in ("p_values", "dp_values", "pressure", "effective", "vorticity", "div_v1",
-                     "grad_u", "grad_sq", "coifman", "v1_bounds"):
-            self.__dict__.pop(name, None)
+        """Drop every derived field and norm but those that a neighbour's
+        time derivative reads: u of the state, (v1, v) and the terms of F."""
+        for name in set(vars(self)) - {"state", "params", "t", "velocities", "log_parts"}:
+            del self.__dict__[name]
 
 
 class Accumulator:
@@ -612,29 +638,13 @@ def elliptic_identities(trajectory: Trajectory,
 # energy ledgers
 # ---------------------------------------------------------------------------
 
-def _energy_parts(state: FluidState, params: FluidParams) -> tuple[float, float]:
-    """(int rho |u|^2 / 2 dx, int Pi(rho) dx), both sample sums (grid
-    quadrature), at no transform."""
-    return (0.5 * _rho_weighted_sq(state.rho, state.u),
-            float(np.sum(params.pressure.potential(state.rho.samples))) * state.grid.cell_volume)
-
-
-def total_energy(state: FluidState, params: FluidParams) -> float:
-    """E = int (rho |u|^2 / 2 + Pi(rho)) dx, the sum of `_energy_parts`."""
-    return sum(_energy_parts(state, params))
-
-
-def dissipation_rate(state: FluidState, params: FluidParams) -> float:
-    """int mu |grad u|^2 + (mu + lam)(div u)^2 dx."""
-    return _viscous_form(params, state.u)
-
-
 class EnergyLedger(Accumulator):
-    """Accumulator of `energy_ledger`."""
+    """Accumulator of `energy_ledger`: E = int (rho |u|^2 / 2 + Pi(rho)) dx,
+    the sum of the snapshot's `energy`."""
 
     def add(self, window: _Window) -> None:
         super().add(window)
-        self.rows.append(total_energy(window.current.state, self.params))
+        self.rows.append(sum(window.current.energy))
 
     def finish(self) -> LedgerReport:
         n = len(self.times)
@@ -683,7 +693,7 @@ class _AFunctional(Accumulator):
         self.rows.append((_rho_weighted_sq(state.rho, du),
                           float(np.sum(p ** 2 * (rho * snap.dp_values - p)))
                           * state.grid.cell_volume,
-                          dissipation_rate(state, self.params),
+                          _viscous_form(self.params, state.u, snap.div_u),
                           float(np.sum(self.params.pressure.k(rho)))
                           * state.grid.cell_volume))
 
@@ -714,7 +724,7 @@ class GradOmegaBudget(Accumulator):
         snap = window.current
         grid = snap.state.grid
         self.rows.append((grid.volume * gradient_sum(grid, snap.vorticity.coeffs),
-                          snap.rho_inf))
+                          snap.rho_norm(math.inf)))
         self.a.add(window)
 
     def finish(self) -> LedgerReport:
@@ -741,11 +751,9 @@ class IntegrabilityGain(Accumulator):
 
     def add(self, window: _Window) -> None:
         super().add(window)
-        snap = window.current
-        state, p1 = snap.state, self.p1
-        self.dim = state.grid.dim
-        vol = state.grid.cell_volume
-        u_s = state.u.samples
+        snap, p1 = window.current, self.p1
+        grid, u_s = snap.state.grid, snap.state.u.samples
+        self.dim, vol = grid.dim, grid.cell_volume
         mag2 = np.sum(u_s ** 2, axis=0)
         d1_rate = float(np.sum(mag2 ** ((p1 - 2) / 2) * snap.grad_sq)) * vol
         d2_rate = 0.0
@@ -754,7 +762,7 @@ class IntegrabilityGain(Accumulator):
             grad_mag2 = np.sum((2 * np.sum(u_s * snap.grad_u, axis=1)) ** 2, axis=0)
             d2_rate = float(np.sum(mag2 ** ((p1 - 4) / 2) * grad_mag2)) * vol
         space_p = 3.0 * p1 / (p1 + 1.0)
-        self.rows.append((_moment(state, p1), d1_rate, d2_rate,
+        self.rows.append((snap.moment(p1), d1_rate, d2_rate,
                           lebesgue_norm(snap.pressure, space_p)))
 
     def finish(self) -> LedgerReport:
@@ -802,14 +810,12 @@ class DensityBoundLedger(Accumulator):
 
     def add(self, window: _Window) -> None:
         snap = window.current
-        s = snap.state
         if not self.times:
-            self.rho0_max = float(np.max(s.rho.samples))
-            self.rho0_min = float(np.min(s.rho.samples))
+            self.rho0_max, self.rho0_min = snap.rho_norm(math.inf), snap.state.min_density
         super().add(window)
         p = snap.pressure
         comm, phi = snap.coifman
-        log_rho = np.log(s.rho.samples)
+        log_rho = np.log(snap.state.rho.samples)
         self.rows.append((p.mean, lebesgue_norm(p, math.inf), lebesgue_norm(comm, math.inf),
                           lebesgue_norm(phi, math.inf), np.max(log_rho), np.min(log_rho)))
 
@@ -874,12 +880,8 @@ class MonitorFlags:
                 "lipschitz_integral": self.lipschitz_integral}
 
     @property
-    def criterion_norms_finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.criterion_norms().values())
-
-    @property
     def extendable(self) -> bool:
-        return self.density_bounded and self.criterion_norms_finite
+        return self.density_bounded and all(map(math.isfinite, self.criterion_norms().values()))
 
 
 def _in_window(t: float, window_end: float | None) -> bool:
@@ -903,16 +905,15 @@ class BlowupMonitor(Accumulator):
         if not _in_window(snap.t, self.window_end):
             return
         super().add(window)
-        state = snap.state
         if len(self.times) == 1:
-            dim = state.grid.dim
+            dim = snap.state.grid.dim
             self.gamma, self.q_crit = _criterion_exponents(self.params, self.monitor, dim)
             eps = self.monitor.epsilon
             self.comp_exps = ({"L9eps": 9.0 + eps, "L3g32": 3.0 * self.gamma + 1.5}
                               if dim == 3 else {"L2g1": 2.0 * self.gamma + 1.0})
-        self.rows.append(tuple(lebesgue_norm(state.rho, q) for q in self.comp_exps.values())
-                         + (lebesgue_norm(state.rho, self.q_crit),
-                            math.sqrt(np.max(snap.grad_sq)), snap.rho_inf))
+        self.rows.append(tuple(snap.rho_norm(q) for q in self.comp_exps.values())
+                         + (snap.rho_norm(self.q_crit),
+                            math.sqrt(np.max(snap.grad_sq)), snap.rho_norm(math.inf)))
 
     def finish(self) -> MonitorFlags:
         if not self.seen:
@@ -982,25 +983,23 @@ class TransportEstimate(Accumulator):
         self.alpha = max(0, math.ceil(sigma))
         self.spec = BesovSpec(sigma, p, r)
         self.env_spec = BesovSpec(dim / p, p, math.inf)
-        self.block_sup = None
+        self.block_sup = 0.0   # each block's running max of ||Delta_q rho||_{L^p}
 
     def add(self, window: _Window) -> None:
         super().add(window)
         snap = window.current
-        u, div_v1, rho_inf = snap.state.u, snap.div_v1, snap.rho_inf
-        norm = functools.partial(_floored_besov, self.partition)
+        u, rho_inf, part = snap.state.u, snap.rho_norm(math.inf), self.partition
         if math.isinf(self.r):
-            lhs = norm(snap.state.rho, self.spec, self.rows[-1][0] if self.rows else 0.0)
+            lhs = snap.besov(part, "rho", self.spec, self.rows[-1][0] if self.rows else 0.0)
         else:
-            bn = block_norms(self.partition, snap.state.rho, self.p)
-            self.block_sup = bn if self.block_sup is None else np.maximum(self.block_sup, bn)
+            self.block_sup = np.maximum(self.block_sup, block_norms(part, snap.state.rho, self.p))
             lhs = besov_from_block_norms(self.block_sup, self.spec)
         # the envelopes of grad u and div v1 take their L^inf norms as floors
         grad_env = float(np.max(np.abs(snap.grad_u)))
         for i, j in itertools.product(range(u.grid.dim), repeat=2):
-            grad_env = norm(partial(u.component(j), i), self.env_spec, grad_env)
-        div_env = norm(div_v1, self.env_spec, lebesgue_norm(div_v1, math.inf))
-        div_src = norm(div_v1, self.spec, 0.0)
+            grad_env = _floored_besov(part, partial(u.component(j), i), self.env_spec, grad_env)
+        div_env = snap.besov(part, "div_v1", self.env_spec, lebesgue_norm(snap.div_v1, math.inf))
+        div_src = snap.besov(part, "div_v1", self.spec, 0.0)
         # a float64 power, so a huge density overflows to inf, not OverflowError
         self.rows.append((lhs, grad_env + div_env + np.power(rho_inf, self.alpha + 1) + 1.0,
                           rho_inf * div_src))
@@ -1040,19 +1039,18 @@ def transport_estimate_report(trajectory: Trajectory | TransportEstimate,
 # effective-velocity energy ledger
 # ---------------------------------------------------------------------------
 
-def dtv_formula(state: FluidState, p: ScalarField, dp: np.ndarray) -> VectorField:
+def dtv_formula(snap: _Snapshot) -> VectorField:
     """Time derivative of the pressure potential field v from the mass
     equation alone:
 
         d_t v = Lambda^{-1}( -div(P u) + (P - rho P') div u
                              - mean(P div u) + mean(rho P' div u) )
 
-    with Lambda^{-1} the Bogovskii inverse grad inv_lap (. - mean), `p` the
-    P(rho) of `pressure_field` and `dp` the samples of P'(rho)."""
-    grid = state.grid
-    div_u = divergence(state.u)
+    with Lambda^{-1} the Bogovskii inverse grad inv_lap (. - mean), at the
+    snapshot `snap`, from its P, P' and div u."""
+    state, grid, p, div_u = snap.state, snap.state.grid, snap.pressure, snap.div_u
     pu = scale_vector(p, state.u)
-    rho_dp = multiply(state.rho, pointwise(grid, dp))
+    rho_dp = multiply(state.rho, pointwise(grid, snap.dp_values))
     h = (divergence(pu) * -1.0) + multiply(p - rho_dp, div_u)
     # the mean mode survives dealiasing: each mean is that of the samples
     mean_terms = (-float(np.mean(p.samples * div_u.samples))
@@ -1069,16 +1067,13 @@ class V1EnergyLedger(Accumulator):
     def add(self, window: _Window) -> None:
         snap = window.current
         super().add(window)
-        params = self.params
-        v1, _ = snap.velocities
         dt_v1 = window.time_derivative(lambda s: s.velocities[0])
         dtv_resid = math.nan   # at the ends of the run
         if window.pos == 1:
             dt_v = window.time_derivative(lambda s: s.velocities[1])
-            dtv_resid = lebesgue_norm(
-                dtv_formula(snap.state, snap.pressure, snap.dp_values) - dt_v, math.inf)
+            dtv_resid = lebesgue_norm(dtv_formula(snap) - dt_v, math.inf)
         self.rows.append((_rho_weighted_sq(snap.state.rho, dt_v1),
-                          _viscous_form(params, v1), dtv_resid))
+                          _viscous_form(self.params, snap.velocities[0], snap.div_v1), dtv_resid))
 
     def finish(self) -> LedgerReport:
         times = np.array(self.times)
@@ -1173,12 +1168,12 @@ class _Diagnostics(Accumulator):
         n, snap = window.index, window.current
         state, params, (monitor, partition) = snap.state, self.params, self.config
         gu_mag = np.sqrt(snap.grad_sq)
-        kin, pot = _energy_parts(state, params)
+        kin, pot = snap.energy
         values = {
             "mass": state.mass,
             "min_rho": state.min_density,
-            "rho_linf": snap.rho_inf,
-            "rho_lq": lebesgue_norm(state.rho, self.q_dens),
+            "rho_linf": snap.rho_norm(math.inf),
+            "rho_lq": snap.rho_norm(self.q_dens),
             "grad_u_l2": float(math.sqrt(np.sum(gu_mag ** 2) * state.grid.cell_volume)),
             "grad_u_linf": float(np.max(gu_mag)),
             "kinetic": kin,
@@ -1186,12 +1181,12 @@ class _Diagnostics(Accumulator):
             "energy": kin + pot,
             "dissipation_cum": self._cumulative("dissipation", n),
             "forcing_work_cum": self._cumulative("forcing_work", n),
-            "p1_moment": _moment(state, monitor.p_gain),
+            "p1_moment": snap.moment(monitor.p_gain),
         }
         values.update({RESIDUAL_COLUMNS[name]: val
                        for name, val in v1_identities(state, params, snap).items()})
         values["effective_pressure_l2"] = lebesgue_norm(snap.effective, 2)
-        values["rho_besov_eps"] = besov_norm(partition, state.rho, self.eps_spec)
+        values["rho_besov_eps"] = snap.besov(partition, "rho", self.eps_spec, 0.0)
         self.rows.append(DiagnosticRecord(
             state.t, values, {"finite": state.is_finite(), "positive": state.min_density > 0}))
 

@@ -642,16 +642,18 @@ class TestVerify:
         """Sup-norm Besov terms transform only the blocks their l^1 bound
         leaves open, the identity residuals are certified by their coefficient
         bounds and transform nothing, and every ledger and suite shares each
-        snapshot's pressure, grad u, v1, G and curl u: 72 forward and 127
-        inverse fields here (84 and 175 when the residuals were sampled and
-        the Coifman flux took dim^2 products; 72 and 119 before the series
-        check recomputed every column, which adds the samples of G and the
+        snapshot's pressure, grad u, v1, G and curl u, and the transport
+        ledger reads rho's epsilon-Besov norm that the series check took: 72
+        forward and 126 inverse fields here (127 when the ledger took that
+        norm again; 84 and 175 when the residuals were sampled and the
+        Coifman flux took dim^2 products; 72 and 119 before the series check
+        recomputed every column, which adds the samples of G and the
         epsilon-Besov block of each of the 4 snapshots)."""
         outdir = str(tmp_path / "run")
         app.simulate(app.parse_config(FORCED_3D_CFG), outdir)
         fft_calls.clear()
         assert app.verify(outdir, "all").ok
-        assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (72, 127)
+        assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (72, 126)
 
     def test_transform_budget_of_compute_diagnostics(self, fft_calls):
         """The v1 residual columns are coefficient bounds and the potential a
@@ -822,6 +824,43 @@ class TestStreamingVerify:
         monkeypatch.setattr(diag, "_Snapshot", Counted)
         assert app.verify(outdir, "all").ok
         assert len(most) == 8 and max(most) == 3
+
+    def test_each_shared_quantity_derived_once_per_snapshot(self, tmp_path, monkeypatch):
+        """Over one `verify --suite all` pass each snapshot derives once every
+        quantity that several checks and ledgers read: the energy parts (one
+        sum of the potential), ||rho||_{L^{q_c}}, the p1 moment, rho's
+        B^eps_{inf,inf} norm, div u and div v1."""
+        outdir = _stream_run(str(tmp_path), 6)
+        problem = app.build_problem(app.load_config(os.path.join(outdir, app.CONFIG_FILE)))
+        mon = problem.monitor
+        _, q_c = diag._criterion_exponents(problem.params, mon, 2)
+        snaps, calls = [], collections.defaultdict(list)
+
+        class Recorded(diag._Snapshot):
+            def __init__(self, *args):
+                super().__init__(*args)
+                snaps.append(self)
+
+        monkeypatch.setattr(diag, "_Snapshot", Recorded)
+        for owner, name in ((diag, "divergence"), (diag, "lebesgue_norm"), (diag, "_moment"),
+                            (lp, "_sup_besov"), (dyn.PowerLaw, "potential")):
+            def counted(*args, _real=getattr(owner, name), _seen=calls[name]):
+                _seen.append(args)
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        assert app.verify(outdir, "all").ok
+        assert len(snaps) == 6
+
+        def per_snapshot(name, match):
+            return [sum(match(snap, *args) for args in calls[name]) for snap in snaps]
+        once = [1] * len(snaps)
+        assert per_snapshot("potential", lambda s, law, x: x is s.state.rho.samples) == once
+        assert per_snapshot("lebesgue_norm", lambda s, f, q: f is s.state.rho and q == q_c) == once
+        assert per_snapshot("_moment", lambda s, st, p1: st is s.state and p1 == mon.p_gain) == once
+        assert per_snapshot("_sup_besov", lambda s, part, f, sigma, floor:
+                            f is s.state.rho and sigma == mon.epsilon) == once
+        assert per_snapshot("divergence", lambda s, x: x is s.state.u) == once
+        assert per_snapshot("divergence", lambda s, x: x is s.velocities[0]) == once
 
     def test_peak_memory_flat_in_the_snapshot_count(self, tmp_path):
         m = 32

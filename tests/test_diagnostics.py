@@ -2,6 +2,7 @@
 and blow-up monitors."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -63,7 +64,7 @@ def manufactured_run():
 class TestEffectiveQuantities:
     def test_g_reduces_to_divergence_for_constant_density(self, grid, params):
         state = dyn.stream_vortex_state(grid, 1.3, 0.4)
-        g = diag.effective_pressure(state, params, diag.pressure_field(state, params))
+        g = diag._Snapshot(state, params).effective
         ref = sp.divergence(state.u) * params.nu
         assert sp.lebesgue_norm(g - ref, INF) < 1e-12
 
@@ -543,7 +544,7 @@ class TestParsevalGradientEnergies:
         grad = sp.velocity_gradient(u)
         ref = (params.mu * np.sum(grad ** 2) + (params.mu + params.lam)
                * np.sum(np.trace(grad, axis1=0, axis2=1) ** 2)) * grid.cell_volume
-        got = diag._viscous_form(params, u)
+        got = diag._viscous_form(params, u, sp.divergence(u))
         assert abs(got - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
@@ -732,18 +733,51 @@ def test_pressure_built_once_per_snapshot(vortex_run, part, monkeypatch):
     assert [r.row() for r in got] == [r.row() for r in want]
 
 
-def test_release_keeps_only_what_a_neighbour_reads(grid, params, random_state):
-    """After `release` a snapshot keeps, of its cached fields, only (v1, v)
-    and the terms of F, which the time derivatives of its neighbours read,
-    and a float."""
+def test_release_keeps_only_what_a_neighbour_reads(grid, part, params, random_state):
+    """After `release` a snapshot holds its state, params and time and, of
+    what it derived, only (v1, v) and the terms of F, which the time
+    derivatives of its neighbours read: every other cached field and every
+    memoised norm is dropped without being listed."""
     snap = diag._Snapshot(random_state, params)
     cached = [name for name, value in vars(diag._Snapshot).items()
               if isinstance(value, functools.cached_property)]
     for name in cached:
         getattr(snap, name)
-    snap.v1_residuals()
+    snap.rho_norm(3.0), snap.moment(4)
+    for name, spec in itertools.product(("rho", "div_v1"), (lp.BesovSpec(0.5, INF, INF),
+                                                            lp.BesovSpec(0.5, 4, 1))):
+        snap.besov(part, name, spec, 0.0)
+    assert {"memo", "energy", "div_u", "v1_bounds"} <= set(vars(snap))
     snap.release()
-    assert set(cached) & set(vars(snap)) == {"velocities", "rho_inf", "log_parts"}
+    assert set(vars(snap)) == {"state", "params", "t", "velocities", "log_parts"}
+
+
+def test_snapshot_besov_answers_every_floor_as_floored_besov(part, params, random_state,
+                                                            monkeypatch):
+    """The snapshot's pruned Besov memo gives `_floored_besov` bit for bit
+    at any sequence of floors (a NaN floor included), taking the norm again
+    only for a floor below one that the norm did not pass; a NaN norm is
+    NaN whatever the floor, as `_floored_besov` gives it."""
+    spec = lp.BesovSpec(0.5, INF, INF)
+    snap = diag._Snapshot(random_state, params)
+    norm = lp._floored_besov(part, snap.state.rho, spec, 0.0)
+    floors = [2.0 * norm, 3.0 * norm, 0.5 * norm, 0.0, 0.9 * norm, 4.0 * norm, math.nan]
+    want = [lp._floored_besov(part, snap.state.rho, spec, floor) for floor in floors]
+    taken = []
+
+    def counted(partition, f, s, floor, _real=lp._sup_besov):
+        taken.append(floor)
+        return _real(partition, f, s, floor)
+    monkeypatch.setattr(lp, "_sup_besov", counted)
+    got = [snap.besov(part, "rho", spec, floor) for floor in floors]
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    assert taken == [2.0 * norm, 0.5 * norm]
+    # a NaN in the field gives NaN at every floor, by either path
+    coeffs = snap.div_v1.coeffs.copy()
+    coeffs[1, 2] = math.nan
+    snap.__dict__["div_v1"] = sp.ScalarField(snap.state.grid, coeffs)
+    for spec in (lp.BesovSpec(0.5, INF, INF), lp.BesovSpec(0.5, 4, 1)):
+        assert all(math.isnan(snap.besov(part, "div_v1", spec, floor)) for floor in (5.0, 0.0))
 
 
 def test_diagnostics_leave_stored_states_as_built():
@@ -803,20 +837,13 @@ class TestTransportEstimate:
         with pytest.raises(ValueError):
             diag.transport_estimate_report(traj, part, -3.0, 2, 2)
 
-    @pytest.mark.parametrize("sigma, p, r", [(0.5, INF, INF), (0.5, 2, 2), (0.5, 2, INF),
-                                             (0.5, INF, 2), (1.5, 4, 1), (0.25, 1, INF)])
-    def test_rows_are_the_estimate_from_block_norms(self, sigma, p, r):
-        """Each row is the estimate's definition built from `block_norms`
-        alone, bit for bit: the left side from each block's maximum in time,
-        the envelopes as the max of the L^inf norm and the B^{N/p}_{p,inf}
-        norm of each gradient entry and of div v1, the source from the
-        B^sigma_{p,r} norm of div v1.  r = inf takes a running max and
-        p = r = inf visits only the blocks that can still raise it."""
-        grid = sp.TorusGrid(2, 16)
-        params = dyn.FluidParams(0.05, 0.05, LAW)
-        traj = dyn.run(dyn.stream_vortex_state(grid, 1.0, 0.5), params,
-                       dyn.SolverConfig(t_end=0.03, dt=0.01))
-        part = lp.build_partition(grid)
+    @staticmethod
+    def _estimate_from_block_norms(traj, part, sigma, p, r) -> dict[str, list]:
+        """The report's columns built from `block_norms` alone: the left side
+        from each block's maximum in time, the envelopes as the max of the
+        L^inf norm and the B^{N/p}_{p,inf} norm of each gradient entry and of
+        div v1, the source from the B^sigma_{p,r} norm of div v1."""
+        grid, params = part.grid, traj.params
         spec, env = lp.BesovSpec(sigma, p, r), lp.BesovSpec(grid.dim / p, p, INF)
 
         def norm(f, s):
@@ -834,12 +861,45 @@ class TestTransportEstimate:
                          rho_inf * norm(div_v1, spec)))
         lhs, rate, source = np.array(rows).T
         times = np.array([s.t for s in traj.states])
+        return {"time": times.tolist(), "lhs": lhs.tolist(),
+                "V": diag._cumulative_trapezoid(rate, times).tolist(),
+                "envelope_no_exp": (lhs[0] + diag._cumulative_trapezoid(source, times)).tolist()}
+
+    @pytest.mark.parametrize("sigma, p, r", [(0.5, INF, INF), (0.5, 2, 2), (0.5, 2, INF),
+                                             (0.5, INF, 2), (1.5, 4, 1), (0.25, 1, INF)])
+    def test_rows_are_the_estimate_from_block_norms(self, sigma, p, r):
+        """Each row is `_estimate_from_block_norms`, bit for bit.  r = inf
+        takes a running max and p = r = inf visits only the blocks that can
+        still raise it."""
+        grid = sp.TorusGrid(2, 16)
+        traj = dyn.run(dyn.stream_vortex_state(grid, 1.0, 0.5), dyn.FluidParams(0.05, 0.05, LAW),
+                       dyn.SolverConfig(t_end=0.03, dt=0.01))
+        part = lp.build_partition(grid)
         rep = diag.transport_estimate_report(traj, part, sigma, p, r)
-        assert rep.column("time").tolist() == times.tolist()
-        assert rep.column("lhs").tolist() == lhs.tolist()
-        assert rep.column("V").tolist() == diag._cumulative_trapezoid(rate, times).tolist()
-        assert rep.column("envelope_no_exp").tolist() == (
-            lhs[0] + diag._cumulative_trapezoid(source, times)).tolist()
+        want = self._estimate_from_block_norms(traj, part, sigma, p, r)
+        assert {name: rep.column(name).tolist() for name in want} == want
+
+    def test_div_v1_block_stack_built_once(self, vortex_run, part, monkeypatch):
+        """At finite p the envelope and the source read one block stack of
+        div v1 per snapshot, and the rows stay those of the block norms."""
+        traj, _ = vortex_run
+        snaps, stacks = [], []
+
+        class Recorded(diag._Snapshot):
+            def __init__(self, *args):
+                super().__init__(*args)
+                snaps.append(self)
+
+        def counted(partition, f, *args, _real=lp._block_stack):
+            stacks.append((len(snaps) - 1, f is snaps[-1].__dict__.get("div_v1")))
+            return _real(partition, f, *args)
+        monkeypatch.setattr(diag, "_Snapshot", Recorded)
+        monkeypatch.setattr(lp, "_block_stack", counted)
+        rep = diag.transport_estimate_report(traj, part, 1.5, 4, 1)
+        assert [n for n, div_v1 in stacks if div_v1] == list(range(len(traj)))
+        monkeypatch.undo()
+        want = self._estimate_from_block_norms(traj, part, 1.5, 4, 1)
+        assert {name: rep.column(name).tolist() for name in want} == want
 
 
 class TestV1EnergyLedger:

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import sys
 
 import pytest
@@ -173,3 +174,46 @@ def test_transform_census_names_each_differing_row(census_main, tmp_path, capsys
         f"differs: monitors total: {[total[0] + 1] + total[1:]} -> {total}",
         f"differs: simulate {dropped}: None -> {lost}",
         f"3 of {rows} rows differ"]
+
+
+@pytest.fixture()
+def pass_profile(monkeypatch):
+    """tools/pass_profile.py as a module.  What its `main` changes is taken
+    back afterwards: the thread variables, the entries it puts on sys.path
+    and the bench modules it imports."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    loaded = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("pass_profile", TOOLS / "pass_profile.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in ("child", "workloads"):
+        if name not in loaded:
+            sys.modules.pop(name, None)
+
+
+def test_pass_profile_times_every_add_and_field(pass_profile, tmp_path, capsys):
+    """On a 2-D 16^2 run of four checkpoints the profile lists every check
+    and ledger that `verify --suite all` feeds, once per snapshot, and the
+    snapshot's shared fields, each derived once per snapshot; the timed
+    classes are as they were afterwards."""
+    from torusns import diagnostics as diag
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CFG)
+    before = dict(vars(diag._Snapshot)), dict(vars(diag.EnergyLedger))
+    assert pass_profile.main(["--config", str(config)]) == 0
+    assert (dict(vars(diag._Snapshot)), dict(vars(diag.EnergyLedger))) == before
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"verify --suite all ({config})" and "pass wall time" in lines[-1]
+    rows = [re.fullmatch(r"  (add \S+|_Snapshot\.\S+) +(\d+) +[\d.]+ +[\d.]+", line)
+            for line in lines]
+    calls = {row[1]: int(row[2]) for row in rows if row}
+    fed = ["_IdentitySuite", "_SeriesCrosscheck", "_Diagnostics", "BlowupMonitor",
+           "EnergyLedger", "DensityBoundLedger", "IntegrabilityGain", "TransportEstimate",
+           "GradOmegaBudget", "_AFunctional", "V1EnergyLedger"]
+    assert {name[4:]: n for name, n in calls.items() if name.startswith("add ")} == \
+        dict.fromkeys(fed, 4)
+    shared = ("energy", "div_u", "div_v1", "velocities", "pressure", "release")
+    assert {name: calls[f"_Snapshot.{name}"] for name in shared} == dict.fromkeys(shared, 4)
