@@ -1,7 +1,7 @@
 """Derived quantities, identity residuals, energy functionals, inequality
 ledgers, and blow-up monitors for solver trajectories, fed by one pass over
 the states (`feed`) whose `_Snapshot` derives each shared field and norm of
-a state once.
+a state once, its minimum density `min_rho` and |u|^2 `u_sq` among them.
 
 Three accuracy classes, tested accordingly:
   * exact identities (operator algebra): residuals at round-off on any state;
@@ -160,11 +160,9 @@ def _viscous_form(params: FluidParams, x: VectorField, div_x: ScalarField) -> fl
     return _viscous_dissipation(x.grid, params, x.coeffs, div_x.coeffs)
 
 
-def _moment(state: FluidState, p1: float) -> float:
-    """(1/p1) int rho |u|^p1 dx."""
-    mag2 = np.sum(state.u.samples ** 2, axis=0)
-    return float(np.sum(state.rho.samples * mag2 ** (p1 / 2))) \
-        * state.grid.cell_volume / p1
+def _moment(rho: ScalarField, mag2: np.ndarray, p1: float) -> float:
+    """(1/p1) int rho |u|^p1 dx, with mag2 = |u|^2 pointwise."""
+    return float(np.sum(rho.samples * mag2 ** (p1 / 2))) * rho.grid.cell_volume / p1
 
 
 def _advect(u: VectorField, f: Field) -> Field:
@@ -342,8 +340,8 @@ class _Snapshot:
     coefficients) is kept here, not on the stored state, so it is freed with
     the snapshot and a trajectory's states stay as small as they were built.
     Every pass refuses a state here alone, so every accumulator reads finite
-    samples and a positive density: a NaN or inf sample raises
-    `NonFiniteError`, and a density at or below zero `VacuumError`."""
+    samples and a positive minimum density `min_rho`: a NaN or inf sample
+    raises `NonFiniteError`, and a density at or below zero `VacuumError`."""
 
     def __init__(self, state: FluidState, params: FluidParams):
         grid = state.grid
@@ -352,9 +350,9 @@ class _Snapshot:
         for name, f in (("density", self.state.rho), ("velocity", self.state.u)):
             if not np.all(np.isfinite(f.samples)):
                 raise NonFiniteError(state.t, name)
-        if self.state.min_density <= 0:
-            raise VacuumError(state.t, self.state.min_density)
-        self.params, self.t = params, state.t
+        self.params, self.t, self.min_rho = params, state.t, self.state.min_density
+        if self.min_rho <= 0:
+            raise VacuumError(state.t, self.min_rho)
 
     @functools.cached_property
     def p_values(self) -> np.ndarray:
@@ -388,10 +386,14 @@ class _Snapshot:
         return g + ScalarField.constant(self.state.grid, self.pressure.mean)
 
     @functools.cached_property
+    def u_sq(self) -> np.ndarray:
+        return np.sum(self.state.u.samples ** 2, axis=0)
+
+    @functools.cached_property
     def energy(self) -> tuple[float, float]:
         """(int rho |u|^2 / 2, int Pi(rho)) dx as sample sums, at no transform."""
         rho, vol = self.state.rho, self.state.grid.cell_volume
-        return (0.5 * _rho_weighted_sq(rho, self.state.u),
+        return (0.5 * (float(np.sum(rho.samples * self.u_sq)) * vol),
                 float(np.sum(self.params.pressure.potential(rho.samples))) * vol)
 
     @functools.cached_property
@@ -436,7 +438,7 @@ class _Snapshot:
 
     def moment(self, p1: int) -> float:
         """(1/p1) int rho |u|^p1 dx."""
-        return self._memo(("moment", p1), lambda: _moment(self.state, p1))
+        return self._memo(("moment", p1), lambda: _moment(self.state.rho, self.u_sq, p1))
 
     def besov(self, partition: DyadicPartition, name: str, spec: BesovSpec,
               floor: float) -> float:
@@ -752,9 +754,8 @@ class IntegrabilityGain(Accumulator):
     def add(self, window: _Window) -> None:
         super().add(window)
         snap, p1 = window.current, self.p1
-        grid, u_s = snap.state.grid, snap.state.u.samples
+        grid, u_s, mag2 = snap.state.grid, snap.state.u.samples, snap.u_sq
         self.dim, vol = grid.dim, grid.cell_volume
-        mag2 = np.sum(u_s ** 2, axis=0)
         d1_rate = float(np.sum(mag2 ** ((p1 - 2) / 2) * snap.grad_sq)) * vol
         d2_rate = 0.0
         if p1 >= 4:
@@ -811,7 +812,7 @@ class DensityBoundLedger(Accumulator):
     def add(self, window: _Window) -> None:
         snap = window.current
         if not self.times:
-            self.rho0_max, self.rho0_min = snap.rho_norm(math.inf), snap.state.min_density
+            self.rho0_max, self.rho0_min = snap.rho_norm(math.inf), snap.min_rho
         super().add(window)
         p = snap.pressure
         comm, phi = snap.coifman
@@ -1171,7 +1172,7 @@ class _Diagnostics(Accumulator):
         kin, pot = snap.energy
         values = {
             "mass": state.mass,
-            "min_rho": state.min_density,
+            "min_rho": snap.min_rho,
             "rho_linf": snap.rho_norm(math.inf),
             "rho_lq": snap.rho_norm(self.q_dens),
             "grad_u_l2": float(math.sqrt(np.sum(gu_mag ** 2) * state.grid.cell_volume)),
@@ -1187,8 +1188,8 @@ class _Diagnostics(Accumulator):
                        for name, val in v1_identities(state, params, snap).items()})
         values["effective_pressure_l2"] = lebesgue_norm(snap.effective, 2)
         values["rho_besov_eps"] = snap.besov(partition, "rho", self.eps_spec, 0.0)
-        self.rows.append(DiagnosticRecord(
-            state.t, values, {"finite": state.is_finite(), "positive": state.min_density > 0}))
+        # finite and positive: the snapshot refused a NaN or inf and a density <= 0
+        self.rows.append(DiagnosticRecord(state.t, values, {"finite": True, "positive": True}))
 
     def finish(self) -> list[DiagnosticRecord]:
         return self.rows

@@ -1,27 +1,23 @@
-import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 from torusns import spectral
 
-CENSUS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "transform_census.py"
+# tools/ on the path, as for a script run from it: the tools import `audit`
+TOOLS = str(pathlib.Path(__file__).resolve().parents[1] / "tools")
+if TOOLS not in sys.path:
+    sys.path.insert(0, TOOLS)
 
-
-@pytest.fixture(scope="session")
-def transform_census():
-    """tools/transform_census.py as a module; importing it changes nothing."""
-    spec = importlib.util.spec_from_file_location("transform_census", CENSUS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import audit  # noqa: E402  (tools/audit.py; importing it changes nothing)
 
 
 @pytest.fixture()
-def fft_calls(transform_census):
+def fft_calls():
     """The package's transforms, counted at the compiled kernels that
-    `spectral` calls by `transform_census.Census` while the test runs: its
-    `totals`, "rfftn" and "irfftn" calls, their fields under "rfftn_fields"
-    and "irfftn_fields", and "c2c" passes (see `Census`)."""
-    with transform_census.Census(spectral) as census:
+    `spectral` calls by `audit.Census` while the test runs: its `totals`,
+    "rfftn" and "irfftn" calls, their fields under "rfftn_fields" and
+    "irfftn_fields", and "c2c" passes (see `Census`)."""
+    with audit.Census(spectral) as census:
         yield census.totals

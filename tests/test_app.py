@@ -3,6 +3,7 @@
 import builtins
 import collections
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -829,7 +830,7 @@ class TestStreamingVerify:
         """Over one `verify --suite all` pass each snapshot derives once every
         quantity that several checks and ledgers read: the energy parts (one
         sum of the potential), ||rho||_{L^{q_c}}, the p1 moment, rho's
-        B^eps_{inf,inf} norm, div u and div v1."""
+        B^eps_{inf,inf} norm, div u, div v1 and |u|^2."""
         outdir = _stream_run(str(tmp_path), 6)
         problem = app.build_problem(app.load_config(os.path.join(outdir, app.CONFIG_FILE)))
         mon = problem.monitor
@@ -848,6 +849,12 @@ class TestStreamingVerify:
                 _seen.append(args)
                 return _real(*args)
             monkeypatch.setattr(owner, name, counted)
+        def u_sq(snap, _real=diag._Snapshot.u_sq.func):
+            calls["u_sq"].append((snap,))
+            return _real(snap)
+        counted_u_sq = functools.cached_property(u_sq)
+        counted_u_sq.__set_name__(diag._Snapshot, "u_sq")
+        monkeypatch.setattr(diag._Snapshot, "u_sq", counted_u_sq)
         assert app.verify(outdir, "all").ok
         assert len(snaps) == 6
 
@@ -856,11 +863,37 @@ class TestStreamingVerify:
         once = [1] * len(snaps)
         assert per_snapshot("potential", lambda s, law, x: x is s.state.rho.samples) == once
         assert per_snapshot("lebesgue_norm", lambda s, f, q: f is s.state.rho and q == q_c) == once
-        assert per_snapshot("_moment", lambda s, st, p1: st is s.state and p1 == mon.p_gain) == once
+        assert per_snapshot("_moment", lambda s, rho, mag2, p1:
+                            rho is s.state.rho and p1 == mon.p_gain) == once
         assert per_snapshot("_sup_besov", lambda s, part, f, sigma, floor:
                             f is s.state.rho and sigma == mon.epsilon) == once
         assert per_snapshot("divergence", lambda s, x: x is s.state.u) == once
         assert per_snapshot("divergence", lambda s, x: x is s.velocities[0]) == once
+        assert per_snapshot("u_sq", lambda s, snap: snap is s) == once
+
+    def test_min_density_read_once_and_finiteness_never(self, tmp_path, monkeypatch):
+        """Over one `verify --suite all` pass each snapshot reads its minimum
+        density once, where it refuses a vacuum, and every check and ledger
+        takes that `_Snapshot.min_rho`; nothing scans the samples for
+        finiteness again (`FluidState.is_finite`) after the snapshot refused
+        a NaN or inf."""
+        outdir = _stream_run(str(tmp_path), 6)
+        snaps, reads, scans = [], [], []
+
+        class Recorded(diag._Snapshot):
+            def __init__(self, *args):
+                super().__init__(*args)
+                snaps.append(self)
+
+        monkeypatch.setattr(diag, "_Snapshot", Recorded)
+        def min_density(state, _real=dyn.FluidState.min_density.fget):
+            reads.append(state)
+            return _real(state)
+        monkeypatch.setattr(dyn.FluidState, "min_density", property(min_density))
+        monkeypatch.setattr(dyn.FluidState, "is_finite", lambda state: scans.append(state))
+        assert app.verify(outdir, "all").ok
+        assert len(snaps) == 6 and scans == []
+        assert len(reads) == 6 and all(read is snap.state for read, snap in zip(reads, snaps))
 
     def test_peak_memory_flat_in_the_snapshot_count(self, tmp_path):
         m = 32

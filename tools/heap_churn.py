@@ -21,21 +21,13 @@ the benchmark reports as `peak_rss_mb` at the end of its run.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"   # as bench/run.py starts its children
-
 import argparse
 import resource
 import statistics
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "bench"))
-
-import child  # noqa: E402  (bench/child.py, found through the path above)
+import audit
 
 
 def _usage() -> tuple[int, float, float]:
@@ -54,7 +46,8 @@ def main(argv=None) -> int:
     if args.cycles < 1:
         ap.error("--cycles must be >= 1")
 
-    child._import_torusns()
+    audit.import_bench()
+    import child
     import workloads
     workload = workloads.make(args.workload)
     simulation = args.workload != "lp-ensemble"
