@@ -3,6 +3,13 @@ ledgers, and blow-up monitors for solver trajectories, fed by one pass over
 the states (`feed`) whose `_Snapshot` derives each shared field and norm of
 a state once, its minimum density `min_rho` and |u|^2 `u_sq` among them.
 
+Memory: a pass holds three stored states, the current snapshot's fields and
+its two neighbours' v.  A snapshot that every accumulator has read as the
+current one is released and keeps only `_Snapshot.KEPT`: its time,
+`min_rho`, stored samples and v (and the terms of F, where the F-transport
+residual derived them); time derivatives difference the stored samples (u)
+or what a released snapshot keeps (v, F).
+
 Three accuracy classes, tested accordingly:
   * exact identities (operator algebra): residuals at round-off on any state;
   * discretization-limited identities: O(dt^2) from centred time differencing
@@ -40,11 +47,14 @@ from .spectral import (
     pointwise,
     random_field,
     random_vector_field,
+    sample_norm,
     scale_vector,
     sobolev_norm,
     to_coeffs,
+    to_samples,
     velocity_gradient,
     _dealiased_values,
+    _derivative_symbol,
     _riesz_symbol,
 )
 from .littlewood_paley import (BesovSpec, DyadicPartition, EnsembleReport,
@@ -148,10 +158,9 @@ def _ratio_ledger(name: str, columns: dict[str, np.ndarray], lhs, rhs,
 # shared integrands
 # ---------------------------------------------------------------------------
 
-def _rho_weighted_sq(rho: ScalarField, x: VectorField) -> float:
-    """int rho |X|^2 dx."""
-    return float(np.sum(rho.samples * np.sum(x.samples ** 2, axis=0))) \
-        * rho.grid.cell_volume
+def _rho_weighted_sq(rho: ScalarField, x: np.ndarray) -> float:
+    """int rho |X|^2 dx, X given by its samples."""
+    return float(np.sum(rho.samples * np.sum(x ** 2, axis=0))) * rho.grid.cell_volume
 
 
 def _viscous_form(params: FluidParams, x: VectorField, div_x: ScalarField) -> float:
@@ -206,15 +215,26 @@ def _coifman_parts(state: FluidState) -> tuple[ScalarField, ScalarField]:
     symmetric symbol, so it is the sum over the pairs i <= j of that symbol
     times the pair sums u_i b_j + u_j b_i (u_i b_i on the diagonal):
     dim (dim + 1) / 2 forward-transformed fields multiplied by one cached
-    symbol stack, the 2/3 mask folded into it."""
-    grid = state.grid
+    symbol stack, the 2/3 mask folded into it.  Each intermediate is
+    freed once read: b's coefficients after phi, its samples after the
+    pair sums, and those after their transform."""
+    grid, u = state.grid, state.u.samples
     b = scale_vector(state.rho, state.u)
     phi = _inv_lap_div(b)
-    u, bs = state.u.samples, b.samples
-    pairs = np.stack([u[i] * bs[i] if i == j else u[i] * bs[j] + u[j] * bs[i]
-                      for i in range(grid.dim) for j in range(i, grid.dim)])
-    term2 = np.sum(to_coeffs(grid, pairs) * _flux_symbols(grid), axis=0)
-    return _advect(state.u, phi) - ScalarField(grid, term2, copy=False), phi
+    bs = b.samples
+    del b
+    index = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
+    pairs = np.empty((len(index),) + grid.shape)
+    for row, (i, j) in zip(pairs, index):
+        np.multiply(u[i], bs[j], out=row)
+        if i != j:
+            row += u[j] * bs[i]
+    del bs
+    term2 = to_coeffs(grid, pairs)
+    del pairs
+    term2 *= _flux_symbols(grid)
+    term2 = ScalarField(grid, np.sum(term2, axis=0), copy=False)
+    return _advect(state.u, phi) - term2, phi
 
 
 def coifman_commutator(state: FluidState) -> tuple[ScalarField, float]:
@@ -223,14 +243,6 @@ def coifman_commutator(state: FluidState) -> tuple[ScalarField, float]:
     W^{1,1} norm (1/r3 = 1/r1 + 1/r2 with r1 = r2 = 2, so r3 = 1)."""
     comm, _ = _coifman_parts(state)
     return comm, sobolev_norm(comm, 1, 1.0)
-
-
-def effective_velocity(state: FluidState, params: FluidParams,
-                       pressure: ScalarField) -> tuple[VectorField, VectorField]:
-    """(v1, v) with v = grad inv_lap (P(rho) - mean P) and v1 = u - v/nu,
-    `pressure` the P(rho) of `pressure_field(state, params)`."""
-    v = bogovskii(pressure)
-    return state.u - v * (1.0 / params.nu), v
 
 
 def v1_identities(state: FluidState, params: FluidParams,
@@ -296,14 +308,19 @@ class _Window:
     def current(self):
         return self.items[self.pos]
 
-    def time_derivative(self, read: Callable[["_Snapshot"], Field]) -> Field:
-        """d/dt at the current snapshot of the field read(snapshot)."""
+    def time_derivative(self, read: Callable[["_Snapshot"], np.ndarray]) -> np.ndarray:
+        """d/dt at the current snapshot of the array read(snapshot): samples
+        or coefficients, as the reader keeps them."""
         if self.span == 1:
             raise RuntimeError("time derivative on a pass whose accumulators "
                                "declare none (`differentiates`)")
-        fields = [read(s) for s in self.items]
-        return fields[0].with_coeffs(_difference([s.t for s in self.items],
-                                                 [f.coeffs for f in fields], self.pos))
+        return _difference([s.t for s in self.items], [read(s) for s in self.items], self.pos)
+
+    @property
+    def du(self) -> np.ndarray:
+        """Samples of d_t u at the current snapshot, differenced on the
+        stored samples (no transform) once per snapshot, in its memo."""
+        return self.current._memo("du", lambda: self.time_derivative(lambda s: s.state.u.samples))
 
 
 def _windows(count: int, load: Callable[[int], object], span: int):
@@ -341,7 +358,19 @@ class _Snapshot:
     the snapshot and a trajectory's states stay as small as they were built.
     Every pass refuses a state here alone, so every accumulator reads finite
     samples and a positive minimum density `min_rho`: a NaN or inf sample
-    raises `NonFiniteError`, and a density at or below zero `VacuumError`."""
+    raises `NonFiniteError`, and a density at or below zero `VacuumError`.
+
+    Memory: the pass (`feed`) releases a snapshot once every accumulator
+    has read it as the current one, and a released snapshot keeps only
+    `KEPT`: its time, `min_rho`, the stored samples (its fields drop their
+    coefficients) and v, whose time derivative gives d_t v1 = d_t u -
+    d_t v / nu with d_t u differenced on the samples; the terms of F too,
+    where the F-transport residual derived them.  So a pass holds three
+    stored states, the current snapshot's fields and its neighbours' v."""
+
+    #: what `release` keeps: what a neighbour's time derivative reads
+    #: (samples, v and the terms of F) and the scalars t and min_rho
+    KEPT = ("state", "params", "t", "min_rho", "v", "log_parts")
 
     def __init__(self, state: FluidState, params: FluidParams):
         grid = state.grid
@@ -370,9 +399,14 @@ class _Snapshot:
         return pointwise(self.state.grid, self.p_values)
 
     @functools.cached_property
-    def velocities(self) -> tuple[VectorField, VectorField]:
-        """(v1, v) of `effective_velocity`."""
-        return effective_velocity(self.state, self.params, self.pressure)
+    def v(self) -> VectorField:
+        """v = grad inv_lap (P(rho) - mean P) of the effective velocity v1 = u - v / nu."""
+        return bogovskii(self.pressure)
+
+    @functools.cached_property
+    def v1(self) -> VectorField:
+        """The effective velocity v1 = u - v / nu."""
+        return self.state.u - self.v * (1.0 / self.params.nu)
 
     @functools.cached_property
     def div_u(self) -> ScalarField:
@@ -404,17 +438,27 @@ class _Snapshot:
     @functools.cached_property
     def div_v1(self) -> ScalarField:
         """div v1."""
-        return divergence(self.velocities[0])
+        return divergence(self.v1)
 
     @functools.cached_property
-    def grad_u(self) -> np.ndarray:
-        """Samples of grad u, as `velocity_gradient` gives them."""
-        return velocity_gradient(self.state.u)
-
-    @functools.cached_property
-    def grad_sq(self) -> np.ndarray:
-        """Pointwise |grad u|^2, summed over the derivative and component axes."""
-        return np.sum(self.grad_u ** 2, axis=(0, 1))
+    def grad_parts(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """What the accumulators read of grad u's samples: pointwise
+        |grad u|^2, max_ij |d_i u_j| and pointwise |grad |u|^2|^2 =
+        sum_i (2 sum_j u_j d_i u_j)^2.  Each d_i u_j is transformed alone
+        and folded in, so grad u's dim^2 sample arrays are never held at
+        once; the sums run over (i, j) in `np.sum`'s order and give its bits."""
+        grid, u = self.state.grid, self.state.u
+        sq, mag2, top = np.zeros(grid.shape), np.zeros(grid.shape), 0.0
+        for dk in _derivative_symbol(grid):
+            s_i = np.zeros(grid.shape)   # d_i |u|^2 / 2
+            for u_j, c_j in zip(u.samples, u.coeffs):
+                g = to_samples(grid, c_j * dk)
+                top = np.maximum(top, np.max(np.abs(g)))
+                s_i += u_j * g
+                sq += np.square(g, out=g)
+            s_i *= 2
+            mag2 += np.square(s_i, out=s_i)
+        return sq, float(top), mag2
 
     @functools.cached_property
     def coifman(self) -> tuple[ScalarField, ScalarField]:
@@ -458,22 +502,22 @@ class _Snapshot:
     @functools.cached_property
     def v1_bounds(self) -> dict[str, float]:
         """The `coefficient_sup_bound` of each residual field of `v1_identities`,
-        by name, built from the cached (v1, v), G, P and curl u."""
-        v1, _ = self.velocities
-        inv_nu = 1.0 / self.params.nu
-        residuals = {
-            "div_v1": self.div_v1 - self.effective * inv_nu,
-            "curl_v1": curl(v1) - self.vorticity,
-            "lap_u_decomposition": (laplacian(self.state.u) - laplacian(v1)
-                                    - gradient(self.pressure) * inv_nu),
-        }
-        return {name: coefficient_sup_bound(res) for name, res in residuals.items()}
+        by name, built one at a time from the cached v1, G, P and curl u."""
+        v1, inv_nu = self.v1, 1.0 / self.params.nu
+
+        def residuals():
+            yield "div_v1", self.div_v1 - self.effective * inv_nu
+            yield "curl_v1", curl(v1) - self.vorticity
+            yield "lap_u_decomposition", (laplacian(self.state.u) - laplacian(v1)
+                                          - gradient(self.pressure) * inv_nu)
+        return {name: coefficient_sup_bound(res) for name, res in residuals()}
 
     def release(self) -> None:
-        """Drop every derived field and norm but those that a neighbour's
-        time derivative reads: u of the state, (v1, v) and the terms of F."""
-        for name in set(vars(self)) - {"state", "params", "t", "velocities", "log_parts"}:
+        """Drop every derived field and norm but those `KEPT`, and the
+        coefficients of the state's fields, which their samples give back."""
+        for name in set(vars(self)) - set(self.KEPT):
             del self.__dict__[name]
+        self.state.rho._coeffs = self.state.u._coeffs = None
 
 
 class Accumulator:
@@ -511,9 +555,9 @@ def feed(accumulators: Sequence, params: FluidParams, count: int,
     every accumulator gets every window, so all of them share each state's
     `_Snapshot`.  At most three states are held at once, and one when no
     accumulator differentiates in time (an accumulator without a
-    `differentiates` attribute does not), so a snapshot's fields are freed
-    as soon as every accumulator has read it.  A non-finite sample or a
-    density <= 0 stops the pass (`_Snapshot`)."""
+    `differentiates` attribute does not), and a snapshot's fields but
+    `_Snapshot.KEPT` are freed as soon as every accumulator has read it.
+    A non-finite sample or a density <= 0 stops the pass (`_Snapshot`)."""
     span = 3 if any(getattr(acc, "differentiates", False) for acc in accumulators) else 1
     for window in _windows(count, lambda n: _Snapshot(load(n), params), span):
         for acc in accumulators:
@@ -538,8 +582,10 @@ def _report(source, ledger: type, *config):
 
 def _material_derivative(window: _Window, read: Callable[[_Snapshot], Field]) -> Field:
     """d/dt = d_t + u . grad at the current snapshot of the scalar or vector
-    field read(snapshot), its time part from `_Window.time_derivative`."""
-    return window.time_derivative(read) + _advect(window.current.state.u, read(window.current))
+    field read(snapshot), its time part differenced on the coefficients."""
+    f = read(window.current)
+    return (f.with_coeffs(window.time_derivative(lambda s: read(s).coeffs))
+            + _advect(window.current.state.u, f))
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +653,8 @@ class _EllipticIdentities(_InteriorResiduals):
     def residuals(self, window: _Window):
         snap, params = window.current, self.params
         state = snap.state
-        rho_dot = scale_vector(state.rho, _material_derivative(window, lambda s: s.state.u))
+        u_dot = window.du + _advect(state.u, state.u).samples   # the material derivative
+        rho_dot = scale_vector(state.rho, VectorField._of_samples(state.grid, u_dot))
         rho_g = _forcing_density(state, params)
         p_u, _ = leray_project(state.u)
         p_dot, q_dot = leray_project(rho_dot)
@@ -691,8 +738,7 @@ class _AFunctional(Accumulator):
         snap = window.current
         state = snap.state
         rho, p = state.rho.samples, snap.p_values
-        du = window.time_derivative(lambda s: s.state.u)
-        self.rows.append((_rho_weighted_sq(state.rho, du),
+        self.rows.append((_rho_weighted_sq(state.rho, window.du),
                           float(np.sum(p ** 2 * (rho * snap.dp_values - p)))
                           * state.grid.cell_volume,
                           _viscous_form(self.params, state.u, snap.div_u),
@@ -754,13 +800,12 @@ class IntegrabilityGain(Accumulator):
     def add(self, window: _Window) -> None:
         super().add(window)
         snap, p1 = window.current, self.p1
-        grid, u_s, mag2 = snap.state.grid, snap.state.u.samples, snap.u_sq
+        grid, mag2 = snap.state.grid, snap.u_sq
+        grad_sq, _, grad_mag2 = snap.grad_parts
         self.dim, vol = grid.dim, grid.cell_volume
-        d1_rate = float(np.sum(mag2 ** ((p1 - 2) / 2) * snap.grad_sq)) * vol
+        d1_rate = float(np.sum(mag2 ** ((p1 - 2) / 2) * grad_sq)) * vol
         d2_rate = 0.0
         if p1 >= 4:
-            # |grad |u|^2|^2 with d_i |u|^2 = 2 sum_j u_j d_i u_j
-            grad_mag2 = np.sum((2 * np.sum(u_s * snap.grad_u, axis=1)) ** 2, axis=0)
             d2_rate = float(np.sum(mag2 ** ((p1 - 4) / 2) * grad_mag2)) * vol
         space_p = 3.0 * p1 / (p1 + 1.0)
         self.rows.append((snap.moment(p1), d1_rate, d2_rate,
@@ -914,7 +959,7 @@ class BlowupMonitor(Accumulator):
                               if dim == 3 else {"L2g1": 2.0 * self.gamma + 1.0})
         self.rows.append(tuple(snap.rho_norm(q) for q in self.comp_exps.values())
                          + (snap.rho_norm(self.q_crit),
-                            math.sqrt(np.max(snap.grad_sq)), snap.rho_norm(math.inf)))
+                            math.sqrt(np.max(snap.grad_parts[0])), snap.rho_norm(math.inf)))
 
     def finish(self) -> MonitorFlags:
         if not self.seen:
@@ -996,7 +1041,7 @@ class TransportEstimate(Accumulator):
             self.block_sup = np.maximum(self.block_sup, block_norms(part, snap.state.rho, self.p))
             lhs = besov_from_block_norms(self.block_sup, self.spec)
         # the envelopes of grad u and div v1 take their L^inf norms as floors
-        grad_env = float(np.max(np.abs(snap.grad_u)))
+        grad_env = snap.grad_parts[1]
         for i, j in itertools.product(range(u.grid.dim), repeat=2):
             grad_env = _floored_besov(part, partial(u.component(j), i), self.env_spec, grad_env)
         div_env = snap.besov(part, "div_v1", self.env_spec, lebesgue_norm(snap.div_v1, math.inf))
@@ -1048,33 +1093,44 @@ def dtv_formula(snap: _Snapshot) -> VectorField:
                              - mean(P div u) + mean(rho P' div u) )
 
     with Lambda^{-1} the Bogovskii inverse grad inv_lap (. - mean), at the
-    snapshot `snap`, from its P, P' and div u."""
+    snapshot `snap`, from its P, P' and div u.  Each intermediate field is
+    freed once read."""
     state, grid, p, div_u = snap.state, snap.state.grid, snap.pressure, snap.div_u
-    pu = scale_vector(p, state.u)
+    h = ScalarField.zero(grid)
+    for i, u_i in enumerate(state.u.samples):   # -div(P u), a component at a time
+        h = h - partial(_dealiased_values(ScalarField, grid, p.samples * u_i), i)
     rho_dp = multiply(state.rho, pointwise(grid, snap.dp_values))
-    h = (divergence(pu) * -1.0) + multiply(p - rho_dp, div_u)
     # the mean mode survives dealiasing: each mean is that of the samples
     mean_terms = (-float(np.mean(p.samples * div_u.samples))
                   + float(np.mean(rho_dp.samples * div_u.samples)))
-    h = h + ScalarField.constant(grid, mean_terms)
-    return bogovskii(h)
+    h = h + multiply(p - rho_dp, div_u)
+    del rho_dp
+    return bogovskii(h + ScalarField.constant(grid, mean_terms))
 
 
 class V1EnergyLedger(Accumulator):
-    """Accumulator of `v1_energy_ledger`."""
+    """Accumulator of `v1_energy_ledger`.  d_t v1 = d_t u - d_t v / nu, from
+    the window's d_t u on the samples and the difference of v's
+    coefficients, which a neighbour keeps; each is freed once read."""
 
     differentiates = True
 
     def add(self, window: _Window) -> None:
         snap = window.current
         super().add(window)
-        dt_v1 = window.time_derivative(lambda s: s.velocities[0])
+        grid = snap.state.grid
+        dt_v = window.time_derivative(lambda s: s.v.coeffs)
+        dt_v1 = to_samples(grid, dt_v)
+        dt_v1 *= -1.0 / self.params.nu
+        dt_v1 += window.du
+        k1_rate = _rho_weighted_sq(snap.state.rho, dt_v1)
+        del dt_v1
         dtv_resid = math.nan   # at the ends of the run
         if window.pos == 1:
-            dt_v = window.time_derivative(lambda s: s.velocities[1])
-            dtv_resid = lebesgue_norm(dtv_formula(snap) - dt_v, math.inf)
-        self.rows.append((_rho_weighted_sq(snap.state.rho, dt_v1),
-                          _viscous_form(self.params, snap.velocities[0], snap.div_v1), dtv_resid))
+            resid = to_samples(grid, dtv_formula(snap).coeffs - dt_v)
+            del dt_v
+            dtv_resid = sample_norm(grid, resid, math.inf, rank=1)
+        self.rows.append((k1_rate, _viscous_form(self.params, snap.v1, snap.div_v1), dtv_resid))
 
     def finish(self) -> LedgerReport:
         times = np.array(self.times)
@@ -1168,7 +1224,7 @@ class _Diagnostics(Accumulator):
     def add(self, window: _Window) -> None:
         n, snap = window.index, window.current
         state, params, (monitor, partition) = snap.state, self.params, self.config
-        gu_mag = np.sqrt(snap.grad_sq)
+        gu_mag = np.sqrt(snap.grad_parts[0])
         kin, pot = snap.energy
         values = {
             "mass": state.mass,

@@ -13,6 +13,7 @@ flow map, and the w1/w2 splitting of the momentum operator.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -89,6 +90,17 @@ def _antiderivative(c, z: np.ndarray) -> np.ndarray:
     return z * _polyval(rest, z) - c[0] / z + c[1] * np.log(z)
 
 
+@functools.cache
+def _gauss() -> tuple[np.ndarray, np.ndarray]:
+    """The 12-point Gauss-Legendre nodes and weights on [0, 1].  For f/z^2,
+    f a polynomial of degree 6 at most, over [x, x + W] with 0 < W <= x the
+    integrand is analytic inside the Bernstein ellipse of radius 5.8 of the
+    interval, so the rule is exact to about 5.8^-24 of its size (Trefethen,
+    SIAM Rev. 50, 2008, Thm 4.5)."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The knot slopes of the monotone cubic through (x, y), y non-decreasing,
     as scipy's PchipInterpolator takes them: inside, the weighted harmonic
@@ -161,8 +173,19 @@ class TabulatedLaw:
     d_n; so P >= 0 and P' >= 0 everywhere.  Each piece is a cubic at most.
     P and P' evaluate it in powers of s - its origin (0 below d_0, the
     piece's left knot above), as scipy's PPoly does, so a piece that starts
-    at P = 0 does not cancel there; the potential and k integrate it from
-    its power coefficients in s, exactly per piece (`_pi`)."""
+    at P = 0 does not cancel there.  The potential and k integrate P/z^2
+    and P^2/z^2 piece by piece (`_pi`, `_partial`): from a piece's origin x
+    up to 2 x by `_gauss` in powers of z - x, and beyond exactly from the
+    power coefficients in z, which cancel only near x (on a piece of length
+    h by about (x/h)^6 for P^2, and on the tail by (P'(d_n) d_n / P_n)^2).
+
+    Contract: `potential` and the Pi_{P^2} = 2 (P^2 - k) of `k` are within
+    1e-13 s P_s / d_0 and 1e-13 s P_s^2 / d_0 absolute of s int_0^s P/z^2
+    and s int_0^s P^2/z^2, P_s = max(P(s), P_n), as a 60-point
+    Gauss-Legendre rule per piece measures them.  Against a 40-digit
+    quadrature they were within 4e-15 relative too on the tables tried,
+    also just above a knot where P = 0, where both vanish like (s - d)^3
+    and (s - d)^5, unless P's own cubic cancels there."""
 
     def __init__(self, densities: Sequence[float], pressures: Sequence[float]):
         d = np.asarray(densities, dtype=float)
@@ -184,11 +207,12 @@ class TabulatedLaw:
         self._knots = (d, p)
         self._local = (x, local)
         self._coeffs = (c, sum(np.pad(c[j] * c, ((j, 3 - j), (0, 0))) for j in range(4)))
-        # int_0^{lo_i} f/z^2 dz - G_i(lo_i) for f = P, P^2, summed piece by piece: piece
-        # i > 0 starts at lo_i = d_{i-1} and the tail at 0, where G_0 = 0 (c_0 = c_1 = 0)
-        lows = [np.r_[0.0, _antiderivative(f[:, 1:], d)] for f in self._coeffs]
-        self._offsets = [np.r_[0.0, np.cumsum(_antiderivative(f[:, :-1], d) - low[:-1])] - low
-                         for f, low in zip(self._coeffs, lows)]
+        # G_i at 2 x_i, where `_partial` switches to it, for f = P, P^2 (G_0(0) = 0)
+        self._lows = [np.r_[0.0, _antiderivative(f[:, 1:], 2.0 * d)] for f in self._coeffs]
+        # int_0^{x_i} f/z^2 dz, summed piece by piece up to the tail's origin d_n
+        pieces = np.arange(d.size)
+        self._starts = [np.r_[0.0, np.cumsum(self._partial(power, d, pieces))]
+                        for power in (1, 2)]
 
     def _piece(self, s) -> tuple[np.ndarray, np.ndarray]:
         """(s as floats, the piece of each: 0 below d_0, n + 1 from d_n up and for NaN)."""
@@ -200,10 +224,27 @@ class TabulatedLaw:
         x, local = self._local
         return local[:, i], s - x[i]
 
+    def _partial(self, power: int, s: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """int_{x_i}^s f(z)/z^2 dz for f = P^power on piece i, x_i its origin:
+        up to 2 x_i by `_gauss` in powers of z - x_i, beyond by the
+        antiderivative in powers of z (all of it below d_0, where x_0 = 0)."""
+        (origins, local), (nodes, weights) = self._local, _gauss()
+        out = np.zeros(np.shape(s))
+        if np.any(near := i > 0):
+            x, c = origins[i[near]], local[:, i[near]]
+            w = np.minimum(s[near], 2.0 * x) - x
+            out[near] = w * sum(weight * _polyval(c, w * t) ** power / (x + w * t) ** 2
+                                for t, weight in zip(nodes, weights))
+        if np.any(far := s > 2.0 * origins[i]):
+            j = i[far]
+            out[far] += (_antiderivative(self._coeffs[power - 1][:, j], s[far])
+                         - self._lows[power - 1][j])
+        return out
+
     def _pi(self, power: int, s: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Pi_f(s) = s int_0^s f(z)/z^2 dz for f = P^power; 0 at s <= 0."""
-        g = _antiderivative(self._coeffs[power - 1][:, i], np.where(s <= 0, 1.0, s))
-        return np.where(s <= 0, 0.0, s * (self._offsets[power - 1][i] + g))
+        z = np.where(s <= 0, 1.0, s)
+        return np.where(s <= 0, 0.0, s * (self._starts[power - 1][i] + self._partial(power, z, i)))
 
     def __call__(self, s):
         return _polyval(*self._at(*self._piece(s)))
@@ -391,6 +432,27 @@ def _rk4(rhs, t: float, ys: tuple, dt: float) -> tuple:
     return tuple(y + dt / 6 * s for y, s in zip(ys, total))
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Have glibc's malloc keep the memory a step frees for the next step:
+    blocks up to 32 MiB come from the heap, and its top goes back to the
+    kernel only past 64 MiB free.  By default both limits follow the largest
+    block freed so far in the process, so whether a step's arrays were
+    handed back and faulted in again depended on what other code had freed
+    (about 20k more minor faults per sim2d-vortex cycle once `verify` held
+    2 MiB less, `tools/heap_churn.py`).  Once per process; nothing where
+    the C library has no `mallopt`."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3   # glibc's <malloc.h>
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
 class _Stepper:
     """Conservative-variable RK4 kernel on the stacked coefficient array
     y = (rho, m_1, ..., m_dim).  Each stage does one batched inverse
@@ -417,9 +479,11 @@ class _Stepper:
     were faulted in again whenever the rest of the heap left no hole for
     them, which made a step's cost depend on what unrelated code held (35k
     rather than 3.5-8k minor faults per sim2d-vortex cycle,
-    `tools/heap_churn.py`)."""
+    `tools/heap_churn.py`).  The arrays a stage still allocates stay in the
+    heap too (`_keep_freed_heap`, which building a stepper calls)."""
 
     def __init__(self, grid: TorusGrid, params: FluidParams, vacuum_floor: float):
+        _keep_freed_heap()
         self.grid = grid
         self.params = params
         self.vacuum_floor = vacuum_floor

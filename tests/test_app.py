@@ -642,19 +642,21 @@ class TestVerify:
     def test_transform_budget_of_verify_all(self, tmp_path, fft_calls):
         """Sup-norm Besov terms transform only the blocks their l^1 bound
         leaves open, the identity residuals are certified by their coefficient
-        bounds and transform nothing, and every ledger and suite shares each
-        snapshot's pressure, grad u, v1, G and curl u, and the transport
-        ledger reads rho's epsilon-Besov norm that the series check took: 72
-        forward and 126 inverse fields here (127 when the ledger took that
-        norm again; 84 and 175 when the residuals were sampled and the
-        Coifman flux took dim^2 products; 72 and 119 before the series check
-        recomputed every column, which adds the samples of G and the
-        epsilon-Besov block of each of the 4 snapshots)."""
+        bounds and transform nothing, every ledger and suite shares each
+        snapshot's pressure, grad u, v1, G and curl u, the transport ledger
+        reads rho's epsilon-Besov norm that the series check took, and d_t u
+        is differenced on the samples: 72 forward and 114 inverse fields
+        here (126 when the A functional's d_t u was differenced on the
+        coefficients; 127 when the ledger took that norm again; 84 and 175
+        when the residuals were sampled and the Coifman flux took dim^2
+        products; 72 and 119 before the series check recomputed every
+        column, which adds the samples of G and the epsilon-Besov block of
+        each of the 4 snapshots)."""
         outdir = str(tmp_path / "run")
         app.simulate(app.parse_config(FORCED_3D_CFG), outdir)
         fft_calls.clear()
         assert app.verify(outdir, "all").ok
-        assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (72, 126)
+        assert (fft_calls["rfftn_fields"], fft_calls["irfftn_fields"]) == (72, 114)
 
     def test_transform_budget_of_compute_diagnostics(self, fft_calls):
         """The v1 residual columns are coefficient bounds and the potential a
@@ -805,6 +807,23 @@ def _ledgers_from_trajectory(outdir):
     }
 
 
+def _arrays(value) -> list:
+    """Every numpy array that `value` holds, through fields, states, tuples,
+    lists and dicts (a field's coefficients and its samples, when it has
+    them)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, sp.Field):
+        return [a for a in (value._coeffs, value._samples) if a is not None]
+    if isinstance(value, dyn.FluidState):
+        return _arrays(value.rho) + _arrays(value.u)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
 class TestStreamingVerify:
     """`verify` reads the checkpoints one at a time through a window of three
     and feeds every suite and ledger from it."""
@@ -830,7 +849,7 @@ class TestStreamingVerify:
         """Over one `verify --suite all` pass each snapshot derives once every
         quantity that several checks and ledgers read: the energy parts (one
         sum of the potential), ||rho||_{L^{q_c}}, the p1 moment, rho's
-        B^eps_{inf,inf} norm, div u, div v1 and |u|^2."""
+        B^eps_{inf,inf} norm, div u, v1, div v1 and |u|^2."""
         outdir = _stream_run(str(tmp_path), 6)
         problem = app.build_problem(app.load_config(os.path.join(outdir, app.CONFIG_FILE)))
         mon = problem.monitor
@@ -849,12 +868,13 @@ class TestStreamingVerify:
                 _seen.append(args)
                 return _real(*args)
             monkeypatch.setattr(owner, name, counted)
-        def u_sq(snap, _real=diag._Snapshot.u_sq.func):
-            calls["u_sq"].append((snap,))
-            return _real(snap)
-        counted_u_sq = functools.cached_property(u_sq)
-        counted_u_sq.__set_name__(diag._Snapshot, "u_sq")
-        monkeypatch.setattr(diag._Snapshot, "u_sq", counted_u_sq)
+        for name in ("u_sq", "v1"):
+            def derived(snap, _real=getattr(diag._Snapshot, name).func, _seen=calls[name]):
+                _seen.append((snap, value := _real(snap)))
+                return value
+            counted = functools.cached_property(derived)
+            counted.__set_name__(diag._Snapshot, name)
+            monkeypatch.setattr(diag._Snapshot, name, counted)
         assert app.verify(outdir, "all").ok
         assert len(snaps) == 6
 
@@ -868,8 +888,10 @@ class TestStreamingVerify:
         assert per_snapshot("_sup_besov", lambda s, part, f, sigma, floor:
                             f is s.state.rho and sigma == mon.epsilon) == once
         assert per_snapshot("divergence", lambda s, x: x is s.state.u) == once
-        assert per_snapshot("divergence", lambda s, x: x is s.velocities[0]) == once
-        assert per_snapshot("u_sq", lambda s, snap: snap is s) == once
+        assert per_snapshot("v1", lambda s, snap, v1: snap is s) == once
+        assert per_snapshot("divergence", lambda s, x: any(
+            x is v1 for snap, v1 in calls["v1"] if snap is s)) == once
+        assert per_snapshot("u_sq", lambda s, snap, u_sq: snap is s) == once
 
     def test_min_density_read_once_and_finiteness_never(self, tmp_path, monkeypatch):
         """Over one `verify --suite all` pass each snapshot reads its minimum
@@ -895,6 +917,29 @@ class TestStreamingVerify:
         assert len(snaps) == 6 and scans == []
         assert len(reads) == 6 and all(read is snap.state for read, snap in zip(reads, snaps))
 
+    def test_released_snapshot_holds_its_samples_and_v(self, tmp_path, monkeypatch):
+        """Over a `verify --suite all` pass of a 3-D run, each snapshot, once
+        released, still answers its time and minimum density, and holds no
+        array but its stored samples and v's coefficients."""
+        snaps = []
+
+        class Recorded(diag._Snapshot):
+            def __init__(self, *args):
+                super().__init__(*args)
+                snaps.append(self)
+
+        outdir = str(tmp_path / "run")
+        bundle = app.simulate(app.parse_config(FORCED_3D_CFG), outdir)
+        monkeypatch.setattr(diag, "_Snapshot", Recorded)
+        assert app.verify(outdir, "all").ok
+        assert len(snaps) == len(bundle.trajectory) == 4
+        for snap, state in zip(snaps, bundle.trajectory.states):
+            assert snap.t == state.t and snap.min_rho == state.min_density
+            held = [a for name, value in vars(snap).items() if name != "params"
+                    for a in _arrays(value)]
+            want = [snap.state.rho.samples, snap.state.u.samples, snap.v.coeffs]
+            assert len(held) == len(want) and all(any(a is w for w in want) for a in held)
+
     def test_peak_memory_flat_in_the_snapshot_count(self, tmp_path):
         m = 32
         grid = sp.TorusGrid(2, m)
@@ -911,6 +956,25 @@ class TestStreamingVerify:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < snapshot_bytes, peaks
+
+    def test_peak_memory_of_a_3d_pass_is_twenty_stored_states(self, tmp_path):
+        """The traced high-water of `verify --suite all` on a 3-D 16^3 run
+        is at most 20 stored states' bytes: three stored states, the current
+        snapshot's fields and its neighbours' v (17.4 of them; 25.9 when a
+        released snapshot kept u's coefficients and v1, grad u was held
+        whole and verify built the run's initial state)."""
+        outdir = str(tmp_path / "run")
+        bundle = app.simulate(app.parse_config(FORCED_3D_CFG), outdir)
+        grid = bundle.trajectory.states[0].rho.grid
+        state_bytes = (1 + grid.dim) * grid.size * 8
+        assert app.verify(outdir, "all").ok  # fills the per-grid caches
+        tracemalloc.start()
+        try:
+            assert app.verify(outdir, "all").ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * state_bytes, peak / state_bytes
 
     @pytest.mark.parametrize("cfg, snapshots", [
         (STREAM_CFG.format(m=16, t_end=0.03), 7), (FORCED_3D_CFG, 4)], ids=["2d", "3d"])

@@ -88,13 +88,15 @@ class TestEffectiveQuantities:
 
     def test_v1_of_constant_density(self, grid, params):
         state = dyn.stream_vortex_state(grid, 1.0, 0.5)
-        v1, v = diag.effective_velocity(state, params, diag.pressure_field(state, params))
+        snap = diag._Snapshot(state, params)
+        v1, v = snap.v1, snap.v
         assert sp.lebesgue_norm(v, INF) < 1e-12
         assert sp.lebesgue_norm(v1 - state.u, INF) < 1e-12
 
     def test_v1_of_still_fluid_is_gradient(self, grid, params, random_state):
         state = dyn.FluidState(random_state.rho, sp.VectorField.zero(grid), 0.0)
-        v1, v = diag.effective_velocity(state, params, diag.pressure_field(state, params))
+        snap = diag._Snapshot(state, params)
+        v1, v = snap.v1, snap.v
         assert sp.lebesgue_norm(v1 + v * (1.0 / params.nu), INF) < 1e-13
         assert sp.lebesgue_norm(sp.curl(v1), INF) < 1e-11
 
@@ -401,12 +403,14 @@ class TestResidualPass:
             RESIDUALS[name](short)
 
     @pytest.mark.parametrize("name, budget", [("f_adopted", (113, 71)),
-                                              ("elliptic", (85, 99))])
+                                              ("elliptic", (81, 99))])
     def test_transform_budget(self, manufactured_run, fft_calls, name, budget):
         """Forward and inverse fields on 11 snapshots of 2-D 32^2: F reads the
         potential inv_lap div(rho u) that the snapshot's Coifman commutator
-        holds, and each snapshot transforms its u once (125 and 67, 89 and
-        107 when the residuals differenced whole-run field lists)."""
+        holds, each snapshot transforms its u once, and d_t u is differenced
+        on the samples, so the two end snapshots transform no u (125 and 67,
+        89 and 107 when the residuals differenced whole-run field lists; 85
+        and 99 when d_t u differenced the coefficients)."""
         _, _, ms = manufactured_run
         traj = self._run(ms, 0.01, 0.1)
         assert len(traj) == 11
@@ -734,11 +738,13 @@ def test_pressure_built_once_per_snapshot(vortex_run, part, monkeypatch):
 
 
 def test_release_keeps_only_what_a_neighbour_reads(grid, part, params, random_state):
-    """After `release` a snapshot holds its state, params and time and, of
-    what it derived, only (v1, v) and the terms of F, which the time
-    derivatives of its neighbours read: every other cached field and every
-    memoised norm is dropped without being listed."""
+    """After `release` a snapshot holds only `KEPT`: its state, params, time
+    and minimum density and, of what it derived, v and the terms of F,
+    which the time derivatives of its neighbours read; every other cached
+    field and every memoised norm is dropped without being listed, and the
+    state's fields drop their coefficients but keep their samples."""
     snap = diag._Snapshot(random_state, params)
+    samples = snap.state.rho.samples, snap.state.u.samples
     cached = [name for name, value in vars(diag._Snapshot).items()
               if isinstance(value, functools.cached_property)]
     for name in cached:
@@ -747,9 +753,12 @@ def test_release_keeps_only_what_a_neighbour_reads(grid, part, params, random_st
     for name, spec in itertools.product(("rho", "div_v1"), (lp.BesovSpec(0.5, INF, INF),
                                                             lp.BesovSpec(0.5, 4, 1))):
         snap.besov(part, name, spec, 0.0)
-    assert {"memo", "energy", "div_u", "v1_bounds"} <= set(vars(snap))
+    assert {"memo", "energy", "div_u", "v1", "v1_bounds"} <= set(vars(snap))
     snap.release()
-    assert set(vars(snap)) == {"state", "params", "t", "velocities", "log_parts"}
+    assert set(vars(snap)) == set(diag._Snapshot.KEPT) == {
+        "state", "params", "t", "min_rho", "v", "log_parts"}
+    assert snap.state.rho._coeffs is None and snap.state.u._coeffs is None
+    assert (snap.state.rho.samples, snap.state.u.samples) == samples
 
 
 def test_snapshot_besov_answers_every_floor_as_floored_besov(part, params, random_state,

@@ -189,15 +189,17 @@ def test_audit_names_a_failed_verification(audit_main, small_cfg, monkeypatch, c
 def test_pass_profile_times_every_add_and_field(restored, small_cfg, capsys):
     """On a 2-D 16^2 run of four checkpoints the profile lists every check
     and ledger that `verify --suite all` feeds, once per snapshot, and the
-    snapshot's shared fields, each derived once per snapshot; the timed
-    classes are as they were afterwards."""
+    snapshot's shared fields, each derived once per snapshot, each with its
+    traced high-water: |u|^2's holds at least its grid array, and none
+    exceeds the whole pass's, printed before its wall time; the timed and
+    probed classes are as they were afterwards."""
     from torusns import diagnostics as diag
     before = dict(vars(diag._Snapshot)), dict(vars(diag.EnergyLedger))
     assert pass_profile.main(["--config", small_cfg]) == 0
     assert (dict(vars(diag._Snapshot)), dict(vars(diag.EnergyLedger))) == before
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"verify --suite all ({small_cfg})" and "pass wall time" in lines[-1]
-    rows = [re.fullmatch(r"  (add \S+|_Snapshot\.\S+) +(\d+) +[\d.]+ +[\d.]+", line)
+    rows = [re.fullmatch(r"  (add \S+|_Snapshot\.\S+) +(\d+) +[\d.]+ +[\d.]+ +([\d.]+)", line)
             for line in lines]
     calls = {row[1]: int(row[2]) for row in rows if row}
     fed = ["_IdentitySuite", "_SeriesCrosscheck", "_Diagnostics", "BlowupMonitor",
@@ -205,5 +207,9 @@ def test_pass_profile_times_every_add_and_field(restored, small_cfg, capsys):
            "GradOmegaBudget", "_AFunctional", "V1EnergyLedger"]
     assert {name[4:]: n for name, n in calls.items() if name.startswith("add ")} == \
         dict.fromkeys(fed, 4)
-    shared = ("energy", "u_sq", "div_u", "div_v1", "velocities", "pressure", "release")
+    shared = ("energy", "u_sq", "div_u", "v1", "div_v1", "v", "pressure", "release")
     assert {name: calls[f"_Snapshot.{name}"] for name in shared} == dict.fromkeys(shared, 4)
+    high = {row[1]: float(row[3]) for row in rows if row}
+    whole = re.fullmatch(r"  pass high-water: ([\d.]+) MiB", lines[-2])
+    assert high["_Snapshot.u_sq"] >= 16 * 16 * 8 / 2 ** 10
+    assert max(high.values()) <= float(whole[1]) * 2 ** 10 + 5.0   # printed to 0.01 MiB
